@@ -16,9 +16,9 @@
 use std::time::{Duration, Instant};
 use yu_baselines::{jingubang_verify, qarc_verify};
 use yu_bench::{cdf_summary, overload_tlp, preset_instance, run_yu, secs};
-use yu_core::{aggregate_load, check_requirement, YuOptions, YuVerifier};
+use yu_core::{check_requirement, YuOptions, YuVerifier};
 use yu_gen::{fattree_with_flows, motivating_example, WanPreset};
-use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
+use yu_mtbdd::{Mtbdd, Ratio, Term};
 use yu_net::{scenario_count, FailureMode, Flow, LoadPoint, Network, Scenario, Tlp};
 
 struct Opts {
@@ -225,54 +225,57 @@ fn fig13_14(opts: &Opts) {
         WanPreset::Wan
     };
     let (w, flows) = preset_instance(preset);
-    let mut v = YuVerifier::new(
-        w.net.clone(),
-        YuOptions {
-            k: 1,
-            ..Default::default()
-        },
-    );
-    v.add_flows(&flows);
-    // Sample 100 links deterministically.
-    let nlinks = w.net.topo.num_links();
-    let sample: Vec<yu_net::LinkId> = (0..nlinks)
-        .step_by((nlinks / 100).max(1))
-        .take(100)
-        .map(|i| yu_net::LinkId(i as u32))
-        .collect();
+    // The aggregator that ships, with and without link-local classing.
+    // `load_mtbdd` caches per point; every sampled link is a first visit.
+    let verifier = |use_link_local_equiv| {
+        let mut v = YuVerifier::new(
+            w.net.clone(),
+            YuOptions {
+                k: 1,
+                use_link_local_equiv,
+                // Fig. 14 wants the statistics of every sampled link.
+                static_prune: false,
+                ..Default::default()
+            },
+        );
+        v.add_flows(&flows);
+        v
+    };
+    let mut with = verifier(true);
+    let mut without = verifier(false);
+    let fv = with.failure_vars().clone();
+    // Sample 100 links deterministically (the overload TLP has one
+    // requirement per link, in link order).
+    let tlp = overload_tlp(&w.net);
+    let nlinks = tlp.reqs.len();
+    let sample = Tlp {
+        reqs: tlp
+            .reqs
+            .into_iter()
+            .step_by((nlinks / 100).max(1))
+            .take(100)
+            .collect(),
+    };
     let mut with_eq = Vec::new();
     let mut without_eq = Vec::new();
-    let mut flows_raw = Vec::new();
-    let mut flows_classes = Vec::new();
-    let tlp = overload_tlp(&w.net);
-    for &l in &sample {
-        let point = LoadPoint::Link(l);
-        let req = tlp
-            .reqs
-            .iter()
-            .find(|r| r.point == point)
-            .expect("overload TLP covers every link");
-        let contributions: Vec<(NodeRef, Ratio)> = v
-            .flow_results()
-            .map(|(g, stf)| (stf.at(v.manager(), point), g.volume.clone()))
-            .collect::<Vec<_>>();
-        let t0 = Instant::now();
-        let (tau, stats) = aggregate_load(v.manager_mut(), &contributions, true, Some(1));
-        let fv = v.failure_vars().clone();
-        let _ = check_requirement(v.manager_mut(), &fv, tau, req, 1);
-        with_eq.push(t0.elapsed().as_secs_f64());
-        flows_raw.push(stats.flows as f64);
-        flows_classes.push(stats.classes as f64);
-        let t0 = Instant::now();
-        let (tau, _) = aggregate_load(v.manager_mut(), &contributions, false, Some(1));
-        let _ = check_requirement(v.manager_mut(), &fv, tau, req, 1);
-        without_eq.push(t0.elapsed().as_secs_f64());
+    for req in &sample.reqs {
+        for (v, times) in [(&mut with, &mut with_eq), (&mut without, &mut without_eq)] {
+            let t0 = Instant::now();
+            let tau = v.load_mtbdd(req.point);
+            let _ = check_requirement(v.manager_mut(), &fv, tau, req, 1);
+            times.push(t0.elapsed().as_secs_f64());
+        }
     }
+    // Fig. 14's counts are the aggregator's own statistics for the same
+    // links: flows reaching the link vs the classes it summed.
+    let per_point = with.verify(&sample).stats.per_point;
+    let flows_raw: Vec<f64> = per_point.values().map(|s| s.flows as f64).collect();
+    let flows_classes: Vec<f64> = per_point.values().map(|s| s.classes as f64).collect();
     let (_, p90_w, max_w) = cdf_summary(with_eq.clone());
     let (_, p90_wo, max_wo) = cdf_summary(without_eq.clone());
     println!(
         "Fig. 13 per-link TLP check time over {} links:",
-        sample.len()
+        sample.reqs.len()
     );
     println!(
         "  with equivalence:    p90 {:.4}s  max {:.4}s",

@@ -1,8 +1,8 @@
 //! # yu-bench
 //!
 //! Shared harness helpers for regenerating the paper's evaluation
-//! (`src/bin/figures.rs` prints every table and figure; `benches/` holds
-//! the Criterion timing benches).
+//! (`src/bin/figures.rs` prints every table and figure). The performance
+//! benchmark is the separate `yubench/` package (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,13 +13,15 @@
 //! link-local flow-equivalence aggregation, and terminal-scan TLP checking
 //! with counterexample extraction.
 
-use crate::attribution::{flow_label, req_label, Attribution, EntityCost, PhaseAttribution};
+use crate::attribution::{flow_label, Attribution, EntityCost, PhaseAttribution};
+use crate::check::LoadCache;
 use crate::equivalence::{global_groups_classified, AggStats, FlowGroup};
-use crate::exec::{simulate_flow, simulate_flow_traced, ExecOptions, FlowStf};
-use crate::parallel::{check_sharded, execute_sharded, CheckCtx, CheckUnit};
+use crate::exec::{execute_group, ExecOptions, FlowStf};
+use crate::parallel::execute_sharded;
 use crate::trace::RouteTrace;
-use crate::verify::{check_requirement, Violation};
+use crate::verify::Violation;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use yu_mtbdd::{ImportMemo, Mtbdd, MtbddStats, NodeRef, Ratio, Term};
 use yu_net::{FailureMode, FailureVars, Flow, LoadPoint, Network, Scenario, Tlp};
@@ -49,19 +51,18 @@ pub struct YuOptions {
     pub gc_node_threshold: usize,
     /// Worker threads for symbolic traffic execution. `1` runs the
     /// classic sequential engine on the shared arena; `> 1` shards flow
-    /// groups across threads with private arenas (see
-    /// [`crate::parallel`]) and imports the results back in flow order,
+    /// groups across threads with private arenas and imports the results
+    /// back in flow order,
     /// so outcomes are independent of both thread count and scheduling.
     /// Defaults to `YU_WORKERS` when set, else 1.
     pub workers: usize,
     /// Worker threads for the property-checking stage. `1` aggregates and
     /// scans every load point sequentially on the shared arena; `> 1`
-    /// shards requirements across threads (see
-    /// [`crate::parallel::check_sharded`]) — the main arena is frozen
-    /// once and every worker opens a zero-copy overlay on it, combining
-    /// the per-point equivalence-class representatives with the fused
-    /// n-ary `Σ∘KREDUCE` kernel. Results are bit-identical to a
-    /// sequential check. Defaults to `YU_CHECK_WORKERS` when set, else 1.
+    /// shards requirements across threads — the main arena is frozen
+    /// once and every worker opens a zero-copy overlay on it, running the
+    /// same requirement loop as the sequential check. Results are
+    /// bit-identical to a sequential check. Defaults to
+    /// `YU_CHECK_WORKERS` when set, else 1.
     pub check_workers: usize,
     /// Treat [`YuOptions::check_workers`] as a *cap* instead of a fixed
     /// count: before the check stage, a cost model estimates the
@@ -101,35 +102,22 @@ pub struct YuOptions {
 /// set to a positive integer, else 1 (sequential). Latched once per
 /// process, like the `YU_AUDIT` gate.
 pub fn default_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("YU_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(1)
-    })
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| env_workers("YU_WORKERS"))
 }
 
 /// The default check-stage worker count: the `YU_CHECK_WORKERS`
 /// environment variable when set to a positive integer, else 1
 /// (sequential). Latched once per process, like [`default_workers`].
 pub fn default_check_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("YU_CHECK_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(1)
-    })
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| env_workers("YU_CHECK_WORKERS"))
 }
 
-/// Fixed-cost estimate (in arena nodes) charged per check worker by the
-/// `--check-workers auto` cost model: thread spawn plus the cold overlay
-/// caches a worker has to re-warm. Small networks fall below it and run
-/// sequentially; the acceptance workloads clear it comfortably.
-const AUTO_SETUP_NODES_PER_WORKER: usize = 25_000;
+fn env_workers(var: &str) -> usize {
+    let set = std::env::var(var).ok().and_then(|v| v.parse().ok());
+    set.filter(|&w| w >= 1).unwrap_or(1)
+}
 
 impl Default for YuOptions {
     fn default() -> Self {
@@ -185,6 +173,24 @@ pub struct RunStats {
     pub attribution: Option<Attribution>,
 }
 
+/// Growth of the cumulative arena counters both observability bridges
+/// forward — apply-cache hits/misses, fused-cache hits/misses, GC runs,
+/// GC-reclaimed nodes — since `reported`.
+fn arena_counter_deltas(now: &MtbddStats, reported: &MtbddStats) -> [u64; 6] {
+    let cumulative = |s: &MtbddStats| {
+        [
+            s.apply_cache_hits,
+            s.apply_cache_misses,
+            s.fused_cache_hits,
+            s.fused_cache_misses,
+            s.gc_runs,
+            s.gc_reclaimed_nodes,
+        ]
+    };
+    let (now, reported) = (cumulative(now), cumulative(reported));
+    std::array::from_fn(|i| now[i].saturating_sub(reported[i]))
+}
+
 /// Outcome of verifying one TLP.
 #[derive(Debug, Clone)]
 pub struct VerificationOutcome {
@@ -216,7 +222,7 @@ pub struct YuVerifier {
     pub(crate) flows_in: usize,
     pub(crate) route_time: Duration,
     pub(crate) exec_time: Duration,
-    pub(crate) load_cache: HashMap<LoadPoint, (NodeRef, AggStats)>,
+    pub(crate) load_cache: LoadCache,
     live_after_gc: usize,
     pub(crate) worker_stats: MtbddStats,
     /// Combined arena statistics already forwarded to the telemetry
@@ -228,14 +234,14 @@ pub struct YuVerifier {
     registry_reported: MtbddStats,
     /// Per-flow-group execution costs, accumulated across `add_flows`
     /// calls. Empty unless `opts.profile`.
-    exec_attr: PhaseAttribution,
+    pub(crate) exec_attr: PhaseAttribution,
     /// Per-flow-group import costs of parallel execution (main-arena
     /// growth while copying worker results back). Empty unless
     /// `opts.profile` and `workers > 1`.
     import_attr: PhaseAttribution,
     /// Per-requirement check costs of the verify call in flight; built
-    /// by the check loops, consumed (and cleared) by `finish_outcome`.
-    check_attr: PhaseAttribution,
+    /// by the check stage, consumed (and cleared) by `finish_outcome`.
+    pub(crate) check_attr: PhaseAttribution,
     /// Inner nodes the symbolic route simulation left in the arena.
     route_nodes: u64,
 }
@@ -421,67 +427,54 @@ impl YuVerifier {
                 })
                 .collect()
         };
-        let exec_opts = ExecOptions {
-            k: self.opts.use_kreduce.then_some(self.opts.k),
-            max_hops: self.opts.max_hops,
-        };
         let t0 = Instant::now();
         let exec_span = yu_telemetry::span("exec");
-        yu_telemetry::with_registry(|r| r.flow_groups_executed_total.add(groups.len() as u64));
-        let profile = self.opts.profile;
         if self.opts.workers > 1 && groups.len() > 1 {
-            self.add_groups_parallel(groups, exec_opts);
+            self.add_groups_parallel(groups);
         } else {
-            let nodes_at_start = self.m.stats().nodes_created as i64;
             for g in groups {
-                let t_flow = Instant::now();
-                let nodes_before = self.m.stats().nodes_created as i64;
-                let (stf, trace) = if self.opts.record_route_deps {
-                    let (stf, trace) = simulate_flow_traced(
-                        &mut self.m,
-                        &self.net,
-                        &self.fv,
-                        &mut self.routes,
-                        &g.rep,
-                        exec_opts,
-                    );
-                    (stf, Some(trace))
-                } else {
-                    let stf = simulate_flow(
-                        &mut self.m,
-                        &self.net,
-                        &self.fv,
-                        &mut self.routes,
-                        &g.rep,
-                        exec_opts,
-                    );
-                    (stf, None)
-                };
-                let wall_us = t_flow.elapsed().as_micros() as u64;
-                yu_telemetry::with_registry(|r| r.flow_exec_seconds.record(wall_us));
-                if profile {
-                    self.exec_attr.entities.push(EntityCost {
-                        label: flow_label(&self.net, &g.rep, g.members),
-                        wall_us,
-                        nodes_delta: self.m.stats().nodes_created as i64 - nodes_before,
-                    });
-                }
+                let (stf, trace) = self.execute(&g);
                 self.groups.push(g);
                 self.results.push(stf);
                 self.traces.push(trace);
             }
-            if profile {
-                self.exec_attr.nodes_delta += self.m.stats().nodes_created as i64 - nodes_at_start;
-            }
         }
         drop(exec_span);
-        let elapsed = t0.elapsed();
-        if profile {
+        self.book_exec_time(t0.elapsed());
+        self.load_cache.clear();
+        self.audit_checkpoint("after symbolic traffic execution");
+    }
+
+    /// Executes one flow group on the main arena ([`execute_group`]) — a
+    /// batch `add_flows`, or the incremental engine re-executing what a
+    /// change invalidated.
+    pub(crate) fn execute(&mut self, g: &FlowGroup) -> (FlowStf, Option<RouteTrace>) {
+        let exec_opts = self.exec_options();
+        execute_group(
+            &mut self.m,
+            &self.net,
+            &self.fv,
+            &mut self.routes,
+            g,
+            exec_opts,
+            self.opts.record_route_deps,
+            self.opts.profile.then_some(&mut self.exec_attr),
+        )
+    }
+
+    fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
+            k: self.opts.use_kreduce.then_some(self.opts.k),
+            max_hops: self.opts.max_hops,
+        }
+    }
+
+    /// Books wall-clock spent executing flow groups (batch or incremental).
+    pub(crate) fn book_exec_time(&mut self, elapsed: Duration) {
+        if self.opts.profile {
             self.exec_attr.wall_us += elapsed.as_micros() as u64;
         }
         self.exec_time += elapsed;
-        self.load_cache.clear();
-        self.audit_checkpoint("after symbolic traffic execution");
     }
 
     /// Sharded parallel execution of one `add_flows` batch: workers own
@@ -490,14 +483,14 @@ impl YuVerifier {
     /// and each STF's load points in sorted order, so the merged arena
     /// state is a pure function of the input — independent of worker
     /// count and thread scheduling.
-    fn add_groups_parallel(&mut self, groups: Vec<FlowGroup>, exec_opts: ExecOptions) {
+    fn add_groups_parallel(&mut self, groups: Vec<FlowGroup>) {
         let profile = self.opts.profile;
         let shards = execute_sharded(
             &self.net,
             self.opts.mode,
             self.routes.k(),
             &groups,
-            exec_opts,
+            self.exec_options(),
             self.opts.workers,
             self.opts.record_route_deps,
             profile,
@@ -550,8 +543,10 @@ impl YuVerifier {
             // arenas: per-flow entities (plus each worker's local route
             // recompute) telescoping to the summed worker-arena growth.
             for shard in &shards {
-                self.exec_attr.entities.extend(shard.costs.iter().cloned());
-                self.exec_attr.nodes_delta += shard.arena.stats().nodes_created as i64;
+                self.exec_attr
+                    .entities
+                    .extend(shard.costs.entities.iter().cloned());
+                self.exec_attr.nodes_delta += shard.costs.nodes_delta;
             }
         }
         drop(import_span);
@@ -572,85 +567,8 @@ impl YuVerifier {
     /// trigger garbage collection (any other `load_*` or `verify` call);
     /// evaluate or copy what you need before calling back in.
     pub fn load_mtbdd(&mut self, point: LoadPoint) -> NodeRef {
-        self.load_with_stats(point).0
-    }
-
-    pub(crate) fn load_with_stats(&mut self, point: LoadPoint) -> (NodeRef, AggStats) {
-        if let Some(&(tau, stats)) = self.load_cache.get(&point) {
-            return (tau, stats);
-        }
-        let _stage = yu_telemetry::span_detail("aggregate", || format!("{point:?}"));
-        self.maybe_gc(&mut []);
-        // Group contributions link-locally (pointer equality of STFs,
-        // Sec. 5.3), remembering a representative *result index* per
-        // class instead of the raw handle so the loop below can garbage-
-        // collect mid-aggregation and re-derive fresh handles.
-        let mut classes: Vec<(usize, Ratio)> = Vec::new();
-        let mut flows = 0usize;
-        let mut by_stf: HashMap<NodeRef, usize> = HashMap::new();
-        for (ix, (stf, g)) in self.results.iter().zip(&self.groups).enumerate() {
-            let handle = stf.at(&self.m, point);
-            if handle == self.m.zero() || g.volume.is_zero() {
-                continue;
-            }
-            flows += 1;
-            if self.opts.use_link_local_equiv {
-                match by_stf.entry(handle) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        classes[*e.get()].1 += &g.volume;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(classes.len());
-                        classes.push((ix, g.volume.clone()));
-                    }
-                }
-            } else {
-                classes.push((ix, g.volume.clone()));
-            }
-        }
-        let stats = AggStats {
-            flows,
-            classes: classes.len(),
-        };
-        let k = self.opts.use_kreduce.then_some(self.opts.k);
-        let mut level: Vec<NodeRef> = Vec::with_capacity(classes.len());
-        for (rep, vol) in classes {
-            let stf = self.results[rep].at(&self.m, point);
-            // The fused kernels reduce during the apply, so the
-            // un-reduced intermediates never hit the arena.
-            let scaled = match k {
-                Some(k) => self.m.scale_kreduce(stf, Term::Num(vol), k),
-                None => self.m.scale(stf, Term::Num(vol)),
-            };
-            level.push(scaled);
-            self.maybe_gc(&mut level);
-        }
-        let tau = match k {
-            // The n-ary fused kernel materializes βₖ(Σ) directly: the
-            // pairwise partial sums (the transients of the paper's
-            // Fig. 18 blow-up) never hit the arena at all.
-            Some(k) => self.m.sum_kreduce(&level, k),
-            None => {
-                // Exact (un-reduced) aggregation: balanced pairwise
-                // accumulation with GC checkpoints keeps most additions
-                // between small diagrams and bounds the arena.
-                while level.len() > 1 {
-                    let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                    for pair in level.chunks(2) {
-                        next.push(if pair.len() == 2 {
-                            self.m.add(pair[0], pair[1])
-                        } else {
-                            pair[0]
-                        });
-                    }
-                    level = next;
-                    self.maybe_gc(&mut level);
-                }
-                level.pop().unwrap_or_else(|| self.m.zero())
-            }
-        };
-        self.load_cache.insert(point, (tau, stats));
-        (tau, stats)
+        let opts = self.opts;
+        crate::check::load(self, &opts, point).0
     }
 
     /// The concrete load at `point` under `scenario`, evaluated from the
@@ -661,78 +579,6 @@ impl YuVerifier {
             Term::Num(v) => v,
             Term::PosInf => unreachable!("traffic loads are finite"),
         }
-    }
-
-    /// The worker count the check stage will actually use for `reqs`
-    /// (after pruning): the configured `check_workers`, or — with
-    /// [`YuOptions::check_workers_auto`] — the output of the cost model
-    /// in [`Self::auto_check_workers`]. `1` means the sequential loop.
-    fn effective_check_workers(&mut self, reqs: &[yu_net::TlpReq]) -> usize {
-        if reqs.len() <= 1 || self.opts.check_workers <= 1 {
-            return 1;
-        }
-        if !self.opts.check_workers_auto {
-            return self.opts.check_workers;
-        }
-        self.auto_check_workers(reqs)
-    }
-
-    /// Estimated symbolic work of checking `reqs`, in nodes: for every
-    /// requirement, the summed diagram sizes of the *distinct*
-    /// equivalence-class representatives at its load point (each
-    /// distinct handle is counted once per requirement that aggregates
-    /// it — the unit of work the fused kernel walks). Node counts are
-    /// memoized per handle, so the estimate costs one DFS per distinct
-    /// live diagram, not per requirement.
-    fn estimate_check_work(&self, reqs: &[yu_net::TlpReq]) -> usize {
-        let zero = self.m.zero();
-        let mut sizes: HashMap<NodeRef, usize> = HashMap::new();
-        let mut work = 0usize;
-        for req in reqs {
-            let mut seen = std::collections::HashSet::new();
-            for (stf, g) in self.results.iter().zip(&self.groups) {
-                let handle = stf.at(&self.m, req.point);
-                if handle == zero || g.volume.is_zero() {
-                    continue;
-                }
-                if self.opts.use_link_local_equiv && !seen.insert(handle) {
-                    continue;
-                }
-                let size = *sizes
-                    .entry(handle)
-                    .or_insert_with(|| self.m.node_count(handle));
-                work += size;
-            }
-        }
-        work
-    }
-
-    /// The cost model behind `--check-workers auto`: shards the check
-    /// stage only when the estimated per-worker work can pay for the
-    /// fixed setup (freezing the arena — a copy of the live node and
-    /// slot tables — plus spawning the threads). Returns the worker
-    /// count to use, degrading to `1` (and booking the
-    /// `check.auto_degraded` telemetry counter) when sharding cannot
-    /// pay. Purely a wall-clock decision: verdicts are bit-identical
-    /// either way.
-    pub fn auto_check_workers(&mut self, reqs: &[yu_net::TlpReq]) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let cap = self.opts.check_workers.min(hw).min(reqs.len());
-        if cap <= 1 {
-            yu_telemetry::counter("check.auto_degraded", 1);
-            return 1;
-        }
-        let work = self.estimate_check_work(reqs);
-        // Freezing clones the live arena once; each worker costs a
-        // thread spawn plus cold overlay caches, charged as if it were
-        // re-deriving a slice of the arena.
-        let setup = self.m.live_nodes() + AUTO_SETUP_NODES_PER_WORKER * cap;
-        let workers = if work / cap >= setup { cap } else { 1 };
-        yu_telemetry::counter("check.auto_workers", workers as u64);
-        if workers == 1 {
-            yu_telemetry::counter("check.auto_degraded", 1);
-        }
-        workers
     }
 
     /// Zeroes the per-run wall-clock and input counters (`route_time`,
@@ -747,193 +593,10 @@ impl YuVerifier {
         self.import_attr = PhaseAttribution::default();
     }
 
-    /// The semantic preflight pass: classifies every requirement with
-    /// the static analyzer and returns the ones the symbolic engine
-    /// still has to check, plus the number discharged. Only
-    /// `ProvenSafe` requirements are pruned — they hold in every ≤ k
-    /// scenario, so dropping them changes neither the verdict nor the
-    /// violations (proven-violated requirements still run: the report
-    /// needs the engine's exact counterexample). When auditing is on,
-    /// every discharge certificate is re-validated by its independent
-    /// checker before the requirement is skipped.
-    pub(crate) fn preflight_kept(&self, tlp: &Tlp) -> (Vec<yu_net::TlpReq>, usize) {
-        if !self.opts.static_prune || tlp.reqs.is_empty() {
-            return (tlp.reqs.clone(), 0);
-        }
-        let _stage = yu_telemetry::span("preflight");
-        // Classify over the executed flow groups: a group's
-        // representative forwards identically to all members and
-        // carries the summed volume, so bounds over groups equal
-        // bounds over the raw flows.
-        let flows: Vec<Flow> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let mut f = g.rep.clone();
-                f.volume = g.volume.clone();
-                f
-            })
-            .collect();
-        let cfg = yu_analysis::PreflightConfig {
-            k: self.opts.k,
-            mode: self.opts.mode,
-            max_hops: self.opts.max_hops,
-        };
-        let mut pf = yu_analysis::Preflight::new(&self.net, &flows, cfg);
-        let (mut safe, mut violated, mut symbolic) = (0u64, 0u64, 0u64);
-        let mut kept = Vec::with_capacity(tlp.reqs.len());
-        for (ix, req) in tlp.reqs.iter().enumerate() {
-            let classification = {
-                let _s = yu_telemetry::span_detail("preflight.classify", || {
-                    req.point.describe(&self.net.topo)
-                });
-                pf.classify_req(ix, req)
-            };
-            match classification.class {
-                yu_analysis::ReqClass::ProvenSafe => {
-                    if yu_mtbdd::audit_enabled() {
-                        yu_analysis::check_certificate(
-                            &self.net,
-                            &flows,
-                            req,
-                            cfg,
-                            &classification,
-                        )
-                        .unwrap_or_else(|e| {
-                            panic!("preflight certificate failed its independent check: {e}")
-                        });
-                    }
-                    safe += 1;
-                }
-                yu_analysis::ReqClass::ProvenViolated => {
-                    violated += 1;
-                    kept.push(req.clone());
-                }
-                yu_analysis::ReqClass::NeedsSymbolic => {
-                    symbolic += 1;
-                    kept.push(req.clone());
-                }
-            }
-        }
-        yu_telemetry::counter("preflight.proven_safe", safe);
-        yu_telemetry::counter("preflight.proven_violated", violated);
-        yu_telemetry::counter("preflight.needs_symbolic", symbolic);
-        (kept, safe as usize)
-    }
-
-    /// Sharded parallel checking of one TLP's requirements: workers own
-    /// private arenas (see [`crate::parallel::check_sharded`]), read the
-    /// main arena immutably, and return plain-data verdicts. The merge
-    /// walks units in requirement order, so the outcome is bit-identical
-    /// to the sequential loop — independent of worker count and
-    /// scheduling. With `max_violations <= 1` and `early_stop`, the
-    /// result is truncated to the prefix the sequential loop would have
-    /// produced (the extra verdicts past the first violation are
-    /// discarded, not returned).
-    fn check_parallel(
-        &mut self,
-        reqs: &[yu_net::TlpReq],
-        max_violations: usize,
-        workers: usize,
-    ) -> (Vec<Violation>, HashMap<LoadPoint, AggStats>) {
-        let shards = {
-            let ctx = CheckCtx {
-                m: &self.m,
-                fv: &self.fv,
-                results: &self.results,
-                groups: &self.groups,
-                use_link_local_equiv: self.opts.use_link_local_equiv,
-                use_kreduce: self.opts.use_kreduce,
-                k: self.opts.k,
-            };
-            check_sharded(&ctx, reqs, max_violations, workers)
-        };
-        let mut units: Vec<CheckUnit> = Vec::with_capacity(reqs.len());
-        for shard in shards {
-            self.worker_stats.merge(&shard.stats);
-            if self.opts.profile {
-                // The check phase of a sharded run is the workers'
-                // private arenas; each one telescopes from empty, so the
-                // per-unit deltas sum exactly to the summed worker growth.
-                self.check_attr.nodes_delta += shard.stats.nodes_created as i64;
-            }
-            units.extend(shard.units);
-        }
-        units.sort_by_key(|u| u.req_ix);
-        yu_telemetry::with_registry(|r| {
-            for u in &units {
-                r.req_check_seconds.record(u.wall_us);
-            }
-        });
-        if self.opts.profile {
-            // Attribute every unit the workers processed, including any
-            // past an early-stop cut — the work was done either way.
-            for u in &units {
-                self.check_attr.entities.push(EntityCost {
-                    label: req_label(&self.net, &reqs[u.req_ix]),
-                    wall_us: u.wall_us,
-                    nodes_delta: u.nodes_delta,
-                });
-            }
-        }
-        let cut = if max_violations <= 1 && self.opts.early_stop {
-            units.iter().position(|u| !u.violations.is_empty())
-        } else {
-            None
-        };
-        let take = cut.map_or(units.len(), |i| i + 1);
-        let mut violations = Vec::new();
-        let mut per_point = HashMap::new();
-        for u in units.into_iter().take(take) {
-            per_point.insert(reqs[u.req_ix].point, u.agg);
-            violations.extend(u.violations);
-        }
-        (violations, per_point)
-    }
-
     /// Verifies a TLP, returning violations (empty = property holds under
     /// every scenario with at most `k` failures) and run statistics.
     pub fn verify(&mut self, tlp: &Tlp) -> VerificationOutcome {
-        let t0 = Instant::now();
-        let verify_span = yu_telemetry::span("verify");
-        let (kept, pruned) = self.preflight_kept(tlp);
-        let check_workers = self.effective_check_workers(&kept);
-        let (violations, per_point) = if check_workers > 1 {
-            self.check_parallel(&kept, 1, check_workers)
-        } else {
-            let mut violations = Vec::new();
-            let mut per_point = HashMap::new();
-            let profile = self.opts.profile;
-            let nodes_at_start = self.m.stats().nodes_created as i64;
-            for req in &kept {
-                let t_req = Instant::now();
-                let nodes_before = self.m.stats().nodes_created as i64;
-                let (tau, stats) = self.load_with_stats(req.point);
-                per_point.insert(req.point, stats);
-                let v = check_requirement(&mut self.m, &self.fv, tau, req, self.opts.k);
-                let wall_us = t_req.elapsed().as_micros() as u64;
-                yu_telemetry::with_registry(|r| r.req_check_seconds.record(wall_us));
-                if profile {
-                    self.check_attr.entities.push(EntityCost {
-                        label: req_label(&self.net, req),
-                        wall_us,
-                        nodes_delta: self.m.stats().nodes_created as i64 - nodes_before,
-                    });
-                }
-                if let Some(v) = v {
-                    violations.push(v);
-                    if self.opts.early_stop {
-                        break;
-                    }
-                }
-            }
-            if profile {
-                self.check_attr.nodes_delta += self.m.stats().nodes_created as i64 - nodes_at_start;
-            }
-            (violations, per_point)
-        };
-        drop(verify_span);
-        self.finish_outcome(violations, per_point, t0.elapsed(), pruned)
+        self.verify_enumerated(tlp, 1)
     }
 
     /// Like [`Self::verify`], but collects up to `max_violations`
@@ -941,66 +604,14 @@ impl YuVerifier {
     /// first counterexample. The combined list is deduped on
     /// `(point, scenario)` and sorted by failure count, then point, then
     /// scenario, so the cheapest triggers lead and the output is stable.
-    /// `max_violations <= 1` is exactly [`Self::verify`].
+    /// `max_violations <= 1` is exactly [`Self::verify`]: one
+    /// counterexample per violated requirement, in requirement order.
     pub fn verify_enumerated(&mut self, tlp: &Tlp, max_violations: usize) -> VerificationOutcome {
-        if max_violations <= 1 {
-            return self.verify(tlp);
-        }
-        let t0 = Instant::now();
-        let verify_span = yu_telemetry::span("verify");
-        let (kept, pruned) = self.preflight_kept(tlp);
-        let check_workers = self.effective_check_workers(&kept);
-        let (mut violations, per_point) = if check_workers > 1 {
-            self.check_parallel(&kept, max_violations, check_workers)
-        } else {
-            let mut violations: Vec<Violation> = Vec::new();
-            let mut per_point = HashMap::new();
-            let profile = self.opts.profile;
-            let nodes_at_start = self.m.stats().nodes_created as i64;
-            for req in &kept {
-                let t_req = Instant::now();
-                let nodes_before = self.m.stats().nodes_created as i64;
-                let (tau, stats) = self.load_with_stats(req.point);
-                per_point.insert(req.point, stats);
-                let vs = crate::verify::enumerate_violations(
-                    &mut self.m,
-                    &self.fv,
-                    tau,
-                    req,
-                    self.opts.k,
-                    max_violations,
-                );
-                let wall_us = t_req.elapsed().as_micros() as u64;
-                yu_telemetry::with_registry(|r| r.req_check_seconds.record(wall_us));
-                if profile {
-                    self.check_attr.entities.push(EntityCost {
-                        label: req_label(&self.net, req),
-                        wall_us,
-                        nodes_delta: self.m.stats().nodes_created as i64 - nodes_before,
-                    });
-                }
-                violations.extend(vs);
-            }
-            if profile {
-                self.check_attr.nodes_delta += self.m.stats().nodes_created as i64 - nodes_at_start;
-            }
-            (violations, per_point)
-        };
-        let mut seen = std::collections::HashSet::new();
-        violations.retain(|v| seen.insert((v.point, v.scenario.clone())));
-        violations.sort_by(|a, b| {
-            (a.scenario.count(), a.point, &a.scenario).cmp(&(
-                b.scenario.count(),
-                b.point,
-                &b.scenario,
-            ))
-        });
-        drop(verify_span);
-        self.finish_outcome(violations, per_point, t0.elapsed(), pruned)
+        self.verify_with(tlp, max_violations, None)
     }
 
-    /// Shared tail of `verify`/`verify_enumerated`: audits, bridges
-    /// telemetry, and assembles the outcome with run statistics.
+    /// Tail of [`Self::verify_with`]: audits, bridges telemetry, and
+    /// assembles the outcome with run statistics.
     pub(crate) fn finish_outcome(
         &mut self,
         violations: Vec<Violation>,
@@ -1071,34 +682,20 @@ impl YuVerifier {
         r.mtbdd_arena_bytes.set_u64(self.m.arena_bytes() as u64);
         let mut combined = self.m.stats();
         combined.merge(&self.worker_stats);
-        let prev = self.registry_reported;
-        r.mtbdd_apply_cache_hits_total.add(
-            combined
-                .apply_cache_hits
-                .saturating_sub(prev.apply_cache_hits),
-        );
-        r.mtbdd_apply_cache_misses_total.add(
-            combined
-                .apply_cache_misses
-                .saturating_sub(prev.apply_cache_misses),
-        );
-        r.mtbdd_fused_cache_hits_total.add(
-            combined
-                .fused_cache_hits
-                .saturating_sub(prev.fused_cache_hits),
-        );
-        r.mtbdd_fused_cache_misses_total.add(
-            combined
-                .fused_cache_misses
-                .saturating_sub(prev.fused_cache_misses),
-        );
-        r.mtbdd_gc_runs_total
-            .add(combined.gc_runs.saturating_sub(prev.gc_runs));
-        r.mtbdd_gc_reclaimed_nodes_total.add(
-            combined
-                .gc_reclaimed_nodes
-                .saturating_sub(prev.gc_reclaimed_nodes),
-        );
+        let totals = [
+            &r.mtbdd_apply_cache_hits_total,
+            &r.mtbdd_apply_cache_misses_total,
+            &r.mtbdd_fused_cache_hits_total,
+            &r.mtbdd_fused_cache_misses_total,
+            &r.mtbdd_gc_runs_total,
+            &r.mtbdd_gc_reclaimed_nodes_total,
+        ];
+        for (total, delta) in totals
+            .into_iter()
+            .zip(arena_counter_deltas(&combined, &self.registry_reported))
+        {
+            total.add(delta);
+        }
         if let Some(rate) = combined.apply_cache_hit_rate() {
             r.mtbdd_apply_cache_hit_rate.set(rate);
         }
@@ -1118,41 +715,20 @@ impl YuVerifier {
         }
         let mut combined = self.m.stats();
         combined.merge(&self.worker_stats);
-        let prev = self.telemetry_reported;
-        yu_telemetry::counter(
+        let names = [
             "mtbdd.apply_cache_hits",
-            combined
-                .apply_cache_hits
-                .saturating_sub(prev.apply_cache_hits),
-        );
-        yu_telemetry::counter(
             "mtbdd.apply_cache_misses",
-            combined
-                .apply_cache_misses
-                .saturating_sub(prev.apply_cache_misses),
-        );
-        yu_telemetry::counter(
             "mtbdd.fused_cache_hits",
-            combined
-                .fused_cache_hits
-                .saturating_sub(prev.fused_cache_hits),
-        );
-        yu_telemetry::counter(
             "mtbdd.fused_cache_misses",
-            combined
-                .fused_cache_misses
-                .saturating_sub(prev.fused_cache_misses),
-        );
-        yu_telemetry::counter(
             "mtbdd.gc_runs",
-            combined.gc_runs.saturating_sub(prev.gc_runs),
-        );
-        yu_telemetry::counter(
             "mtbdd.gc_reclaimed_nodes",
-            combined
-                .gc_reclaimed_nodes
-                .saturating_sub(prev.gc_reclaimed_nodes),
-        );
+        ];
+        for (name, delta) in names
+            .into_iter()
+            .zip(arena_counter_deltas(&combined, &self.telemetry_reported))
+        {
+            yu_telemetry::counter(name, delta);
+        }
         yu_telemetry::gauge_max("mtbdd.unique_table_peak", combined.unique_table_peak as u64);
         self.telemetry_reported = combined;
         Some(yu_telemetry::snapshot().summary())
@@ -1161,7 +737,7 @@ impl YuVerifier {
     /// Enumerates every violating `≤ k` scenario for one requirement (up
     /// to `limit`), not just the first counterexample.
     pub fn enumerate_violations(&mut self, req: &yu_net::TlpReq, limit: usize) -> Vec<Violation> {
-        let (tau, _) = self.load_with_stats(req.point);
+        let tau = self.load_mtbdd(req.point);
         let k = self.opts.k;
         crate::verify::enumerate_violations(&mut self.m, &self.fv, tau, req, k, limit)
     }

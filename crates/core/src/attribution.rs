@@ -94,8 +94,8 @@ pub struct Attribution {
     /// worker results back). Empty for sequential runs.
     pub import: PhaseAttribution,
     /// Per-requirement aggregate+check costs. Sequential checking
-    /// measures the main arena; sharded checking measures the private
-    /// worker arenas.
+    /// measures the main arena; sharded checking measures the workers'
+    /// overlay arenas.
     pub check: PhaseAttribution,
     /// Live-node histogram per variable level, over every root the
     /// verifier holds after the run (routing state, flow STFs, cached

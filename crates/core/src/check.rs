@@ -1,0 +1,675 @@
+//! The check stage — the last box of the paper's Fig. 2, implemented once
+//! (DESIGN.md §17): aggregate the symbolic traffic load `τ` at a
+//! requirement's load point (§5.3), then scan its terminals (Theorem 5.1).
+//!
+//! [`classes`] groups the flows at a point link-locally, [`load`] scales
+//! and sums the classes, [`check_reqs`] is the requirement loop around
+//! them, and [`YuVerifier::preflight_kept`] discharges statically safe
+//! requirements first. The stage runs on either of two [`CheckArena`]s —
+//! the verifier's main arena, where every aggregation step is a garbage-
+//! collection checkpoint, or a check worker's overlay, which never
+//! collects — and every caller differs only in what it hands it:
+//! [`YuVerifier::verify`] / [`YuVerifier::verify_enumerated`] are
+//! [`YuVerifier::verify_with`] without caches, a check worker
+//! ([`crate::parallel::check_sharded`]) is [`check_reqs`] over its share
+//! of the requirements, the `--check-workers auto` cost model sizes what
+//! [`classes`] returns, and [`crate::IncrementalVerifier::verify`] is
+//! `verify_with` with the [`CheckCaches`] it carries across requests.
+
+use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
+use crate::attribution::{req_label, EntityCost};
+use crate::equivalence::{AggStats, FlowGroup};
+use crate::exec::FlowStf;
+use crate::parallel::check_sharded;
+use crate::verify::{check_requirement, enumerate_violations, Violation};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
+use yu_analysis::ReqClass;
+use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
+use yu_net::{FailureVars, Flow, LoadPoint, Tlp, TlpReq};
+
+/// Aggregated loads by point, valid until the arena they live in is
+/// collected.
+pub(crate) type LoadCache = HashMap<LoadPoint, (NodeRef, AggStats)>;
+
+/// Cache key of a requirement: its preflight class and its verdict are
+/// pure functions of the (canonical) load at the point and the bounds.
+pub(crate) type ReqKey = (LoadPoint, Option<Ratio>, Option<Ratio>);
+
+fn req_key(req: &TlpReq) -> ReqKey {
+    (req.point, req.min.clone(), req.max.clone())
+}
+
+/// Fixed-cost estimate (in arena nodes) charged per check worker by the
+/// `--check-workers auto` cost model: thread spawn plus the cold overlay
+/// caches a worker has to re-warm. Small networks fall below it and run
+/// sequentially; the acceptance workloads clear it comfortably.
+const AUTO_SETUP_NODES_PER_WORKER: usize = 25_000;
+
+/// An arena with the inputs the stage reads on it. Borrowed from a
+/// [`YuVerifier`] it is one step of a run that may collect in between;
+/// built by a check worker around its overlay on the frozen main arena
+/// ([`Mtbdd::with_base`], where main-arena handles stay valid) it is a
+/// [`CheckArena`] of its own that never collects.
+pub(crate) struct Arena<'a> {
+    /// The arena diagrams are built in.
+    pub m: &'a mut Mtbdd,
+    /// Loads already aggregated in `m`.
+    pub loads: &'a mut LoadCache,
+    /// Per-group symbolic traffic fractions (handles valid in `m`).
+    pub results: &'a [FlowStf],
+    /// The flow groups, parallel to `results`.
+    pub groups: &'a [FlowGroup],
+    /// Failure variables (for decoding violating paths into scenarios).
+    pub fv: &'a FailureVars,
+}
+
+/// Where the check stage can run.
+pub(crate) trait CheckArena {
+    /// The arena and the inputs the stage reads.
+    fn arena(&mut self) -> Arena<'_>;
+    /// A point where the arena may be garbage-collected. Every handle the
+    /// caller still needs is in `live` and is remapped in place; handles
+    /// from `arena().results` must be re-derived afterwards.
+    fn checkpoint(&mut self, live: &mut [NodeRef]);
+}
+
+impl CheckArena for YuVerifier {
+    fn arena(&mut self) -> Arena<'_> {
+        Arena {
+            m: &mut self.m,
+            loads: &mut self.load_cache,
+            results: &self.results,
+            groups: &self.groups,
+            fv: &self.fv,
+        }
+    }
+
+    fn checkpoint(&mut self, live: &mut [NodeRef]) {
+        self.maybe_gc(live);
+    }
+}
+
+impl CheckArena for Arena<'_> {
+    fn arena(&mut self) -> Arena<'_> {
+        Arena {
+            m: self.m,
+            loads: self.loads,
+            ..*self
+        }
+    }
+
+    fn checkpoint(&mut self, _live: &mut [NodeRef]) {}
+}
+
+/// Link-local flow equivalence at `point` (§5.3): the flow groups with a
+/// non-zero fraction and volume there, grouped by pointer equality of
+/// their fractions when `link_local` is set (one class per group
+/// otherwise — the Fig. 13 ablation). Returns, in first-seen group order,
+/// each class's representative *group index* — not the raw handle, so the
+/// aggregator can collect mid-aggregation and re-derive fresh handles —
+/// with the class's summed volume.
+pub(crate) fn classes(
+    m: &Mtbdd,
+    results: &[FlowStf],
+    groups: &[FlowGroup],
+    point: LoadPoint,
+    link_local: bool,
+) -> (Vec<(usize, Ratio)>, AggStats) {
+    let mut classes: Vec<(usize, Ratio)> = Vec::new();
+    let mut flows = 0usize;
+    let mut by_stf: HashMap<NodeRef, usize> = HashMap::new();
+    for (ix, (stf, g)) in results.iter().zip(groups).enumerate() {
+        let handle = stf.at(m, point);
+        if handle == m.zero() || g.volume.is_zero() {
+            continue;
+        }
+        flows += 1;
+        if link_local {
+            match by_stf.entry(handle) {
+                Entry::Occupied(e) => classes[*e.get()].1 += &g.volume,
+                Entry::Vacant(e) => {
+                    e.insert(classes.len());
+                    classes.push((ix, g.volume.clone()));
+                }
+            }
+        } else {
+            classes.push((ix, g.volume.clone()));
+        }
+    }
+    let stats = AggStats {
+        flows,
+        classes: classes.len(),
+    };
+    (classes, stats)
+}
+
+/// The aggregated symbolic traffic load at `point`,
+/// `τ = Σ_classes V_class · ω_class`, cached per arena.
+pub(crate) fn load<A: CheckArena>(
+    a: &mut A,
+    opts: &YuOptions,
+    point: LoadPoint,
+) -> (NodeRef, AggStats) {
+    if let Some(&hit) = a.arena().loads.get(&point) {
+        return hit;
+    }
+    let _stage = yu_telemetry::span_detail("aggregate", || format!("{point:?}"));
+    a.checkpoint(&mut []);
+    let (classes, stats) = {
+        let p = a.arena();
+        classes(p.m, p.results, p.groups, point, opts.use_link_local_equiv)
+    };
+    let k = opts.use_kreduce.then_some(opts.k);
+    let mut level: Vec<NodeRef> = Vec::with_capacity(classes.len());
+    for (rep, vol) in classes {
+        let p = a.arena();
+        let stf = p.results[rep].at(p.m, point);
+        // The fused kernels reduce during the apply, so the un-reduced
+        // intermediates never hit the arena.
+        level.push(match k {
+            Some(k) => p.m.scale_kreduce(stf, Term::Num(vol), k),
+            None => p.m.scale(stf, Term::Num(vol)),
+        });
+        a.checkpoint(&mut level);
+    }
+    let tau = match k {
+        // The n-ary fused kernel materializes βₖ(Σ) directly: the
+        // pairwise partial sums (the transients of the paper's Fig. 18
+        // blow-up) never hit the arena at all.
+        Some(k) => a.arena().m.sum_kreduce(&level, k),
+        None => {
+            // Exact (un-reduced) aggregation: balanced pairwise
+            // accumulation with GC checkpoints keeps most additions
+            // between small diagrams and bounds the arena.
+            while level.len() > 1 {
+                let m = a.arena().m;
+                level = level
+                    .chunks(2)
+                    .map(|pair| match pair {
+                        &[f, g] => m.add(f, g),
+                        _ => pair[0],
+                    })
+                    .collect();
+                a.checkpoint(&mut level);
+            }
+            let zero = a.arena().m.zero();
+            level.pop().unwrap_or(zero)
+        }
+    };
+    a.arena().loads.insert(point, (tau, stats));
+    (tau, stats)
+}
+
+/// The verdict for one requirement, tagged with its index among the
+/// requirements checked.
+pub(crate) struct CheckUnit {
+    /// Index of the requirement in the checked (post-preflight) list.
+    pub req_ix: usize,
+    /// Violations found for it (at most one unless enumerating).
+    pub violations: Vec<Violation>,
+    /// Aggregation statistics of its load point (Figs. 13/14 data).
+    pub agg: AggStats,
+    /// Whether the verdict cache answered it; the costs below are zero
+    /// then.
+    pub cached: bool,
+    /// Wall-clock spent aggregating and scanning it, in microseconds.
+    pub wall_us: u64,
+    /// Net growth of the arena while processing it (negative when a
+    /// collection ran mid-requirement).
+    pub nodes_delta: i64,
+}
+
+/// What the incremental engine carries from one verification to the next.
+/// All plain data — safe across garbage collections.
+#[derive(Default)]
+pub(crate) struct CheckCaches {
+    /// Preflight class per requirement; valid while the preflight's bounds
+    /// inputs (network and flows) are unchanged — the owner clears it when
+    /// they change.
+    pub preflight: HashMap<ReqKey, ReqClass>,
+    /// The generation that last dirtied each load point (absent = never).
+    pub point_epoch: HashMap<LoadPoint, u64>,
+    /// First-counterexample verdict per requirement, valid while its load
+    /// point's epoch is the one it was computed at.
+    verdicts: HashMap<ReqKey, (u64, Vec<Violation>, AggStats)>,
+    /// Requirements of the most recent verification answered from
+    /// `verdicts`.
+    pub reused_reqs: usize,
+    /// Requirements of the most recent verification aggregated and
+    /// scanned.
+    pub rechecked_reqs: usize,
+}
+
+impl CheckCaches {
+    fn epoch(&self, point: LoadPoint) -> u64 {
+        self.point_epoch.get(&point).copied().unwrap_or(0)
+    }
+
+    fn verdict(&self, req: &TlpReq) -> Option<(Vec<Violation>, AggStats)> {
+        let (epoch, violations, agg) = self.verdicts.get(&req_key(req))?;
+        (*epoch == self.epoch(req.point)).then(|| (violations.clone(), *agg))
+    }
+
+    fn store(&mut self, req: &TlpReq, unit: &CheckUnit) {
+        let verdict = (self.epoch(req.point), unit.violations.clone(), unit.agg);
+        self.verdicts.insert(req_key(req), verdict);
+    }
+}
+
+/// Aggregates and scans one requirement on `a`, feeding the
+/// `yu_req_check_seconds` histogram.
+fn check_req<A: CheckArena>(
+    a: &mut A,
+    opts: &YuOptions,
+    req_ix: usize,
+    req: &TlpReq,
+    max_violations: usize,
+) -> CheckUnit {
+    let t_req = Instant::now();
+    let nodes_before = a.arena().m.stats().nodes_created as i64;
+    let (tau, agg) = load(a, opts, req.point);
+    let p = a.arena();
+    let violations = if max_violations <= 1 {
+        check_requirement(p.m, p.fv, tau, req, opts.k)
+            .into_iter()
+            .collect()
+    } else {
+        enumerate_violations(p.m, p.fv, tau, req, opts.k, max_violations)
+    };
+    let wall_us = t_req.elapsed().as_micros() as u64;
+    yu_telemetry::with_registry(|r| r.req_check_seconds.record(wall_us));
+    CheckUnit {
+        req_ix,
+        violations,
+        agg,
+        cached: false,
+        wall_us,
+        nodes_delta: p.m.stats().nodes_created as i64 - nodes_before,
+    }
+}
+
+/// The requirement loop: every `(index, requirement)` of `reqs` in order,
+/// answered from `verdicts` when it holds a current verdict and checked on
+/// `a` otherwise. With `max_violations <= 1` each unit carries at most the
+/// first (fewest-failure) violation and `opts.early_stop` ends the loop at
+/// the first violated requirement; larger values enumerate up to that many
+/// violating scenarios per requirement.
+pub(crate) fn check_reqs<'r, A: CheckArena>(
+    a: &mut A,
+    opts: &YuOptions,
+    reqs: impl Iterator<Item = (usize, &'r TlpReq)>,
+    max_violations: usize,
+    mut verdicts: Option<&mut CheckCaches>,
+) -> Vec<CheckUnit> {
+    let mut units = Vec::new();
+    for (req_ix, req) in reqs {
+        let unit = match verdicts.as_deref().and_then(|c| c.verdict(req)) {
+            Some((violations, agg)) => CheckUnit {
+                req_ix,
+                violations,
+                agg,
+                cached: true,
+                wall_us: 0,
+                nodes_delta: 0,
+            },
+            None => {
+                let unit = check_req(a, opts, req_ix, req, max_violations);
+                if let Some(c) = verdicts.as_deref_mut() {
+                    c.store(req, &unit);
+                }
+                unit
+            }
+        };
+        let violated = !unit.violations.is_empty();
+        units.push(unit);
+        if violated && opts.early_stop && max_violations <= 1 {
+            break;
+        }
+    }
+    units
+}
+
+impl YuVerifier {
+    /// The one verification entry point behind [`Self::verify`],
+    /// [`Self::verify_enumerated`] and
+    /// [`crate::IncrementalVerifier::verify`]: preflight, the requirement
+    /// loop (sharded across check workers when configured), and the merge
+    /// into a [`VerificationOutcome`]. `caches`, when given, answers
+    /// unchanged requirements without touching the arena; the incremental
+    /// engine pins `check_workers` to 1, so cached runs are sequential.
+    pub(crate) fn verify_with(
+        &mut self,
+        tlp: &Tlp,
+        max_violations: usize,
+        mut caches: Option<&mut CheckCaches>,
+    ) -> VerificationOutcome {
+        let t0 = Instant::now();
+        let verify_span = yu_telemetry::span("verify");
+        let opts = self.opts;
+        let (kept, pruned) =
+            self.preflight_kept(tlp, caches.as_deref_mut().map(|c| &mut c.preflight));
+        let check_workers = self.effective_check_workers(&kept);
+        let mut units = if check_workers > 1 {
+            // Workers own private overlays, read the main arena immutably
+            // and return plain-data verdicts, merged in requirement order:
+            // the outcome is independent of worker count and scheduling.
+            let (units, stats) = check_sharded(self, &kept, max_violations, check_workers);
+            self.worker_stats.merge(&stats);
+            units
+        } else {
+            let reqs = kept.iter().enumerate();
+            check_reqs(self, &opts, reqs, max_violations, caches.as_deref_mut())
+        };
+        if opts.profile {
+            // Every unit checked is attributed — including any a worker
+            // processed past another worker's early-stop cut; the work was
+            // done either way. Each arena's unit deltas are measured
+            // back-to-back, so they telescope to its growth.
+            for u in units.iter().filter(|u| !u.cached) {
+                self.check_attr.nodes_delta += u.nodes_delta;
+                self.check_attr.entities.push(EntityCost {
+                    label: req_label(&self.net, &kept[u.req_ix]),
+                    wall_us: u.wall_us,
+                    nodes_delta: u.nodes_delta,
+                });
+            }
+        }
+        if opts.early_stop && max_violations <= 1 {
+            // Each worker stopped at *its* first violation; keep the prefix
+            // the sequential loop produces.
+            if let Some(first) = units.iter().position(|u| !u.violations.is_empty()) {
+                units.truncate(first + 1);
+            }
+        }
+        if let Some(c) = caches {
+            c.reused_reqs = units.iter().filter(|u| u.cached).count();
+            c.rechecked_reqs = units.len() - c.reused_reqs;
+            yu_telemetry::counter("delta.reused_reqs", c.reused_reqs as u64);
+            yu_telemetry::counter("delta.rechecked_reqs", c.rechecked_reqs as u64);
+            yu_telemetry::with_registry(|r| {
+                r.incremental_reused_reqs_total.add(c.reused_reqs as u64);
+                r.incremental_rechecked_reqs_total
+                    .add(c.rechecked_reqs as u64);
+            });
+        }
+        let mut violations = Vec::new();
+        let mut per_point = HashMap::new();
+        for u in units {
+            per_point.insert(kept[u.req_ix].point, u.agg);
+            violations.extend(u.violations);
+        }
+        if max_violations > 1 {
+            // Enumerated runs report distinct `(point, scenario)` pairs,
+            // cheapest triggers first, in a stable order.
+            let mut seen = HashSet::new();
+            violations.retain(|v| seen.insert((v.point, v.scenario.clone())));
+            violations.sort_by(|a, b| {
+                (a.scenario.count(), a.point, &a.scenario).cmp(&(
+                    b.scenario.count(),
+                    b.point,
+                    &b.scenario,
+                ))
+            });
+        }
+        drop(verify_span);
+        self.finish_outcome(violations, per_point, t0.elapsed(), pruned)
+    }
+
+    /// The semantic preflight pass: classifies every requirement with
+    /// the static analyzer — or takes its class from `cache` — and
+    /// returns the ones the symbolic engine still has to check, plus the
+    /// number discharged. Only `ProvenSafe` requirements are pruned —
+    /// they hold in every ≤ k scenario, so dropping them changes neither
+    /// the verdict nor the violations (proven-violated requirements still
+    /// run: the report needs the engine's exact counterexample). When
+    /// auditing is on, every discharge certificate is re-validated by its
+    /// independent checker before the requirement is skipped.
+    pub(crate) fn preflight_kept(
+        &self,
+        tlp: &Tlp,
+        mut cache: Option<&mut HashMap<ReqKey, ReqClass>>,
+    ) -> (Vec<TlpReq>, usize) {
+        if !self.opts.static_prune || tlp.reqs.is_empty() {
+            return (tlp.reqs.clone(), 0);
+        }
+        let _stage = yu_telemetry::span("preflight");
+        let cached = |cache: &Option<&mut HashMap<ReqKey, ReqClass>>, req: &TlpReq| {
+            cache.as_ref().and_then(|c| c.get(&req_key(req)).copied())
+        };
+        // Classify over the executed flow groups: a group's
+        // representative forwards identically to all members and
+        // carries the summed volume, so bounds over groups equal
+        // bounds over the raw flows. Built only when the cache cannot
+        // answer every requirement.
+        let flows: Vec<Flow> = if tlp.reqs.iter().all(|r| cached(&cache, r).is_some()) {
+            Vec::new()
+        } else {
+            self.groups
+                .iter()
+                .map(|g| Flow {
+                    volume: g.volume.clone(),
+                    ..g.rep.clone()
+                })
+                .collect()
+        };
+        let cfg = yu_analysis::PreflightConfig {
+            k: self.opts.k,
+            mode: self.opts.mode,
+            max_hops: self.opts.max_hops,
+        };
+        let mut pf = yu_analysis::Preflight::new(&self.net, &flows, cfg);
+        let (mut safe, mut violated, mut symbolic) = (0u64, 0u64, 0u64);
+        let mut kept = Vec::with_capacity(tlp.reqs.len());
+        for (ix, req) in tlp.reqs.iter().enumerate() {
+            let class = cached(&cache, req).unwrap_or_else(|| {
+                let classification = {
+                    let _s = yu_telemetry::span_detail("preflight.classify", || {
+                        req.point.describe(&self.net.topo)
+                    });
+                    pf.classify_req(ix, req)
+                };
+                if classification.class == ReqClass::ProvenSafe && yu_mtbdd::audit_enabled() {
+                    yu_analysis::check_certificate(&self.net, &flows, req, cfg, &classification)
+                        .unwrap_or_else(|e| {
+                            panic!("preflight certificate failed its independent check: {e}")
+                        });
+                }
+                if let Some(c) = cache.as_mut() {
+                    c.insert(req_key(req), classification.class);
+                }
+                classification.class
+            });
+            match class {
+                ReqClass::ProvenSafe => safe += 1,
+                ReqClass::ProvenViolated => {
+                    violated += 1;
+                    kept.push(req.clone());
+                }
+                ReqClass::NeedsSymbolic => {
+                    symbolic += 1;
+                    kept.push(req.clone());
+                }
+            }
+        }
+        yu_telemetry::counter("preflight.proven_safe", safe);
+        yu_telemetry::counter("preflight.proven_violated", violated);
+        yu_telemetry::counter("preflight.needs_symbolic", symbolic);
+        (kept, safe as usize)
+    }
+
+    /// The worker count the check stage will actually use for `reqs`
+    /// (after pruning): the configured `check_workers`, or — with
+    /// [`YuOptions::check_workers_auto`] — the output of the cost model
+    /// in [`Self::auto_check_workers`]. `1` means the sequential loop.
+    fn effective_check_workers(&mut self, reqs: &[TlpReq]) -> usize {
+        if reqs.len() <= 1 || self.opts.check_workers <= 1 {
+            return 1;
+        }
+        if !self.opts.check_workers_auto {
+            return self.opts.check_workers;
+        }
+        self.auto_check_workers(reqs)
+    }
+
+    /// Estimated symbolic work of checking `reqs`, in nodes: for every
+    /// requirement, the summed diagram sizes of the equivalence-class
+    /// representatives [`classes`] returns at its load point — exactly the
+    /// operands the aggregator scales and sums. Node counts are memoized
+    /// per handle, so the estimate costs one DFS per distinct live
+    /// diagram, not per requirement.
+    fn estimate_check_work(&self, reqs: &[TlpReq]) -> usize {
+        let mut sizes: HashMap<NodeRef, usize> = HashMap::new();
+        let mut work = 0usize;
+        for req in reqs {
+            let link_local = self.opts.use_link_local_equiv;
+            let (classes, _) = classes(&self.m, &self.results, &self.groups, req.point, link_local);
+            for (rep, _) in classes {
+                let handle = self.results[rep].at(&self.m, req.point);
+                work += *sizes
+                    .entry(handle)
+                    .or_insert_with(|| self.m.node_count(handle));
+            }
+        }
+        work
+    }
+
+    /// The cost model behind `--check-workers auto`: shards the check
+    /// stage only when the estimated per-worker work can pay for the
+    /// fixed setup (freezing the arena — a copy of the live node and
+    /// slot tables — plus spawning the threads). Returns the worker
+    /// count to use, degrading to `1` (and booking the
+    /// `check.auto_degraded` telemetry counter) when sharding cannot
+    /// pay. Purely a wall-clock decision: verdicts are bit-identical
+    /// either way.
+    pub fn auto_check_workers(&mut self, reqs: &[TlpReq]) -> usize {
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cap = self.opts.check_workers.min(hw).min(reqs.len());
+        if cap <= 1 {
+            yu_telemetry::counter("check.auto_degraded", 1);
+            return 1;
+        }
+        let work = self.estimate_check_work(reqs);
+        // Freezing clones the live arena once; each worker costs a
+        // thread spawn plus cold overlay caches, charged as if it were
+        // re-deriving a slice of the arena.
+        let setup = self.m.live_nodes() + AUTO_SETUP_NODES_PER_WORKER * cap;
+        let workers = if work / cap >= setup { cap } else { 1 };
+        yu_telemetry::counter("check.auto_workers", workers as u64);
+        if workers == 1 {
+            yu_telemetry::counter("check.auto_degraded", 1);
+        }
+        workers
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::tests::bundle_net;
+    use yu_net::{FailureMode, Ipv4, RouterId};
+
+    const POINT: LoadPoint = LoadPoint::Delivered(RouterId(2));
+
+    /// Aggregates hand-built `(fraction at POINT, volume)` contributions
+    /// without KREDUCE, on an arena that never collects.
+    fn aggregate(
+        m: &mut Mtbdd,
+        fv: &FailureVars,
+        contributions: &[(NodeRef, i64)],
+        link_local: bool,
+    ) -> (NodeRef, AggStats) {
+        let ip = Ipv4::new(10, 0, 0, 1);
+        let (results, groups): (Vec<FlowStf>, Vec<FlowGroup>) = contributions
+            .iter()
+            .map(|&(stf, volume)| {
+                let rep = Flow::new(RouterId(0), ip, ip, 0, Ratio::int(volume));
+                let loads = HashMap::from([(POINT, stf)]);
+                let (truncated, volume) = (m.zero(), rep.volume.clone());
+                let group = FlowGroup {
+                    rep,
+                    volume,
+                    members: 1,
+                };
+                (FlowStf { loads, truncated }, group)
+            })
+            .unzip();
+        let mut arena = Arena {
+            m,
+            loads: &mut LoadCache::new(),
+            results: &results,
+            groups: &groups,
+            fv,
+        };
+        let opts = YuOptions {
+            use_kreduce: false,
+            use_link_local_equiv: link_local,
+            ..Default::default()
+        };
+        load(&mut arena, &opts, POINT)
+    }
+
+    #[test]
+    fn link_local_aggregation_matches_naive_and_ignores_zeros() {
+        let mut m = Mtbdd::new();
+        let fv = FailureVars::allocate(&mut m, &bundle_net().0.topo, FailureMode::Links);
+        let (v1, v2) = (m.fresh_var(), m.fresh_var());
+        let (g1, g2) = (m.var_guard(v1), m.var_guard(v2));
+        // Three flows share STF g1; one has g2.
+        let contributions = [(g1, 10), (g1, 20), (g1, 30), (g2, 5)];
+        let (fast, s_fast) = aggregate(&mut m, &fv, &contributions, true);
+        let (slow, s_slow) = aggregate(&mut m, &fv, &contributions, false);
+        assert_eq!(fast, slow, "hash-consing must make both identical");
+        assert_eq!((s_fast.flows, s_fast.classes), (4, 2));
+        assert_eq!((s_slow.flows, s_slow.classes), (4, 4));
+        assert_eq!(m.eval_all_alive(fast), Term::int(65));
+        assert_eq!(m.eval(fast, |v| v == v2), Term::int(5));
+        // A zero fraction or a zero volume contributes nothing.
+        let (zero, one) = (m.zero(), m.one());
+        let none = aggregate(&mut m, &fv, &[(zero, 10), (one, 0)], true);
+        assert_eq!(none, (zero, AggStats::default()));
+    }
+
+    /// The `--check-workers auto` cost model sizes exactly the classes the
+    /// aggregator sums: same classing function, same count as the
+    /// `AggStats.classes` a verification reports for the point.
+    #[test]
+    fn cost_model_sizes_the_classes_the_aggregator_sums() {
+        let (net, [a, _, _]) = bundle_net();
+        // Three flows that stay separate groups (no global equivalence)
+        // but place identical fractions on every link they cross.
+        let flows: Vec<Flow> = (1..=3)
+            .map(|i| {
+                let dst = Ipv4::new(100, 0, 0, i);
+                Flow::new(a, Ipv4::new(11, 0, 0, 1), dst, 0, Ratio::int(10 * i as i64))
+            })
+            .collect();
+        let tlp = Tlp::no_overload(&net.topo, Ratio::new(95, 100));
+        for link_local in [true, false] {
+            let opts = YuOptions {
+                use_global_equiv: false,
+                use_link_local_equiv: link_local,
+                static_prune: false,
+                check_workers: 1,
+                ..Default::default()
+            };
+            let mut v = YuVerifier::new(net.clone(), opts);
+            v.add_flows(&flows);
+            let per_point = v.verify(&tlp).stats.per_point;
+            let mut sized = 0usize;
+            for req in &tlp.reqs {
+                let (summed, stats) = classes(&v.m, &v.results, &v.groups, req.point, link_local);
+                assert_eq!(stats, per_point[&req.point]);
+                assert_eq!(summed.len(), stats.classes);
+                for (rep, _) in summed {
+                    sized += v.m.node_count(v.results[rep].at(&v.m, req.point));
+                }
+            }
+            assert_eq!(v.estimate_check_work(&tlp.reqs), sized);
+            let mut crossed = per_point.values().filter(|s| s.flows == 3).peekable();
+            assert!(crossed.peek().is_some(), "the flows must cross some link");
+            assert!(crossed.all(|s| s.classes == if link_local { 1 } else { 3 }));
+        }
+    }
+}

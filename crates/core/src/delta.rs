@@ -11,8 +11,8 @@
 //! * **Routing changes** (link-cost edits) recompute the guarded routing
 //!   state *in the same arena* (hash-consing dedupes everything that did
 //!   not change), then replay every flow group's recorded
-//!   [`RouteTrace`] against the new state; only groups with a mismatched
-//!   answer are re-executed. A reused group's symbolic traffic functions
+//!   [`crate::RouteTrace`] against the new state; only groups with a
+//!   mismatched answer are re-executed. A reused group's symbolic traffic functions
 //!   are bit-identical by construction (§ [`crate::trace`]).
 //! * **Flow changes** regroup and key-match against the executed groups:
 //!   a matched group keeps its STF (symbolic fractions are
@@ -25,7 +25,10 @@
 //! a cached verdict is reused iff its load point's epoch is unchanged,
 //! so untouched requirements cost a hash lookup. The preflight
 //! classification is likewise cached per requirement and invalidated
-//! only when its bounds inputs (network or flows) changed.
+//! only when its bounds inputs (network or flows) changed. Both caches
+//! are consulted by the one check stage every caller runs
+//! ([`YuVerifier::verify`] without them); this module only decides what
+//! to invalidate.
 //!
 //! Soundness of all this reuse rests on the arena's canonicity: MTBDDs
 //! are hash-consed with a fixed variable order and exact arithmetic, so
@@ -36,15 +39,11 @@
 //! bit-identity against from-scratch runs for every change kind.
 
 use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
-use crate::equivalence::{global_groups_classified, AggStats, FlowGroup};
-use crate::exec::{simulate_flow_traced, ExecOptions};
-use crate::verify::{check_requirement, Violation};
+use crate::check::CheckCaches;
+use crate::equivalence::{global_groups_classified, FlowGroup};
 use std::collections::HashMap;
 use std::time::Instant;
-use yu_mtbdd::Ratio;
-use yu_net::{
-    ChangeError, ChangeSet, Flow, Impact, LoadPoint, Network, Prefix, PrefixTrie, Tlp, TlpReq,
-};
+use yu_net::{ChangeError, ChangeSet, Flow, Impact, LoadPoint, Network, Prefix, PrefixTrie, Tlp};
 use yu_routing::SymbolicRoutes;
 
 /// Reuse-vs-recompute statistics of one incremental request.
@@ -62,23 +61,6 @@ pub struct DeltaStats {
     pub dirty_points: usize,
     /// Whether the change forced a from-scratch rebuild (topology edits).
     pub full_rebuild: bool,
-}
-
-/// A cached per-requirement verdict, valid while its load point's epoch
-/// is unchanged. Plain data — safe across garbage collections.
-#[derive(Debug, Clone)]
-struct CachedVerdict {
-    epoch: u64,
-    violation: Option<Violation>,
-    agg: AggStats,
-}
-
-/// Cache key of a requirement: the verdict is a pure function of the
-/// (canonical) load at the point and the bounds.
-type ReqKey = (LoadPoint, Option<Ratio>, Option<Ratio>);
-
-fn req_key(req: &TlpReq) -> ReqKey {
-    (req.point, req.min.clone(), req.max.clone())
 }
 
 /// The grouping key of one flow under the active equivalence setting.
@@ -101,21 +83,19 @@ pub struct IncrementalVerifier {
     tlp: Tlp,
     /// Monotone generation counter; bumped once per applied update.
     gen: u64,
-    /// Last generation that dirtied each load point (absent = never).
-    point_epoch: HashMap<LoadPoint, u64>,
-    verdicts: HashMap<ReqKey, CachedVerdict>,
-    /// `true` = requirement proven safe by preflight (pruned).
-    preflight_cache: HashMap<ReqKey, bool>,
-    /// Whether `preflight_cache` still matches the current network and
-    /// flows (its bounds inputs).
-    preflight_valid: bool,
+    /// Per-requirement preflight classes and verdicts, plus the per-point
+    /// epochs that invalidate the latter.
+    caches: CheckCaches,
     last_delta: DeltaStats,
 }
 
 impl IncrementalVerifier {
     /// Builds the verifier and executes `flows` with route-dependency
     /// recording on (required for trace replay), keeping `tlp` as the
-    /// property to re-verify after each change.
+    /// property to re-verify after each change. Requirements are checked
+    /// sequentially whatever `opts.check_workers` says: the verdict cache
+    /// leaves a request a handful of re-checks, on the arena that serves
+    /// the next request.
     pub fn new(
         net: Network,
         flows: Vec<Flow>,
@@ -123,6 +103,7 @@ impl IncrementalVerifier {
         mut opts: YuOptions,
     ) -> IncrementalVerifier {
         opts.record_route_deps = true;
+        opts.check_workers = 1;
         let mut v = YuVerifier::new(net, opts);
         v.add_flows(&flows);
         let groups = v.flow_results().count();
@@ -131,10 +112,7 @@ impl IncrementalVerifier {
             flows,
             tlp,
             gen: 0,
-            point_epoch: HashMap::new(),
-            verdicts: HashMap::new(),
-            preflight_cache: HashMap::new(),
-            preflight_valid: false,
+            caches: CheckCaches::default(),
             last_delta: DeltaStats {
                 recomputed_groups: groups,
                 full_rebuild: true,
@@ -218,7 +196,7 @@ impl IncrementalVerifier {
             }
             if impact.routing || impact.flows {
                 // The preflight bounds read the network and the flows.
-                self.preflight_valid = false;
+                self.caches.preflight.clear();
             }
             self.tlp = tlp;
             drop(inv);
@@ -233,6 +211,7 @@ impl IncrementalVerifier {
         self.last_delta.recomputed_groups = self.last_delta.recomputed_groups.min(total);
         self.last_delta.reused_groups = total - self.last_delta.recomputed_groups;
         self.last_delta.dirty_points = self
+            .caches
             .point_epoch
             .values()
             .filter(|&&e| e == self.gen)
@@ -265,16 +244,13 @@ impl IncrementalVerifier {
         self.v = v;
         self.flows = flows;
         self.tlp = tlp;
-        self.verdicts.clear();
-        self.point_epoch.clear();
-        self.preflight_cache.clear();
-        self.preflight_valid = false;
+        self.caches = CheckCaches::default();
     }
 
     /// Marks one load point dirty: bump its epoch (invalidating cached
     /// verdicts) and evict its cached aggregate.
     fn mark_dirty(&mut self, p: LoadPoint) {
-        self.point_epoch.insert(p, self.gen);
+        self.caches.point_epoch.insert(p, self.gen);
         self.v.load_cache.remove(&p);
     }
 
@@ -292,10 +268,6 @@ impl IncrementalVerifier {
         };
         v.routes = routes;
         v.route_time += t0.elapsed();
-        let exec_opts = ExecOptions {
-            k,
-            max_hops: v.opts.max_hops,
-        };
         let t1 = Instant::now();
         let mut dirty: Vec<LoadPoint> = Vec::new();
         for i in 0..v.groups.len() {
@@ -310,14 +282,7 @@ impl IncrementalVerifier {
             let _stage = yu_telemetry::span_detail("delta.reexec", || {
                 format!("{:?}->{:?}", v.groups[i].rep.ingress, v.groups[i].rep.dst)
             });
-            let (stf, trace) = simulate_flow_traced(
-                &mut v.m,
-                &v.net,
-                &v.fv,
-                &mut v.routes,
-                &v.groups[i].rep,
-                exec_opts,
-            );
+            let (stf, trace) = v.execute(&v.groups[i].clone());
             // Dirty every point where the group's fraction changed
             // (handle inequality is semantic inequality in one arena).
             for (&p, &n) in &v.results[i].loads {
@@ -331,10 +296,10 @@ impl IncrementalVerifier {
                 }
             }
             v.results[i] = stf;
-            v.traces[i] = Some(trace);
+            v.traces[i] = trace;
             self.last_delta.recomputed_groups += 1;
         }
-        v.exec_time += t1.elapsed();
+        v.book_exec_time(t1.elapsed());
         for p in dirty {
             self.mark_dirty(p);
         }
@@ -397,10 +362,6 @@ impl IncrementalVerifier {
         }
         let v = &mut self.v;
         v.flows_in += flows.len();
-        let exec_opts = ExecOptions {
-            k: v.opts.use_kreduce.then_some(v.opts.k),
-            max_hops: v.opts.max_hops,
-        };
         let mut groups = Vec::with_capacity(new_grouped.len());
         let mut results = Vec::with_capacity(new_grouped.len());
         let mut traces = Vec::with_capacity(new_grouped.len());
@@ -421,13 +382,12 @@ impl IncrementalVerifier {
                 let _stage = yu_telemetry::span_detail("delta.reexec", || {
                     format!("{:?}->{:?}", g.rep.ingress, g.rep.dst)
                 });
-                let (stf, trace) =
-                    simulate_flow_traced(&mut v.m, &v.net, &v.fv, &mut v.routes, &g.rep, exec_opts);
+                let (stf, trace) = v.execute(&g);
                 dirty.extend(stf.loads.keys().copied());
                 self.last_delta.recomputed_groups += 1;
                 groups.push(g);
                 results.push(stf);
-                traces.push(Some(trace));
+                traces.push(trace);
             }
         }
         for (i, hit) in matched_old.iter().enumerate() {
@@ -435,7 +395,7 @@ impl IncrementalVerifier {
                 dirty.extend(v.results[i].loads.keys().copied());
             }
         }
-        v.exec_time += t0.elapsed();
+        v.book_exec_time(t0.elapsed());
         v.groups = groups;
         v.results = results;
         v.traces = traces;
@@ -445,129 +405,15 @@ impl IncrementalVerifier {
         }
     }
 
-    /// The preflight pass with per-requirement caching: classifications
-    /// are reused while their bounds inputs (network, flows) are
-    /// unchanged; only missing requirements are classified, against a
-    /// preflight instance built on demand. Pruning decisions are
-    /// bit-identical to [`YuVerifier`]'s batch preflight because the
-    /// classifier is deterministic in the same inputs.
-    fn preflight_kept_cached(&mut self) -> (Vec<TlpReq>, usize) {
-        if !self.v.opts.static_prune || self.tlp.reqs.is_empty() {
-            return (self.tlp.reqs.clone(), 0);
-        }
-        let _stage = yu_telemetry::span("preflight");
-        if !self.preflight_valid {
-            self.preflight_cache.clear();
-            self.preflight_valid = true;
-        }
-        let missing: Vec<&TlpReq> = self
-            .tlp
-            .reqs
-            .iter()
-            .filter(|r| !self.preflight_cache.contains_key(&req_key(r)))
-            .collect();
-        if !missing.is_empty() {
-            let flows: Vec<Flow> = self
-                .v
-                .groups
-                .iter()
-                .map(|g| {
-                    let mut f = g.rep.clone();
-                    f.volume = g.volume.clone();
-                    f
-                })
-                .collect();
-            let cfg = yu_analysis::PreflightConfig {
-                k: self.v.opts.k,
-                mode: self.v.opts.mode,
-                max_hops: self.v.opts.max_hops,
-            };
-            let mut pf = yu_analysis::Preflight::new(&self.v.net, &flows, cfg);
-            for (ix, req) in missing.into_iter().enumerate() {
-                let classification = pf.classify_req(ix, req);
-                let safe = matches!(classification.class, yu_analysis::ReqClass::ProvenSafe);
-                if safe && yu_mtbdd::audit_enabled() {
-                    yu_analysis::check_certificate(&self.v.net, &flows, req, cfg, &classification)
-                        .unwrap_or_else(|e| {
-                            panic!("preflight certificate failed its independent check: {e}")
-                        });
-                }
-                self.preflight_cache.insert(req_key(req), safe);
-            }
-        }
-        let mut kept = Vec::with_capacity(self.tlp.reqs.len());
-        let mut pruned = 0usize;
-        for req in &self.tlp.reqs {
-            if self.preflight_cache[&req_key(req)] {
-                pruned += 1;
-            } else {
-                kept.push(req.clone());
-            }
-        }
-        (kept, pruned)
-    }
-
     /// Re-verifies the current TLP, answering unchanged requirements from
     /// the verdict cache and re-aggregating only dirtied load points. The
     /// outcome (violations, per-point statistics, prune count) is
     /// bit-identical to a from-scratch [`YuVerifier::verify`] on the same
     /// inputs.
     pub fn verify(&mut self) -> VerificationOutcome {
-        let t0 = Instant::now();
-        let verify_span = yu_telemetry::span("verify");
-        let (kept, pruned) = self.preflight_kept_cached();
-        let mut violations = Vec::new();
-        let mut per_point = HashMap::new();
-        for req in &kept {
-            let key = req_key(req);
-            let epoch = self.point_epoch.get(&req.point).copied().unwrap_or(0);
-            let cached = self
-                .verdicts
-                .get(&key)
-                .filter(|c| c.epoch == epoch)
-                .cloned();
-            let (violation, agg) = match cached {
-                Some(c) => {
-                    self.last_delta.reused_reqs += 1;
-                    (c.violation, c.agg)
-                }
-                None => {
-                    self.last_delta.rechecked_reqs += 1;
-                    let (tau, agg) = self.v.load_with_stats(req.point);
-                    let violation =
-                        check_requirement(&mut self.v.m, &self.v.fv, tau, req, self.v.opts.k);
-                    self.verdicts.insert(
-                        key,
-                        CachedVerdict {
-                            epoch,
-                            violation: violation.clone(),
-                            agg,
-                        },
-                    );
-                    (violation, agg)
-                }
-            };
-            per_point.insert(req.point, agg);
-            if let Some(v) = violation {
-                violations.push(v);
-                if self.v.opts.early_stop {
-                    break;
-                }
-            }
-        }
-        yu_telemetry::counter("delta.reused_reqs", self.last_delta.reused_reqs as u64);
-        yu_telemetry::counter(
-            "delta.rechecked_reqs",
-            self.last_delta.rechecked_reqs as u64,
-        );
-        yu_telemetry::with_registry(|r| {
-            r.incremental_reused_reqs_total
-                .add(self.last_delta.reused_reqs as u64);
-            r.incremental_rechecked_reqs_total
-                .add(self.last_delta.rechecked_reqs as u64);
-        });
-        drop(verify_span);
-        self.v
-            .finish_outcome(violations, per_point, t0.elapsed(), pruned)
+        let outcome = self.v.verify_with(&self.tlp, 1, Some(&mut self.caches));
+        self.last_delta.reused_reqs = self.caches.reused_reqs;
+        self.last_delta.rechecked_reqs = self.caches.rechecked_reqs;
+        outcome
     }
 }

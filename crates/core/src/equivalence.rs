@@ -12,8 +12,8 @@
 //!   `τ_l = Σ_i ω_i · (Σ_{f ∈ G_i} V_f)`.
 
 use std::collections::HashMap;
-use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
-use yu_net::{Flow, Ipv4, Network, Prefix, PrefixTrie};
+use yu_mtbdd::Ratio;
+use yu_net::{Flow, Network, Prefix, PrefixTrie};
 
 /// A group of globally equivalent flows.
 #[derive(Debug, Clone)]
@@ -71,10 +71,6 @@ fn group_by_key(
     out.into_iter().map(|(_, g)| g).collect()
 }
 
-/// Unused import guard (Ipv4 used by tests).
-#[allow(unused)]
-fn _ipv4_witness(_: Ipv4) {}
-
 /// Statistics of one aggregation (feeds Figs. 13 and 14).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AggStats {
@@ -82,61 +78,6 @@ pub struct AggStats {
     pub flows: usize,
     /// Distinct STF equivalence classes among them.
     pub classes: usize,
-}
-
-/// Aggregates per-flow symbolic fractions into the point's symbolic
-/// traffic load `τ = Σ V_f · ω_f`.
-///
-/// With `link_local = true` flows are first grouped by their STF MTBDD
-/// (pointer equality, §5.3) and volumes summed per class; with `false`
-/// the naive per-flow multiply-accumulate chain is used (the ablation of
-/// Fig. 13).
-pub fn aggregate_load(
-    m: &mut Mtbdd,
-    contributions: &[(NodeRef, Ratio)],
-    link_local: bool,
-    k: Option<u32>,
-) -> (NodeRef, AggStats) {
-    let reduce = |m: &mut Mtbdd, f: NodeRef| match k {
-        Some(k) => m.kreduce(f, k),
-        None => f,
-    };
-    let nonzero: Vec<(NodeRef, Ratio)> = contributions
-        .iter()
-        .filter(|(stf, v)| *stf != m.zero() && !v.is_zero())
-        .cloned()
-        .collect();
-    let mut stats = AggStats {
-        flows: nonzero.len(),
-        classes: 0,
-    };
-    let tau = if link_local {
-        let mut by_class: HashMap<NodeRef, Ratio> = HashMap::new();
-        for (stf, v) in &nonzero {
-            *by_class.entry(*stf).or_insert(Ratio::ZERO) += v;
-        }
-        stats.classes = by_class.len();
-        let mut parts: Vec<NodeRef> = Vec::with_capacity(by_class.len());
-        let mut classes: Vec<(NodeRef, Ratio)> = by_class.into_iter().collect();
-        classes.sort_by_key(|(n, _)| *n);
-        for (stf, vol) in classes {
-            let scaled = m.scale(stf, Term::Num(vol));
-            parts.push(reduce(m, scaled));
-        }
-        let s = m.sum(&parts);
-        reduce(m, s)
-    } else {
-        stats.classes = nonzero.len();
-        let mut acc = m.zero();
-        for (stf, v) in &nonzero {
-            let scaled = m.scale(*stf, Term::Num(v.clone()));
-            let scaled = reduce(m, scaled);
-            acc = m.add(acc, scaled);
-            acc = reduce(m, acc);
-        }
-        acc
-    };
-    (tau, stats)
 }
 
 #[cfg(test)]
@@ -170,39 +111,5 @@ mod tests {
             .unwrap();
         assert_eq!(g.volume, Ratio::int(50));
         assert_eq!(g.members, 2);
-    }
-
-    #[test]
-    fn link_local_aggregation_matches_naive() {
-        let mut m = Mtbdd::new();
-        let v1 = m.fresh_var();
-        let v2 = m.fresh_var();
-        let g1 = m.var_guard(v1);
-        let g2 = m.var_guard(v2);
-        // Three flows share STF g1; one has g2.
-        let contributions = vec![
-            (g1, Ratio::int(10)),
-            (g1, Ratio::int(20)),
-            (g1, Ratio::int(30)),
-            (g2, Ratio::int(5)),
-        ];
-        let (fast, s_fast) = aggregate_load(&mut m, &contributions, true, None);
-        let (slow, s_slow) = aggregate_load(&mut m, &contributions, false, None);
-        assert_eq!(fast, slow, "hash-consing must make both identical");
-        assert_eq!(s_fast.flows, 4);
-        assert_eq!(s_fast.classes, 2);
-        assert_eq!(s_slow.classes, 4);
-        assert_eq!(m.eval_all_alive(fast), Term::int(65));
-        assert_eq!(m.eval(fast, |v| v == v2), Term::int(5));
-    }
-
-    #[test]
-    fn zero_contributions_are_ignored() {
-        let mut m = Mtbdd::new();
-        let _ = m.fresh_var();
-        let z = m.zero();
-        let (tau, stats) = aggregate_load(&mut m, &[(z, Ratio::int(10))], true, None);
-        assert_eq!(tau, m.zero());
-        assert_eq!(stats.flows, 0);
     }
 }

@@ -27,9 +27,12 @@
 //! `KREDUCE`, which keeps diagram sizes `O(n^k)`-shaped (§5.2); Theorem
 //! 5.1 guarantees verification results are unaffected.
 
+use crate::attribution::{flow_label, EntityCost, PhaseAttribution};
+use crate::equivalence::FlowGroup;
 use crate::trace::{fib_answer, RouteTrace, TraceAnswer, TraceQuery};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::time::Instant;
 use yu_mtbdd::{Mtbdd, NodeRef, Op};
 use yu_net::Proto;
 use yu_net::{FailureVars, Flow, Ipv4, LinkId, LoadPoint, Network, RouterId};
@@ -119,21 +122,7 @@ pub fn simulate_flow(
     flow: &Flow,
     opts: ExecOptions,
 ) -> FlowStf {
-    let _stage = yu_telemetry::span_detail("exec.flow", || {
-        format!("ingress r{} -> {:?}", flow.ingress.0, flow.dst)
-    });
-    let mut exec = Exec {
-        m,
-        net,
-        fv,
-        routes,
-        flow,
-        opts,
-        stacks: StackTable::default(),
-        loads: HashMap::new(),
-        trace: None,
-    };
-    exec.run()
+    simulate(m, net, fv, routes, flow, opts, None)
 }
 
 /// Like [`simulate_flow`], additionally recording every routing-state
@@ -148,11 +137,27 @@ pub fn simulate_flow_traced(
     flow: &Flow,
     opts: ExecOptions,
 ) -> (FlowStf, RouteTrace) {
-    let _stage = yu_telemetry::span_detail("exec.flow", || {
-        format!("ingress r{} -> {:?} (traced)", flow.ingress.0, flow.dst)
-    });
     let mut trace = RouteTrace::new();
-    let mut exec = Exec {
+    let stf = simulate(m, net, fv, routes, flow, opts, Some(&mut trace));
+    (stf, trace)
+}
+
+/// The one body behind [`simulate_flow`] and [`simulate_flow_traced`]:
+/// routing-state queries are recorded into `trace` when one is given.
+fn simulate(
+    m: &mut Mtbdd,
+    net: &Network,
+    fv: &FailureVars,
+    routes: &mut SymbolicRoutes,
+    flow: &Flow,
+    opts: ExecOptions,
+    trace: Option<&mut RouteTrace>,
+) -> FlowStf {
+    let _stage = yu_telemetry::span_detail("exec.flow", || {
+        let traced = if trace.is_some() { " (traced)" } else { "" };
+        format!("ingress r{} -> {:?}{traced}", flow.ingress.0, flow.dst)
+    });
+    Exec {
         m,
         net,
         fv,
@@ -161,9 +166,48 @@ pub fn simulate_flow_traced(
         opts,
         stacks: StackTable::default(),
         loads: HashMap::new(),
-        trace: Some(&mut trace),
-    };
-    let stf = exec.run();
+        trace,
+    }
+    .run()
+}
+
+/// Executes one flow group on the arena it is handed — the main arena, an
+/// execution worker's private one, or the incremental engine re-executing
+/// after a change — recording the group's route dependencies when
+/// `record_route_deps` is set. The one place a group execution is timed:
+/// it feeds the `yu_flow_exec_seconds` / `yu_flow_groups_executed_total`
+/// registry instruments and, when `costs` is given (profiling), the
+/// group's attribution entry — whose node delta is added to the phase
+/// total in the same step, so the phase telescopes by construction.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute_group(
+    m: &mut Mtbdd,
+    net: &Network,
+    fv: &FailureVars,
+    routes: &mut SymbolicRoutes,
+    g: &FlowGroup,
+    opts: ExecOptions,
+    record_route_deps: bool,
+    costs: Option<&mut PhaseAttribution>,
+) -> (FlowStf, Option<RouteTrace>) {
+    let t_flow = Instant::now();
+    let nodes_before = m.stats().nodes_created as i64;
+    let mut trace = record_route_deps.then(RouteTrace::new);
+    let stf = simulate(m, net, fv, routes, &g.rep, opts, trace.as_mut());
+    let wall_us = t_flow.elapsed().as_micros() as u64;
+    yu_telemetry::with_registry(|r| {
+        r.flow_exec_seconds.record(wall_us);
+        r.flow_groups_executed_total.inc();
+    });
+    if let Some(costs) = costs {
+        let nodes_delta = m.stats().nodes_created as i64 - nodes_before;
+        costs.nodes_delta += nodes_delta;
+        costs.entities.push(EntityCost {
+            label: flow_label(net, &g.rep, g.members),
+            wall_us,
+            nodes_delta,
+        });
+    }
     (stf, trace)
 }
 
@@ -479,14 +523,14 @@ pub fn selection_guards(m: &mut Mtbdd, rules: &[Rule], multipath: bool) -> Vec<N
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use yu_mtbdd::{Ratio, Term};
     use yu_net::{BgpConfig, FailureMode, Prefix, Scenario, Topology, ULinkId};
 
     /// A(AS100) -- B(AS300) == C(AS300, dest): B-C is a 2-link bundle; B
     /// and C run IS-IS + iBGP, C originates 100.0.0.0/24.
-    fn bundle_net() -> (Network, [RouterId; 3]) {
+    pub(crate) fn bundle_net() -> (Network, [RouterId; 3]) {
         let mut t = Topology::new();
         let cap = Ratio::int(100);
         let a = t.add_router("A", Ipv4::new(10, 0, 0, 1), 100);

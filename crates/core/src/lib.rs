@@ -12,24 +12,28 @@
 //! 2. [`exec::simulate_flow`] symbolically executes each flow's
 //!    forwarding, producing a symbolic traffic fraction MTBDD per link
 //!    (plus delivered/dropped pseudo-sinks), KREDUCE-d at every step;
-//! 3. [`equivalence::aggregate_load`] sums flow fractions into per-link
-//!    symbolic traffic loads, collapsing link-local equivalent flows;
+//! 3. the check stage sums flow fractions into a per-point symbolic
+//!    traffic load ([`YuVerifier::load_mtbdd`]), collapsing link-local
+//!    equivalent flows and reducing during the sum (`Σ∘KREDUCE`);
 //! 4. [`verify::check_requirement`] scans the reduced load's terminals
 //!    (Theorem 5.1) and extracts a concrete counterexample scenario from
 //!    the violating path.
 //!
-//! [`YuVerifier`] wires the pipeline together behind one API.
+//! [`YuVerifier`] wires the pipeline together behind one API; steps 3–4
+//! are one stage that the sequential, sharded and incremental
+//! ([`IncrementalVerifier`]) paths all run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod attribution;
+mod check;
 pub mod delta;
 pub mod equivalence;
 pub mod exec;
 pub mod explain;
-pub mod parallel;
+mod parallel;
 pub mod trace;
 pub mod verify;
 
@@ -38,14 +42,11 @@ pub use api::{
 };
 pub use attribution::{Attribution, EntityCost, PhaseAttribution};
 pub use delta::{DeltaStats, IncrementalVerifier};
-pub use equivalence::{
-    aggregate_load, global_groups, global_groups_classified, AggStats, FlowGroup,
-};
+pub use equivalence::{global_groups, global_groups_classified, AggStats, FlowGroup};
 pub use exec::{selection_guards, simulate_flow, simulate_flow_traced, ExecOptions, FlowStf};
 pub use explain::{
     explanation_dot, trace_flow, Explanation, FlowBlame, FlowPathDiff, PathOutcome, PointEnvelope,
     ReplayCheck, TracedPath, MAX_TRACED_PATHS,
 };
-pub use parallel::{check_sharded, execute_sharded, CheckCtx, CheckShard, CheckUnit, Shard};
 pub use trace::{RouteTrace, TraceAnswer, TraceQuery};
-pub use verify::{check_requirement, check_tlp, enumerate_violations, Violation};
+pub use verify::{check_requirement, enumerate_violations, Violation};

@@ -11,29 +11,28 @@
 //!   aggregated and scanned independently, so requirements are dealt the
 //!   same way ([`check_sharded`]).
 //!
-//! In both stages **each worker owns a private [`Mtbdd`] arena** — no
-//! locks, no contended unique tables, no sharing of apply caches. An
-//! execution worker allocates its own failure variables (deterministically
-//! identical to the main arena's, because [`FailureVars::allocate`] is a
-//! pure function of topology and mode), recomputes the guarded routing
-//! state locally, executes its share of the flows with per-worker
-//! `KREDUCE`, and hands back its arena plus per-flow STFs; the caller
-//! imports the results into the main arena with
+//! Neither stage takes a lock or shares a unique table or apply cache
+//! between workers, but they get there differently. An **execution
+//! worker owns a private [`Mtbdd`] arena**: it allocates its own failure
+//! variables (deterministically identical to the main arena's, because
+//! [`FailureVars::allocate`] is a pure function of topology and mode),
+//! recomputes the guarded routing state locally, executes its share of
+//! the flows with per-worker `KREDUCE`, and hands back its arena plus
+//! per-flow STFs; the caller imports the results into the main arena with
 //! [`yu_mtbdd::Mtbdd::import`] in *flow order*, so the merged state is
 //! independent of thread scheduling.
 //!
-//! A check worker goes the other way: the main arena is **frozen** once
+//! A **check worker shares the main arena**: it is **frozen** once
 //! ([`yu_mtbdd::Mtbdd::freeze`]) and every worker opens a zero-copy
 //! overlay on it ([`Mtbdd::with_base`]). Main-arena handles stay valid
 //! inside the overlay, so workers use the class representatives
-//! *directly* — no per-worker import, no memo tables, no duplicated
-//! diagrams — and allocate only their private result nodes while
-//! aggregating with the fused n-ary `Σ∘KREDUCE` kernel and scanning
-//! terminals locally. Because hash-consed MTBDDs with a fixed variable
-//! order are canonical and `KREDUCE` is canonicalizing, the reduced
+//! *directly* and allocate only their private result nodes while running
+//! the same requirement loop as the sequential checker
+//! ([`crate::check::check_reqs`]). Hash-consed MTBDDs with a fixed
+//! variable order are canonical and `KREDUCE` is canonicalizing, so the
 //! diagram a worker scans denotes exactly the function the sequential
-//! checker builds, so the returned [`Violation`]s are **bit-identical**
-//! to a sequential run — independent of worker count and scheduling.
+//! checker builds and the returned violations are **bit-identical** to a
+//! sequential run — independent of worker count and scheduling.
 //!
 //! Per-worker `KREDUCE` before any merge is sound in both stages:
 //! k-failure equivalence is a congruence under pointwise `+`, `min`, and
@@ -41,14 +40,14 @@
 //! canonicalizing for `≈ₖ`, so reducing early and reducing late yield the
 //! same final diagrams.
 
-use crate::attribution::{flow_label, EntityCost};
-use crate::equivalence::{AggStats, FlowGroup};
-use crate::exec::{simulate_flow, simulate_flow_traced, ExecOptions, FlowStf};
+use crate::api::YuVerifier;
+use crate::attribution::{EntityCost, PhaseAttribution};
+use crate::check::{check_reqs, Arena, CheckUnit, LoadCache};
+use crate::equivalence::FlowGroup;
+use crate::exec::{execute_group, ExecOptions, FlowStf};
 use crate::trace::RouteTrace;
-use crate::verify::{check_requirement, enumerate_violations, Violation};
-use std::collections::HashMap;
 use std::time::Instant;
-use yu_mtbdd::{Mtbdd, MtbddStats, NodeRef, Ratio, Term};
+use yu_mtbdd::{Mtbdd, MtbddStats};
 use yu_net::{FailureMode, FailureVars, Network, TlpReq};
 use yu_routing::SymbolicRoutes;
 
@@ -94,7 +93,7 @@ fn run_worker_pool<T: Send>(
 
 /// The result of one execution worker: its private arena and the symbolic
 /// traffic functions it produced, tagged with the global flow-group index.
-pub struct Shard {
+pub(crate) struct Shard {
     /// The worker's private arena. All [`FlowStf`] handles in
     /// [`Shard::stfs`] live here until imported.
     pub arena: Mtbdd,
@@ -108,7 +107,7 @@ pub struct Shard {
     /// Empty unless the shard ran with `profile`. The entity node deltas
     /// telescope from an empty arena, so they sum exactly to
     /// `arena.stats().nodes_created`.
-    pub costs: Vec<EntityCost>,
+    pub costs: PhaseAttribution,
 }
 
 /// Executes `groups` across `workers` threads, each with a private arena
@@ -122,7 +121,7 @@ pub struct Shard {
 /// Propagates panics from worker threads (including audit failures when
 /// `YU_AUDIT=1`).
 #[allow(clippy::too_many_arguments)]
-pub fn execute_sharded(
+pub(crate) fn execute_sharded(
     net: &Network,
     mode: FailureMode,
     routes_k: Option<u32>,
@@ -138,39 +137,33 @@ pub fn execute_sharded(
         |w| format!("worker-{w}"),
         "exec.worker",
         move |w| {
-            let mut costs = Vec::new();
+            let mut costs = PhaseAttribution::default();
             let t_routes = Instant::now();
             let mut m = Mtbdd::new();
             let fv = FailureVars::allocate(&mut m, &net.topo, mode);
             let mut routes = SymbolicRoutes::compute(&mut m, net, &fv, routes_k);
             if profile {
-                costs.push(EntityCost {
+                let nodes_delta = m.stats().nodes_created as i64;
+                costs.nodes_delta += nodes_delta;
+                costs.entities.push(EntityCost {
                     label: format!("worker-{w} route_sim"),
                     wall_us: t_routes.elapsed().as_micros() as u64,
-                    nodes_delta: m.stats().nodes_created as i64,
+                    nodes_delta,
                 });
             }
             let mut stfs = Vec::new();
             for (ix, g) in groups.iter().enumerate().skip(w).step_by(workers) {
-                let t_flow = Instant::now();
-                let nodes_before = m.stats().nodes_created as i64;
-                if record_traces {
-                    let (stf, trace) =
-                        simulate_flow_traced(&mut m, net, &fv, &mut routes, &g.rep, opts);
-                    stfs.push((ix, stf, Some(trace)));
-                } else {
-                    let stf = simulate_flow(&mut m, net, &fv, &mut routes, &g.rep, opts);
-                    stfs.push((ix, stf, None));
-                }
-                let wall_us = t_flow.elapsed().as_micros() as u64;
-                yu_telemetry::with_registry(|r| r.flow_exec_seconds.record(wall_us));
-                if profile {
-                    costs.push(EntityCost {
-                        label: flow_label(net, &g.rep, g.members),
-                        wall_us,
-                        nodes_delta: m.stats().nodes_created as i64 - nodes_before,
-                    });
-                }
+                let (stf, trace) = execute_group(
+                    &mut m,
+                    net,
+                    &fv,
+                    &mut routes,
+                    g,
+                    opts,
+                    record_traces,
+                    profile.then_some(&mut costs),
+                );
+                stfs.push((ix, stf, trace));
             }
             Shard {
                 arena: m,
@@ -181,182 +174,53 @@ pub fn execute_sharded(
     )
 }
 
-/// Read-only view of the verifier state a check worker needs: the main
-/// arena, the failure-variable allocation, and the executed flow groups.
-pub struct CheckCtx<'a> {
-    /// The main arena, shared immutably across the pool.
-    pub m: &'a Mtbdd,
-    /// Failure variables (for decoding violating paths into scenarios).
-    pub fv: &'a FailureVars,
-    /// Per-group symbolic traffic functions (handles of `m`).
-    pub results: &'a [FlowStf],
-    /// The flow groups, parallel to `results`.
-    pub groups: &'a [FlowGroup],
-    /// Group contributions link-locally by STF handle (§5.3).
-    pub use_link_local_equiv: bool,
-    /// Apply KREDUCE throughout (the fused kernel when aggregating).
-    pub use_kreduce: bool,
-    /// The failure budget.
-    pub k: u32,
-}
-
-/// The verdict for one requirement, tagged with its index in the TLP.
-pub struct CheckUnit {
-    /// Index of the requirement in `tlp.reqs`.
-    pub req_ix: usize,
-    /// Violations found for it (at most one unless enumerating).
-    pub violations: Vec<Violation>,
-    /// Aggregation statistics of its load point (Figs. 13/14 data).
-    pub agg: AggStats,
-    /// Wall-clock the worker spent aggregating and scanning it, in
-    /// microseconds.
-    pub wall_us: u64,
-    /// Net growth of the worker's private arena while processing it.
-    pub nodes_delta: i64,
-}
-
-/// The result of one check worker: its verdicts and its private arena's
-/// final statistics (the arena itself is dropped — violations are plain
-/// data, no handles escape).
-pub struct CheckShard {
-    /// One entry per requirement this worker checked, in ascending
-    /// `req_ix` order by construction.
-    pub units: Vec<CheckUnit>,
-    /// Statistics of the worker's private arena.
-    pub stats: MtbddStats,
-}
-
 /// Checks `reqs` across `workers` threads (round-robin by requirement
-/// index). The main arena is frozen once; each worker opens a zero-copy
-/// overlay on the shared frozen base and allocates only its private
-/// result nodes. With `max_violations <= 1` each unit carries at most
-/// the first (fewest-failure) violation, exactly like
-/// [`check_requirement`]; larger values enumerate per requirement like
-/// [`enumerate_violations`].
-///
-/// The returned violations are bit-identical to what the sequential
-/// checker produces for the same requirements (see the module docs).
+/// index). The verifier's main arena is frozen once; each worker opens an
+/// overlay on the shared frozen base and runs the requirement loop on it. Returns every unit the workers produced, in requirement order, with
+/// the merged statistics of the overlay arenas (the arenas themselves are
+/// dropped — verdicts are plain data, no handles escape).
 ///
 /// # Panics
 /// Propagates panics from worker threads (including audit failures when
 /// `YU_AUDIT=1`).
-pub fn check_sharded(
-    ctx: &CheckCtx<'_>,
+pub(crate) fn check_sharded(
+    v: &YuVerifier,
     reqs: &[TlpReq],
     max_violations: usize,
     workers: usize,
-) -> Vec<CheckShard> {
+) -> (Vec<CheckUnit>, MtbddStats) {
     let workers = workers.clamp(1, reqs.len().max(1));
     let t_freeze = Instant::now();
-    let frozen = ctx.m.freeze();
+    let frozen = v.m.freeze();
     yu_telemetry::counter("check.freeze_us", t_freeze.elapsed().as_micros() as u64);
-    let frozen = &frozen;
-    run_worker_pool(
+    // The routing state holds `Rc`s, so workers borrow only what the check
+    // stage reads.
+    let (frozen, opts) = (&frozen, v.opts);
+    let (results, groups, fv) = (&v.results[..], &v.groups[..], &v.fv);
+    let shards = run_worker_pool(
         workers,
         |w| format!("check-worker-{w}"),
         "check.worker",
         move |w| {
-            let mut m = Mtbdd::with_base(frozen);
-            let mut units = Vec::new();
-            for (ix, req) in reqs.iter().enumerate().skip(w).step_by(workers) {
-                units.push(check_unit(ctx, &mut m, ix, req, max_violations));
-            }
-            CheckShard {
-                units,
-                stats: m.stats(),
-            }
+            let (mut m, mut loads) = (Mtbdd::with_base(frozen), LoadCache::new());
+            let mut overlay = Arena {
+                m: &mut m,
+                loads: &mut loads,
+                results,
+                groups,
+                fv,
+            };
+            let share = reqs.iter().enumerate().skip(w).step_by(workers);
+            let units = check_reqs(&mut overlay, &opts, share, max_violations, None);
+            (units, m.stats())
         },
-    )
-}
-
-/// Aggregates and checks one requirement in the worker overlay `m`.
-///
-/// The link-local classing walks `(results, groups)` in group order
-/// against main-arena handles — the same first-seen class order and the
-/// same volume sums as the sequential `load_with_stats`. The class
-/// representatives are then used directly (the overlay resolves base
-/// handles) and combined with the fused n-ary `Σ∘KREDUCE` kernel.
-fn check_unit(
-    ctx: &CheckCtx<'_>,
-    m: &mut Mtbdd,
-    ix: usize,
-    req: &TlpReq,
-    max_violations: usize,
-) -> CheckUnit {
-    let point = req.point;
-    let _stage = yu_telemetry::span_detail("aggregate", || format!("{point:?}"));
-    let t_unit = Instant::now();
-    let nodes_before = m.stats().nodes_created as i64;
-    let zero = ctx.m.zero();
-    let mut classes: Vec<(usize, Ratio)> = Vec::new();
-    let mut flows = 0usize;
-    let mut by_stf: HashMap<NodeRef, usize> = HashMap::new();
-    for (gi, (stf, g)) in ctx.results.iter().zip(ctx.groups).enumerate() {
-        let handle = stf.at(ctx.m, point);
-        if handle == zero || g.volume.is_zero() {
-            continue;
-        }
-        flows += 1;
-        if ctx.use_link_local_equiv {
-            match by_stf.entry(handle) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    classes[*e.get()].1 += &g.volume;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(classes.len());
-                    classes.push((gi, g.volume.clone()));
-                }
-            }
-        } else {
-            classes.push((gi, g.volume.clone()));
-        }
+    );
+    let mut units = Vec::with_capacity(reqs.len());
+    let mut stats = MtbddStats::default();
+    for (shard_units, shard_stats) in shards {
+        units.extend(shard_units);
+        stats.merge(&shard_stats);
     }
-    let agg = AggStats {
-        flows,
-        classes: classes.len(),
-    };
-    let k = ctx.use_kreduce.then_some(ctx.k);
-    let mut level: Vec<NodeRef> = Vec::with_capacity(classes.len());
-    for (rep, vol) in classes {
-        // Base handles are valid in the overlay: no import, no copy.
-        let src = ctx.results[rep].at(ctx.m, point);
-        let scaled = match k {
-            Some(k) => m.scale_kreduce(src, Term::Num(vol), k),
-            None => m.scale(src, Term::Num(vol)),
-        };
-        level.push(scaled);
-    }
-    let tau = match k {
-        // The n-ary fused kernel materializes βₖ(Σ) directly — no
-        // pairwise partial sums ever hit the arena.
-        Some(k) => m.sum_kreduce(&level, k),
-        None => {
-            while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                for pair in level.chunks(2) {
-                    next.push(if pair.len() == 2 {
-                        m.add(pair[0], pair[1])
-                    } else {
-                        pair[0]
-                    });
-                }
-                level = next;
-            }
-            level.pop().unwrap_or_else(|| m.zero())
-        }
-    };
-    let violations = if max_violations <= 1 {
-        check_requirement(m, ctx.fv, tau, req, ctx.k)
-            .into_iter()
-            .collect()
-    } else {
-        enumerate_violations(m, ctx.fv, tau, req, ctx.k, max_violations)
-    };
-    CheckUnit {
-        req_ix: ix,
-        violations,
-        agg,
-        wall_us: t_unit.elapsed().as_micros() as u64,
-        nodes_delta: m.stats().nodes_created as i64 - nodes_before,
-    }
+    units.sort_by_key(|u| u.req_ix);
+    (units, stats)
 }

@@ -9,7 +9,7 @@
 
 use serde::Serialize;
 use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
-use yu_net::{FailureVars, LoadPoint, Scenario, Tlp, TlpReq, Topology};
+use yu_net::{FailureVars, LoadPoint, Scenario, TlpReq, Topology};
 
 /// A verified TLP violation: a concrete `≤ k`-failure scenario under which
 /// the load at a point leaves its required range.
@@ -136,30 +136,6 @@ pub fn enumerate_violations(
     out
 }
 
-/// Checks a whole TLP given a function producing the aggregated load at
-/// each point. Stops early per point; with `early_stop` set, stops at the
-/// first violation overall.
-pub fn check_tlp(
-    m: &mut Mtbdd,
-    fv: &FailureVars,
-    tlp: &Tlp,
-    k: u32,
-    early_stop: bool,
-    mut load_at: impl FnMut(&mut Mtbdd, LoadPoint) -> NodeRef,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for req in &tlp.reqs {
-        let tau = load_at(m, req.point);
-        if let Some(v) = check_requirement(m, fv, tau, req, k) {
-            out.push(v);
-            if early_stop {
-                break;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,21 +186,6 @@ mod tests {
         let msg = v.describe(&t);
         assert!(msg.contains("delivered@B"), "{msg}");
         assert!(msg.contains(">= 70"), "{msg}");
-    }
-
-    #[test]
-    fn check_tlp_early_stop() {
-        let t = topo2();
-        let mut m = Mtbdd::new();
-        let fv = FailureVars::allocate(&mut m, &t, FailureMode::Links);
-        let hundred = m.constant(Ratio::int(100));
-        let tlp = Tlp::new()
-            .with(TlpReq::at_most(LoadPoint::Link(LinkId(0)), Ratio::int(50)))
-            .with(TlpReq::at_most(LoadPoint::Link(LinkId(1)), Ratio::int(50)));
-        let all = check_tlp(&mut m, &fv, &tlp, 1, false, |_, _| hundred);
-        assert_eq!(all.len(), 2);
-        let first = check_tlp(&mut m, &fv, &tlp, 1, true, |_, _| hundred);
-        assert_eq!(first.len(), 1);
     }
 }
 

@@ -1,16 +1,15 @@
-//! Differential tests for the sharded parallel property-checking stage:
-//! for every built-in example and both failure modes, a run with
-//! `check_workers > 1` (private per-worker MTBDD arenas that import only
-//! the per-point equivalence-class representatives and aggregate with the
-//! fused `ADD∘KREDUCE` kernel) must be indistinguishable from the
+//! Differential tests for the check stage and its callers: for every
+//! built-in example and both failure modes, a run with
+//! `check_workers > 1` (per-worker overlays on the frozen main arena,
+//! running the same requirement loop) must be indistinguishable from the
 //! sequential checker — same `VerificationOutcome`, bit-identical
 //! violation list (including counterexample scenarios and violating
 //! loads), same aggregation statistics, and the same concrete load at
 //! every sampled scenario and load point. Enumerated verification
-//! (`verify_enumerated`) and the `early_stop`/ablation option
-//! combinations are covered too.
+//! (`verify_enumerated`), the `early_stop`/ablation option combinations
+//! and the incremental engine's first verification are covered too.
 
-use yu::core::{YuOptions, YuVerifier};
+use yu::core::{IncrementalVerifier, YuOptions, YuVerifier};
 use yu::gen::{
     fattree_with_flows, motivating_example, sr_anycast_incident, static_blackhole_incident, wan,
     WanParams,
@@ -318,4 +317,61 @@ fn more_check_workers_than_requirements() {
         seq.verify(&inst.tlp).violations,
         par.verify(&inst.tlp).violations
     );
+}
+
+/// Every caller of the check stage — `verify`, `verify_enumerated(_, 1)`,
+/// a sharded run, and `IncrementalVerifier::verify` — reports the same
+/// verdicts, aggregation statistics and prune count; the callers that run
+/// on the main arena also leave it the same size, to the node.
+#[test]
+fn every_caller_agrees_to_the_node() {
+    for inst in &instances() {
+        for mode in [FailureMode::Links, FailureMode::Routers] {
+            let ctx = format!("{} mode={mode:?}", inst.name);
+            let sequential = opts_with_check_workers(1);
+            let plain = run(inst, mode, sequential).verify(&inst.tlp);
+            let enumerated = run(inst, mode, sequential).verify_enumerated(&inst.tlp, 1);
+            let sharded = run(inst, mode, opts_with_check_workers(4)).verify(&inst.tlp);
+            let incremental = IncrementalVerifier::new(
+                inst.net.clone(),
+                inst.flows.clone(),
+                inst.tlp.clone(),
+                YuOptions {
+                    k: inst.k,
+                    mode,
+                    ..sequential
+                },
+            )
+            .verify();
+            // The incremental engine always records route dependencies.
+            let traced = YuOptions {
+                record_route_deps: true,
+                ..sequential
+            };
+            let traced = run(inst, mode, traced).verify(&inst.tlp);
+            for (caller, out) in [
+                ("verify_enumerated(_, 1)", &enumerated),
+                ("check_workers: 4", &sharded),
+                ("IncrementalVerifier::verify", &incremental),
+            ] {
+                assert_eq!(plain.violations, out.violations, "{ctx}: {caller}");
+                assert_eq!(
+                    plain.stats.per_point, out.stats.per_point,
+                    "{ctx}: {caller}"
+                );
+                assert_eq!(
+                    plain.stats.reqs_pruned, out.stats.reqs_pruned,
+                    "{ctx}: {caller}"
+                );
+            }
+            assert_eq!(
+                plain.stats.mtbdd.nodes_created, enumerated.stats.mtbdd.nodes_created,
+                "{ctx}: verify vs verify_enumerated(_, 1)"
+            );
+            assert_eq!(
+                traced.stats.mtbdd.nodes_created, incremental.stats.mtbdd.nodes_created,
+                "{ctx}: batch (route deps recorded) vs IncrementalVerifier::verify"
+            );
+        }
+    }
 }

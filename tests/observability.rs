@@ -180,3 +180,89 @@ fn serve_trains_latency_baselines_per_request_kind() {
     assert!(events_of_kind(&events, "perf_regression").is_empty());
     yu::telemetry::close_event_sink();
 }
+
+/// Registry readings of [`serve_feeds_the_per_requirement_and_per_group_histograms`].
+struct Seen {
+    req_checks: u64,
+    flow_execs: u64,
+    groups_executed: u64,
+    rechecked_total: u64,
+}
+
+/// The serve path runs the same check stage and the same per-group exec
+/// call as a batch run, so it feeds the same instruments: one
+/// `yu_req_check_seconds` sample per requirement actually checked
+/// (baseline verification included), one `yu_flow_exec_seconds` sample
+/// (and `yu_flow_groups_executed_total` tick) per group actually
+/// executed, and the preflight spans and counters.
+#[test]
+fn serve_feeds_the_per_requirement_and_per_group_histograms() {
+    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = fig1_spec();
+    let observe = || {
+        let snap = yu::telemetry::registry().snapshot();
+        let count = |name| snap.histogram(name).expect("registered").count();
+        Seen {
+            req_checks: count("yu_req_check_seconds"),
+            flow_execs: count("yu_flow_exec_seconds"),
+            groups_executed: snap.counter("yu_flow_groups_executed_total"),
+            rechecked_total: snap.counter("yu_incremental_rechecked_reqs_total"),
+        }
+    };
+    yu::telemetry::set_enabled(true);
+    yu::telemetry::reset();
+    let start = observe();
+    let mut s = session(&spec, Duration::from_secs(3600));
+    let baseline = observe();
+    let checked_at_baseline = s.verifier().delta_stats().rechecked_reqs as u64;
+    assert!(checked_at_baseline > 0);
+    assert_eq!(baseline.req_checks - start.req_checks, checked_at_baseline);
+    assert_eq!(
+        baseline.flow_execs - start.flow_execs,
+        baseline.groups_executed - start.groups_executed
+    );
+
+    // Bump every link's cost in turn (some bump reroutes a flow), with a
+    // volume edit in between.
+    let topo = &spec.network.topo;
+    let mut script: Vec<String> = topo
+        .ulinks()
+        .map(|u| {
+            let fwd = topo.link(topo.directions(u).0);
+            let (from, to) = (&topo.router(fwd.from).name, &topo.router(fwd.to).name);
+            let cost = fwd.igp_cost * 100 + 13;
+            format!(r#"{{"SetLinkCost":{{"from":"{from}","to":"{to}","index":0,"cost":{cost}}}}}"#)
+        })
+        .collect();
+    script.insert(1, r#"{"SetFlowVolume":{"flow":0,"volume":"1"}}"#.into());
+    script.push(r#"{"SetFlowVolume":{"flow":0,"volume":"20"}}"#.into());
+    let (mut rechecked, mut reexecuted) = (0u64, 0u64);
+    for (id, change) in script.iter().enumerate() {
+        let resp = s.handle_line(&format!("{{\"id\":{id},\"changes\":[{change}]}}"));
+        assert!(resp.contains("\"ok\":true"), "request rejected: {resp}");
+        let delta = s.verifier().delta_stats();
+        rechecked += delta.rechecked_reqs as u64;
+        reexecuted += delta.recomputed_groups as u64;
+    }
+    let end = observe();
+    let report = yu::telemetry::snapshot();
+    yu::telemetry::reset();
+    yu::telemetry::set_enabled(false);
+
+    assert!(rechecked > 0, "the edits must dirty some load point");
+    assert!(reexecuted > 0, "the cost edits must re-execute some group");
+    assert_eq!(end.req_checks - baseline.req_checks, rechecked);
+    assert_eq!(
+        end.req_checks - start.req_checks,
+        end.rechecked_total - start.rechecked_total
+    );
+    assert_eq!(end.flow_execs - baseline.flow_execs, reexecuted);
+    assert_eq!(end.groups_executed - baseline.groups_executed, reexecuted);
+
+    let stages = report.stage_aggs();
+    assert!(stages.contains_key("preflight"));
+    assert!(stages.contains_key("preflight.classify"));
+    assert!(report
+        .counter_totals()
+        .contains_key("preflight.needs_symbolic"));
+}
