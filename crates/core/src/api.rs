@@ -259,7 +259,7 @@ impl YuVerifier {
             SymbolicRoutes::compute(&mut m, &net, &fv, k)
         };
         let route_time = t0.elapsed();
-        let route_nodes = m.stats().nodes_created as u64;
+        let route_nodes = m.nodes_created() as u64;
         let yu = YuVerifier {
             m,
             net,
@@ -350,7 +350,7 @@ impl YuVerifier {
         // the configured threshold and twice the last live set, so GC
         // work stays amortized O(total allocation) instead of thrashing
         // when the live set is large.
-        let created = self.m.stats().nodes_created;
+        let created = self.m.nodes_created();
         if created < (self.live_after_gc * 2).max(self.live_after_gc + threshold) {
             return;
         }
@@ -505,13 +505,13 @@ impl YuVerifier {
         let mut memos: Vec<ImportMemo> = shards.iter().map(|_| ImportMemo::new()).collect();
         let import_span = yu_telemetry::span("import");
         let import_t0 = Instant::now();
-        let nodes_at_start = self.m.stats().nodes_created as i64;
+        let nodes_at_start = self.m.nodes_created() as i64;
         for (ix, g) in groups.into_iter().enumerate() {
             let (si, pos) = owner[ix];
             let shard = &shards[si];
             let (_, stf, trace) = &shard.stfs[pos];
             let t_import = Instant::now();
-            let nodes_before = self.m.stats().nodes_created as i64;
+            let nodes_before = self.m.nodes_created() as i64;
             let mut points: Vec<(LoadPoint, NodeRef)> =
                 stf.loads.iter().map(|(&p, &n)| (p, n)).collect();
             points.sort_by_key(|&(p, _)| p);
@@ -529,7 +529,7 @@ impl YuVerifier {
                 self.import_attr.entities.push(EntityCost {
                     label: flow_label(&self.net, &g.rep, g.members),
                     wall_us: t_import.elapsed().as_micros() as u64,
-                    nodes_delta: self.m.stats().nodes_created as i64 - nodes_before,
+                    nodes_delta: self.m.nodes_created() as i64 - nodes_before,
                 });
             }
             self.groups.push(g);
@@ -537,7 +537,7 @@ impl YuVerifier {
             self.traces.push(trace);
         }
         if profile {
-            self.import_attr.nodes_delta += self.m.stats().nodes_created as i64 - nodes_at_start;
+            self.import_attr.nodes_delta += self.m.nodes_created() as i64 - nodes_at_start;
             self.import_attr.wall_us += import_t0.elapsed().as_micros() as u64;
             // The exec phase of a parallel batch is the workers' private
             // arenas: per-flow entities (plus each worker's local route

@@ -268,7 +268,7 @@ fn check_req<A: CheckArena>(
     max_violations: usize,
 ) -> CheckUnit {
     let t_req = Instant::now();
-    let nodes_before = a.arena().m.stats().nodes_created as i64;
+    let nodes_before = a.arena().m.nodes_created() as i64;
     let (tau, agg) = load(a, opts, req.point);
     let p = a.arena();
     let violations = if max_violations <= 1 {
@@ -286,7 +286,7 @@ fn check_req<A: CheckArena>(
         agg,
         cached: false,
         wall_us,
-        nodes_delta: p.m.stats().nodes_created as i64 - nodes_before,
+        nodes_delta: p.m.nodes_created() as i64 - nodes_before,
     }
 }
 

@@ -191,7 +191,7 @@ pub(crate) fn execute_group(
     costs: Option<&mut PhaseAttribution>,
 ) -> (FlowStf, Option<RouteTrace>) {
     let t_flow = Instant::now();
-    let nodes_before = m.stats().nodes_created as i64;
+    let nodes_before = m.nodes_created() as i64;
     let mut trace = record_route_deps.then(RouteTrace::new);
     let stf = simulate(m, net, fv, routes, &g.rep, opts, trace.as_mut());
     let wall_us = t_flow.elapsed().as_micros() as u64;
@@ -200,7 +200,7 @@ pub(crate) fn execute_group(
         r.flow_groups_executed_total.inc();
     });
     if let Some(costs) = costs {
-        let nodes_delta = m.stats().nodes_created as i64 - nodes_before;
+        let nodes_delta = m.nodes_created() as i64 - nodes_before;
         costs.nodes_delta += nodes_delta;
         costs.entities.push(EntityCost {
             label: flow_label(net, &g.rep, g.members),

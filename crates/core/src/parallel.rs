@@ -106,7 +106,7 @@ pub(crate) struct Shard {
     /// one entry per flow group), measured against the private arena.
     /// Empty unless the shard ran with `profile`. The entity node deltas
     /// telescope from an empty arena, so they sum exactly to
-    /// `arena.stats().nodes_created`.
+    /// `arena.nodes_created()`.
     pub costs: PhaseAttribution,
 }
 
@@ -143,7 +143,7 @@ pub(crate) fn execute_sharded(
             let fv = FailureVars::allocate(&mut m, &net.topo, mode);
             let mut routes = SymbolicRoutes::compute(&mut m, net, &fv, routes_k);
             if profile {
-                let nodes_delta = m.stats().nodes_created as i64;
+                let nodes_delta = m.nodes_created() as i64;
                 costs.nodes_delta += nodes_delta;
                 costs.entities.push(EntityCost {
                     label: format!("worker-{w} route_sim"),

@@ -219,9 +219,9 @@ mod enumeration_tests {
         let req = yu_net::TlpReq::at_most(LoadPoint::Link(LinkId(0)), Ratio::int(95));
         let all = enumerate_violations(&mut m, &fv, tau, &req, 2, 100);
         assert_eq!(all.len(), 3, "{all:?}");
-        let loads: Vec<i128> = all.iter().map(|v| v.load.numer()).collect();
-        assert!(loads.contains(&150));
-        assert_eq!(loads.iter().filter(|&&l| l == 100).count(), 2);
+        let loads: Vec<Option<i128>> = all.iter().map(|v| v.load.numer()).collect();
+        assert!(loads.contains(&Some(150)));
+        assert_eq!(loads.iter().filter(|&&l| l == Some(100)).count(), 2);
         // Sorted: fewest failures first, then by scenario.
         let counts: Vec<usize> = all.iter().map(|v| v.scenario.count()).collect();
         assert_eq!(counts, vec![1, 1, 2]);

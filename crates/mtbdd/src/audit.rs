@@ -391,7 +391,7 @@ impl Mtbdd {
             for assign in sample_assignments(i as u64, self.num_vars()) {
                 let fa = self.eval(f, &assign);
                 let ra = self.eval(r, &assign);
-                let want = op.combine(fa);
+                let want = op.combine(&fa);
                 if ra != want {
                     report.push(
                         AuditCheck::ApplyCache,
@@ -420,7 +420,7 @@ impl Mtbdd {
             let fa = self.eval(f, &assign);
             let ga = self.eval(g, &assign);
             let ra = self.eval(r, &assign);
-            let want = op.combine(fa.clone(), ga.clone());
+            let want = op.combine(&fa, &ga);
             if ra != want {
                 report.push(
                     AuditCheck::ApplyCache,

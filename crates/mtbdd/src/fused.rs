@@ -11,7 +11,11 @@
 //!
 //! * with no budget left (`k = 0`) only the all-alive branch matters, so
 //!   the result is the terminal `f(1…1) ⊕ g(1…1)` — no product structure
-//!   is ever built;
+//!   is ever built. Every node carries its all-alive terminal, so the
+//!   collapse first replaces the operands by that terminal pair and then
+//!   shares one memo entry, under `k = 0`, with every other operand pair
+//!   that collapses to it; the n-ary kernel goes further and carries
+//!   `β₀(Σ operands)` down its recursion (see [`Mtbdd::sum_kreduce`]);
 //! * at a decision node over `x = min(top(f), top(g))`, the Definition
 //!   5.2 recursion applies directly to the (virtual) sum: if
 //!   `β_{k-1}(f|x=1 ⊕ g|x=1) = β_{k-1}(f|x=0 ⊕ g|x=0)` the variable test
@@ -177,33 +181,47 @@ impl Mtbdd {
         for &f in ops {
             so.push(f);
         }
-        self.sum_kreduce_rec(so, k)
+        let b0 = self.alive_sum(ops);
+        self.sum_kreduce_rec(so, &b0, k)
+    }
+
+    /// `β₀(Σ ops)` by direct summation of the operands' all-alive
+    /// terminals: the seed of the carried value, and its fallback.
+    fn alive_sum(&self, ops: &[NodeRef]) -> Term {
+        ops.iter().fold(Term::ZERO, |acc, &f| {
+            acc.add_ref(self.terminal_ref(self.all_alive_ref(f)))
+        })
     }
 
     /// Recursion over a pre-sorted, zero-free, stack-allocated operand
     /// list. Every structure this builds lives on the stack — a cache
     /// probe or a recursive call allocates nothing.
-    fn sum_kreduce_rec(&mut self, ops: SumOps, k: u32) -> NodeRef {
+    ///
+    /// `b0` is `β₀(Σ ops)`, carried down instead of re-summed at every
+    /// leaf: the alive branch keeps every operand's hi-spine and so
+    /// inherits it unchanged, the failed branch moves it by
+    /// `alive(lo) − alive(f)` over just the operands that test the
+    /// variable.
+    fn sum_kreduce_rec(&mut self, ops: SumOps, b0: &Term, k: u32) -> NodeRef {
         match ops.len {
             0 => return self.zero(),
             1 => return self.kreduce_rec(ops.arr[0], k),
-            2 => return self.fused_rec(Op::Add, ops.arr[0], ops.arr[1], k),
             _ => {}
         }
         // β₀ and the all-terminal case collapse to one terminal without
         // building any structure.
         if k == 0 || ops.ops().iter().all(|f| f.is_terminal()) {
-            let mut acc = Term::ZERO;
-            for i in 0..ops.len {
-                let t = self.all_alive_ref(ops.arr[i]);
-                acc = acc.add(self.terminal_value(t));
-            }
-            return self.term(acc);
+            return self.term(b0.clone());
+        }
+        if ops.len == 2 {
+            return self.fused_rec(Op::Add, ops.arr[0], ops.arr[1], k);
         }
         let key = ops.key(k);
         if let Some(&r) = self.sum_cache.get(&key) {
+            self.sum_hits += 1;
             return r;
         }
+        self.sum_misses += 1;
         self.prof_fused_enter();
         let var = ops
             .ops()
@@ -218,9 +236,20 @@ impl Mtbdd {
         let zero = self.zero();
         let mut los = SumOps::new();
         let mut his = SumOps::new();
+        // A `+∞` total hides the finite part the delta would have to
+        // update; the failed branch then re-sums its own operands.
+        let carried = b0.is_finite();
+        let mut lo_b0 = b0.clone();
         for &f in ops.ops() {
             let (lo, hi) = if self.top_var(f) == Some(var) {
-                self.cofactors(f)
+                let n = self.node_at(f);
+                let lo_alive = self.all_alive_ref(n.lo);
+                if carried && lo_alive != n.alive {
+                    lo_b0 = lo_b0
+                        .add_ref(self.terminal_ref(lo_alive))
+                        .sub_ref(self.terminal_ref(n.alive));
+                }
+                (n.lo, n.hi)
             } else {
                 (f, f)
             };
@@ -233,13 +262,16 @@ impl Mtbdd {
         }
         los.sort();
         his.sort();
+        if !carried {
+            lo_b0 = self.alive_sum(los.ops());
+        }
         // Definition 5.2 on the virtual node (var, Σ los, Σ his).
-        let hi_km1 = self.sum_kreduce_rec(his, k - 1);
-        let lo_km1 = self.sum_kreduce_rec(los, k - 1);
+        let hi_km1 = self.sum_kreduce_rec(his, b0, k - 1);
+        let lo_km1 = self.sum_kreduce_rec(los, &lo_b0, k - 1);
         let r = if hi_km1 == lo_km1 {
-            self.sum_kreduce_rec(his, k)
+            self.sum_kreduce_rec(his, b0, k)
         } else {
-            let hi_k = self.sum_kreduce_rec(his, k);
+            let hi_k = self.sum_kreduce_rec(his, b0, k);
             self.node(var, lo_km1, hi_k)
         };
         self.prof_fused_exit();
@@ -271,12 +303,18 @@ impl Mtbdd {
         }
         // Budget exhausted: the whole (virtual) result collapses to its
         // all-alive terminal (`β₀`), covering the both-terminal case too.
-        if k == 0 || (f.is_terminal() && g.is_terminal()) {
-            let fa = self.all_alive_ref(f);
-            let ga = self.all_alive_ref(g);
-            let t = op.combine(self.terminal_value(fa), self.terminal_value(ga));
-            return self.term(t);
-        }
+        // The collapse depends on the operands' all-alive terminals only,
+        // so it is memoized on that pair, under `k = 0`.
+        let collapse = k == 0 || (f.is_terminal() && g.is_terminal());
+        let (f, g, k) = if collapse {
+            let (f, g) = (self.all_alive_ref(f), self.all_alive_ref(g));
+            if let Some(r) = self.shortcut(op, f, g) {
+                return r;
+            }
+            (f, g, 0)
+        } else {
+            (f, g, k)
+        };
         let (f, g) = if op.commutative() && g < f {
             (g, f)
         } else {
@@ -286,22 +324,28 @@ impl Mtbdd {
         if let Some(raw) = self.fused_cache.get(w0, w1) {
             return NodeRef(raw);
         }
-        self.prof_fused_enter();
-        let vf = self.top_var(f).unwrap_or(u32::MAX);
-        let vg = self.top_var(g).unwrap_or(u32::MAX);
-        let var = vf.min(vg);
-        let (f0, f1) = if vf == var { self.cofactors(f) } else { (f, f) };
-        let (g0, g1) = if vg == var { self.cofactors(g) } else { (g, g) };
-        // Definition 5.2 on the virtual node (var, f0⊕g0, f1⊕g1).
-        let hi_km1 = self.fused_rec(op, f1, g1, k - 1);
-        let lo_km1 = self.fused_rec(op, f0, g0, k - 1);
-        let r = if hi_km1 == lo_km1 {
-            self.fused_rec(op, f1, g1, k)
+        let r = if collapse {
+            let t = op.combine(self.terminal_ref(f), self.terminal_ref(g));
+            self.term(t)
         } else {
-            let hi_k = self.fused_rec(op, f1, g1, k);
-            self.node(var, lo_km1, hi_k)
+            self.prof_fused_enter();
+            let vf = self.top_var(f).unwrap_or(u32::MAX);
+            let vg = self.top_var(g).unwrap_or(u32::MAX);
+            let var = vf.min(vg);
+            let (f0, f1) = if vf == var { self.cofactors(f) } else { (f, f) };
+            let (g0, g1) = if vg == var { self.cofactors(g) } else { (g, g) };
+            // Definition 5.2 on the virtual node (var, f0⊕g0, f1⊕g1).
+            let hi_km1 = self.fused_rec(op, f1, g1, k - 1);
+            let lo_km1 = self.fused_rec(op, f0, g0, k - 1);
+            let r = if hi_km1 == lo_km1 {
+                self.fused_rec(op, f1, g1, k)
+            } else {
+                let hi_k = self.fused_rec(op, f1, g1, k);
+                self.node(var, lo_km1, hi_k)
+            };
+            self.prof_fused_exit();
+            r
         };
-        self.prof_fused_exit();
         self.fused_cache.insert(w0, w1, r.0);
         r
     }
@@ -401,6 +445,23 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(after.fused_cache_misses, mid.fused_cache_misses);
         assert_eq!(after.fused_cache_hits, mid.fused_cache_hits + 1);
+        // The k = 0 collapse is keyed on the operands' all-alive
+        // terminals. The k = 2 recursion above already collapsed this
+        // pair down its hi-spine, so the root collapse is a hit — and so
+        // is a different pair of diagrams with the same two terminals
+        // (a guard is 1 all-alive).
+        let r0 = m.add_kreduce(f, g, 0);
+        let first = m.stats();
+        assert_eq!(first.fused_cache_misses, after.fused_cache_misses);
+        assert_eq!(first.fused_cache_hits, after.fused_cache_hits + 1);
+        let x9 = m.var_guard(9);
+        let (f2, g2) = (m.mul(f, x9), m.mul(g, x9));
+        assert!(f2 != f && g2 != g);
+        assert_eq!(m.add_kreduce(f2, g2, 0), r0);
+        let second = m.stats();
+        assert_eq!(second.fused_cache_misses, first.fused_cache_misses);
+        assert_eq!(second.fused_cache_hits, first.fused_cache_hits + 1);
+        assert_eq!(second.fused_cache_len, first.fused_cache_len);
     }
 
     #[test]

@@ -136,7 +136,16 @@ impl Mtbdd {
             };
             let (lo, hi) = (remap_child(n.lo), remap_child(n.hi));
             debug_assert!(lo.0 != DEAD && hi.0 != DEAD, "live node with dead child");
-            self.nodes[write] = crate::node::Node { var: n.var, lo, hi };
+            // The all-alive terminal ends the hi-spine, so it was marked
+            // with the node.
+            let alive = remap_child(n.alive);
+            debug_assert!(alive.0 != DEAD, "live node with dead all-alive terminal");
+            self.nodes[write] = crate::node::Node {
+                var: n.var,
+                lo,
+                hi,
+                alive,
+            };
             node_new[ix] = NodeRef::inner(write).0;
             write += 1;
         }

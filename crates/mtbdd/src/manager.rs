@@ -70,33 +70,23 @@ impl Op {
         )
     }
 
-    pub(crate) fn combine(self, a: Term, b: Term) -> Term {
+    /// The terminal `a ⊕ b`, on operands borrowed from the arena's pool.
+    pub(crate) fn combine(self, a: &Term, b: &Term) -> Term {
+        let guard = |holds: bool| if holds { Term::ONE } else { Term::ZERO };
         match self {
-            Op::Add => a.add(b),
-            Op::Sub => a.sub(b),
-            Op::Mul | Op::And => a.mul(b),
-            Op::Div => a.div(b),
-            Op::Min => a.min(b),
-            Op::Max => a.max(b),
+            Op::Add => a.add_ref(b),
+            Op::Sub => a.sub_ref(b),
+            Op::Mul | Op::And => a.mul_ref(b),
+            Op::Div => a.clone().div(b.clone()),
+            Op::Min => std::cmp::min(a, b).clone(),
+            Op::Max => std::cmp::max(a, b).clone(),
             Op::Or => {
                 debug_assert!(a.is_zero() || a.is_one(), "Or on non-boolean terminal {a}");
                 debug_assert!(b.is_zero() || b.is_one(), "Or on non-boolean terminal {b}");
-                a.max(b)
+                std::cmp::max(a, b).clone()
             }
-            Op::EqGuard => {
-                if a == b {
-                    Term::ONE
-                } else {
-                    Term::ZERO
-                }
-            }
-            Op::LtGuard => {
-                if a < b {
-                    Term::ONE
-                } else {
-                    Term::ZERO
-                }
-            }
+            Op::EqGuard => guard(a == b),
+            Op::LtGuard => guard(a < b),
         }
     }
 }
@@ -125,7 +115,7 @@ impl Op1 {
         }
     }
 
-    pub(crate) fn combine(self, a: Term) -> Term {
+    pub(crate) fn combine(self, a: &Term) -> Term {
         match self {
             Op1::IsFiniteGuard => {
                 if a.is_finite() {
@@ -143,7 +133,7 @@ impl Op1 {
                 }
             }
             Op1::Neg => match a {
-                Term::Num(r) => Term::Num(-r),
+                Term::Num(r) => Term::Num(-r.clone()),
                 Term::PosInf => panic!("cannot negate +inf"),
             },
         }
@@ -202,11 +192,13 @@ pub struct MtbddStats {
     pub kreduce_cache_misses: u64,
     /// Cumulative `KREDUCE` cache evictions.
     pub kreduce_cache_evictions: u64,
-    /// Cumulative all-alive (`β₀` terminal) cache hits.
-    pub alive_cache_hits: u64,
-    /// Cumulative all-alive cache misses (hi-chain walks performed).
-    pub alive_cache_misses: u64,
-    /// Cumulative all-alive cache evictions.
+    /// Cumulative n-ary aggregate memo hits (see [`Mtbdd::sum_kreduce`]).
+    pub sum_cache_hits: u64,
+    /// Cumulative n-ary aggregate memo misses (memoized recursions).
+    pub sum_cache_misses: u64,
+    /// Always 0: the all-alive (`β₀`) cache it counted is gone — every
+    /// node carries its all-alive terminal. The field stays only because
+    /// `yubench/` reads it; a later benchmark change drops both.
     pub alive_cache_evictions: u64,
     /// High-water mark of the unique (inner-node) table, across
     /// collections.
@@ -247,9 +239,8 @@ impl MtbddStats {
         self.kreduce_cache_hits += other.kreduce_cache_hits;
         self.kreduce_cache_misses += other.kreduce_cache_misses;
         self.kreduce_cache_evictions += other.kreduce_cache_evictions;
-        self.alive_cache_hits += other.alive_cache_hits;
-        self.alive_cache_misses += other.alive_cache_misses;
-        self.alive_cache_evictions += other.alive_cache_evictions;
+        self.sum_cache_hits += other.sum_cache_hits;
+        self.sum_cache_misses += other.sum_cache_misses;
         self.unique_table_peak = self.unique_table_peak.max(other.unique_table_peak);
         self.gc_runs += other.gc_runs;
         self.gc_reclaimed_nodes += other.gc_reclaimed_nodes;
@@ -300,10 +291,17 @@ impl UniqueProbeStats {
     }
 }
 
-/// Packs an inner node into the two key words hashed by the unique table.
+/// Packs an inner node's identity into the two key words hashed by the
+/// unique table.
+#[inline]
+pub(crate) fn hash_key(var: Var, lo: NodeRef, hi: NodeRef) -> u64 {
+    fx_hash_words((lo.0 as u64) | ((hi.0 as u64) << 32), var as u64)
+}
+
+/// [`hash_key`] of a stored node.
 #[inline]
 pub(crate) fn hash_node(n: &Node) -> u64 {
-    fx_hash_words((n.lo.0 as u64) | ((n.hi.0 as u64) << 32), n.var as u64)
+    hash_key(n.var, n.lo, n.hi)
 }
 
 // Key packings for the direct-mapped operation caches. Each key fits two
@@ -431,12 +429,12 @@ pub struct Mtbdd {
     /// packing a 16-operand list into two words would force hash-only
     /// keys and risk false hits.
     pub(crate) sum_cache: FxHashMap<crate::fused::SumKey, NodeRef>,
-    /// Memo for [`Mtbdd::all_alive_ref`]: node index → terminal handle of
-    /// the all-alive (`β₀`) evaluation. Path-compressed — one walk caches
-    /// the answer for every node on the hi-chain — so the `k == 0`
-    /// collapses in the `KREDUCE`/fused kernels amortize to one probe
-    /// instead of re-walking a hi-chain at every recursion leaf.
-    pub(crate) alive_cache: DirectCache,
+    /// Cumulative `sum_cache` lookups that hit / missed, and entries
+    /// dropped by [`Mtbdd::clear_caches`]/GC (the map never evicts on
+    /// its own).
+    pub(crate) sum_hits: u64,
+    pub(crate) sum_misses: u64,
+    pub(crate) sum_evictions: u64,
     num_vars: u32,
     zero: NodeRef,
     one: NodeRef,
@@ -498,7 +496,9 @@ impl Mtbdd {
             kreduce_cache: DirectCache::new(),
             fused_cache: DirectCache::new(),
             sum_cache: FxHashMap::default(),
-            alive_cache: DirectCache::new(),
+            sum_hits: 0,
+            sum_misses: 0,
+            sum_evictions: 0,
             num_vars: 0,
             zero: NodeRef(0),
             one: NodeRef(0),
@@ -641,16 +641,25 @@ impl Mtbdd {
     /// # Panics
     /// Panics if `f` is not a terminal.
     pub fn terminal_value(&self, f: NodeRef) -> Term {
+        self.terminal_ref(f).clone()
+    }
+
+    /// [`Mtbdd::terminal_value`] borrowed from the terminal pool — what
+    /// the kernels use, so combining two terminals copies neither.
+    ///
+    /// # Panics
+    /// Panics if `f` is not a terminal.
+    pub fn terminal_ref(&self, f: NodeRef) -> &Term {
         assert!(f.is_terminal(), "terminal_value on inner node");
         let ix = f.index();
         if ix < self.base_terms {
-            self.base
+            &self
+                .base
                 .as_ref()
                 .expect("base_terms > 0 without base")
                 .terms[ix]
-                .clone()
         } else {
-            self.terms[ix - self.base_terms].clone()
+            &self.terms[ix - self.base_terms]
         }
     }
 
@@ -708,11 +717,12 @@ impl Mtbdd {
             self.top_var(lo).is_none_or(|v| v > var) && self.top_var(hi).is_none_or(|v| v > var),
             "variable order violation at var {var}"
         );
-        let n = Node { var, lo, hi };
-        let hash = hash_node(&n);
+        let hash = hash_key(var, lo, hi);
         let mut steps = 0u32;
         if let Some(base) = &self.base {
-            let p = base.unique.probe(hash, |ix| base.nodes[ix as usize] == n);
+            let p = base
+                .unique
+                .probe(hash, |ix| base.nodes[ix as usize].is(var, lo, hi));
             steps = p.steps;
             if let Some(ix) = p.found {
                 self.book_unique_probe(steps, true);
@@ -729,7 +739,7 @@ impl Mtbdd {
         let nodes = &self.nodes;
         let p = self
             .unique
-            .probe(hash, |ix| nodes[ix as usize - base_nodes] == n);
+            .probe(hash, |ix| nodes[ix as usize - base_nodes].is(var, lo, hi));
         steps += p.steps;
         if let Some(ix) = p.found {
             self.book_unique_probe(steps, true);
@@ -737,7 +747,9 @@ impl Mtbdd {
         }
         self.book_unique_probe(steps, false);
         let r = NodeRef::inner(self.base_nodes + self.nodes.len());
-        self.nodes.push(n);
+        // The hi-spine shares one all-alive terminal: inherit it.
+        let alive = self.all_alive_ref(hi);
+        self.nodes.push(Node { var, lo, hi, alive });
         self.unique.insert_at(p.slot, r.0);
         r
     }
@@ -792,7 +804,7 @@ impl Mtbdd {
             self.prof_apply_depth_max = self.prof_apply_depth_max.max(self.prof_apply_depth);
         }
         let r = if f.is_terminal() && g.is_terminal() {
-            let t = op.combine(self.terminal_value(f), self.terminal_value(g));
+            let t = op.combine(self.terminal_ref(f), self.terminal_ref(g));
             self.term(t)
         } else {
             let vf = self.top_var(f).unwrap_or(u32::MAX);
@@ -814,47 +826,49 @@ impl Mtbdd {
         r
     }
 
-    pub(crate) fn shortcut(&mut self, op: Op, f: NodeRef, g: NodeRef) -> Option<NodeRef> {
-        let ft = f.is_terminal().then(|| self.terminal_value(f));
-        let gt = g.is_terminal().then(|| self.terminal_value(g));
+    /// Results that need no recursion. Terminals are hash-consed, so
+    /// "`f` is the constant 0" is a handle comparison — no terminal is
+    /// read, let alone copied.
+    pub(crate) fn shortcut(&self, op: Op, f: NodeRef, g: NodeRef) -> Option<NodeRef> {
+        let (zero, one, inf) = (self.zero, self.one, self.pos_inf);
         match op {
             Op::Add => {
-                if ft == Some(Term::ZERO) {
+                if f == zero {
                     return Some(g);
                 }
-                if gt == Some(Term::ZERO) {
+                if g == zero {
                     return Some(f);
                 }
             }
             Op::Sub => {
-                if gt == Some(Term::ZERO) {
+                if g == zero {
                     return Some(f);
                 }
             }
             Op::Mul | Op::And => {
-                if ft == Some(Term::ZERO) || gt == Some(Term::ZERO) {
-                    return Some(self.zero);
+                if f == zero || g == zero {
+                    return Some(zero);
                 }
-                if ft == Some(Term::ONE) {
+                if f == one {
                     return Some(g);
                 }
-                if gt == Some(Term::ONE) {
+                if g == one {
                     return Some(f);
                 }
             }
             Op::Div => {
-                if ft == Some(Term::ZERO) {
-                    return Some(self.zero);
+                if f == zero {
+                    return Some(zero);
                 }
-                if gt == Some(Term::ONE) {
+                if g == one {
                     return Some(f);
                 }
             }
             Op::Min => {
-                if f == g || ft == Some(Term::PosInf) {
+                if f == g || f == inf {
                     return Some(g);
                 }
-                if gt == Some(Term::PosInf) {
+                if g == inf {
                     return Some(f);
                 }
             }
@@ -862,29 +876,29 @@ impl Mtbdd {
                 if f == g {
                     return Some(f);
                 }
-                if ft == Some(Term::PosInf) || gt == Some(Term::PosInf) {
-                    return Some(self.pos_inf);
+                if f == inf || g == inf {
+                    return Some(inf);
                 }
             }
             Op::Or => {
-                if f == g || ft == Some(Term::ZERO) {
+                if f == g || f == zero {
                     return Some(g);
                 }
-                if gt == Some(Term::ZERO) {
+                if g == zero {
                     return Some(f);
                 }
-                if ft == Some(Term::ONE) || gt == Some(Term::ONE) {
-                    return Some(self.one);
+                if f == one || g == one {
+                    return Some(one);
                 }
             }
             Op::EqGuard => {
                 if f == g {
-                    return Some(self.one);
+                    return Some(one);
                 }
             }
             Op::LtGuard => {
                 if f == g {
-                    return Some(self.zero);
+                    return Some(zero);
                 }
             }
         }
@@ -898,7 +912,7 @@ impl Mtbdd {
             return NodeRef(raw);
         }
         let r = if f.is_terminal() {
-            let t = op.combine(self.terminal_value(f));
+            let t = op.combine(self.terminal_ref(f));
             self.term(t)
         } else {
             let n = self.node_at(f);
@@ -914,9 +928,8 @@ impl Mtbdd {
     /// `c = 1` and `e` where `c = 0`.
     pub fn ite(&mut self, c: NodeRef, t: NodeRef, e: NodeRef) -> NodeRef {
         if c.is_terminal() {
-            let tv = self.terminal_value(c);
-            debug_assert!(tv.is_zero() || tv.is_one(), "ite condition not boolean");
-            return if tv.is_one() { t } else { e };
+            debug_assert!(c == self.zero || c == self.one, "ite condition not boolean");
+            return if c == self.one { t } else { e };
         }
         if t == e {
             return t;
@@ -1039,33 +1052,19 @@ impl Mtbdd {
         self.eval(f, |_| true)
     }
 
-    /// Memoized all-alive evaluation returning the terminal *handle*
-    /// (terminals are hash-consed, so this is interchangeable with
-    /// `term(eval_all_alive(f))`). The walk is path-compressed: every
-    /// inner node on the traversed hi-chain gets the answer cached, so
-    /// the `β₀` collapses that terminate the `KREDUCE`/fused/n-ary
-    /// recursions cost one cache probe amortized instead of an O(vars)
-    /// chain walk per recursion leaf.
-    pub(crate) fn all_alive_ref(&mut self, f: NodeRef) -> NodeRef {
+    /// The terminal *handle* of the all-alive (`β₀`) evaluation —
+    /// interchangeable with `term(eval_all_alive(f))` because terminals
+    /// are hash-consed, but a field read: every node carries the terminal
+    /// at the end of its hi-spine (filled by [`Mtbdd::node`], remapped by
+    /// [`Mtbdd::collect`]), so the `β₀` collapses that terminate the
+    /// `KREDUCE`/fused/n-ary recursions walk nothing and cache nothing.
+    #[inline]
+    pub fn all_alive_ref(&self, f: NodeRef) -> NodeRef {
         if f.is_terminal() {
-            return f;
+            f
+        } else {
+            self.node_at(f).alive
         }
-        let mut cur = f;
-        let (stop, t) = loop {
-            if cur.is_terminal() {
-                break (cur, cur);
-            }
-            if let Some(raw) = self.alive_cache.get(cur.0 as u64, 0) {
-                break (cur, NodeRef(raw));
-            }
-            cur = self.node_at(cur).hi;
-        };
-        let mut p = f;
-        while p != stop {
-            self.alive_cache.insert(p.0 as u64, 0, t.0);
-            p = self.node_at(p).hi;
-        }
-        t
     }
 
     /// Number of inner nodes reachable from `f`.
@@ -1130,9 +1129,9 @@ impl Mtbdd {
             kreduce_cache_hits: self.kreduce_cache.hits(),
             kreduce_cache_misses: self.kreduce_cache.misses(),
             kreduce_cache_evictions: self.kreduce_cache.evictions(),
-            alive_cache_hits: self.alive_cache.hits(),
-            alive_cache_misses: self.alive_cache.misses(),
-            alive_cache_evictions: self.alive_cache.evictions(),
+            sum_cache_hits: self.sum_hits,
+            sum_cache_misses: self.sum_misses,
+            alive_cache_evictions: 0,
             unique_table_peak: self.unique_peak.max(self.nodes.len()),
             gc_runs: self.gc_runs,
             gc_reclaimed_nodes: self.gc_reclaimed,
@@ -1144,6 +1143,12 @@ impl Mtbdd {
     /// is a point-in-time gauge: it drops after [`Mtbdd::collect`].
     pub fn live_nodes(&self) -> usize {
         self.total_nodes()
+    }
+
+    /// [`MtbddStats::nodes_created`] alone, for the per-class and
+    /// per-requirement checkpoints that read nothing else.
+    pub fn nodes_created(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Probe-length statistics of the open-addressed unique table.
@@ -1162,12 +1167,7 @@ impl Mtbdd {
     /// open-addressed table's growth threshold (7/8) predict an imminent
     /// rebuild pause.
     pub fn unique_table_load_factor(&self) -> f64 {
-        let cap = self.unique.capacity();
-        if cap == 0 {
-            0.0
-        } else {
-            self.unique.len() as f64 / cap as f64
-        }
+        crate::profile::load_factor(self.unique.len(), self.unique.capacity())
     }
 
     /// Estimated resident bytes of the arena: node and terminal
@@ -1195,7 +1195,6 @@ impl Mtbdd {
             + self.restrict_cache.heap_bytes()
             + self.kreduce_cache.heap_bytes()
             + self.fused_cache.heap_bytes()
-            + self.alive_cache.heap_bytes()
     }
 
     /// Drops all operation caches (the unique tables are kept, so handles
@@ -1209,8 +1208,8 @@ impl Mtbdd {
         self.restrict_cache.clear();
         self.kreduce_cache.clear();
         self.fused_cache.clear();
+        self.sum_evictions += self.sum_cache.len() as u64;
         self.sum_cache.clear();
-        self.alive_cache.clear();
     }
 
     // ---- crate-internal access for the invariant auditor (audit.rs) ----
@@ -1220,14 +1219,16 @@ impl Mtbdd {
     pub(crate) fn unique_lookup_for_audit(&self, n: &Node) -> Option<NodeRef> {
         let hash = hash_node(n);
         if let Some(base) = &self.base {
-            let p = base.unique.probe(hash, |ix| base.nodes[ix as usize] == *n);
+            let p = base
+                .unique
+                .probe(hash, |ix| base.nodes[ix as usize].is(n.var, n.lo, n.hi));
             if let Some(ix) = p.found {
                 return Some(NodeRef::inner(ix as usize));
             }
         }
-        let p = self
-            .unique
-            .probe(hash, |ix| self.nodes[ix as usize - self.base_nodes] == *n);
+        let p = self.unique.probe(hash, |ix| {
+            self.nodes[ix as usize - self.base_nodes].is(n.var, n.lo, n.hi)
+        });
         p.found.map(|ix| NodeRef::inner(ix as usize))
     }
 
@@ -1447,6 +1448,8 @@ mod tests {
             ite_cache_misses: 8,
             restrict_cache_evictions: 2,
             kreduce_cache_hits: 13,
+            sum_cache_hits: 6,
+            sum_cache_misses: 21,
             unique_table_peak: 40,
             gc_runs: 1,
             gc_reclaimed_nodes: 30,
@@ -1467,6 +1470,8 @@ mod tests {
             ite_cache_misses: 2,
             restrict_cache_evictions: 3,
             kreduce_cache_hits: 4,
+            sum_cache_hits: 1,
+            sum_cache_misses: 2,
             unique_table_peak: 90,
             gc_runs: 2,
             gc_reclaimed_nodes: 4,
@@ -1487,6 +1492,7 @@ mod tests {
         assert_eq!(a.ite_cache_misses, 10);
         assert_eq!(a.restrict_cache_evictions, 5);
         assert_eq!(a.kreduce_cache_hits, 17);
+        assert_eq!((a.sum_cache_hits, a.sum_cache_misses), (7, 23));
         assert_eq!(a.unique_table_peak, 90, "peak is a size: take max");
         assert_eq!(a.gc_runs, 3);
         assert_eq!(a.gc_reclaimed_nodes, 34);

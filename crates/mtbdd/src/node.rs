@@ -43,10 +43,33 @@ impl NodeRef {
 /// An inner decision node: `var == 0` follows `lo`, `var == 1` follows `hi`.
 ///
 /// By the failure-variable convention, `hi` is the "element alive" branch and
-/// `lo` the "element failed" branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// `lo` the "element failed" branch. `alive` is the terminal the node
+/// evaluates to with every variable alive (`β₀`): the end of its hi-spine,
+/// filled by [`Mtbdd::node`](crate::Mtbdd::node) from `hi` and therefore a
+/// function of the identity `(var, lo, hi)`, not part of it.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Node {
     pub var: Var,
     pub lo: NodeRef,
     pub hi: NodeRef,
+    pub alive: NodeRef,
+}
+
+impl Node {
+    /// Whether this node is the decision `(var, lo, hi)` — the identity
+    /// the unique table hashes and compares.
+    #[inline]
+    pub fn is(&self, var: Var, lo: NodeRef, hi: NodeRef) -> bool {
+        self.var == var && self.lo == lo && self.hi == hi
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn node_is_four_words() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+    }
 }

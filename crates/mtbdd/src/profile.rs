@@ -13,9 +13,10 @@
 //!   verdict.
 //! * **How do the operation caches behave?** [`Mtbdd::cache_profiles`]
 //!   reports, for each direct-mapped operation cache (`apply`, `fused`,
-//!   `apply1`, `ite`, `restrict`, `kreduce`) and for the open-addressed
-//!   unique table, the current size, load factor, and cumulative
-//!   hit/miss/eviction counters. The unique table additionally exposes
+//!   `apply1`, `ite`, `restrict`, `kreduce`), for the n-ary aggregate
+//!   memo (`sum`, a hash map) and for the open-addressed unique table,
+//!   the current size, load factor, and cumulative hit/miss/eviction
+//!   counters. The unique table additionally exposes
 //!   its *measured* linear-probe distribution (see [`ProbeStats`]) —
 //!   real counters from the hot path, not a simulation; direct-mapped
 //!   caches probe exactly one slot by construction.
@@ -114,7 +115,7 @@ pub struct ProbeStats {
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CacheProfile {
     /// Which table: `"apply"`, `"fused"`, `"apply1"`, `"ite"`,
-    /// `"restrict"`, `"kreduce"`, or `"unique"`.
+    /// `"restrict"`, `"kreduce"`, `"sum"`, or `"unique"`.
     pub name: &'static str,
     /// Entries resident right now.
     pub len: usize,
@@ -132,7 +133,8 @@ pub struct CacheProfile {
     /// cumulative node count reclaimed by GC.
     pub evictions: u64,
     /// Probe-length distribution (measured for the unique table;
-    /// trivially direct for the direct-mapped caches).
+    /// trivially direct for the direct-mapped caches; not measured —
+    /// all zero — for the `"sum"` hash map).
     pub probe: ProbeStats,
 }
 
@@ -151,6 +153,15 @@ pub struct EngineProfile {
     pub kreduce_max_depth: u32,
 }
 
+/// `len / capacity`, 0 for an unallocated table.
+pub(crate) fn load_factor(len: usize, cap: usize) -> f64 {
+    if cap == 0 {
+        0.0
+    } else {
+        len as f64 / cap as f64
+    }
+}
+
 /// Profile of a direct-mapped cache: one slot per key, so the probe
 /// distribution is degenerate (mean 0, everything direct).
 fn direct_profile(name: &'static str, c: &DirectCache) -> CacheProfile {
@@ -159,11 +170,7 @@ fn direct_profile(name: &'static str, c: &DirectCache) -> CacheProfile {
         name,
         len,
         capacity: cap,
-        load_factor: if cap == 0 {
-            0.0
-        } else {
-            len as f64 / cap as f64
-        },
+        load_factor: load_factor(len, cap),
         hits: c.hits(),
         misses: c.misses(),
         evictions: c.evictions(),
@@ -212,12 +219,14 @@ impl Mtbdd {
         }
     }
 
-    /// Profiles the seven direct-mapped operation caches and the
-    /// open-addressed unique table: sizes, cumulative
-    /// hit/miss/eviction counters, and the probe-length distribution
-    /// (measured on the hot path for the unique table, degenerate for
-    /// the direct-mapped caches). Read-only and deterministic. The
-    /// first two entries are always `"apply"` and `"fused"`.
+    /// Profiles the six direct-mapped operation caches, the n-ary
+    /// aggregate memo (`"sum"`, a hash map: entries leave it only
+    /// through [`Mtbdd::clear_caches`]/GC) and the open-addressed unique
+    /// table: sizes, cumulative hit/miss/eviction counters, and the
+    /// probe-length distribution (measured on the hot path for the
+    /// unique table, degenerate for the direct-mapped caches, absent for
+    /// the map). Read-only and deterministic. The first two entries are
+    /// always `"apply"` and `"fused"`.
     pub fn cache_profiles(&self) -> Vec<CacheProfile> {
         let ups = self.unique_probe_stats();
         vec![
@@ -227,7 +236,16 @@ impl Mtbdd {
             direct_profile("ite", &self.ite_cache),
             direct_profile("restrict", &self.restrict_cache),
             direct_profile("kreduce", &self.kreduce_cache),
-            direct_profile("alive", &self.alive_cache),
+            CacheProfile {
+                name: "sum",
+                len: self.sum_cache.len(),
+                capacity: self.sum_cache.capacity(),
+                load_factor: load_factor(self.sum_cache.len(), self.sum_cache.capacity()),
+                hits: self.sum_hits,
+                misses: self.sum_misses,
+                evictions: self.sum_evictions,
+                probe: ProbeStats::default(),
+            },
             CacheProfile {
                 name: "unique",
                 len: self.unique_table_len(),
@@ -333,12 +351,15 @@ mod tests {
         let g2 = m.var_guard(x2);
         let s = m.add(g1, g2);
         let _ = m.add_kreduce(s, g1, 1);
+        let ng2 = m.nvar_guard(x2);
+        let _ = m.sum_kreduce(&[s, g1, ng2], 1);
+        let _ = m.sum_kreduce(&[ng2, s, g1], 1);
         let profiles = m.cache_profiles();
         assert_eq!(profiles.len(), 8);
         let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
         assert_eq!(
             names,
-            ["apply", "fused", "apply1", "ite", "restrict", "kreduce", "alive", "unique"]
+            ["apply", "fused", "apply1", "ite", "restrict", "kreduce", "sum", "unique"]
         );
         let apply = &profiles[0];
         assert_eq!(apply.name, "apply");
@@ -349,6 +370,16 @@ mod tests {
         let fused = &profiles[1];
         assert_eq!(fused.name, "fused");
         assert!(fused.len > 0);
+        // The n-ary memo: the reordered list is the same sorted key.
+        let sum = &profiles[6];
+        assert!(sum.len > 0 && sum.capacity >= sum.len);
+        assert!(sum.misses > 0);
+        assert_eq!(sum.hits, 1);
+        let stats = m.stats();
+        assert_eq!(
+            (sum.hits, sum.misses),
+            (stats.sum_cache_hits, stats.sum_cache_misses)
+        );
         let _ = m.var_guard(x1); // re-create an existing node: a unique-table hit
         let profiles = m.cache_profiles();
         let unique = &profiles[7];
@@ -363,6 +394,7 @@ mod tests {
         assert_eq!(after[0].len, 0);
         assert_eq!(after[0].evictions, apply_before + apply_len);
         assert_eq!(after[1].evictions, fused_before + fused_len);
+        assert_eq!((after[6].len, after[6].evictions), (0, sum.len as u64));
         // Cumulative counters survive the clear.
         assert!(after[0].misses > 0);
     }
@@ -374,7 +406,7 @@ mod tests {
         let g1 = m.var_guard(x1);
         let g2 = m.var_guard(x2);
         let _ = m.add(g1, g2);
-        for p in &m.cache_profiles()[..7] {
+        for p in &m.cache_profiles()[..6] {
             assert_eq!(p.probe.mean, 0.0, "{} is direct-mapped", p.name);
             assert_eq!(p.probe.max, 0);
             if p.len > 0 {

@@ -4,10 +4,20 @@
 //! `1/3` or `75/100`. Floating point would make `1/3 + 1/3 + 1/3 != 1`,
 //! which breaks the pointer-equality equivalence checks that both `KREDUCE`
 //! and link-local flow equivalence depend on, so terminals are exact
-//! rationals. The numerator and denominator live in `i128` on the fast
-//! path and spill transparently into heap-allocated big integers when a
-//! computation outgrows it (deep transient forwarding loops can multiply
-//! ECMP split factors for dozens of hops) — results stay exact either way.
+//! rationals. The numerator and denominator live in `i128` and spill
+//! transparently into heap-allocated big integers when a computation
+//! outgrows it (deep transient forwarding loops can multiply ECMP split
+//! factors for dozens of hops) — results stay exact either way.
+//!
+//! Arithmetic has three tiers over that one representation. Operands
+//! whose components all fit `i64` — every terminal of the benchmark
+//! workloads — take the *word path*: native `u64` gcd and division,
+//! products that cannot overflow `i128`, no cross-gcd when a denominator
+//! is 1 or the denominators are equal, and a post-add reduction by
+//! `gcd(n, g)` (`g` the gcd of the denominators) rather than `gcd(n, d)`.
+//! Wider `i128` operands use checked `i128` arithmetic, and only an
+//! overflow there reaches the big-integer tier. No call that stays below
+//! the spill constructs a `BigUint`.
 
 use crate::bigint::BigUint;
 use serde::{Deserialize, Serialize};
@@ -34,6 +44,7 @@ impl Int {
                 let v = m as i128;
                 Int::Small(if neg { -v } else { v })
             }
+            Some(m) if neg && m == 1 << 127 => Int::Small(i128::MIN),
             _ => {
                 if mag.is_zero() {
                     Int::Small(0)
@@ -125,14 +136,13 @@ impl Int {
 
     fn gcd(&self, other: &Int) -> Int {
         if let (Int::Small(a), Int::Small(b)) = (self, other) {
-            // i128 gcd, safe for all magnitudes below the Big spill.
-            let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
-            while b != 0 {
-                let t = a % b;
-                a = b;
-                b = t;
-            }
-            return Int::from_big(false, BigUint::from_u128(a));
+            // 2¹²⁷ (both operands `i128::MIN`, or one with a zero) is the
+            // only gcd of two `Small`s that is not itself `Small`.
+            let g = gcd_u128(a.unsigned_abs(), b.unsigned_abs());
+            return match i128::try_from(g) {
+                Ok(g) => Int::Small(g),
+                Err(_) => Int::from_big(false, BigUint::from_u128(g)),
+            };
         }
         Int::from_big(false, BigUint::gcd(self.mag(), other.mag()))
     }
@@ -210,6 +220,43 @@ impl Ratio {
 
     fn make(num: Int, den: Int) -> Ratio {
         assert!(!den.is_zero(), "Ratio denominator must be nonzero");
+        if let (Int::Small(n), Int::Small(d)) = (&num, &den) {
+            if let Some(r) = Ratio::make_small(*n, *d) {
+                return r;
+            }
+        }
+        Ratio::make_big(num, den)
+    }
+
+    /// `n / d` reduced in machine integers: native `u64` gcd and division
+    /// when both fit `i64`, `u128` otherwise. `None` only when a reduced
+    /// magnitude is 2¹²⁷ (an `i128::MIN` operand that did not reduce).
+    fn make_small(n: i128, d: i128) -> Option<Ratio> {
+        if n == 0 {
+            return Some(Ratio::ZERO);
+        }
+        let neg = (n < 0) != (d < 0);
+        let (nm, dm) = match (i64::try_from(n), i64::try_from(d)) {
+            (Ok(n), Ok(d)) => {
+                let (n, d) = (n.unsigned_abs(), d.unsigned_abs());
+                let g = gcd_u64(n, d);
+                ((n / g) as u128, (d / g) as u128)
+            }
+            _ => {
+                let (n, d) = (n.unsigned_abs(), d.unsigned_abs());
+                let g = gcd_u128(n, d);
+                (n / g, d / g)
+            }
+        };
+        let (nm, dm) = (i128::try_from(nm).ok()?, i128::try_from(dm).ok()?);
+        Some(Ratio {
+            num: Int::Small(if neg { -nm } else { nm }),
+            den: Int::Small(dm),
+        })
+    }
+
+    /// `make` at any size, through [`Int`].
+    fn make_big(num: Int, den: Int) -> Ratio {
         if num.is_zero() {
             return Ratio::ZERO;
         }
@@ -223,6 +270,20 @@ impl Ratio {
         Ratio { num, den }
     }
 
+    /// Numerator and denominator when both fit a machine word — the
+    /// operands of the word path.
+    #[inline]
+    fn words(&self) -> Option<(i64, u64)> {
+        match (&self.num, &self.den) {
+            (Int::Small(n), Int::Small(d)) => {
+                let n = i64::try_from(*n).ok()?;
+                let d = i64::try_from(*d).ok()?;
+                Some((n, d as u64))
+            }
+            _ => None,
+        }
+    }
+
     /// The integer `n` as a rational.
     pub const fn int(n: i64) -> Ratio {
         Ratio {
@@ -231,20 +292,21 @@ impl Ratio {
         }
     }
 
-    /// Numerator of the reduced form, when it fits `i128`.
-    pub fn numer(&self) -> i128 {
+    /// Numerator of the reduced form, or `None` when it has spilled
+    /// beyond `i128` (use `to_f64`/`Display` then).
+    pub fn numer(&self) -> Option<i128> {
         match self.num {
-            Int::Small(v) => v,
-            Int::Big { .. } => panic!("Ratio numerator exceeds i128; use to_f64/Display"),
+            Int::Small(v) => Some(v),
+            Int::Big { .. } => None,
         }
     }
 
-    /// Denominator of the reduced form (always positive), when it fits
-    /// `i128`.
-    pub fn denom(&self) -> i128 {
+    /// Denominator of the reduced form (always positive), or `None` when
+    /// it has spilled beyond `i128`.
+    pub fn denom(&self) -> Option<i128> {
         match self.den {
-            Int::Small(v) => v,
-            Int::Big { .. } => panic!("Ratio denominator exceeds i128; use to_f64/Display"),
+            Int::Small(v) => Some(v),
+            Int::Big { .. } => None,
         }
     }
 
@@ -314,19 +376,51 @@ impl Ratio {
         }
     }
 
-    /// `self + rhs` without consuming either operand. On the `i128` fast
-    /// path this copies no heap data at all, which is what the aggregation
+    /// `self + rhs` without consuming either operand: no heap data is
+    /// copied below the big-integer spill, which is what the aggregation
     /// hot loop wants (`acc += &volume` instead of two clones per flow).
     pub fn add_ref(&self, rhs: &Ratio) -> Ratio {
-        // Fast path entirely in i128 with cross-reduction.
+        self.add_signed(rhs, false)
+    }
+
+    /// `self - rhs` without consuming either operand.
+    pub fn sub_ref(&self, rhs: &Ratio) -> Ratio {
+        self.add_signed(rhs, true)
+    }
+
+    /// `self * rhs` without consuming either operand.
+    pub fn mul_ref(&self, rhs: &Ratio) -> Ratio {
+        match (self.words(), rhs.words()) {
+            (Some((a, b)), Some((c, d))) => mul_words(a, b, c, d),
+            _ => self.mul_wide(rhs),
+        }
+    }
+
+    /// `self ± rhs`.
+    fn add_signed(&self, rhs: &Ratio, negate: bool) -> Ratio {
+        match (self.words(), rhs.words()) {
+            (Some((a, b)), Some((c, d))) => {
+                let c = if negate { -(c as i128) } else { c as i128 };
+                add_words(a as i128, b, c, d)
+            }
+            _ => self.add_wide(rhs, negate),
+        }
+    }
+
+    /// `self ± rhs` for operands of any size: checked `i128` arithmetic
+    /// with cross-reduction, then [`Int`].
+    fn add_wide(&self, rhs: &Ratio, negate: bool) -> Ratio {
         if let (Int::Small(an), Int::Small(ad), Int::Small(bn), Int::Small(bd)) =
             (&self.num, &self.den, &rhs.num, &rhs.den)
         {
-            let g = gcd_i128(*ad, *bd);
+            let g = gcd_u128(ad.unsigned_abs(), bd.unsigned_abs()) as i128;
             let (da, db) = (ad / g, bd / g);
-            if let (Some(l), Some(r), Some(d)) =
-                (an.checked_mul(db), bn.checked_mul(da), ad.checked_mul(db))
-            {
+            let bn = if negate { bn.checked_neg() } else { Some(*bn) };
+            if let (Some(l), Some(r), Some(d)) = (
+                an.checked_mul(db),
+                bn.and_then(|bn| bn.checked_mul(da)),
+                ad.checked_mul(db),
+            ) {
                 if let Some(n) = l.checked_add(r) {
                     return Ratio::new(n, d);
                 }
@@ -334,7 +428,104 @@ impl Ratio {
         }
         let n1 = self.num.mul(&rhs.den);
         let n2 = rhs.num.mul(&self.den);
+        let n2 = if negate { n2.neg() } else { n2 };
         Ratio::make(n1.add(&n2), self.den.mul(&rhs.den))
+    }
+
+    /// `self * rhs` for operands of any size (see [`Ratio::add_wide`]).
+    fn mul_wide(&self, rhs: &Ratio) -> Ratio {
+        // Cross-reduction: (a/b)(c/d), g1 = gcd(a, d), g2 = gcd(c, b).
+        if let (Int::Small(a), Int::Small(b), Int::Small(c), Int::Small(d)) =
+            (&self.num, &self.den, &rhs.num, &rhs.den)
+        {
+            if *a == 0 || *c == 0 {
+                return Ratio::ZERO;
+            }
+            let g1 = gcd_u128(a.unsigned_abs(), d.unsigned_abs()) as i128;
+            let g2 = gcd_u128(c.unsigned_abs(), b.unsigned_abs()) as i128;
+            let (a, d) = (a / g1, d / g1);
+            let (c, b) = (c / g2, b / g2);
+            if let (Some(n), Some(dd)) = (a.checked_mul(c), b.checked_mul(d)) {
+                return Ratio::new(n, dd);
+            }
+        }
+        Ratio::make(self.num.mul(&rhs.num), self.den.mul(&rhs.den))
+    }
+}
+
+/// Word path of `a/b + c/d`: `|a|, |c| ≤ 2⁶³` and `b, d < 2⁶³`, both
+/// fractions reduced, so no product or sum below can overflow `i128`.
+fn add_words(a: i128, b: u64, c: i128, d: u64) -> Ratio {
+    let (t, g, den) = if b == d {
+        (a + c, b, 1)
+    } else {
+        let g = if b == 1 || d == 1 { 1 } else { gcd_u64(b, d) };
+        let (bg, dg) = (b / g, d / g);
+        (a * dg as i128 + c * bg as i128, g, bg as i128 * dg as i128)
+    };
+    if t == 0 {
+        return Ratio::ZERO;
+    }
+    // gcd(t, lcm(b, d)) divides g, because a/b and c/d are reduced: only
+    // the part of the denominator the two fractions share can cancel.
+    let g2 = if g == 1 {
+        1
+    } else {
+        gcd_u64(g, rem_word(t, g))
+    };
+    let (num, g) = if g2 == 1 {
+        (t, g)
+    } else {
+        (div_word(t, g2), g / g2)
+    };
+    Ratio {
+        num: Int::Small(num),
+        den: Int::Small(den * g as i128),
+    }
+}
+
+/// Word path of `(a/b)(c/d)`: cross-reduced factors multiply to a reduced
+/// result, and no product can overflow `i128`.
+fn mul_words(a: i64, b: u64, c: i64, d: u64) -> Ratio {
+    if a == 0 || c == 0 {
+        return Ratio::ZERO;
+    }
+    let g1 = if d == 1 {
+        1
+    } else {
+        gcd_u64(a.unsigned_abs(), d)
+    };
+    let g2 = if b == 1 {
+        1
+    } else {
+        gcd_u64(c.unsigned_abs(), b)
+    };
+    // g1 ≤ d and g2 ≤ b, both below 2⁶³, so the casts are lossless.
+    let n = (a / g1 as i64) as i128 * (c / g2 as i64) as i128;
+    let den = (b / g2) as i128 * (d / g1) as i128;
+    Ratio {
+        num: Int::Small(n),
+        den: Int::Small(den),
+    }
+}
+
+/// `|t| mod g` with a native division whenever `t` fits a word.
+#[inline]
+fn rem_word(t: i128, g: u64) -> u64 {
+    let m = t.unsigned_abs();
+    match u64::try_from(m) {
+        Ok(m) => m % g,
+        Err(_) => (m % g as u128) as u64,
+    }
+}
+
+/// `t / g` (exact) with a native division whenever `t` fits a word;
+/// `g < 2⁶³`.
+#[inline]
+fn div_word(t: i128, g: u64) -> i128 {
+    match i64::try_from(t) {
+        Ok(t) => (t / g as i64) as i128,
+        Err(_) => t / g as i128,
     }
 }
 
@@ -360,7 +551,7 @@ impl AddAssign for Ratio {
 impl Sub for Ratio {
     type Output = Ratio;
     fn sub(self, rhs: Ratio) -> Ratio {
-        self + (-rhs)
+        self.sub_ref(&rhs)
     }
 }
 
@@ -377,20 +568,7 @@ impl Neg for Ratio {
 impl Mul for Ratio {
     type Output = Ratio;
     fn mul(self, rhs: Ratio) -> Ratio {
-        // Fast path with cross-reduction: (a/b)(c/d), g1 = gcd(a, d),
-        // g2 = gcd(c, b).
-        if let (Int::Small(a), Int::Small(b), Int::Small(c), Int::Small(d)) =
-            (&self.num, &self.den, &rhs.num, &rhs.den)
-        {
-            let g1 = gcd_i128(*a, *d);
-            let g2 = gcd_i128(*c, *b);
-            let (a, d) = (a / g1, d / g1);
-            let (c, b) = (c / g2, b / g2);
-            if let (Some(n), Some(dd)) = (a.checked_mul(c), b.checked_mul(d)) {
-                return Ratio::new(n, dd);
-            }
-        }
-        Ratio::make(self.num.mul(&rhs.num), self.den.mul(&rhs.den))
+        self.mul_ref(&rhs)
     }
 }
 
@@ -403,15 +581,22 @@ impl Div for Ratio {
     }
 }
 
-fn gcd_i128(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        (a, b) = (b, a % b);
     }
-    debug_assert!(a != 0);
-    a as i128
+    a
+}
+
+fn gcd_u128(a: u128, b: u128) -> u128 {
+    if let (Ok(a), Ok(b)) = (u64::try_from(a), u64::try_from(b)) {
+        return gcd_u64(a, b) as u128;
+    }
+    let (mut a, mut b) = (a, b);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 impl PartialOrd for Ratio {
@@ -467,6 +652,7 @@ impl Deserialize for Ratio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn normalization() {
@@ -587,6 +773,101 @@ mod tests {
             big_acc += &tinier;
         }
         assert_eq!(big_acc, tinier * Ratio::int(4));
+    }
+
+    /// Integers on and around the tier boundaries: what fits a word,
+    /// what only fits `i128`, and the extremes whose negation spills.
+    fn arb_edge() -> impl Strategy<Value = i128> {
+        let anchor = prop_oneof![
+            Just(0i128),
+            Just(1 << 31),
+            Just(i64::MAX as i128),
+            Just(i64::MIN as i128),
+            Just(u64::MAX as i128),
+            Just(1 << 100),
+            Just(i128::MAX),
+            Just(i128::MIN),
+            // Smooth numbers, so operands share factors to cancel.
+            Just(2 * 3 * 5 * 7 * 11 * 13),
+            Just(-(1i128 << 62) * 3),
+            Just((1i128 << 62) * 9),
+        ];
+        (anchor, -6i128..=6).prop_map(|(a, d)| a.saturating_add(d))
+    }
+
+    /// Edge over edge, or an ECMP-sized fraction (denominators that share
+    /// factors, so every reduction in the word path has work to do).
+    fn arb_ratio() -> impl Strategy<Value = Ratio> {
+        prop_oneof![
+            (arb_edge(), arb_edge()).prop_map(|(n, d)| Ratio::new(n, if d == 0 { 1 } else { d })),
+            (-200i128..=200, 1i128..=48).prop_map(|(n, d)| Ratio::new(n, d)),
+        ]
+    }
+
+    /// The definition, in big integers only: no machine-word shortcut.
+    fn big_add(a: &Ratio, b: &Ratio) -> Ratio {
+        let n = a.num.mul(&b.den).add(&b.num.mul(&a.den));
+        Ratio::make_big(n, a.den.mul(&b.den))
+    }
+
+    fn big_mul(a: &Ratio, b: &Ratio) -> Ratio {
+        Ratio::make_big(a.num.mul(&b.num), a.den.mul(&b.den))
+    }
+
+    /// Canonical form, checked with the big-integer gcd alone.
+    fn assert_canonical(r: &Ratio) {
+        assert!(!r.den.is_neg() && !r.den.is_zero(), "{r:?}");
+        let g = BigUint::gcd(r.num.mag(), r.den.mag());
+        assert_eq!(g.to_u128(), Some(1), "{r:?} is not reduced");
+        for part in [&r.num, &r.den] {
+            if let Int::Big { neg, mag } = part {
+                let fits = mag
+                    .to_u128()
+                    .is_some_and(|m| m <= i128::MAX as u128 || (*neg && m == 1 << 127));
+                assert!(!fits, "{r:?} holds a small value in the big form");
+            }
+        }
+    }
+
+    proptest! {
+        /// `make`: the machine-integer reduction against the big one, and
+        /// the value itself against `n / d` by cross-multiplication.
+        #[test]
+        fn make_word_path_matches_big_path(n in arb_edge(), d in arb_edge()) {
+            let d = if d == 0 { -1 } else { d };
+            let r = Ratio::new(n, d);
+            prop_assert_eq!(&r, &Ratio::make_big(Int::Small(n), Int::Small(d)));
+            assert_canonical(&r);
+            prop_assert_eq!(r.num.mul(&Int::Small(d)), Int::Small(n).mul(&r.den));
+        }
+
+        /// `+`, `-`, `*`: whichever tier the operands select agrees with
+        /// the checked-`i128` tier and with the big-integer definition.
+        #[test]
+        fn arithmetic_word_path_matches_big_path(a in arb_ratio(), b in arb_ratio()) {
+            let sum = a.add_ref(&b);
+            prop_assert_eq!(&sum, &big_add(&a, &b));
+            prop_assert_eq!(&sum, &a.add_wide(&b, false));
+            assert_canonical(&sum);
+            let diff = a.sub_ref(&b);
+            prop_assert_eq!(&diff, &big_add(&a, &-b.clone()));
+            prop_assert_eq!(&diff, &a.add_wide(&b, true));
+            assert_canonical(&diff);
+            let prod = a.mul_ref(&b);
+            prop_assert_eq!(&prod, &big_mul(&a, &b));
+            prop_assert_eq!(&prod, &a.mul_wide(&b));
+            assert_canonical(&prod);
+        }
+    }
+
+    #[test]
+    fn accessors_report_a_spill_instead_of_panicking() {
+        let half = Ratio::new(-1, 2);
+        assert_eq!((half.numer(), half.denom()), (Some(-1), Some(2)));
+        let tiny = Ratio::new(1, 1 << 126);
+        let tinier = tiny.clone() * tiny;
+        assert_eq!((tinier.numer(), tinier.denom()), (Some(1), None));
+        assert_eq!(tinier.recip().numer(), None);
     }
 
     #[test]

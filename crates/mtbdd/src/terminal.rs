@@ -78,16 +78,27 @@ impl Term {
 
     /// Addition; `inf + x = inf`.
     pub fn add(self, rhs: Term) -> Term {
+        self.add_ref(&rhs)
+    }
+
+    /// [`Term::add`] on borrowed operands (the kernels combine terminals
+    /// straight out of the arena's pool).
+    pub fn add_ref(&self, rhs: &Term) -> Term {
         match (self, rhs) {
-            (Term::Num(a), Term::Num(b)) => Term::Num(a + b),
+            (Term::Num(a), Term::Num(b)) => Term::Num(a.add_ref(b)),
             _ => Term::PosInf,
         }
     }
 
     /// Subtraction; defined when the right operand is finite.
     pub fn sub(self, rhs: Term) -> Term {
+        self.sub_ref(&rhs)
+    }
+
+    /// [`Term::sub`] on borrowed operands.
+    pub fn sub_ref(&self, rhs: &Term) -> Term {
         match (self, rhs) {
-            (Term::Num(a), Term::Num(b)) => Term::Num(a - b),
+            (Term::Num(a), Term::Num(b)) => Term::Num(a.sub_ref(b)),
             (Term::PosInf, Term::Num(_)) => Term::PosInf,
             _ => panic!("Term subtraction with infinite right operand"),
         }
@@ -95,8 +106,13 @@ impl Term {
 
     /// Multiplication with the `0 * inf = 0` guard convention.
     pub fn mul(self, rhs: Term) -> Term {
+        self.mul_ref(&rhs)
+    }
+
+    /// [`Term::mul`] on borrowed operands.
+    pub fn mul_ref(&self, rhs: &Term) -> Term {
         match (self, rhs) {
-            (Term::Num(a), Term::Num(b)) => Term::Num(a * b),
+            (Term::Num(a), Term::Num(b)) => Term::Num(a.mul_ref(b)),
             // 0 * inf = 0 so that `guard * value` annihilates correctly.
             (Term::Num(a), Term::PosInf) | (Term::PosInf, Term::Num(a)) if a.is_zero() => {
                 Term::ZERO

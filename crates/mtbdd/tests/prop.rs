@@ -2,7 +2,7 @@
 //! assignments, and the two KREDUCE lemmas of the paper's Appendix A.
 
 use proptest::prelude::*;
-use yu_mtbdd::{Mtbdd, NodeRef, Op, Ratio, Term, Var};
+use yu_mtbdd::{ImportMemo, Mtbdd, NodeRef, Op, Ratio, Term, Var};
 
 const NVARS: u32 = 6;
 
@@ -98,7 +98,110 @@ fn manager() -> Mtbdd {
     m
 }
 
+/// Every node reachable from `roots` must carry its own all-alive
+/// terminal: the O(1) `all_alive_ref` against the hi-chain walk.
+fn check_alive_fields(m: &mut Mtbdd, roots: &[NodeRef]) -> Result<(), TestCaseError> {
+    let mut seen = std::collections::HashSet::new();
+    let mut stack = roots.to_vec();
+    while let Some(f) = stack.pop() {
+        if !seen.insert(f) {
+            continue;
+        }
+        let walked = m.eval_all_alive(f);
+        prop_assert_eq!(m.all_alive_ref(f), m.term(walked), "node {:?}", f);
+        if !f.is_terminal() {
+            let (lo, hi) = m.cofactors(f);
+            stack.push(lo);
+            stack.push(hi);
+        }
+    }
+    Ok(())
+}
+
+/// `e`, or `e` with `+∞` on one side of a variable test (`Mul` cannot
+/// take `+∞` next to the negative constants `arb_expr` produces).
+fn build_with_inf(m: &mut Mtbdd, e: &Expr, inf: Option<(u8, bool)>) -> NodeRef {
+    let f = build(m, e);
+    match inf {
+        None => f,
+        Some((v, alive_side)) => {
+            let g = m.var_guard(v as Var);
+            let inf = m.pos_inf();
+            if alive_side {
+                m.ite(g, inf, f)
+            } else {
+                m.ite(g, f, inf)
+            }
+        }
+    }
+}
+
 proptest! {
+    /// The in-node `β₀`: after a build (apply, ite and the fused kernels
+    /// all go through `node`), after `collect` remapped it, in an overlay
+    /// whose private nodes hang off a frozen base, and after `import`.
+    #[test]
+    fn nodes_carry_their_all_alive_terminal(
+        ef in arb_expr(),
+        eg in arb_expr(),
+        k in 0u32..=NVARS,
+    ) {
+        let mut m = manager();
+        let f = build(&mut m, &ef);
+        let g = build(&mut m, &eg);
+        let r = m.add_kreduce(f, g, k);
+        check_alive_fields(&mut m, &[f, g, r])?;
+
+        // `g` and every intermediate are garbage for this collection.
+        let remap = m.collect(&[f, r]);
+        let (f, r) = (remap.get(f), remap.get(r));
+        check_alive_fields(&mut m, &[f, r])?;
+
+        let frozen = m.freeze();
+        let mut w = Mtbdd::with_base(&frozen);
+        let g = build(&mut w, &eg);
+        let third = w.scale(g, Term::ratio(1, 3));
+        let s = w.add_kreduce(r, third, k);
+        check_alive_fields(&mut w, &[f, r, g, third, s])?;
+
+        let mut dst = Mtbdd::new();
+        let mut memo = ImportMemo::new();
+        let imported = dst.import(&w, s, &mut memo);
+        check_alive_fields(&mut dst, &[imported])?;
+    }
+
+    /// The carried `β₀` of the n-ary kernel: with negative terminals the
+    /// delta subtracts below zero, and an operand that is `+∞` all-alive
+    /// makes the delta undefined (the failed branch re-sums instead).
+    /// Either way `sum_kreduce` stays `kreduce(sum(..), k)`.
+    #[test]
+    fn sum_kreduce_carries_beta0_past_infinity_and_negatives(
+        es in proptest::collection::vec(
+            (
+                arb_expr(),
+                prop_oneof![
+                    Just(None),
+                    (0u8..NVARS as u8, any::<bool>()).prop_map(Some),
+                ],
+            ),
+            3..7,
+        ),
+        k in 0u32..=NVARS,
+    ) {
+        let mut m = manager();
+        let items: Vec<NodeRef> = es
+            .iter()
+            .map(|(e, inf)| build_with_inf(&mut m, e, *inf))
+            .collect();
+        let nary = m.sum_kreduce(&items, k);
+        let exact = m.sum(&items);
+        prop_assert_eq!(nary, m.kreduce(exact, k));
+        let folded = items
+            .iter()
+            .fold(m.zero(), |acc, &f| m.add_kreduce(acc, f, k));
+        prop_assert_eq!(nary, folded);
+    }
+
     /// Every apply/ite composition agrees with direct evaluation on every
     /// assignment.
     #[test]
