@@ -23,9 +23,15 @@
 //! ordinary [`LoadPoint`]s so "delivered load must not drop" (P1) is just
 //! another TLP.
 //!
-//! With `k = Some(budget)` every accumulated MTBDD is passed through
-//! `KREDUCE`, which keeps diagram sizes `O(n^k)`-shaped (§5.2); Theorem
-//! 5.1 guarantees verification results are unaffected.
+//! With `k = Some(budget)` every binary step of the execution — share
+//! division, `amount × share`, accumulation into a load point or the next
+//! frontier, the `amount − emitted` drop residual — is computed as
+//! `βₖ(f ⊕ g)` by [`Mtbdd::apply_kreduce`], so every frontier entry and
+//! every load is the canonical reduced diagram and the un-reduced product
+//! or sum is never built (§5.2; Theorem 5.1 guarantees verification
+//! results are unaffected). Only the selection guards and the share
+//! denominators `Σ s_r` are plain applies: they are operands, never
+//! stored.
 
 use crate::attribution::{flow_label, EntityCost, PhaseAttribution};
 use crate::equivalence::FlowGroup;
@@ -36,7 +42,7 @@ use std::time::Instant;
 use yu_mtbdd::{Mtbdd, NodeRef, Op};
 use yu_net::Proto;
 use yu_net::{FailureVars, Flow, Ipv4, LinkId, LoadPoint, Network, RouterId};
-use yu_routing::{class_partition, NextHop, Rule, SymbolicRoutes};
+use yu_routing::{class_partition, IgpShares, NextHop, Rule, SymbolicRoutes};
 
 /// Options for symbolic traffic execution.
 #[derive(Debug, Clone, Copy)]
@@ -97,19 +103,35 @@ struct StackTable {
     ids: HashMap<Vec<Ipv4>, u32>,
 }
 
+/// The empty label stack: [`StackTable::new`] interns it first.
+const EMPTY_STACK: u32 = 0;
+
 impl StackTable {
-    fn intern(&mut self, stack: Vec<Ipv4>) -> u32 {
-        if let Some(&id) = self.ids.get(&stack) {
+    fn new() -> StackTable {
+        let mut t = StackTable::default();
+        t.intern(&[]);
+        t
+    }
+
+    /// The id of `stack`; copies it only the first time it is seen.
+    fn intern(&mut self, stack: &[Ipv4]) -> u32 {
+        if let Some(&id) = self.ids.get(stack) {
             return id;
         }
         let id = self.stacks.len() as u32;
-        self.ids.insert(stack.clone(), id);
-        self.stacks.push(stack);
+        self.ids.insert(stack.to_vec(), id);
+        self.stacks.push(stack.to_vec());
         id
     }
 
-    fn get(&self, id: u32) -> &[Ipv4] {
-        &self.stacks[id as usize]
+    fn top(&self, id: u32) -> Option<Ipv4> {
+        self.stacks[id as usize].first().copied()
+    }
+
+    /// The id of stack `id` without its top segment.
+    fn pop(&mut self, id: u32) -> u32 {
+        let rest = self.stacks[id as usize][1..].to_vec();
+        self.intern(&rest)
     }
 }
 
@@ -164,7 +186,7 @@ fn simulate(
         routes,
         flow,
         opts,
-        stacks: StackTable::default(),
+        stacks: StackTable::new(),
         loads: HashMap::new(),
         trace,
     }
@@ -244,11 +266,11 @@ impl<'a> Exec<'a> {
         owned
     }
 
-    fn q_vigp(&mut self, router: RouterId, nip: Ipv4) -> Vec<(LinkId, NodeRef)> {
+    fn q_vigp(&mut self, router: RouterId, nip: Ipv4) -> IgpShares {
         let shares = self.routes.vigp(self.m, self.net, self.fv, router, nip);
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(TraceQuery::Vigp(router, nip), || {
-                TraceAnswer::Vigp(shares.clone())
+                TraceAnswer::Vigp(shares.to_vec())
             });
         }
         shares
@@ -282,11 +304,10 @@ impl<'a> Exec<'a> {
         }
         pol
     }
-    fn reduce(&mut self, f: NodeRef) -> NodeRef {
-        match self.opts.k {
-            Some(k) => self.m.kreduce(f, k),
-            None => f,
-        }
+
+    /// `βₖ(f ⊕ g)` under the execution's budget (exact when it has none).
+    fn op(&mut self, op: Op, f: NodeRef, g: NodeRef) -> NodeRef {
+        self.m.apply_kreduce(op, f, g, self.opts.k)
     }
 
     fn accumulate(&mut self, point: LoadPoint, amount: NodeRef) {
@@ -298,17 +319,15 @@ impl<'a> Exec<'a> {
             .get(&point)
             .copied()
             .unwrap_or_else(|| self.m.zero());
-        let sum = self.m.add(cur, amount);
-        let sum = self.reduce(sum);
+        let sum = self.op(Op::Add, cur, amount);
         self.loads.insert(point, sum);
     }
 
     fn run(&mut self) -> FlowStf {
-        let empty = self.stacks.intern(Vec::new());
         let mut frontier: HashMap<(RouterId, u32), NodeRef> = HashMap::new();
         let ingress_alive = self.q_alive(self.flow.ingress);
         if ingress_alive != self.m.zero() {
-            frontier.insert((self.flow.ingress, empty), ingress_alive);
+            frontier.insert((self.flow.ingress, EMPTY_STACK), ingress_alive);
         }
         for _hop in 0..self.opts.max_hops {
             if frontier.is_empty() {
@@ -318,9 +337,8 @@ impl<'a> Exec<'a> {
             // Deterministic processing order for reproducible runs.
             let mut work: Vec<((RouterId, u32), NodeRef)> = frontier.drain().collect();
             work.sort_by_key(|(k, _)| *k);
-            for ((router, stack_id), amount) in work {
-                let stack = self.stacks.get(stack_id).to_vec();
-                self.step(router, &stack, amount, &mut next);
+            for ((router, stack), amount) in work {
+                self.step(router, stack, amount, &mut next);
             }
             frontier = next;
         }
@@ -332,44 +350,55 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Forwards `amount` of the flow at `router` carrying `stack`
-    /// (the paper's `forward` / `forwardSr` / `forwardIp`).
+    /// Forwards `amount` of the flow at `router` carrying the interned
+    /// label stack `stack` (the paper's `forward` / `forwardSr` /
+    /// `forwardIp`).
     fn step(
         &mut self,
         router: RouterId,
-        stack: &[Ipv4],
+        mut stack: u32,
         amount: NodeRef,
         next: &mut HashMap<(RouterId, u32), NodeRef>,
     ) {
         // Pop every leading segment owned by this router (forwardSr line
         // 17-18).
-        let mut stack = stack;
-        while let Some((&top, rest)) = stack.split_first() {
-            if self.q_owns(router, top) {
-                stack = rest;
-            } else {
+        let mut top = self.stacks.top(stack);
+        while let Some(seg) = top {
+            if !self.q_owns(router, seg) {
                 break;
             }
+            stack = self.stacks.pop(stack);
+            top = self.stacks.top(stack);
         }
-        let mut emitted = self.m.zero();
-        if let Some(&top) = stack.first() {
+        let emitted = match top {
             // Labeled traffic: toward the top segment via V^IGP.
-            let shares = self.q_vigp(router, top);
-            for (l, share) in shares {
-                let q = self.m.mul(amount, share);
-                let q = self.reduce(q);
-                self.emit(l, stack.to_vec(), q, next);
-                emitted = self.m.add(emitted, q);
-            }
-        } else {
-            let delivered_and_emitted = self.forward_ip(router, amount, next);
-            emitted = delivered_and_emitted;
-        }
+            Some(seg) => self.forward_igp(router, seg, stack, amount, next),
+            None => self.forward_ip(router, amount, next),
+        };
         // Residual accounting: whatever was neither forwarded nor
         // delivered is dropped here (Null0, no route, dead tunnels, ...).
-        let dropped = self.m.apply(Op::Sub, amount, emitted);
-        let dropped = self.reduce(dropped);
+        let dropped = self.op(Op::Sub, amount, emitted);
         self.accumulate(LoadPoint::Dropped(router), dropped);
+    }
+
+    /// Splits `amount` over the `V^IGP` shares of `router` toward `nip`,
+    /// emitting each part with label stack `stack`. Returns the emitted
+    /// fraction.
+    fn forward_igp(
+        &mut self,
+        router: RouterId,
+        nip: Ipv4,
+        stack: u32,
+        amount: NodeRef,
+        next: &mut HashMap<(RouterId, u32), NodeRef>,
+    ) -> NodeRef {
+        let mut emitted = self.m.zero();
+        for &(l, share) in self.q_vigp(router, nip).iter() {
+            let q = self.op(Op::Mul, amount, share);
+            self.emit(l, stack, q, next);
+            emitted = self.op(Op::Add, emitted, q);
+        }
+        emitted
     }
 
     /// `forwardIp` (Algorithm 2): guarded FIB lookup, route selection,
@@ -391,27 +420,26 @@ impl<'a> Exec<'a> {
             }
             // ECMP share c_r = s_r / Σ s_{r'} (the denominator counts the
             // selected rules of the active class in each scenario).
-            let c = self.m.apply(Op::Div, *s, total);
-            let share = self.m.mul(amount, c);
-            let share = self.reduce(share);
+            let c = self.op(Op::Div, *s, total);
+            let share = self.op(Op::Mul, amount, c);
             if share == self.m.zero() {
                 continue;
             }
             match rule.next_hop {
                 NextHop::Receive => {
                     self.accumulate(LoadPoint::Delivered(router), share);
-                    consumed = self.m.add(consumed, share);
+                    consumed = self.op(Op::Add, consumed, share);
                 }
                 NextHop::Null0 => {
                     // Falls into the dropped residual of `step`.
                 }
                 NextHop::Direct(l) => {
-                    self.emit(l, Vec::new(), share, next);
-                    consumed = self.m.add(consumed, share);
+                    self.emit(l, EMPTY_STACK, share, next);
+                    consumed = self.op(Op::Add, consumed, share);
                 }
                 NextHop::Ip(nip) => {
                     let done = self.resolve_nh(router, nip, share, next);
-                    consumed = self.m.add(consumed, done);
+                    consumed = self.op(Op::Add, consumed, done);
                 }
             }
         }
@@ -427,55 +455,42 @@ impl<'a> Exec<'a> {
         amount: NodeRef,
         next: &mut HashMap<(RouterId, u32), NodeRef>,
     ) -> NodeRef {
+        let Some(pol) = self.q_sr(router, nip) else {
+            return self.forward_igp(router, nip, EMPTY_STACK, amount, next);
+        };
         let mut emitted = self.m.zero();
-        let policy = self.q_sr(router, nip);
-        if let Some(pol) = policy {
-            // c_p = g_p * w_p / Σ g_{p'} * w_{p'}
-            let weighted: Vec<NodeRef> = pol
-                .paths
-                .iter()
-                .map(|p| self.m.scale(p.guard, yu_mtbdd::Term::int(p.weight as i64)))
-                .collect();
-            let total = self.m.sum(&weighted);
-            for (p, wg) in pol.paths.iter().zip(&weighted) {
-                let c = self.m.apply(Op::Div, *wg, total);
-                let share = self.m.mul(amount, c);
-                let share = self.reduce(share);
-                if share == self.m.zero() {
-                    continue;
-                }
-                let first = p.segments[0];
-                if self.q_owns(router, first) {
-                    // Degenerate headend-owns-first-segment case: process
-                    // the stack immediately at this router.
-                    self.step(router, &p.segments, share, next);
-                    emitted = self.m.add(emitted, share);
-                    continue;
-                }
-                let shares = self.q_vigp(router, first);
-                for (l, lshare) in shares {
-                    let q = self.m.mul(share, lshare);
-                    let q = self.reduce(q);
-                    self.emit(l, p.segments.clone(), q, next);
-                    emitted = self.m.add(emitted, q);
-                }
+        // c_p = g_p * w_p / Σ g_{p'} * w_{p'}
+        let weighted: Vec<NodeRef> = pol
+            .paths
+            .iter()
+            .map(|p| self.m.scale(p.guard, yu_mtbdd::Term::int(p.weight as i64)))
+            .collect();
+        let total = self.m.sum(&weighted);
+        for (p, wg) in pol.paths.iter().zip(&weighted) {
+            let c = self.op(Op::Div, *wg, total);
+            let share = self.op(Op::Mul, amount, c);
+            if share == self.m.zero() {
+                continue;
             }
-        } else {
-            let shares = self.q_vigp(router, nip);
-            for (l, share) in shares {
-                let q = self.m.mul(amount, share);
-                let q = self.reduce(q);
-                self.emit(l, Vec::new(), q, next);
-                emitted = self.m.add(emitted, q);
-            }
+            let first = p.segments[0];
+            let stack = self.stacks.intern(&p.segments);
+            let done = if self.q_owns(router, first) {
+                // Degenerate headend-owns-first-segment case: process
+                // the stack immediately at this router.
+                self.step(router, stack, share, next);
+                share
+            } else {
+                self.forward_igp(router, first, stack, share, next)
+            };
+            emitted = self.op(Op::Add, emitted, done);
         }
         emitted
     }
 
     fn emit(
         &mut self,
-        l: yu_net::LinkId,
-        stack: Vec<Ipv4>,
+        l: LinkId,
+        stack: u32,
         q: NodeRef,
         next: &mut HashMap<(RouterId, u32), NodeRef>,
     ) {
@@ -484,14 +499,12 @@ impl<'a> Exec<'a> {
         }
         self.accumulate(LoadPoint::Link(l), q);
         let to = self.net.topo.link(l).to;
-        let sid = self.stacks.intern(stack);
         let cur = next
-            .get(&(to, sid))
+            .get(&(to, stack))
             .copied()
             .unwrap_or_else(|| self.m.zero());
-        let sum = self.m.add(cur, q);
-        let sum = self.reduce(sum);
-        next.insert((to, sid), sum);
+        let sum = self.op(Op::Add, cur, q);
+        next.insert((to, stack), sum);
     }
 }
 

@@ -646,7 +646,7 @@ impl Tracer<'_> {
             // Labeled traffic: toward the top segment via V^IGP.
             let shares = self.routes.vigp(self.m, self.net, self.fv, router, top);
             let mut consumed = Ratio::ZERO;
-            for (l, share) in shares {
+            for &(l, share) in shares.iter() {
                 let s = self.frac_of(share);
                 if s.is_zero() {
                     continue;
@@ -756,7 +756,7 @@ impl Tracer<'_> {
                     continue;
                 }
                 let shares = self.routes.vigp(self.m, self.net, self.fv, router, first);
-                for (l, lshare) in shares {
+                for &(l, lshare) in shares.iter() {
                     let s = self.frac_of(lshare);
                     if s.is_zero() {
                         continue;
@@ -768,7 +768,7 @@ impl Tracer<'_> {
             }
         } else {
             let shares = self.routes.vigp(self.m, self.net, self.fv, router, nip);
-            for (l, share) in shares {
+            for &(l, share) in shares.iter() {
                 let s = self.frac_of(share);
                 if s.is_zero() {
                     continue;

@@ -110,7 +110,7 @@ impl RouteTrace {
                 mp == *multipath && *now == *rules
             }
             (TraceQuery::Vigp(r, nip), TraceAnswer::Vigp(shares)) => {
-                routes.vigp(m, net, fv, *r, *nip) == *shares
+                *routes.vigp(m, net, fv, *r, *nip) == **shares
             }
             (TraceQuery::Sr(r, nip, dscp), TraceAnswer::Sr(paths)) => {
                 snapshot_sr(routes, *r, *nip, *dscp) == *paths

@@ -1,12 +1,12 @@
-//! Fused `ADD∘KREDUCE`: applying the Definition 5.2 failure budget
-//! *during* the apply, so the un-reduced sum is never materialized.
+//! Fused `⊕∘KREDUCE`: applying the Definition 5.2 failure budget
+//! *during* the apply, so the un-reduced result is never materialized.
 //!
 //! Aggregating a link's load sums many per-flow STFs; the paper's Fig. 18
 //! shows that the transient of a single un-reduced `F + G` can blow up
 //! combinatorially even though its reduction `βₖ(F + G)` is tiny. The
-//! classic pipeline (`apply(Add)` then `kreduce`) pays for that transient
-//! in full — every node of the sum is hash-consed before the reduction
-//! throws most of them away. [`Mtbdd::add_kreduce`] fuses the two
+//! classic pipeline (`apply(op)` then `kreduce`) pays for that transient
+//! in full — every node of the result is hash-consed before the reduction
+//! throws most of them away. [`Mtbdd::apply_kreduce`] fuses the two
 //! recursions into one, memoized on `(op, f, g, k)`:
 //!
 //! * with no budget left (`k = 0`) only the all-alive branch matters, so
@@ -17,7 +17,7 @@
 //!   that collapses to it; the n-ary kernel goes further and carries
 //!   `β₀(Σ operands)` down its recursion (see [`Mtbdd::sum_kreduce`]);
 //! * at a decision node over `x = min(top(f), top(g))`, the Definition
-//!   5.2 recursion applies directly to the (virtual) sum: if
+//!   5.2 recursion applies directly to the (virtual) result: if
 //!   `β_{k-1}(f|x=1 ⊕ g|x=1) = β_{k-1}(f|x=0 ⊕ g|x=0)` the variable test
 //!   is dropped, otherwise the failed branch spends one budget unit.
 //!
@@ -28,10 +28,18 @@
 //! changes: the fused recursion materializes reduced sub-results only,
 //! so the arena never holds the Fig. 18 blow-up.
 //!
-//! The kernel is generic over the commutative arithmetic it fuses
-//! (`Add` for aggregation, `Mul` for the volume-scaling variant
-//! [`Mtbdd::scale_kreduce`]); operand pairs are canonically ordered
-//! before the cache lookup, like the plain apply cache.
+//! The kernel fuses **every** [`Op`]. Nothing in the argument above looks
+//! at what `⊕` computes: the virtual node's cofactors are
+//! `f|x=b ⊕ g|x=b` for any pointwise operator, so ≈ₖ (agreement on all
+//! scenarios with at most `k` failures) is a congruence under all ten —
+//! `Sub`, `Div` (with its `0/0 = 0` convention), `Or`, `And` and the
+//! `EqGuard`/`LtGuard` comparisons as much as `Add`/`Mul`/`Min`/`Max`.
+//! Route simulation and traffic execution therefore run all their binary
+//! steps through it (aggregation's `Add` and the volume-scaling `Mul` of
+//! [`Mtbdd::scale_kreduce`] were the first users). Operand pairs are
+//! canonically ordered before the cache lookup only when the operator
+//! commutes, like the plain apply cache; `Sub`/`Div`/`LtGuard` keep
+//! their operand order in the key and down the recursion.
 
 use crate::manager::{Mtbdd, Op};
 use crate::node::NodeRef;
@@ -92,15 +100,26 @@ impl SumOps {
 }
 
 impl Mtbdd {
-    /// Fused `βₖ(f + g)`: k-failure-reduced pointwise addition that never
-    /// materializes the un-reduced sum. Node-for-node identical to
-    /// `self.kreduce(self.add(f, g), k)`.
-    pub fn add_kreduce(&mut self, f: NodeRef, g: NodeRef, k: u32) -> NodeRef {
-        let r = self.fused_rec(Op::Add, f, g, k);
+    /// Fused `βₖ(f ⊕ g)` for any [`Op`], under the optional budget the
+    /// routing and execution layers carry: `Some(k)` is node-for-node
+    /// identical to `self.kreduce(self.apply(op, f, g), k)` without ever
+    /// materializing `f ⊕ g`; `None` is the plain, exact
+    /// [`Mtbdd::apply`] (the Fig. 15/16 ablation).
+    pub fn apply_kreduce(&mut self, op: Op, f: NodeRef, g: NodeRef, k: Option<u32>) -> NodeRef {
+        let Some(k) = k else {
+            return self.apply(op, f, g);
+        };
+        let r = self.fused_rec(op, f, g, k);
         if self.audit_on() {
-            self.audit_fused(r, k, "add_kreduce");
+            self.audit_fused(r, k, &format!("apply_kreduce({op:?})"));
         }
         r
+    }
+
+    /// Fused `βₖ(f + g)`: [`Mtbdd::apply_kreduce`] on `Op::Add` with the
+    /// budget always on (load aggregation).
+    pub fn add_kreduce(&mut self, f: NodeRef, g: NodeRef, k: u32) -> NodeRef {
+        self.apply_kreduce(Op::Add, f, g, Some(k))
     }
 
     /// Fused `βₖ(f · c)` for a constant factor `c` (the volume-scaling
@@ -108,33 +127,7 @@ impl Mtbdd {
     /// `self.kreduce(self.scale(f, c), k)`.
     pub fn scale_kreduce(&mut self, f: NodeRef, c: Term, k: u32) -> NodeRef {
         let c = self.term(c);
-        let r = self.fused_rec(Op::Mul, f, c, k);
-        if self.audit_on() {
-            self.audit_fused(r, k, "scale_kreduce");
-        }
-        r
-    }
-
-    /// Fused `βₖ(min(f, g))`: k-failure-reduced pointwise minimum.
-    /// Node-for-node identical to `self.kreduce(self.apply(Op::Min, f, g), k)`
-    /// (≈ₖ is a congruence under pointwise `min`, and `KREDUCE` is
-    /// canonicalizing, so the same induction as `add_kreduce` applies).
-    pub fn min_kreduce(&mut self, f: NodeRef, g: NodeRef, k: u32) -> NodeRef {
-        let r = self.fused_rec(Op::Min, f, g, k);
-        if self.audit_on() {
-            self.audit_fused(r, k, "min_kreduce");
-        }
-        r
-    }
-
-    /// Fused `βₖ(max(f, g))`: k-failure-reduced pointwise maximum (see
-    /// [`Mtbdd::min_kreduce`]).
-    pub fn max_kreduce(&mut self, f: NodeRef, g: NodeRef, k: u32) -> NodeRef {
-        let r = self.fused_rec(Op::Max, f, g, k);
-        if self.audit_on() {
-            self.audit_fused(r, k, "max_kreduce");
-        }
-        r
+        self.apply_kreduce(Op::Mul, f, c, Some(k))
     }
 
     /// N-ary fused `βₖ(Σ items)`: applies the failure budget once across
@@ -291,10 +284,6 @@ impl Mtbdd {
     }
 
     fn fused_rec(&mut self, op: Op, f: NodeRef, g: NodeRef, k: u32) -> NodeRef {
-        debug_assert!(
-            matches!(op, Op::Add | Op::Mul | Op::Min | Op::Max),
-            "fused kernel supports Add/Mul/Min/Max, not {op:?}"
-        );
         // Apply's terminal shortcuts return a node equal to the exact
         // (un-reduced) result, so reducing it finishes the job without
         // touching the fused cache.
@@ -445,6 +434,21 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(after.fused_cache_misses, mid.fused_cache_misses);
         assert_eq!(after.fused_cache_hits, mid.fused_cache_hits + 1);
+        // A non-commutative pair keeps its operand order in the key: the
+        // swapped call is a different function, so its root misses and
+        // the result differs, while a repeat of either order is a hit.
+        let d1 = m.apply_kreduce(Op::Sub, f, g, Some(2));
+        let sub = m.stats();
+        assert!(sub.fused_cache_misses > after.fused_cache_misses);
+        let d2 = m.apply_kreduce(Op::Sub, g, f, Some(2));
+        let swapped = m.stats();
+        assert_ne!(d1, d2);
+        assert!(swapped.fused_cache_misses > sub.fused_cache_misses);
+        assert_eq!(m.apply_kreduce(Op::Sub, f, g, Some(2)), d1);
+        assert_eq!(m.apply_kreduce(Op::Sub, g, f, Some(2)), d2);
+        let after = m.stats();
+        assert_eq!(after.fused_cache_misses, swapped.fused_cache_misses);
+        assert_eq!(after.fused_cache_hits, swapped.fused_cache_hits + 2);
         // The k = 0 collapse is keyed on the operands' all-alive
         // terminals. The k = 2 recursion above already collapsed this
         // pair down its hi-spine, so the root collapse is a hit — and so
@@ -515,18 +519,30 @@ mod tests {
     }
 
     #[test]
-    fn min_max_variants_equal_unfused() {
+    fn every_op_equals_unfused_in_both_operand_orders() {
         let mut m = setup(10);
         for k in 0..=2u32 {
             for i in 0..5 {
-                let f = flow_stf(&mut m, i, 10);
-                let g = flow_stf(&mut m, i + 2, 10);
-                let fused_min = m.min_kreduce(f, g, k);
-                let plain_min = m.apply(Op::Min, f, g);
-                assert_eq!(fused_min, m.kreduce(plain_min, k), "min i={i} k={k}");
-                let fused_max = m.max_kreduce(f, g, k);
-                let plain_max = m.apply(Op::Max, f, g);
-                assert_eq!(fused_max, m.kreduce(plain_max, k), "max i={i} k={k}");
+                let (mut f, mut g) = (flow_stf(&mut m, i, 10), flow_stf(&mut m, i + 2, 10));
+                for op in Op::ALL {
+                    if matches!(op, Op::Or | Op::And) {
+                        // Boolean operators take 0/1 guards.
+                        let z = m.zero();
+                        f = m.lt_guard(z, f);
+                        g = m.lt_guard(z, g);
+                    }
+                    for (a, mut b) in [(f, g), (g, f)] {
+                        if op == Op::Div {
+                            // x/0 is defined for x = 0 only.
+                            let one = m.one();
+                            b = m.add(b, one);
+                        }
+                        let fused = m.apply_kreduce(op, a, b, Some(k));
+                        let plain = m.apply(op, a, b);
+                        assert_eq!(fused, m.kreduce(plain, k), "{op:?} i={i} k={k}");
+                        assert_eq!(m.apply_kreduce(op, a, b, None), plain, "{op:?} exact");
+                    }
+                }
             }
         }
     }

@@ -45,22 +45,26 @@ pub enum Op {
 }
 
 impl Op {
+    /// Every operator, in discriminant order (`ALL[op as usize] == op`).
+    pub const ALL: [Op; 10] = [
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Div,
+        Op::Min,
+        Op::Max,
+        Op::Or,
+        Op::And,
+        Op::EqGuard,
+        Op::LtGuard,
+    ];
+
     /// Inverse of `as u8`, used to decode packed cache keys (audit
     /// sampling). Panics on an index no variant carries.
     pub(crate) fn from_index(i: u8) -> Op {
-        match i {
-            0 => Op::Add,
-            1 => Op::Sub,
-            2 => Op::Mul,
-            3 => Op::Div,
-            4 => Op::Min,
-            5 => Op::Max,
-            6 => Op::Or,
-            7 => Op::And,
-            8 => Op::EqGuard,
-            9 => Op::LtGuard,
-            _ => panic!("invalid Op index {i}"),
-        }
+        *Op::ALL
+            .get(i as usize)
+            .unwrap_or_else(|| panic!("invalid Op index {i}"))
     }
 
     pub(crate) fn commutative(self) -> bool {

@@ -136,6 +136,91 @@ fn build_with_inf(m: &mut Mtbdd, e: &Expr, inf: Option<(u8, bool)>) -> NodeRef {
     }
 }
 
+/// Variables of the table-built operands of the all-operators fused
+/// test (16-row truth tables; `k = 3` is the last real budget).
+const TABLE_VARS: u32 = 4;
+
+/// The terminals those tables draw from: the values at which the
+/// partial operators change behaviour (`0/0 = 0`, `0·∞ = 0`, `∞ − x`),
+/// plus a negative, two fractions and an integer.
+fn palette(i: usize) -> Term {
+    match i {
+        0 => Term::ZERO,
+        1 => Term::ONE,
+        2 => Term::int(-2),
+        3 => Term::ratio(1, 2),
+        4 => Term::int(3),
+        5 => Term::PosInf,
+        6 => Term::ratio(7, 3),
+        _ => Term::ratio(-1, 3),
+    }
+}
+const PALETTE_LEN: usize = 8;
+
+/// The diagram of a truth table by Shannon expansion, row index bit
+/// `TABLE_VARS - 1 - v` being the value of variable `v`.
+fn from_table(m: &mut Mtbdd, rows: &[Term], var: Var) -> NodeRef {
+    if var == TABLE_VARS {
+        return m.term(rows[0].clone());
+    }
+    let (lo, hi) = rows.split_at(rows.len() / 2);
+    let (lo, hi) = (from_table(m, lo, var + 1), from_table(m, hi, var + 1));
+    m.node(var, lo, hi)
+}
+
+/// Whether the terminal `a ⊕ b` is defined (`Term`'s arithmetic panics
+/// outside these domains).
+fn defined(op: Op, a: &Term, b: &Term) -> bool {
+    let negative = |t: &Term| matches!(t, Term::Num(r) if r.is_negative());
+    match op {
+        Op::Sub => b.is_finite(),
+        Op::Mul => (a.is_finite() || !negative(b)) && (b.is_finite() || !negative(a)),
+        Op::Div => match (a, b) {
+            (Term::Num(a), Term::Num(b)) => a.is_zero() || !b.is_zero(),
+            (Term::Num(_), Term::PosInf) => true,
+            (Term::PosInf, b) => b.is_finite() && !b.is_zero() && !negative(b),
+        },
+        _ => true,
+    }
+}
+
+/// Moves a pair of tables into `op`'s domain, row by row: `Or`/`And`
+/// take 0/1 guards; a row where `a ⊕ b` (and, with `both_orders`,
+/// `b ⊕ a`) is undefined is replaced by one where it is.
+fn into_domain(op: Op, a: &mut [Term], b: &mut [Term], both_orders: bool) {
+    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+        if matches!(op, Op::Or | Op::And) {
+            for t in [&mut *x, &mut *y] {
+                *t = if t.is_zero() { Term::ZERO } else { Term::ONE };
+            }
+        }
+        if both_orders && !(defined(op, x, y) && defined(op, y, x)) {
+            (*x, *y) = (Term::ratio(1, 2), Term::int(3));
+        } else if !defined(op, x, y) {
+            // `x − 1`, `x · 0` and `x / 3` are defined for every `x`.
+            *y = match op {
+                Op::Sub => Term::ONE,
+                Op::Mul => Term::ZERO,
+                _ => Term::int(3),
+            };
+        }
+    }
+}
+
+/// The operand pair two palette-index tables stand for under `op`.
+fn table_operands(
+    m: &mut Mtbdd,
+    op: Op,
+    fa: &[usize],
+    ga: &[usize],
+    both_orders: bool,
+) -> (NodeRef, NodeRef) {
+    let mut a: Vec<Term> = fa.iter().map(|&i| palette(i)).collect();
+    let mut b: Vec<Term> = ga.iter().map(|&i| palette(i)).collect();
+    into_domain(op, &mut a, &mut b, both_orders);
+    (from_table(m, &a, 0), from_table(m, &b, 0))
+}
+
 proptest! {
     /// The in-node `β₀`: after a build (apply, ite and the fused kernels
     /// all go through `node`), after `collect` remapped it, in an overlay
@@ -338,6 +423,47 @@ proptest! {
         let scaled = m.scale(f, c);
         let unfused = m.kreduce(scaled, k);
         prop_assert_eq!(fused, unfused);
+    }
+
+    /// The one kernel behind every budgeted operator: for all ten `Op`s,
+    /// `apply_kreduce(op, f, g, Some(k)) == kreduce(apply(op, f, g), k)`
+    /// as handles, on operands whose terminals include `0`, `1`, a
+    /// negative, fractions and `+∞`; with no budget it is `apply`.
+    #[test]
+    fn fused_kernel_matches_pipeline_for_every_op(
+        fa in proptest::collection::vec(0usize..PALETTE_LEN, 1 << TABLE_VARS),
+        ga in proptest::collection::vec(0usize..PALETTE_LEN, 1 << TABLE_VARS),
+        k in 0u32..=3,
+    ) {
+        let mut m = manager();
+        for op in Op::ALL {
+            let (f, g) = table_operands(&mut m, op, &fa, &ga, false);
+            let fused = m.apply_kreduce(op, f, g, Some(k));
+            let plain = m.apply(op, f, g);
+            prop_assert_eq!(fused, m.kreduce(plain, k), "{:?} k={}", op, k);
+            prop_assert!(m.max_path_failures(fused) <= k);
+            prop_assert_eq!(m.apply_kreduce(op, f, g, None), plain, "{:?} exact", op);
+        }
+    }
+
+    /// Non-commutative operators keep their operand order in the memo
+    /// key and down the recursion: `f ⊕ g` and `g ⊕ f`, each asked twice
+    /// and interleaved in one arena, never answer for each other.
+    #[test]
+    fn fused_kernel_never_swaps_non_commutative_operands(
+        fa in proptest::collection::vec(0usize..PALETTE_LEN, 1 << TABLE_VARS),
+        ga in proptest::collection::vec(0usize..PALETTE_LEN, 1 << TABLE_VARS),
+        k in 0u32..=3,
+    ) {
+        let mut m = manager();
+        for op in [Op::Sub, Op::Div, Op::LtGuard] {
+            let (f, g) = table_operands(&mut m, op, &fa, &ga, true);
+            for (x, y) in [(f, g), (g, f), (f, g), (g, f)] {
+                let fused = m.apply_kreduce(op, x, y, Some(k));
+                let plain = m.apply(op, x, y);
+                prop_assert_eq!(fused, m.kreduce(plain, k), "{:?} k={}", op, k);
+            }
+        }
     }
 
     /// The n-ary fused aggregate is handle-identical to the left-folded

@@ -26,7 +26,7 @@
 use crate::igp::IgpState;
 use crate::rib::NextHop;
 use std::collections::{BTreeMap, HashMap};
-use yu_mtbdd::{Mtbdd, NodeRef};
+use yu_mtbdd::{Mtbdd, NodeRef, Op};
 use yu_net::{AsNum, BgpSession, FailureVars, Network, Prefix, PrefixTrie, RouterId, ULinkId};
 
 /// Identifier of a prefix equivalence class.
@@ -231,8 +231,9 @@ pub struct BgpState {
 }
 
 impl BgpState {
-    /// Runs symbolic BGP propagation. `k` is the KREDUCE budget applied to
-    /// guards during propagation (`None` = exact).
+    /// Runs symbolic BGP propagation. `k` is the KREDUCE budget fused into
+    /// every guard conjunction and merge ([`Mtbdd::apply_kreduce`];
+    /// `None` = exact).
     pub fn compute(
         m: &mut Mtbdd,
         net: &Network,
@@ -241,16 +242,14 @@ impl BgpState {
         k: Option<u32>,
     ) -> BgpState {
         let _stage = yu_telemetry::span("bgp");
-        let reduce = |m: &mut Mtbdd, g: NodeRef| match k {
-            Some(k) => m.kreduce(g, k),
-            None => g,
-        };
 
         // --- Prefix classification -------------------------------------
         let (classes, prefix_class) = classify_prefixes(net);
 
         // --- Session guards --------------------------------------------
-        // sessions[r] = (peer, session, guard, inbound link for eBGP)
+        // sessions[r] = (peer, session, guard). An eBGP guard is the raw
+        // link guard: it only ever enters the budgeted conjunction with an
+        // advertisement's guard below, which reduces the product.
         let nrouters = net.topo.num_routers();
         let mut sessions: Vec<Vec<(RouterId, BgpSession, NodeRef)>> = vec![Vec::new(); nrouters];
         for r in net.topo.routers() {
@@ -266,10 +265,9 @@ impl BgpState {
                         let lp_p = net.topo.router(peer).loopback;
                         let fwd = igp.reach(m, asn, r, lp_p);
                         let back = igp.reach(m, asn, peer, lp_r);
-                        m.and(fwd, back)
+                        m.apply_kreduce(Op::And, fwd, back, k)
                     }
                 };
-                let guard = reduce(m, guard);
                 sessions[r.0 as usize].push((peer, sess, guard));
             }
         }
@@ -334,14 +332,13 @@ impl BgpState {
                         }
                         let key = (cand.as_path.clone(), cand.local_pref);
                         let e = groups_all.entry(key.clone()).or_insert_with(|| m.zero());
-                        *e = m.or(*e, *s);
+                        *e = m.apply_kreduce(Op::Or, *e, *s, k);
                         if !matches!(cand.from, BgpFrom::Ibgp { .. }) {
                             let e = groups_ibgp.entry(key).or_insert_with(|| m.zero());
-                            *e = m.or(*e, *s);
+                            *e = m.apply_kreduce(Op::Or, *e, *s, k);
                         }
                     }
                     for ((as_path, local_pref), guard) in groups_all {
-                        let guard = reduce(m, guard);
                         if guard != m.zero() {
                             ebgp_out[r.0 as usize].push(Advert {
                                 class: cid,
@@ -352,7 +349,6 @@ impl BgpState {
                         }
                     }
                     for ((as_path, local_pref), guard) in groups_ibgp {
-                        let guard = reduce(m, guard);
                         if guard != m.zero() {
                             ibgp_out[r.0 as usize].push(Advert {
                                 class: cid,
@@ -392,7 +388,7 @@ impl BgpState {
                                 if as_path.contains(&net.asn(r)) {
                                     continue; // AS loop prevention
                                 }
-                                let guard = m.and(adv.guard, sguard);
+                                let guard = m.apply_kreduce(Op::And, adv.guard, sguard, k);
                                 if guard == m.zero() {
                                     continue;
                                 }
@@ -408,7 +404,7 @@ impl BgpState {
                                     .or_default()
                                     .entry(key)
                                     .or_insert_with(|| m.zero());
-                                *e = m.or(*e, guard);
+                                *e = m.apply_kreduce(Op::Or, *e, guard, k);
                             }
                         }
                         BgpSession::Ibgp => {
@@ -419,7 +415,7 @@ impl BgpState {
                                 if adv.as_path.contains(&net.asn(r)) {
                                     continue;
                                 }
-                                let guard = m.and(adv.guard, sguard);
+                                let guard = m.apply_kreduce(Op::And, adv.guard, sguard, k);
                                 if guard == m.zero() {
                                     continue;
                                 }
@@ -434,7 +430,7 @@ impl BgpState {
                                     .or_default()
                                     .entry(key)
                                     .or_insert_with(|| m.zero());
-                                *e = m.or(*e, guard);
+                                *e = m.apply_kreduce(Op::Or, *e, guard, k);
                             }
                         }
                     }
@@ -442,7 +438,6 @@ impl BgpState {
                 for (cid, routes) in acc {
                     let mut list: Vec<BgpRoute> = Vec::new();
                     for ((as_path, local_pref, from, nh), guard) in routes {
-                        let guard = reduce(m, guard);
                         if guard != m.zero() {
                             list.push(BgpRoute {
                                 as_path,

@@ -24,8 +24,13 @@
 
 use crate::rib::{NextHop, Rule};
 use std::collections::HashMap;
+use std::rc::Rc;
 use yu_mtbdd::{Mtbdd, NodeRef, Op, Term};
 use yu_net::{AsNum, FailureVars, Ipv4, LinkId, Network, Prefix, Proto, RouterId};
+
+/// A route-iteration vector `V^IGP`: the non-zero ECMP share per outgoing
+/// link, shared with the cache that produced it.
+pub type IgpShares = Rc<[(LinkId, NodeRef)]>;
 
 /// Symbolic IGP state: per-(AS, destination) distance vectors plus derived
 /// caches.
@@ -34,16 +39,17 @@ pub struct IgpState {
     /// nearest alive owner of `ip` inside `asn`.
     dist: HashMap<(AsNum, Ipv4), Vec<NodeRef>>,
     /// Cached route-iteration vectors `V^IGP`.
-    vigp_cache: HashMap<(RouterId, Ipv4), Vec<(LinkId, NodeRef)>>,
-    /// KREDUCE budget used during computation (`None` = exact).
+    vigp_cache: HashMap<(RouterId, Ipv4), IgpShares>,
+    /// KREDUCE budget fused into every apply (`None` = exact).
     k: Option<u32>,
 }
 
 impl IgpState {
     /// Runs symbolic IGP simulation for every AS of `net`.
     ///
-    /// `k` is the failure budget for KREDUCE-during-computation; pass
-    /// `None` to keep exact diagrams (the ablation of Fig. 15/16).
+    /// `k` is the failure budget every binary step applies while it
+    /// computes ([`Mtbdd::apply_kreduce`]); pass `None` to keep exact
+    /// diagrams (the ablation of Fig. 15/16).
     pub fn compute(m: &mut Mtbdd, net: &Network, fv: &FailureVars, k: Option<u32>) -> IgpState {
         let _stage = yu_telemetry::span("igp");
         let mut state = IgpState {
@@ -67,13 +73,6 @@ impl IgpState {
             }
         }
         state
-    }
-
-    fn reduce(&self, m: &mut Mtbdd, f: NodeRef) -> NodeRef {
-        match self.k {
-            Some(k) => m.kreduce(f, k),
-            None => f,
-        }
     }
 
     /// Whether `ip` is an IGP destination of `asn`.
@@ -118,11 +117,10 @@ impl IgpState {
             let dist_u = self.dist(m, asn, ip, u);
             let wc = m.term(Term::int(w as i64));
             let via = m.apply(Op::Add, wc, dist_u);
-            let on_spf = m.eq_guard(dist_r, via);
+            let on_spf = m.apply_kreduce(Op::EqGuard, dist_r, via, self.k);
             let usable = fv.link_usable(m, &net.topo, l);
-            let g0 = m.and(usable, on_spf);
-            let g1 = m.and(g0, finite);
-            let guard = self.reduce(m, g1);
+            let on_usable_spf = m.apply_kreduce(Op::And, usable, on_spf, self.k);
+            let guard = m.apply_kreduce(Op::And, on_usable_spf, finite, self.k);
             if guard != m.zero() {
                 rules.push(Rule {
                     prefix: Prefix::host(ip),
@@ -148,17 +146,16 @@ impl IgpState {
         fv: &FailureVars,
         r: RouterId,
         nip: Ipv4,
-    ) -> Vec<(LinkId, NodeRef)> {
+    ) -> IgpShares {
         if let Some(v) = self.vigp_cache.get(&(r, nip)) {
-            return v.clone();
+            return Rc::clone(v);
         }
         let rules = self.igp_rules(m, net, fv, r, nip);
         let guards: Vec<NodeRef> = rules.iter().map(|r| r.guard).collect();
         let total = m.sum(&guards);
         let mut out = Vec::new();
         for rule in &rules {
-            let c0 = m.apply(Op::Div, rule.guard, total);
-            let c = self.reduce(m, c0);
+            let c = m.apply_kreduce(Op::Div, rule.guard, total, self.k);
             if c != m.zero() {
                 let NextHop::Direct(l) = rule.next_hop else {
                     unreachable!("IGP rules always have direct next hops")
@@ -166,7 +163,8 @@ impl IgpState {
                 out.push((l, c));
             }
         }
-        self.vigp_cache.insert((r, nip), out.clone());
+        let out: IgpShares = out.into();
+        self.vigp_cache.insert((r, nip), Rc::clone(&out));
         out
     }
 
@@ -204,10 +202,6 @@ fn compute_destination(
     ip: Ipv4,
     k: Option<u32>,
 ) -> Vec<NodeRef> {
-    let reduce = |m: &mut Mtbdd, f: NodeRef| match k {
-        Some(k) => m.kreduce(f, k),
-        None => f,
-    };
     let n = net.topo.num_routers();
     let mut dist: Vec<NodeRef> = vec![m.pos_inf(); n];
     for &r in members {
@@ -217,7 +211,11 @@ fn compute_destination(
             let alive = fv.router_alive(m, r);
             let zero = m.zero();
             let inf = m.pos_inf();
-            dist[r.0 as usize] = m.ite(alive, zero, inf);
+            let own = m.ite(alive, zero, inf);
+            // Relaxing the initial +∞ with the owner's empty path puts the
+            // seed under the budget too (a member without IS-IS links
+            // never enters the fold below).
+            dist[r.0 as usize] = m.apply_kreduce(Op::Min, inf, own, k);
         }
     }
     // Guarded Bellman–Ford to fixpoint (bounded by |members| rounds).
@@ -236,9 +234,8 @@ fn compute_destination(
                 let usable = fv.link_usable(m, &net.topo, l);
                 let inf = m.pos_inf();
                 let cand = m.ite(usable, via, inf);
-                best = m.apply(Op::Min, best, cand);
+                best = m.apply_kreduce(Op::Min, best, cand, k);
             }
-            let best = reduce(m, best);
             if best != dist[r.0 as usize] {
                 dist[r.0 as usize] = best;
                 changed = true;
@@ -319,7 +316,7 @@ mod tests {
         let dip = net.topo.router(d).loopback;
         let v = igp.vigp(&mut m, &net, &fv, a, dip);
         assert_eq!(v.len(), 2, "two ECMP next hops from A to D");
-        for (_, share) in &v {
+        for (_, share) in v.iter() {
             assert_eq!(m.eval_all_alive(*share), Term::ratio(1, 2));
         }
         // Fail A-B (ulink 0): everything shifts to the A->C link.

@@ -32,7 +32,7 @@ pub use bgp::{
 };
 pub use concrete::{CRule, ConcreteFlowResult, ConcreteRoutes};
 pub use display::{format_fib, format_guard, format_sr_policies};
-pub use igp::IgpState;
+pub use igp::{IgpShares, IgpState};
 pub use rib::{class_partition, sort_rules, NextHop, Rule};
 pub use sr::{guarded_sr_policies, GuardedSrPath, GuardedSrPolicy};
 pub use symbolic::SymbolicRoutes;

@@ -8,7 +8,7 @@
 //! the disjunction over owners of the previous segment.
 
 use crate::igp::IgpState;
-use yu_mtbdd::{Mtbdd, NodeRef};
+use yu_mtbdd::{Mtbdd, NodeRef, Op};
 use yu_net::{Ipv4, Network, RouterId};
 
 /// One SR path with its establishment guard.
@@ -58,11 +58,7 @@ pub fn guarded_sr_policies(
         for pol in &net.config(r).sr_policies {
             let mut paths = Vec::new();
             for path in &pol.paths {
-                let guard = path_guard(m, net, igp, asn, r, &path.segments);
-                let guard = match k {
-                    Some(k) => m.kreduce(guard, k),
-                    None => guard,
-                };
+                let guard = path_guard(m, net, igp, asn, r, &path.segments, k);
                 paths.push(GuardedSrPath {
                     segments: path.segments.clone(),
                     weight: path.weight,
@@ -81,7 +77,7 @@ pub fn guarded_sr_policies(
 }
 
 /// `reach(head, s1) ∧ reach(owners(s1), s2) ∧ …` — per-hop IGP
-/// reachability along the segment list.
+/// reachability along the segment list, every `∨`/`∧` under budget `k`.
 fn path_guard(
     m: &mut Mtbdd,
     net: &Network,
@@ -89,6 +85,7 @@ fn path_guard(
     asn: yu_net::AsNum,
     head: RouterId,
     segments: &[Ipv4],
+    k: Option<u32>,
 ) -> NodeRef {
     let mut guard = m.one();
     // Reach from the headend to the first segment.
@@ -100,9 +97,9 @@ fn path_guard(
         let mut hop = m.zero();
         for &f in &from {
             let r = igp.reach(m, asn, f, seg);
-            hop = m.or(hop, r);
+            hop = m.apply_kreduce(Op::Or, hop, r, k);
         }
-        guard = m.and(guard, hop);
+        guard = m.apply_kreduce(Op::And, guard, hop, k);
         from = net.igp_owners(asn, seg);
         if from.is_empty() {
             return m.zero();

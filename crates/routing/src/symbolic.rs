@@ -3,13 +3,13 @@
 //! unified guarded FIB lookups to the traffic execution engine.
 
 use crate::bgp::{BgpFrom, BgpState};
-use crate::igp::IgpState;
+use crate::igp::{IgpShares, IgpState};
 use crate::rib::{sort_rules, NextHop, Rule};
 use crate::sr::{guarded_sr_policies, GuardedSrPolicy};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use yu_mtbdd::{Mtbdd, NodeRef};
-use yu_net::{FailureVars, Ipv4, LinkId, Network, Prefix, Proto, RouterId, StaticNextHop};
+use yu_net::{FailureVars, Ipv4, Network, Prefix, Proto, RouterId, StaticNextHop};
 
 /// All guarded routing state of a network.
 pub struct SymbolicRoutes {
@@ -171,7 +171,7 @@ impl SymbolicRoutes {
         fv: &FailureVars,
         router: RouterId,
         nip: Ipv4,
-    ) -> Vec<(LinkId, NodeRef)> {
+    ) -> IgpShares {
         self.igp.vigp(m, net, fv, router, nip)
     }
 
