@@ -156,6 +156,11 @@ pub struct RunStats {
     /// Requirements discharged by the static preflight analyzer (never
     /// reached the symbolic check stage). Zero when pruning is off.
     pub reqs_pruned: usize,
+    /// Requirements of this run the check stage decided from the terminal
+    /// ranges of the flows at their load point, without building the
+    /// aggregated load (see `check::bound_holds`). Requirements answered
+    /// from an incremental verdict cache are not counted.
+    pub reqs_bound_decided: usize,
     /// MTBDD manager statistics after the run (main arena).
     pub mtbdd: MtbddStats,
     /// Cumulative statistics of every worker arena of parallel execution
@@ -618,9 +623,10 @@ impl YuVerifier {
         per_point: HashMap<LoadPoint, AggStats>,
         check_time: Duration,
         reqs_pruned: usize,
+        reqs_bound_decided: usize,
     ) -> VerificationOutcome {
         self.audit_checkpoint("after TLP check");
-        self.registry_bridge(check_time, reqs_pruned, per_point.len());
+        self.registry_bridge(check_time, reqs_pruned, reqs_bound_decided, per_point.len());
         let telemetry = self.telemetry_summary();
         let attribution = self.opts.profile.then(|| {
             let mut check = std::mem::take(&mut self.check_attr);
@@ -644,6 +650,7 @@ impl YuVerifier {
                 flows_in: self.flows_in,
                 flow_groups: self.groups.len(),
                 reqs_pruned,
+                reqs_bound_decided,
                 mtbdd: self.m.stats(),
                 mtbdd_workers: self.worker_stats,
                 per_point,
@@ -661,7 +668,13 @@ impl YuVerifier {
     /// registry and the span collector are gated independently). The
     /// registry is an observer only — nothing here feeds back into
     /// verification, so registry-on/off runs stay bit-identical.
-    fn registry_bridge(&mut self, check_time: Duration, reqs_pruned: usize, reqs_checked: usize) {
+    fn registry_bridge(
+        &mut self,
+        check_time: Duration,
+        reqs_pruned: usize,
+        reqs_bound_decided: usize,
+        reqs_checked: usize,
+    ) {
         if !yu_telemetry::registry_enabled() {
             return;
         }
@@ -669,6 +682,7 @@ impl YuVerifier {
         r.verify_runs_total.inc();
         r.reqs_checked_total.add(reqs_checked as u64);
         r.reqs_pruned_total.add(reqs_pruned as u64);
+        r.reqs_bound_decided_total.add(reqs_bound_decided as u64);
         r.stage_route_seconds
             .record(self.route_time.as_micros() as u64);
         r.stage_exec_seconds

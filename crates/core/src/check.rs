@@ -1,11 +1,14 @@
 //! The check stage — the last box of the paper's Fig. 2, implemented once
-//! (DESIGN.md §17): aggregate the symbolic traffic load `τ` at a
-//! requirement's load point (§5.3), then scan its terminals (Theorem 5.1).
+//! (DESIGN.md §17): decide a requirement from the terminal ranges of the
+//! flows at its load point where they suffice, and otherwise aggregate the
+//! symbolic traffic load `τ` there (§5.3) and scan its terminals
+//! (Theorem 5.1).
 //!
-//! [`classes`] groups the flows at a point link-locally, [`load`] scales
-//! and sums the classes, [`check_reqs`] is the requirement loop around
-//! them, and [`YuVerifier::preflight_kept`] discharges statically safe
-//! requirements first. The stage runs on either of two [`CheckArena`]s —
+//! [`classes`] groups the flows at a point link-locally, [`bound_holds`]
+//! is the interval test over them, [`load`] scales and sums the classes,
+//! [`check_reqs`] is the requirement loop around them, and
+//! [`YuVerifier::preflight_kept`] discharges statically safe requirements
+//! first. The stage runs on either of two [`CheckArena`]s —
 //! the verifier's main arena, where every aggregation step is a garbage-
 //! collection checkpoint, or a check worker's overlay, which never
 //! collects — and every caller differs only in what it hands it:
@@ -145,6 +148,48 @@ pub(crate) fn classes(
     (classes, stats)
 }
 
+/// The interval test: whether the terminal ranges of the classes at
+/// `point` alone prove `req`. Every class fraction `ω_c` stays inside its
+/// [`Mtbdd::terminal_range`] `[lo_c, hi_c]` in every scenario, so
+/// `τ = Σ V_c·ω_c` stays inside `[Σ V_c·lo_c, Σ V_c·hi_c]` (a negative
+/// `V_c` swaps the two ends), and a requirement whose bounds contain that
+/// interval holds wherever `τ` is evaluated — in particular on every
+/// terminal the materialised scan would visit. `false` means *not
+/// decided*: the interval straddles a bound, or a range reaches `+∞`
+/// (which the scan counts as a violation). It never means "violated".
+pub(crate) fn bound_holds(
+    m: &mut Mtbdd,
+    results: &[FlowStf],
+    point: LoadPoint,
+    classes: &[(usize, Ratio)],
+    req: &TlpReq,
+) -> bool {
+    let (mut lower, mut upper) = (Ratio::ZERO, Ratio::ZERO);
+    for (rep, vol) in classes {
+        let stf = results[*rep].at(m, point);
+        let (min, max) = m.terminal_range(stf);
+        let (Term::Num(min), Term::Num(max)) = (m.terminal_ref(min), m.terminal_ref(max)) else {
+            return false;
+        };
+        let (lo, hi) = if vol.is_negative() {
+            (max, min)
+        } else {
+            (min, max)
+        };
+        lower += &vol.mul_ref(lo);
+        upper += &vol.mul_ref(hi);
+    }
+    req.min.as_ref().is_none_or(|b| &lower >= b) && req.max.as_ref().is_none_or(|b| &upper <= b)
+}
+
+/// Whether the requirement loop tries [`bound_holds`] before it
+/// materialises `τ`: first-counterexample runs on budgeted diagrams.
+/// Enumerating runs and the `use_kreduce: false` ablation always build
+/// the diagram they are asked about.
+fn interval_first(opts: &YuOptions, max_violations: usize) -> bool {
+    opts.use_kreduce && max_violations <= 1
+}
+
 /// The aggregated symbolic traffic load at `point`,
 /// `τ = Σ_classes V_class · ω_class`, cached per arena.
 pub(crate) fn load<A: CheckArena>(
@@ -155,12 +200,25 @@ pub(crate) fn load<A: CheckArena>(
     if let Some(&hit) = a.arena().loads.get(&point) {
         return hit;
     }
-    let _stage = yu_telemetry::span_detail("aggregate", || format!("{point:?}"));
-    a.checkpoint(&mut []);
     let (classes, stats) = {
         let p = a.arena();
         classes(p.m, p.results, p.groups, point, opts.use_link_local_equiv)
     };
+    aggregate(a, opts, point, classes, stats)
+}
+
+/// Scales and sums what [`classes`] returned for `point` into `τ` and
+/// caches it. Class representatives are group indices, so the collection
+/// checkpoints in here cannot invalidate them.
+fn aggregate<A: CheckArena>(
+    a: &mut A,
+    opts: &YuOptions,
+    point: LoadPoint,
+    classes: Vec<(usize, Ratio)>,
+    stats: AggStats,
+) -> (NodeRef, AggStats) {
+    let _stage = yu_telemetry::span_detail("aggregate", || format!("{point:?}"));
+    a.checkpoint(&mut []);
     let k = opts.use_kreduce.then_some(opts.k);
     let mut level: Vec<NodeRef> = Vec::with_capacity(classes.len());
     for (rep, vol) in classes {
@@ -214,6 +272,8 @@ pub(crate) struct CheckUnit {
     /// Whether the verdict cache answered it; the costs below are zero
     /// then.
     pub cached: bool,
+    /// Whether [`bound_holds`] decided it, so that `τ` was never built.
+    pub bound_decided: bool,
     /// Wall-clock spent aggregating and scanning it, in microseconds.
     pub wall_us: u64,
     /// Net growth of the arena while processing it (negative when a
@@ -258,8 +318,9 @@ impl CheckCaches {
     }
 }
 
-/// Aggregates and scans one requirement on `a`, feeding the
-/// `yu_req_check_seconds` histogram.
+/// Checks one requirement on `a`, feeding the `yu_req_check_seconds`
+/// histogram: the interval test over the classes at its point and, where
+/// that does not decide it, aggregation and the terminal scan.
 fn check_req<A: CheckArena>(
     a: &mut A,
     opts: &YuOptions,
@@ -269,14 +330,39 @@ fn check_req<A: CheckArena>(
 ) -> CheckUnit {
     let t_req = Instant::now();
     let nodes_before = a.arena().m.nodes_created() as i64;
-    let (tau, agg) = load(a, opts, req.point);
-    let p = a.arena();
-    let violations = if max_violations <= 1 {
-        check_requirement(p.m, p.fv, tau, req, opts.k)
-            .into_iter()
-            .collect()
+    // A collection point per requirement, decided or not: a serve session
+    // whose re-checks the interval test all decides would otherwise never
+    // collect what re-execution leaves behind.
+    a.checkpoint(&mut []);
+    let (summed, agg, bound_decided) = {
+        let _stage = yu_telemetry::span_detail("bound", || format!("{:?}", req.point));
+        let p = a.arena();
+        let (summed, agg) = classes(
+            p.m,
+            p.results,
+            p.groups,
+            req.point,
+            opts.use_link_local_equiv,
+        );
+        let decided = interval_first(opts, max_violations)
+            && bound_holds(p.m, p.results, req.point, &summed, req);
+        (summed, agg, decided)
+    };
+    let violations = if bound_decided {
+        yu_telemetry::counter("check.bound_decided", 1);
+        Vec::new()
     } else {
-        enumerate_violations(p.m, p.fv, tau, req, opts.k, max_violations)
+        yu_telemetry::counter("check.materialised", 1);
+        let cached = a.arena().loads.get(&req.point).copied();
+        let (tau, _) = cached.unwrap_or_else(|| aggregate(a, opts, req.point, summed, agg));
+        let p = a.arena();
+        if max_violations <= 1 {
+            check_requirement(p.m, p.fv, tau, req, opts.k)
+                .into_iter()
+                .collect()
+        } else {
+            enumerate_violations(p.m, p.fv, tau, req, opts.k, max_violations)
+        }
     };
     let wall_us = t_req.elapsed().as_micros() as u64;
     yu_telemetry::with_registry(|r| r.req_check_seconds.record(wall_us));
@@ -285,8 +371,9 @@ fn check_req<A: CheckArena>(
         violations,
         agg,
         cached: false,
+        bound_decided,
         wall_us,
-        nodes_delta: p.m.nodes_created() as i64 - nodes_before,
+        nodes_delta: a.arena().m.nodes_created() as i64 - nodes_before,
     }
 }
 
@@ -311,6 +398,7 @@ pub(crate) fn check_reqs<'r, A: CheckArena>(
                 violations,
                 agg,
                 cached: true,
+                bound_decided: false,
                 wall_us: 0,
                 nodes_delta: 0,
             },
@@ -350,7 +438,7 @@ impl YuVerifier {
         let opts = self.opts;
         let (kept, pruned) =
             self.preflight_kept(tlp, caches.as_deref_mut().map(|c| &mut c.preflight));
-        let check_workers = self.effective_check_workers(&kept);
+        let check_workers = self.effective_check_workers(&kept, max_violations);
         let mut units = if check_workers > 1 {
             // Workers own private overlays, read the main arena immutably
             // and return plain-data verdicts, merged in requirement order:
@@ -394,6 +482,7 @@ impl YuVerifier {
                     .add(c.rechecked_reqs as u64);
             });
         }
+        let bound_decided = units.iter().filter(|u| u.bound_decided).count();
         let mut violations = Vec::new();
         let mut per_point = HashMap::new();
         for u in units {
@@ -414,7 +503,7 @@ impl YuVerifier {
             });
         }
         drop(verify_span);
-        self.finish_outcome(violations, per_point, t0.elapsed(), pruned)
+        self.finish_outcome(violations, per_point, t0.elapsed(), pruned, bound_decided)
     }
 
     /// The semantic preflight pass: classifies every requirement with
@@ -503,28 +592,33 @@ impl YuVerifier {
     /// (after pruning): the configured `check_workers`, or — with
     /// [`YuOptions::check_workers_auto`] — the output of the cost model
     /// in [`Self::auto_check_workers`]. `1` means the sequential loop.
-    fn effective_check_workers(&mut self, reqs: &[TlpReq]) -> usize {
+    fn effective_check_workers(&mut self, reqs: &[TlpReq], max_violations: usize) -> usize {
         if reqs.len() <= 1 || self.opts.check_workers <= 1 {
             return 1;
         }
         if !self.opts.check_workers_auto {
             return self.opts.check_workers;
         }
-        self.auto_check_workers(reqs)
+        self.auto_workers(reqs, max_violations)
     }
 
     /// Estimated symbolic work of checking `reqs`, in nodes: for every
-    /// requirement, the summed diagram sizes of the equivalence-class
-    /// representatives [`classes`] returns at its load point — exactly the
-    /// operands the aggregator scales and sums. Node counts are memoized
-    /// per handle, so the estimate costs one DFS per distinct live
-    /// diagram, not per requirement.
-    fn estimate_check_work(&self, reqs: &[TlpReq]) -> usize {
+    /// requirement the interval test leaves undecided, the summed diagram
+    /// sizes of the equivalence-class representatives [`classes`] returns
+    /// at its load point — exactly the operands the aggregator scales and
+    /// sums; a requirement [`bound_holds`] decides builds nothing. Node
+    /// counts are memoized per handle, so the estimate costs one DFS per
+    /// distinct live diagram, not per requirement.
+    fn estimate_check_work(&mut self, reqs: &[TlpReq], max_violations: usize) -> usize {
+        let bound_first = interval_first(&self.opts, max_violations);
         let mut sizes: HashMap<NodeRef, usize> = HashMap::new();
         let mut work = 0usize;
         for req in reqs {
             let link_local = self.opts.use_link_local_equiv;
             let (classes, _) = classes(&self.m, &self.results, &self.groups, req.point, link_local);
+            if bound_first && bound_holds(&mut self.m, &self.results, req.point, &classes, req) {
+                continue;
+            }
             for (rep, _) in classes {
                 let handle = self.results[rep].at(&self.m, req.point);
                 work += *sizes
@@ -535,7 +629,8 @@ impl YuVerifier {
         work
     }
 
-    /// The cost model behind `--check-workers auto`: shards the check
+    /// The cost model behind `--check-workers auto` for a
+    /// first-counterexample run ([`Self::verify`]): shards the check
     /// stage only when the estimated per-worker work can pay for the
     /// fixed setup (freezing the arena — a copy of the live node and
     /// slot tables — plus spawning the threads). Returns the worker
@@ -544,13 +639,19 @@ impl YuVerifier {
     /// pay. Purely a wall-clock decision: verdicts are bit-identical
     /// either way.
     pub fn auto_check_workers(&mut self, reqs: &[TlpReq]) -> usize {
+        self.auto_workers(reqs, 1)
+    }
+
+    /// [`Self::auto_check_workers`] for a run that reports up to
+    /// `max_violations` scenarios per requirement.
+    fn auto_workers(&mut self, reqs: &[TlpReq], max_violations: usize) -> usize {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let cap = self.opts.check_workers.min(hw).min(reqs.len());
         if cap <= 1 {
             yu_telemetry::counter("check.auto_degraded", 1);
             return 1;
         }
-        let work = self.estimate_check_work(reqs);
+        let work = self.estimate_check_work(reqs, max_violations);
         // Freezing clones the live arena once; each worker costs a
         // thread spawn plus cold overlay caches, charged as if it were
         // re-deriving a slice of the arena.
@@ -568,24 +669,23 @@ impl YuVerifier {
 mod tests {
     use super::*;
     use crate::exec::tests::bundle_net;
+    use proptest::prelude::*;
     use yu_net::{FailureMode, Ipv4, RouterId};
 
     const POINT: LoadPoint = LoadPoint::Delivered(RouterId(2));
 
-    /// Aggregates hand-built `(fraction at POINT, volume)` contributions
-    /// without KREDUCE, on an arena that never collects.
-    fn aggregate(
-        m: &mut Mtbdd,
-        fv: &FailureVars,
-        contributions: &[(NodeRef, i64)],
-        link_local: bool,
-    ) -> (NodeRef, AggStats) {
+    /// One flow group per hand-built `(fraction at POINT, volume)`
+    /// contribution — the inputs an [`Arena`] reads.
+    fn contributions(
+        m: &Mtbdd,
+        contributions: &[(NodeRef, Ratio)],
+    ) -> (Vec<FlowStf>, Vec<FlowGroup>) {
         let ip = Ipv4::new(10, 0, 0, 1);
-        let (results, groups): (Vec<FlowStf>, Vec<FlowGroup>) = contributions
+        contributions
             .iter()
-            .map(|&(stf, volume)| {
-                let rep = Flow::new(RouterId(0), ip, ip, 0, Ratio::int(volume));
-                let loads = HashMap::from([(POINT, stf)]);
+            .map(|(stf, volume)| {
+                let rep = Flow::new(RouterId(0), ip, ip, 0, volume.clone());
+                let loads = HashMap::from([(POINT, *stf)]);
                 let (truncated, volume) = (m.zero(), rep.volume.clone());
                 let group = FlowGroup {
                     rep,
@@ -594,7 +694,19 @@ mod tests {
                 };
                 (FlowStf { loads, truncated }, group)
             })
-            .unzip();
+            .unzip()
+    }
+
+    /// Aggregates hand-built `(fraction at POINT, volume)` contributions
+    /// without KREDUCE, on an arena that never collects.
+    fn aggregate(
+        m: &mut Mtbdd,
+        fv: &FailureVars,
+        parts: &[(NodeRef, i64)],
+        link_local: bool,
+    ) -> (NodeRef, AggStats) {
+        let parts: Vec<_> = parts.iter().map(|&(f, v)| (f, Ratio::int(v))).collect();
+        let (results, groups) = contributions(m, &parts);
         let mut arena = Arena {
             m,
             loads: &mut LoadCache::new(),
@@ -631,9 +743,140 @@ mod tests {
         assert_eq!(none, (zero, AggStats::default()));
     }
 
-    /// The `--check-workers auto` cost model sizes exactly the classes the
-    /// aggregator sums: same classing function, same count as the
-    /// `AggStats.classes` a verification reports for the point.
+    /// A requirement the interval test decides hash-conses nothing and
+    /// stores no load; one it cannot decide is materialised, cached and
+    /// scanned as before — whether it then holds or not.
+    #[test]
+    fn decided_requirement_builds_nothing() {
+        let mut m = Mtbdd::new();
+        let fv = FailureVars::allocate(&mut m, &bundle_net().0.topo, FailureMode::Links);
+        let (g0, g1) = (m.var_guard(0), m.var_guard(1));
+        // τ = 10·x0 + 5·x1 ∈ {0, 5, 10, 15}.
+        let (results, groups) = contributions(&m, &[(g0, Ratio::int(10)), (g1, Ratio::int(5))]);
+        let mut loads = LoadCache::new();
+        let mut arena = Arena {
+            m: &mut m,
+            loads: &mut loads,
+            results: &results,
+            groups: &groups,
+            fv: &fv,
+        };
+        let opts = YuOptions::default();
+        let mut check = |req: &TlpReq, max_violations| {
+            let unit = check_req(&mut arena, &opts, 0, req, max_violations);
+            (unit, arena.loads.contains_key(&POINT))
+        };
+        let (safe, stored) = check(&TlpReq::at_most(POINT, Ratio::int(15)), 1);
+        assert!(safe.bound_decided && safe.violations.is_empty());
+        assert_eq!((safe.nodes_delta, stored), (0, false));
+        assert_eq!((safe.agg.flows, safe.agg.classes), (2, 2));
+        // Enumerating runs always build the diagram they report on.
+        let (listed, stored) = check(&TlpReq::at_most(POINT, Ratio::int(15)), 8);
+        assert!(!listed.bound_decided && listed.violations.is_empty() && stored);
+        // 15 > 12 all-alive: never "safe", and the counterexample is the
+        // scan's.
+        let (over, _) = check(&TlpReq::at_most(POINT, Ratio::int(12)), 1);
+        assert!(!over.bound_decided);
+        assert_eq!(over.violations[0].load, Ratio::int(15));
+        assert_eq!(over.violations[0].scenario.count(), 0);
+        // The floor straddles the range [0, 15]: materialised, and k = 1
+        // reaches 5.
+        let (under, _) = check(&TlpReq::at_least(POINT, Ratio::int(6)), 1);
+        assert!(!under.bound_decided);
+        assert_eq!(under.violations[0].load, Ratio::int(5));
+    }
+
+    /// Terminals of the random operands: fractions, an integer above one
+    /// and `+∞` (negative fractions appear through negative volumes).
+    fn palette(i: usize) -> Term {
+        match i {
+            0 | 1 => Term::ZERO,
+            2 => Term::ratio(1, 3),
+            3 => Term::ratio(1, 2),
+            4 => Term::ONE,
+            5 => Term::int(2),
+            _ => Term::PosInf,
+        }
+    }
+
+    /// The diagram of an 8-row truth table over variables `var..3`.
+    fn from_table(m: &mut Mtbdd, rows: &[usize], var: u32) -> NodeRef {
+        if rows.len() == 1 {
+            return m.term(palette(rows[0]));
+        }
+        let (lo, hi) = rows.split_at(rows.len() / 2);
+        let (lo, hi) = (from_table(m, lo, var + 1), from_table(m, hi, var + 1));
+        m.node(var, lo, hi)
+    }
+
+    proptest! {
+        /// Soundness of the interval test — a wrong *verified* is the
+        /// worst bug: whenever it calls a requirement safe, the scan of
+        /// the materialised `τ` finds no violation, for `+∞` terminals,
+        /// negative and zero volumes, floors, ceilings and ranges; and a
+        /// requirement the all-alive load already breaks is never safe.
+        #[test]
+        fn bound_decided_implies_the_scan_finds_nothing(
+            operands in proptest::collection::vec(
+                (proptest::collection::vec(0usize..7, 8), -3i64..=5, 1i64..=3),
+                0..5,
+            ),
+            bound in (-12i64..=24, 1i64..=2),
+            width in 0i64..=12,
+            kind in 0u8..3,
+            k in 0u32..=3,
+        ) {
+            let mut m = Mtbdd::new();
+            let fv = FailureVars::allocate(&mut m, &bundle_net().0.topo, FailureMode::Links);
+            let parts: Vec<(NodeRef, Ratio)> = operands
+                .iter()
+                .map(|(rows, num, den)| {
+                    let f = from_table(&mut m, rows, 0);
+                    // Stored fractions are βₖ-reduced; `−v · ∞` is undefined.
+                    let f = m.kreduce(f, k);
+                    let num = if rows.contains(&6) { num.abs() } else { *num };
+                    (f, Ratio::new(num as i128, *den as i128))
+                })
+                .collect();
+            let (results, groups) = contributions(&m, &parts);
+            let b = Ratio::new(bound.0 as i128, bound.1 as i128);
+            let req = match kind {
+                0 => TlpReq::at_most(POINT, b),
+                1 => TlpReq::at_least(POINT, b),
+                _ => TlpReq {
+                    point: POINT,
+                    max: Some(b.add_ref(&Ratio::int(width))),
+                    min: Some(b),
+                },
+            };
+            let opts = YuOptions { k, ..Default::default() };
+            let mut arena = Arena {
+                m: &mut m,
+                loads: &mut LoadCache::new(),
+                results: &results,
+                groups: &groups,
+                fv: &fv,
+            };
+            let (summed, _) = classes(arena.m, &results, &groups, POINT, true);
+            let decided = bound_holds(arena.m, &results, POINT, &summed, &req);
+            let (tau, _) = load(&mut arena, &opts, POINT);
+            if decided {
+                let found = check_requirement(arena.m, &fv, tau, &req, k);
+                prop_assert!(found.is_none(), "called safe, yet {:?}", found);
+            }
+            let alive_ok = match arena.m.eval_all_alive(tau) {
+                Term::Num(v) => req.satisfied_by(v),
+                Term::PosInf => false,
+            };
+            prop_assert!(alive_ok || !decided, "an all-alive violation was called safe");
+        }
+    }
+
+    /// The `--check-workers auto` cost model sizes exactly what the check
+    /// stage will build: for every requirement the interval test leaves
+    /// undecided, the classes the aggregator sums (same classing function,
+    /// same count as the `AggStats.classes` a verification reports for the
+    /// point); nothing for a decided one; everything when enumerating.
     #[test]
     fn cost_model_sizes_the_classes_the_aggregator_sums() {
         let (net, [a, _, _]) = bundle_net();
@@ -645,7 +888,11 @@ mod tests {
                 Flow::new(a, Ipv4::new(11, 0, 0, 1), dst, 0, Ratio::int(10 * i as i64))
             })
             .collect();
-        let tlp = Tlp::no_overload(&net.topo, Ratio::new(95, 100));
+        // 60 in all: the links towards C can exceed half their capacity
+        // but never all of it.
+        let mut tlp = Tlp::no_overload(&net.topo, Ratio::new(50, 100));
+        tlp.reqs
+            .extend(Tlp::no_overload(&net.topo, Ratio::ONE).reqs);
         for link_local in [true, false] {
             let opts = YuOptions {
                 use_global_equiv: false,
@@ -656,17 +903,28 @@ mod tests {
             };
             let mut v = YuVerifier::new(net.clone(), opts);
             v.add_flows(&flows);
-            let per_point = v.verify(&tlp).stats.per_point;
-            let mut sized = 0usize;
+            let out = v.verify(&tlp);
+            let per_point = out.stats.per_point;
+            let (mut undecided, mut all, mut decided) = (0usize, 0usize, 0usize);
             for req in &tlp.reqs {
                 let (summed, stats) = classes(&v.m, &v.results, &v.groups, req.point, link_local);
                 assert_eq!(stats, per_point[&req.point]);
                 assert_eq!(summed.len(), stats.classes);
-                for (rep, _) in summed {
-                    sized += v.m.node_count(v.results[rep].at(&v.m, req.point));
+                let sized: usize = summed
+                    .iter()
+                    .map(|(rep, _)| v.m.node_count(v.results[*rep].at(&v.m, req.point)))
+                    .sum();
+                all += sized;
+                if bound_holds(&mut v.m, &v.results, req.point, &summed, req) {
+                    decided += 1;
+                } else {
+                    undecided += sized;
                 }
             }
-            assert_eq!(v.estimate_check_work(&tlp.reqs), sized);
+            assert!(0 < undecided && undecided < all, "{undecided} of {all}");
+            assert_eq!(out.stats.reqs_bound_decided, decided);
+            assert_eq!(v.estimate_check_work(&tlp.reqs, 1), undecided);
+            assert_eq!(v.estimate_check_work(&tlp.reqs, 2), all);
             let mut crossed = per_point.values().filter(|s| s.flows == 3).peekable();
             assert!(crossed.peek().is_some(), "the flows must cross some link");
             assert!(crossed.all(|s| s.classes == if link_local { 1 } else { 3 }));

@@ -439,8 +439,8 @@ impl YuVerifier {
         let k = self.options().k;
         let reduced = self.m.kreduce(tau, k);
         let (min, max) = self.m.terminal_range(reduced);
-        let as_ratio = |t: Term| match t {
-            Term::Num(v) => v,
+        let as_ratio = |t: NodeRef| match self.m.terminal_ref(t) {
+            Term::Num(v) => v.clone(),
             Term::PosInf => unreachable!("traffic loads are finite"),
         };
         let req_min = req.min.clone();

@@ -439,6 +439,17 @@ pub struct Mtbdd {
     pub(crate) sum_hits: u64,
     pub(crate) sum_misses: u64,
     pub(crate) sum_evictions: u64,
+    /// Memo of [`Mtbdd::terminal_range`]: an inner node's smallest and
+    /// largest reachable terminal, as handles. Keyed by the node alone —
+    /// a sub-diagram's terminals do not depend on a failure budget. A map
+    /// for the reason `sum_cache` is one: an evicted entry would re-walk
+    /// the whole sub-diagram below it.
+    pub(crate) range_cache: FxHashMap<NodeRef, (NodeRef, NodeRef)>,
+    /// Cumulative `range_cache` lookups that hit / missed, and entries
+    /// dropped by [`Mtbdd::clear_caches`]/GC.
+    pub(crate) range_hits: u64,
+    pub(crate) range_misses: u64,
+    pub(crate) range_evictions: u64,
     num_vars: u32,
     zero: NodeRef,
     one: NodeRef,
@@ -503,6 +514,10 @@ impl Mtbdd {
             sum_hits: 0,
             sum_misses: 0,
             sum_evictions: 0,
+            range_cache: FxHashMap::default(),
+            range_hits: 0,
+            range_misses: 0,
+            range_evictions: 0,
             num_vars: 0,
             zero: NodeRef(0),
             one: NodeRef(0),
@@ -1193,6 +1208,7 @@ impl Mtbdd {
             + self.unique.capacity() * size_of::<u32>()
             + map_bytes(&self.term_ids)
             + map_bytes(&self.sum_cache)
+            + map_bytes(&self.range_cache)
             + self.apply_cache.heap_bytes()
             + self.apply1_cache.heap_bytes()
             + self.ite_cache.heap_bytes()
@@ -1214,6 +1230,8 @@ impl Mtbdd {
         self.fused_cache.clear();
         self.sum_evictions += self.sum_cache.len() as u64;
         self.sum_cache.clear();
+        self.range_evictions += self.range_cache.len() as u64;
+        self.range_cache.clear();
     }
 
     // ---- crate-internal access for the invariant auditor (audit.rs) ----

@@ -28,7 +28,9 @@ impl Path {
 }
 
 impl Mtbdd {
-    /// All distinct terminal values reachable from `f`.
+    /// All distinct terminal values reachable from `f`, ascending (an
+    /// unmemoised walk: the reference [`Mtbdd::terminal_range`] is tested
+    /// against).
     pub fn terminals(&self, f: NodeRef) -> Vec<Term> {
         let mut seen = std::collections::HashSet::new();
         let mut out = std::collections::BTreeSet::new();
@@ -48,13 +50,41 @@ impl Mtbdd {
         out.into_iter().collect()
     }
 
-    /// The minimum and maximum terminal values reachable from `f`.
-    pub fn terminal_range(&self, f: NodeRef) -> (Term, Term) {
-        let ts = self.terminals(f);
-        (
-            ts.first().expect("MTBDD has at least one terminal").clone(),
-            ts.last().expect("MTBDD has at least one terminal").clone(),
-        )
+    /// The smallest and largest terminal reachable from `f`, as terminal
+    /// handles `(min, max)` (read them with [`Mtbdd::terminal_ref`]).
+    ///
+    /// Memoised per inner node like the operation caches — dropped by
+    /// [`Mtbdd::clear_caches`]/[`Mtbdd::collect`], private to an overlay —
+    /// so ranging many diagrams that share sub-diagrams walks each node
+    /// once. The key is the node alone: which terminals sit below a node
+    /// does not depend on a failure budget. For a `βₖ`-reduced diagram
+    /// every path takes at most `k` failed edges (Lemma 2), so both ends
+    /// of the range are values the function takes in some `≤ k`-failure
+    /// scenario.
+    pub fn terminal_range(&mut self, f: NodeRef) -> (NodeRef, NodeRef) {
+        if f.is_terminal() {
+            return (f, f);
+        }
+        if let Some(&range) = self.range_cache.get(&f) {
+            self.range_hits += 1;
+            return range;
+        }
+        self.range_misses += 1;
+        let n = self.node_at(f);
+        let (lo_min, lo_max) = self.terminal_range(n.lo);
+        let (hi_min, hi_max) = self.terminal_range(n.hi);
+        let min = if self.terminal_ref(lo_min) <= self.terminal_ref(hi_min) {
+            lo_min
+        } else {
+            hi_min
+        };
+        let max = if self.terminal_ref(lo_max) >= self.terminal_ref(hi_max) {
+            lo_max
+        } else {
+            hi_max
+        };
+        self.range_cache.insert(f, (min, max));
+        (min, max)
     }
 
     /// Depth-first search for a path to a terminal satisfying `pred`,
@@ -245,7 +275,11 @@ mod tests {
             m.terminals(f),
             vec![Term::int(0), Term::int(40), Term::int(60), Term::int(100)]
         );
-        assert_eq!(m.terminal_range(f), (Term::int(0), Term::int(100)));
+        let (min, max) = m.terminal_range(f);
+        assert_eq!(
+            (m.terminal_ref(min), m.terminal_ref(max)),
+            (&Term::int(0), &Term::int(100))
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   verdict.
 //! * **How do the operation caches behave?** [`Mtbdd::cache_profiles`]
 //!   reports, for each direct-mapped operation cache (`apply`, `fused`,
-//!   `apply1`, `ite`, `restrict`, `kreduce`), for the n-ary aggregate
-//!   memo (`sum`, a hash map) and for the open-addressed unique table,
+//!   `apply1`, `ite`, `restrict`, `kreduce`), for the two hash-map memos
+//!   (`sum`, the n-ary aggregate; `range`, the per-node terminal range)
+//!   and for the open-addressed unique table,
 //!   the current size, load factor, and cumulative hit/miss/eviction
 //!   counters. The unique table additionally exposes
 //!   its *measured* linear-probe distribution (see [`ProbeStats`]) —
@@ -31,6 +32,7 @@
 //! inputs produce bit-identical diagrams, verdicts, and statistics
 //! (asserted by `tests/telemetry_differential.rs`).
 
+use crate::hasher::FxHashMap;
 use crate::manager::Mtbdd;
 use crate::node::{NodeRef, Var};
 use crate::table::DirectCache;
@@ -115,7 +117,7 @@ pub struct ProbeStats {
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CacheProfile {
     /// Which table: `"apply"`, `"fused"`, `"apply1"`, `"ite"`,
-    /// `"restrict"`, `"kreduce"`, `"sum"`, or `"unique"`.
+    /// `"restrict"`, `"kreduce"`, `"sum"`, `"range"`, or `"unique"`.
     pub name: &'static str,
     /// Entries resident right now.
     pub len: usize,
@@ -134,7 +136,7 @@ pub struct CacheProfile {
     pub evictions: u64,
     /// Probe-length distribution (measured for the unique table;
     /// trivially direct for the direct-mapped caches; not measured —
-    /// all zero — for the `"sum"` hash map).
+    /// all zero — for the `"sum"` and `"range"` hash maps).
     pub probe: ProbeStats,
 }
 
@@ -182,6 +184,25 @@ fn direct_profile(name: &'static str, c: &DirectCache) -> CacheProfile {
     }
 }
 
+/// Profile of a hash-map memo with its cumulative
+/// `[hits, misses, evictions]`; probe lengths are not measured.
+fn map_profile<K, V>(
+    name: &'static str,
+    map: &FxHashMap<K, V>,
+    [hits, misses, evictions]: [u64; 3],
+) -> CacheProfile {
+    CacheProfile {
+        name,
+        len: map.len(),
+        capacity: map.capacity(),
+        load_factor: load_factor(map.len(), map.capacity()),
+        hits,
+        misses,
+        evictions,
+        probe: ProbeStats::default(),
+    }
+}
+
 impl Mtbdd {
     /// Histograms the live inner nodes reachable from `roots` per
     /// variable level. Read-only: allocates nothing in the arena.
@@ -219,14 +240,15 @@ impl Mtbdd {
         }
     }
 
-    /// Profiles the six direct-mapped operation caches, the n-ary
-    /// aggregate memo (`"sum"`, a hash map: entries leave it only
-    /// through [`Mtbdd::clear_caches`]/GC) and the open-addressed unique
-    /// table: sizes, cumulative hit/miss/eviction counters, and the
-    /// probe-length distribution (measured on the hot path for the
-    /// unique table, degenerate for the direct-mapped caches, absent for
-    /// the map). Read-only and deterministic. The first two entries are
-    /// always `"apply"` and `"fused"`.
+    /// Profiles the six direct-mapped operation caches, the two hash-map
+    /// memos (`"sum"`, the n-ary aggregate, and `"range"`, the per-node
+    /// terminal range: entries leave them only through
+    /// [`Mtbdd::clear_caches`]/GC) and the open-addressed unique table:
+    /// sizes, cumulative hit/miss/eviction counters, and the probe-length
+    /// distribution (measured on the hot path for the unique table,
+    /// degenerate for the direct-mapped caches, absent for the maps).
+    /// Read-only and deterministic. The first two entries are always
+    /// `"apply"` and `"fused"`.
     pub fn cache_profiles(&self) -> Vec<CacheProfile> {
         let ups = self.unique_probe_stats();
         vec![
@@ -236,16 +258,16 @@ impl Mtbdd {
             direct_profile("ite", &self.ite_cache),
             direct_profile("restrict", &self.restrict_cache),
             direct_profile("kreduce", &self.kreduce_cache),
-            CacheProfile {
-                name: "sum",
-                len: self.sum_cache.len(),
-                capacity: self.sum_cache.capacity(),
-                load_factor: load_factor(self.sum_cache.len(), self.sum_cache.capacity()),
-                hits: self.sum_hits,
-                misses: self.sum_misses,
-                evictions: self.sum_evictions,
-                probe: ProbeStats::default(),
-            },
+            map_profile(
+                "sum",
+                &self.sum_cache,
+                [self.sum_hits, self.sum_misses, self.sum_evictions],
+            ),
+            map_profile(
+                "range",
+                &self.range_cache,
+                [self.range_hits, self.range_misses, self.range_evictions],
+            ),
             CacheProfile {
                 name: "unique",
                 len: self.unique_table_len(),
@@ -354,12 +376,13 @@ mod tests {
         let ng2 = m.nvar_guard(x2);
         let _ = m.sum_kreduce(&[s, g1, ng2], 1);
         let _ = m.sum_kreduce(&[ng2, s, g1], 1);
+        let _ = (m.terminal_range(s), m.terminal_range(s));
         let profiles = m.cache_profiles();
-        assert_eq!(profiles.len(), 8);
+        assert_eq!(profiles.len(), 9);
         let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
         assert_eq!(
             names,
-            ["apply", "fused", "apply1", "ite", "restrict", "kreduce", "sum", "unique"]
+            ["apply", "fused", "apply1", "ite", "restrict", "kreduce", "sum", "range", "unique"]
         );
         let apply = &profiles[0];
         assert_eq!(apply.name, "apply");
@@ -380,9 +403,14 @@ mod tests {
             (sum.hits, sum.misses),
             (stats.sum_cache_hits, stats.sum_cache_misses)
         );
+        // The range memo: one entry per inner node of `s`, the second
+        // call answered at the root.
+        let range = &profiles[7];
+        assert_eq!((range.len, range.misses), (m.node_count(s), 3));
+        assert_eq!(range.hits, 1);
         let _ = m.var_guard(x1); // re-create an existing node: a unique-table hit
         let profiles = m.cache_profiles();
-        let unique = &profiles[7];
+        let unique = &profiles[8];
         assert!(unique.len > 0, "arena nodes live in the unique table");
         assert!(unique.hits > 0, "hash-consing must have deduped something");
         assert!(unique.probe.direct_fraction > 0.0);
@@ -395,6 +423,7 @@ mod tests {
         assert_eq!(after[0].evictions, apply_before + apply_len);
         assert_eq!(after[1].evictions, fused_before + fused_len);
         assert_eq!((after[6].len, after[6].evictions), (0, sum.len as u64));
+        assert_eq!((after[7].len, after[7].evictions), (0, range.len as u64));
         // Cumulative counters survive the clear.
         assert!(after[0].misses > 0);
     }

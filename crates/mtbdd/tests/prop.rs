@@ -118,6 +118,29 @@ fn check_alive_fields(m: &mut Mtbdd, roots: &[NodeRef]) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// Every node reachable from `roots` must range over exactly its extreme
+/// terminals: the memoised `terminal_range` against the unmemoised
+/// `terminals` walk.
+fn check_ranges(m: &mut Mtbdd, roots: &[NodeRef]) -> Result<(), TestCaseError> {
+    let mut seen = std::collections::HashSet::new();
+    let mut stack = roots.to_vec();
+    while let Some(f) = stack.pop() {
+        if !seen.insert(f) {
+            continue;
+        }
+        let walked = m.terminals(f);
+        let (min, max) = m.terminal_range(f);
+        prop_assert_eq!(walked.first(), Some(m.terminal_ref(min)), "min of {:?}", f);
+        prop_assert_eq!(walked.last(), Some(m.terminal_ref(max)), "max of {:?}", f);
+        if !f.is_terminal() {
+            let (lo, hi) = m.cofactors(f);
+            stack.push(lo);
+            stack.push(hi);
+        }
+    }
+    Ok(())
+}
+
 /// `e`, or `e` with `+∞` on one side of a variable test (`Mul` cannot
 /// take `+∞` next to the negative constants `arb_expr` produces).
 fn build_with_inf(m: &mut Mtbdd, e: &Expr, inf: Option<(u8, bool)>) -> NodeRef {
@@ -253,6 +276,45 @@ proptest! {
         let mut memo = ImportMemo::new();
         let imported = dst.import(&w, s, &mut memo);
         check_alive_fields(&mut dst, &[imported])?;
+    }
+
+    /// The memoised terminal range, `+∞` included: after a build, after
+    /// `collect` dropped the memo and renumbered the terminals it pointed
+    /// at, in an overlay ranging over base and private nodes alike, and
+    /// after `import` into an arena with a memo of its own.
+    #[test]
+    fn terminal_range_is_the_extreme_terminals(
+        ef in arb_expr(),
+        eg in arb_expr(),
+        inf in prop_oneof![
+            Just(None),
+            (0u8..NVARS as u8, any::<bool>()).prop_map(Some),
+        ],
+        k in 0u32..=NVARS,
+    ) {
+        let mut m = manager();
+        let f = build_with_inf(&mut m, &ef, inf);
+        let g = build(&mut m, &eg);
+        let r = m.add_kreduce(f, g, k);
+        check_ranges(&mut m, &[f, g, r])?;
+
+        // `g` is garbage for this collection; so is every memo entry.
+        let remap = m.collect(&[f, r]);
+        let (f, r) = (remap.get(f), remap.get(r));
+        check_ranges(&mut m, &[f, r])?;
+
+        let frozen = m.freeze();
+        let mut w = Mtbdd::with_base(&frozen);
+        let g = build(&mut w, &eg);
+        let third = w.scale(g, Term::ratio(1, 3));
+        let s = w.add_kreduce(r, third, k);
+        check_ranges(&mut w, &[f, r, third, s])?;
+
+        let mut dst = Mtbdd::new();
+        let mut memo = ImportMemo::new();
+        let imported = dst.import(&w, s, &mut memo);
+        check_ranges(&mut dst, &[imported])?;
+        prop_assert_eq!(dst.terminals(imported), w.terminals(s));
     }
 
     /// The carried `β₀` of the n-ary kernel: with negative terminals the

@@ -107,6 +107,9 @@ pub struct MetricsRegistry {
     pub reqs_checked_total: Counter,
     /// Requirements discharged by the static preflight analyzer.
     pub reqs_pruned_total: Counter,
+    /// Requirements decided from per-flow terminal ranges, without
+    /// building the aggregated load.
+    pub reqs_bound_decided_total: Counter,
     /// Flow groups symbolically (re-)executed.
     pub flow_groups_executed_total: Counter,
     /// IGP Bellman-Ford rounds run by symbolic route simulation.
@@ -204,6 +207,12 @@ impl MetricsRegistry {
                 name: "yu_reqs_pruned_total",
                 help: "Requirements discharged by the static preflight analyzer",
                 metric: C(&self.reqs_pruned_total),
+            },
+            MetricDesc {
+                name: "yu_reqs_bound_decided_total",
+                help:
+                    "Requirements decided from per-flow terminal ranges, no aggregated load built",
+                metric: C(&self.reqs_bound_decided_total),
             },
             MetricDesc {
                 name: "yu_flow_groups_executed_total",

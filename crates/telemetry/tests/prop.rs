@@ -1,11 +1,14 @@
 //! Property and schema tests for the telemetry collector and exporters.
 //!
 //! Tests that record through the collector use per-thread isolation
-//! (`take_thread_log`) so they can run concurrently under the default
-//! test harness; only `flush_snapshot_reset_lifecycle` touches the
-//! global flushed-log registry.
+//! (`take_thread_log`) for their logs; only
+//! `flush_snapshot_reset_lifecycle` touches the global flushed-log
+//! registry. The enable flag is process-global all the same, so every
+//! test that sets it — or records while relying on it — holds
+//! [`enabled_flag`] for as long as it does.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use yu_telemetry::{
@@ -13,10 +16,21 @@ use yu_telemetry::{
     TelemetryReport, ThreadLog,
 };
 
+/// Serialises the tests of this binary that flip the process-global
+/// enable flag against the ones recording under it: the harness runs
+/// them on parallel threads, and `disabled_records_nothing` turning the
+/// flag off mid-recording loses a sibling's spans.
+fn enabled_flag() -> MutexGuard<'static, ()> {
+    static ENABLED_FLAG: Mutex<()> = Mutex::new(());
+    // A failed sibling poisons the lock, not the flag.
+    ENABLED_FLAG.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Runs a stack program of open (`true`) / close (`false`) ops with real
 /// RAII spans, returning the recorded log plus the expected
 /// (completion-order, depth) sequence.
 fn run_stack_program(ops: &[bool]) -> (ThreadLog, Vec<u32>) {
+    let _flag = enabled_flag();
     set_enabled(true);
     let _ = take_thread_log(); // drop any residue from this harness thread
     let mut stack: Vec<yu_telemetry::Span> = Vec::new();
@@ -157,6 +171,7 @@ proptest! {
 /// validates the trace-event schema with the JSON parser.
 #[test]
 fn chrome_trace_schema_is_valid() {
+    let _flag = enabled_flag();
     set_enabled(true);
     let mut threads: Vec<ThreadLog> = Vec::new();
     let handles: Vec<_> = (0..3)
@@ -258,6 +273,7 @@ fn chrome_trace_schema_is_valid() {
 /// Disabled telemetry records nothing, and re-enabling works.
 #[test]
 fn disabled_records_nothing() {
+    let _flag = enabled_flag();
     set_enabled(false);
     let _ = take_thread_log();
     {
@@ -280,6 +296,7 @@ fn disabled_records_nothing() {
 /// worker, snapshot from the main thread, then reset.
 #[test]
 fn flush_snapshot_reset_lifecycle() {
+    let _flag = enabled_flag();
     set_enabled(true);
     yu_telemetry::reset();
     std::thread::spawn(|| {

@@ -552,11 +552,12 @@ fn verify(
     // With --json, stdout carries only the machine-readable result
     // object; the human stats line moves to stderr.
     let stats = format!(
-        "({} flows -> {} groups; {} req(s) statically discharged; \
-         route {:?}, exec {:?}, check {:?})",
+        "({} flows -> {} groups; {} req(s) statically discharged, \
+         {} decided by bounds; route {:?}, exec {:?}, check {:?})",
         out.stats.flows_in,
         out.stats.flow_groups,
         out.stats.reqs_pruned,
+        out.stats.reqs_bound_decided,
         out.stats.route_time,
         out.stats.exec_time,
         out.stats.check_time
@@ -666,6 +667,10 @@ fn profile(
         stats.insert("flows_in", Value::Int(out.stats.flows_in as i128));
         stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
         stats.insert("reqs_pruned", Value::Int(out.stats.reqs_pruned as i128));
+        stats.insert(
+            "reqs_bound_decided",
+            Value::Int(out.stats.reqs_bound_decided as i128),
+        );
         stats.insert("mtbdd", out.stats.mtbdd.to_value());
         let mut root = Map::new();
         root.insert("verified", Value::Bool(out.verified()));
@@ -713,13 +718,14 @@ fn print_profile_tables(
     };
     println!(
         "{verdict} under <= {} {} failures; {} flows -> {} groups, {} requirement(s) \
-         ({} statically discharged)",
+         ({} statically discharged, {} decided by bounds)",
         spec.k,
         mode_noun(spec.mode),
         out.stats.flows_in,
         out.stats.flow_groups,
         spec.tlp.reqs.len(),
         out.stats.reqs_pruned,
+        out.stats.reqs_bound_decided,
     );
     println!();
     println!("phase         wall        arena nodes");
@@ -1168,6 +1174,10 @@ fn verify_json(
     stats.insert("flows_in", Value::Int(out.stats.flows_in as i128));
     stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
     stats.insert("reqs_pruned", Value::Int(out.stats.reqs_pruned as i128));
+    stats.insert(
+        "reqs_bound_decided",
+        Value::Int(out.stats.reqs_bound_decided as i128),
+    );
     stats.insert("mtbdd", out.stats.mtbdd.to_value());
     stats.insert("mtbdd_workers", out.stats.mtbdd_workers.to_value());
     stats.insert("telemetry", out.stats.telemetry.to_value());

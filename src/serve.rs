@@ -553,6 +553,10 @@ pub fn stats_value(out: &VerificationOutcome, delta: DeltaStats) -> Value {
     stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
     stats.insert("reqs_pruned", Value::Int(out.stats.reqs_pruned as i128));
     stats.insert(
+        "reqs_bound_decided",
+        Value::Int(out.stats.reqs_bound_decided as i128),
+    );
+    stats.insert(
         "route_secs",
         Value::Float(out.stats.route_time.as_secs_f64()),
     );

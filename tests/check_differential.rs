@@ -134,9 +134,11 @@ fn assert_check_matches_sequential(inst: &Instance, mode: FailureMode, worker_co
         let mut par = run(inst, mode, opts_with_check_workers(w));
         let par_out = par.verify(&inst.tlp);
         // A single requirement legitimately falls back to the sequential
-        // checker (the static preflight may have discharged the rest);
-        // otherwise the sharded checker must actually have run.
-        if inst.tlp.reqs.len() - par_out.stats.reqs_pruned > 1 {
+        // checker (the static preflight may have discharged the rest), and
+        // a worker builds nothing for a requirement the interval test
+        // decides; otherwise the sharded checker must actually have run.
+        let kept = inst.tlp.reqs.len() - par_out.stats.reqs_pruned;
+        if kept > 1 && par_out.stats.reqs_bound_decided < kept {
             assert!(
                 par_out.stats.mtbdd_workers.nodes_created > 0,
                 "{ctx}: parallel check must report worker arena stats"

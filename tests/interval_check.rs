@@ -1,0 +1,107 @@
+//! Interval-first checking against the materialising API, with no knob in
+//! between: `verify()` decides most requirements from per-flow terminal
+//! ranges and never builds their aggregated load; driving the public
+//! `load_mtbdd` + `check_requirement` pair builds and scans every one.
+//! Both must report the same violations, counterexample for
+//! counterexample, and the same per-point aggregation statistics — on
+//! every preset `yu export` knows, in both failure modes, at k = 1 and 2,
+//! sequentially and through check workers.
+
+use std::process::Command;
+use yu::core::{check_requirement, YuOptions, YuVerifier};
+use yu::net::FailureMode;
+use yu::spec::VerifySpec;
+
+const PRESETS: [&str; 6] = ["fig1", "fig9", "fig10", "ft4", "n0", "preflight"];
+
+/// The preset as the CLI exports it.
+fn preset(which: &str) -> VerifySpec {
+    let out = Command::new(env!("CARGO_BIN_EXE_yu"))
+        .args(["export", which])
+        .output()
+        .expect("yu export runs");
+    assert!(out.status.success(), "yu export {which} failed");
+    let json = String::from_utf8(out.stdout).expect("the spec is UTF-8");
+    VerifySpec::from_json(&json).expect("the exported spec parses")
+}
+
+fn verifier(spec: &VerifySpec, mode: FailureMode, k: u32, check_workers: usize) -> YuVerifier {
+    let opts = YuOptions {
+        k,
+        mode,
+        check_workers,
+        ..Default::default()
+    };
+    let mut v = YuVerifier::new(spec.network.clone(), opts);
+    v.add_flows(&spec.flows);
+    v
+}
+
+#[test]
+fn verify_matches_the_materialising_api_on_every_preset() {
+    let (mut decided, mut checked) = (0, 0);
+    for which in PRESETS {
+        let spec = preset(which);
+        for mode in [FailureMode::Links, FailureMode::Routers] {
+            for k in [1, 2] {
+                let ctx = format!("{which} mode={mode:?} k={k}");
+                let mut interval_first = verifier(&spec, mode, k, 1);
+                let out = interval_first.verify(&spec.tlp);
+
+                // Check workers run the same test, each with a range memo
+                // of its own over the shared frozen arena.
+                let sharded = verifier(&spec, mode, k, 3).verify(&spec.tlp);
+                assert_eq!(out.violations, sharded.violations, "{ctx}: sharded");
+                assert_eq!(out.stats.per_point, sharded.stats.per_point, "{ctx}");
+                assert_eq!(
+                    out.stats.reqs_bound_decided, sharded.stats.reqs_bound_decided,
+                    "{ctx}: sharded"
+                );
+
+                // Requirement by requirement through the public API; a
+                // statically discharged requirement holds, so scanning
+                // it too adds nothing to the list.
+                let mut materialising = verifier(&spec, mode, k, 1);
+                let fv = materialising.failure_vars().clone();
+                let mut violations = Vec::new();
+                for req in &spec.tlp.reqs {
+                    let tau = materialising.load_mtbdd(req.point);
+                    let m = materialising.manager_mut();
+                    violations.extend(check_requirement(m, &fv, tau, req, k));
+                }
+                assert_eq!(out.violations, violations, "{ctx}: violation list");
+
+                // The enumerating entry point materialises every
+                // requirement it keeps, through the same stage.
+                let listed = materialising.verify_enumerated(&spec.tlp, 2);
+                assert_eq!(
+                    out.stats.per_point, listed.stats.per_point,
+                    "{ctx}: per_point"
+                );
+                assert_eq!(out.stats.reqs_pruned, listed.stats.reqs_pruned, "{ctx}");
+                assert_eq!(listed.stats.reqs_bound_decided, 0, "{ctx}");
+
+                // Every requirement the test decides holds, and every
+                // violated one was left to the scan.
+                let kept = spec.tlp.reqs.len() - out.stats.reqs_pruned;
+                assert!(
+                    out.stats.reqs_bound_decided + out.violations.len() <= kept,
+                    "{ctx}: {} decided + {} violated of {kept}",
+                    out.stats.reqs_bound_decided,
+                    out.violations.len()
+                );
+                assert!(
+                    interval_first.mtbdd_stats().nodes_created
+                        <= materialising.mtbdd_stats().nodes_created,
+                    "{ctx}: deciding by bounds must not build more"
+                );
+                decided += out.stats.reqs_bound_decided;
+                checked += kept;
+            }
+        }
+    }
+    assert!(
+        0 < decided && decided < checked,
+        "both paths must be exercised: {decided} of {checked} decided"
+    );
+}

@@ -299,7 +299,12 @@ fn assert_matches_scratch(ctx: &str, inc: &mut IncrementalVerifier, inc_out: &Ve
 }
 
 fn run_script(inst: &Instance, static_prune: bool) {
-    let opts = options(inst, static_prune);
+    run_script_with(inst, options(inst, static_prune));
+}
+
+/// Returns the garbage collections the session's arena ran.
+fn run_script_with(inst: &Instance, opts: YuOptions) -> u64 {
+    let static_prune = opts.static_prune;
     let mut inc =
         IncrementalVerifier::new(inst.net.clone(), inst.flows.clone(), inst.tlp.clone(), opts);
     let base = inc.verify();
@@ -323,6 +328,7 @@ fn run_script(inst: &Instance, static_prune: bool) {
         );
         assert_matches_scratch(&ctx, &mut inc, &out);
     }
+    inc.verifier().mtbdd_stats().gc_runs
 }
 
 #[test]
@@ -358,6 +364,21 @@ fn wan_edit_script_matches_scratch() {
     let inst = &instances()[4];
     run_script(inst, true);
     run_script(inst, false);
+}
+
+/// The ft4 script with the arena collected whenever it has doubled (the
+/// smaller instances never grow enough to collect twice): every cache
+/// that holds handles — the check stage's range memo among them — is
+/// dropped and rebuilt between requests and between requirements.
+#[test]
+fn ft4_edit_script_matches_scratch_across_collections() {
+    let inst = &instances()[3];
+    let opts = YuOptions {
+        gc_node_threshold: 1,
+        ..options(inst, true)
+    };
+    let gc_runs = run_script_with(inst, opts);
+    assert!(gc_runs > 1, "the session must collect mid-way");
 }
 
 /// The headline acceptance criterion: on a fattree m=8, a single

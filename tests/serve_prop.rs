@@ -220,6 +220,12 @@ fn run_sequence(
         workers,
         ..Default::default()
     };
+    run_sequence_with(seed, net, flows, tlp, opts);
+}
+
+/// Returns the garbage collections the session's arena ran.
+fn run_sequence_with(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, opts: YuOptions) -> u64 {
+    let (mode, workers) = (opts.mode, opts.workers);
     let mut rng = Rng(seed);
     let mut fresh_ids = 0u32;
     let mut inc = IncrementalVerifier::new(net, flows, tlp, opts);
@@ -263,6 +269,7 @@ fn run_sequence(
             }
         }
     }
+    inc.verifier().mtbdd_stats().gc_runs
 }
 
 fn wan_spec(seed: u64) -> (Network, Vec<Flow>, Tlp) {
@@ -290,6 +297,23 @@ fn wan_random_sequences_links_mode() {
     for seed in [11, 29] {
         let (net, flows, tlp) = wan_spec(seed);
         run_sequence(seed, net, flows, tlp, FailureMode::Links, 1);
+    }
+}
+
+/// The same law with the arena collected whenever it has doubled: the
+/// check stage's range memo holds handles, and must not outlive them.
+#[test]
+fn fattree_random_sequences_across_collections() {
+    // Two seeds whose sessions grow enough to collect a second time.
+    for seed in [20, 34] {
+        let (net, flows, tlp) = fattree_spec();
+        let opts = YuOptions {
+            k: 1,
+            gc_node_threshold: 1,
+            ..Default::default()
+        };
+        let gc_runs = run_sequence_with(seed, net, flows, tlp, opts);
+        assert!(gc_runs > 1, "seed {seed}: the session must collect mid-way");
     }
 }
 

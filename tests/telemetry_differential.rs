@@ -59,6 +59,7 @@ fn assert_same_modulo_timing(on: &VerificationOutcome, off: &VerificationOutcome
         (
             s.flows_in,
             s.flow_groups,
+            s.reqs_bound_decided,
             s.mtbdd.nodes_created,
             s.mtbdd.terminals_created,
             s.mtbdd_workers.nodes_created,
@@ -100,10 +101,25 @@ fn telemetry_on_off_runs_are_identical() {
             // The instrumented run must actually have recorded the
             // pipeline stages it claims to cover.
             let aggs = report.stage_aggs();
-            for stage in ["route_sim", "igp", "bgp", "exec", "verify", "kreduce"] {
+            for stage in ["route_sim", "igp", "bgp", "exec", "verify", "bound"] {
                 assert!(aggs.contains_key(stage), "missing stage span: {stage}");
             }
             let counters = report.counter_totals();
+            // Every requirement is either decided by the interval test or
+            // materialised and scanned (under the `kreduce` span).
+            let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+            assert_eq!(
+                count("check.bound_decided"),
+                on.stats.reqs_bound_decided as u64
+            );
+            assert_eq!(
+                count("check.bound_decided") + count("check.materialised"),
+                (tlp.reqs.len() - on.stats.reqs_pruned) as u64
+            );
+            assert_eq!(
+                aggs.contains_key("kreduce"),
+                count("check.materialised") > 0
+            );
             assert!(
                 counters
                     .get("mtbdd.apply_cache_misses")
