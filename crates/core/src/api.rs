@@ -15,7 +15,7 @@
 
 use crate::attribution::{flow_label, Attribution, EntityCost, PhaseAttribution};
 use crate::check::LoadCache;
-use crate::equivalence::{global_groups_classified, AggStats, FlowGroup};
+use crate::equivalence::{keyed_groups, without_keys, AggStats, FlowGroup};
 use crate::exec::{execute_group, ExecOptions, FlowStf};
 use crate::parallel::execute_sharded;
 use crate::trace::RouteTrace;
@@ -420,18 +420,11 @@ impl YuVerifier {
     /// them. May be called repeatedly; loads are re-aggregated lazily.
     pub fn add_flows(&mut self, flows: &[Flow]) {
         self.flows_in += flows.len();
-        let groups = if self.opts.use_global_equiv {
-            global_groups_classified(&self.net, flows)
-        } else {
-            flows
-                .iter()
-                .map(|f| FlowGroup {
-                    rep: f.clone(),
-                    volume: f.volume.clone(),
-                    members: 1,
-                })
-                .collect()
-        };
+        let groups = without_keys(keyed_groups(
+            &self.routes.dst_classes,
+            self.opts.use_global_equiv,
+            flows,
+        ));
         let t0 = Instant::now();
         let exec_span = yu_telemetry::span("exec");
         if self.opts.workers > 1 && groups.len() > 1 {

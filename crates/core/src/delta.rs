@@ -8,16 +8,22 @@
 //! * **Topology changes** (router/link add/remove) renumber the failure
 //!   variables, so everything is rebuilt from scratch — the only sound
 //!   option, since every guard in the arena is indexed by them.
-//! * **Routing changes** (link-cost edits) recompute the guarded routing
-//!   state *in the same arena* (hash-consing dedupes everything that did
-//!   not change), then replay every flow group's recorded
-//!   [`crate::RouteTrace`] against the new state; only groups with a
-//!   mismatched answer are re-executed. A reused group's symbolic traffic functions
-//!   are bit-identical by construction (§ [`crate::trace`]).
-//! * **Flow changes** regroup and key-match against the executed groups:
-//!   a matched group keeps its STF (symbolic fractions are
-//!   volume-independent; globally equivalent representatives forward
-//!   identically), only its volume/representative metadata is refreshed.
+//! * **Routing changes** (link costs, configurations) recompute the
+//!   guarded routing state *in the same arena* (hash-consing dedupes
+//!   everything that did not change), then replay every flow group's
+//!   recorded [`crate::RouteTrace`] against the new state; only groups
+//!   with a mismatched answer are re-executed. A reused group's symbolic
+//!   traffic functions are bit-identical by construction
+//!   (§ [`crate::trace`]). A trace vouches for the one destination it was
+//!   recorded toward, so when the new configuration classifies
+//!   destinations differently ([`yu_routing::DstClasses`] — a cost edit
+//!   never does) the flows are regrouped as below.
+//! * **Flow changes** regroup (`equivalence::keyed_groups`, the
+//!   grouping of a scratch run) and key-match against the stored groups,
+//!   each keyed by the flow *it was executed for* under the current
+//!   classifier: a matched group keeps its STF (symbolic fractions are
+//!   volume-independent; destinations of one class forward identically),
+//!   only its volume/representative metadata is refreshed.
 //! * **TLP changes** touch neither routes nor STFs; the per-requirement
 //!   verdict cache simply misses on new or re-bounded requirements.
 //!
@@ -40,10 +46,10 @@
 
 use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
 use crate::check::CheckCaches;
-use crate::equivalence::{global_groups_classified, FlowGroup};
+use crate::equivalence::{keyed_groups, GroupKey, GroupKeys};
 use std::collections::HashMap;
 use std::time::Instant;
-use yu_net::{ChangeError, ChangeSet, Flow, Impact, LoadPoint, Network, Prefix, PrefixTrie, Tlp};
+use yu_net::{ChangeError, ChangeSet, Flow, Impact, LoadPoint, Network, Tlp};
 use yu_routing::SymbolicRoutes;
 
 /// Reuse-vs-recompute statistics of one incremental request.
@@ -61,17 +67,6 @@ pub struct DeltaStats {
     pub dirty_points: usize,
     /// Whether the change forced a from-scratch rebuild (topology edits).
     pub full_rebuild: bool,
-}
-
-/// The grouping key of one flow under the active equivalence setting.
-/// Mirrors [`global_groups_classified`] exactly (longest-match prefix
-/// class) so key-matching reproduces the scratch grouping; without
-/// global equivalence the flow's full identity plus an occurrence index
-/// distinguishes duplicates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum GroupKey {
-    Class(yu_net::RouterId, Option<Prefix>, u8),
-    Identity(yu_net::RouterId, yu_net::Ipv4, yu_net::Ipv4, u8, usize),
 }
 
 /// A verifier that carries its inputs and re-verifies change-sets
@@ -182,15 +177,11 @@ impl IncrementalVerifier {
             self.rebuild(net, flows, tlp);
         } else {
             let inv = yu_telemetry::span_detail("delta.invalidate", || impact.to_string());
-            if impact.routing {
-                self.apply_routing(net);
-            } else {
-                // The network can only differ when routing (or topology)
-                // is impacted; assigning is a no-op otherwise.
-                self.v.net = net;
-            }
-            if impact.flows {
-                self.apply_flows(flows);
+            // The network can only differ when routing (or topology) is
+            // impacted.
+            let reclassified = impact.routing && self.apply_routing(net);
+            if impact.flows || reclassified {
+                self.regroup(flows);
             } else {
                 self.flows = flows;
             }
@@ -203,8 +194,8 @@ impl IncrementalVerifier {
         }
         // Normalise the reuse counters over the *final* group set: a
         // group counts as recomputed if any stage of this update
-        // re-executed it (the routing replay and the flow regroup touch
-        // disjoint groups), and as reused otherwise — so the two
+        // re-executed it (the flow regroup executes only groups the
+        // routing replay never saw), and as reused otherwise — so the two
         // counters always partition the groups, including TLP-only
         // updates (everything reused) and full rebuilds (nothing).
         let total = self.v.groups.len();
@@ -256,8 +247,10 @@ impl IncrementalVerifier {
 
     /// Routing changed (same topology): recompute the guarded routing
     /// state in the same arena, then replay each group's route trace and
-    /// re-execute only the groups whose answers changed.
-    fn apply_routing(&mut self, net: Network) {
+    /// re-execute only the groups whose answers changed. Returns whether
+    /// the new state classifies destinations differently, in which case
+    /// the stored groups may no longer be the groups of the flows.
+    fn apply_routing(&mut self, net: Network) -> bool {
         let v = &mut self.v;
         v.net = net;
         let k = v.opts.use_kreduce.then_some(v.opts.k);
@@ -266,6 +259,7 @@ impl IncrementalVerifier {
             let _stage = yu_telemetry::span("route_sim");
             SymbolicRoutes::compute(&mut v.m, &v.net, &v.fv, k)
         };
+        let reclassified = routes.dst_classes != v.routes.dst_classes;
         v.routes = routes;
         v.route_time += t0.elapsed();
         let t1 = Instant::now();
@@ -303,102 +297,69 @@ impl IncrementalVerifier {
         for p in dirty {
             self.mark_dirty(p);
         }
+        reclassified
     }
 
-    /// The grouping keys of `flows` in scratch grouping order, paired
-    /// with the scratch groups themselves.
-    fn grouped(&self, flows: &[Flow]) -> Vec<(GroupKey, FlowGroup)> {
-        if self.v.opts.use_global_equiv {
-            let mut trie = PrefixTrie::new();
-            for p in self.v.net.all_prefixes() {
-                trie.insert(p, ());
-            }
-            global_groups_classified(&self.v.net, flows)
-                .into_iter()
-                .map(|g| {
-                    let class = trie.longest_match(g.rep.dst).map(|(p, _)| p);
-                    (GroupKey::Class(g.rep.ingress, class, g.rep.dscp), g)
-                })
-                .collect()
-        } else {
-            let mut occurrence: HashMap<(yu_net::RouterId, yu_net::Ipv4, yu_net::Ipv4, u8), usize> =
-                HashMap::new();
-            flows
-                .iter()
-                .map(|f| {
-                    let id = (f.ingress, f.src, f.dst, f.dscp);
-                    let n = occurrence.entry(id).or_insert(0);
-                    let key = GroupKey::Identity(f.ingress, f.src, f.dst, f.dscp, *n);
-                    *n += 1;
-                    (
-                        key,
-                        FlowGroup {
-                            rep: f.clone(),
-                            volume: f.volume.clone(),
-                            members: 1,
-                        },
-                    )
-                })
-                .collect()
+    /// The flows or their classification changed: group `flows` exactly
+    /// as a scratch run would and key-match against the stored groups. A
+    /// stored group answers for the flow it was executed for — its
+    /// representative, toward the destination its trace recorded — so it
+    /// is keyed by that flow under the current classifier, and a new group
+    /// with the same key keeps its STF (symbolic fractions do not depend
+    /// on volume, and destinations of one class forward identically).
+    /// Unmatched new groups are executed; points touched by changed
+    /// volumes, new groups, or vanished groups are dirtied.
+    fn regroup(&mut self, flows: Vec<Flow>) {
+        let v = &self.v;
+        let (classes, global_equiv) = (&v.routes.dst_classes, v.opts.use_global_equiv);
+        let mut keys = GroupKeys::new(classes, global_equiv);
+        let mut old_by_key: HashMap<GroupKey, usize> = HashMap::new();
+        for (i, (g, trace)) in v.groups.iter().zip(&v.traces).enumerate() {
+            let dst = trace.as_ref().and_then(|t| t.dst()).unwrap_or(g.rep.dst);
+            old_by_key.entry(keys.key_toward(&g.rep, dst)).or_insert(i);
         }
-    }
-
-    /// Flows changed: regroup exactly as a scratch run would, key-match
-    /// against the executed groups, and keep matched STFs (symbolic
-    /// fractions do not depend on volume, and equivalent representatives
-    /// forward identically). Unmatched new groups are executed; points
-    /// touched by changed volumes, new groups, or vanished groups are
-    /// dirtied.
-    fn apply_flows(&mut self, flows: Vec<Flow>) {
-        let old_keys: Vec<GroupKey> = self
-            .grouped(&self.flows)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        let new_grouped = self.grouped(&flows);
-        let mut old_by_key: HashMap<&GroupKey, usize> = HashMap::new();
-        for (i, k) in old_keys.iter().enumerate() {
-            old_by_key.entry(k).or_insert(i);
-        }
+        let new_grouped = keyed_groups(classes, global_equiv, &flows);
         let v = &mut self.v;
         v.flows_in += flows.len();
-        let mut groups = Vec::with_capacity(new_grouped.len());
-        let mut results = Vec::with_capacity(new_grouped.len());
-        let mut traces = Vec::with_capacity(new_grouped.len());
-        let mut matched_old = vec![false; old_keys.len()];
+        // Keys of new groups are distinct, so a stored group is claimed at
+        // most once: its results move into the new list, and whatever is
+        // left afterwards has vanished.
+        let mut stored: Vec<_> = std::mem::take(&mut v.groups)
+            .into_iter()
+            .zip(std::mem::take(&mut v.results))
+            .zip(std::mem::take(&mut v.traces))
+            .map(Some)
+            .collect();
         let mut dirty: Vec<LoadPoint> = Vec::new();
         let t0 = Instant::now();
         for (key, g) in new_grouped {
-            if let Some(&i) = old_by_key.get(&key) {
-                matched_old[i] = true;
-                if v.groups[i].volume != g.volume {
-                    dirty.extend(v.results[i].loads.keys().copied());
+            let claimed = old_by_key.get(&key).and_then(|&i| stored[i].take());
+            let (stf, trace) = match claimed {
+                Some(((old, stf), trace)) => {
+                    if old.volume != g.volume {
+                        dirty.extend(stf.loads.keys().copied());
+                    }
+                    self.last_delta.reused_groups += 1;
+                    (stf, trace)
                 }
-                self.last_delta.reused_groups += 1;
-                groups.push(g);
-                results.push(v.results[i].clone());
-                traces.push(v.traces[i].clone());
-            } else {
-                let _stage = yu_telemetry::span_detail("delta.reexec", || {
-                    format!("{:?}->{:?}", g.rep.ingress, g.rep.dst)
-                });
-                let (stf, trace) = v.execute(&g);
-                dirty.extend(stf.loads.keys().copied());
-                self.last_delta.recomputed_groups += 1;
-                groups.push(g);
-                results.push(stf);
-                traces.push(trace);
-            }
+                None => {
+                    let _stage = yu_telemetry::span_detail("delta.reexec", || {
+                        format!("{:?}->{:?}", g.rep.ingress, g.rep.dst)
+                    });
+                    let (stf, trace) = v.execute(&g);
+                    dirty.extend(stf.loads.keys().copied());
+                    self.last_delta.recomputed_groups += 1;
+                    (stf, trace)
+                }
+            };
+            v.groups.push(g);
+            v.results.push(stf);
+            v.traces.push(trace);
         }
-        for (i, hit) in matched_old.iter().enumerate() {
-            if !hit {
-                dirty.extend(v.results[i].loads.keys().copied());
-            }
+        for ((_, vanished), _) in stored.iter().flatten() {
+            dirty.extend(vanished.loads.keys().copied());
         }
         v.book_exec_time(t0.elapsed());
-        v.groups = groups;
-        v.results = results;
-        v.traces = traces;
         self.flows = flows;
         for p in dirty {
             self.mark_dirty(p);

@@ -1,9 +1,12 @@
 //! Flow equivalence reductions (paper §5.3 and §6).
 //!
-//! * **Global flow equivalence**: flows with the same ingress router,
-//!   destination, and DSCP are forwarded identically everywhere in every
-//!   scenario, so symbolic execution runs once per group with summed
-//!   volume.
+//! * **Global flow equivalence**: flows with the same ingress router and
+//!   DSCP whose destinations are in one forwarding-equivalence class
+//!   ([`DstClasses`]: every FIB lookup at every router treats them alike)
+//!   are forwarded identically in every scenario, so symbolic execution
+//!   runs once per group with summed volume. `keyed_groups` is the one
+//!   definition of that grouping: `add_flows` and the incremental engine
+//!   both call it, with the classifier of the routing state they hold.
 //! * **Link-local flow equivalence**: even globally different flows often
 //!   place the *same* symbolic traffic fraction on a given link. Because
 //!   MTBDDs are hash-consed, that equivalence test is pointer equality, so
@@ -11,9 +14,12 @@
 //!   per *equivalence class* instead of per flow:
 //!   `τ_l = Σ_i ω_i · (Σ_{f ∈ G_i} V_f)`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 use yu_mtbdd::Ratio;
-use yu_net::{Flow, Network, Prefix, PrefixTrie};
+use yu_net::{Flow, Ipv4, Network, Prefix, RouterId};
+use yu_routing::DstClasses;
 
 /// A group of globally equivalent flows.
 #[derive(Debug, Clone)]
@@ -26,49 +32,114 @@ pub struct FlowGroup {
     pub members: usize,
 }
 
-/// Groups flows by their forwarding key `(ingress, dst, dscp)`.
-pub fn global_groups(flows: &[Flow]) -> Vec<FlowGroup> {
-    group_by_key(flows, |f| (f.ingress, Some(Prefix::host(f.dst)), f.dscp))
-}
-
-/// Groups flows by `(ingress, destination prefix class, dscp)`: since all
-/// forwarding decisions (LPM, SR matching) are made against configured
-/// prefixes, two destinations covered by exactly the same configured
-/// prefixes are forwarded identically — the heavy lifting behind Fig. 12's
-/// near-flat scaling in the flow count. The classifier is a trie over
-/// every configured prefix; the class key is the longest match (configured
-/// prefixes nest, so the longest match determines the whole matching set).
-pub fn global_groups_classified(net: &Network, flows: &[Flow]) -> Vec<FlowGroup> {
-    let mut trie = PrefixTrie::new();
-    for p in net.all_prefixes() {
-        trie.insert(p, ());
-    }
-    group_by_key(flows, |f| {
-        let class: Option<Prefix> = trie.longest_match(f.dst).map(|(p, _)| p);
-        (f.ingress, class, f.dscp)
-    })
-}
-
-fn group_by_key(
+/// Folds `flows` into one group per key, in first-seen order; a group's
+/// representative is its first flow.
+fn fold_groups<K: Hash + Eq + Copy>(
     flows: &[Flow],
-    key: impl Fn(&Flow) -> (yu_net::RouterId, Option<Prefix>, u8),
-) -> Vec<FlowGroup> {
-    let mut map: HashMap<(yu_net::RouterId, Option<Prefix>, u8), FlowGroup> = HashMap::new();
+    mut key: impl FnMut(&Flow) -> K,
+) -> Vec<(K, FlowGroup)> {
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut out: Vec<(K, FlowGroup)> = Vec::new();
     for f in flows {
-        map.entry(key(f))
-            .and_modify(|g| {
+        let k = key(f);
+        match index.entry(k) {
+            Entry::Occupied(e) => {
+                let g = &mut out[*e.get()].1;
                 g.volume += &f.volume;
                 g.members += 1;
-            })
-            .or_insert_with(|| FlowGroup {
-                rep: f.clone(),
-                volume: f.volume.clone(),
-                members: 1,
-            });
+            }
+            Entry::Vacant(e) => {
+                e.insert(out.len());
+                let g = FlowGroup {
+                    rep: f.clone(),
+                    volume: f.volume.clone(),
+                    members: 1,
+                };
+                out.push((k, g));
+            }
+        }
     }
-    let mut out: Vec<(_, FlowGroup)> = map.into_iter().collect();
-    out.sort_by_key(|(k, _)| *k);
-    out.into_iter().map(|(_, g)| g).collect()
+    out
+}
+
+/// The groups of a keyed grouping, in its order.
+pub(crate) fn without_keys<K>(keyed: Vec<(K, FlowGroup)>) -> Vec<FlowGroup> {
+    keyed.into_iter().map(|(_, g)| g).collect()
+}
+
+/// Groups flows by their forwarding key `(ingress, dst, dscp)`, sorted by
+/// it — the per-destination grouping the baselines use.
+pub fn global_groups(flows: &[Flow]) -> Vec<FlowGroup> {
+    let mut keyed = fold_groups(flows, |f| (f.ingress, f.dst, f.dscp));
+    keyed.sort_by_key(|(k, _)| *k);
+    without_keys(keyed)
+}
+
+/// Groups flows by `(ingress, destination class, dscp)`, sorted by
+/// `(ingress, class name, dscp)`: the grouping [`crate::YuVerifier`]
+/// executes — the heavy lifting behind Fig. 12's near-flat scaling in the
+/// flow count. Classifies `net` itself; the verifier uses the classifier
+/// its routing state already holds.
+pub fn global_groups_classified(net: &Network, flows: &[Flow]) -> Vec<FlowGroup> {
+    without_keys(keyed_groups(&DstClasses::of(net), true, flows))
+}
+
+/// What decides the group of a flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) enum GroupKey {
+    /// Global equivalence: ingress, the destination's class (`None` = no
+    /// configured prefix covers it), DSCP.
+    Class(RouterId, Option<Prefix>, u8),
+    /// The per-flow ablation: the flow's identity, plus an occurrence
+    /// index that keeps duplicates apart.
+    Identity(RouterId, Ipv4, Ipv4, u8, usize),
+}
+
+/// Derives [`GroupKey`]s, flow by flow in list order (the occurrence
+/// index of an identity key counts the equal flows before it).
+pub(crate) struct GroupKeys<'a> {
+    classes: &'a DstClasses,
+    global_equiv: bool,
+    seen: HashMap<(RouterId, Ipv4, Ipv4, u8), usize>,
+}
+
+impl<'a> GroupKeys<'a> {
+    pub(crate) fn new(classes: &'a DstClasses, global_equiv: bool) -> GroupKeys<'a> {
+        GroupKeys {
+            classes,
+            global_equiv,
+            seen: HashMap::new(),
+        }
+    }
+
+    /// The key of `f` were `dst` its destination.
+    pub(crate) fn key_toward(&mut self, f: &Flow, dst: Ipv4) -> GroupKey {
+        if self.global_equiv {
+            return GroupKey::Class(f.ingress, self.classes.class_of(dst), f.dscp);
+        }
+        let n = self
+            .seen
+            .entry((f.ingress, f.src, dst, f.dscp))
+            .or_insert(0);
+        *n += 1;
+        GroupKey::Identity(f.ingress, f.src, dst, f.dscp, *n - 1)
+    }
+}
+
+/// The flow groups of `flows` with the key of each, in execution order:
+/// sorted by key under global equivalence, one group per flow in list
+/// order without it.
+pub(crate) fn keyed_groups(
+    classes: &DstClasses,
+    global_equiv: bool,
+    flows: &[Flow],
+) -> Vec<(GroupKey, FlowGroup)> {
+    let mut keys = GroupKeys::new(classes, global_equiv);
+    let mut keyed = fold_groups(flows, |f| keys.key_toward(f, f.dst));
+    if global_equiv {
+        keyed.sort_by_key(|(k, _)| *k);
+    }
+    keyed
 }
 
 /// Statistics of one aggregation (feeds Figs. 13 and 14).

@@ -82,6 +82,17 @@ impl RouteTrace {
         self.entries.is_empty()
     }
 
+    /// The destination the traced execution ran toward: every FIB lookup
+    /// of one execution is keyed by its flow's destination, and nothing
+    /// else in the trace depends on it. `None` when no FIB was consulted
+    /// (the result is then the same for every destination).
+    pub fn dst(&self) -> Option<Ipv4> {
+        self.entries.iter().find_map(|(q, _)| match q {
+            TraceQuery::Fib(_, dst) => Some(*dst),
+            _ => None,
+        })
+    }
+
     /// Records the first occurrence of `query`; repeats are dropped
     /// (queries are deterministic per key within one execution).
     pub fn record(&mut self, query: TraceQuery, answer: impl FnOnce() -> TraceAnswer) {

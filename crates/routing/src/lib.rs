@@ -10,6 +10,8 @@
 //! * [`BgpState`]: round-based symbolic eBGP/iBGP propagation with guard
 //!   merging (Fig. 6), AS-path loop prevention, local preference, and
 //!   prefix classification.
+//! * [`DstClasses`]: destination forwarding-equivalence classes — which
+//!   addresses every FIB lookup treats alike (global flow equivalence).
 //! * [`guarded_sr_policies`]: SR tunnel establishment guards (Fig. 4).
 //! * [`SymbolicRoutes`]: the facade serving unified guarded FIB lookups
 //!   (symbolic longest-prefix match across connected/static/BGP/IS-IS).
@@ -22,6 +24,7 @@
 pub mod bgp;
 pub mod concrete;
 pub mod display;
+pub mod dst_class;
 pub mod igp;
 pub mod rib;
 pub mod sr;
@@ -32,6 +35,7 @@ pub use bgp::{
 };
 pub use concrete::{CRule, ConcreteFlowResult, ConcreteRoutes};
 pub use display::{format_fib, format_guard, format_sr_policies};
+pub use dst_class::DstClasses;
 pub use igp::{IgpShares, IgpState};
 pub use rib::{class_partition, sort_rules, NextHop, Rule};
 pub use sr::{guarded_sr_policies, GuardedSrPath, GuardedSrPolicy};

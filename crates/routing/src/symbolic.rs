@@ -3,6 +3,7 @@
 //! unified guarded FIB lookups to the traffic execution engine.
 
 use crate::bgp::{BgpFrom, BgpState};
+use crate::dst_class::DstClasses;
 use crate::igp::{IgpShares, IgpState};
 use crate::rib::{sort_rules, NextHop, Rule};
 use crate::sr::{guarded_sr_policies, GuardedSrPolicy};
@@ -19,6 +20,9 @@ pub struct SymbolicRoutes {
     pub bgp: BgpState,
     /// Guarded SR policies per router.
     pub sr: Vec<Vec<GuardedSrPolicy>>,
+    /// Which destinations [`Self::fib_rules`] treats alike at every
+    /// router (the grouping key of global flow equivalence).
+    pub dst_classes: DstClasses,
     /// IGP destination lookup: `(asn, ip)` pairs the IGP can resolve.
     igp_dests: HashSet<(yu_net::AsNum, Ipv4)>,
     /// FIB lookup cache.
@@ -41,6 +45,7 @@ impl SymbolicRoutes {
         let mut igp = IgpState::compute(m, net, fv, k);
         let bgp = BgpState::compute(m, net, fv, &mut igp, k);
         let sr = guarded_sr_policies(m, net, &mut igp, k);
+        let dst_classes = DstClasses::new(net, &bgp.prefix_class);
         let mut igp_dests = HashSet::new();
         for (asn, _) in net.ases() {
             for ip in net.igp_destinations(asn) {
@@ -51,6 +56,7 @@ impl SymbolicRoutes {
             igp,
             bgp,
             sr,
+            dst_classes,
             igp_dests,
             fib_cache: HashMap::new(),
             k,
@@ -73,6 +79,11 @@ impl SymbolicRoutes {
     /// * BGP routes from the guarded BGP RIB (eBGP 20 / iBGP 200);
     /// * IS-IS loopback host routes (distance 115) with shortest-path
     ///   guards.
+    ///
+    /// Whatever this reads of `dstip` must be a component of the
+    /// forwarding signature in [`crate::dst_class`]: flows are grouped on
+    /// the promise that equal signatures get equal rules here (up to the
+    /// address of `Rule.prefix`).
     pub fn fib_rules(
         &mut self,
         m: &mut Mtbdd,

@@ -7,7 +7,9 @@
 //! loads), same aggregation statistics, and the same concrete load at
 //! every sampled scenario and load point. Enumerated verification
 //! (`verify_enumerated`), the `early_stop`/ablation option combinations
-//! and the incremental engine's first verification are covered too.
+//! and the incremental engine's first verification are covered too, and
+//! the per-flow ablation (`use_global_equiv: false`) must report the
+//! violations of the class-grouped run.
 
 use yu::core::{IncrementalVerifier, YuOptions, YuVerifier};
 use yu::gen::{
@@ -351,6 +353,17 @@ fn every_caller_agrees_to_the_node() {
                 ..sequential
             };
             let traced = run(inst, mode, traced).verify(&inst.tlp);
+            // Executing every flow by itself finds what the class-grouped
+            // run finds: a representative stands for its group.
+            let per_flow = YuOptions {
+                use_global_equiv: false,
+                ..sequential
+            };
+            let per_flow = run(inst, mode, per_flow).verify(&inst.tlp);
+            assert_eq!(
+                plain.violations, per_flow.violations,
+                "{ctx}: use_global_equiv: false"
+            );
             for (caller, out) in [
                 ("verify_enumerated(_, 1)", &enumerated),
                 ("check_workers: 4", &sharded),

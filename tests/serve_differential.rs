@@ -21,8 +21,8 @@ use yu::gen::{
 };
 use yu::mtbdd::{Ratio, Term};
 use yu::net::{
-    scenarios_up_to_k, Change, ChangeSet, FailureMode, Flow, LoadPoint, Network, PointRef,
-    Scenario, Tlp,
+    scenarios_up_to_k, BgpConfig, Change, ChangeSet, FailureMode, Flow, Ipv4, LoadPoint, Network,
+    PointRef, Scenario, StaticNextHop, StaticRoute, Tlp, TlpReq, Topology,
 };
 
 struct Instance {
@@ -467,4 +467,87 @@ fn wan_cost_edit_invalidates_something_somewhere() {
         "no cost edit on any WAN link invalidated any flow group — \
          trace replay is likely vacuous"
     );
+}
+
+/// M - D - W, each its own AS with default BGP; W originates the
+/// connected `10.1.0.0/26`, and 30 Gbps enter at M toward each of
+/// `10.1.0.5` and `10.1.0.40`: one destination class, one flow group,
+/// `Delivered(W) = 60`. Returns that network, the same network with
+/// `10.1.0.32/27 -> Null0` at D (which splits the class and blackholes
+/// the second flow), the flows and `Delivered(W) >= 45`.
+fn split_by_a_static() -> (Network, Network, Vec<Flow>, Tlp) {
+    let mut t = Topology::new();
+    let m = t.add_router("M", Ipv4::new(10, 200, 0, 1), 65001);
+    let d = t.add_router("D", Ipv4::new(10, 200, 0, 2), 65002);
+    let w = t.add_router("W", Ipv4::new(10, 200, 0, 3), 65003);
+    t.add_link(m, d, 10, Ratio::int(100));
+    t.add_link(d, w, 10, Ratio::int(100));
+    let mut old = Network::new(t);
+    for r in [m, d, w] {
+        old.config_mut(r).bgp = Some(BgpConfig::default());
+    }
+    let service = "10.1.0.0/26".parse().unwrap();
+    old.config_mut(w).connected.push(service);
+    old.config_mut(w).bgp.as_mut().unwrap().networks = vec![service];
+    let mut new = old.clone();
+    new.config_mut(d).static_routes.push(StaticRoute {
+        prefix: "10.1.0.32/27".parse().unwrap(),
+        next_hop: StaticNextHop::Null0,
+    });
+    let flow = |dst: &str| {
+        let src = Ipv4::new(11, 0, 0, 1);
+        Flow::new(m, src, dst.parse().unwrap(), 0, Ratio::int(30))
+    };
+    let flows = vec![flow("10.1.0.5"), flow("10.1.0.40")];
+    let tlp = Tlp::new().with(TlpReq::at_least(LoadPoint::Delivered(w), Ratio::int(45)));
+    (old, new, flows, tlp)
+}
+
+fn k0() -> YuOptions {
+    YuOptions {
+        k: 0,
+        ..Default::default()
+    }
+}
+
+/// A routing-only `set_state` can change which destinations forward
+/// alike. The more specific static splits the one flow group in two —
+/// keeping it, with its still-valid representative, reports *verified*
+/// where a scratch run finds the blackhole — and removing the static
+/// merges the two groups again.
+#[test]
+fn set_state_regroups_when_a_static_splits_or_merges_a_class() {
+    let (old, new, flows, tlp) = split_by_a_static();
+    let mut inc = IncrementalVerifier::new(old.clone(), flows.clone(), tlp.clone(), k0());
+    let base = inc.verify();
+    assert!(base.verified());
+    assert_eq!(base.stats.flow_groups, 1);
+    let split = inc.set_state(new, flows.clone(), tlp.clone());
+    assert!(!split.verified(), "the second flow dies at D's Null0");
+    assert_eq!(split.stats.flow_groups, 2);
+    assert!(!inc.delta_stats().full_rebuild);
+    assert_matches_scratch("static splits the class", &mut inc, &split);
+    let merged = inc.set_state(old, flows, tlp);
+    assert!(merged.verified());
+    assert_eq!(merged.stats.flow_groups, 1);
+    assert_matches_scratch("static removed, classes merge", &mut inc, &merged);
+}
+
+/// A stored group answers for the destination it was executed toward,
+/// not for whatever flow currently represents it: after the first flow
+/// is removed the group is represented by the second but still holds the
+/// first one's fractions and trace — which stay valid when the static
+/// arrives, while the second flow's class does not.
+#[test]
+fn a_reused_group_is_keyed_by_the_destination_it_was_executed_toward() {
+    let (old, new, flows, tlp) = split_by_a_static();
+    let mut inc = IncrementalVerifier::new(old, flows, tlp.clone(), k0());
+    let cs = ChangeSet::single(Change::RemoveFlow { flow: 0 });
+    let out = inc.apply(&cs).expect("flow removal applies");
+    assert_eq!(inc.delta_stats().recomputed_groups, 0, "the STF is reused");
+    assert_matches_scratch("first flow removed", &mut inc, &out);
+    let remaining = inc.flows().to_vec();
+    let split = inc.set_state(new, remaining, tlp);
+    assert!(!split.verified());
+    assert_matches_scratch("static over the remaining flow", &mut inc, &split);
 }
