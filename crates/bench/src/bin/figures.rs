@@ -233,8 +233,6 @@ fn fig13_14(opts: &Opts) {
             YuOptions {
                 k: 1,
                 use_link_local_equiv,
-                // Fig. 14 wants the statistics of every sampled link.
-                static_prune: false,
                 ..Default::default()
             },
         );

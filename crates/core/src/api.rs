@@ -73,15 +73,6 @@ pub struct YuOptions {
     /// verdicts — only wall-clock changes. `yu verify` enables this by
     /// default (`--check-workers auto`); off by default in the API.
     pub check_workers_auto: bool,
-    /// Run the semantic preflight analyzer before the check stage and
-    /// skip requirements it proves safe (see [`yu_analysis::bounds`]).
-    /// Pruning is sound — only requirements that hold in *every* ≤ k
-    /// scenario are skipped, so verdicts and violations are
-    /// bit-identical to an unpruned run — and each discharge carries a
-    /// machine-checkable certificate (re-validated under `YU_AUDIT` or
-    /// `debug_assertions`). Disable with `--no-static-prune` for the
-    /// differential suite and ablations.
-    pub static_prune: bool,
     /// Record the routing-state queries each flow group's execution
     /// depends on (a [`crate::trace::RouteTrace`] per group). Costs a
     /// little memory and time per execution; required by the incremental
@@ -133,7 +124,6 @@ impl Default for YuOptions {
             workers: default_workers(),
             check_workers: default_check_workers(),
             check_workers_auto: false,
-            static_prune: true,
             record_route_deps: false,
             profile: false,
         }
@@ -153,9 +143,6 @@ pub struct RunStats {
     pub flows_in: usize,
     /// Flow groups executed symbolically.
     pub flow_groups: usize,
-    /// Requirements discharged by the static preflight analyzer (never
-    /// reached the symbolic check stage). Zero when pruning is off.
-    pub reqs_pruned: usize,
     /// Requirements of this run the check stage decided from the terminal
     /// ranges of the flows at their load point, without building the
     /// aggregated load (see `check::bound_holds`). Requirements answered
@@ -615,11 +602,10 @@ impl YuVerifier {
         violations: Vec<Violation>,
         per_point: HashMap<LoadPoint, AggStats>,
         check_time: Duration,
-        reqs_pruned: usize,
         reqs_bound_decided: usize,
     ) -> VerificationOutcome {
         self.audit_checkpoint("after TLP check");
-        self.registry_bridge(check_time, reqs_pruned, reqs_bound_decided, per_point.len());
+        self.registry_bridge(check_time, reqs_bound_decided, per_point.len());
         let telemetry = self.telemetry_summary();
         let attribution = self.opts.profile.then(|| {
             let mut check = std::mem::take(&mut self.check_attr);
@@ -642,7 +628,6 @@ impl YuVerifier {
                 check_time,
                 flows_in: self.flows_in,
                 flow_groups: self.groups.len(),
-                reqs_pruned,
                 reqs_bound_decided,
                 mtbdd: self.m.stats(),
                 mtbdd_workers: self.worker_stats,
@@ -664,7 +649,6 @@ impl YuVerifier {
     fn registry_bridge(
         &mut self,
         check_time: Duration,
-        reqs_pruned: usize,
         reqs_bound_decided: usize,
         reqs_checked: usize,
     ) {
@@ -674,7 +658,6 @@ impl YuVerifier {
         let r = yu_telemetry::registry();
         r.verify_runs_total.inc();
         r.reqs_checked_total.add(reqs_checked as u64);
-        r.reqs_pruned_total.add(reqs_pruned as u64);
         r.reqs_bound_decided_total.add(reqs_bound_decided as u64);
         r.stage_route_seconds
             .record(self.route_time.as_micros() as u64);

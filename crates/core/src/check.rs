@@ -6,9 +6,9 @@
 //!
 //! [`classes`] groups the flows at a point link-locally, [`bound_holds`]
 //! is the interval test over them, [`load`] scales and sums the classes,
-//! [`check_reqs`] is the requirement loop around them, and
-//! [`YuVerifier::preflight_kept`] discharges statically safe requirements
-//! first. The stage runs on either of two [`CheckArena`]s —
+//! and [`check_reqs`] is the requirement loop around them. [`check_req`]
+//! is the one place that decides which mechanism may call a requirement
+//! safe. The stage runs on either of two [`CheckArena`]s —
 //! the verifier's main arena, where every aggregation step is a garbage-
 //! collection checkpoint, or a check worker's overlay, which never
 //! collects — and every caller differs only in what it hands it:
@@ -28,17 +28,16 @@ use crate::verify::{check_requirement, enumerate_violations, Violation};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use yu_analysis::ReqClass;
 use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
-use yu_net::{FailureVars, Flow, LoadPoint, Tlp, TlpReq};
+use yu_net::{FailureVars, LoadPoint, Tlp, TlpReq};
 
 /// Aggregated loads by point, valid until the arena they live in is
 /// collected.
 pub(crate) type LoadCache = HashMap<LoadPoint, (NodeRef, AggStats)>;
 
-/// Cache key of a requirement: its preflight class and its verdict are
-/// pure functions of the (canonical) load at the point and the bounds.
-pub(crate) type ReqKey = (LoadPoint, Option<Ratio>, Option<Ratio>);
+/// Cache key of a requirement: its verdict is a pure function of the
+/// (canonical) load at the point and the bounds.
+type ReqKey = (LoadPoint, Option<Ratio>, Option<Ratio>);
 
 fn req_key(req: &TlpReq) -> ReqKey {
     (req.point, req.min.clone(), req.max.clone())
@@ -183,11 +182,12 @@ pub(crate) fn bound_holds(
 }
 
 /// Whether the requirement loop tries [`bound_holds`] before it
-/// materialises `τ`: first-counterexample runs on budgeted diagrams.
-/// Enumerating runs and the `use_kreduce: false` ablation always build
-/// the diagram they are asked about.
-fn interval_first(opts: &YuOptions, max_violations: usize) -> bool {
-    opts.use_kreduce && max_violations <= 1
+/// materialises `τ`: every run on budgeted diagrams, enumerating or not —
+/// a requirement the bounds prove safe has no scenario to enumerate. The
+/// `use_kreduce: false` ablation always builds the diagram it is asked
+/// about.
+fn interval_first(opts: &YuOptions) -> bool {
+    opts.use_kreduce
 }
 
 /// The aggregated symbolic traffic load at `point`,
@@ -263,7 +263,7 @@ fn aggregate<A: CheckArena>(
 /// The verdict for one requirement, tagged with its index among the
 /// requirements checked.
 pub(crate) struct CheckUnit {
-    /// Index of the requirement in the checked (post-preflight) list.
+    /// Index of the requirement in the TLP.
     pub req_ix: usize,
     /// Violations found for it (at most one unless enumerating).
     pub violations: Vec<Violation>,
@@ -285,10 +285,6 @@ pub(crate) struct CheckUnit {
 /// All plain data — safe across garbage collections.
 #[derive(Default)]
 pub(crate) struct CheckCaches {
-    /// Preflight class per requirement; valid while the preflight's bounds
-    /// inputs (network and flows) are unchanged — the owner clears it when
-    /// they change.
-    pub preflight: HashMap<ReqKey, ReqClass>,
     /// The generation that last dirtied each load point (absent = never).
     pub point_epoch: HashMap<LoadPoint, u64>,
     /// First-counterexample verdict per requirement, valid while its load
@@ -344,8 +340,7 @@ fn check_req<A: CheckArena>(
             req.point,
             opts.use_link_local_equiv,
         );
-        let decided = interval_first(opts, max_violations)
-            && bound_holds(p.m, p.results, req.point, &summed, req);
+        let decided = interval_first(opts) && bound_holds(p.m, p.results, req.point, &summed, req);
         (summed, agg, decided)
     };
     let violations = if bound_decided {
@@ -422,11 +417,11 @@ pub(crate) fn check_reqs<'r, A: CheckArena>(
 impl YuVerifier {
     /// The one verification entry point behind [`Self::verify`],
     /// [`Self::verify_enumerated`] and
-    /// [`crate::IncrementalVerifier::verify`]: preflight, the requirement
-    /// loop (sharded across check workers when configured), and the merge
-    /// into a [`VerificationOutcome`]. `caches`, when given, answers
-    /// unchanged requirements without touching the arena; the incremental
-    /// engine pins `check_workers` to 1, so cached runs are sequential.
+    /// [`crate::IncrementalVerifier::verify`]: the requirement loop
+    /// (sharded across check workers when configured) and the merge into a
+    /// [`VerificationOutcome`]. `caches`, when given, answers unchanged
+    /// requirements without touching the arena; the incremental engine
+    /// pins `check_workers` to 1, so cached runs are sequential.
     pub(crate) fn verify_with(
         &mut self,
         tlp: &Tlp,
@@ -436,18 +431,16 @@ impl YuVerifier {
         let t0 = Instant::now();
         let verify_span = yu_telemetry::span("verify");
         let opts = self.opts;
-        let (kept, pruned) =
-            self.preflight_kept(tlp, caches.as_deref_mut().map(|c| &mut c.preflight));
-        let check_workers = self.effective_check_workers(&kept, max_violations);
+        let check_workers = self.effective_check_workers(&tlp.reqs);
         let mut units = if check_workers > 1 {
             // Workers own private overlays, read the main arena immutably
             // and return plain-data verdicts, merged in requirement order:
             // the outcome is independent of worker count and scheduling.
-            let (units, stats) = check_sharded(self, &kept, max_violations, check_workers);
+            let (units, stats) = check_sharded(self, &tlp.reqs, max_violations, check_workers);
             self.worker_stats.merge(&stats);
             units
         } else {
-            let reqs = kept.iter().enumerate();
+            let reqs = tlp.reqs.iter().enumerate();
             check_reqs(self, &opts, reqs, max_violations, caches.as_deref_mut())
         };
         if opts.profile {
@@ -458,7 +451,7 @@ impl YuVerifier {
             for u in units.iter().filter(|u| !u.cached) {
                 self.check_attr.nodes_delta += u.nodes_delta;
                 self.check_attr.entities.push(EntityCost {
-                    label: req_label(&self.net, &kept[u.req_ix]),
+                    label: req_label(&self.net, &tlp.reqs[u.req_ix]),
                     wall_us: u.wall_us,
                     nodes_delta: u.nodes_delta,
                 });
@@ -486,7 +479,7 @@ impl YuVerifier {
         let mut violations = Vec::new();
         let mut per_point = HashMap::new();
         for u in units {
-            per_point.insert(kept[u.req_ix].point, u.agg);
+            per_point.insert(tlp.reqs[u.req_ix].point, u.agg);
             violations.extend(u.violations);
         }
         if max_violations > 1 {
@@ -503,103 +496,21 @@ impl YuVerifier {
             });
         }
         drop(verify_span);
-        self.finish_outcome(violations, per_point, t0.elapsed(), pruned, bound_decided)
+        self.finish_outcome(violations, per_point, t0.elapsed(), bound_decided)
     }
 
-    /// The semantic preflight pass: classifies every requirement with
-    /// the static analyzer — or takes its class from `cache` — and
-    /// returns the ones the symbolic engine still has to check, plus the
-    /// number discharged. Only `ProvenSafe` requirements are pruned —
-    /// they hold in every ≤ k scenario, so dropping them changes neither
-    /// the verdict nor the violations (proven-violated requirements still
-    /// run: the report needs the engine's exact counterexample). When
-    /// auditing is on, every discharge certificate is re-validated by its
-    /// independent checker before the requirement is skipped.
-    pub(crate) fn preflight_kept(
-        &self,
-        tlp: &Tlp,
-        mut cache: Option<&mut HashMap<ReqKey, ReqClass>>,
-    ) -> (Vec<TlpReq>, usize) {
-        if !self.opts.static_prune || tlp.reqs.is_empty() {
-            return (tlp.reqs.clone(), 0);
-        }
-        let _stage = yu_telemetry::span("preflight");
-        let cached = |cache: &Option<&mut HashMap<ReqKey, ReqClass>>, req: &TlpReq| {
-            cache.as_ref().and_then(|c| c.get(&req_key(req)).copied())
-        };
-        // Classify over the executed flow groups: a group's
-        // representative forwards identically to all members and
-        // carries the summed volume, so bounds over groups equal
-        // bounds over the raw flows. Built only when the cache cannot
-        // answer every requirement.
-        let flows: Vec<Flow> = if tlp.reqs.iter().all(|r| cached(&cache, r).is_some()) {
-            Vec::new()
-        } else {
-            self.groups
-                .iter()
-                .map(|g| Flow {
-                    volume: g.volume.clone(),
-                    ..g.rep.clone()
-                })
-                .collect()
-        };
-        let cfg = yu_analysis::PreflightConfig {
-            k: self.opts.k,
-            mode: self.opts.mode,
-            max_hops: self.opts.max_hops,
-        };
-        let mut pf = yu_analysis::Preflight::new(&self.net, &flows, cfg);
-        let (mut safe, mut violated, mut symbolic) = (0u64, 0u64, 0u64);
-        let mut kept = Vec::with_capacity(tlp.reqs.len());
-        for (ix, req) in tlp.reqs.iter().enumerate() {
-            let class = cached(&cache, req).unwrap_or_else(|| {
-                let classification = {
-                    let _s = yu_telemetry::span_detail("preflight.classify", || {
-                        req.point.describe(&self.net.topo)
-                    });
-                    pf.classify_req(ix, req)
-                };
-                if classification.class == ReqClass::ProvenSafe && yu_mtbdd::audit_enabled() {
-                    yu_analysis::check_certificate(&self.net, &flows, req, cfg, &classification)
-                        .unwrap_or_else(|e| {
-                            panic!("preflight certificate failed its independent check: {e}")
-                        });
-                }
-                if let Some(c) = cache.as_mut() {
-                    c.insert(req_key(req), classification.class);
-                }
-                classification.class
-            });
-            match class {
-                ReqClass::ProvenSafe => safe += 1,
-                ReqClass::ProvenViolated => {
-                    violated += 1;
-                    kept.push(req.clone());
-                }
-                ReqClass::NeedsSymbolic => {
-                    symbolic += 1;
-                    kept.push(req.clone());
-                }
-            }
-        }
-        yu_telemetry::counter("preflight.proven_safe", safe);
-        yu_telemetry::counter("preflight.proven_violated", violated);
-        yu_telemetry::counter("preflight.needs_symbolic", symbolic);
-        (kept, safe as usize)
-    }
-
-    /// The worker count the check stage will actually use for `reqs`
-    /// (after pruning): the configured `check_workers`, or — with
+    /// The worker count the check stage will actually use for `reqs`:
+    /// the configured `check_workers`, or — with
     /// [`YuOptions::check_workers_auto`] — the output of the cost model
     /// in [`Self::auto_check_workers`]. `1` means the sequential loop.
-    fn effective_check_workers(&mut self, reqs: &[TlpReq], max_violations: usize) -> usize {
+    fn effective_check_workers(&mut self, reqs: &[TlpReq]) -> usize {
         if reqs.len() <= 1 || self.opts.check_workers <= 1 {
             return 1;
         }
         if !self.opts.check_workers_auto {
             return self.opts.check_workers;
         }
-        self.auto_workers(reqs, max_violations)
+        self.auto_check_workers(reqs)
     }
 
     /// Estimated symbolic work of checking `reqs`, in nodes: for every
@@ -609,8 +520,8 @@ impl YuVerifier {
     /// sums; a requirement [`bound_holds`] decides builds nothing. Node
     /// counts are memoized per handle, so the estimate costs one DFS per
     /// distinct live diagram, not per requirement.
-    fn estimate_check_work(&mut self, reqs: &[TlpReq], max_violations: usize) -> usize {
-        let bound_first = interval_first(&self.opts, max_violations);
+    fn estimate_check_work(&mut self, reqs: &[TlpReq]) -> usize {
+        let bound_first = interval_first(&self.opts);
         let mut sizes: HashMap<NodeRef, usize> = HashMap::new();
         let mut work = 0usize;
         for req in reqs {
@@ -629,8 +540,7 @@ impl YuVerifier {
         work
     }
 
-    /// The cost model behind `--check-workers auto` for a
-    /// first-counterexample run ([`Self::verify`]): shards the check
+    /// The cost model behind `--check-workers auto`: shards the check
     /// stage only when the estimated per-worker work can pay for the
     /// fixed setup (freezing the arena — a copy of the live node and
     /// slot tables — plus spawning the threads). Returns the worker
@@ -639,19 +549,13 @@ impl YuVerifier {
     /// pay. Purely a wall-clock decision: verdicts are bit-identical
     /// either way.
     pub fn auto_check_workers(&mut self, reqs: &[TlpReq]) -> usize {
-        self.auto_workers(reqs, 1)
-    }
-
-    /// [`Self::auto_check_workers`] for a run that reports up to
-    /// `max_violations` scenarios per requirement.
-    fn auto_workers(&mut self, reqs: &[TlpReq], max_violations: usize) -> usize {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let cap = self.opts.check_workers.min(hw).min(reqs.len());
         if cap <= 1 {
             yu_telemetry::counter("check.auto_degraded", 1);
             return 1;
         }
-        let work = self.estimate_check_work(reqs, max_violations);
+        let work = self.estimate_check_work(reqs);
         // Freezing clones the live arena once; each worker costs a
         // thread spawn plus cold overlay caches, charged as if it were
         // re-deriving a slice of the arena.
@@ -670,7 +574,7 @@ mod tests {
     use super::*;
     use crate::exec::tests::bundle_net;
     use proptest::prelude::*;
-    use yu_net::{FailureMode, Ipv4, RouterId};
+    use yu_net::{FailureMode, Flow, Ipv4, RouterId};
 
     const POINT: LoadPoint = LoadPoint::Delivered(RouterId(2));
 
@@ -770,9 +674,10 @@ mod tests {
         assert!(safe.bound_decided && safe.violations.is_empty());
         assert_eq!((safe.nodes_delta, stored), (0, false));
         assert_eq!((safe.agg.flows, safe.agg.classes), (2, 2));
-        // Enumerating runs always build the diagram they report on.
+        // Nothing to enumerate either: an enumerating run decides it the
+        // same way.
         let (listed, stored) = check(&TlpReq::at_most(POINT, Ratio::int(15)), 8);
-        assert!(!listed.bound_decided && listed.violations.is_empty() && stored);
+        assert!(listed.bound_decided && listed.violations.is_empty() && !stored);
         // 15 > 12 all-alive: never "safe", and the counterexample is the
         // scan's.
         let (over, _) = check(&TlpReq::at_most(POINT, Ratio::int(12)), 1);
@@ -876,7 +781,7 @@ mod tests {
     /// stage will build: for every requirement the interval test leaves
     /// undecided, the classes the aggregator sums (same classing function,
     /// same count as the `AggStats.classes` a verification reports for the
-    /// point); nothing for a decided one; everything when enumerating.
+    /// point); nothing for a decided one.
     #[test]
     fn cost_model_sizes_the_classes_the_aggregator_sums() {
         let (net, [a, _, _]) = bundle_net();
@@ -897,7 +802,6 @@ mod tests {
             let opts = YuOptions {
                 use_global_equiv: false,
                 use_link_local_equiv: link_local,
-                static_prune: false,
                 check_workers: 1,
                 ..Default::default()
             };
@@ -923,8 +827,7 @@ mod tests {
             }
             assert!(0 < undecided && undecided < all, "{undecided} of {all}");
             assert_eq!(out.stats.reqs_bound_decided, decided);
-            assert_eq!(v.estimate_check_work(&tlp.reqs, 1), undecided);
-            assert_eq!(v.estimate_check_work(&tlp.reqs, 2), all);
+            assert_eq!(v.estimate_check_work(&tlp.reqs), undecided);
             let mut crossed = per_point.values().filter(|s| s.flows == 3).peekable();
             assert!(crossed.peek().is_some(), "the flows must cross some link");
             assert!(crossed.all(|s| s.classes == if link_local { 1 } else { 3 }));

@@ -29,12 +29,10 @@
 //!
 //! Per-point **epochs** track which aggregated loads a change dirtied:
 //! a cached verdict is reused iff its load point's epoch is unchanged,
-//! so untouched requirements cost a hash lookup. The preflight
-//! classification is likewise cached per requirement and invalidated
-//! only when its bounds inputs (network or flows) changed. Both caches
-//! are consulted by the one check stage every caller runs
-//! ([`YuVerifier::verify`] without them); this module only decides what
-//! to invalidate.
+//! so untouched requirements cost a hash lookup. The verdict cache is
+//! consulted by the one check stage every caller runs
+//! ([`YuVerifier::verify`] without it); this module only decides what to
+//! invalidate.
 //!
 //! Soundness of all this reuse rests on the arena's canonicity: MTBDDs
 //! are hash-consed with a fixed variable order and exact arithmetic, so
@@ -78,8 +76,8 @@ pub struct IncrementalVerifier {
     tlp: Tlp,
     /// Monotone generation counter; bumped once per applied update.
     gen: u64,
-    /// Per-requirement preflight classes and verdicts, plus the per-point
-    /// epochs that invalidate the latter.
+    /// Per-requirement verdicts, plus the per-point epochs that invalidate
+    /// them.
     caches: CheckCaches,
     last_delta: DeltaStats,
 }
@@ -184,10 +182,6 @@ impl IncrementalVerifier {
                 self.regroup(flows);
             } else {
                 self.flows = flows;
-            }
-            if impact.routing || impact.flows {
-                // The preflight bounds read the network and the flows.
-                self.caches.preflight.clear();
             }
             self.tlp = tlp;
             drop(inv);
@@ -368,9 +362,8 @@ impl IncrementalVerifier {
 
     /// Re-verifies the current TLP, answering unchanged requirements from
     /// the verdict cache and re-aggregating only dirtied load points. The
-    /// outcome (violations, per-point statistics, prune count) is
-    /// bit-identical to a from-scratch [`YuVerifier::verify`] on the same
-    /// inputs.
+    /// outcome (violations, per-point statistics) is bit-identical to a
+    /// from-scratch [`YuVerifier::verify`] on the same inputs.
     pub fn verify(&mut self) -> VerificationOutcome {
         let outcome = self.v.verify_with(&self.tlp, 1, Some(&mut self.caches));
         self.last_delta.reused_reqs = self.caches.reused_reqs;

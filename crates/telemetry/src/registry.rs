@@ -105,8 +105,6 @@ pub struct MetricsRegistry {
     pub verify_runs_total: Counter,
     /// Requirements checked by the symbolic engine.
     pub reqs_checked_total: Counter,
-    /// Requirements discharged by the static preflight analyzer.
-    pub reqs_pruned_total: Counter,
     /// Requirements decided from per-flow terminal ranges, without
     /// building the aggregated load.
     pub reqs_bound_decided_total: Counter,
@@ -202,11 +200,6 @@ impl MetricsRegistry {
                 name: "yu_reqs_checked_total",
                 help: "Requirements checked by the symbolic engine",
                 metric: C(&self.reqs_checked_total),
-            },
-            MetricDesc {
-                name: "yu_reqs_pruned_total",
-                help: "Requirements discharged by the static preflight analyzer",
-                metric: C(&self.reqs_pruned_total),
             },
             MetricDesc {
                 name: "yu_reqs_bound_decided_total",

@@ -3,17 +3,16 @@
 //! ```text
 //! yu export <fig1|fig9|fig10|ft4|n0|preflight> > spec.json
 //!                                                    write a built-in example spec
-//! yu lint spec.json [--json] [--deep]                preflight lint (YU0xx diagnostics;
+//! yu lint spec.json [--json] [--deep]                static lint (YU0xx diagnostics;
 //!           [--deny-warnings]                        --deep adds the semantic rules
 //!                                                    YU021-YU032: bridges, partitions,
 //!                                                    bound-analysis verdicts)
 //! yu check spec.json                                 lint + summarize the spec
 //! yu verify spec.json [--json] [--workers N]         verify the TLP under <= k failures
 //!           [--check-workers N|auto]                 (check sharding defaults to 'auto':
-//!           [--no-static-prune]                      a cost model degrades to sequential
-//!           [--explain] [--max-violations N]         when sharding cannot pay for setup)
-//!           [-v] [--trace-out t.json] [--metrics-out m.json]
-//!           [--profile-out p.json]
+//!           [--explain] [--max-violations N]         a cost model degrades to sequential
+//!           [-v] [--trace-out t.json]                when sharding cannot pay for setup)
+//!           [--metrics-out m.json] [--profile-out p.json]
 //! yu profile spec.json [--json] [--top N]            verify with per-entity performance
 //!           [--folded-out stacks.folded]             attribution: which flows/requirements
 //!                                                    cost the time and the arena nodes,
@@ -43,7 +42,9 @@
 //! ```
 //!
 //! Specs are self-contained JSON (network + flows + TLP + k); see
-//! `yu::spec::VerifySpec` and `yu export` for the format.
+//! `yu::spec::VerifySpec` and `yu export` for the format. An argument
+//! starting with `-` that is not one of the flags above is an error
+//! (exit 2), whatever the subcommand.
 //!
 //! Forensics: `yu explain` (and `yu verify --explain`) re-verifies the
 //! spec, then builds an [`yu::core::Explanation`] for each violation —
@@ -116,10 +117,28 @@ fn main() -> ExitCode {
         "--top",
         "--regress-factor",
     ];
-    let mut pos = args.iter().enumerate().filter_map(|(i, a)| {
-        let is_flag_value = i > 0 && VALUE_FLAGS.iter().any(|f| args[i - 1] == *f);
-        (!a.starts_with('-') && !is_flag_value).then_some(a)
-    });
+    const SWITCHES: [&str; 6] = [
+        "--json",
+        "--explain",
+        "--deep",
+        "--deny-warnings",
+        "-v",
+        "--verbose",
+    ];
+    let is_flag_value = |i: usize| i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
+    let known = |a: &str| VALUE_FLAGS.contains(&a) || SWITCHES.contains(&a);
+    let unknown = args
+        .iter()
+        .enumerate()
+        .find(|&(i, a)| a.starts_with('-') && !is_flag_value(i) && !known(a));
+    if let Some((_, flag)) = unknown {
+        eprintln!("error: unknown flag '{flag}'");
+        return usage();
+    }
+    let mut pos = args
+        .iter()
+        .enumerate()
+        .filter_map(|(i, a)| (!a.starts_with('-') && !is_flag_value(i)).then_some(a));
     let cmd = pos.next().map(String::as_str).unwrap_or("help");
     let arg = pos.next().cloned();
     let arg2 = pos.next().cloned();
@@ -203,13 +222,20 @@ fn main() -> ExitCode {
     let explain_flag = args.iter().any(|a| a == "--explain");
     let deep = args.iter().any(|a| a == "--deep");
     let deny_warnings = args.iter().any(|a| a == "--deny-warnings");
-    let static_prune = !args.iter().any(|a| a == "--no-static-prune");
     let telemetry = TelemetryArgs {
         trace_out: flag_value("--trace-out").or_else(|| env_out("YU_TRACE", "yu-trace.json")),
         metrics_out: flag_value("--metrics-out")
             .or_else(|| env_out("YU_METRICS", "yu-metrics.json")),
         verbose: args.iter().any(|a| a == "-v" || a == "--verbose")
             || env_out("YU_VERBOSE", "").is_some(),
+    };
+    // What the flags say about a run; `spec_options` adds what the spec
+    // says.
+    let base = YuOptions {
+        workers,
+        check_workers: check_workers.workers,
+        check_workers_auto: check_workers.auto,
+        ..Default::default()
     };
 
     match cmd {
@@ -218,34 +244,29 @@ fn main() -> ExitCode {
         "check" => check(&load(&arg)),
         "verify" => verify(
             &load(&arg),
+            base,
             json_output,
-            workers,
-            check_workers,
             &telemetry,
             VerifyFlags {
                 explain: explain_flag,
                 max_violations,
-                static_prune,
                 profile_out: flag_value("--profile-out"),
             },
         ),
         "profile" => profile(
             &load(&arg),
+            base,
             json_output,
-            workers,
-            check_workers,
             &telemetry,
             ProfileArgs {
                 top,
                 folded_out: flag_value("--folded-out"),
-                static_prune,
             },
         ),
         "explain" => explain(
             &load(&arg),
+            base,
             json_output,
-            workers,
-            check_workers,
             &telemetry,
             max_violations,
             dot_out.as_deref(),
@@ -253,15 +274,7 @@ fn main() -> ExitCode {
         "loads" => loads(&load(&arg), fail_arg.as_deref()),
         "scenarios" => scenarios(&load(&arg)),
         "rib" => rib(&load(&arg), &args),
-        "diff" => diff(
-            &load(&arg),
-            &load(&arg2),
-            json_output,
-            workers,
-            check_workers,
-            static_prune,
-            &telemetry,
-        ),
+        "diff" => diff(&load(&arg), &load(&arg2), base, json_output, &telemetry),
         "serve" => {
             let slow_ms = match args.iter().position(|a| a == "--slow-ms") {
                 Some(i) => match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
@@ -285,9 +298,7 @@ fn main() -> ExitCode {
             };
             serve(
                 flag_value("--spec").or(arg),
-                workers,
-                check_workers,
-                static_prune,
+                base,
                 &telemetry,
                 ServeObsArgs {
                     prom_out: flag_value("--prom-out"),
@@ -301,18 +312,32 @@ fn main() -> ExitCode {
             if other != "help" {
                 eprintln!("unknown command '{other}'");
             }
-            eprintln!(
-                "usage: yu <export|lint|check|verify|profile|explain|loads|scenarios|rib|diff\
-                 |serve> [spec.json] \
-                 [--json] [--deep] [--deny-warnings] [--workers N] [--check-workers N|auto] \
-                 [--no-static-prune] [--explain] [--max-violations N] \
-                 [--dot-out FILE] [--fail A-B,C-D] [--router <name> --dst <ip>] \
-                 [--spec base.json] [-v] [--trace-out FILE] [--metrics-out FILE] \
-                 [--profile-out FILE] [--top N] [--folded-out FILE] \
-                 [--prom-out FILE] [--events-out FILE] [--slow-ms N] [--regress-factor X]"
-            );
-            ExitCode::from(2)
+            usage()
         }
+    }
+}
+
+/// Prints the usage line; returns the exit code of a command-line error.
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: yu <export|lint|check|verify|profile|explain|loads|scenarios|rib|diff\
+         |serve> [spec.json] \
+         [--json] [--deep] [--deny-warnings] [--workers N] [--check-workers N|auto] \
+         [--explain] [--max-violations N] \
+         [--dot-out FILE] [--fail A-B,C-D] [--router <name> --dst <ip>] \
+         [--spec base.json] [-v] [--trace-out FILE] [--metrics-out FILE] \
+         [--profile-out FILE] [--top N] [--folded-out FILE] \
+         [--prom-out FILE] [--events-out FILE] [--slow-ms N] [--regress-factor X]"
+    );
+    ExitCode::from(2)
+}
+
+/// `base` with the failure budget and mode of `spec`.
+fn spec_options(base: YuOptions, spec: &VerifySpec) -> YuOptions {
+    YuOptions {
+        k: spec.k,
+        mode: spec.mode,
+        ..base
     }
 }
 
@@ -487,7 +512,6 @@ fn check(spec: &VerifySpec) -> ExitCode {
 struct VerifyFlags {
     explain: bool,
     max_violations: usize,
-    static_prune: bool,
     /// `--profile-out FILE`: capture per-entity attribution and write it
     /// to FILE as JSON (the same object `yu profile --json` embeds).
     profile_out: Option<String>,
@@ -495,9 +519,8 @@ struct VerifyFlags {
 
 fn verify(
     spec: &VerifySpec,
+    base: YuOptions,
     json_output: bool,
-    workers: usize,
-    check_workers: CheckWorkersArg,
     telemetry: &TelemetryArgs,
     flags: VerifyFlags,
 ) -> ExitCode {
@@ -507,14 +530,8 @@ fn verify(
     let mut v = YuVerifier::new(
         spec.network.clone(),
         YuOptions {
-            k: spec.k,
-            mode: spec.mode,
-            workers,
-            check_workers: check_workers.workers,
-            check_workers_auto: check_workers.auto,
-            static_prune: flags.static_prune,
             profile: flags.profile_out.is_some(),
-            ..Default::default()
+            ..spec_options(base, spec)
         },
     );
     v.add_flows(&spec.flows);
@@ -552,11 +569,10 @@ fn verify(
     // With --json, stdout carries only the machine-readable result
     // object; the human stats line moves to stderr.
     let stats = format!(
-        "({} flows -> {} groups; {} req(s) statically discharged, \
-         {} decided by bounds; route {:?}, exec {:?}, check {:?})",
+        "({} flows -> {} groups; {} req(s) decided by bounds; \
+         route {:?}, exec {:?}, check {:?})",
         out.stats.flows_in,
         out.stats.flow_groups,
-        out.stats.reqs_pruned,
         out.stats.reqs_bound_decided,
         out.stats.route_time,
         out.stats.exec_time,
@@ -593,7 +609,6 @@ struct ProfileArgs {
     top: usize,
     /// `--folded-out FILE`: write flamegraph folded stacks.
     folded_out: Option<String>,
-    static_prune: bool,
 }
 
 /// Human-scale wall time: `987us`, `12.34ms`, `1.23s`.
@@ -613,9 +628,8 @@ fn fmt_us(us: u64) -> String {
 /// variable level, per operation cache, and per telemetry call path.
 fn profile(
     spec: &VerifySpec,
+    base: YuOptions,
     json_output: bool,
-    workers: usize,
-    check_workers: CheckWorkersArg,
     telemetry: &TelemetryArgs,
     args: ProfileArgs,
 ) -> ExitCode {
@@ -625,14 +639,8 @@ fn profile(
     let mut v = YuVerifier::new(
         spec.network.clone(),
         YuOptions {
-            k: spec.k,
-            mode: spec.mode,
-            workers,
-            check_workers: check_workers.workers,
-            check_workers_auto: check_workers.auto,
-            static_prune: args.static_prune,
             profile: true,
-            ..Default::default()
+            ..spec_options(base, spec)
         },
     );
     v.add_flows(&spec.flows);
@@ -666,7 +674,6 @@ fn profile(
         );
         stats.insert("flows_in", Value::Int(out.stats.flows_in as i128));
         stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
-        stats.insert("reqs_pruned", Value::Int(out.stats.reqs_pruned as i128));
         stats.insert(
             "reqs_bound_decided",
             Value::Int(out.stats.reqs_bound_decided as i128),
@@ -718,13 +725,12 @@ fn print_profile_tables(
     };
     println!(
         "{verdict} under <= {} {} failures; {} flows -> {} groups, {} requirement(s) \
-         ({} statically discharged, {} decided by bounds)",
+         ({} decided by bounds)",
         spec.k,
         mode_noun(spec.mode),
         out.stats.flows_in,
         out.stats.flow_groups,
         spec.tlp.reqs.len(),
-        out.stats.reqs_pruned,
         out.stats.reqs_bound_decided,
     );
     println!();
@@ -866,31 +872,20 @@ fn print_profile_tables(
 fn diff(
     old: &VerifySpec,
     new: &VerifySpec,
+    base: YuOptions,
     json_output: bool,
-    workers: usize,
-    check_workers: CheckWorkersArg,
-    static_prune: bool,
     telemetry: &TelemetryArgs,
 ) -> ExitCode {
     if telemetry.wants_recording() {
         yu::telemetry::set_enabled(true);
     }
-    let opts = YuOptions {
-        k: old.k,
-        mode: old.mode,
-        workers,
-        check_workers: check_workers.workers,
-        check_workers_auto: check_workers.auto,
-        static_prune,
-        ..Default::default()
-    };
     let mut inc = yu::core::IncrementalVerifier::new(
         old.network.clone(),
         old.flows.clone(),
         old.tlp.clone(),
-        opts,
+        spec_options(base, old),
     );
-    let base = inc.verify();
+    let before = inc.verify();
     let out = if old.k != new.k || old.mode != new.mode {
         // A different failure budget or mode changes the scenario space
         // itself — nothing symbolic is reusable; start over on `new`.
@@ -898,18 +893,14 @@ fn diff(
             new.network.clone(),
             new.flows.clone(),
             new.tlp.clone(),
-            YuOptions {
-                k: new.k,
-                mode: new.mode,
-                ..opts
-            },
+            spec_options(base, new),
         );
         inc.verify()
     } else {
         inc.set_state(new.network.clone(), new.flows.clone(), new.tlp.clone())
     };
     let delta = inc.delta_stats();
-    let (new_v, resolved) = yu::serve::violation_delta(&base.violations, &out.violations);
+    let (new_v, resolved) = yu::serve::violation_delta(&before.violations, &out.violations);
     if json_output {
         use serde::{Map, Serialize, Value};
         let mut root = Map::new();
@@ -985,9 +976,7 @@ fn write_prometheus(path: &str) {
 /// stdin, write one verdict-delta response line each, until EOF.
 fn serve(
     spec_path: Option<String>,
-    workers: usize,
-    check_workers: CheckWorkersArg,
-    static_prune: bool,
+    base: YuOptions,
     telemetry: &TelemetryArgs,
     obs: ServeObsArgs,
 ) -> ExitCode {
@@ -1002,21 +991,13 @@ fn serve(
         }
     }
     let spec = load(&spec_path);
-    let opts = YuOptions {
-        k: spec.k,
-        mode: spec.mode,
-        workers,
-        check_workers: check_workers.workers,
-        check_workers_auto: check_workers.auto,
-        static_prune,
-        ..Default::default()
-    };
     let config = yu::serve::ServeConfig {
         slow_threshold: std::time::Duration::from_millis(obs.slow_ms),
         regress_factor: obs.regress_factor,
         ..Default::default()
     };
-    let mut session = yu::serve::ServeSession::with_config(&spec, opts, config);
+    let mut session =
+        yu::serve::ServeSession::with_config(&spec, spec_options(base, &spec), config);
     let stdout = std::io::stdout();
     {
         let mut out = stdout.lock();
@@ -1067,9 +1048,8 @@ fn mode_noun(mode: FailureMode) -> &'static str {
 /// envelope — for every violation found.
 fn explain(
     spec: &VerifySpec,
+    base: YuOptions,
     json_output: bool,
-    workers: usize,
-    check_workers: CheckWorkersArg,
     telemetry: &TelemetryArgs,
     max_violations: usize,
     dot_out: Option<&str>,
@@ -1077,17 +1057,7 @@ fn explain(
     if telemetry.wants_recording() {
         yu::telemetry::set_enabled(true);
     }
-    let mut v = YuVerifier::new(
-        spec.network.clone(),
-        YuOptions {
-            k: spec.k,
-            mode: spec.mode,
-            workers,
-            check_workers: check_workers.workers,
-            check_workers_auto: check_workers.auto,
-            ..Default::default()
-        },
-    );
+    let mut v = YuVerifier::new(spec.network.clone(), spec_options(base, spec));
     v.add_flows(&spec.flows);
     let out = v.verify_enumerated(&spec.tlp, max_violations);
     let explanations: Vec<yu::core::Explanation> =
@@ -1173,7 +1143,6 @@ fn verify_json(
     );
     stats.insert("flows_in", Value::Int(out.stats.flows_in as i128));
     stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
-    stats.insert("reqs_pruned", Value::Int(out.stats.reqs_pruned as i128));
     stats.insert(
         "reqs_bound_decided",
         Value::Int(out.stats.reqs_bound_decided as i128),

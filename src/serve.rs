@@ -551,7 +551,6 @@ pub fn stats_value(out: &VerificationOutcome, delta: DeltaStats) -> Value {
     stats.insert("dirty_points", Value::Int(delta.dirty_points as i128));
     stats.insert("full_rebuild", Value::Bool(delta.full_rebuild));
     stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
-    stats.insert("reqs_pruned", Value::Int(out.stats.reqs_pruned as i128));
     stats.insert(
         "reqs_bound_decided",
         Value::Int(out.stats.reqs_bound_decided as i128),

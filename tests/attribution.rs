@@ -32,7 +32,6 @@ fn sequential_attribution_reconciles_exactly_with_the_arena() {
         gc_node_threshold: 0,
         workers: 1,
         check_workers: 1,
-        static_prune: false,
         ..Default::default()
     });
     let attr = out.stats.attribution.as_ref().expect("profile run");
@@ -47,10 +46,7 @@ fn sequential_attribution_reconciles_exactly_with_the_arena() {
     // requirement, no import phase in sequential mode.
     assert_eq!(attr.exec.entities.len(), out.stats.flow_groups);
     let ex = motivating_example();
-    assert_eq!(
-        attr.check.entities.len(),
-        ex.p2.reqs.len() - out.stats.reqs_pruned
-    );
+    assert_eq!(attr.check.entities.len(), ex.p2.reqs.len());
     assert!(attr.import.entities.is_empty());
     assert!(attr
         .exec

@@ -136,11 +136,11 @@ fn assert_check_matches_sequential(inst: &Instance, mode: FailureMode, worker_co
         let mut par = run(inst, mode, opts_with_check_workers(w));
         let par_out = par.verify(&inst.tlp);
         // A single requirement legitimately falls back to the sequential
-        // checker (the static preflight may have discharged the rest), and
-        // a worker builds nothing for a requirement the interval test
-        // decides; otherwise the sharded checker must actually have run.
-        let kept = inst.tlp.reqs.len() - par_out.stats.reqs_pruned;
-        if kept > 1 && par_out.stats.reqs_bound_decided < kept {
+        // checker, and a worker builds nothing for a requirement the
+        // interval test decides; otherwise the sharded checker must
+        // actually have run.
+        let reqs = inst.tlp.reqs.len();
+        if reqs > 1 && par_out.stats.reqs_bound_decided < reqs {
             assert!(
                 par_out.stats.mtbdd_workers.nodes_created > 0,
                 "{ctx}: parallel check must report worker arena stats"
@@ -325,8 +325,8 @@ fn more_check_workers_than_requirements() {
 
 /// Every caller of the check stage — `verify`, `verify_enumerated(_, 1)`,
 /// a sharded run, and `IncrementalVerifier::verify` — reports the same
-/// verdicts, aggregation statistics and prune count; the callers that run
-/// on the main arena also leave it the same size, to the node.
+/// verdicts, aggregation statistics and bound-decided count; the callers
+/// that run on the main arena also leave it the same size, to the node.
 #[test]
 fn every_caller_agrees_to_the_node() {
     for inst in &instances() {
@@ -375,7 +375,7 @@ fn every_caller_agrees_to_the_node() {
                     "{ctx}: {caller}"
                 );
                 assert_eq!(
-                    plain.stats.reqs_pruned, out.stats.reqs_pruned,
+                    plain.stats.reqs_bound_decided, out.stats.reqs_bound_decided,
                     "{ctx}: {caller}"
                 );
             }

@@ -347,16 +347,99 @@ fn serve_over_a_pipe_end_to_end() {
     let _ = std::fs::remove_file(&spec_path);
 }
 
+/// An argument that looks like a flag but is none the parser knows is a
+/// usage error naming it — never ignored, and its value never mistaken for
+/// a positional. `--no-static-prune` was a flag once; scripts that still
+/// pass it must hear about it.
 #[test]
-fn deep_lint_on_the_preflight_example_reports_discharges() {
+fn unknown_flags_are_rejected() {
+    use std::process::Command;
+
+    let spec_path = std::env::temp_dir().join("yu-unknown-flag-cli-test.json");
+    std::fs::write(&spec_path, fig1_spec().to_json()).unwrap();
+    let spec_path = spec_path.to_str().unwrap();
+    let yu = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_yu"))
+            .args(["verify", spec_path])
+            .args(args)
+            .output()
+            .expect("yu runs");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        (out.status.code(), out.stdout, stderr)
+    };
+    // fig1 P2 is violated: exit 1, with every known flag spelt right.
+    let (code, _, stderr) = yu(&["--max-violations", "5", "--json"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    for (args, flag) in [
+        (&["--no-such-flag"][..], "--no-such-flag"),
+        (&["--max-violatons", "5"][..], "--max-violatons"),
+        (&["--no-static-prune"][..], "--no-static-prune"),
+        (&["--json", "-x"][..], "-x"),
+    ] {
+        let (code, stdout, stderr) = yu(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: nothing may run");
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(spec_path);
+}
+
+fn preflight_spec() -> VerifySpec {
     let ex = yu::gen::preflight_example();
-    let spec = VerifySpec {
+    VerifySpec {
         network: ex.net,
         flows: ex.flows,
         tlp: ex.tlp,
         k: 1,
         mode: yu::net::FailureMode::Links,
-    };
+    }
+}
+
+/// Every response accounts for every requirement: answered from the
+/// verdict cache or checked again, nothing discharged on the side.
+#[test]
+fn serve_accounts_for_every_requirement() {
+    use serde_json::Value;
+    use yu::serve::ServeSession;
+
+    let spec = preflight_spec();
+    let mut s = ServeSession::new(&spec, yu::core::YuOptions::default());
+    let ready: Value = serde_json::from_str(&s.ready_line()).unwrap();
+    let reqs = field(&ready, "reqs");
+    assert_eq!(reqs, &Value::Int(spec.tlp.reqs.len() as i128));
+    for (id, changes) in [
+        r#"{"SetFlowVolume": {"flow": 0, "volume": "7"}}"#,
+        r#"{"SetLinkCost": {"from": "B", "to": "C", "index": 0, "cost": 40}}"#,
+        "",
+        r#"{"SetFlowVolume": {"flow": 0, "volume": "20"}}"#,
+    ]
+    .iter()
+    .enumerate()
+    {
+        let line = format!(r#"{{"id": {id}, "changes": [{changes}]}}"#);
+        let r: Value = serde_json::from_str(&s.handle_line(&line)).unwrap();
+        assert_eq!(field(&r, "ok"), &Value::Bool(true), "{r:?}");
+        let stats = field(&r, "stats");
+        let (Value::Int(reused), Value::Int(rechecked)) =
+            (field(stats, "reused_reqs"), field(stats, "rechecked_reqs"))
+        else {
+            panic!("counters are integers: {stats:?}");
+        };
+        assert_eq!(
+            &Value::Int(reused + rechecked),
+            reqs,
+            "request {id}: {stats:?}"
+        );
+    }
+}
+
+#[test]
+fn deep_lint_on_the_preflight_example_reports_discharges() {
+    let ex = yu::gen::preflight_example();
+    let spec = preflight_spec();
     let spec = VerifySpec::from_json(&spec.to_json()).unwrap();
     // Shallow lint: clean except the intentional duplicate-point overlap
     // is a deep-only rule, so no errors either way.

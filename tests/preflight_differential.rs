@@ -1,45 +1,29 @@
-//! The static preflight pruner must be invisible in the verdict: running
-//! every built-in example with pruning on and off has to produce
-//! bit-identical verification results — same verdict, same violations in
-//! the same order — in every failure mode. Pruning may only change how
-//! much work the symbolic engine does, never what it concludes.
-//!
-//! Certificates are independently re-validated inside the pruner under
-//! `debug_assertions` (the configuration this test runs in), so a pass
-//! here also means every discharged requirement carried a checkable
-//! proof.
+//! The static analyzer against the engine on every built-in example, in
+//! both failure modes: `yu::analysis::classify` (what `yu lint --deep`
+//! reports) is an oracle *for* `verify`, not a stage inside it. Whatever
+//! it proves safe, the check stage's interval test decides by itself —
+//! exact per-class terminal ranges summed are never looser than per-flow
+//! volume bounds summed — so verifying the `ProvenSafe` subset alone
+//! builds no aggregated load and finds nothing, enumerating or not; and
+//! every `ProvenViolated` requirement comes back with a counterexample.
+//! Each safe verdict's certificate is re-validated by its independent
+//! checker on the way.
 
-use yu::core::{VerificationOutcome, YuOptions, YuVerifier};
+use yu::analysis::{check_certificate, classify, PreflightConfig, ReqClass};
+use yu::core::{YuOptions, YuVerifier};
 use yu::gen::{
-    motivating_example, preflight_example, sr_anycast_incident, static_blackhole_incident, wan,
-    WanParams,
+    fattree_with_flows, motivating_example, preflight_example, sr_anycast_incident,
+    static_blackhole_incident, wan, WanParams,
 };
-use yu::net::{FailureMode, Flow, Network, Tlp};
-
-fn run(
-    net: &Network,
-    flows: &[Flow],
-    tlp: &Tlp,
-    mode: FailureMode,
-    static_prune: bool,
-) -> VerificationOutcome {
-    let mut v = YuVerifier::new(
-        net.clone(),
-        YuOptions {
-            k: 1,
-            mode,
-            static_prune,
-            ..Default::default()
-        },
-    );
-    v.add_flows(flows);
-    v.verify(tlp)
-}
+use yu::mtbdd::Ratio;
+use yu::net::{FailureMode, Flow, Network, Tlp, DEFAULT_MAX_HOPS};
 
 fn cases() -> Vec<(&'static str, Network, Vec<Flow>, Tlp)> {
     let fig1 = motivating_example();
     let fig9 = sr_anycast_incident();
     let fig10 = static_blackhole_incident();
+    let (ft4, ft4_flows) = fattree_with_flows(4, 16);
+    let ft4_tlp = Tlp::no_overload(&ft4.net.topo, Ratio::new(95, 100));
     let pf = preflight_example();
     let w = wan(WanParams {
         core_routers: 5,
@@ -50,92 +34,101 @@ fn cases() -> Vec<(&'static str, Network, Vec<Flow>, Tlp)> {
         seed: 7,
     });
     let wan_flows = w.flows(12, 0xBEEF);
-    let wan_tlp = Tlp::no_overload(&w.net.topo, yu::mtbdd::Ratio::new(95, 100));
+    let wan_tlp = Tlp::no_overload(&w.net.topo, Ratio::new(95, 100));
     vec![
         ("fig1/p1", fig1.net.clone(), fig1.flows.clone(), fig1.p1),
         ("fig1/p2", fig1.net, fig1.flows, fig1.p2),
         ("fig9", fig9.net, fig9.flows, fig9.tlp),
         ("fig10", fig10.net, fig10.flows, fig10.tlp),
+        ("ft4", ft4.net, ft4_flows, ft4_tlp),
         ("preflight", pf.net, pf.flows, pf.tlp),
         ("wan-small", w.net, wan_flows, wan_tlp),
     ]
 }
 
-#[test]
-fn pruned_and_unpruned_runs_are_bit_identical() {
-    for (name, net, flows, tlp) in cases() {
-        for mode in [FailureMode::Links, FailureMode::Routers] {
-            let pruned = run(&net, &flows, &tlp, mode, true);
-            let full = run(&net, &flows, &tlp, mode, false);
-            assert_eq!(
-                pruned.verified(),
-                full.verified(),
-                "{name} ({mode:?}): verdict changed under pruning"
-            );
-            assert_eq!(
-                pruned.violations, full.violations,
-                "{name} ({mode:?}): violations changed under pruning"
-            );
-            assert_eq!(
-                full.stats.reqs_pruned, 0,
-                "{name} ({mode:?}): --no-static-prune must not prune"
-            );
+/// The requirements of `tlp` the analyzer proves safe and the ones it
+/// proves violated, each as a TLP, every certificate re-validated.
+fn proven(net: &Network, flows: &[Flow], tlp: &Tlp, mode: FailureMode) -> (Tlp, Tlp) {
+    let cfg = PreflightConfig {
+        k: 1,
+        mode,
+        max_hops: DEFAULT_MAX_HOPS,
+    };
+    let (mut safe, mut violated) = (Tlp::new(), Tlp::new());
+    for c in classify(net, flows, tlp, cfg) {
+        let req = &tlp.reqs[c.req_ix];
+        check_certificate(net, flows, req, cfg, &c)
+            .unwrap_or_else(|e| panic!("certificate of requirement {}: {e}", c.req_ix));
+        match c.class {
+            ReqClass::ProvenSafe => safe.reqs.push(req.clone()),
+            ReqClass::ProvenViolated => violated.reqs.push(req.clone()),
+            ReqClass::NeedsSymbolic => {}
         }
     }
+    (safe, violated)
+}
+
+fn verifier(net: &Network, flows: &[Flow], mode: FailureMode) -> YuVerifier {
+    let opts = YuOptions {
+        k: 1,
+        mode,
+        ..Default::default()
+    };
+    let mut v = YuVerifier::new(net.clone(), opts);
+    v.add_flows(flows);
+    v
+}
+
+#[test]
+fn static_verdicts_hold_on_every_builtin() {
+    let (mut safe_total, mut violated_total) = (0, 0);
+    for (name, net, flows, tlp) in cases() {
+        for mode in [FailureMode::Links, FailureMode::Routers] {
+            let ctx = format!("{name} ({mode:?})");
+            let mut v = verifier(&net, &flows, mode);
+            let (safe, violated) = proven(&net, &flows, &tlp, mode);
+
+            let nodes = v.mtbdd_stats().nodes_created;
+            for out in [v.verify(&safe), v.verify_enumerated(&safe, 3)] {
+                assert!(out.verified(), "{ctx}: {:?}", out.violations);
+                assert_eq!(
+                    out.stats.reqs_bound_decided,
+                    safe.reqs.len(),
+                    "{ctx}: a statically safe requirement the interval test left undecided"
+                );
+            }
+            assert_eq!(v.mtbdd_stats().nodes_created, nodes, "{ctx}");
+
+            // One counterexample per violated requirement, in order.
+            let points: Vec<_> = violated.reqs.iter().map(|r| r.point).collect();
+            let found = v.verify(&violated).violations;
+            let found: Vec<_> = found.iter().map(|vi| vi.point).collect();
+            assert_eq!(found, points, "{ctx}: statically violated requirements");
+
+            safe_total += safe.reqs.len();
+            violated_total += violated.reqs.len();
+        }
+    }
+    assert!(
+        safe_total > 0 && violated_total > 0,
+        "both verdicts must be exercised: {safe_total} safe, {violated_total} violated"
+    );
 }
 
 #[test]
 fn preflight_example_actually_discharges_requirements() {
     let pf = preflight_example();
-    let out = run(&pf.net, &pf.flows, &pf.tlp, FailureMode::Links, true);
+    let mode = FailureMode::Links;
+    let (safe, _) = proven(&pf.net, &pf.flows, &pf.tlp, mode);
     assert_eq!(
-        out.stats.reqs_pruned, pf.expected_discharged,
-        "the preflight example exists to exercise the pruner"
+        safe.reqs.len(),
+        pf.expected_discharged,
+        "the preflight example exists to exercise the analyzer"
     );
-    // P1 and the P2 overload reqs still went through the symbolic
-    // engine and produced the known Fig. 1 counterexamples.
+    // The whole TLP through the engine: those and more are decided by
+    // bounds, and P1 and the P2 overload requirements still produce the
+    // known Fig. 1 counterexamples.
+    let out = verifier(&pf.net, &pf.flows, mode).verify(&pf.tlp);
+    assert!(out.stats.reqs_bound_decided >= pf.expected_discharged);
     assert!(!out.verified());
-}
-
-#[test]
-fn enumerated_verification_is_also_prune_invariant() {
-    let pf = preflight_example();
-    let mut outs = [true, false].map(|static_prune| {
-        let mut v = YuVerifier::new(
-            pf.net.clone(),
-            YuOptions {
-                k: 1,
-                static_prune,
-                ..Default::default()
-            },
-        );
-        v.add_flows(&pf.flows);
-        v.verify_enumerated(&pf.tlp, 3)
-    });
-    let full = outs[1].violations.clone();
-    let pruned = &mut outs[0];
-    assert!(!pruned.verified());
-    assert_eq!(pruned.violations, full);
-    assert!(pruned.stats.reqs_pruned >= 1);
-}
-
-#[test]
-fn preflight_records_telemetry_spans_and_counters() {
-    let pf = preflight_example();
-    yu::telemetry::set_enabled(true);
-    yu::telemetry::reset();
-    let out = run(&pf.net, &pf.flows, &pf.tlp, FailureMode::Links, true);
-    let report = yu::telemetry::snapshot();
-    yu::telemetry::reset();
-    yu::telemetry::set_enabled(false);
-
-    assert!(out.stats.reqs_pruned >= 1);
-    let aggs = report.stage_aggs();
-    assert!(
-        aggs.contains_key("preflight"),
-        "pruner must record its stage span"
-    );
-    let counters = report.counter_totals();
-    assert!(counters.get("preflight.proven_safe").copied().unwrap_or(0) >= 1);
-    assert!(counters.contains_key("preflight.needs_symbolic"));
 }

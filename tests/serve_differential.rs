@@ -4,10 +4,9 @@
 //! after **every** step the incremental verifier must be bit-identical
 //! to a from-scratch run on the updated inputs — same verdict, same
 //! violation set (including counterexample scenarios), same per-point
-//! aggregation statistics, same prune count, same flow-group results
-//! (volumes, members, and symbolic load terminals), and the same
-//! concrete loads at sampled scenarios. The whole script runs with
-//! static pruning both on and off.
+//! aggregation statistics, same flow-group results (volumes, members, and
+//! symbolic load terminals), and the same concrete loads at sampled
+//! scenarios.
 //!
 //! Under `YU_AUDIT=1` the reused arena additionally passes the
 //! canonicity auditor after each invalidation (the engine's own
@@ -183,11 +182,10 @@ fn edit_script(inst: &Instance) -> Vec<(&'static str, ChangeSet)> {
     script
 }
 
-fn options(inst: &Instance, static_prune: bool) -> YuOptions {
+fn options(inst: &Instance) -> YuOptions {
     YuOptions {
         k: inst.k,
         mode: FailureMode::Links,
-        static_prune,
         ..Default::default()
     }
 }
@@ -266,10 +264,6 @@ fn assert_matches_scratch(ctx: &str, inc: &mut IncrementalVerifier, inc_out: &Ve
         "{ctx}: violation set differs"
     );
     assert_eq!(
-        fresh_out.stats.reqs_pruned, inc_out.stats.reqs_pruned,
-        "{ctx}: prune count differs"
-    );
-    assert_eq!(
         fresh_out.stats.flow_groups, inc_out.stats.flow_groups,
         "{ctx}: group count differs"
     );
@@ -298,23 +292,18 @@ fn assert_matches_scratch(ctx: &str, inc: &mut IncrementalVerifier, inc_out: &Ve
     inc.verifier().audit().assert_ok(ctx);
 }
 
-fn run_script(inst: &Instance, static_prune: bool) {
-    run_script_with(inst, options(inst, static_prune));
+fn run_script(inst: &Instance) {
+    run_script_with(inst, options(inst));
 }
 
 /// Returns the garbage collections the session's arena ran.
 fn run_script_with(inst: &Instance, opts: YuOptions) -> u64 {
-    let static_prune = opts.static_prune;
     let mut inc =
         IncrementalVerifier::new(inst.net.clone(), inst.flows.clone(), inst.tlp.clone(), opts);
     let base = inc.verify();
-    assert_matches_scratch(
-        &format!("{} base prune={static_prune}", inst.name),
-        &mut inc,
-        &base,
-    );
+    assert_matches_scratch(&format!("{} base", inst.name), &mut inc, &base);
     for (step, cs) in edit_script(inst) {
-        let ctx = format!("{} step={step} prune={static_prune}", inst.name);
+        let ctx = format!("{} step={step}", inst.name);
         let out = inc
             .apply(&cs)
             .unwrap_or_else(|e| panic!("{ctx}: apply failed: {e}"));
@@ -334,36 +323,31 @@ fn run_script_with(inst: &Instance, opts: YuOptions) -> u64 {
 #[test]
 fn fig1_edit_script_matches_scratch() {
     let inst = &instances()[0];
-    run_script(inst, true);
-    run_script(inst, false);
+    run_script(inst);
 }
 
 #[test]
 fn fig9_edit_script_matches_scratch() {
     let inst = &instances()[1];
-    run_script(inst, true);
-    run_script(inst, false);
+    run_script(inst);
 }
 
 #[test]
 fn fig10_edit_script_matches_scratch() {
     let inst = &instances()[2];
-    run_script(inst, true);
-    run_script(inst, false);
+    run_script(inst);
 }
 
 #[test]
 fn ft4_edit_script_matches_scratch() {
     let inst = &instances()[3];
-    run_script(inst, true);
-    run_script(inst, false);
+    run_script(inst);
 }
 
 #[test]
 fn wan_edit_script_matches_scratch() {
     let inst = &instances()[4];
-    run_script(inst, true);
-    run_script(inst, false);
+    run_script(inst);
 }
 
 /// The ft4 script with the arena collected whenever it has doubled (the
@@ -375,7 +359,7 @@ fn ft4_edit_script_matches_scratch_across_collections() {
     let inst = &instances()[3];
     let opts = YuOptions {
         gc_node_threshold: 1,
-        ..options(inst, true)
+        ..options(inst)
     };
     let gc_runs = run_script_with(inst, opts);
     assert!(gc_runs > 1, "the session must collect mid-way");
@@ -441,7 +425,7 @@ fn wan_cost_edit_invalidates_something_somewhere() {
         inst.net.clone(),
         inst.flows.clone(),
         inst.tlp.clone(),
-        options(inst, true),
+        options(inst),
     );
     let _ = inc.verify();
     let mut any_invalidated = false;

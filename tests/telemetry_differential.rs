@@ -114,7 +114,7 @@ fn telemetry_on_off_runs_are_identical() {
             );
             assert_eq!(
                 count("check.bound_decided") + count("check.materialised"),
-                (tlp.reqs.len() - on.stats.reqs_pruned) as u64
+                tlp.reqs.len() as u64
             );
             assert_eq!(
                 aggs.contains_key("kreduce"),
