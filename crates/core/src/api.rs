@@ -165,22 +165,30 @@ pub struct RunStats {
     pub attribution: Option<Attribution>,
 }
 
-/// Growth of the cumulative arena counters both observability bridges
-/// forward — apply-cache hits/misses, fused-cache hits/misses, GC runs,
-/// GC-reclaimed nodes — since `reported`.
-fn arena_counter_deltas(now: &MtbddStats, reported: &MtbddStats) -> [u64; 6] {
-    let cumulative = |s: &MtbddStats| {
-        [
-            s.apply_cache_hits,
-            s.apply_cache_misses,
-            s.fused_cache_hits,
-            s.fused_cache_misses,
-            s.gc_runs,
-            s.gc_reclaimed_nodes,
-        ]
-    };
-    let (now, reported) = (cumulative(now), cumulative(reported));
-    std::array::from_fn(|i| now[i].saturating_sub(reported[i]))
+impl RunStats {
+    /// The run scalars as the JSON map every front end embeds under
+    /// `stats` (`yu verify`/`profile`/`diff --json`, serve responses):
+    /// stage wall-clocks in seconds, then the flow, group and
+    /// bound-decided counts. Front ends add their own entries (arena
+    /// maps, reuse counters) next to these.
+    pub fn scalars(&self) -> serde::Map {
+        let mut m = serde::Map::new();
+        for (key, t) in [
+            ("route_secs", self.route_time),
+            ("exec_secs", self.exec_time),
+            ("check_secs", self.check_time),
+        ] {
+            m.insert(key, serde::Value::Float(t.as_secs_f64()));
+        }
+        for (key, n) in [
+            ("flows_in", self.flows_in),
+            ("flow_groups", self.flow_groups),
+            ("reqs_bound_decided", self.reqs_bound_decided),
+        ] {
+            m.insert(key, serde::Value::Int(n as i128));
+        }
+        m
+    }
 }
 
 /// Outcome of verifying one TLP.
@@ -217,13 +225,10 @@ pub struct YuVerifier {
     pub(crate) load_cache: LoadCache,
     live_after_gc: usize,
     pub(crate) worker_stats: MtbddStats,
-    /// Combined arena statistics already forwarded to the telemetry
-    /// counters, so repeated `verify` calls emit deltas, not re-counts.
-    telemetry_reported: MtbddStats,
-    /// Same high-water mark for the process-lifetime metrics registry,
-    /// tracked separately because the registry is on even when span
-    /// telemetry is off (and vice versa).
-    registry_reported: MtbddStats,
+    /// Cumulative arena counters (main + worker arenas) as of the last
+    /// `verify`, so repeated calls forward deltas, not re-counts. One
+    /// mark for both sinks: it advances whether or not either records.
+    arena_reported: [u64; 6],
     /// Per-flow-group execution costs, accumulated across `add_flows`
     /// calls. Empty unless `opts.profile`.
     pub(crate) exec_attr: PhaseAttribution,
@@ -267,8 +272,7 @@ impl YuVerifier {
             load_cache: HashMap::new(),
             live_after_gc: 0,
             worker_stats: MtbddStats::default(),
-            telemetry_reported: MtbddStats::default(),
-            registry_reported: MtbddStats::default(),
+            arena_reported: [0; 6],
             exec_attr: PhaseAttribution::default(),
             import_attr: PhaseAttribution::default(),
             check_attr: PhaseAttribution::default(),
@@ -602,11 +606,11 @@ impl YuVerifier {
         violations: Vec<Violation>,
         per_point: HashMap<LoadPoint, AggStats>,
         check_time: Duration,
+        reqs_checked: usize,
         reqs_bound_decided: usize,
     ) -> VerificationOutcome {
         self.audit_checkpoint("after TLP check");
-        self.registry_bridge(check_time, reqs_bound_decided, per_point.len());
-        let telemetry = self.telemetry_summary();
+        let telemetry = self.bridge(check_time, reqs_checked, reqs_bound_decided);
         let attribution = self.opts.profile.then(|| {
             let mut check = std::mem::take(&mut self.check_attr);
             check.wall_us = check_time.as_micros() as u64;
@@ -638,90 +642,60 @@ impl YuVerifier {
         }
     }
 
-    /// Bridges per-run statistics into the process-lifetime metrics
-    /// registry: run/requirement totals, stage latency histograms, the
-    /// point-in-time arena gauges, and deltas of the cumulative arena
-    /// counters (against what earlier runs already recorded, mirroring
-    /// [`Self::telemetry_summary`] but tracked separately because the
-    /// registry and the span collector are gated independently). The
-    /// registry is an observer only — nothing here feeds back into
-    /// verification, so registry-on/off runs stay bit-identical.
-    fn registry_bridge(
+    /// Bridges per-run statistics into both observability sinks and
+    /// returns the span digest (`None` when the span collector is off).
+    /// Counters — run/requirement totals and the growth of the six
+    /// cumulative arena counters since the last call — go through the
+    /// instrument table, which feeds the registry and, for twin rows, the
+    /// span log, each under its own gate; stage histograms and arena
+    /// gauges go to the registry. Both sinks are observers only — nothing
+    /// here feeds back into verification, so runs are bit-identical with
+    /// either on or off.
+    fn bridge(
         &mut self,
         check_time: Duration,
-        reqs_bound_decided: usize,
         reqs_checked: usize,
-    ) {
-        if !yu_telemetry::registry_enabled() {
-            return;
-        }
+        reqs_bound_decided: usize,
+    ) -> Option<yu_telemetry::TelemetrySummary> {
         let r = yu_telemetry::registry();
         r.verify_runs_total.inc();
         r.reqs_checked_total.add(reqs_checked as u64);
         r.reqs_bound_decided_total.add(reqs_bound_decided as u64);
-        r.stage_route_seconds
-            .record(self.route_time.as_micros() as u64);
-        r.stage_exec_seconds
-            .record(self.exec_time.as_micros() as u64);
-        r.stage_check_seconds.record(check_time.as_micros() as u64);
-        let live = self.m.live_nodes() as u64;
-        r.mtbdd_live_nodes.set_u64(live);
-        r.mtbdd_live_nodes_hist.record(live);
-        r.mtbdd_unique_table_load_factor
-            .set(self.m.unique_table_load_factor());
-        r.mtbdd_arena_bytes.set_u64(self.m.arena_bytes() as u64);
-        let mut combined = self.m.stats();
-        combined.merge(&self.worker_stats);
-        let totals = [
-            &r.mtbdd_apply_cache_hits_total,
-            &r.mtbdd_apply_cache_misses_total,
-            &r.mtbdd_fused_cache_hits_total,
-            &r.mtbdd_fused_cache_misses_total,
-            &r.mtbdd_gc_runs_total,
-            &r.mtbdd_gc_reclaimed_nodes_total,
+        let mut now = self.m.stats();
+        now.merge(&self.worker_stats);
+        let arena = [
+            (&r.mtbdd_apply_cache_hits_total, now.apply_cache_hits),
+            (&r.mtbdd_apply_cache_misses_total, now.apply_cache_misses),
+            (&r.mtbdd_fused_cache_hits_total, now.fused_cache_hits),
+            (&r.mtbdd_fused_cache_misses_total, now.fused_cache_misses),
+            (&r.mtbdd_gc_runs_total, now.gc_runs),
+            (&r.mtbdd_gc_reclaimed_nodes_total, now.gc_reclaimed_nodes),
         ];
-        for (total, delta) in totals
-            .into_iter()
-            .zip(arena_counter_deltas(&combined, &self.registry_reported))
-        {
-            total.add(delta);
+        for ((total, value), reported) in arena.into_iter().zip(&mut self.arena_reported) {
+            total.add(value.saturating_sub(*reported));
+            *reported = value;
         }
-        if let Some(rate) = combined.apply_cache_hit_rate() {
-            r.mtbdd_apply_cache_hit_rate.set(rate);
-        }
-        if let Some(rate) = combined.fused_cache_hit_rate() {
-            r.mtbdd_fused_cache_hit_rate.set(rate);
-        }
-        self.registry_reported = combined;
-    }
-
-    /// Bridges arena statistics into the telemetry counters (as deltas
-    /// against what earlier `verify` calls already reported) and returns
-    /// the digest of everything recorded so far. `None` when telemetry is
-    /// disabled.
-    fn telemetry_summary(&mut self) -> Option<yu_telemetry::TelemetrySummary> {
-        if !yu_telemetry::enabled() {
-            return None;
-        }
-        let mut combined = self.m.stats();
-        combined.merge(&self.worker_stats);
-        let names = [
-            "mtbdd.apply_cache_hits",
-            "mtbdd.apply_cache_misses",
-            "mtbdd.fused_cache_hits",
-            "mtbdd.fused_cache_misses",
-            "mtbdd.gc_runs",
-            "mtbdd.gc_reclaimed_nodes",
-        ];
-        for (name, delta) in names
-            .into_iter()
-            .zip(arena_counter_deltas(&combined, &self.telemetry_reported))
-        {
-            yu_telemetry::counter(name, delta);
-        }
-        yu_telemetry::gauge_max("mtbdd.unique_table_peak", combined.unique_table_peak as u64);
-        self.telemetry_reported = combined;
-        Some(yu_telemetry::snapshot().summary())
+        yu_telemetry::with_registry(|r| {
+            r.stage_route_seconds
+                .record(self.route_time.as_micros() as u64);
+            r.stage_exec_seconds
+                .record(self.exec_time.as_micros() as u64);
+            r.stage_check_seconds.record(check_time.as_micros() as u64);
+            let live = self.m.live_nodes() as u64;
+            r.mtbdd_live_nodes.set_u64(live);
+            r.mtbdd_live_nodes_hist.record(live);
+            r.mtbdd_unique_table_load_factor
+                .set(self.m.unique_table_load_factor());
+            r.mtbdd_arena_bytes.set_u64(self.m.arena_bytes() as u64);
+            if let Some(rate) = now.apply_cache_hit_rate() {
+                r.mtbdd_apply_cache_hit_rate.set(rate);
+            }
+            if let Some(rate) = now.fused_cache_hit_rate() {
+                r.mtbdd_fused_cache_hit_rate.set(rate);
+            }
+        });
+        yu_telemetry::gauge_max("mtbdd.unique_table_peak", now.unique_table_peak as u64);
+        yu_telemetry::enabled().then(|| yu_telemetry::snapshot().summary())
     }
 
     /// Enumerates every violating `≤ k` scenario for one requirement (up

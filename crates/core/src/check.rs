@@ -464,16 +464,13 @@ impl YuVerifier {
                 units.truncate(first + 1);
             }
         }
+        let checked = units.iter().filter(|u| !u.cached).count();
         if let Some(c) = caches {
-            c.reused_reqs = units.iter().filter(|u| u.cached).count();
-            c.rechecked_reqs = units.len() - c.reused_reqs;
-            yu_telemetry::counter("delta.reused_reqs", c.reused_reqs as u64);
-            yu_telemetry::counter("delta.rechecked_reqs", c.rechecked_reqs as u64);
-            yu_telemetry::with_registry(|r| {
-                r.incremental_reused_reqs_total.add(c.reused_reqs as u64);
-                r.incremental_rechecked_reqs_total
-                    .add(c.rechecked_reqs as u64);
-            });
+            c.reused_reqs = units.len() - checked;
+            c.rechecked_reqs = checked;
+            let r = yu_telemetry::registry();
+            r.incremental_reused_reqs_total.add(c.reused_reqs as u64);
+            r.incremental_rechecked_reqs_total.add(checked as u64);
         }
         let bound_decided = units.iter().filter(|u| u.bound_decided).count();
         let mut violations = Vec::new();
@@ -496,7 +493,7 @@ impl YuVerifier {
             });
         }
         drop(verify_span);
-        self.finish_outcome(violations, per_point, t0.elapsed(), bound_decided)
+        self.finish_outcome(violations, per_point, t0.elapsed(), checked, bound_decided)
     }
 
     /// The worker count the check stage will actually use for `reqs`:

@@ -201,20 +201,14 @@ impl IncrementalVerifier {
             .values()
             .filter(|&&e| e == self.gen)
             .count();
-        yu_telemetry::counter("delta.reused_groups", self.last_delta.reused_groups as u64);
-        yu_telemetry::counter(
-            "delta.recomputed_groups",
-            self.last_delta.recomputed_groups as u64,
-        );
-        yu_telemetry::with_registry(|r| {
-            r.incremental_reused_groups_total
-                .add(self.last_delta.reused_groups as u64);
-            r.incremental_recomputed_groups_total
-                .add(self.last_delta.recomputed_groups as u64);
-            if self.last_delta.full_rebuild {
-                r.incremental_full_rebuilds_total.inc();
-            }
-        });
+        let r = yu_telemetry::registry();
+        r.incremental_reused_groups_total
+            .add(self.last_delta.reused_groups as u64);
+        r.incremental_recomputed_groups_total
+            .add(self.last_delta.recomputed_groups as u64);
+        if self.last_delta.full_rebuild {
+            r.incremental_full_rebuilds_total.inc();
+        }
         self.v.audit_checkpoint("after incremental invalidation");
     }
 

@@ -123,15 +123,21 @@ impl AuditReport {
     }
 }
 
+/// Reads a `YU_*` on/off variable: `None` when unset, `Some(false)` for
+/// an empty value, `0` or `false`, `Some(true)` for anything else — the
+/// rule `yu-telemetry` applies to its gates, restated here because the
+/// two leaf crates do not depend on each other.
+pub(crate) fn env_flag(var: &str) -> Option<bool> {
+    let v = std::env::var(var).ok()?;
+    Some(!(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
+}
+
 /// Whether audit hooks are globally enabled: `YU_AUDIT=1` forces on,
-/// `YU_AUDIT=0` forces off, unset defaults to `cfg!(debug_assertions)`.
+/// `YU_AUDIT=0` (or `false`, or empty) forces off, unset defaults to
+/// `cfg!(debug_assertions)`.
 pub fn audit_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("YU_AUDIT") {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("false") => false,
-        Ok(v) if !v.is_empty() => true,
-        _ => cfg!(debug_assertions),
-    })
+    *ENABLED.get_or_init(|| env_flag("YU_AUDIT").unwrap_or(cfg!(debug_assertions)))
 }
 
 /// How many apply operations between sampled cache re-validations.

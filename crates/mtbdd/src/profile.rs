@@ -47,15 +47,15 @@ static PROFILE_ENV: OnceLock<bool> = OnceLock::new();
 /// Whether engine profiling (recursion-depth tracking) is requested.
 ///
 /// Reads `YU_ENGINE_PROFILE` once (any non-empty value other than `0`
-/// enables it) unless [`set_engine_profile`] has overridden it. Each
-/// [`Mtbdd`] latches this at construction, mirroring the audit gate.
+/// or `false` enables it) unless [`set_engine_profile`] has overridden
+/// it. Each [`Mtbdd`] latches this at construction, mirroring the audit
+/// gate.
 pub fn engine_profile_enabled() -> bool {
     match PROFILE_OVERRIDE.load(Ordering::Relaxed) {
         1 => false,
         2 => true,
-        _ => *PROFILE_ENV.get_or_init(|| {
-            std::env::var("YU_ENGINE_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0")
-        }),
+        _ => *PROFILE_ENV
+            .get_or_init(|| crate::audit::env_flag("YU_ENGINE_PROFILE").unwrap_or(false)),
     }
 }
 

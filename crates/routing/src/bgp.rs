@@ -460,8 +460,7 @@ impl BgpState {
             }
             received = next;
         }
-        yu_telemetry::counter("bgp.rounds", rounds);
-        yu_telemetry::with_registry(|r| r.route_bgp_rounds_total.add(rounds));
+        yu_telemetry::registry().route_bgp_rounds_total.add(rounds);
 
         // Final RIB = origins + received.
         let mut rib: Vec<HashMap<ClassId, Vec<BgpRoute>>> = received;

@@ -245,9 +245,8 @@ fn compute_destination(
             break;
         }
     }
-    yu_telemetry::counter("igp.bf_rounds", rounds);
+    yu_telemetry::registry().route_igp_rounds_total.add(rounds);
     yu_telemetry::counter("igp.destinations", 1);
-    yu_telemetry::with_registry(|r| r.route_igp_rounds_total.add(rounds));
     dist
 }
 

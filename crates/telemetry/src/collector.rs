@@ -19,17 +19,17 @@ static ENV_INIT: Once = Once::new();
 /// only at flush/snapshot/reset time, never on the recording hot path.
 static FLUSHED: Mutex<Vec<ThreadLog>> = Mutex::new(Vec::new());
 
-fn env_truthy(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("false") || v.is_empty() => false,
-        Ok(_) => true,
-        Err(_) => false,
-    }
+/// Reads a `YU_*` on/off variable: `None` when unset, `Some(false)` for
+/// an empty value, `0` or `false`, `Some(true)` for anything else — the
+/// one truthiness rule of every gate in this crate and in the CLI.
+pub fn env_flag(var: &str) -> Option<bool> {
+    let v = std::env::var(var).ok()?;
+    Some(!(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false")))
 }
 
 fn init_from_env() {
     ENV_INIT.call_once(|| {
-        if env_truthy("YU_TRACE") || env_truthy("YU_METRICS") {
+        if env_flag("YU_TRACE") == Some(true) || env_flag("YU_METRICS") == Some(true) {
             ENABLED.store(true, Ordering::Relaxed);
         }
     });

@@ -10,7 +10,7 @@
 //!  "id": 7, "verified": true, "elapsed_us": 912}
 //! ```
 //!
-//! The taxonomy (see DESIGN.md §14): `request_start` / `request_finish`
+//! The taxonomy (see DESIGN.md §9.4): `request_start` / `request_finish`
 //! (info), `slow_request` (warn, over the configured threshold),
 //! `verdict_flip` (warn, with the flipped requirement points), `gc`
 //! (info, reclaimed node counts), `audit_failure` (error, emitted

@@ -1,29 +1,19 @@
 //! # yu-telemetry
 //!
-//! Lightweight instrumentation for the YU symbolic verification pipeline:
-//! scoped RAII stage timers ([`span`]), monotonic [`counter`]s, and
-//! high-water-mark [`gauge_max`]es, collected into **per-thread buffers**
-//! so the sharded parallel workers of `yu-core` record independently
-//! without any lock contention on the hot path.
+//! Instrumentation for the YU symbolic verification pipeline: two sinks
+//! fed from one instrument table (DESIGN.md §9).
 //!
-//! ## Zero cost when disabled
+//! ## The span log: where did *this run* spend its time
 //!
-//! Every recording entry point starts with one relaxed atomic load.
-//! Telemetry is off by default; it turns on when the `YU_TRACE` or
-//! `YU_METRICS` environment variable is set to a non-empty value other
-//! than `0`/`false` (mirroring the `YU_AUDIT` gate of `yu-mtbdd`), or
-//! programmatically via [`set_enabled`] (what `yu verify --trace-out`
-//! does). While disabled, [`span`] never reads the clock and [`counter`]
-//! never touches thread-local state, so instrumented code paths cost a
-//! branch — measured < 2% on the parallel bench.
-//!
-//! ## Collection model
-//!
-//! Spans and counters land in a thread-local buffer. Worker threads call
+//! Scoped RAII stage timers ([`span`]), monotonic [`counter`]s, and
+//! high-water-mark [`gauge_max`]es land in **per-thread buffers**, so the
+//! sharded parallel workers of `yu-core` record independently without any
+//! lock contention on the hot path. Worker threads call
 //! [`set_thread_track`] (to label their Chrome-trace track) and
 //! [`flush_thread`] before they exit; the main thread's buffer is flushed
 //! implicitly by [`snapshot`]. A [`TelemetryReport`] is the merge of all
-//! flushed buffers and can be exported three ways:
+//! flushed buffers — one measurement window ([`reset`] opens the next,
+//! which is what lets tests assert exact counts) — exported three ways:
 //!
 //! * [`TelemetryReport::summary_table`] — human-readable per-stage table
 //!   (what `yu verify -v` prints on stderr);
@@ -34,26 +24,38 @@
 //!   (one track per worker thread) for `--trace-out`, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
-//! ## Process-lifetime metrics (v2)
+//! Off by default; it turns on when `YU_TRACE` or `YU_METRICS` is set
+//! ([`env_flag`]: empty, `0` and `false` are off) or programmatically via
+//! [`set_enabled`] (what `yu verify --trace-out` does). Every recording
+//! entry point starts with one relaxed atomic load: while disabled,
+//! [`span`] never reads the clock and [`counter`] never touches
+//! thread-local state, so instrumented code paths cost a branch.
 //!
-//! The span collector is one-shot: it answers "where did *this run*
-//! spend its time". Long-running deployments (`yu serve`) need the
-//! complementary continuous view, provided by three sibling subsystems:
+//! ## The registry: process-lifetime totals
 //!
-//! * [`registry`]/[`MetricsRegistry`] — atomic counters, gauges, and
-//!   fixed-bucket log-scale [`Histogram`]s (lock-free record, exact
-//!   merge) accumulating over the whole process;
+//! Long-running deployments (`yu serve`) need the continuous view:
+//!
+//! * [`registry`]/[`MetricsRegistry`] — atomic [`Counter`]s, [`Gauge`]s,
+//!   and fixed-bucket log-scale [`Histogram`]s (lock-free record, exact
+//!   merge) accumulating over the whole process. The metric set is one
+//!   table in `registry.rs`; [`MetricsRegistry::descriptors`] lists it;
 //! * [`snapshot_prometheus`] — Prometheus text-format exposition of the
 //!   registry (what `yu serve --prom-out` writes after each request);
 //! * [`emit_event`] — a leveled, structured JSON event log
 //!   (`--events-out`): request lifecycle, slow requests, GC runs,
 //!   verdict flips, audit failures.
 //!
-//! Registry recording is on by default (a handful of atomic adds per
-//! request — measured < 2% on the serve bench) and disabled with
-//! `YU_REGISTRY=0` or [`set_registry_enabled`]; like spans, it is an
-//! observer only — registry-on and registry-off runs are bit-identical
-//! in verdicts (`tests/telemetry_differential.rs`).
+//! On by default (a handful of atomic adds per request) and disabled
+//! with `YU_REGISTRY=0` or [`set_registry_enabled`].
+//!
+//! ## One call per quantity
+//!
+//! Twelve quantities are wanted in both sinks (routing rounds, arena
+//! cache and GC counters, incremental reuse counts). Their table rows
+//! name a *twin* span-log counter ([`Counter::twin`]), and
+//! [`Counter::add`] feeds both sinks, each under its own gate. Both sinks
+//! are observers only: runs are bit-identical in verdicts with either on
+//! or off (`tests/telemetry_differential.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,8 +70,8 @@ mod report;
 mod trace;
 
 pub use collector::{
-    counter, enabled, flush_thread, gauge_max, reset, set_enabled, set_thread_track, snapshot,
-    span, span_detail, take_thread_log, Span, SpanEvent, ThreadLog,
+    counter, enabled, env_flag, flush_thread, gauge_max, reset, set_enabled, set_thread_track,
+    snapshot, span, span_detail, take_thread_log, Span, SpanEvent, ThreadLog,
 };
 pub use events::{
     close_event_sink, emit_event, events_enabled, set_event_min_level, set_event_sink_file,
@@ -82,4 +84,4 @@ pub use registry::{
     registry, registry_enabled, set_registry_enabled, with_registry, Counter, Gauge, MetricDesc,
     MetricKind, MetricsRegistry, RegistrySnapshot,
 };
-pub use report::{StageAgg, StageSummary, TelemetryReport, TelemetrySummary};
+pub use report::{fmt_us, StageAgg, StageSummary, TelemetryReport, TelemetrySummary};

@@ -1,21 +1,29 @@
-//! The process-lifetime metrics registry: atomic counters, gauges, and
-//! log-scale histograms for long-running deployments (`yu serve`).
+//! The instrument table and the process-lifetime metrics registry built
+//! from it: atomic counters, gauges, and log-scale histograms for
+//! long-running deployments (`yu serve`).
 //!
-//! The PR 3 collector answers "where did *this run* spend its time" —
-//! thread-local spans flushed into a one-shot report. A daemon needs the
-//! complementary view: monotone process-lifetime totals, current-state
-//! gauges, and latency distributions that survive across requests. That
-//! is this registry. The metric set is **closed** — every metric is a
-//! named field of [`MetricsRegistry`], created once at first use — so
-//! the hot path is a direct atomic operation on a `&'static` field:
-//! no registration lock, no name hashing, no allocation.
+//! The span collector answers "where did *this run* spend its time" —
+//! thread-local spans and counters flushed into a one-shot report. A
+//! daemon needs the complementary view: monotone process-lifetime totals,
+//! current-state gauges, and latency distributions that survive across
+//! requests. That is this registry. The metric set is **closed** — the
+//! `metrics!` table below is the one place an instrument is declared, and
+//! the [`MetricsRegistry`] struct, its `Default` and
+//! [`MetricsRegistry::descriptors`] are generated from it — so the hot
+//! path is a direct atomic operation on a `&'static` field: no
+//! registration lock, no name hashing, no allocation.
 //!
-//! Instrumented call sites go through [`with_registry`], which costs one
-//! relaxed atomic load when recording is off (mirroring the span
-//! collector's gate). Recording never touches verifier state, so
-//! registry-on and registry-off runs produce bit-identical verdicts —
-//! the same invariant PR 3 established for spans, enforced by
-//! `tests/telemetry_differential.rs`.
+//! A counter row may name a **twin**: the span-log counter that carries
+//! the same quantity per measurement window. [`Counter::add`] on such a
+//! row feeds both sinks, each under its own gate, so a call site names
+//! the quantity once.
+//!
+//! Gauges and histograms are recorded through [`with_registry`], which
+//! costs one relaxed atomic load when recording is off (mirroring the
+//! span collector's gate); counters check the same gate themselves.
+//! Recording never touches verifier state, so registry-on and
+//! registry-off runs produce bit-identical verdicts — the invariant
+//! `tests/telemetry_differential.rs` enforces for both sinks.
 //!
 //! Export paths: [`MetricsRegistry::snapshot`] (plain data, JSON via
 //! `to_value`) for the `yu serve` `metrics` request, and
@@ -28,15 +36,26 @@ use serde::{Map, Value};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 
-/// A monotone counter (relaxed atomic adds).
+/// A monotone counter (relaxed atomic adds), optionally twinned with a
+/// span-log counter.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter {
+    total: AtomicU64,
+    twin: Option<&'static str>,
+}
 
 impl Counter {
-    /// Adds `delta`.
+    /// Adds `delta` to the process-lifetime total when the registry is
+    /// recording, and to the twin span-log counter (if this row has one)
+    /// when the span collector is.
     #[inline]
     pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+        if registry_enabled() {
+            self.total.fetch_add(delta, Ordering::Relaxed);
+        }
+        if let Some(name) = self.twin {
+            crate::counter(name, delta);
+        }
     }
 
     /// Adds 1.
@@ -47,7 +66,13 @@ impl Counter {
 
     /// Current total.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.total.load(Ordering::Relaxed)
+    }
+
+    /// The span-log counter fed by the same [`Counter::add`] calls, if
+    /// this row has one.
+    pub fn twin(&self) -> Option<&'static str> {
+        self.twin
     }
 }
 
@@ -96,290 +121,123 @@ pub struct MetricDesc<'a> {
     pub metric: MetricKind<'a>,
 }
 
-/// The closed set of process-lifetime metrics. One instance per process
-/// (see [`registry`]); every field is lock-free to record.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
+/// Declares the instrument set. One row per metric:
+///
+/// ```text
+/// field: kind, "help text";
+/// ```
+///
+/// `kind` is `counter`, `counter("span.log_name")` for a twin row,
+/// `gauge`, or `histogram(scale)` — call sites record raw integers
+/// (microseconds, node counts) and `scale` converts them to the
+/// exposition unit. The exposition name is `yu_` + the field name, the
+/// help text doubles as the field's doc comment, and row order is
+/// exposition order.
+macro_rules! metrics {
+    (@type counter) => { Counter };
+    (@type gauge) => { Gauge };
+    (@type histogram) => { Histogram };
+    (@new counter) => { Counter::default() };
+    (@new counter $twin:literal) => {
+        Counter { total: AtomicU64::new(0), twin: Some($twin) }
+    };
+    (@new gauge) => { Gauge::default() };
+    (@new histogram $scale:literal) => { Histogram::default() };
+    (@kind counter $metric:expr $(, $twin:literal)?) => { MetricKind::Counter($metric) };
+    (@kind gauge $metric:expr) => { MetricKind::Gauge($metric) };
+    (@kind histogram $metric:expr, $scale:literal) => { MetricKind::Histogram($metric, $scale) };
+    ($($field:ident: $kind:ident $(($arg:literal))?, $help:literal;)*) => {
+        /// The closed set of process-lifetime metrics. One instance per
+        /// process (see [`registry`]); every field is lock-free to record.
+        #[derive(Debug)]
+        pub struct MetricsRegistry {
+            $(#[doc = $help] pub $field: metrics!(@type $kind),)*
+        }
+
+        impl Default for MetricsRegistry {
+            fn default() -> Self {
+                MetricsRegistry {
+                    $($field: metrics!(@new $kind $($arg)?),)*
+                }
+            }
+        }
+
+        impl MetricsRegistry {
+            /// Every metric with its name and help text, in table order:
+            /// what the Prometheus encoder, the Chrome-trace counter
+            /// tracks and [`Self::snapshot`] iterate.
+            pub fn descriptors(&self) -> Vec<MetricDesc<'_>> {
+                vec![$(MetricDesc {
+                    name: concat!("yu_", stringify!($field)),
+                    help: $help,
+                    metric: metrics!(@kind $kind &self.$field $(, $arg)?),
+                },)*]
+            }
+        }
+    };
+}
+
+metrics! {
     // ---- pipeline totals ----
-    /// Completed verification runs (batch, diff, or serve request).
-    pub verify_runs_total: Counter,
-    /// Requirements checked by the symbolic engine.
-    pub reqs_checked_total: Counter,
-    /// Requirements decided from per-flow terminal ranges, without
-    /// building the aggregated load.
-    pub reqs_bound_decided_total: Counter,
-    /// Flow groups symbolically (re-)executed.
-    pub flow_groups_executed_total: Counter,
-    /// IGP Bellman-Ford rounds run by symbolic route simulation.
-    pub route_igp_rounds_total: Counter,
-    /// BGP propagation rounds run by symbolic route simulation.
-    pub route_bgp_rounds_total: Counter,
+    verify_runs_total: counter, "Completed verification runs (batch, diff, or serve request)";
+    reqs_checked_total: counter, "Requirements checked by the symbolic engine";
+    reqs_bound_decided_total: counter,
+        "Requirements decided from per-flow terminal ranges, no aggregated load built";
+    flow_groups_executed_total: counter, "Flow groups symbolically (re-)executed";
+    route_igp_rounds_total: counter("igp.bf_rounds"),
+        "IGP Bellman-Ford rounds run by symbolic route simulation";
+    route_bgp_rounds_total: counter("bgp.rounds"),
+        "BGP propagation rounds run by symbolic route simulation";
     // ---- per-run stage latency distributions ----
-    /// Route-simulation stage wall-clock per run (recorded in µs).
-    pub stage_route_seconds: Histogram,
-    /// Traffic-execution stage wall-clock per run (recorded in µs).
-    pub stage_exec_seconds: Histogram,
-    /// Check stage wall-clock per run (recorded in µs).
-    pub stage_check_seconds: Histogram,
+    stage_route_seconds: histogram(1e-6), "Route-simulation stage wall-clock per run";
+    stage_exec_seconds: histogram(1e-6), "Traffic-execution stage wall-clock per run";
+    stage_check_seconds: histogram(1e-6), "Check stage wall-clock per run";
     // ---- per-entity attribution distributions ----
-    /// Wall-clock of one flow group's symbolic execution (recorded in µs).
-    pub flow_exec_seconds: Histogram,
-    /// Wall-clock of one requirement's aggregate+check (recorded in µs).
-    pub req_check_seconds: Histogram,
+    flow_exec_seconds: histogram(1e-6), "Wall-clock of one flow group's symbolic execution";
+    req_check_seconds: histogram(1e-6), "Wall-clock of one requirement's aggregate+check";
     // ---- MTBDD engine ----
-    /// Live inner nodes in the main arena after the latest run.
-    pub mtbdd_live_nodes: Gauge,
-    /// Unique-table load factor (len / capacity) of the main arena.
-    pub mtbdd_unique_table_load_factor: Gauge,
-    /// Estimated bytes held by the main arena (nodes + tables).
-    pub mtbdd_arena_bytes: Gauge,
-    /// Distribution of live-node counts across runs.
-    pub mtbdd_live_nodes_hist: Histogram,
-    /// MTBDD apply-cache hits.
-    pub mtbdd_apply_cache_hits_total: Counter,
-    /// MTBDD apply-cache misses.
-    pub mtbdd_apply_cache_misses_total: Counter,
-    /// Fused ADD∘KREDUCE cache hits.
-    pub mtbdd_fused_cache_hits_total: Counter,
-    /// Fused ADD∘KREDUCE cache misses.
-    pub mtbdd_fused_cache_misses_total: Counter,
-    /// Garbage collections run.
-    pub mtbdd_gc_runs_total: Counter,
-    /// Inner nodes reclaimed by garbage collections.
-    pub mtbdd_gc_reclaimed_nodes_total: Counter,
-    /// Lifetime apply-cache hit rate (hits / lookups, in [0, 1]).
-    pub mtbdd_apply_cache_hit_rate: Gauge,
-    /// Lifetime fused-kernel cache hit rate (hits / lookups, in [0, 1]).
-    pub mtbdd_fused_cache_hit_rate: Gauge,
+    mtbdd_live_nodes: gauge, "Live inner nodes in the main arena after the latest run";
+    mtbdd_unique_table_load_factor: gauge,
+        "Unique-table load factor (len/capacity) of the main arena";
+    mtbdd_arena_bytes: gauge, "Estimated bytes held by the main arena (nodes + tables)";
+    mtbdd_live_nodes_hist: histogram(1.0), "Distribution of live-node counts across runs";
+    mtbdd_apply_cache_hits_total: counter("mtbdd.apply_cache_hits"), "MTBDD apply-cache hits";
+    mtbdd_apply_cache_misses_total: counter("mtbdd.apply_cache_misses"),
+        "MTBDD apply-cache misses";
+    mtbdd_fused_cache_hits_total: counter("mtbdd.fused_cache_hits"),
+        "Fused ADD∘KREDUCE cache hits";
+    mtbdd_fused_cache_misses_total: counter("mtbdd.fused_cache_misses"),
+        "Fused ADD∘KREDUCE cache misses";
+    mtbdd_gc_runs_total: counter("mtbdd.gc_runs"), "Garbage collections run";
+    mtbdd_gc_reclaimed_nodes_total: counter("mtbdd.gc_reclaimed_nodes"),
+        "Inner nodes reclaimed by garbage collections";
+    mtbdd_apply_cache_hit_rate: gauge, "Lifetime apply-cache hit rate (hits/lookups)";
+    mtbdd_fused_cache_hit_rate: gauge, "Lifetime fused-kernel cache hit rate (hits/lookups)";
     // ---- incremental engine ----
-    /// Flow groups whose symbolic results were reused across updates.
-    pub incremental_reused_groups_total: Counter,
-    /// Flow groups re-executed by incremental updates.
-    pub incremental_recomputed_groups_total: Counter,
-    /// Requirements answered from the incremental verdict cache.
-    pub incremental_reused_reqs_total: Counter,
-    /// Requirements re-aggregated and re-checked incrementally.
-    pub incremental_rechecked_reqs_total: Counter,
-    /// Updates that forced a from-scratch rebuild (topology edits).
-    pub incremental_full_rebuilds_total: Counter,
+    incremental_reused_groups_total: counter("delta.reused_groups"),
+        "Flow groups whose symbolic results were reused across updates";
+    incremental_recomputed_groups_total: counter("delta.recomputed_groups"),
+        "Flow groups re-executed by incremental updates";
+    incremental_reused_reqs_total: counter("delta.reused_reqs"),
+        "Requirements answered from the incremental verdict cache";
+    incremental_rechecked_reqs_total: counter("delta.rechecked_reqs"),
+        "Requirements re-aggregated and re-checked incrementally";
+    incremental_full_rebuilds_total: counter,
+        "Updates that forced a from-scratch rebuild (topology edits)";
     // ---- serve loop ----
-    /// Requests handled by `yu serve` (successful change-sets).
-    pub serve_requests_total: Counter,
-    /// Requests rejected (parse errors, bad requests).
-    pub serve_request_errors_total: Counter,
-    /// Requests slower than the configured threshold.
-    pub serve_slow_requests_total: Counter,
-    /// Requests whose verdict delta was non-empty.
-    pub serve_verdict_flips_total: Counter,
-    /// Requests that exceeded the rolling EWMA latency baseline of
-    /// their request kind by the configured regression factor.
-    pub serve_perf_regressions_total: Counter,
-    /// End-to-end request latency (recorded in µs).
-    pub serve_request_seconds: Histogram,
-    /// Violations in the current (post-request) state.
-    pub serve_violations: Gauge,
-    /// Group reuse ratio of the latest request (reused / total).
-    pub serve_group_reuse_ratio: Gauge,
-    /// Requirement reuse ratio of the latest request (reused / total).
-    pub serve_req_reuse_ratio: Gauge,
+    serve_requests_total: counter, "Requests handled by yu serve (successful change-sets)";
+    serve_request_errors_total: counter, "Requests rejected (parse errors, bad requests)";
+    serve_slow_requests_total: counter, "Requests slower than the configured threshold";
+    serve_verdict_flips_total: counter, "Requests whose verdict delta was non-empty";
+    serve_perf_regressions_total: counter,
+        "Requests exceeding their kind's EWMA latency baseline";
+    serve_request_seconds: histogram(1e-6), "End-to-end request latency";
+    serve_violations: gauge, "Violations in the current (post-request) state";
+    serve_group_reuse_ratio: gauge, "Group reuse ratio of the latest request (reused/total)";
+    serve_req_reuse_ratio: gauge, "Requirement reuse ratio of the latest request (reused/total)";
 }
 
 impl MetricsRegistry {
-    /// Every metric with its name and help text, in stable exposition
-    /// order. This is the single source of truth for both the
-    /// Prometheus encoder and [`Self::snapshot`].
-    pub fn descriptors(&self) -> Vec<MetricDesc<'_>> {
-        use MetricKind::{Counter as C, Gauge as G, Histogram as H};
-        vec![
-            MetricDesc {
-                name: "yu_verify_runs_total",
-                help: "Completed verification runs (batch, diff, or serve request)",
-                metric: C(&self.verify_runs_total),
-            },
-            MetricDesc {
-                name: "yu_reqs_checked_total",
-                help: "Requirements checked by the symbolic engine",
-                metric: C(&self.reqs_checked_total),
-            },
-            MetricDesc {
-                name: "yu_reqs_bound_decided_total",
-                help:
-                    "Requirements decided from per-flow terminal ranges, no aggregated load built",
-                metric: C(&self.reqs_bound_decided_total),
-            },
-            MetricDesc {
-                name: "yu_flow_groups_executed_total",
-                help: "Flow groups symbolically (re-)executed",
-                metric: C(&self.flow_groups_executed_total),
-            },
-            MetricDesc {
-                name: "yu_route_igp_rounds_total",
-                help: "IGP Bellman-Ford rounds run by symbolic route simulation",
-                metric: C(&self.route_igp_rounds_total),
-            },
-            MetricDesc {
-                name: "yu_route_bgp_rounds_total",
-                help: "BGP propagation rounds run by symbolic route simulation",
-                metric: C(&self.route_bgp_rounds_total),
-            },
-            MetricDesc {
-                name: "yu_stage_route_seconds",
-                help: "Route-simulation stage wall-clock per run",
-                metric: H(&self.stage_route_seconds, 1e-6),
-            },
-            MetricDesc {
-                name: "yu_stage_exec_seconds",
-                help: "Traffic-execution stage wall-clock per run",
-                metric: H(&self.stage_exec_seconds, 1e-6),
-            },
-            MetricDesc {
-                name: "yu_stage_check_seconds",
-                help: "Check stage wall-clock per run",
-                metric: H(&self.stage_check_seconds, 1e-6),
-            },
-            MetricDesc {
-                name: "yu_flow_exec_seconds",
-                help: "Wall-clock of one flow group's symbolic execution",
-                metric: H(&self.flow_exec_seconds, 1e-6),
-            },
-            MetricDesc {
-                name: "yu_req_check_seconds",
-                help: "Wall-clock of one requirement's aggregate+check",
-                metric: H(&self.req_check_seconds, 1e-6),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_live_nodes",
-                help: "Live inner nodes in the main arena after the latest run",
-                metric: G(&self.mtbdd_live_nodes),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_unique_table_load_factor",
-                help: "Unique-table load factor (len/capacity) of the main arena",
-                metric: G(&self.mtbdd_unique_table_load_factor),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_arena_bytes",
-                help: "Estimated bytes held by the main arena (nodes + tables)",
-                metric: G(&self.mtbdd_arena_bytes),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_live_nodes_hist",
-                help: "Distribution of live-node counts across runs",
-                metric: H(&self.mtbdd_live_nodes_hist, 1.0),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_apply_cache_hits_total",
-                help: "MTBDD apply-cache hits",
-                metric: C(&self.mtbdd_apply_cache_hits_total),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_apply_cache_misses_total",
-                help: "MTBDD apply-cache misses",
-                metric: C(&self.mtbdd_apply_cache_misses_total),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_fused_cache_hits_total",
-                help: "Fused ADD∘KREDUCE cache hits",
-                metric: C(&self.mtbdd_fused_cache_hits_total),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_fused_cache_misses_total",
-                help: "Fused ADD∘KREDUCE cache misses",
-                metric: C(&self.mtbdd_fused_cache_misses_total),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_gc_runs_total",
-                help: "Garbage collections run",
-                metric: C(&self.mtbdd_gc_runs_total),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_gc_reclaimed_nodes_total",
-                help: "Inner nodes reclaimed by garbage collections",
-                metric: C(&self.mtbdd_gc_reclaimed_nodes_total),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_apply_cache_hit_rate",
-                help: "Lifetime apply-cache hit rate (hits/lookups)",
-                metric: G(&self.mtbdd_apply_cache_hit_rate),
-            },
-            MetricDesc {
-                name: "yu_mtbdd_fused_cache_hit_rate",
-                help: "Lifetime fused-kernel cache hit rate (hits/lookups)",
-                metric: G(&self.mtbdd_fused_cache_hit_rate),
-            },
-            MetricDesc {
-                name: "yu_incremental_reused_groups_total",
-                help: "Flow groups whose symbolic results were reused across updates",
-                metric: C(&self.incremental_reused_groups_total),
-            },
-            MetricDesc {
-                name: "yu_incremental_recomputed_groups_total",
-                help: "Flow groups re-executed by incremental updates",
-                metric: C(&self.incremental_recomputed_groups_total),
-            },
-            MetricDesc {
-                name: "yu_incremental_reused_reqs_total",
-                help: "Requirements answered from the incremental verdict cache",
-                metric: C(&self.incremental_reused_reqs_total),
-            },
-            MetricDesc {
-                name: "yu_incremental_rechecked_reqs_total",
-                help: "Requirements re-aggregated and re-checked incrementally",
-                metric: C(&self.incremental_rechecked_reqs_total),
-            },
-            MetricDesc {
-                name: "yu_incremental_full_rebuilds_total",
-                help: "Updates that forced a from-scratch rebuild (topology edits)",
-                metric: C(&self.incremental_full_rebuilds_total),
-            },
-            MetricDesc {
-                name: "yu_serve_requests_total",
-                help: "Requests handled by yu serve (successful change-sets)",
-                metric: C(&self.serve_requests_total),
-            },
-            MetricDesc {
-                name: "yu_serve_request_errors_total",
-                help: "Requests rejected (parse errors, bad requests)",
-                metric: C(&self.serve_request_errors_total),
-            },
-            MetricDesc {
-                name: "yu_serve_slow_requests_total",
-                help: "Requests slower than the configured threshold",
-                metric: C(&self.serve_slow_requests_total),
-            },
-            MetricDesc {
-                name: "yu_serve_verdict_flips_total",
-                help: "Requests whose verdict delta was non-empty",
-                metric: C(&self.serve_verdict_flips_total),
-            },
-            MetricDesc {
-                name: "yu_serve_perf_regressions_total",
-                help: "Requests exceeding their kind's EWMA latency baseline",
-                metric: C(&self.serve_perf_regressions_total),
-            },
-            MetricDesc {
-                name: "yu_serve_request_seconds",
-                help: "End-to-end request latency",
-                metric: H(&self.serve_request_seconds, 1e-6),
-            },
-            MetricDesc {
-                name: "yu_serve_violations",
-                help: "Violations in the current (post-request) state",
-                metric: G(&self.serve_violations),
-            },
-            MetricDesc {
-                name: "yu_serve_group_reuse_ratio",
-                help: "Group reuse ratio of the latest request (reused/total)",
-                metric: G(&self.serve_group_reuse_ratio),
-            },
-            MetricDesc {
-                name: "yu_serve_req_reuse_ratio",
-                help: "Requirement reuse ratio of the latest request (reused/total)",
-                metric: G(&self.serve_req_reuse_ratio),
-            },
-        ]
-    }
-
     /// A plain-data copy of every metric, for the `yu serve` `metrics`
     /// request and tests.
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -462,8 +320,8 @@ impl RegistrySnapshot {
 
 /// Whether registry recording is on: one relaxed load. On by default
 /// (recording is a handful of atomic adds per *request*, not per node);
-/// `YU_REGISTRY=0` or [`set_registry_enabled`]`(false)` turns it off —
-/// what the serve bench's A/B overhead measurement does.
+/// `YU_REGISTRY=0` (or `false`, or empty) or
+/// [`set_registry_enabled`]`(false)` turns it off.
 #[inline]
 pub fn registry_enabled() -> bool {
     registry_env_init();
@@ -481,10 +339,8 @@ static REGISTRY_ENV: Once = Once::new();
 
 fn registry_env_init() {
     REGISTRY_ENV.call_once(|| {
-        if let Ok(v) = std::env::var("YU_REGISTRY") {
-            if v == "0" || v.eq_ignore_ascii_case("false") {
-                REGISTRY_ENABLED.store(false, Ordering::Relaxed);
-            }
+        if crate::env_flag("YU_REGISTRY") == Some(false) {
+            REGISTRY_ENABLED.store(false, Ordering::Relaxed);
         }
     });
 }

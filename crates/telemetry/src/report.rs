@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use serde::Serialize;
 
 use crate::collector::ThreadLog;
+use crate::registry::Counter;
 
 /// Aggregate statistics for one stage (all spans sharing a name, across
 /// every thread).
@@ -62,8 +63,7 @@ pub struct TelemetrySummary {
     /// `apply_cache_hit_rate` = hits / (hits + misses) of the MTBDD apply
     /// cache; `import_memo_hit_rate` likewise for cross-arena import;
     /// `fused_cache_hit_rate` likewise for the fused ADD∘KREDUCE memo;
-    /// `check_import_memo_hit_rate` likewise for the per-check-worker
-    /// representative imports; `kreduce_reduction_ratio` = fraction of
+    /// `kreduce_reduction_ratio` = fraction of
     /// nodes *removed* by KREDUCE (`1 - after/before`). A rate is
     /// omitted when its inputs were never recorded.
     pub derived: BTreeMap<String, f64>,
@@ -205,6 +205,10 @@ impl TelemetryReport {
 /// [`TelemetrySummary::derived`] for the definitions.
 fn derived_rates(counters: &BTreeMap<String, u64>) -> BTreeMap<String, f64> {
     let get = |name: &str| counters.get(name).copied().unwrap_or(0);
+    // The arena counters are twin rows of the instrument table: read
+    // them under the span-log name the table gives them.
+    let twin = |c: &Counter| c.twin().map_or(0, get);
+    let r = crate::registry();
     let mut d = BTreeMap::new();
     let mut rate = |label: &str, hits: u64, misses: u64| {
         if hits + misses > 0 {
@@ -213,8 +217,8 @@ fn derived_rates(counters: &BTreeMap<String, u64>) -> BTreeMap<String, f64> {
     };
     rate(
         "apply_cache_hit_rate",
-        get("mtbdd.apply_cache_hits"),
-        get("mtbdd.apply_cache_misses"),
+        twin(&r.mtbdd_apply_cache_hits_total),
+        twin(&r.mtbdd_apply_cache_misses_total),
     );
     rate(
         "import_memo_hit_rate",
@@ -223,13 +227,8 @@ fn derived_rates(counters: &BTreeMap<String, u64>) -> BTreeMap<String, f64> {
     );
     rate(
         "fused_cache_hit_rate",
-        get("mtbdd.fused_cache_hits"),
-        get("mtbdd.fused_cache_misses"),
-    );
-    rate(
-        "check_import_memo_hit_rate",
-        get("check.import_memo_hits"),
-        get("check.import_memo_misses"),
+        twin(&r.mtbdd_fused_cache_hits_total),
+        twin(&r.mtbdd_fused_cache_misses_total),
     );
     let before = get("kreduce.nodes_before");
     let after = get("kreduce.nodes_after");
@@ -242,8 +241,9 @@ fn derived_rates(counters: &BTreeMap<String, u64>) -> BTreeMap<String, f64> {
     d
 }
 
-/// Formats microseconds with an adaptive unit (`µs`, `ms`, `s`).
-fn fmt_us(us: u64) -> String {
+/// Formats microseconds with an adaptive unit (`µs`, `ms`, `s`): the one
+/// wall-time format of the `-v` stage table and `yu profile`.
+pub fn fmt_us(us: u64) -> String {
     if us >= 1_000_000 {
         format!("{:.2}s", us as f64 / 1e6)
     } else if us >= 1_000 {

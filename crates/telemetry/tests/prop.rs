@@ -317,9 +317,11 @@ fn flush_snapshot_reset_lifecycle() {
     assert!(report.stage_aggs().contains_key("exec.worker"));
     assert!(report.stage_aggs().contains_key("verify"));
 
-    // Summary table + metrics JSON render and carry derived rates.
-    yu_telemetry::counter("mtbdd.apply_cache_hits", 3);
-    yu_telemetry::counter("mtbdd.apply_cache_misses", 1);
+    // Summary table + metrics JSON render and carry derived rates,
+    // computed from the span-log twins of the arena counters.
+    let reg = yu_telemetry::MetricsRegistry::default();
+    reg.mtbdd_apply_cache_hits_total.add(3);
+    reg.mtbdd_apply_cache_misses_total.add(1);
     let report = yu_telemetry::snapshot();
     let summary = report.summary();
     assert!((summary.derived["apply_cache_hit_rate"] - 0.75).abs() < 1e-9);

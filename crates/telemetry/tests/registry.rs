@@ -4,12 +4,14 @@
 //! exposition (parseable, typed, monotone across snapshots).
 //!
 //! Every test builds its own local [`MetricsRegistry`] / [`Histogram`]
-//! — nothing here touches the process-global registry, so the tests run
-//! concurrently without interference.
+//! — nothing here touches the process-global registry, and only one test
+//! flips the span gate (recording into its own thread's log), so the
+//! tests run concurrently without interference.
 
 use proptest::prelude::*;
 use yu_telemetry::{
-    bucket_bounds, bucket_index, render_prometheus, Histogram, HistogramSnapshot, MetricsRegistry,
+    bucket_bounds, bucket_index, render_prometheus, Histogram, HistogramSnapshot, MetricKind,
+    MetricsRegistry,
 };
 
 /// The reference implementation: exact nearest-rank quantile over the
@@ -245,4 +247,149 @@ fn snapshot_json_matches_live_values() {
     let json = snap.to_value().to_string();
     assert!(json.contains("\"yu_incremental_reused_reqs_total\":7"));
     assert!(json.contains("\"yu_serve_group_reuse_ratio\":0.75"));
+}
+
+/// The instrument table, as exported: `(name, kind, twin)` per row, in
+/// exposition order. Adding, renaming or re-twinning an instrument is a
+/// one-line diff here (and one row in DESIGN.md §9.7, which
+/// `tests/observability.rs` checks against `descriptors()`).
+const INSTRUMENTS: [(&str, &str, Option<&str>); 37] = [
+    ("yu_verify_runs_total", "counter", None),
+    ("yu_reqs_checked_total", "counter", None),
+    ("yu_reqs_bound_decided_total", "counter", None),
+    ("yu_flow_groups_executed_total", "counter", None),
+    (
+        "yu_route_igp_rounds_total",
+        "counter",
+        Some("igp.bf_rounds"),
+    ),
+    ("yu_route_bgp_rounds_total", "counter", Some("bgp.rounds")),
+    ("yu_stage_route_seconds", "histogram", None),
+    ("yu_stage_exec_seconds", "histogram", None),
+    ("yu_stage_check_seconds", "histogram", None),
+    ("yu_flow_exec_seconds", "histogram", None),
+    ("yu_req_check_seconds", "histogram", None),
+    ("yu_mtbdd_live_nodes", "gauge", None),
+    ("yu_mtbdd_unique_table_load_factor", "gauge", None),
+    ("yu_mtbdd_arena_bytes", "gauge", None),
+    ("yu_mtbdd_live_nodes_hist", "histogram", None),
+    (
+        "yu_mtbdd_apply_cache_hits_total",
+        "counter",
+        Some("mtbdd.apply_cache_hits"),
+    ),
+    (
+        "yu_mtbdd_apply_cache_misses_total",
+        "counter",
+        Some("mtbdd.apply_cache_misses"),
+    ),
+    (
+        "yu_mtbdd_fused_cache_hits_total",
+        "counter",
+        Some("mtbdd.fused_cache_hits"),
+    ),
+    (
+        "yu_mtbdd_fused_cache_misses_total",
+        "counter",
+        Some("mtbdd.fused_cache_misses"),
+    ),
+    ("yu_mtbdd_gc_runs_total", "counter", Some("mtbdd.gc_runs")),
+    (
+        "yu_mtbdd_gc_reclaimed_nodes_total",
+        "counter",
+        Some("mtbdd.gc_reclaimed_nodes"),
+    ),
+    ("yu_mtbdd_apply_cache_hit_rate", "gauge", None),
+    ("yu_mtbdd_fused_cache_hit_rate", "gauge", None),
+    (
+        "yu_incremental_reused_groups_total",
+        "counter",
+        Some("delta.reused_groups"),
+    ),
+    (
+        "yu_incremental_recomputed_groups_total",
+        "counter",
+        Some("delta.recomputed_groups"),
+    ),
+    (
+        "yu_incremental_reused_reqs_total",
+        "counter",
+        Some("delta.reused_reqs"),
+    ),
+    (
+        "yu_incremental_rechecked_reqs_total",
+        "counter",
+        Some("delta.rechecked_reqs"),
+    ),
+    ("yu_incremental_full_rebuilds_total", "counter", None),
+    ("yu_serve_requests_total", "counter", None),
+    ("yu_serve_request_errors_total", "counter", None),
+    ("yu_serve_slow_requests_total", "counter", None),
+    ("yu_serve_verdict_flips_total", "counter", None),
+    ("yu_serve_perf_regressions_total", "counter", None),
+    ("yu_serve_request_seconds", "histogram", None),
+    ("yu_serve_violations", "gauge", None),
+    ("yu_serve_group_reuse_ratio", "gauge", None),
+    ("yu_serve_req_reuse_ratio", "gauge", None),
+];
+
+/// `(name, kind, twin)` of every descriptor, in `descriptors()` order.
+fn exported_rows(reg: &MetricsRegistry) -> Vec<(&'static str, &'static str, Option<&'static str>)> {
+    reg.descriptors()
+        .iter()
+        .map(|d| match d.metric {
+            MetricKind::Counter(c) => (d.name, "counter", c.twin()),
+            MetricKind::Gauge(_) => (d.name, "gauge", None),
+            MetricKind::Histogram(..) => (d.name, "histogram", None),
+        })
+        .collect()
+}
+
+#[test]
+fn descriptors_are_the_golden_instrument_list_in_table_order() {
+    assert_eq!(exported_rows(&MetricsRegistry::default()), INSTRUMENTS);
+}
+
+#[test]
+fn instrument_names_follow_the_one_naming_scheme() {
+    let rows = exported_rows(&MetricsRegistry::default());
+    let mut names = std::collections::BTreeSet::new();
+    let mut twins = std::collections::BTreeSet::new();
+    for &(name, kind, twin) in &rows {
+        assert!(names.insert(name), "duplicate metric name {name}");
+        assert!(name.starts_with("yu_"), "{name} lacks the yu_ prefix");
+        assert_eq!(
+            kind == "counter",
+            name.ends_with("_total"),
+            "{name}: counters, and only counters, end in _total"
+        );
+        if let Some(twin) = twin {
+            assert!(twins.insert(twin), "duplicate twin name {twin}");
+            let (layer, quantity) = twin.split_once('.').expect("twin names are dotted");
+            assert!(!layer.is_empty() && !quantity.is_empty(), "{twin}");
+            assert!(!twin.starts_with("yu_"), "{twin} is a span-log name");
+        }
+    }
+    assert_eq!(twins.len(), 12);
+}
+
+/// A twin row's one `add` lands in both sinks, each under its own gate;
+/// a plain row's lands in the registry only.
+#[test]
+fn a_twin_counter_feeds_both_sinks_from_one_call() {
+    let reg = MetricsRegistry::default();
+    yu_telemetry::set_enabled(true);
+    let _ = yu_telemetry::take_thread_log();
+    reg.route_igp_rounds_total.add(5);
+    reg.verify_runs_total.inc();
+    let log = yu_telemetry::take_thread_log();
+    yu_telemetry::set_enabled(false);
+    reg.route_igp_rounds_total.add(2);
+    let quiet = yu_telemetry::take_thread_log();
+
+    assert_eq!(reg.route_igp_rounds_total.get(), 7);
+    assert_eq!(reg.verify_runs_total.get(), 1);
+    assert_eq!(log.counters.get("igp.bf_rounds"), Some(&5));
+    assert_eq!(log.counters.len(), 1, "a plain row has no span-log name");
+    assert!(quiet.counters.is_empty(), "the span gate is its own gate");
 }

@@ -79,6 +79,37 @@ use yu::core::{YuOptions, YuVerifier};
 use yu::mtbdd::Ratio;
 use yu::net::{scenario_count, FailureMode, LoadPoint, Scenario, Tlp};
 use yu::spec::VerifySpec;
+use yu::telemetry::fmt_us;
+
+/// Every flag, declared once: its name and, for a flag that takes a
+/// value, the placeholder the usage line shows for it (`None` = switch).
+/// Drives positional-argument detection, the unknown-flag check and
+/// [`usage`].
+const FLAGS: [(&str, Option<&str>); 23] = [
+    ("--json", None),
+    ("--deep", None),
+    ("--deny-warnings", None),
+    ("--workers", Some("N")),
+    ("--check-workers", Some("N|auto")),
+    ("--explain", None),
+    ("--max-violations", Some("N")),
+    ("--dot-out", Some("FILE")),
+    ("--fail", Some("A-B,C-D")),
+    ("--router", Some("<name>")),
+    ("--dst", Some("<ip>")),
+    ("--spec", Some("base.json")),
+    ("-v", None),
+    ("--verbose", None),
+    ("--trace-out", Some("FILE")),
+    ("--metrics-out", Some("FILE")),
+    ("--profile-out", Some("FILE")),
+    ("--top", Some("N")),
+    ("--folded-out", Some("FILE")),
+    ("--prom-out", Some("FILE")),
+    ("--events-out", Some("FILE")),
+    ("--slow-ms", Some("N")),
+    ("--regress-factor", Some("X")),
+];
 
 /// The resolved `--check-workers` argument: a worker count, fixed
 /// (`auto = false`) or treated as a cap by the check stage's cost model
@@ -89,48 +120,70 @@ struct CheckWorkersArg {
     auto: bool,
 }
 
+impl std::str::FromStr for CheckWorkersArg {
+    type Err = ();
+
+    fn from_str(v: &str) -> Result<Self, ()> {
+        if v == "auto" {
+            return Ok(CheckWorkersArg {
+                workers: hw_parallelism(),
+                auto: true,
+            });
+        }
+        match v.parse() {
+            Ok(workers) if workers >= 1 => Ok(CheckWorkersArg {
+                workers,
+                auto: false,
+            }),
+            _ => Err(()),
+        }
+    }
+}
+
 /// Hardware threads available to this process (1 when unknown).
 fn hw_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The value following `flag`, if the flag is present and has one.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The value of `flag` parsed as a `T` that `accept` admits, `None` when
+/// the flag is absent. A missing, unparseable or rejected value is a
+/// command-line error: says that `flag` takes `what`, exits with 2.
+fn flag_parsed<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    what: &str,
+    accept: impl Fn(&T) -> bool,
+) -> Option<T> {
+    if !args.iter().any(|a| a == flag) {
+        return None;
+    }
+    let value = flag_value(args, flag).and_then(|v| v.parse().ok());
+    Some(value.filter(accept).unwrap_or_else(|| {
+        eprintln!("error: {flag} takes {what}");
+        std::process::exit(2);
+    }))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Positional arguments: everything that is neither a flag nor the
     // value of a value-taking flag.
-    const VALUE_FLAGS: [&str; 17] = [
-        "--fail",
-        "--workers",
-        "--check-workers",
-        "--router",
-        "--dst",
-        "--trace-out",
-        "--metrics-out",
-        "--max-violations",
-        "--dot-out",
-        "--spec",
-        "--prom-out",
-        "--events-out",
-        "--slow-ms",
-        "--profile-out",
-        "--folded-out",
-        "--top",
-        "--regress-factor",
-    ];
-    const SWITCHES: [&str; 6] = [
-        "--json",
-        "--explain",
-        "--deep",
-        "--deny-warnings",
-        "-v",
-        "--verbose",
-    ];
-    let is_flag_value = |i: usize| i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
-    let known = |a: &str| VALUE_FLAGS.contains(&a) || SWITCHES.contains(&a);
+    let takes_value = |a: &str| {
+        let row = FLAGS.iter().find(|&&(flag, _)| flag == a);
+        row.map(|&(_, value)| value.is_some())
+    };
+    let is_flag_value = |i: usize| i > 0 && takes_value(&args[i - 1]) == Some(true);
     let unknown = args
         .iter()
         .enumerate()
-        .find(|&(i, a)| a.starts_with('-') && !is_flag_value(i) && !known(a));
+        .find(|&(i, a)| a.starts_with('-') && !is_flag_value(i) && takes_value(a).is_none());
     if let Some((_, flag)) = unknown {
         eprintln!("error: unknown flag '{flag}'");
         return usage();
@@ -143,45 +196,18 @@ fn main() -> ExitCode {
     let arg = pos.next().cloned();
     let arg2 = pos.next().cloned();
     let json_output = args.iter().any(|a| a == "--json");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+    let flag_value = |flag: &str| flag_value(&args, flag);
     let fail_arg = flag_value("--fail");
-    let workers = match args.iter().position(|a| a == "--workers") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(w) if w >= 1 => w,
-            _ => {
-                eprintln!("error: --workers takes a positive integer");
-                return ExitCode::from(2);
-            }
-        },
-        None => yu::core::default_workers(),
-    };
-    let check_workers_flag = match args.iter().position(|a| a == "--check-workers") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("auto") => Some(CheckWorkersArg {
-                workers: hw_parallelism(),
-                auto: true,
-            }),
-            Some(v) => match v.parse::<usize>() {
-                Ok(w) if w >= 1 => Some(CheckWorkersArg {
-                    workers: w,
-                    auto: false,
-                }),
-                _ => {
-                    eprintln!("error: --check-workers takes a positive integer or 'auto'");
-                    return ExitCode::from(2);
-                }
-            },
-            None => {
-                eprintln!("error: --check-workers takes a positive integer or 'auto'");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
+    let workers = flag_parsed(&args, "--workers", "a positive integer", |&w: &usize| {
+        w >= 1
+    })
+    .unwrap_or_else(yu::core::default_workers);
+    let check_workers_flag = flag_parsed::<CheckWorkersArg>(
+        &args,
+        "--check-workers",
+        "a positive integer or 'auto'",
+        |_| true,
+    );
     // `yu verify` defaults to the auto cost model (degrading to a
     // sequential check when sharding cannot pay for its setup); an
     // explicit flag or a YU_CHECK_WORKERS override always wins.
@@ -198,26 +224,15 @@ fn main() -> ExitCode {
             }
         }
     });
-    let max_violations = match args.iter().position(|a| a == "--max-violations") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: --max-violations takes a positive integer");
-                return ExitCode::from(2);
-            }
-        },
-        None => 1,
-    };
-    let top = match args.iter().position(|a| a == "--top") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) => n,
-            None => {
-                eprintln!("error: --top takes a non-negative integer (0 = all)");
-                return ExitCode::from(2);
-            }
-        },
-        None => 10,
-    };
+    let max_violations = flag_parsed(
+        &args,
+        "--max-violations",
+        "a positive integer",
+        |&n: &usize| n >= 1,
+    )
+    .unwrap_or(1);
+    let top = flag_parsed::<usize>(&args, "--top", "a non-negative integer (0 = all)", |_| true)
+        .unwrap_or(10);
     let dot_out = flag_value("--dot-out");
     let explain_flag = args.iter().any(|a| a == "--explain");
     let deep = args.iter().any(|a| a == "--deep");
@@ -276,26 +291,18 @@ fn main() -> ExitCode {
         "rib" => rib(&load(&arg), &args),
         "diff" => diff(&load(&arg), &load(&arg2), base, json_output, &telemetry),
         "serve" => {
-            let slow_ms = match args.iter().position(|a| a == "--slow-ms") {
-                Some(i) => match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(ms) => ms,
-                    None => {
-                        eprintln!("error: --slow-ms takes a non-negative integer (milliseconds)");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => 1000,
-            };
-            let regress_factor = match args.iter().position(|a| a == "--regress-factor") {
-                Some(i) => match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(f) if f > 1.0 => f,
-                    _ => {
-                        eprintln!("error: --regress-factor takes a number > 1.0");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => yu::serve::ServeConfig::default().regress_factor,
-            };
+            let slow_ms = flag_parsed::<u64>(
+                &args,
+                "--slow-ms",
+                "a non-negative integer (milliseconds)",
+                |_| true,
+            )
+            .unwrap_or(1000);
+            let regress_factor =
+                flag_parsed(&args, "--regress-factor", "a number > 1.0", |&f: &f64| {
+                    f > 1.0
+                })
+                .unwrap_or_else(|| yu::serve::ServeConfig::default().regress_factor);
             serve(
                 flag_value("--spec").or(arg),
                 base,
@@ -319,15 +326,17 @@ fn main() -> ExitCode {
 
 /// Prints the usage line; returns the exit code of a command-line error.
 fn usage() -> ExitCode {
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(|&(flag, value)| match value {
+            Some(v) => format!("[{flag} {v}]"),
+            None => format!("[{flag}]"),
+        })
+        .collect();
     eprintln!(
         "usage: yu <export|lint|check|verify|profile|explain|loads|scenarios|rib|diff\
-         |serve> [spec.json] \
-         [--json] [--deep] [--deny-warnings] [--workers N] [--check-workers N|auto] \
-         [--explain] [--max-violations N] \
-         [--dot-out FILE] [--fail A-B,C-D] [--router <name> --dst <ip>] \
-         [--spec base.json] [-v] [--trace-out FILE] [--metrics-out FILE] \
-         [--profile-out FILE] [--top N] [--folded-out FILE] \
-         [--prom-out FILE] [--events-out FILE] [--slow-ms N] [--regress-factor X]"
+         |serve> [spec.json] {}",
+        flags.join(" ")
     );
     ExitCode::from(2)
 }
@@ -354,15 +363,19 @@ impl TelemetryArgs {
     }
 }
 
-/// Resolves a `YU_TRACE`-style environment default: unset/`0`/`false` =
-/// off, `1`/`true` = on with `default_name` as the output path, anything
-/// else = on with the value as the output path.
+/// Resolves a `YU_TRACE`-style environment default: off by the shared
+/// [`yu::telemetry::env_flag`] rule (unset, empty, `0`, `false`),
+/// `1`/`true` = on with `default_name` as the output path, anything else
+/// = on with the value as the output path.
 fn env_out(var: &str, default_name: &str) -> Option<String> {
-    match std::env::var(var) {
-        Ok(v) if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") => None,
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Some(default_name.to_string()),
-        Ok(v) => Some(v),
-        Err(_) => None,
+    if yu::telemetry::env_flag(var) != Some(true) {
+        return None;
+    }
+    let v = std::env::var(var).ok()?;
+    if v == "1" || v.eq_ignore_ascii_case("true") {
+        Some(default_name.to_string())
+    } else {
+        Some(v)
     }
 }
 
@@ -611,17 +624,6 @@ struct ProfileArgs {
     folded_out: Option<String>,
 }
 
-/// Human-scale wall time: `987us`, `12.34ms`, `1.23s`.
-fn fmt_us(us: u64) -> String {
-    if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else if us >= 1_000 {
-        format!("{:.2}ms", us as f64 / 1e3)
-    } else {
-        format!("{us}us")
-    }
-}
-
 /// The `yu profile` subcommand: run the same verification as
 /// `yu verify` with attribution capture on, then report where the wall
 /// time and the arena nodes went — per flow group, per requirement, per
@@ -662,22 +664,7 @@ fn profile(
 
     if json_output {
         use serde::{Map, Serialize, Value};
-        let mut stats = Map::new();
-        stats.insert(
-            "route_secs",
-            Value::Float(out.stats.route_time.as_secs_f64()),
-        );
-        stats.insert("exec_secs", Value::Float(out.stats.exec_time.as_secs_f64()));
-        stats.insert(
-            "check_secs",
-            Value::Float(out.stats.check_time.as_secs_f64()),
-        );
-        stats.insert("flows_in", Value::Int(out.stats.flows_in as i128));
-        stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
-        stats.insert(
-            "reqs_bound_decided",
-            Value::Int(out.stats.reqs_bound_decided as i128),
-        );
+        let mut stats = out.stats.scalars();
         stats.insert("mtbdd", out.stats.mtbdd.to_value());
         let mut root = Map::new();
         root.insert("verified", Value::Bool(out.verified()));
@@ -1131,22 +1118,7 @@ fn verify_json(
     explanations: Option<&[yu::core::Explanation]>,
 ) -> String {
     use serde::{Map, Serialize, Value};
-    let mut stats = Map::new();
-    stats.insert(
-        "route_secs",
-        Value::Float(out.stats.route_time.as_secs_f64()),
-    );
-    stats.insert("exec_secs", Value::Float(out.stats.exec_time.as_secs_f64()));
-    stats.insert(
-        "check_secs",
-        Value::Float(out.stats.check_time.as_secs_f64()),
-    );
-    stats.insert("flows_in", Value::Int(out.stats.flows_in as i128));
-    stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
-    stats.insert(
-        "reqs_bound_decided",
-        Value::Int(out.stats.reqs_bound_decided as i128),
-    );
+    let mut stats = out.stats.scalars();
     stats.insert("mtbdd", out.stats.mtbdd.to_value());
     stats.insert("mtbdd_workers", out.stats.mtbdd_workers.to_value());
     stats.insert("telemetry", out.stats.telemetry.to_value());
@@ -1188,11 +1160,7 @@ fn export_telemetry(telemetry: &TelemetryArgs) {
 }
 
 fn rib(spec: &VerifySpec, args: &[String]) -> ExitCode {
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+    let get = |flag: &str| flag_value(args, flag);
     let Some(router_name) = get("--router") else {
         eprintln!("error: --router <name> required");
         return ExitCode::from(2);

@@ -33,7 +33,7 @@
 //!
 //! ## Observability
 //!
-//! The session is fully instrumented (see DESIGN.md §14): per-request
+//! The session is fully instrumented (see DESIGN.md §9): per-request
 //! end-to-end latency and stage histograms plus reuse-ratio gauges land
 //! in the [`yu_telemetry`] metrics registry, and — when an event sink is
 //! configured (`yu serve --events-out`) — the session emits structured
@@ -537,33 +537,20 @@ pub fn violation_delta(
     (new_v, resolved)
 }
 
-/// The per-request statistics object: reuse counters plus the usual run
-/// statistics.
+/// The per-request statistics object: the run scalars
+/// ([`yu_core::RunStats::scalars`]) plus the reuse counters.
 pub fn stats_value(out: &VerificationOutcome, delta: DeltaStats) -> Value {
-    let mut stats = Map::new();
-    stats.insert("reused_groups", Value::Int(delta.reused_groups as i128));
-    stats.insert(
-        "recomputed_groups",
-        Value::Int(delta.recomputed_groups as i128),
-    );
-    stats.insert("reused_reqs", Value::Int(delta.reused_reqs as i128));
-    stats.insert("rechecked_reqs", Value::Int(delta.rechecked_reqs as i128));
-    stats.insert("dirty_points", Value::Int(delta.dirty_points as i128));
+    let mut stats = out.stats.scalars();
+    for (key, n) in [
+        ("reused_groups", delta.reused_groups),
+        ("recomputed_groups", delta.recomputed_groups),
+        ("reused_reqs", delta.reused_reqs),
+        ("rechecked_reqs", delta.rechecked_reqs),
+        ("dirty_points", delta.dirty_points),
+    ] {
+        stats.insert(key, Value::Int(n as i128));
+    }
     stats.insert("full_rebuild", Value::Bool(delta.full_rebuild));
-    stats.insert("flow_groups", Value::Int(out.stats.flow_groups as i128));
-    stats.insert(
-        "reqs_bound_decided",
-        Value::Int(out.stats.reqs_bound_decided as i128),
-    );
-    stats.insert(
-        "route_secs",
-        Value::Float(out.stats.route_time.as_secs_f64()),
-    );
-    stats.insert("exec_secs", Value::Float(out.stats.exec_time.as_secs_f64()));
-    stats.insert(
-        "check_secs",
-        Value::Float(out.stats.check_time.as_secs_f64()),
-    );
     Value::Map(stats)
 }
 

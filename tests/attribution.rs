@@ -1,4 +1,4 @@
-//! The attribution profiler's two contracts (DESIGN.md §15):
+//! The attribution profiler's two contracts (DESIGN.md §9.6):
 //!
 //! 1. **Reconciliation** — per-entity node deltas telescope to the
 //!    phase totals, and with GC off and sequential workers the phase

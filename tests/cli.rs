@@ -387,6 +387,99 @@ fn unknown_flags_are_rejected() {
     let _ = std::fs::remove_file(spec_path);
 }
 
+/// A value flag whose value is missing, unparseable or out of range is a
+/// usage error that says what the flag takes; nothing runs.
+#[test]
+fn value_flags_say_what_they_take() {
+    use std::process::Command;
+
+    let spec_path = std::env::temp_dir().join("yu-flag-value-cli-test.json");
+    std::fs::write(&spec_path, fig1_spec().to_json()).unwrap();
+    let spec_path = spec_path.to_str().unwrap();
+    for (cmd, args, message) in [
+        (
+            "verify",
+            &["--workers", "0"][..],
+            "--workers takes a positive integer",
+        ),
+        (
+            "verify",
+            &["--check-workers", "many"][..],
+            "--check-workers takes a positive integer or 'auto'",
+        ),
+        (
+            "verify",
+            &["--max-violations"][..],
+            "--max-violations takes a positive integer",
+        ),
+        (
+            "profile",
+            &["--top", "-1"][..],
+            "--top takes a non-negative integer (0 = all)",
+        ),
+        (
+            "serve",
+            &["--slow-ms", "soon"][..],
+            "--slow-ms takes a non-negative integer (milliseconds)",
+        ),
+        (
+            "serve",
+            &["--regress-factor", "1.0"][..],
+            "--regress-factor takes a number > 1.0",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_yu"))
+            .args([cmd, spec_path])
+            .args(args)
+            .output()
+            .expect("yu runs");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(spec_path);
+}
+
+/// The `YU_*` on/off gates share one truthiness rule: `false`, `0` and
+/// the empty string are off. `YU_ENGINE_PROFILE=false` used to switch
+/// kernel depth tracking *on*.
+#[test]
+fn env_gates_read_false_as_off() {
+    use std::process::Command;
+
+    let dir = std::env::temp_dir();
+    let spec_path = dir.join("yu-env-gate-cli-test.json");
+    std::fs::write(&spec_path, fig1_spec().to_json()).unwrap();
+    let engine_enabled = |value: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_yu"))
+            .args(["profile", spec_path.to_str().unwrap(), "--json"])
+            .env("YU_ENGINE_PROFILE", value)
+            .env("YU_TRACE", value)
+            .current_dir(&dir)
+            .output()
+            .expect("yu runs");
+        assert_eq!(out.status.code(), Some(1), "fig1 P2 is violated");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+        let doc: serde_json::Value = serde_json::from_str(&stdout).expect("profile JSON");
+        let engine = field(field(&doc, "attribution"), "engine");
+        match field(engine, "enabled") {
+            serde_json::Value::Bool(on) => *on,
+            other => panic!("engine.enabled is {other:?}"),
+        }
+    };
+    let trace = dir.join("yu-trace.json");
+    let _ = std::fs::remove_file(&trace);
+    for off in ["false", "0", ""] {
+        assert!(!engine_enabled(off), "YU_ENGINE_PROFILE={off:?} is off");
+        assert!(!trace.exists(), "YU_TRACE={off:?} writes nothing");
+    }
+    assert!(engine_enabled("1"));
+    assert!(trace.exists(), "YU_TRACE=1 writes the default file");
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&spec_path);
+}
+
 fn preflight_spec() -> VerifySpec {
     let ex = yu::gen::preflight_example();
     VerifySpec {

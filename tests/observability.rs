@@ -254,3 +254,37 @@ fn serve_feeds_the_per_requirement_and_per_group_histograms() {
     assert_eq!(end.flow_execs - baseline.flow_execs, reexecuted);
     assert_eq!(end.groups_executed - baseline.groups_executed, reexecuted);
 }
+
+/// DESIGN.md §9.7 is the instrument table as prose: every metric in
+/// `descriptors()` has a row there giving its name, kind, twin and help
+/// text, and the section has no row for a metric that is gone.
+#[test]
+fn design_md_lists_every_instrument() {
+    use yu::telemetry::MetricKind;
+
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md"))
+        .expect("DESIGN.md is readable");
+    let rows: Vec<&str> = design.lines().filter(|l| l.starts_with("| `yu_")).collect();
+    let descs = yu::telemetry::registry().descriptors();
+    assert_eq!(rows.len(), descs.len(), "one row per instrument");
+    for (d, row) in descs.iter().zip(rows) {
+        let (kind, twin) = match d.metric {
+            MetricKind::Counter(c) => ("counter", c.twin()),
+            MetricKind::Gauge(_) => ("gauge", None),
+            MetricKind::Histogram(..) => ("histogram", None),
+        };
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        // `| name | kind | unit | twin | layer | help |` splits into an
+        // empty cell, the six columns, and a trailing empty cell.
+        assert_eq!(cells.len(), 8, "{row}");
+        assert_eq!(cells[1], format!("`{}`", d.name), "table order");
+        assert_eq!(cells[2], kind, "{}", d.name);
+        assert_eq!(
+            cells[4],
+            twin.map_or("—".to_string(), |t| format!("`{t}`")),
+            "{}",
+            d.name
+        );
+        assert_eq!(cells[6], d.help, "{}", d.name);
+    }
+}

@@ -436,3 +436,131 @@ fn incremental_paths_are_identical_under_full_observability() {
         "diff verdicts must not depend on observability"
     );
 }
+
+/// `yu_reqs_checked_total` counts what its help text says — requirements
+/// the engine checked — not load points, and not verdict-cache answers.
+#[test]
+fn reqs_checked_counts_engine_work_not_points_or_cache_answers() {
+    let _guard = lock_flags();
+    yu::telemetry::set_registry_enabled(true);
+    let growth = |run: &mut dyn FnMut()| {
+        let before = yu::telemetry::registry().snapshot();
+        run();
+        let after = yu::telemetry::registry().snapshot();
+        move |name: &str| after.counter(name) - before.counter(name)
+    };
+
+    // The ready run checks fig1's 18 requirements; two empty change-sets
+    // answer all of them from the verdict cache.
+    let spec = fig1_spec();
+    let opts = YuOptions {
+        k: spec.k,
+        mode: spec.mode,
+        ..Default::default()
+    };
+    let serve = growth(&mut || {
+        let mut session = ServeSession::with_config(&spec, opts, ServeConfig::default());
+        for id in 1..=2 {
+            let resp = session.handle_line(&request_line(id, &[]));
+            assert!(resp.contains("\"ok\":true"), "{resp}");
+        }
+    });
+    assert_eq!(serve("yu_verify_runs_total"), 3);
+    assert_eq!(serve("yu_reqs_checked_total"), 18);
+    assert_eq!(serve("yu_incremental_rechecked_reqs_total"), 18);
+    assert_eq!(serve("yu_incremental_reused_reqs_total"), 36);
+    assert!(serve("yu_reqs_bound_decided_total") <= serve("yu_reqs_checked_total"));
+
+    // Two requirements on one load point are two requirements checked.
+    let mut two_on_one = spec.clone();
+    let mut second = two_on_one.tlp.reqs[0].clone();
+    second.max = second.max.map(|m| m + yu::mtbdd::Ratio::new(1, 1));
+    two_on_one.tlp.reqs.push(second);
+    assert_eq!(two_on_one.tlp.reqs.len(), 19);
+    let batch = growth(&mut || {
+        let mut v = YuVerifier::new(two_on_one.network.clone(), opts);
+        v.add_flows(&two_on_one.flows);
+        let out = v.verify(&two_on_one.tlp);
+        assert_eq!(out.stats.per_point.len(), 18);
+    });
+    assert_eq!(batch("yu_reqs_checked_total"), 19);
+    assert!(batch("yu_reqs_bound_decided_total") <= batch("yu_reqs_checked_total"));
+}
+
+/// Every twin row of the instrument table reports one quantity through
+/// two sinks: after a fresh verify and a serve script with both sinks on,
+/// the span-log total of each twin name equals the growth of its
+/// registry counter.
+#[test]
+fn twin_counters_agree_across_both_sinks() {
+    let _guard = lock_flags();
+    let spec = fig1_spec();
+    let script = serve_script(&spec);
+    yu::telemetry::set_registry_enabled(true);
+    yu::telemetry::set_enabled(true);
+    yu::telemetry::reset();
+    let before = yu::telemetry::registry().snapshot();
+
+    for workers in [1, 3] {
+        run(&spec.network, &spec.flows, &spec.tlp, workers);
+    }
+    let opts = YuOptions {
+        k: spec.k,
+        mode: spec.mode,
+        ..Default::default()
+    };
+    let mut session = ServeSession::with_config(&spec, opts, ServeConfig::default());
+    for line in &script {
+        session.handle_line(line);
+    }
+    // Removing a flow and adding it back re-executes its group.
+    let flow = &spec.flows[1];
+    let churn = [
+        Change::RemoveFlow { flow: 1 },
+        Change::AddFlow {
+            ingress: spec.network.topo.router(flow.ingress).name.clone(),
+            src: flow.src,
+            dst: flow.dst,
+            dscp: flow.dscp,
+            volume: flow.volume.clone(),
+        },
+    ];
+    for (id, change) in churn.into_iter().enumerate() {
+        let resp = session.handle_line(&request_line(10 + id as u64, &[change]));
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+    }
+
+    let span_log = yu::telemetry::snapshot().counter_totals();
+    let after = yu::telemetry::registry().snapshot();
+    yu::telemetry::reset();
+    yu::telemetry::set_enabled(false);
+
+    let mut twins = 0;
+    for d in yu::telemetry::registry().descriptors() {
+        let yu::telemetry::MetricKind::Counter(c) = d.metric else {
+            continue;
+        };
+        let Some(twin) = c.twin() else { continue };
+        twins += 1;
+        assert_eq!(
+            span_log.get(twin).copied().unwrap_or(0),
+            after.counter(d.name) - before.counter(d.name),
+            "{twin} (span log) vs {} (registry)",
+            d.name
+        );
+    }
+    assert_eq!(twins, 12);
+    // The script exercised the twins it can: routing rounds, arena
+    // counters, and both reuse partitions.
+    for twin in [
+        "igp.bf_rounds",
+        "bgp.rounds",
+        "mtbdd.apply_cache_misses",
+        "delta.reused_groups",
+        "delta.recomputed_groups",
+        "delta.reused_reqs",
+        "delta.rechecked_reqs",
+    ] {
+        assert!(span_log.get(twin).copied().unwrap_or(0) > 0, "{twin} idle");
+    }
+}
