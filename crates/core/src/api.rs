@@ -13,17 +13,16 @@
 //! link-local flow-equivalence aggregation, and terminal-scan TLP checking
 //! with counterexample extraction.
 
-use crate::attribution::{flow_label, Attribution, EntityCost, PhaseAttribution};
+use crate::attribution::{Attribution, PhaseAttribution};
 use crate::check::LoadCache;
 use crate::equivalence::{keyed_groups, without_keys, AggStats, FlowGroup};
-use crate::exec::{execute_group, ExecOptions, FlowStf};
-use crate::parallel::execute_sharded;
+use crate::exec::FlowStf;
 use crate::trace::RouteTrace;
 use crate::verify::Violation;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use yu_mtbdd::{ImportMemo, Mtbdd, MtbddStats, NodeRef, Ratio, Term};
+use yu_mtbdd::{Mtbdd, MtbddStats, NodeRef, Ratio, Term};
 use yu_net::{FailureMode, FailureVars, Flow, LoadPoint, Network, Scenario, Tlp};
 use yu_routing::SymbolicRoutes;
 
@@ -49,12 +48,10 @@ pub struct YuOptions {
     /// loads creates large transient diagrams (the paper's Fig. 18
     /// blow-up); collecting between links bounds the working set.
     pub gc_node_threshold: usize,
-    /// Worker threads for symbolic traffic execution. `1` runs the
-    /// classic sequential engine on the shared arena; `> 1` shards flow
-    /// groups across threads with private arenas and imports the results
-    /// back in flow order,
-    /// so outcomes are independent of both thread count and scheduling.
-    /// Defaults to `YU_WORKERS` when set, else 1.
+    /// Ignored. Flow groups always execute on the verifier's own arena
+    /// (DESIGN.md §8): a sharded execution recomputed the routing state
+    /// per worker and never paid. The field stays, set to 1 by `Default`,
+    /// only because the benchmark package still writes it.
     pub workers: usize,
     /// Worker threads for the property-checking stage. `1` aggregates and
     /// scans every load point sequentially on the shared arena; `> 1`
@@ -89,25 +86,17 @@ pub struct YuOptions {
     pub profile: bool,
 }
 
-/// The default worker count: the `YU_WORKERS` environment variable when
-/// set to a positive integer, else 1 (sequential). Latched once per
-/// process, like the `YU_AUDIT` gate.
-pub fn default_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| env_workers("YU_WORKERS"))
-}
-
 /// The default check-stage worker count: the `YU_CHECK_WORKERS`
 /// environment variable when set to a positive integer, else 1
-/// (sequential). Latched once per process, like [`default_workers`].
+/// (sequential). Latched once per process, like the `YU_AUDIT` gate.
 pub fn default_check_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| env_workers("YU_CHECK_WORKERS"))
-}
-
-fn env_workers(var: &str) -> usize {
-    let set = std::env::var(var).ok().and_then(|v| v.parse().ok());
-    set.filter(|&w| w >= 1).unwrap_or(1)
+    *WORKERS.get_or_init(|| {
+        let set = std::env::var("YU_CHECK_WORKERS")
+            .ok()
+            .and_then(|v| v.parse().ok());
+        set.filter(|&w| w >= 1).unwrap_or(1)
+    })
 }
 
 impl Default for YuOptions {
@@ -121,7 +110,7 @@ impl Default for YuOptions {
             early_stop: false,
             max_hops: yu_net::DEFAULT_MAX_HOPS,
             gc_node_threshold: 4_000_000,
-            workers: default_workers(),
+            workers: 1,
             check_workers: default_check_workers(),
             check_workers_auto: false,
             record_route_deps: false,
@@ -150,8 +139,8 @@ pub struct RunStats {
     pub reqs_bound_decided: usize,
     /// MTBDD manager statistics after the run (main arena).
     pub mtbdd: MtbddStats,
-    /// Cumulative statistics of every worker arena of parallel execution
-    /// (all-zero for sequential runs).
+    /// Cumulative statistics of the check workers' overlay arenas over
+    /// the frozen main arena (all-zero when the check ran sequentially).
     pub mtbdd_workers: MtbddStats,
     /// Per-point aggregation statistics (flows vs equivalence classes) —
     /// the data behind Figs. 13 and 14.
@@ -224,18 +213,15 @@ pub struct YuVerifier {
     pub(crate) exec_time: Duration,
     pub(crate) load_cache: LoadCache,
     live_after_gc: usize,
+    /// Cumulative statistics of the check workers' overlay arenas.
     pub(crate) worker_stats: MtbddStats,
-    /// Cumulative arena counters (main + worker arenas) as of the last
+    /// Cumulative arena counters (main + check overlays) as of the last
     /// `verify`, so repeated calls forward deltas, not re-counts. One
     /// mark for both sinks: it advances whether or not either records.
     arena_reported: [u64; 6],
     /// Per-flow-group execution costs, accumulated across `add_flows`
     /// calls. Empty unless `opts.profile`.
     pub(crate) exec_attr: PhaseAttribution,
-    /// Per-flow-group import costs of parallel execution (main-arena
-    /// growth while copying worker results back). Empty unless
-    /// `opts.profile` and `workers > 1`.
-    import_attr: PhaseAttribution,
     /// Per-requirement check costs of the verify call in flight; built
     /// by the check stage, consumed (and cleared) by `finish_outcome`.
     pub(crate) check_attr: PhaseAttribution,
@@ -274,7 +260,6 @@ impl YuVerifier {
             worker_stats: MtbddStats::default(),
             arena_reported: [0; 6],
             exec_attr: PhaseAttribution::default(),
-            import_attr: PhaseAttribution::default(),
             check_attr: PhaseAttribution::default(),
             route_nodes,
         };
@@ -418,44 +403,16 @@ impl YuVerifier {
         ));
         let t0 = Instant::now();
         let exec_span = yu_telemetry::span("exec");
-        if self.opts.workers > 1 && groups.len() > 1 {
-            self.add_groups_parallel(groups);
-        } else {
-            for g in groups {
-                let (stf, trace) = self.execute(&g);
-                self.groups.push(g);
-                self.results.push(stf);
-                self.traces.push(trace);
-            }
+        for g in groups {
+            let (stf, trace) = self.execute(&g);
+            self.groups.push(g);
+            self.results.push(stf);
+            self.traces.push(trace);
         }
         drop(exec_span);
         self.book_exec_time(t0.elapsed());
         self.load_cache.clear();
         self.audit_checkpoint("after symbolic traffic execution");
-    }
-
-    /// Executes one flow group on the main arena ([`execute_group`]) — a
-    /// batch `add_flows`, or the incremental engine re-executing what a
-    /// change invalidated.
-    pub(crate) fn execute(&mut self, g: &FlowGroup) -> (FlowStf, Option<RouteTrace>) {
-        let exec_opts = self.exec_options();
-        execute_group(
-            &mut self.m,
-            &self.net,
-            &self.fv,
-            &mut self.routes,
-            g,
-            exec_opts,
-            self.opts.record_route_deps,
-            self.opts.profile.then_some(&mut self.exec_attr),
-        )
-    }
-
-    fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            k: self.opts.use_kreduce.then_some(self.opts.k),
-            max_hops: self.opts.max_hops,
-        }
     }
 
     /// Books wall-clock spent executing flow groups (batch or incremental).
@@ -464,89 +421,6 @@ impl YuVerifier {
             self.exec_attr.wall_us += elapsed.as_micros() as u64;
         }
         self.exec_time += elapsed;
-    }
-
-    /// Sharded parallel execution of one `add_flows` batch: workers own
-    /// private arenas (see [`crate::parallel`]); their per-point STFs are
-    /// imported into the main arena here, walking groups in *flow order*
-    /// and each STF's load points in sorted order, so the merged arena
-    /// state is a pure function of the input — independent of worker
-    /// count and thread scheduling.
-    fn add_groups_parallel(&mut self, groups: Vec<FlowGroup>) {
-        let profile = self.opts.profile;
-        let shards = execute_sharded(
-            &self.net,
-            self.opts.mode,
-            self.routes.k(),
-            &groups,
-            self.exec_options(),
-            self.opts.workers,
-            self.opts.record_route_deps,
-            profile,
-        );
-        // Group index -> (shard, position) ownership map.
-        let mut owner: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX); groups.len()];
-        for (si, shard) in shards.iter().enumerate() {
-            for (pos, (ix, _, _)) in shard.stfs.iter().enumerate() {
-                owner[*ix] = (si, pos);
-            }
-        }
-        let mut memos: Vec<ImportMemo> = shards.iter().map(|_| ImportMemo::new()).collect();
-        let import_span = yu_telemetry::span("import");
-        let import_t0 = Instant::now();
-        let nodes_at_start = self.m.nodes_created() as i64;
-        for (ix, g) in groups.into_iter().enumerate() {
-            let (si, pos) = owner[ix];
-            let shard = &shards[si];
-            let (_, stf, trace) = &shard.stfs[pos];
-            let t_import = Instant::now();
-            let nodes_before = self.m.nodes_created() as i64;
-            let mut points: Vec<(LoadPoint, NodeRef)> =
-                stf.loads.iter().map(|(&p, &n)| (p, n)).collect();
-            points.sort_by_key(|&(p, _)| p);
-            let mut loads = HashMap::with_capacity(points.len());
-            for (p, src_ref) in points {
-                loads.insert(p, self.m.import(&shard.arena, src_ref, &mut memos[si]));
-            }
-            let truncated = self.m.import(&shard.arena, stf.truncated, &mut memos[si]);
-            let trace = trace.as_ref().map(|t| {
-                let mut t = t.clone();
-                t.import_into(&mut self.m, &shard.arena, &mut memos[si]);
-                t
-            });
-            if profile {
-                self.import_attr.entities.push(EntityCost {
-                    label: flow_label(&self.net, &g.rep, g.members),
-                    wall_us: t_import.elapsed().as_micros() as u64,
-                    nodes_delta: self.m.nodes_created() as i64 - nodes_before,
-                });
-            }
-            self.groups.push(g);
-            self.results.push(FlowStf { loads, truncated });
-            self.traces.push(trace);
-        }
-        if profile {
-            self.import_attr.nodes_delta += self.m.nodes_created() as i64 - nodes_at_start;
-            self.import_attr.wall_us += import_t0.elapsed().as_micros() as u64;
-            // The exec phase of a parallel batch is the workers' private
-            // arenas: per-flow entities (plus each worker's local route
-            // recompute) telescoping to the summed worker-arena growth.
-            for shard in &shards {
-                self.exec_attr
-                    .entities
-                    .extend(shard.costs.entities.iter().cloned());
-                self.exec_attr.nodes_delta += shard.costs.nodes_delta;
-            }
-        }
-        drop(import_span);
-        let (hits, misses) = memos
-            .iter()
-            .fold((0, 0), |(h, m), memo| (h + memo.hits(), m + memo.misses()));
-        yu_telemetry::counter("import.memo_hits", hits);
-        yu_telemetry::counter("import.memo_misses", misses);
-        for shard in &shards {
-            self.worker_stats.merge(&shard.arena.stats());
-        }
     }
 
     /// The aggregated symbolic traffic load at `point`
@@ -579,7 +453,6 @@ impl YuVerifier {
         self.exec_time = Duration::ZERO;
         self.flows_in = 0;
         self.exec_attr = PhaseAttribution::default();
-        self.import_attr = PhaseAttribution::default();
     }
 
     /// Verifies a TLP, returning violations (empty = property holds under
@@ -617,7 +490,6 @@ impl YuVerifier {
             Attribution {
                 route_nodes: self.route_nodes,
                 exec: self.exec_attr.clone(),
-                import: self.import_attr.clone(),
                 check,
                 levels: self.m.level_profile(&self.live_roots(true)),
                 caches: self.m.cache_profiles(),
@@ -717,7 +589,7 @@ impl YuVerifier {
     /// figure harness), in deterministic order: sorted by the
     /// representative flow's identity `(ingress, dst, dscp, src)`, not by
     /// insertion or hash order, so iteration is stable across `add_flows`
-    /// batching, input permutations, and worker counts.
+    /// batching and input permutations.
     pub fn flow_results(&self) -> impl Iterator<Item = (&FlowGroup, &FlowStf)> {
         let mut order: Vec<usize> = (0..self.groups.len()).collect();
         order.sort_by_key(|&i| {

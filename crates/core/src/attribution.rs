@@ -3,21 +3,24 @@
 //!
 //! The stage timings in [`crate::RunStats`] say *that* execution took
 //! 4 s; the ROADMAP's engine-overhaul work needs to know *which flow*
-//! took them, and whether the arena growth came from execution, import,
-//! or aggregation. When [`crate::YuOptions::profile`] is set, the
+//! took them, and whether the arena growth came from execution or
+//! aggregation. When [`crate::YuOptions::profile`] is set, the
 //! verifier captures an [`EntityCost`] around every unit of work — one
-//! per flow group at `exec.flow` / worker import, one per requirement
-//! at aggregate+check — and assembles them into an [`Attribution`]
+//! per flow group at `exec.flow`, one per requirement at
+//! aggregate+check — and assembles them into an [`Attribution`]
 //! carried by [`crate::RunStats`].
 //!
 //! **Reconciliation invariant.** Within a phase, the per-entity node
 //! deltas are measured back-to-back in the same arena, so they
 //! telescope: their sum equals the phase-wide delta *exactly*, GC or
 //! not (a collection mid-entity makes that entity's delta negative, but
-//! the sum still matches). With GC disabled and sequential workers the
-//! phase deltas further reconcile with the final arena statistics:
-//! `route_nodes + exec.nodes_delta + check.nodes_delta =
-//! stats.mtbdd.nodes_created`. Both identities are asserted by
+//! the sum still matches). With GC disabled the phase deltas further
+//! reconcile with the final arena statistics:
+//! `route_nodes + exec.nodes_delta = stats.mtbdd.nodes_created` when
+//! check workers ran (their growth is `check.nodes_delta =
+//! stats.mtbdd_workers.nodes_created`), and `route_nodes +
+//! exec.nodes_delta + check.nodes_delta = stats.mtbdd.nodes_created`
+//! when the check was sequential. These identities are asserted by
 //! `tests/attribution.rs` and the CI profile smoke step.
 //!
 //! Capture is observer-only — wall clocks and already-maintained node
@@ -27,12 +30,12 @@
 use serde::Serialize;
 use yu_mtbdd::{CacheProfile, EngineProfile, LevelProfile};
 
-/// The cost attributed to one spec entity (a flow group, a
-/// requirement, or a worker's route recompute).
+/// The cost attributed to one spec entity (a flow group or a
+/// requirement).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EntityCost {
     /// Human-readable entity label (`flow A->10.0.0.1/dscp0`,
-    /// `req link A-B`, `worker-3 route_sim`).
+    /// `req link A-B`).
     pub label: String,
     /// Wall-clock spent on this entity, in microseconds.
     pub wall_us: u64,
@@ -49,8 +52,8 @@ pub struct PhaseAttribution {
     pub entities: Vec<EntityCost>,
     /// Phase wall-clock, in microseconds.
     pub wall_us: u64,
-    /// Phase-wide net arena growth (sum of per-entity deltas; for
-    /// parallel phases, summed across the worker arenas).
+    /// Phase-wide net arena growth (sum of per-entity deltas; for a
+    /// sharded check, summed across the check workers' overlays).
     pub nodes_delta: i64,
 }
 
@@ -85,14 +88,9 @@ pub struct Attribution {
     /// Inner nodes the symbolic route simulation left in the main
     /// arena (the pre-exec baseline of the reconciliation identity).
     pub route_nodes: u64,
-    /// Per-flow-group symbolic execution costs. Sequential runs
-    /// measure the main arena; parallel runs measure each worker's
-    /// private arena and include one `worker-N route_sim` entity per
-    /// worker for its local route recompute.
+    /// Per-flow-group symbolic execution costs, measured on the main
+    /// arena.
     pub exec: PhaseAttribution,
-    /// Per-flow-group import costs (main-arena growth while copying
-    /// worker results back). Empty for sequential runs.
-    pub import: PhaseAttribution,
     /// Per-requirement aggregate+check costs. Sequential checking
     /// measures the main arena; sharded checking measures the workers'
     /// overlay arenas.
@@ -112,7 +110,7 @@ impl Attribution {
     /// Whether every phase's entity deltas telescope to its phase
     /// total — the invariant the capture sites guarantee.
     pub fn reconciles(&self) -> bool {
-        [&self.exec, &self.import, &self.check]
+        [&self.exec, &self.check]
             .iter()
             .all(|p| p.entity_nodes_sum() == p.nodes_delta)
     }

@@ -14,7 +14,7 @@
 //! collects — and every caller differs only in what it hands it:
 //! [`YuVerifier::verify`] / [`YuVerifier::verify_enumerated`] are
 //! [`YuVerifier::verify_with`] without caches, a check worker
-//! ([`crate::parallel::check_sharded`]) is [`check_reqs`] over its share
+//! ([`YuVerifier::check_sharded`]) is [`check_reqs`] over its share
 //! of the requirements, the `--check-workers auto` cost model sizes what
 //! [`classes`] returns, and [`crate::IncrementalVerifier::verify`] is
 //! `verify_with` with the [`CheckCaches`] it carries across requests.
@@ -23,12 +23,11 @@ use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
 use crate::attribution::{req_label, EntityCost};
 use crate::equivalence::{AggStats, FlowGroup};
 use crate::exec::FlowStf;
-use crate::parallel::check_sharded;
 use crate::verify::{check_requirement, enumerate_violations, Violation};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
+use yu_mtbdd::{Mtbdd, MtbddStats, NodeRef, Ratio, Term};
 use yu_net::{FailureVars, LoadPoint, Tlp, TlpReq};
 
 /// Aggregated loads by point, valid until the arena they live in is
@@ -436,7 +435,7 @@ impl YuVerifier {
             // Workers own private overlays, read the main arena immutably
             // and return plain-data verdicts, merged in requirement order:
             // the outcome is independent of worker count and scheduling.
-            let (units, stats) = check_sharded(self, &tlp.reqs, max_violations, check_workers);
+            let (units, stats) = self.check_sharded(&tlp.reqs, max_violations, check_workers);
             self.worker_stats.merge(&stats);
             units
         } else {
@@ -494,6 +493,75 @@ impl YuVerifier {
         }
         drop(verify_span);
         self.finish_outcome(violations, per_point, t0.elapsed(), checked, bound_decided)
+    }
+
+    /// Checks `reqs` across `workers` scoped threads (round-robin by
+    /// requirement index). The main arena is frozen once; each worker
+    /// opens an overlay on the shared frozen base ([`Mtbdd::with_base`],
+    /// where main-arena handles stay valid) and runs the requirement loop
+    /// on it, on a telemetry track of its own. Returns every unit the
+    /// workers produced, in requirement order, with the merged statistics
+    /// of the overlays (the overlays themselves are dropped — verdicts are
+    /// plain data, no handles escape).
+    ///
+    /// # Panics
+    /// Propagates panics from worker threads (including audit failures
+    /// when `YU_AUDIT=1`).
+    fn check_sharded(
+        &self,
+        reqs: &[TlpReq],
+        max_violations: usize,
+        workers: usize,
+    ) -> (Vec<CheckUnit>, MtbddStats) {
+        let workers = workers.clamp(1, reqs.len().max(1));
+        let t_freeze = Instant::now();
+        let frozen = self.m.freeze();
+        yu_telemetry::counter("check.freeze_us", t_freeze.elapsed().as_micros() as u64);
+        // The routing state holds `Rc`s, so workers borrow only what the
+        // check stage reads.
+        let (frozen, opts) = (&frozen, self.opts);
+        let (results, groups, fv) = (&self.results[..], &self.groups[..], &self.fv);
+        let shards: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    scope.spawn(move || {
+                        // Each worker records into its own thread-local
+                        // telemetry buffer; the flush makes it visible to
+                        // the main thread's snapshot without contention.
+                        yu_telemetry::set_thread_track(format!("check-worker-{w}"));
+                        let out = {
+                            let _stage = yu_telemetry::span("check.worker");
+                            let (mut m, mut loads) = (Mtbdd::with_base(frozen), LoadCache::new());
+                            let mut overlay = Arena {
+                                m: &mut m,
+                                loads: &mut loads,
+                                results,
+                                groups,
+                                fv,
+                            };
+                            let share = reqs.iter().enumerate().skip(w).step_by(workers);
+                            let units =
+                                check_reqs(&mut overlay, &opts, share, max_violations, None);
+                            (units, m.stats())
+                        };
+                        yu_telemetry::flush_thread();
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("check worker panicked"))
+                .collect()
+        });
+        let mut units = Vec::with_capacity(reqs.len());
+        let mut stats = MtbddStats::default();
+        for (shard_units, shard_stats) in shards {
+            units.extend(shard_units);
+            stats.merge(&shard_stats);
+        }
+        units.sort_by_key(|u| u.req_ix);
+        (units, stats)
     }
 
     /// The worker count the check stage will actually use for `reqs`:

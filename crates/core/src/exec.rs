@@ -33,7 +33,8 @@
 //! denominators `Σ s_r` are plain applies: they are operands, never
 //! stored.
 
-use crate::attribution::{flow_label, EntityCost, PhaseAttribution};
+use crate::api::YuVerifier;
+use crate::attribution::{flow_label, EntityCost};
 use crate::equivalence::FlowGroup;
 use crate::trace::{fib_answer, RouteTrace, TraceAnswer, TraceQuery};
 use std::collections::HashMap;
@@ -193,44 +194,43 @@ fn simulate(
     .run()
 }
 
-/// Executes one flow group on the arena it is handed — the main arena, an
-/// execution worker's private one, or the incremental engine re-executing
-/// after a change — recording the group's route dependencies when
-/// `record_route_deps` is set. The one place a group execution is timed:
-/// it feeds the `yu_flow_exec_seconds` / `yu_flow_groups_executed_total`
-/// registry instruments and, when `costs` is given (profiling), the
-/// group's attribution entry — whose node delta is added to the phase
-/// total in the same step, so the phase telescopes by construction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_group(
-    m: &mut Mtbdd,
-    net: &Network,
-    fv: &FailureVars,
-    routes: &mut SymbolicRoutes,
-    g: &FlowGroup,
-    opts: ExecOptions,
-    record_route_deps: bool,
-    costs: Option<&mut PhaseAttribution>,
-) -> (FlowStf, Option<RouteTrace>) {
-    let t_flow = Instant::now();
-    let nodes_before = m.nodes_created() as i64;
-    let mut trace = record_route_deps.then(RouteTrace::new);
-    let stf = simulate(m, net, fv, routes, &g.rep, opts, trace.as_mut());
-    let wall_us = t_flow.elapsed().as_micros() as u64;
-    yu_telemetry::with_registry(|r| {
-        r.flow_exec_seconds.record(wall_us);
-        r.flow_groups_executed_total.inc();
-    });
-    if let Some(costs) = costs {
-        let nodes_delta = m.nodes_created() as i64 - nodes_before;
-        costs.nodes_delta += nodes_delta;
-        costs.entities.push(EntityCost {
-            label: flow_label(net, &g.rep, g.members),
-            wall_us,
-            nodes_delta,
+impl YuVerifier {
+    /// Executes one flow group on the main arena — a batch `add_flows`, or
+    /// the incremental engine re-executing what a change invalidated —
+    /// recording the group's route dependencies when `record_route_deps`
+    /// is set. Every execution goes through here, one group after another
+    /// on the arena that holds the routing state (DESIGN.md §8 says why
+    /// nothing shards it). The one place a group execution is timed: it
+    /// feeds the `yu_flow_exec_seconds` / `yu_flow_groups_executed_total`
+    /// registry instruments and, when profiling, the group's attribution
+    /// entry — whose node delta is added to the phase total in the same
+    /// step, so the phase telescopes by construction.
+    pub(crate) fn execute(&mut self, g: &FlowGroup) -> (FlowStf, Option<RouteTrace>) {
+        let opts = ExecOptions {
+            k: self.opts.use_kreduce.then_some(self.opts.k),
+            max_hops: self.opts.max_hops,
+        };
+        let t_flow = Instant::now();
+        let nodes_before = self.m.nodes_created() as i64;
+        let mut trace = self.opts.record_route_deps.then(RouteTrace::new);
+        let (m, routes) = (&mut self.m, &mut self.routes);
+        let stf = simulate(m, &self.net, &self.fv, routes, &g.rep, opts, trace.as_mut());
+        let wall_us = t_flow.elapsed().as_micros() as u64;
+        yu_telemetry::with_registry(|r| {
+            r.flow_exec_seconds.record(wall_us);
+            r.flow_groups_executed_total.inc();
         });
+        if self.opts.profile {
+            let nodes_delta = self.m.nodes_created() as i64 - nodes_before;
+            self.exec_attr.nodes_delta += nodes_delta;
+            self.exec_attr.entities.push(EntityCost {
+                label: flow_label(&self.net, &g.rep, g.members),
+                wall_us,
+                nodes_delta,
+            });
+        }
+        (stf, trace)
     }
-    (stf, trace)
 }
 
 struct Exec<'a> {

@@ -33,13 +33,10 @@ pub mod delta;
 pub mod equivalence;
 pub mod exec;
 pub mod explain;
-mod parallel;
 pub mod trace;
 pub mod verify;
 
-pub use api::{
-    default_check_workers, default_workers, RunStats, VerificationOutcome, YuOptions, YuVerifier,
-};
+pub use api::{default_check_workers, RunStats, VerificationOutcome, YuOptions, YuVerifier};
 pub use attribution::{Attribution, EntityCost, PhaseAttribution};
 pub use delta::{DeltaStats, IncrementalVerifier};
 pub use equivalence::{global_groups, global_groups_classified, AggStats, FlowGroup};

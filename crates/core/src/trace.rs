@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-use yu_mtbdd::{ImportMemo, Mtbdd, NodeRef, Remap};
+use yu_mtbdd::{Mtbdd, NodeRef, Remap};
 use yu_net::{FailureVars, Ipv4, LinkId, Network, RouterId};
 use yu_routing::{Rule, SymbolicRoutes};
 
@@ -149,16 +149,7 @@ impl RouteTrace {
 
     /// Translates every guard handle after a collection.
     pub fn remap(&mut self, remap: &Remap) {
-        self.for_each_guard(|g| *g = remap.get(*g));
-    }
-
-    /// Re-homes the trace from arena `src` into `dst` (used when a worker
-    /// shard recorded it in a private arena).
-    pub fn import_into(&mut self, dst: &mut Mtbdd, src: &Mtbdd, memo: &mut ImportMemo) {
-        self.for_each_guard(|g| *g = dst.import(src, *g, memo));
-    }
-
-    fn for_each_guard(&mut self, mut f: impl FnMut(&mut NodeRef)) {
+        let f = |g: &mut NodeRef| *g = remap.get(*g);
         for (_, a) in &mut self.entries {
             match a {
                 TraceAnswer::Fib { rules, .. } => {

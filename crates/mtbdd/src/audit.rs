@@ -192,18 +192,6 @@ impl Mtbdd {
         report
     }
 
-    /// Structural audit of one diagram reachable from `root`, as run on
-    /// every cross-arena [`Mtbdd::import`] when auditing is enabled:
-    /// variable order, canonicity, and dangling references over the
-    /// reachable sub-diagram only. Unlike the full [`Mtbdd::audit`] this
-    /// skips the whole-arena table scans, so per-imported-root cost is
-    /// O(reachable), not O(arena).
-    pub fn audit_imported(&self, root: NodeRef) -> AuditReport {
-        let mut report = AuditReport::default();
-        self.audit_reachable(&[root], &mut report);
-        report
-    }
-
     /// Audits the `KREDUCE` postcondition for a reduced diagram: every
     /// root-to-terminal path of `f` takes at most `k` failed edges
     /// (Lemma 2), on top of the structural checks.

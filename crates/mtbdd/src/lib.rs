@@ -53,7 +53,6 @@ mod dot;
 mod fused;
 mod gc;
 pub mod hasher;
-mod import;
 mod kreduce;
 mod manager;
 mod node;
@@ -66,7 +65,6 @@ mod terminal;
 
 pub use audit::{audit_enabled, AuditCheck, AuditReport, AuditViolation};
 pub use gc::Remap;
-pub use import::ImportMemo;
 pub use manager::{FrozenMtbdd, Mtbdd, MtbddStats, Op, Op1, UniqueProbeStats};
 pub use node::{NodeRef, Var};
 pub use paths::Path;

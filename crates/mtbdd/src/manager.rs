@@ -215,7 +215,7 @@ pub struct MtbddStats {
 
 impl MtbddStats {
     /// Accumulates another manager's statistics into this one (used to
-    /// report totals across the sharded worker arenas of a parallel run).
+    /// report totals across the overlay arenas of the check workers).
     /// Counts (`nodes_created`, hits, misses, GC totals) are summed;
     /// sizes (`apply_cache_len`, `unique_table_peak`) take the per-arena
     /// maximum — summing a length across arenas would report capacity

@@ -8,7 +8,7 @@ use yu_mtbdd::{Mtbdd, NodeRef, Op, Ratio, Var};
 
 const NVARS: u32 = 6;
 
-/// Random pseudo-boolean functions (same family as the import suite).
+/// Random pseudo-boolean functions (same family as `prop.rs`).
 #[derive(Debug, Clone)]
 enum Expr {
     Const(i64),

@@ -2,7 +2,7 @@
 //! assignments, and the two KREDUCE lemmas of the paper's Appendix A.
 
 use proptest::prelude::*;
-use yu_mtbdd::{ImportMemo, Mtbdd, NodeRef, Op, Ratio, Term, Var};
+use yu_mtbdd::{Mtbdd, NodeRef, Op, Ratio, Term, Var};
 
 const NVARS: u32 = 6;
 
@@ -246,8 +246,8 @@ fn table_operands(
 
 proptest! {
     /// The in-node `β₀`: after a build (apply, ite and the fused kernels
-    /// all go through `node`), after `collect` remapped it, in an overlay
-    /// whose private nodes hang off a frozen base, and after `import`.
+    /// all go through `node`), after `collect` remapped it, and in an
+    /// overlay whose private nodes hang off a frozen base.
     #[test]
     fn nodes_carry_their_all_alive_terminal(
         ef in arb_expr(),
@@ -271,17 +271,11 @@ proptest! {
         let third = w.scale(g, Term::ratio(1, 3));
         let s = w.add_kreduce(r, third, k);
         check_alive_fields(&mut w, &[f, r, g, third, s])?;
-
-        let mut dst = Mtbdd::new();
-        let mut memo = ImportMemo::new();
-        let imported = dst.import(&w, s, &mut memo);
-        check_alive_fields(&mut dst, &[imported])?;
     }
 
     /// The memoised terminal range, `+∞` included: after a build, after
     /// `collect` dropped the memo and renumbered the terminals it pointed
-    /// at, in an overlay ranging over base and private nodes alike, and
-    /// after `import` into an arena with a memo of its own.
+    /// at, and in an overlay ranging over base and private nodes alike.
     #[test]
     fn terminal_range_is_the_extreme_terminals(
         ef in arb_expr(),
@@ -309,12 +303,6 @@ proptest! {
         let third = w.scale(g, Term::ratio(1, 3));
         let s = w.add_kreduce(r, third, k);
         check_ranges(&mut w, &[f, r, third, s])?;
-
-        let mut dst = Mtbdd::new();
-        let mut memo = ImportMemo::new();
-        let imported = dst.import(&w, s, &mut memo);
-        check_ranges(&mut dst, &[imported])?;
-        prop_assert_eq!(dst.terminals(imported), w.terminals(s));
     }
 
     /// The carried `β₀` of the n-ary kernel: with negative terminals the

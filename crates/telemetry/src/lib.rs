@@ -7,8 +7,8 @@
 //!
 //! Scoped RAII stage timers ([`span`]), monotonic [`counter`]s, and
 //! high-water-mark [`gauge_max`]es land in **per-thread buffers**, so the
-//! sharded parallel workers of `yu-core` record independently without any
-//! lock contention on the hot path. Worker threads call
+//! check workers of `yu-core` record independently without any lock
+//! contention on the hot path. Worker threads call
 //! [`set_thread_track`] (to label their Chrome-trace track) and
 //! [`flush_thread`] before they exit; the main thread's buffer is flushed
 //! implicitly by [`snapshot`]. A [`TelemetryReport`] is the merge of all
@@ -18,8 +18,8 @@
 //! * [`TelemetryReport::summary_table`] — human-readable per-stage table
 //!   (what `yu verify -v` prints on stderr);
 //! * [`TelemetryReport::metrics_json`] — machine-readable metrics with
-//!   derived rates (apply-cache hit rate, KREDUCE reduction ratio,
-//!   import-memo hit rate) for `--metrics-out`;
+//!   derived rates (apply- and fused-cache hit rates, KREDUCE reduction
+//!   ratio) for `--metrics-out`;
 //! * [`TelemetryReport::chrome_trace_json`] — Chrome trace-event JSON
 //!   (one track per worker thread) for `--trace-out`, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).

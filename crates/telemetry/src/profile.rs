@@ -229,7 +229,7 @@ mod tests {
                 log("main", vec![ev("exec", 0, 10, 0)]),
                 log(
                     "worker-0",
-                    vec![ev("exec.flow", 1, 5, 1), ev("exec.worker", 0, 8, 0)],
+                    vec![ev("aggregate", 1, 5, 1), ev("check.worker", 0, 8, 0)],
                 ),
             ],
         };
@@ -239,8 +239,8 @@ mod tests {
             lines,
             vec![
                 "main;exec 10",
-                "worker-0;exec.worker 3",
-                "worker-0;exec.worker;exec.flow 5",
+                "worker-0;check.worker 3",
+                "worker-0;check.worker;aggregate 5",
             ]
         );
         // Every line: frames then one numeric field after the last space.

@@ -61,8 +61,7 @@ pub struct TelemetrySummary {
     pub gauges: BTreeMap<String, u64>,
     /// Rates computed from the counters (all in `[0, 1]`):
     /// `apply_cache_hit_rate` = hits / (hits + misses) of the MTBDD apply
-    /// cache; `import_memo_hit_rate` likewise for cross-arena import;
-    /// `fused_cache_hit_rate` likewise for the fused ADD∘KREDUCE memo;
+    /// cache; `fused_cache_hit_rate` likewise for the fused ADD∘KREDUCE memo;
     /// `kreduce_reduction_ratio` = fraction of
     /// nodes *removed* by KREDUCE (`1 - after/before`). A rate is
     /// omitted when its inputs were never recorded.
@@ -219,11 +218,6 @@ fn derived_rates(counters: &BTreeMap<String, u64>) -> BTreeMap<String, f64> {
         "apply_cache_hit_rate",
         twin(&r.mtbdd_apply_cache_hits_total),
         twin(&r.mtbdd_apply_cache_misses_total),
-    );
-    rate(
-        "import_memo_hit_rate",
-        get("import.memo_hits"),
-        get("import.memo_misses"),
     );
     rate(
         "fused_cache_hit_rate",

@@ -179,8 +179,8 @@ fn chrome_trace_schema_is_valid() {
             std::thread::spawn(move || {
                 set_thread_track(format!("worker-{w}"));
                 {
-                    let _outer = span("exec.worker");
-                    let _inner = span("exec.flow");
+                    let _outer = span("check.worker");
+                    let _inner = span("aggregate");
                     counter("flows", 1 + w);
                     gauge_max("peak", 100 * (w + 1));
                 }
@@ -301,7 +301,7 @@ fn flush_snapshot_reset_lifecycle() {
     yu_telemetry::reset();
     std::thread::spawn(|| {
         set_thread_track("worker-0".to_string());
-        let _s = span("exec.worker");
+        let _s = span("check.worker");
         drop(_s);
         yu_telemetry::flush_thread();
     })
@@ -314,7 +314,7 @@ fn flush_snapshot_reset_lifecycle() {
     let report = yu_telemetry::snapshot();
     let tracks: Vec<&str> = report.threads.iter().map(|t| t.track.as_str()).collect();
     assert!(tracks.contains(&"worker-0"), "tracks: {tracks:?}");
-    assert!(report.stage_aggs().contains_key("exec.worker"));
+    assert!(report.stage_aggs().contains_key("check.worker"));
     assert!(report.stage_aggs().contains_key("verify"));
 
     // Summary table + metrics JSON render and carry derived rates,
@@ -325,7 +325,7 @@ fn flush_snapshot_reset_lifecycle() {
     let report = yu_telemetry::snapshot();
     let summary = report.summary();
     assert!((summary.derived["apply_cache_hit_rate"] - 0.75).abs() < 1e-9);
-    assert!(report.summary_table().contains("exec.worker"));
+    assert!(report.summary_table().contains("check.worker"));
     let metrics: serde::Value =
         serde_json::from_str(&report.metrics_json()).expect("metrics JSON parses");
     assert!(metrics

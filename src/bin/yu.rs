@@ -8,7 +8,7 @@
 //!                                                    YU021-YU032: bridges, partitions,
 //!                                                    bound-analysis verdicts)
 //! yu check spec.json                                 lint + summarize the spec
-//! yu verify spec.json [--json] [--workers N]         verify the TLP under <= k failures
+//! yu verify spec.json [--json]                       verify the TLP under <= k failures
 //!           [--check-workers N|auto]                 (check sharding defaults to 'auto':
 //!           [--explain] [--max-violations N]         a cost model degrades to sequential
 //!           [-v] [--trace-out t.json]                when sharding cannot pay for setup)
@@ -70,7 +70,7 @@
 //! per-stage metrics digest, and `-v`/`--verbose` prints the per-stage
 //! time table on stderr. The `YU_TRACE`/`YU_METRICS`/`YU_VERBOSE`
 //! environment variables are defaults for the same (mirroring
-//! `YU_AUDIT`/`YU_WORKERS`): `1`/`true` enables with the default output
+//! `YU_AUDIT`): `1`/`true` enables with the default output
 //! name (`yu-trace.json`/`yu-metrics.json`), any other non-empty value
 //! is used as the output path.
 
@@ -85,11 +85,10 @@ use yu::telemetry::fmt_us;
 /// value, the placeholder the usage line shows for it (`None` = switch).
 /// Drives positional-argument detection, the unknown-flag check and
 /// [`usage`].
-const FLAGS: [(&str, Option<&str>); 23] = [
+const FLAGS: [(&str, Option<&str>); 22] = [
     ("--json", None),
     ("--deep", None),
     ("--deny-warnings", None),
-    ("--workers", Some("N")),
     ("--check-workers", Some("N|auto")),
     ("--explain", None),
     ("--max-violations", Some("N")),
@@ -198,10 +197,6 @@ fn main() -> ExitCode {
     let json_output = args.iter().any(|a| a == "--json");
     let flag_value = |flag: &str| flag_value(&args, flag);
     let fail_arg = flag_value("--fail");
-    let workers = flag_parsed(&args, "--workers", "a positive integer", |&w: &usize| {
-        w >= 1
-    })
-    .unwrap_or_else(yu::core::default_workers);
     let check_workers_flag = flag_parsed::<CheckWorkersArg>(
         &args,
         "--check-workers",
@@ -247,7 +242,6 @@ fn main() -> ExitCode {
     // What the flags say about a run; `spec_options` adds what the spec
     // says.
     let base = YuOptions {
-        workers,
         check_workers: check_workers.workers,
         check_workers_auto: check_workers.auto,
         ..Default::default()
@@ -727,11 +721,7 @@ fn print_profile_tables(
         fmt_us(out.stats.route_time.as_micros() as u64),
         attr.route_nodes,
     );
-    for (name, phase) in [
-        ("exec", &attr.exec),
-        ("import", &attr.import),
-        ("check", &attr.check),
-    ] {
+    for (name, phase) in [("exec", &attr.exec), ("check", &attr.check)] {
         println!(
             "  {:<8}  {:>9}   {:+} over {} entit{}",
             name,
@@ -771,7 +761,6 @@ fn print_profile_tables(
         }
     };
     entity_table("top flow groups by exec wall time", &attr.exec);
-    entity_table("top flow groups by import wall time", &attr.import);
     entity_table("top requirements by check wall time", &attr.check);
 
     println!();

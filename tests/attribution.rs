@@ -1,10 +1,11 @@
 //! The attribution profiler's two contracts (DESIGN.md §9.6):
 //!
 //! 1. **Reconciliation** — per-entity node deltas telescope to the
-//!    phase totals, and with GC off and sequential workers the phase
-//!    totals telescope further to the arena's own lifetime counter:
-//!    `route_nodes + exec.nodes_delta + check.nodes_delta ==
-//!    stats.mtbdd.nodes_created`, exactly.
+//!    phase totals, and with GC off the phase totals telescope further
+//!    to the arenas' own lifetime counters: `route_nodes +
+//!    exec.nodes_delta + check.nodes_delta == stats.mtbdd.nodes_created`
+//!    for a sequential check, exactly; with check workers the check
+//!    phase moves to their overlays (`stats.mtbdd_workers`).
 //! 2. **Observation only** — a profiled run is bit-identical to a plain
 //!    run: same verdicts, same violations, same arena statistics.
 
@@ -23,14 +24,13 @@ fn run_fig1(opts: YuOptions) -> yu::core::VerificationOutcome {
 
 #[test]
 fn sequential_attribution_reconciles_exactly_with_the_arena() {
-    // GC off + one worker: every node the run creates is measured by
+    // GC off + one check worker: every node the run creates is measured by
     // exactly one contiguous per-entity window, so the telescoping sum
     // must land on the arena's lifetime counter to the node.
     let out = run_fig1(YuOptions {
         k: 1,
         profile: true,
         gc_node_threshold: 0,
-        workers: 1,
         check_workers: 1,
         ..Default::default()
     });
@@ -43,11 +43,10 @@ fn sequential_attribution_reconciles_exactly_with_the_arena() {
     );
 
     // Entity coverage: one cost per flow group, one per checked
-    // requirement, no import phase in sequential mode.
+    // requirement.
     assert_eq!(attr.exec.entities.len(), out.stats.flow_groups);
     let ex = motivating_example();
     assert_eq!(attr.check.entities.len(), ex.p2.reqs.len());
-    assert!(attr.import.entities.is_empty());
     assert!(attr
         .exec
         .entities
@@ -79,8 +78,10 @@ fn sequential_attribution_reconciles_exactly_with_the_arena() {
 
 #[test]
 fn parallel_attribution_reconciles_per_phase_on_fattree_m8() {
-    // The acceptance workload: an m=8 fat-tree, profiled through the
-    // sharded execution and checking engines.
+    // The acceptance workload: an m=8 fat-tree, profiled through the one
+    // parallel stage. Execution runs on the main arena, the check on the
+    // workers' overlays, so with GC off each phase lands exactly on the
+    // lifetime counter of the arena it grew.
     let (ft, flows) = fattree_with_flows(8, 24);
     let tlp = Tlp::no_overload(&ft.net.topo, Ratio::new(95, 100));
     let mut v = YuVerifier::new(
@@ -88,7 +89,7 @@ fn parallel_attribution_reconciles_per_phase_on_fattree_m8() {
         YuOptions {
             k: 1,
             profile: true,
-            workers: 3,
+            gc_node_threshold: 0,
             check_workers: 2,
             ..Default::default()
         },
@@ -96,28 +97,24 @@ fn parallel_attribution_reconciles_per_phase_on_fattree_m8() {
     v.add_flows(&flows);
     let out = v.verify(&tlp);
     let attr = out.stats.attribution.as_ref().expect("profile run");
-    // Worker arenas telescope from empty, so the invariant holds shard
-    // by shard and therefore in the phase sums.
     assert!(attr.reconciles());
-    // Parallel execution books each worker's local route recompute as
-    // its own entity, plus one per flow group.
+    assert_eq!(
+        attr.route_nodes as i64 + attr.exec.nodes_delta,
+        out.stats.mtbdd.nodes_created as i64,
+        "route + exec must be the main arena's growth"
+    );
+    assert_eq!(
+        attr.check.nodes_delta, out.stats.mtbdd_workers.nodes_created as i64,
+        "check must be the overlays' growth"
+    );
+    // One entity per flow group, one per requirement checked.
+    assert_eq!(attr.exec.entities.len(), out.stats.flow_groups);
     assert!(attr
         .exec
         .entities
         .iter()
-        .any(|e| e.label.starts_with("worker-") && e.label.ends_with("route_sim")));
-    assert_eq!(
-        attr.exec
-            .entities
-            .iter()
-            .filter(|e| e.label.starts_with("flow "))
-            .count(),
-        out.stats.flow_groups
-    );
-    // Importing worker results back is its own phase with one entity
-    // per flow group.
-    assert_eq!(attr.import.entities.len(), out.stats.flow_groups);
-    assert!(!attr.check.entities.is_empty());
+        .all(|e| e.label.starts_with("flow ")));
+    assert_eq!(attr.check.entities.len(), tlp.reqs.len());
     // Per-level attribution rides along and self-reconciles.
     assert!(!attr.levels.levels.is_empty());
     assert_eq!(
@@ -132,7 +129,6 @@ fn profiling_is_an_observer() {
         run_fig1(YuOptions {
             k: 1,
             profile,
-            workers: 2,
             check_workers: 2,
             ..Default::default()
         })

@@ -28,7 +28,7 @@ struct Instance {
 }
 
 /// Every built-in `yu export` example (fig1, fig9, fig10, ft4) plus a
-/// small random WAN, mirroring the execution-stage differential suite.
+/// small random WAN.
 fn instances() -> Vec<Instance> {
     let fig1 = motivating_example();
     let fig9 = sr_anycast_incident();
@@ -226,27 +226,6 @@ fn wan_check_matches_sequential_both_modes() {
     for mode in [FailureMode::Links, FailureMode::Routers] {
         assert_check_matches_sequential(inst, mode, &[4, 8]);
     }
-}
-
-/// Exec sharding and check sharding compose: both stages parallel must
-/// still match the fully sequential pipeline bit-for-bit.
-#[test]
-fn both_stages_parallel_match_sequential() {
-    let inst = &instances()[3];
-    let mut seq = run(inst, FailureMode::Links, YuOptions::default());
-    let mut par = run(
-        inst,
-        FailureMode::Links,
-        YuOptions {
-            workers: 4,
-            check_workers: 4,
-            ..Default::default()
-        },
-    );
-    let so = seq.verify(&inst.tlp);
-    let po = par.verify(&inst.tlp);
-    assert_eq!(so.verified(), po.verified());
-    assert_eq!(so.violations, po.violations);
 }
 
 /// `early_stop` in parallel mode reproduces the sequential prefix: only

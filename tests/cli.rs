@@ -349,8 +349,8 @@ fn serve_over_a_pipe_end_to_end() {
 
 /// An argument that looks like a flag but is none the parser knows is a
 /// usage error naming it — never ignored, and its value never mistaken for
-/// a positional. `--no-static-prune` was a flag once; scripts that still
-/// pass it must hear about it.
+/// a positional. `--no-static-prune` and `--workers` were flags once;
+/// scripts that still pass them must hear about it.
 #[test]
 fn unknown_flags_are_rejected() {
     use std::process::Command;
@@ -374,6 +374,7 @@ fn unknown_flags_are_rejected() {
         (&["--no-such-flag"][..], "--no-such-flag"),
         (&["--max-violatons", "5"][..], "--max-violatons"),
         (&["--no-static-prune"][..], "--no-static-prune"),
+        (&["--workers", "2"][..], "--workers"),
         (&["--json", "-x"][..], "-x"),
     ] {
         let (code, stdout, stderr) = yu(args);
@@ -397,11 +398,6 @@ fn value_flags_say_what_they_take() {
     std::fs::write(&spec_path, fig1_spec().to_json()).unwrap();
     let spec_path = spec_path.to_str().unwrap();
     for (cmd, args, message) in [
-        (
-            "verify",
-            &["--workers", "0"][..],
-            "--workers takes a positive integer",
-        ),
         (
             "verify",
             &["--check-workers", "many"][..],

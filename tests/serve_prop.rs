@@ -206,18 +206,10 @@ fn assert_matches_scratch(
     );
 }
 
-fn run_sequence(
-    seed: u64,
-    net: Network,
-    flows: Vec<Flow>,
-    tlp: Tlp,
-    mode: FailureMode,
-    workers: usize,
-) {
+fn run_sequence(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, mode: FailureMode) {
     let opts = YuOptions {
         k: 1,
         mode,
-        workers,
         ..Default::default()
     };
     run_sequence_with(seed, net, flows, tlp, opts);
@@ -225,13 +217,13 @@ fn run_sequence(
 
 /// Returns the garbage collections the session's arena ran.
 fn run_sequence_with(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, opts: YuOptions) -> u64 {
-    let (mode, workers) = (opts.mode, opts.workers);
+    let mode = opts.mode;
     let mut rng = Rng(seed);
     let mut fresh_ids = 0u32;
     let mut inc = IncrementalVerifier::new(net, flows, tlp, opts);
     let out = inc.verify();
     assert_matches_scratch(
-        &format!("seed={seed} mode={mode:?} workers={workers} base"),
+        &format!("seed={seed} mode={mode:?} base"),
         &inc,
         &out.violations,
     );
@@ -256,8 +248,7 @@ fn run_sequence_with(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, opts: 
                 })
                 .collect()
         };
-        let ctx =
-            format!("seed={seed} mode={mode:?} workers={workers} step={step} changes={changes:?}");
+        let ctx = format!("seed={seed} mode={mode:?} step={step} changes={changes:?}");
         match inc.apply(&ChangeSet { changes }) {
             Ok(out) => {
                 last_violations = out.violations;
@@ -296,7 +287,7 @@ fn fattree_spec() -> (Network, Vec<Flow>, Tlp) {
 fn wan_random_sequences_links_mode() {
     for seed in [11, 29] {
         let (net, flows, tlp) = wan_spec(seed);
-        run_sequence(seed, net, flows, tlp, FailureMode::Links, 1);
+        run_sequence(seed, net, flows, tlp, FailureMode::Links);
     }
 }
 
@@ -320,23 +311,25 @@ fn fattree_random_sequences_across_collections() {
 #[test]
 fn wan_random_sequences_routers_mode() {
     let (net, flows, tlp) = wan_spec(17);
-    run_sequence(17, net, flows, tlp, FailureMode::Routers, 1);
+    run_sequence(17, net, flows, tlp, FailureMode::Routers);
 }
 
 #[test]
-fn wan_random_sequences_parallel_workers() {
+fn wan_random_sequences_links_mode_seed_43() {
     let (net, flows, tlp) = wan_spec(43);
-    run_sequence(43, net, flows, tlp, FailureMode::Links, 4);
+    run_sequence(43, net, flows, tlp, FailureMode::Links);
 }
 
 #[test]
 fn fattree_random_sequences_links_mode() {
     let (net, flows, tlp) = fattree_spec();
-    run_sequence(7, net, flows, tlp, FailureMode::Links, 1);
+    run_sequence(7, net, flows, tlp, FailureMode::Links);
 }
 
+/// The `_parallel` suffix is historical: a session executes and checks
+/// sequentially.
 #[test]
 fn fattree_random_sequences_routers_mode_parallel() {
     let (net, flows, tlp) = fattree_spec();
-    run_sequence(13, net, flows, tlp, FailureMode::Routers, 4);
+    run_sequence(13, net, flows, tlp, FailureMode::Routers);
 }
