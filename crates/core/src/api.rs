@@ -20,7 +20,6 @@ use crate::exec::FlowStf;
 use crate::trace::RouteTrace;
 use crate::verify::Violation;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use yu_mtbdd::{Mtbdd, MtbddStats, NodeRef, Ratio, Term};
 use yu_net::{FailureMode, FailureVars, Flow, LoadPoint, Network, Scenario, Tlp};
@@ -53,22 +52,15 @@ pub struct YuOptions {
     /// per worker and never paid. The field stays, set to 1 by `Default`,
     /// only because the benchmark package still writes it.
     pub workers: usize,
-    /// Worker threads for the property-checking stage. `1` aggregates and
-    /// scans every load point sequentially on the shared arena; `> 1`
-    /// shards requirements across threads — the main arena is frozen
-    /// once and every worker opens a zero-copy overlay on it, running the
-    /// same requirement loop as the sequential check. Results are
-    /// bit-identical to a sequential check. Defaults to
-    /// `YU_CHECK_WORKERS` when set, else 1.
+    /// Ignored. Requirements are always checked on the verifier's own
+    /// arena, one after another (DESIGN.md §8): a sharded check paid for
+    /// its speed-up, where it had one, with a per-worker copy of the
+    /// arena. The field stays, set to 1 by `Default`, only because the
+    /// benchmark package still writes it.
     pub check_workers: usize,
-    /// Treat [`YuOptions::check_workers`] as a *cap* instead of a fixed
-    /// count: before the check stage, a cost model estimates the
-    /// symbolic work per requirement (node counts of the distinct
-    /// equivalence-class representatives at each load point) and
-    /// degrades to a sequential check when the sharded work cannot pay
-    /// for freezing the arena and spawning threads. Observer-only for
-    /// verdicts — only wall-clock changes. `yu verify` enables this by
-    /// default (`--check-workers auto`); off by default in the API.
+    /// Ignored, like [`YuOptions::check_workers`]; set to `false` by
+    /// `Default` and kept only because the benchmark package still
+    /// writes it.
     pub check_workers_auto: bool,
     /// Record the routing-state queries each flow group's execution
     /// depends on (a [`crate::trace::RouteTrace`] per group). Costs a
@@ -86,19 +78,6 @@ pub struct YuOptions {
     pub profile: bool,
 }
 
-/// The default check-stage worker count: the `YU_CHECK_WORKERS`
-/// environment variable when set to a positive integer, else 1
-/// (sequential). Latched once per process, like the `YU_AUDIT` gate.
-pub fn default_check_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        let set = std::env::var("YU_CHECK_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        set.filter(|&w| w >= 1).unwrap_or(1)
-    })
-}
-
 impl Default for YuOptions {
     fn default() -> Self {
         YuOptions {
@@ -111,7 +90,7 @@ impl Default for YuOptions {
             max_hops: yu_net::DEFAULT_MAX_HOPS,
             gc_node_threshold: 4_000_000,
             workers: 1,
-            check_workers: default_check_workers(),
+            check_workers: 1,
             check_workers_auto: false,
             record_route_deps: false,
             profile: false,
@@ -137,11 +116,8 @@ pub struct RunStats {
     /// aggregated load (see `check::bound_holds`). Requirements answered
     /// from an incremental verdict cache are not counted.
     pub reqs_bound_decided: usize,
-    /// MTBDD manager statistics after the run (main arena).
+    /// MTBDD manager statistics after the run.
     pub mtbdd: MtbddStats,
-    /// Cumulative statistics of the check workers' overlay arenas over
-    /// the frozen main arena (all-zero when the check ran sequentially).
-    pub mtbdd_workers: MtbddStats,
     /// Per-point aggregation statistics (flows vs equivalence classes) —
     /// the data behind Figs. 13 and 14.
     pub per_point: HashMap<LoadPoint, AggStats>,
@@ -213,11 +189,9 @@ pub struct YuVerifier {
     pub(crate) exec_time: Duration,
     pub(crate) load_cache: LoadCache,
     live_after_gc: usize,
-    /// Cumulative statistics of the check workers' overlay arenas.
-    pub(crate) worker_stats: MtbddStats,
-    /// Cumulative arena counters (main + check overlays) as of the last
-    /// `verify`, so repeated calls forward deltas, not re-counts. One
-    /// mark for both sinks: it advances whether or not either records.
+    /// Cumulative arena counters as of the last `verify`, so repeated
+    /// calls forward deltas, not re-counts. One mark for both sinks: it
+    /// advances whether or not either records.
     arena_reported: [u64; 6],
     /// Per-flow-group execution costs, accumulated across `add_flows`
     /// calls. Empty unless `opts.profile`.
@@ -257,7 +231,6 @@ impl YuVerifier {
             exec_time: Duration::ZERO,
             load_cache: HashMap::new(),
             live_after_gc: 0,
-            worker_stats: MtbddStats::default(),
             arena_reported: [0; 6],
             exec_attr: PhaseAttribution::default(),
             check_attr: PhaseAttribution::default(),
@@ -506,7 +479,6 @@ impl YuVerifier {
                 flow_groups: self.groups.len(),
                 reqs_bound_decided,
                 mtbdd: self.m.stats(),
-                mtbdd_workers: self.worker_stats,
                 per_point,
                 telemetry,
                 attribution,
@@ -533,8 +505,7 @@ impl YuVerifier {
         r.verify_runs_total.inc();
         r.reqs_checked_total.add(reqs_checked as u64);
         r.reqs_bound_decided_total.add(reqs_bound_decided as u64);
-        let mut now = self.m.stats();
-        now.merge(&self.worker_stats);
+        let now = self.m.stats();
         let arena = [
             (&r.mtbdd_apply_cache_hits_total, now.apply_cache_hits),
             (&r.mtbdd_apply_cache_misses_total, now.apply_cache_misses),

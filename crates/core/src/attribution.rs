@@ -15,13 +15,10 @@
 //! telescope: their sum equals the phase-wide delta *exactly*, GC or
 //! not (a collection mid-entity makes that entity's delta negative, but
 //! the sum still matches). With GC disabled the phase deltas further
-//! reconcile with the final arena statistics:
-//! `route_nodes + exec.nodes_delta = stats.mtbdd.nodes_created` when
-//! check workers ran (their growth is `check.nodes_delta =
-//! stats.mtbdd_workers.nodes_created`), and `route_nodes +
-//! exec.nodes_delta + check.nodes_delta = stats.mtbdd.nodes_created`
-//! when the check was sequential. These identities are asserted by
-//! `tests/attribution.rs` and the CI profile smoke step.
+//! reconcile with the final arena statistics: `route_nodes +
+//! exec.nodes_delta + check.nodes_delta = stats.mtbdd.nodes_created`.
+//! This identity is asserted by `tests/attribution.rs` and the CI
+//! profile smoke step.
 //!
 //! Capture is observer-only — wall clocks and already-maintained node
 //! counters — so profiled runs are bit-identical to plain runs
@@ -52,8 +49,7 @@ pub struct PhaseAttribution {
     pub entities: Vec<EntityCost>,
     /// Phase wall-clock, in microseconds.
     pub wall_us: u64,
-    /// Phase-wide net arena growth (sum of per-entity deltas; for a
-    /// sharded check, summed across the check workers' overlays).
+    /// Phase-wide net arena growth (the sum of the per-entity deltas).
     pub nodes_delta: i64,
 }
 
@@ -85,21 +81,18 @@ impl PhaseAttribution {
 /// [`crate::RunStats::attribution`] when profiling is on.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Attribution {
-    /// Inner nodes the symbolic route simulation left in the main
-    /// arena (the pre-exec baseline of the reconciliation identity).
+    /// Inner nodes the symbolic route simulation left in the arena (the
+    /// pre-exec baseline of the reconciliation identity).
     pub route_nodes: u64,
-    /// Per-flow-group symbolic execution costs, measured on the main
-    /// arena.
+    /// Per-flow-group symbolic execution costs.
     pub exec: PhaseAttribution,
-    /// Per-requirement aggregate+check costs. Sequential checking
-    /// measures the main arena; sharded checking measures the workers'
-    /// overlay arenas.
+    /// Per-requirement aggregate+check costs.
     pub check: PhaseAttribution,
     /// Live-node histogram per variable level, over every root the
     /// verifier holds after the run (routing state, flow STFs, cached
     /// loads).
     pub levels: LevelProfile,
-    /// Apply/fused operation-cache profiles of the main arena.
+    /// Apply/fused operation-cache profiles of the arena.
     pub caches: Vec<CacheProfile>,
     /// Kernel recursion-depth maxima (all-zero unless
     /// `YU_ENGINE_PROFILE` was on when the arena was built).

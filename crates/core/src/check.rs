@@ -8,16 +8,13 @@
 //! is the interval test over them, [`load`] scales and sums the classes,
 //! and [`check_reqs`] is the requirement loop around them. [`check_req`]
 //! is the one place that decides which mechanism may call a requirement
-//! safe. The stage runs on either of two [`CheckArena`]s —
-//! the verifier's main arena, where every aggregation step is a garbage-
-//! collection checkpoint, or a check worker's overlay, which never
-//! collects — and every caller differs only in what it hands it:
+//! safe. The stage runs on the verifier's own arena, one requirement
+//! after another, and every aggregation step is a garbage-collection
+//! checkpoint. Its callers differ only in what they hand it:
 //! [`YuVerifier::verify`] / [`YuVerifier::verify_enumerated`] are
-//! [`YuVerifier::verify_with`] without caches, a check worker
-//! ([`YuVerifier::check_sharded`]) is [`check_reqs`] over its share
-//! of the requirements, the `--check-workers auto` cost model sizes what
-//! [`classes`] returns, and [`crate::IncrementalVerifier::verify`] is
-//! `verify_with` with the [`CheckCaches`] it carries across requests.
+//! [`YuVerifier::verify_with`] without caches, and
+//! [`crate::IncrementalVerifier::verify`] is `verify_with` with the
+//! [`CheckCaches`] it carries across requests.
 
 use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
 use crate::attribution::{req_label, EntityCost};
@@ -27,7 +24,7 @@ use crate::verify::{check_requirement, enumerate_violations, Violation};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use yu_mtbdd::{Mtbdd, MtbddStats, NodeRef, Ratio, Term};
+use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
 use yu_net::{FailureVars, LoadPoint, Tlp, TlpReq};
 
 /// Aggregated loads by point, valid until the arena they live in is
@@ -42,16 +39,9 @@ fn req_key(req: &TlpReq) -> ReqKey {
     (req.point, req.min.clone(), req.max.clone())
 }
 
-/// Fixed-cost estimate (in arena nodes) charged per check worker by the
-/// `--check-workers auto` cost model: thread spawn plus the cold overlay
-/// caches a worker has to re-warm. Small networks fall below it and run
-/// sequentially; the acceptance workloads clear it comfortably.
-const AUTO_SETUP_NODES_PER_WORKER: usize = 25_000;
-
-/// An arena with the inputs the stage reads on it. Borrowed from a
-/// [`YuVerifier`] it is one step of a run that may collect in between;
-/// built by a check worker around its overlay on the frozen main arena
-/// ([`Mtbdd::with_base`], where main-arena handles stay valid) it is a
+/// An arena with the inputs the stage reads on it, borrowed from a
+/// [`YuVerifier`] for one step of a run that may collect in between.
+/// The unit tests build one around a hand-made arena, where it is a
 /// [`CheckArena`] of its own that never collects.
 pub(crate) struct Arena<'a> {
     /// The arena diagrams are built in.
@@ -66,7 +56,10 @@ pub(crate) struct Arena<'a> {
     pub fv: &'a FailureVars,
 }
 
-/// Where the check stage can run.
+/// Where the check stage can run. In the program that is always the
+/// [`YuVerifier`]; the trait stays as a test seam, so that the unit tests
+/// below can drive the stage on hand-built diagrams no verifier produces
+/// (`impl CheckArena for Arena` exists only under `cfg(test)`).
 pub(crate) trait CheckArena {
     /// The arena and the inputs the stage reads.
     fn arena(&mut self) -> Arena<'_>;
@@ -92,6 +85,7 @@ impl CheckArena for YuVerifier {
     }
 }
 
+#[cfg(test)]
 impl CheckArena for Arena<'_> {
     fn arena(&mut self) -> Arena<'_> {
         Arena {
@@ -416,11 +410,9 @@ pub(crate) fn check_reqs<'r, A: CheckArena>(
 impl YuVerifier {
     /// The one verification entry point behind [`Self::verify`],
     /// [`Self::verify_enumerated`] and
-    /// [`crate::IncrementalVerifier::verify`]: the requirement loop
-    /// (sharded across check workers when configured) and the merge into a
-    /// [`VerificationOutcome`]. `caches`, when given, answers unchanged
-    /// requirements without touching the arena; the incremental engine
-    /// pins `check_workers` to 1, so cached runs are sequential.
+    /// [`crate::IncrementalVerifier::verify`]: the requirement loop and
+    /// the merge into a [`VerificationOutcome`]. `caches`, when given,
+    /// answers unchanged requirements without touching the arena.
     pub(crate) fn verify_with(
         &mut self,
         tlp: &Tlp,
@@ -430,23 +422,11 @@ impl YuVerifier {
         let t0 = Instant::now();
         let verify_span = yu_telemetry::span("verify");
         let opts = self.opts;
-        let check_workers = self.effective_check_workers(&tlp.reqs);
-        let mut units = if check_workers > 1 {
-            // Workers own private overlays, read the main arena immutably
-            // and return plain-data verdicts, merged in requirement order:
-            // the outcome is independent of worker count and scheduling.
-            let (units, stats) = self.check_sharded(&tlp.reqs, max_violations, check_workers);
-            self.worker_stats.merge(&stats);
-            units
-        } else {
-            let reqs = tlp.reqs.iter().enumerate();
-            check_reqs(self, &opts, reqs, max_violations, caches.as_deref_mut())
-        };
+        let reqs = tlp.reqs.iter().enumerate();
+        let units = check_reqs(self, &opts, reqs, max_violations, caches.as_deref_mut());
         if opts.profile {
-            // Every unit checked is attributed — including any a worker
-            // processed past another worker's early-stop cut; the work was
-            // done either way. Each arena's unit deltas are measured
-            // back-to-back, so they telescope to its growth.
+            // Unit deltas are measured back-to-back, so they telescope to
+            // the arena's growth over the stage.
             for u in units.iter().filter(|u| !u.cached) {
                 self.check_attr.nodes_delta += u.nodes_delta;
                 self.check_attr.entities.push(EntityCost {
@@ -454,13 +434,6 @@ impl YuVerifier {
                     wall_us: u.wall_us,
                     nodes_delta: u.nodes_delta,
                 });
-            }
-        }
-        if opts.early_stop && max_violations <= 1 {
-            // Each worker stopped at *its* first violation; keep the prefix
-            // the sequential loop produces.
-            if let Some(first) = units.iter().position(|u| !u.violations.is_empty()) {
-                units.truncate(first + 1);
             }
         }
         let checked = units.iter().filter(|u| !u.cached).count();
@@ -495,142 +468,11 @@ impl YuVerifier {
         self.finish_outcome(violations, per_point, t0.elapsed(), checked, bound_decided)
     }
 
-    /// Checks `reqs` across `workers` scoped threads (round-robin by
-    /// requirement index). The main arena is frozen once; each worker
-    /// opens an overlay on the shared frozen base ([`Mtbdd::with_base`],
-    /// where main-arena handles stay valid) and runs the requirement loop
-    /// on it, on a telemetry track of its own. Returns every unit the
-    /// workers produced, in requirement order, with the merged statistics
-    /// of the overlays (the overlays themselves are dropped — verdicts are
-    /// plain data, no handles escape).
-    ///
-    /// # Panics
-    /// Propagates panics from worker threads (including audit failures
-    /// when `YU_AUDIT=1`).
-    fn check_sharded(
-        &self,
-        reqs: &[TlpReq],
-        max_violations: usize,
-        workers: usize,
-    ) -> (Vec<CheckUnit>, MtbddStats) {
-        let workers = workers.clamp(1, reqs.len().max(1));
-        let t_freeze = Instant::now();
-        let frozen = self.m.freeze();
-        yu_telemetry::counter("check.freeze_us", t_freeze.elapsed().as_micros() as u64);
-        // The routing state holds `Rc`s, so workers borrow only what the
-        // check stage reads.
-        let (frozen, opts) = (&frozen, self.opts);
-        let (results, groups, fv) = (&self.results[..], &self.groups[..], &self.fv);
-        let shards: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // Each worker records into its own thread-local
-                        // telemetry buffer; the flush makes it visible to
-                        // the main thread's snapshot without contention.
-                        yu_telemetry::set_thread_track(format!("check-worker-{w}"));
-                        let out = {
-                            let _stage = yu_telemetry::span("check.worker");
-                            let (mut m, mut loads) = (Mtbdd::with_base(frozen), LoadCache::new());
-                            let mut overlay = Arena {
-                                m: &mut m,
-                                loads: &mut loads,
-                                results,
-                                groups,
-                                fv,
-                            };
-                            let share = reqs.iter().enumerate().skip(w).step_by(workers);
-                            let units =
-                                check_reqs(&mut overlay, &opts, share, max_violations, None);
-                            (units, m.stats())
-                        };
-                        yu_telemetry::flush_thread();
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("check worker panicked"))
-                .collect()
-        });
-        let mut units = Vec::with_capacity(reqs.len());
-        let mut stats = MtbddStats::default();
-        for (shard_units, shard_stats) in shards {
-            units.extend(shard_units);
-            stats.merge(&shard_stats);
-        }
-        units.sort_by_key(|u| u.req_ix);
-        (units, stats)
-    }
-
-    /// The worker count the check stage will actually use for `reqs`:
-    /// the configured `check_workers`, or — with
-    /// [`YuOptions::check_workers_auto`] — the output of the cost model
-    /// in [`Self::auto_check_workers`]. `1` means the sequential loop.
-    fn effective_check_workers(&mut self, reqs: &[TlpReq]) -> usize {
-        if reqs.len() <= 1 || self.opts.check_workers <= 1 {
-            return 1;
-        }
-        if !self.opts.check_workers_auto {
-            return self.opts.check_workers;
-        }
-        self.auto_check_workers(reqs)
-    }
-
-    /// Estimated symbolic work of checking `reqs`, in nodes: for every
-    /// requirement the interval test leaves undecided, the summed diagram
-    /// sizes of the equivalence-class representatives [`classes`] returns
-    /// at its load point — exactly the operands the aggregator scales and
-    /// sums; a requirement [`bound_holds`] decides builds nothing. Node
-    /// counts are memoized per handle, so the estimate costs one DFS per
-    /// distinct live diagram, not per requirement.
-    fn estimate_check_work(&mut self, reqs: &[TlpReq]) -> usize {
-        let bound_first = interval_first(&self.opts);
-        let mut sizes: HashMap<NodeRef, usize> = HashMap::new();
-        let mut work = 0usize;
-        for req in reqs {
-            let link_local = self.opts.use_link_local_equiv;
-            let (classes, _) = classes(&self.m, &self.results, &self.groups, req.point, link_local);
-            if bound_first && bound_holds(&mut self.m, &self.results, req.point, &classes, req) {
-                continue;
-            }
-            for (rep, _) in classes {
-                let handle = self.results[rep].at(&self.m, req.point);
-                work += *sizes
-                    .entry(handle)
-                    .or_insert_with(|| self.m.node_count(handle));
-            }
-        }
-        work
-    }
-
-    /// The cost model behind `--check-workers auto`: shards the check
-    /// stage only when the estimated per-worker work can pay for the
-    /// fixed setup (freezing the arena — a copy of the live node and
-    /// slot tables — plus spawning the threads). Returns the worker
-    /// count to use, degrading to `1` (and booking the
-    /// `check.auto_degraded` telemetry counter) when sharding cannot
-    /// pay. Purely a wall-clock decision: verdicts are bit-identical
-    /// either way.
-    pub fn auto_check_workers(&mut self, reqs: &[TlpReq]) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let cap = self.opts.check_workers.min(hw).min(reqs.len());
-        if cap <= 1 {
-            yu_telemetry::counter("check.auto_degraded", 1);
-            return 1;
-        }
-        let work = self.estimate_check_work(reqs);
-        // Freezing clones the live arena once; each worker costs a
-        // thread spawn plus cold overlay caches, charged as if it were
-        // re-deriving a slice of the arena.
-        let setup = self.m.live_nodes() + AUTO_SETUP_NODES_PER_WORKER * cap;
-        let workers = if work / cap >= setup { cap } else { 1 };
-        yu_telemetry::counter("check.auto_workers", workers as u64);
-        if workers == 1 {
-            yu_telemetry::counter("check.auto_degraded", 1);
-        }
-        workers
+    /// Kept only because the benchmark package calls it: the check stage
+    /// always runs on the verifier's own arena, one requirement after
+    /// another (DESIGN.md §8), so the answer is always `1`.
+    pub fn auto_check_workers(&mut self, _reqs: &[TlpReq]) -> usize {
+        1
     }
 }
 
@@ -842,13 +684,13 @@ mod tests {
         }
     }
 
-    /// The `--check-workers auto` cost model sizes exactly what the check
-    /// stage will build: for every requirement the interval test leaves
-    /// undecided, the classes the aggregator sums (same classing function,
-    /// same count as the `AggStats.classes` a verification reports for the
-    /// point); nothing for a decided one.
+    /// The classes the aggregator sums are the ones a verification
+    /// reports for the point (same classing function, same count as its
+    /// `AggStats.classes`), and the requirements the interval test decides
+    /// over them are the ones the run counts as bound-decided — a strict,
+    /// non-empty subset here.
     #[test]
-    fn cost_model_sizes_the_classes_the_aggregator_sums() {
+    fn reported_classes_and_bound_decisions_match_the_check_stage() {
         let (net, [a, _, _]) = bundle_net();
         // Three flows that stay separate groups (no global equivalence)
         // but place identical fractions on every link they cross.
@@ -867,7 +709,6 @@ mod tests {
             let opts = YuOptions {
                 use_global_equiv: false,
                 use_link_local_equiv: link_local,
-                check_workers: 1,
                 ..Default::default()
             };
             let mut v = YuVerifier::new(net.clone(), opts);
@@ -892,7 +733,6 @@ mod tests {
             }
             assert!(0 < undecided && undecided < all, "{undecided} of {all}");
             assert_eq!(out.stats.reqs_bound_decided, decided);
-            assert_eq!(v.estimate_check_work(&tlp.reqs), undecided);
             let mut crossed = per_point.values().filter(|s| s.flows == 3).peekable();
             assert!(crossed.peek().is_some(), "the flows must cross some link");
             assert!(crossed.all(|s| s.classes == if link_local { 1 } else { 3 }));

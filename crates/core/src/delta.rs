@@ -85,10 +85,7 @@ pub struct IncrementalVerifier {
 impl IncrementalVerifier {
     /// Builds the verifier and executes `flows` with route-dependency
     /// recording on (required for trace replay), keeping `tlp` as the
-    /// property to re-verify after each change. Requirements are checked
-    /// sequentially whatever `opts.check_workers` says: the verdict cache
-    /// leaves a request a handful of re-checks, on the arena that serves
-    /// the next request.
+    /// property to re-verify after each change.
     pub fn new(
         net: Network,
         flows: Vec<Flow>,
@@ -96,7 +93,6 @@ impl IncrementalVerifier {
         mut opts: YuOptions,
     ) -> IncrementalVerifier {
         opts.record_route_deps = true;
-        opts.check_workers = 1;
         let mut v = YuVerifier::new(net, opts);
         v.add_flows(&flows);
         let groups = v.flow_results().count();

@@ -195,13 +195,13 @@ fn simulate(
 }
 
 impl YuVerifier {
-    /// Executes one flow group on the main arena — a batch `add_flows`, or
-    /// the incremental engine re-executing what a change invalidated —
-    /// recording the group's route dependencies when `record_route_deps`
-    /// is set. Every execution goes through here, one group after another
-    /// on the arena that holds the routing state (DESIGN.md §8 says why
-    /// nothing shards it). The one place a group execution is timed: it
-    /// feeds the `yu_flow_exec_seconds` / `yu_flow_groups_executed_total`
+    /// Executes one flow group on the verifier's arena — a batch
+    /// `add_flows`, or the incremental engine re-executing what a change
+    /// invalidated — recording the group's route dependencies when
+    /// `record_route_deps` is set. Every execution goes through here, one
+    /// group after another on the arena that holds the routing state
+    /// (DESIGN.md §8 says why nothing runs in parallel). The one place a
+    /// group execution is timed: it feeds the `yu_flow_exec_seconds` / `yu_flow_groups_executed_total`
     /// registry instruments and, when profiling, the group's attribution
     /// entry — whose node delta is added to the phase total in the same
     /// step, so the phase telescopes by construction.

@@ -20,8 +20,8 @@
 //!    the violating path.
 //!
 //! [`YuVerifier`] wires the pipeline together behind one API; steps 3–4
-//! are one stage that the sequential, sharded and incremental
-//! ([`IncrementalVerifier`]) paths all run.
+//! are one stage, on the verifier's one arena, that the batch and
+//! incremental ([`IncrementalVerifier`]) paths both run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +36,7 @@ pub mod explain;
 pub mod trace;
 pub mod verify;
 
-pub use api::{default_check_workers, RunStats, VerificationOutcome, YuOptions, YuVerifier};
+pub use api::{RunStats, VerificationOutcome, YuOptions, YuVerifier};
 pub use attribution::{Attribution, EntityCost, PhaseAttribution};
 pub use delta::{DeltaStats, IncrementalVerifier};
 pub use equivalence::{global_groups, global_groups_classified, AggStats, FlowGroup};

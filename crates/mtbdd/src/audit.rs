@@ -209,19 +209,15 @@ impl Mtbdd {
     }
 
     fn audit_node_index_ok(&self, r: NodeRef) -> bool {
-        !r.is_terminal() && r.index() < self.total_nodes()
+        !r.is_terminal() && r.index() < self.raw_nodes().len()
     }
 
     fn audit_terminal_index_ok(&self, r: NodeRef) -> bool {
-        r.is_terminal() && r.index() < self.total_terms()
+        r.is_terminal() && r.index() < self.raw_terms().len()
     }
 
-    /// Table-consistency audit over the *private* arena (for an overlay
-    /// manager the frozen base is immutable and was audited before it was
-    /// frozen, so re-scanning it per worker would be pure overhead).
-    /// A private node that duplicates a base node is still caught: the
-    /// unique lookup resolves to the base handle, which differs from the
-    /// private one.
+    /// Table-consistency audit over the whole arena: every stored node
+    /// and terminal is the one its table resolves it to.
     fn audit_tables(&self, report: &mut AuditReport) {
         let nodes = self.raw_nodes();
         if self.unique_table_len() != nodes.len() {
@@ -236,7 +232,7 @@ impl Mtbdd {
             );
         }
         for (ix, node) in nodes.iter().enumerate() {
-            let r = NodeRef::inner(self.base_nodes + ix);
+            let r = NodeRef::inner(ix);
             match self.unique_lookup_for_audit(node) {
                 Some(mapped) if mapped == r => {}
                 Some(mapped) => report.push(
@@ -271,7 +267,7 @@ impl Mtbdd {
             );
         }
         for (ix, term) in terms.iter().enumerate() {
-            let r = NodeRef::terminal(self.base_terms + ix);
+            let r = NodeRef::terminal(ix);
             match term_ids.get(term) {
                 Some(&mapped) if mapped == r => {}
                 Some(&mapped) => report.push(
@@ -303,7 +299,7 @@ impl Mtbdd {
                         format!(
                             "dangling terminal reference (index {} of {})",
                             r.index(),
-                            self.total_terms()
+                            self.raw_terms().len()
                         ),
                     );
                 }
@@ -316,7 +312,7 @@ impl Mtbdd {
                     format!(
                         "dangling node reference (index {} of {})",
                         r.index(),
-                        self.total_nodes()
+                        self.raw_nodes().len()
                     ),
                 );
                 continue;

@@ -61,16 +61,7 @@ impl Mtbdd {
     /// must be translated through it (or dropped). The singleton
     /// constants (`0`, `1`, `+∞`) always survive in place, but are only
     /// present in the remapping when reachable from a root.
-    ///
-    /// # Panics
-    /// Panics on an overlay manager (see [`Mtbdd::with_base`]): overlays
-    /// are short-lived scratch arenas, and compacting one would have to
-    /// rewrite handles into the shared immutable base.
     pub fn collect(&mut self, roots: &[NodeRef]) -> Remap {
-        assert!(
-            self.base.is_none(),
-            "collect() on an overlay manager is not supported"
-        );
         let before_nodes = self.nodes.len();
 
         // Mark phase: flag every node and terminal reachable from roots.

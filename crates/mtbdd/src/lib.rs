@@ -65,7 +65,7 @@ mod terminal;
 
 pub use audit::{audit_enabled, AuditCheck, AuditReport, AuditViolation};
 pub use gc::Remap;
-pub use manager::{FrozenMtbdd, Mtbdd, MtbddStats, Op, Op1, UniqueProbeStats};
+pub use manager::{Mtbdd, MtbddStats, Op, Op1, UniqueProbeStats};
 pub use node::{NodeRef, Var};
 pub use paths::Path;
 pub use profile::{

@@ -54,8 +54,7 @@ impl Mtbdd {
     /// handles `(min, max)` (read them with [`Mtbdd::terminal_ref`]).
     ///
     /// Memoised per inner node like the operation caches — dropped by
-    /// [`Mtbdd::clear_caches`]/[`Mtbdd::collect`], private to an overlay —
-    /// so ranging many diagrams that share sub-diagrams walks each node
+    /// [`Mtbdd::clear_caches`]/[`Mtbdd::collect`] — so ranging many diagrams that share sub-diagrams walks each node
     /// once. The key is the node alone: which terminals sit below a node
     /// does not depend on a failure budget. For a `βₖ`-reduced diagram
     /// every path takes at most `k` failed edges (Lemma 2), so both ends

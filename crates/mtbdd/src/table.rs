@@ -60,7 +60,7 @@ pub struct Probe {
 ///
 /// The table never stores keys; callers supply the key hash and an
 /// equality predicate that inspects the arena. Load factor is kept at or
-/// below 7/8; growth rebuilds the table by re-probing every resident
+/// below 3/4; growth rebuilds the table by re-probing every resident
 /// index with a caller-supplied hash function.
 #[derive(Clone, Default)]
 pub struct SlotTable {
@@ -370,7 +370,7 @@ mod tests {
         let p = t.probe(fx_hash_word(999_999), |v| keys[v as usize] == 999_999);
         assert!(p.found.is_none());
         assert!(t.capacity().is_power_of_two());
-        assert!(t.len() * 8 <= t.capacity() * 7);
+        assert!(t.len() * 4 <= t.capacity() * 3);
     }
 
     #[test]

@@ -246,8 +246,8 @@ fn table_operands(
 
 proptest! {
     /// The in-node `β₀`: after a build (apply, ite and the fused kernels
-    /// all go through `node`), after `collect` remapped it, and in an
-    /// overlay whose private nodes hang off a frozen base.
+    /// all go through `node`), after `collect` remapped it, and on nodes
+    /// built in the collected arena next to the remapped ones.
     #[test]
     fn nodes_carry_their_all_alive_terminal(
         ef in arb_expr(),
@@ -265,17 +265,16 @@ proptest! {
         let (f, r) = (remap.get(f), remap.get(r));
         check_alive_fields(&mut m, &[f, r])?;
 
-        let frozen = m.freeze();
-        let mut w = Mtbdd::with_base(&frozen);
-        let g = build(&mut w, &eg);
-        let third = w.scale(g, Term::ratio(1, 3));
-        let s = w.add_kreduce(r, third, k);
-        check_alive_fields(&mut w, &[f, r, g, third, s])?;
+        let g = build(&mut m, &eg);
+        let third = m.scale(g, Term::ratio(1, 3));
+        let s = m.add_kreduce(r, third, k);
+        check_alive_fields(&mut m, &[f, r, g, third, s])?;
     }
 
     /// The memoised terminal range, `+∞` included: after a build, after
     /// `collect` dropped the memo and renumbered the terminals it pointed
-    /// at, and in an overlay ranging over base and private nodes alike.
+    /// at, and over remapped nodes and nodes built after the collection
+    /// alike.
     #[test]
     fn terminal_range_is_the_extreme_terminals(
         ef in arb_expr(),
@@ -297,12 +296,10 @@ proptest! {
         let (f, r) = (remap.get(f), remap.get(r));
         check_ranges(&mut m, &[f, r])?;
 
-        let frozen = m.freeze();
-        let mut w = Mtbdd::with_base(&frozen);
-        let g = build(&mut w, &eg);
-        let third = w.scale(g, Term::ratio(1, 3));
-        let s = w.add_kreduce(r, third, k);
-        check_ranges(&mut w, &[f, r, third, s])?;
+        let g = build(&mut m, &eg);
+        let third = m.scale(g, Term::ratio(1, 3));
+        let s = m.add_kreduce(r, third, k);
+        check_ranges(&mut m, &[f, r, third, s])?;
     }
 
     /// The carried `β₀` of the n-ary kernel: with negative terminals the

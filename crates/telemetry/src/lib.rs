@@ -6,11 +6,11 @@
 //! ## The span log: where did *this run* spend its time
 //!
 //! Scoped RAII stage timers ([`span`]), monotonic [`counter`]s, and
-//! high-water-mark [`gauge_max`]es land in **per-thread buffers**, so the
-//! check workers of `yu-core` record independently without any lock
-//! contention on the hot path. Worker threads call
-//! [`set_thread_track`] (to label their Chrome-trace track) and
-//! [`flush_thread`] before they exit; the main thread's buffer is flushed
+//! high-water-mark [`gauge_max`]es land in **per-thread buffers**, so
+//! threads record independently without any lock contention on the hot
+//! path (the verifier itself runs on one thread). A spawned thread calls
+//! [`set_thread_track`] (to label its Chrome-trace track) and
+//! [`flush_thread`] before it exits; the main thread's buffer is flushed
 //! implicitly by [`snapshot`]. A [`TelemetryReport`] is the merge of all
 //! flushed buffers — one measurement window ([`reset`] opens the next,
 //! which is what lets tests assert exact counts) — exported three ways:
@@ -21,7 +21,7 @@
 //!   derived rates (apply- and fused-cache hit rates, KREDUCE reduction
 //!   ratio) for `--metrics-out`;
 //! * [`TelemetryReport::chrome_trace_json`] — Chrome trace-event JSON
-//!   (one track per worker thread) for `--trace-out`, loadable in
+//!   (one track per thread) for `--trace-out`, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
 //! Off by default; it turns on when `YU_TRACE` or `YU_METRICS` is set

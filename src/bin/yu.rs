@@ -9,9 +9,8 @@
 //!                                                    bound-analysis verdicts)
 //! yu check spec.json                                 lint + summarize the spec
 //! yu verify spec.json [--json]                       verify the TLP under <= k failures
-//!           [--check-workers N|auto]                 (check sharding defaults to 'auto':
-//!           [--explain] [--max-violations N]         a cost model degrades to sequential
-//!           [-v] [--trace-out t.json]                when sharding cannot pay for setup)
+//!           [--explain] [--max-violations N]
+//!           [-v] [--trace-out t.json]
 //!           [--metrics-out m.json] [--profile-out p.json]
 //! yu profile spec.json [--json] [--top N]            verify with per-entity performance
 //!           [--folded-out stacks.folded]             attribution: which flows/requirements
@@ -85,11 +84,10 @@ use yu::telemetry::fmt_us;
 /// value, the placeholder the usage line shows for it (`None` = switch).
 /// Drives positional-argument detection, the unknown-flag check and
 /// [`usage`].
-const FLAGS: [(&str, Option<&str>); 22] = [
+const FLAGS: [(&str, Option<&str>); 21] = [
     ("--json", None),
     ("--deep", None),
     ("--deny-warnings", None),
-    ("--check-workers", Some("N|auto")),
     ("--explain", None),
     ("--max-violations", Some("N")),
     ("--dot-out", Some("FILE")),
@@ -109,40 +107,6 @@ const FLAGS: [(&str, Option<&str>); 22] = [
     ("--slow-ms", Some("N")),
     ("--regress-factor", Some("X")),
 ];
-
-/// The resolved `--check-workers` argument: a worker count, fixed
-/// (`auto = false`) or treated as a cap by the check stage's cost model
-/// (`auto = true`, see `YuOptions::check_workers_auto`).
-#[derive(Clone, Copy)]
-struct CheckWorkersArg {
-    workers: usize,
-    auto: bool,
-}
-
-impl std::str::FromStr for CheckWorkersArg {
-    type Err = ();
-
-    fn from_str(v: &str) -> Result<Self, ()> {
-        if v == "auto" {
-            return Ok(CheckWorkersArg {
-                workers: hw_parallelism(),
-                auto: true,
-            });
-        }
-        match v.parse() {
-            Ok(workers) if workers >= 1 => Ok(CheckWorkersArg {
-                workers,
-                auto: false,
-            }),
-            _ => Err(()),
-        }
-    }
-}
-
-/// Hardware threads available to this process (1 when unknown).
-fn hw_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
 
 /// The value following `flag`, if the flag is present and has one.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -197,28 +161,6 @@ fn main() -> ExitCode {
     let json_output = args.iter().any(|a| a == "--json");
     let flag_value = |flag: &str| flag_value(&args, flag);
     let fail_arg = flag_value("--fail");
-    let check_workers_flag = flag_parsed::<CheckWorkersArg>(
-        &args,
-        "--check-workers",
-        "a positive integer or 'auto'",
-        |_| true,
-    );
-    // `yu verify` defaults to the auto cost model (degrading to a
-    // sequential check when sharding cannot pay for its setup); an
-    // explicit flag or a YU_CHECK_WORKERS override always wins.
-    let check_workers = check_workers_flag.unwrap_or_else(|| {
-        if cmd == "verify" && std::env::var_os("YU_CHECK_WORKERS").is_none() {
-            CheckWorkersArg {
-                workers: hw_parallelism(),
-                auto: true,
-            }
-        } else {
-            CheckWorkersArg {
-                workers: yu::core::default_check_workers(),
-                auto: false,
-            }
-        }
-    });
     let max_violations = flag_parsed(
         &args,
         "--max-violations",
@@ -239,21 +181,12 @@ fn main() -> ExitCode {
         verbose: args.iter().any(|a| a == "-v" || a == "--verbose")
             || env_out("YU_VERBOSE", "").is_some(),
     };
-    // What the flags say about a run; `spec_options` adds what the spec
-    // says.
-    let base = YuOptions {
-        check_workers: check_workers.workers,
-        check_workers_auto: check_workers.auto,
-        ..Default::default()
-    };
-
     match cmd {
         "export" => export(arg.as_deref().unwrap_or("fig1")),
         "lint" => lint(&load(&arg), json_output, deep, deny_warnings),
         "check" => check(&load(&arg)),
         "verify" => verify(
             &load(&arg),
-            base,
             json_output,
             &telemetry,
             VerifyFlags {
@@ -264,7 +197,6 @@ fn main() -> ExitCode {
         ),
         "profile" => profile(
             &load(&arg),
-            base,
             json_output,
             &telemetry,
             ProfileArgs {
@@ -274,7 +206,6 @@ fn main() -> ExitCode {
         ),
         "explain" => explain(
             &load(&arg),
-            base,
             json_output,
             &telemetry,
             max_violations,
@@ -283,7 +214,7 @@ fn main() -> ExitCode {
         "loads" => loads(&load(&arg), fail_arg.as_deref()),
         "scenarios" => scenarios(&load(&arg)),
         "rib" => rib(&load(&arg), &args),
-        "diff" => diff(&load(&arg), &load(&arg2), base, json_output, &telemetry),
+        "diff" => diff(&load(&arg), &load(&arg2), json_output, &telemetry),
         "serve" => {
             let slow_ms = flag_parsed::<u64>(
                 &args,
@@ -299,7 +230,6 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| yu::serve::ServeConfig::default().regress_factor);
             serve(
                 flag_value("--spec").or(arg),
-                base,
                 &telemetry,
                 ServeObsArgs {
                     prom_out: flag_value("--prom-out"),
@@ -335,12 +265,12 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// `base` with the failure budget and mode of `spec`.
-fn spec_options(base: YuOptions, spec: &VerifySpec) -> YuOptions {
+/// The default options with the failure budget and mode of `spec`.
+fn spec_options(spec: &VerifySpec) -> YuOptions {
     YuOptions {
         k: spec.k,
         mode: spec.mode,
-        ..base
+        ..Default::default()
     }
 }
 
@@ -526,7 +456,6 @@ struct VerifyFlags {
 
 fn verify(
     spec: &VerifySpec,
-    base: YuOptions,
     json_output: bool,
     telemetry: &TelemetryArgs,
     flags: VerifyFlags,
@@ -538,7 +467,7 @@ fn verify(
         spec.network.clone(),
         YuOptions {
             profile: flags.profile_out.is_some(),
-            ..spec_options(base, spec)
+            ..spec_options(spec)
         },
     );
     v.add_flows(&spec.flows);
@@ -624,7 +553,6 @@ struct ProfileArgs {
 /// variable level, per operation cache, and per telemetry call path.
 fn profile(
     spec: &VerifySpec,
-    base: YuOptions,
     json_output: bool,
     telemetry: &TelemetryArgs,
     args: ProfileArgs,
@@ -636,7 +564,7 @@ fn profile(
         spec.network.clone(),
         YuOptions {
             profile: true,
-            ..spec_options(base, spec)
+            ..spec_options(spec)
         },
     );
     v.add_flows(&spec.flows);
@@ -848,7 +776,6 @@ fn print_profile_tables(
 fn diff(
     old: &VerifySpec,
     new: &VerifySpec,
-    base: YuOptions,
     json_output: bool,
     telemetry: &TelemetryArgs,
 ) -> ExitCode {
@@ -859,7 +786,7 @@ fn diff(
         old.network.clone(),
         old.flows.clone(),
         old.tlp.clone(),
-        spec_options(base, old),
+        spec_options(old),
     );
     let before = inc.verify();
     let out = if old.k != new.k || old.mode != new.mode {
@@ -869,7 +796,7 @@ fn diff(
             new.network.clone(),
             new.flows.clone(),
             new.tlp.clone(),
-            spec_options(base, new),
+            spec_options(new),
         );
         inc.verify()
     } else {
@@ -950,12 +877,7 @@ fn write_prometheus(path: &str) {
 
 /// The `yu serve` subcommand: read JSON-lines change-set requests from
 /// stdin, write one verdict-delta response line each, until EOF.
-fn serve(
-    spec_path: Option<String>,
-    base: YuOptions,
-    telemetry: &TelemetryArgs,
-    obs: ServeObsArgs,
-) -> ExitCode {
+fn serve(spec_path: Option<String>, telemetry: &TelemetryArgs, obs: ServeObsArgs) -> ExitCode {
     use std::io::{BufRead, Write};
     if telemetry.wants_recording() {
         yu::telemetry::set_enabled(true);
@@ -972,8 +894,7 @@ fn serve(
         regress_factor: obs.regress_factor,
         ..Default::default()
     };
-    let mut session =
-        yu::serve::ServeSession::with_config(&spec, spec_options(base, &spec), config);
+    let mut session = yu::serve::ServeSession::with_config(&spec, spec_options(&spec), config);
     let stdout = std::io::stdout();
     {
         let mut out = stdout.lock();
@@ -1024,7 +945,6 @@ fn mode_noun(mode: FailureMode) -> &'static str {
 /// envelope — for every violation found.
 fn explain(
     spec: &VerifySpec,
-    base: YuOptions,
     json_output: bool,
     telemetry: &TelemetryArgs,
     max_violations: usize,
@@ -1033,7 +953,7 @@ fn explain(
     if telemetry.wants_recording() {
         yu::telemetry::set_enabled(true);
     }
-    let mut v = YuVerifier::new(spec.network.clone(), spec_options(base, spec));
+    let mut v = YuVerifier::new(spec.network.clone(), spec_options(spec));
     v.add_flows(&spec.flows);
     let out = v.verify_enumerated(&spec.tlp, max_violations);
     let explanations: Vec<yu::core::Explanation> =
@@ -1109,7 +1029,6 @@ fn verify_json(
     use serde::{Map, Serialize, Value};
     let mut stats = out.stats.scalars();
     stats.insert("mtbdd", out.stats.mtbdd.to_value());
-    stats.insert("mtbdd_workers", out.stats.mtbdd_workers.to_value());
     stats.insert("telemetry", out.stats.telemetry.to_value());
     if let Some(attr) = &out.stats.attribution {
         stats.insert("attribution", attr.to_value());

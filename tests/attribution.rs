@@ -2,10 +2,9 @@
 //!
 //! 1. **Reconciliation** — per-entity node deltas telescope to the
 //!    phase totals, and with GC off the phase totals telescope further
-//!    to the arenas' own lifetime counters: `route_nodes +
-//!    exec.nodes_delta + check.nodes_delta == stats.mtbdd.nodes_created`
-//!    for a sequential check, exactly; with check workers the check
-//!    phase moves to their overlays (`stats.mtbdd_workers`).
+//!    to the arena's own lifetime counter: `route_nodes +
+//!    exec.nodes_delta + check.nodes_delta == stats.mtbdd.nodes_created`,
+//!    exactly.
 //! 2. **Observation only** — a profiled run is bit-identical to a plain
 //!    run: same verdicts, same violations, same arena statistics.
 
@@ -24,14 +23,13 @@ fn run_fig1(opts: YuOptions) -> yu::core::VerificationOutcome {
 
 #[test]
 fn sequential_attribution_reconciles_exactly_with_the_arena() {
-    // GC off + one check worker: every node the run creates is measured by
-    // exactly one contiguous per-entity window, so the telescoping sum
-    // must land on the arena's lifetime counter to the node.
+    // GC off: every node the run creates is measured by exactly one
+    // contiguous per-entity window, so the telescoping sum must land on
+    // the arena's lifetime counter to the node.
     let out = run_fig1(YuOptions {
         k: 1,
         profile: true,
         gc_node_threshold: 0,
-        check_workers: 1,
         ..Default::default()
     });
     let attr = out.stats.attribution.as_ref().expect("profile run");
@@ -58,8 +56,8 @@ fn sequential_attribution_reconciles_exactly_with_the_arena() {
         .iter()
         .all(|e| e.label.starts_with("req ")));
 
-    // Wall clocks: entities are sub-intervals of their phase (true in
-    // sequential mode where nothing overlaps).
+    // Wall clocks: entities are sub-intervals of their phase, where
+    // nothing overlaps.
     assert!(attr.exec.entity_wall_sum() <= attr.exec.wall_us);
     assert!(attr.check.entity_wall_sum() <= attr.check.wall_us);
 
@@ -77,11 +75,10 @@ fn sequential_attribution_reconciles_exactly_with_the_arena() {
 }
 
 #[test]
-fn parallel_attribution_reconciles_per_phase_on_fattree_m8() {
-    // The acceptance workload: an m=8 fat-tree, profiled through the one
-    // parallel stage. Execution runs on the main arena, the check on the
-    // workers' overlays, so with GC off each phase lands exactly on the
-    // lifetime counter of the arena it grew.
+fn attribution_reconciles_per_phase_on_fattree_m8() {
+    // The acceptance workload: an m=8 fat-tree. Routing, execution and
+    // the check all grow the one arena, so with GC off the three phases
+    // add up exactly to its lifetime counter.
     let (ft, flows) = fattree_with_flows(8, 24);
     let tlp = Tlp::no_overload(&ft.net.topo, Ratio::new(95, 100));
     let mut v = YuVerifier::new(
@@ -90,7 +87,6 @@ fn parallel_attribution_reconciles_per_phase_on_fattree_m8() {
             k: 1,
             profile: true,
             gc_node_threshold: 0,
-            check_workers: 2,
             ..Default::default()
         },
     );
@@ -99,13 +95,9 @@ fn parallel_attribution_reconciles_per_phase_on_fattree_m8() {
     let attr = out.stats.attribution.as_ref().expect("profile run");
     assert!(attr.reconciles());
     assert_eq!(
-        attr.route_nodes as i64 + attr.exec.nodes_delta,
+        attr.route_nodes as i64 + attr.exec.nodes_delta + attr.check.nodes_delta,
         out.stats.mtbdd.nodes_created as i64,
-        "route + exec must be the main arena's growth"
-    );
-    assert_eq!(
-        attr.check.nodes_delta, out.stats.mtbdd_workers.nodes_created as i64,
-        "check must be the overlays' growth"
+        "route + exec + check must be the arena's growth"
     );
     // One entity per flow group, one per requirement checked.
     assert_eq!(attr.exec.entities.len(), out.stats.flow_groups);
@@ -129,7 +121,6 @@ fn profiling_is_an_observer() {
         run_fig1(YuOptions {
             k: 1,
             profile,
-            check_workers: 2,
             ..Default::default()
         })
     };
@@ -145,10 +136,6 @@ fn profiling_is_an_observer() {
     assert_eq!(
         plain.stats.mtbdd.nodes_created,
         profiled.stats.mtbdd.nodes_created
-    );
-    assert_eq!(
-        plain.stats.mtbdd_workers.nodes_created,
-        profiled.stats.mtbdd_workers.nodes_created
     );
     assert_eq!(plain.stats.flow_groups, profiled.stats.flow_groups);
 }

@@ -349,8 +349,8 @@ fn serve_over_a_pipe_end_to_end() {
 
 /// An argument that looks like a flag but is none the parser knows is a
 /// usage error naming it — never ignored, and its value never mistaken for
-/// a positional. `--no-static-prune` and `--workers` were flags once;
-/// scripts that still pass them must hear about it.
+/// a positional. `--no-static-prune`, `--workers` and `--check-workers`
+/// were flags once; scripts that still pass them must hear about it.
 #[test]
 fn unknown_flags_are_rejected() {
     use std::process::Command;
@@ -375,6 +375,7 @@ fn unknown_flags_are_rejected() {
         (&["--max-violatons", "5"][..], "--max-violatons"),
         (&["--no-static-prune"][..], "--no-static-prune"),
         (&["--workers", "2"][..], "--workers"),
+        (&["--check-workers", "2"][..], "--check-workers"),
         (&["--json", "-x"][..], "-x"),
     ] {
         let (code, stdout, stderr) = yu(args);
@@ -398,11 +399,6 @@ fn value_flags_say_what_they_take() {
     std::fs::write(&spec_path, fig1_spec().to_json()).unwrap();
     let spec_path = spec_path.to_str().unwrap();
     for (cmd, args, message) in [
-        (
-            "verify",
-            &["--check-workers", "many"][..],
-            "--check-workers takes a positive integer or 'auto'",
-        ),
         (
             "verify",
             &["--max-violations"][..],

@@ -4,8 +4,7 @@
 //! `load_mtbdd` + `check_requirement` pair builds and scans every one.
 //! Both must report the same violations, counterexample for
 //! counterexample, and the same per-point aggregation statistics — on
-//! every preset `yu export` knows, in both failure modes, at k = 1 and 2,
-//! sequentially and through check workers.
+//! every preset `yu export` knows, in both failure modes, at k = 1 and 2.
 
 use std::process::Command;
 use yu::core::{check_requirement, YuOptions, YuVerifier};
@@ -25,11 +24,10 @@ fn preset(which: &str) -> VerifySpec {
     VerifySpec::from_json(&json).expect("the exported spec parses")
 }
 
-fn verifier(spec: &VerifySpec, mode: FailureMode, k: u32, check_workers: usize) -> YuVerifier {
+fn verifier(spec: &VerifySpec, mode: FailureMode, k: u32) -> YuVerifier {
     let opts = YuOptions {
         k,
         mode,
-        check_workers,
         ..Default::default()
     };
     let mut v = YuVerifier::new(spec.network.clone(), opts);
@@ -45,21 +43,11 @@ fn verify_matches_the_materialising_api_on_every_preset() {
         for mode in [FailureMode::Links, FailureMode::Routers] {
             for k in [1, 2] {
                 let ctx = format!("{which} mode={mode:?} k={k}");
-                let mut interval_first = verifier(&spec, mode, k, 1);
+                let mut interval_first = verifier(&spec, mode, k);
                 let out = interval_first.verify(&spec.tlp);
 
-                // Check workers run the same test, each with a range memo
-                // of its own over the shared frozen arena.
-                let sharded = verifier(&spec, mode, k, 3).verify(&spec.tlp);
-                assert_eq!(out.violations, sharded.violations, "{ctx}: sharded");
-                assert_eq!(out.stats.per_point, sharded.stats.per_point, "{ctx}");
-                assert_eq!(
-                    out.stats.reqs_bound_decided, sharded.stats.reqs_bound_decided,
-                    "{ctx}: sharded"
-                );
-
                 // Requirement by requirement through the public API.
-                let mut materialising = verifier(&spec, mode, k, 1);
+                let mut materialising = verifier(&spec, mode, k);
                 let fv = materialising.failure_vars().clone();
                 let mut violations = Vec::new();
                 for req in &spec.tlp.reqs {

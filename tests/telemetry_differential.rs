@@ -25,17 +25,11 @@ fn lock_flags() -> std::sync::MutexGuard<'static, ()> {
 
 /// Verifies, then explains every violation; the forensic reports ride
 /// along so the on/off comparison also covers the explain pipeline.
-fn run(
-    net: &Network,
-    flows: &[Flow],
-    tlp: &Tlp,
-    check_workers: usize,
-) -> (VerificationOutcome, Vec<String>) {
+fn run(net: &Network, flows: &[Flow], tlp: &Tlp) -> (VerificationOutcome, Vec<String>) {
     let mut v = YuVerifier::new(
         net.clone(),
         YuOptions {
             k: 1,
-            check_workers,
             ..Default::default()
         },
     );
@@ -62,8 +56,6 @@ fn assert_same_modulo_timing(on: &VerificationOutcome, off: &VerificationOutcome
             s.reqs_bound_decided,
             s.mtbdd.nodes_created,
             s.mtbdd.terminals_created,
-            s.mtbdd_workers.nodes_created,
-            s.mtbdd_workers.terminals_created,
         )
     };
     assert_eq!(stats(&on.stats), stats(&off.stats));
@@ -83,81 +75,79 @@ fn telemetry_on_off_runs_are_identical() {
         (&sr.net, &sr.flows, &sr.tlp),
     ];
     for (net, flows, tlp) in cases {
-        for check_workers in [1, 3] {
-            yu::telemetry::set_enabled(false);
-            let (off, off_explanations) = run(net, flows, tlp, check_workers);
+        yu::telemetry::set_enabled(false);
+        let (off, off_explanations) = run(net, flows, tlp);
 
-            yu::telemetry::set_enabled(true);
-            yu::telemetry::reset();
-            let (on, on_explanations) = run(net, flows, tlp, check_workers);
-            let report = yu::telemetry::snapshot();
-            yu::telemetry::reset();
-            yu::telemetry::set_enabled(false);
+        yu::telemetry::set_enabled(true);
+        yu::telemetry::reset();
+        let (on, on_explanations) = run(net, flows, tlp);
+        let report = yu::telemetry::snapshot();
+        yu::telemetry::reset();
+        yu::telemetry::set_enabled(false);
 
-            assert_same_modulo_timing(&on, &off);
-            // The forensic reports must be bit-identical too — blame,
-            // path diffs, replay results, envelopes.
-            assert_eq!(on_explanations, off_explanations);
-            // The instrumented run must actually have recorded the
-            // pipeline stages it claims to cover.
-            let aggs = report.stage_aggs();
-            for stage in ["route_sim", "igp", "bgp", "exec", "verify", "bound"] {
-                assert!(aggs.contains_key(stage), "missing stage span: {stage}");
+        assert_same_modulo_timing(&on, &off);
+        // The forensic reports must be bit-identical too — blame,
+        // path diffs, replay results, envelopes.
+        assert_eq!(on_explanations, off_explanations);
+        // The instrumented run must actually have recorded the
+        // pipeline stages it claims to cover.
+        let aggs = report.stage_aggs();
+        for stage in ["route_sim", "igp", "bgp", "exec", "verify", "bound"] {
+            assert!(aggs.contains_key(stage), "missing stage span: {stage}");
+        }
+        let counters = report.counter_totals();
+        // Every requirement is either decided by the interval test or
+        // materialised and scanned (under the `kreduce` span).
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        assert_eq!(
+            count("check.bound_decided"),
+            on.stats.reqs_bound_decided as u64
+        );
+        assert_eq!(
+            count("check.bound_decided") + count("check.materialised"),
+            tlp.reqs.len() as u64
+        );
+        assert_eq!(
+            aggs.contains_key("kreduce"),
+            count("check.materialised") > 0
+        );
+        assert!(
+            counters
+                .get("mtbdd.apply_cache_misses")
+                .copied()
+                .unwrap_or(0)
+                > 0
+        );
+        // Every stage runs on the verifier's own thread: no span is a
+        // worker's.
+        assert!(
+            aggs.keys().all(|name| !name.ends_with(".worker")),
+            "worker span recorded: {:?}",
+            aggs.keys().collect::<Vec<_>>()
+        );
+        // Forensics record their own spans and counters when any
+        // violation was explained.
+        if !on.violations.is_empty() {
+            for stage in [
+                "explain",
+                "explain.blame",
+                "explain.paths",
+                "explain.replay",
+            ] {
+                assert!(aggs.contains_key(stage), "missing explain span: {stage}");
             }
-            let counters = report.counter_totals();
-            // Every requirement is either decided by the interval test or
-            // materialised and scanned (under the `kreduce` span).
-            let count = |name: &str| counters.get(name).copied().unwrap_or(0);
-            assert_eq!(
-                count("check.bound_decided"),
-                on.stats.reqs_bound_decided as u64
-            );
-            assert_eq!(
-                count("check.bound_decided") + count("check.materialised"),
-                tlp.reqs.len() as u64
-            );
-            assert_eq!(
-                aggs.contains_key("kreduce"),
-                count("check.materialised") > 0
-            );
             assert!(
-                counters
-                    .get("mtbdd.apply_cache_misses")
-                    .copied()
-                    .unwrap_or(0)
-                    > 0
+                counters.get("explain.flows_blamed").copied().unwrap_or(0) > 0,
+                "explain must count blamed flows"
             );
-            // The sharded check engages with >1 requirement.
-            if check_workers > 1 && tlp.reqs.len() > 1 {
-                assert!(
-                    aggs.contains_key("check.worker"),
-                    "a sharded check should record worker spans"
-                );
-            }
-            // Forensics record their own spans and counters when any
-            // violation was explained.
-            if !on.violations.is_empty() {
-                for stage in [
-                    "explain",
-                    "explain.blame",
-                    "explain.paths",
-                    "explain.replay",
-                ] {
-                    assert!(aggs.contains_key(stage), "missing explain span: {stage}");
-                }
-                assert!(
-                    counters.get("explain.flows_blamed").copied().unwrap_or(0) > 0,
-                    "explain must count blamed flows"
-                );
-                assert_eq!(
-                    counters
-                        .get("explain.replay_mismatches")
-                        .copied()
-                        .unwrap_or(0),
-                    0,
-                    "replay must agree with the symbolic verdicts"
-                );
-            }
+            assert_eq!(
+                counters
+                    .get("explain.replay_mismatches")
+                    .copied()
+                    .unwrap_or(0),
+                0,
+                "replay must agree with the symbolic verdicts"
+            );
         }
     }
 }
@@ -170,32 +160,28 @@ fn telemetry_on_off_runs_are_identical() {
 fn engine_profile_on_off_runs_are_identical() {
     let _guard = lock_flags();
     let fig1 = motivating_example();
-    for check_workers in [1, 3] {
-        yu::mtbdd::set_engine_profile(false);
-        let (off, off_explanations) = run(&fig1.net, &fig1.flows, &fig1.p2, check_workers);
+    yu::mtbdd::set_engine_profile(false);
+    let (off, off_explanations) = run(&fig1.net, &fig1.flows, &fig1.p2);
 
-        yu::mtbdd::set_engine_profile(true);
-        let (on, on_explanations) = run(&fig1.net, &fig1.flows, &fig1.p2, check_workers);
-        yu::mtbdd::set_engine_profile(false);
+    yu::mtbdd::set_engine_profile(true);
+    let (on, on_explanations) = run(&fig1.net, &fig1.flows, &fig1.p2);
+    yu::mtbdd::set_engine_profile(false);
 
-        assert_eq!(on.verified(), off.verified());
-        assert_eq!(
-            format!("{:?}", on.violations),
-            format!("{:?}", off.violations)
-        );
-        assert_eq!(on_explanations, off_explanations);
-        let stats = |s: &RunStats| {
-            (
-                s.flows_in,
-                s.flow_groups,
-                s.mtbdd.nodes_created,
-                s.mtbdd.terminals_created,
-                s.mtbdd_workers.nodes_created,
-                s.mtbdd_workers.terminals_created,
-            )
-        };
-        assert_eq!(stats(&on.stats), stats(&off.stats));
-    }
+    assert_eq!(on.verified(), off.verified());
+    assert_eq!(
+        format!("{:?}", on.violations),
+        format!("{:?}", off.violations)
+    );
+    assert_eq!(on_explanations, off_explanations);
+    let stats = |s: &RunStats| {
+        (
+            s.flows_in,
+            s.flow_groups,
+            s.mtbdd.nodes_created,
+            s.mtbdd.terminals_created,
+        )
+    };
+    assert_eq!(stats(&on.stats), stats(&off.stats));
 
     // With the gate on, a profiled run reports non-zero depth maxima;
     // with it off, the profile says so and stays all-zero.
@@ -500,9 +486,7 @@ fn twin_counters_agree_across_both_sinks() {
     yu::telemetry::reset();
     let before = yu::telemetry::registry().snapshot();
 
-    for check_workers in [1, 3] {
-        run(&spec.network, &spec.flows, &spec.tlp, check_workers);
-    }
+    run(&spec.network, &spec.flows, &spec.tlp);
     let opts = YuOptions {
         k: spec.k,
         mode: spec.mode,
