@@ -104,11 +104,13 @@ impl Mtbdd {
     /// routing and execution layers carry: `Some(k)` is node-for-node
     /// identical to `self.kreduce(self.apply(op, f, g), k)` without ever
     /// materializing `f ⊕ g`; `None` is the plain, exact
-    /// [`Mtbdd::apply`] (the Fig. 15/16 ablation).
+    /// [`Mtbdd::apply`] (the Fig. 15/16 ablation). Budgets beyond
+    /// [`Mtbdd::num_vars`] act as `num_vars` (see [`Mtbdd::kreduce`]).
     pub fn apply_kreduce(&mut self, op: Op, f: NodeRef, g: NodeRef, k: Option<u32>) -> NodeRef {
         let Some(k) = k else {
             return self.apply(op, f, g);
         };
+        let k = self.clamp_budget(k);
         let r = self.fused_rec(op, f, g, k);
         if self.audit_on() {
             self.audit_fused(r, k, &format!("apply_kreduce({op:?})"));
@@ -148,6 +150,7 @@ impl Mtbdd {
     /// by the same congruence argument, so the split is invisible in the
     /// result.
     pub fn sum_kreduce(&mut self, items: &[NodeRef], k: u32) -> NodeRef {
+        let k = self.clamp_budget(k);
         // Zeros are additive identity: dropping them leaves the exact
         // sum — and therefore its reduction — unchanged.
         let zero = self.zero();

@@ -25,8 +25,9 @@ use crate::node::NodeRef;
 
 impl Mtbdd {
     /// k-failure-equivalence reduction (`KREDUCE(f, k)`, written `βₖ(f)` in
-    /// the paper).
+    /// the paper). Budgets beyond [`Mtbdd::num_vars`] act as `num_vars`.
     pub fn kreduce(&mut self, f: NodeRef, k: u32) -> NodeRef {
+        let k = self.clamp_budget(k);
         let r = self.kreduce_rec(f, k);
         if self.audit_on() {
             let mpf = self.max_path_failures(r);
@@ -209,6 +210,26 @@ mod tests {
         for bits in 0..8u32 {
             let assign = |v: u32| bits >> v & 1 == 1;
             assert_eq!(m.eval(f, assign), m.eval(r, assign));
+        }
+    }
+
+    #[test]
+    fn budgets_past_the_variable_count_are_the_identity() {
+        // Every kernel clamps `k` to `num_vars`; what was reduced under a
+        // huge budget is the exact diagram, node for node. The `k = 1`
+        // entry is cached first: a key that kept only the low 24 bits of
+        // `2^24 + 1` would answer with it.
+        let mut m = Mtbdd::new();
+        let (x1, x2) = (m.fresh_var(), m.fresh_var());
+        let ng1 = m.nvar_guard(x1);
+        let g2 = m.var_guard(x2);
+        let f = m.mul(ng1, g2);
+        let exact = m.add(f, g2);
+        assert_ne!(m.add_kreduce(f, g2, 1), exact);
+        for k in [2, 1 << 24, (1 << 24) + 1, u32::MAX] {
+            assert_eq!(m.kreduce(exact, k), exact, "k={k}");
+            assert_eq!(m.add_kreduce(f, g2, k), exact, "k={k}");
+            assert_eq!(m.sum_kreduce(&[f, g2, ng1], k), m.sum(&[f, g2, ng1]));
         }
     }
 

@@ -272,16 +272,22 @@ pub(crate) fn hash_node(n: &Node) -> u64 {
     hash_key(n.var, n.lo, n.hi)
 }
 
-// Key packings for the direct-mapped operation caches. Each key fits two
-// `u64` words; the audit sampler inverts `pack_apply_key`/`pack_apply1_key`
-// to re-validate resident entries, so keep pack/unpack in sync.
+// Key packings for the direct-mapped operation caches. Each key fits a
+// `u64` and a `u32` word (`DirectCache`'s 16-byte entry); the audit sampler
+// inverts `pack_apply_key`/`pack_apply1_key` to re-validate resident
+// entries, so keep pack/unpack in sync.
+
+/// Largest failure budget the fused cache key can carry: `k` shares the
+/// `u32` key word with the `Op` byte. The public kernel entries clamp `k`
+/// to [`Mtbdd::num_vars`], which [`Mtbdd::fresh_vars`] keeps below this.
+pub(crate) const MAX_KEY_BUDGET: u32 = (1 << 24) - 1;
 
 #[inline]
-pub(crate) fn pack_apply_key(op: Op, f: NodeRef, g: NodeRef) -> (u64, u64) {
-    ((f.0 as u64) | ((g.0 as u64) << 32), op as u64)
+pub(crate) fn pack_apply_key(op: Op, f: NodeRef, g: NodeRef) -> (u64, u32) {
+    ((f.0 as u64) | ((g.0 as u64) << 32), op as u32)
 }
 
-pub(crate) fn unpack_apply_key(w0: u64, w1: u64) -> (Op, NodeRef, NodeRef) {
+pub(crate) fn unpack_apply_key(w0: u64, w1: u32) -> (Op, NodeRef, NodeRef) {
     (
         Op::from_index(w1 as u8),
         NodeRef(w0 as u32),
@@ -290,35 +296,33 @@ pub(crate) fn unpack_apply_key(w0: u64, w1: u64) -> (Op, NodeRef, NodeRef) {
 }
 
 #[inline]
-pub(crate) fn pack_apply1_key(op: Op1, f: NodeRef) -> (u64, u64) {
-    (f.0 as u64, op as u64)
+pub(crate) fn pack_apply1_key(op: Op1, f: NodeRef) -> (u64, u32) {
+    (f.0 as u64, op as u32)
 }
 
-pub(crate) fn unpack_apply1_key(w0: u64, w1: u64) -> (Op1, NodeRef) {
+pub(crate) fn unpack_apply1_key(w0: u64, w1: u32) -> (Op1, NodeRef) {
     (Op1::from_index(w1 as u8), NodeRef(w0 as u32))
 }
 
 #[inline]
-pub(crate) fn pack_ite_key(c: NodeRef, t: NodeRef, e: NodeRef) -> (u64, u64) {
-    ((c.0 as u64) | ((t.0 as u64) << 32), e.0 as u64)
+pub(crate) fn pack_ite_key(c: NodeRef, t: NodeRef, e: NodeRef) -> (u64, u32) {
+    ((c.0 as u64) | ((t.0 as u64) << 32), e.0)
 }
 
 #[inline]
-pub(crate) fn pack_restrict_key(f: NodeRef, var: Var, val: bool) -> (u64, u64) {
-    ((f.0 as u64) | ((var as u64) << 32), val as u64)
+pub(crate) fn pack_restrict_key(f: NodeRef, var: Var, val: bool) -> (u64, u32) {
+    ((f.0 as u64) | ((var as u64) << 32), val as u32)
 }
 
 #[inline]
-pub(crate) fn pack_kreduce_key(f: NodeRef, k: u32) -> (u64, u64) {
+pub(crate) fn pack_kreduce_key(f: NodeRef, k: u32) -> (u64, u32) {
     ((f.0 as u64) | ((k as u64) << 32), 0)
 }
 
 #[inline]
-pub(crate) fn pack_fused_key(op: Op, f: NodeRef, g: NodeRef, k: u32) -> (u64, u64) {
-    (
-        (f.0 as u64) | ((g.0 as u64) << 32),
-        (op as u64) | ((k as u64) << 8),
-    )
+pub(crate) fn pack_fused_key(op: Op, f: NodeRef, g: NodeRef, k: u32) -> (u64, u32) {
+    debug_assert!(k <= MAX_KEY_BUDGET, "fused budget {k} does not fit the key");
+    ((f.0 as u64) | ((g.0 as u64) << 32), (op as u32) | (k << 8))
 }
 
 /// A multi-terminal binary decision diagram manager.
@@ -462,21 +466,32 @@ impl Mtbdd {
     /// Allocates a fresh boolean failure variable (appended at the bottom of
     /// the current order).
     pub fn fresh_var(&mut self) -> Var {
-        let v = self.num_vars;
-        self.num_vars += 1;
-        v
+        self.fresh_vars(1)
     }
 
-    /// Allocates `n` fresh variables and returns the first.
+    /// Allocates `n` fresh variables and returns the first. The order
+    /// holds fewer than 2^24 variables, so a budget clamped to
+    /// [`Mtbdd::num_vars`] fits the fused cache key.
     pub fn fresh_vars(&mut self, n: u32) -> Var {
         let first = self.num_vars;
-        self.num_vars += n;
+        self.num_vars = first
+            .checked_add(n)
+            .filter(|&total| total <= MAX_KEY_BUDGET)
+            .expect("MTBDD variable order limited to 2^24 - 1 variables");
         first
     }
 
     /// Number of variables allocated so far.
     pub fn num_vars(&self) -> u32 {
         self.num_vars
+    }
+
+    /// `k` clamped to the variable count. A path tests each variable at
+    /// most once, so once `k` reaches [`Mtbdd::num_vars`] no path can
+    /// exhaust the budget and `βₖ` is the identity: the clamp changes no
+    /// result, and it keeps every budget a cache key sees below 2^24.
+    pub(crate) fn clamp_budget(&self, k: u32) -> u32 {
+        k.min(self.num_vars)
     }
 
     /// The constant 0 MTBDD.
@@ -999,30 +1014,20 @@ impl Mtbdd {
         crate::profile::load_factor(self.unique.len(), self.unique.capacity())
     }
 
-    /// Estimated resident bytes of the arena: node and terminal
-    /// storage plus the unique tables and operation caches, computed
-    /// from *capacities* (what the allocator actually holds, not what
-    /// is in use). Terminal payloads are counted shallowly — `Term`
-    /// heap allocations (rational bignums) are not chased — so this is a
-    /// lower bound suitable for trend monitoring, not an exact RSS.
+    /// Estimated resident bytes of the arena: node and terminal storage
+    /// (with the terminal hash-consing map) plus the `bytes` of every
+    /// [`Mtbdd::cache_profiles`] row — the unique table, the operation
+    /// caches and the memo maps — computed from *capacities* (what the
+    /// allocator actually holds, not what is in use). Terminal payloads
+    /// are counted shallowly — `Term` heap allocations (rational bignums)
+    /// are not chased — so this is a lower bound suitable for trend
+    /// monitoring, not an exact RSS.
     pub fn arena_bytes(&self) -> usize {
         use std::mem::size_of;
-        fn map_bytes<K, V>(m: &FxHashMap<K, V>) -> usize {
-            // Hashbrown stores (K, V) pairs plus one control byte each.
-            m.capacity() * (size_of::<K>() + size_of::<V>() + 1)
-        }
         self.nodes.capacity() * size_of::<Node>()
             + self.terms.capacity() * size_of::<Term>()
-            + self.unique.capacity() * size_of::<u32>()
-            + map_bytes(&self.term_ids)
-            + map_bytes(&self.sum_cache)
-            + map_bytes(&self.range_cache)
-            + self.apply_cache.heap_bytes()
-            + self.apply1_cache.heap_bytes()
-            + self.ite_cache.heap_bytes()
-            + self.restrict_cache.heap_bytes()
-            + self.kreduce_cache.heap_bytes()
-            + self.fused_cache.heap_bytes()
+            + crate::profile::map_bytes(&self.term_ids)
+            + self.cache_profiles().iter().map(|c| c.bytes).sum::<usize>()
     }
 
     /// Drops all operation caches (the unique tables are kept, so handles
@@ -1270,6 +1275,30 @@ mod tests {
         }
         for op in [Op1::IsFiniteGuard, Op1::Not, Op1::Neg] {
             assert_eq!(Op1::from_index(op as u8), op);
+        }
+    }
+
+    #[test]
+    fn apply_keys_unpack_to_what_was_packed() {
+        let handles = [
+            NodeRef::inner(0),
+            NodeRef::inner(12_345),
+            NodeRef::inner((1 << 31) - 1),
+            NodeRef::terminal(0),
+            NodeRef::terminal(7),
+            NodeRef::terminal((1 << 31) - 1),
+        ];
+        for &f in &handles {
+            for &g in &handles {
+                for op in Op::ALL {
+                    let (w0, w1) = pack_apply_key(op, f, g);
+                    assert_eq!(unpack_apply_key(w0, w1), (op, f, g));
+                }
+            }
+            for op in [Op1::IsFiniteGuard, Op1::Not, Op1::Neg] {
+                let (w0, w1) = pack_apply1_key(op, f);
+                assert_eq!(unpack_apply1_key(w0, w1), (op, f));
+            }
         }
     }
 

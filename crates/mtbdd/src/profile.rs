@@ -16,8 +16,8 @@
 //!   `apply1`, `ite`, `restrict`, `kreduce`), for the two hash-map memos
 //!   (`sum`, the n-ary aggregate; `range`, the per-node terminal range)
 //!   and for the open-addressed unique table,
-//!   the current size, load factor, and cumulative hit/miss/eviction
-//!   counters. The unique table additionally exposes
+//!   the current size, load factor, heap bytes, and cumulative
+//!   hit/miss/eviction counters. The unique table additionally exposes
 //!   its *measured* linear-probe distribution (see [`ProbeStats`]) —
 //!   real counters from the hot path, not a simulation; direct-mapped
 //!   caches probe exactly one slot by construction.
@@ -125,6 +125,9 @@ pub struct CacheProfile {
     pub capacity: usize,
     /// `len / capacity` (0 for an unallocated table).
     pub load_factor: f64,
+    /// Heap bytes the table holds, from its allocated size (see
+    /// [`Mtbdd::arena_bytes`], which sums these rows).
+    pub bytes: usize,
     /// Cumulative lookup hits (survives GC).
     pub hits: u64,
     /// Cumulative lookup misses (survives GC).
@@ -164,6 +167,19 @@ pub(crate) fn load_factor(len: usize, cap: usize) -> f64 {
     }
 }
 
+/// Heap bytes of a hash map: hashbrown allocates `capacity · 8/7`
+/// buckets (`capacity + 1` below eight), each holding a `(K, V)` pair and
+/// one control byte.
+pub(crate) fn map_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
+    let cap = map.capacity();
+    let buckets = match cap {
+        0 => 0,
+        1..=7 => cap + 1,
+        _ => cap / 7 * 8,
+    };
+    buckets * (std::mem::size_of::<(K, V)>() + 1)
+}
+
 /// Profile of a direct-mapped cache: one slot per key, so the probe
 /// distribution is degenerate (mean 0, everything direct).
 fn direct_profile(name: &'static str, c: &DirectCache) -> CacheProfile {
@@ -173,6 +189,7 @@ fn direct_profile(name: &'static str, c: &DirectCache) -> CacheProfile {
         len,
         capacity: cap,
         load_factor: load_factor(len, cap),
+        bytes: c.heap_bytes(),
         hits: c.hits(),
         misses: c.misses(),
         evictions: c.evictions(),
@@ -196,6 +213,7 @@ fn map_profile<K, V>(
         len: map.len(),
         capacity: map.capacity(),
         load_factor: load_factor(map.len(), map.capacity()),
+        bytes: map_bytes(map),
         hits,
         misses,
         evictions,
@@ -273,6 +291,7 @@ impl Mtbdd {
                 len: self.unique_table_len(),
                 capacity: self.unique.capacity(),
                 load_factor: self.unique_table_load_factor(),
+                bytes: self.unique.capacity() * std::mem::size_of::<u32>(),
                 hits: ups.hits,
                 misses: ups.lookups - ups.hits,
                 evictions: self.gc_reclaimed,
@@ -414,6 +433,17 @@ mod tests {
         assert!(unique.len > 0, "arena nodes live in the unique table");
         assert!(unique.hits > 0, "hash-consing must have deduped something");
         assert!(unique.probe.direct_fraction > 0.0);
+        assert_eq!(unique.bytes, 4 * unique.capacity);
+        // Bytes: 16 per direct-mapped slot, every map bucket (more of them
+        // than the map's capacity) one `(K, V)` pair plus a control byte,
+        // and the rows sum to no more than the whole arena.
+        for p in &profiles[..6] {
+            assert_eq!(p.bytes, 16 * p.capacity, "{}", p.name);
+        }
+        let sum_entry = std::mem::size_of::<(crate::fused::SumKey, NodeRef)>() + 1;
+        assert!(profiles[6].bytes > sum_entry * profiles[6].capacity);
+        let total: usize = profiles.iter().map(|p| p.bytes).sum();
+        assert!(total > 0 && total <= m.arena_bytes());
         // Dropping the caches books every resident entry as an eviction.
         let (apply_before, fused_before) = (apply.evictions, fused.evictions);
         let (apply_len, fused_len) = (apply.len as u64, fused.len as u64);

@@ -11,8 +11,9 @@
 //!   which rebuilds the table from the compacted arena.
 //! * [`DirectCache`] — a fixed-size direct-mapped memoization cache for
 //!   the `apply`/`apply1`/`ite`/`restrict`/`kreduce`/`fused` operation
-//!   caches. Keys are packed into two `u64` words up front; a lookup is
-//!   one multiply-hash and one 24-byte entry read. Collisions evict the
+//!   caches. Keys are packed into a `u64` and a `u32` word up front; a
+//!   lookup is one multiply-hash and one 16-byte entry read (four entries
+//!   per cache line). Collisions evict the
 //!   previous entry — safe for memo caches because hash-consing makes
 //!   recomputation idempotent (same inputs always rebuild the same
 //!   canonical node), so evictions cost time, never correctness.
@@ -37,7 +38,7 @@ const NO_VAL: u32 = u32::MAX;
 const TABLE_INITIAL: usize = 64;
 
 /// Initial capacity of a [`DirectCache`] (entries), allocated lazily on
-/// first insert: 2^14 × 24 B = 384 KiB per cache.
+/// first insert: 2^14 × 16 B = 256 KiB per cache.
 const CACHE_INITIAL: usize = 1 << 14;
 
 /// Direct-mapped caches grow ×4 (up to this cap) under eviction or
@@ -184,10 +185,12 @@ impl SlotTable {
     }
 }
 
+/// One direct-mapped slot: the packed key and the cached handle, two
+/// words with no padding.
 #[derive(Clone, Copy)]
 struct CacheEntry {
     w0: u64,
-    w1: u64,
+    w1: u32,
     val: u32,
 }
 
@@ -197,7 +200,7 @@ const EMPTY_ENTRY: CacheEntry = CacheEntry {
     val: NO_VAL,
 };
 
-/// Direct-mapped memoization cache keyed by two packed `u64` words.
+/// Direct-mapped memoization cache keyed by a packed `u64` and `u32`.
 ///
 /// Hit/miss/eviction counters live inside the cache so per-cache stats
 /// cannot be conflated (each manager cache owns exactly its own
@@ -220,16 +223,16 @@ impl DirectCache {
     }
 
     #[inline]
-    fn slot(&self, w0: u64, w1: u64) -> usize {
+    fn slot(&self, w0: u64, w1: u32) -> usize {
         debug_assert!(self.entries.len().is_power_of_two());
         // Top bits, for the same reason as `SlotTable::home`.
-        (crate::hasher::fx_hash_words(w0, w1) >> (64 - self.entries.len().trailing_zeros()))
+        (crate::hasher::fx_hash_words(w0, w1 as u64) >> (64 - self.entries.len().trailing_zeros()))
             as usize
     }
 
     /// Looks up the packed key, booking a hit or miss.
     #[inline]
-    pub fn get(&mut self, w0: u64, w1: u64) -> Option<u32> {
+    pub fn get(&mut self, w0: u64, w1: u32) -> Option<u32> {
         if !self.entries.is_empty() {
             let e = self.entries[self.slot(w0, w1)];
             if e.val != NO_VAL && e.w0 == w0 && e.w1 == w1 {
@@ -252,7 +255,7 @@ impl DirectCache {
     /// after a bounded number of early evictions instead of paying
     /// O(capacity) evictions per step as resident-count-relative
     /// triggers do.
-    pub fn insert(&mut self, w0: u64, w1: u64, val: u32) {
+    pub fn insert(&mut self, w0: u64, w1: u32, val: u32) {
         debug_assert_ne!(val, NO_VAL, "cache value collides with empty sentinel");
         if self.entries.is_empty() {
             self.entries = vec![EMPTY_ENTRY; CACHE_INITIAL];
@@ -336,7 +339,7 @@ impl DirectCache {
     }
 
     /// Iterates resident `(w0, w1, val)` entries (audit sampling).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
         self.entries
             .iter()
             .filter(|e| e.val != NO_VAL)
@@ -394,6 +397,11 @@ mod tests {
     }
 
     #[test]
+    fn cache_entry_is_two_words() {
+        assert_eq!(std::mem::size_of::<CacheEntry>(), 16);
+    }
+
+    #[test]
     fn direct_cache_hit_miss_evict() {
         let mut c = DirectCache::new();
         assert_eq!(c.get(1, 2), None);
@@ -439,7 +447,7 @@ mod tests {
         // Insert far more distinct keys than the initial capacity; the
         // cache must grow at least once and retain recent entries.
         for i in 0..(CACHE_INITIAL as u64 * 3) {
-            c.insert(i, i ^ 0xdead, (i & 0xffff) as u32);
+            c.insert(i, i as u32 ^ 0xdead, (i & 0xffff) as u32);
         }
         assert!(c.capacity() > CACHE_INITIAL);
         assert!(c.capacity() <= CACHE_MAX);

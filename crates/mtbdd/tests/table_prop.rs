@@ -100,16 +100,22 @@ proptest! {
     /// DirectCache soundness: a hit always returns the most recent value
     /// inserted for that exact key (misses are allowed — it is a cache —
     /// but wrong values never), and its internal counters reconcile with
-    /// the operation log.
+    /// the operation log. Key words span their full `u64` / `u32` range,
+    /// mixed with a small domain so that repeats and collisions happen.
     #[test]
     fn direct_cache_never_returns_a_stale_or_foreign_value(
         ops in proptest::collection::vec(
-            (any::<bool>(), 0u64..64, 0u64..64, 0u32..1000),
+            (
+                any::<bool>(),
+                prop_oneof![0u64..64, any::<u64>()],
+                prop_oneof![0u32..64, any::<u32>()],
+                0u32..1000,
+            ),
             0..300,
         ),
     ) {
         let mut c = DirectCache::new();
-        let mut model: HashMap<(u64, u64), u32> = HashMap::new();
+        let mut model: HashMap<(u64, u32), u32> = HashMap::new();
         let mut lookups = 0u64;
         for (is_insert, w0, w1, val) in ops {
             if is_insert {

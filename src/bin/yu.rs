@@ -721,19 +721,25 @@ fn print_profile_tables(
         } else {
             c.hits as f64 / lookups as f64
         };
+        // Only the unique table measures probe lengths: a direct-mapped
+        // cache probes one slot, and the memo maps are not instrumented.
+        let probe = if c.name == "unique" {
+            format!("  probe mean {:.2} max {}", c.probe.mean, c.probe.max)
+        } else {
+            String::new()
+        };
         println!(
-            "  {:<6} {:>8} entries / {:>8} cap ({:>4.0}% load)  {} hits / {} misses \
-             ({:.1}% hit)  {} evicted  probe mean {:.2} max {}",
+            "  {:<8} {:>8} entries / {:>8} cap ({:>4.0}% load) {:>7.1} MB  {} hits / {} misses \
+             ({:.1}% hit)  {} evicted{probe}",
             c.name,
             c.len,
             c.capacity,
             c.load_factor * 100.0,
+            c.bytes as f64 / 1e6,
             c.hits,
             c.misses,
             rate * 100.0,
             c.evictions,
-            c.probe.mean,
-            c.probe.max,
         );
     }
     if attr.engine.enabled {

@@ -6,7 +6,8 @@
 //! (`use_global_equiv: false`) reports the violations of the
 //! class-grouped run. An `early_stop` run is the full run cut at its
 //! first violation, and the Fig. 13/15 ablation options violate the
-//! points the default run violates.
+//! points the default run violates. A budget past the link count, up to
+//! `u32::MAX`, verifies like a budget of every link.
 
 use std::collections::{BTreeSet, HashMap};
 use yu::core::{IncrementalVerifier, VerificationOutcome, YuOptions, YuVerifier};
@@ -222,5 +223,21 @@ fn every_caller_agrees_to_the_node() {
                 "{ctx}: batch (route deps recorded) vs IncrementalVerifier::verify"
             );
         }
+    }
+}
+
+/// A budget of every link already admits every scenario, so `2^24` and
+/// `u32::MAX` must report the same violations — without panicking on, or
+/// aliasing, a memo key that has no room for such a budget.
+#[test]
+fn huge_budgets_verify_like_every_link_failing() {
+    let mut fig1 = instances().swap_remove(0);
+    fig1.k = fig1.net.topo.num_ulinks() as u32;
+    let all = run(&fig1, FailureMode::Links, YuOptions::default()).verify(&fig1.tlp);
+    assert!(!all.verified(), "fig1 is violated under any budget >= 1");
+    for k in [1 << 24, u32::MAX] {
+        fig1.k = k;
+        let out = run(&fig1, FailureMode::Links, YuOptions::default()).verify(&fig1.tlp);
+        assert_eq!(out.violations, all.violations, "k={k}");
     }
 }
