@@ -148,25 +148,10 @@ pub fn simulate_flow(
     simulate(m, net, fv, routes, flow, opts, None)
 }
 
-/// Like [`simulate_flow`], additionally recording every routing-state
-/// query the execution issued. Replaying the returned [`RouteTrace`]
-/// against a changed routing state decides whether the STF can be reused
-/// (see [`crate::trace`]).
-pub fn simulate_flow_traced(
-    m: &mut Mtbdd,
-    net: &Network,
-    fv: &FailureVars,
-    routes: &mut SymbolicRoutes,
-    flow: &Flow,
-    opts: ExecOptions,
-) -> (FlowStf, RouteTrace) {
-    let mut trace = RouteTrace::new();
-    let stf = simulate(m, net, fv, routes, flow, opts, Some(&mut trace));
-    (stf, trace)
-}
-
-/// The one body behind [`simulate_flow`] and [`simulate_flow_traced`]:
-/// routing-state queries are recorded into `trace` when one is given.
+/// The one body behind [`simulate_flow`] and [`YuVerifier::execute`]:
+/// routing-state queries are recorded into `trace` when one is given
+/// (replaying a [`RouteTrace`] against a changed routing state decides
+/// whether the STF can be reused, see [`crate::trace`]).
 fn simulate(
     m: &mut Mtbdd,
     net: &Network,

@@ -40,7 +40,7 @@ pub use api::{RunStats, VerificationOutcome, YuOptions, YuVerifier};
 pub use attribution::{Attribution, EntityCost, PhaseAttribution};
 pub use delta::{DeltaStats, IncrementalVerifier};
 pub use equivalence::{global_groups, global_groups_classified, AggStats, FlowGroup};
-pub use exec::{selection_guards, simulate_flow, simulate_flow_traced, ExecOptions, FlowStf};
+pub use exec::{selection_guards, simulate_flow, ExecOptions, FlowStf};
 pub use explain::{
     explanation_dot, trace_flow, Explanation, FlowBlame, FlowPathDiff, PathOutcome, PointEnvelope,
     ReplayCheck, TracedPath, MAX_TRACED_PATHS,

@@ -14,7 +14,7 @@
 //! routing-affecting change, each flow group's trace is replayed and only
 //! groups with a mismatching answer are re-executed.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 use yu_mtbdd::{Mtbdd, NodeRef, Remap};
 use yu_net::{FailureVars, Ipv4, LinkId, Network, RouterId};
@@ -197,20 +197,4 @@ pub(crate) fn fib_answer(rules: &Rc<Vec<Rule>>, multipath: bool) -> TraceAnswer 
         rules: (**rules).clone(),
         multipath,
     }
-}
-
-/// Looks up the number of trace entries per query kind (telemetry).
-pub fn query_histogram(trace: &RouteTrace) -> HashMap<&'static str, usize> {
-    let mut h: HashMap<&'static str, usize> = HashMap::new();
-    for (q, _) in &trace.entries {
-        let name = match q {
-            TraceQuery::Fib(..) => "fib",
-            TraceQuery::Vigp(..) => "vigp",
-            TraceQuery::Sr(..) => "sr",
-            TraceQuery::Owns(..) => "owns",
-            TraceQuery::Alive(..) => "alive",
-        };
-        *h.entry(name).or_default() += 1;
-    }
-    h
 }

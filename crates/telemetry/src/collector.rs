@@ -1,10 +1,9 @@
-//! The collection substrate: global enable gate, per-thread buffers,
-//! RAII spans, counters, and gauges.
+//! The collection substrate: global enable gate, the calling thread's
+//! span log, RAII spans, counters, and gauges.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Once, OnceLock};
 use std::time::Instant;
 
 use crate::report::TelemetryReport;
@@ -14,10 +13,6 @@ use crate::report::TelemetryReport;
 /// [`set_enabled`].
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ENV_INIT: Once = Once::new();
-
-/// Finished per-thread buffers, appended by [`flush_thread`]. Touched
-/// only at flush/snapshot/reset time, never on the recording hot path.
-static FLUSHED: Mutex<Vec<ThreadLog>> = Mutex::new(Vec::new());
 
 /// Reads a `YU_*` on/off variable: `None` when unset, `Some(false)` for
 /// an empty value, `0` or `false`, `Some(true)` for anything else — the
@@ -50,8 +45,7 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// The shared time base: all threads stamp spans relative to one epoch,
-/// so cross-thread timelines line up in the trace viewer.
+/// The time base: spans are stamped relative to one process epoch.
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -61,7 +55,7 @@ pub(crate) fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
 
-/// One completed span: a named stage interval on one thread's track.
+/// One completed span: a named stage interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Stage name (`"igp"`, `"exec"`, ...). Static so recording never
@@ -78,29 +72,10 @@ pub struct SpanEvent {
     pub depth: u32,
 }
 
-/// Everything one thread recorded: its track label, completed spans, and
-/// counter/gauge totals.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadLog {
-    /// Track label shown in the trace viewer (`"main"`, `"worker-3"`).
-    pub track: String,
-    /// Completed spans in completion order.
-    pub spans: Vec<SpanEvent>,
-    /// Monotonic counters accumulated on this thread.
-    pub counters: BTreeMap<&'static str, u64>,
-    /// High-water-mark gauges recorded on this thread.
-    pub gauges: BTreeMap<&'static str, u64>,
-}
-
-impl ThreadLog {
-    fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.counters.is_empty() && self.gauges.is_empty()
-    }
-}
-
+/// The calling thread's span log plus its open-span depth.
 #[derive(Default)]
 struct LocalBuf {
-    log: ThreadLog,
+    log: TelemetryReport,
     depth: u32,
 }
 
@@ -108,15 +83,8 @@ thread_local! {
     static LOCAL: RefCell<LocalBuf> = RefCell::new(LocalBuf::default());
 }
 
-fn default_track() -> String {
-    std::thread::current()
-        .name()
-        .unwrap_or("thread")
-        .to_string()
-}
-
 /// RAII guard returned by [`span`]: records a [`SpanEvent`] covering its
-/// own lifetime into the current thread's buffer when dropped. Inert
+/// own lifetime into the calling thread's log when dropped. Inert
 /// (and clock-free) when telemetry is disabled.
 #[must_use = "a span measures its own lifetime; bind it to a variable"]
 pub struct Span {
@@ -188,7 +156,7 @@ pub fn span_detail(name: &'static str, detail: impl FnOnce() -> String) -> Span 
     Span::start(name, Some(detail()))
 }
 
-/// Adds `delta` to the named monotonic counter on the current thread.
+/// Adds `delta` to the named monotonic counter.
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
     if !enabled() || delta == 0 {
@@ -212,54 +180,16 @@ pub fn gauge_max(name: &'static str, value: u64) {
     });
 }
 
-/// Labels the current thread's track in the exported trace (call once,
-/// early, from worker threads: `set_thread_track(format!("worker-{i}"))`).
-pub fn set_thread_track(name: String) {
-    LOCAL.with(|l| l.borrow_mut().log.track = name);
-}
-
-/// Takes the current thread's buffer without touching global state.
-/// Primarily for tests; production code uses [`flush_thread`] +
-/// [`snapshot`].
-pub fn take_thread_log() -> ThreadLog {
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        let mut log = std::mem::take(&mut l.log);
-        if log.track.is_empty() {
-            log.track = default_track();
-        }
-        log
-    })
-}
-
-/// Moves the current thread's buffer into the global registry. Worker
-/// threads call this right before exiting; the buffer then appears in
-/// every later [`snapshot`]. A no-op for empty buffers.
-pub fn flush_thread() {
-    let log = take_thread_log();
-    if log.is_empty() {
-        return;
-    }
-    FLUSHED
-        .lock()
-        .expect("telemetry registry poisoned")
-        .push(log);
-}
-
-/// Flushes the current thread and returns a report over everything
-/// flushed so far (from all threads). Cumulative: data stays in the
-/// registry, so later snapshots include earlier stages; use [`reset`]
-/// to start a fresh measurement window.
+/// A copy of the calling thread's log. Cumulative: later snapshots
+/// include earlier stages; use [`reset`] to start a fresh measurement
+/// window.
 pub fn snapshot() -> TelemetryReport {
-    flush_thread();
-    let threads = FLUSHED.lock().expect("telemetry registry poisoned").clone();
-    TelemetryReport { threads }
+    LOCAL.with(|l| l.borrow().log.clone())
 }
 
-/// Clears the global registry and the current thread's buffer (other
-/// threads' unflushed buffers are untouched). Use between independent
-/// measurement windows (e.g. bench runs).
+/// Clears the calling thread's log (spans still open keep their depth
+/// and record when they close). Use between independent measurement
+/// windows (e.g. bench runs).
 pub fn reset() {
-    let _ = take_thread_log();
-    FLUSHED.lock().expect("telemetry registry poisoned").clear();
+    LOCAL.with(|l| l.borrow_mut().log = TelemetryReport::default());
 }

@@ -1,21 +1,15 @@
-//! Fixed-bucket log-scale histograms with lock-free recording and exact
-//! merging.
+//! Fixed-bucket log-scale histograms with lock-free recording.
 //!
 //! The bucket grid is **static and shared by every histogram**: after a
 //! linear run for the smallest values, each power-of-two octave is split
 //! into four linear sub-buckets, so every recorded value lands in a
 //! bucket whose upper bound is at most 12.5% above its lower bound.
-//! Fixed boundaries are what make merges *exact*: two histograms (from
-//! two threads, two processes, or an A/B pair) merge by bucket-wise
-//! addition with zero re-binning error, and quantile queries on the
-//! merge equal quantile queries on the concatenated sample stream (up
-//! to the shared bucket resolution).
 //!
 //! Recording is one relaxed `fetch_add` on the bucket counter plus one
-//! on the sum — no locks, no allocation — so worker threads and the
-//! serve loop can record on the hot path. Counts are monotone, which is
-//! exactly what the Prometheus exposition (`_bucket`/`_sum`/`_count`)
-//! requires of a live-scraped histogram.
+//! on the sum — no locks, no allocation — so the serve loop can record
+//! on the hot path. Counts are monotone, which is exactly what the
+//! Prometheus exposition (`_bucket`/`_sum`/`_count`) requires of a
+//! live-scraped histogram.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -102,19 +96,10 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
-
-    /// Adds a snapshot's counts into this histogram (exact: the grids
-    /// are identical by construction).
-    pub fn absorb(&self, other: &HistogramSnapshot) {
-        for (b, &c) in self.buckets.iter().zip(&other.counts) {
-            b.fetch_add(c, Ordering::Relaxed);
-        }
-        self.sum.fetch_add(other.sum, Ordering::Relaxed);
-    }
 }
 
-/// A point-in-time copy of a [`Histogram`]: plain data, exact bucket-wise
-/// merge, quantile queries, and the cumulative view Prometheus needs.
+/// A point-in-time copy of a [`Histogram`]: plain data, quantile
+/// queries, and the cumulative view Prometheus needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts, aligned with [`bucket_bounds`] plus one
@@ -125,26 +110,9 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An all-zero snapshot (identity of [`Self::merge`]).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: vec![0; bucket_bounds().len() + 1],
-            sum: 0,
-        }
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Merges another snapshot in: exact bucket-wise addition (the grid
-    /// is shared, so no re-binning and no error).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.sum += other.sum;
     }
 
     /// The `q`-quantile (`0 < q <= 1`) as the upper bound of the bucket
@@ -214,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn record_quantile_and_merge() {
+    fn record_quantile_and_cumulative() {
         let h = Histogram::new();
         for v in 1..=1000u64 {
             h.record(v);
@@ -224,13 +192,7 @@ mod tests {
         assert_eq!(s.sum, 500_500);
         // The p50 of 1..=1000 is 500; its bucket upper bound is 512.
         assert_eq!(s.quantile(0.5), 512);
-        // Exact merge doubles every bucket.
-        let mut m = s.clone();
-        m.merge(&s);
-        assert_eq!(m.count(), 2000);
-        assert_eq!(m.sum, 1_001_000);
-        assert_eq!(m.quantile(0.5), s.quantile(0.5));
         // The +Inf cumulative entry carries the total.
-        assert_eq!(m.cumulative().last().unwrap(), &(None, 2000));
+        assert_eq!(s.cumulative().last().unwrap(), &(None, 1000));
     }
 }

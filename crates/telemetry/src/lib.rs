@@ -6,14 +6,11 @@
 //! ## The span log: where did *this run* spend its time
 //!
 //! Scoped RAII stage timers ([`span`]), monotonic [`counter`]s, and
-//! high-water-mark [`gauge_max`]es land in **per-thread buffers**, so
-//! threads record independently without any lock contention on the hot
-//! path (the verifier itself runs on one thread). A spawned thread calls
-//! [`set_thread_track`] (to label its Chrome-trace track) and
-//! [`flush_thread`] before it exits; the main thread's buffer is flushed
-//! implicitly by [`snapshot`]. A [`TelemetryReport`] is the merge of all
-//! flushed buffers — one measurement window ([`reset`] opens the next,
-//! which is what lets tests assert exact counts) — exported three ways:
+//! high-water-mark [`gauge_max`]es land in the **calling thread's log**
+//! (the verifier runs on one thread), so the hot path takes no lock.
+//! [`snapshot`] returns a copy of that log as a [`TelemetryReport`] —
+//! one measurement window ([`reset`] opens the next, which is what lets
+//! tests assert exact counts) — exported three ways:
 //!
 //! * [`TelemetryReport::summary_table`] — human-readable per-stage table
 //!   (what `yu verify -v` prints on stderr);
@@ -21,7 +18,7 @@
 //!   derived rates (apply- and fused-cache hit rates, KREDUCE reduction
 //!   ratio) for `--metrics-out`;
 //! * [`TelemetryReport::chrome_trace_json`] — Chrome trace-event JSON
-//!   (one track per thread) for `--trace-out`, loadable in
+//!   (one track, `main`) for `--trace-out`, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
 //! Off by default; it turns on when `YU_TRACE` or `YU_METRICS` is set
@@ -36,8 +33,8 @@
 //! Long-running deployments (`yu serve`) need the continuous view:
 //!
 //! * [`registry`]/[`MetricsRegistry`] — atomic [`Counter`]s, [`Gauge`]s,
-//!   and fixed-bucket log-scale [`Histogram`]s (lock-free record, exact
-//!   merge) accumulating over the whole process. The metric set is one
+//!   and fixed-bucket log-scale [`Histogram`]s (lock-free record)
+//!   accumulating over the whole process. The metric set is one
 //!   table in `registry.rs`; [`MetricsRegistry::descriptors`] lists it;
 //! * [`snapshot_prometheus`] — Prometheus text-format exposition of the
 //!   registry (what `yu serve --prom-out` writes after each request);
@@ -70,8 +67,8 @@ mod report;
 mod trace;
 
 pub use collector::{
-    counter, enabled, env_flag, flush_thread, gauge_max, reset, set_enabled, set_thread_track,
-    snapshot, span, span_detail, take_thread_log, Span, SpanEvent, ThreadLog,
+    counter, enabled, env_flag, gauge_max, reset, set_enabled, snapshot, span, span_detail, Span,
+    SpanEvent,
 };
 pub use events::{
     close_event_sink, emit_event, events_enabled, set_event_min_level, set_event_sink_file,

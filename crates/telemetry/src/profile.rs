@@ -1,10 +1,10 @@
-//! Span-tree attribution: folds the flushed span logs into a
-//! per-call-path table and a folded-stack export.
+//! Span-tree attribution: folds the span log into a per-call-path table
+//! and a folded-stack export.
 //!
 //! The summary table ([`crate::TelemetryReport::summary`]) aggregates
 //! spans by *name*, losing where a stage was called from — `aggregate`
-//! under `verify` and `aggregate` under `check.worker` land in one row.
-//! This module rebuilds each thread's call tree from the recorded
+//! under `verify` and `aggregate` under `explain` land in one row.
+//! This module rebuilds the call tree from the recorded
 //! `(start, duration, depth)` triples and attributes time to full call
 //! *paths* instead:
 //!
@@ -20,22 +20,24 @@
 //!
 //! Reconstruction uses only what the collector already records: spans
 //! sorted by start time nest by their recorded depth, so the enclosing
-//! stack at any point is the chain of still-open spans. A span whose
-//! parent never closed (snapshot taken mid-run) attaches to its
-//! thread's track root; every path is prefixed with the track label so
-//! worker threads stay distinguishable in the flamegraph.
+//! stack at any point is the chain of still-open spans. Every path is
+//! rooted at [`ROOT`]; a span whose parent never closed (snapshot taken
+//! mid-run) attaches to the root directly.
 
 use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use crate::collector::ThreadLog;
 use crate::report::TelemetryReport;
 
-/// Attribution of one distinct call path across all threads.
+/// The root frame of every call path: the name of the thread that
+/// records (the `yu` binary's main thread).
+pub(crate) const ROOT: &str = "main";
+
+/// Attribution of one distinct call path.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FrameRow {
-    /// Semicolon-joined call path, track label first
+    /// Semicolon-joined call path, rooted at `main`
     /// (`main;verify;aggregate`).
     pub stack: String,
     /// Number of spans recorded at this path.
@@ -48,7 +50,7 @@ pub struct FrameRow {
     pub self_us: u64,
 }
 
-/// A frame as used while rebuilding one thread's call tree.
+/// A frame as used while rebuilding the call tree.
 struct OpenFrame {
     path: String,
     dur_us: u64,
@@ -68,20 +70,14 @@ fn frame_name(name: &str, detail: Option<&String>) -> String {
     frame
 }
 
-/// Rebuilds one thread's call tree and returns `(path, total, self)`
-/// per span, in close order.
-fn thread_frames(t: &ThreadLog) -> Vec<(String, u64, u64)> {
-    let mut spans: Vec<_> = t.spans.iter().collect();
+/// Rebuilds the call tree and returns `(path, total, self)` per span,
+/// in close order.
+fn frames(report: &TelemetryReport) -> Vec<(String, u64, u64)> {
+    let mut spans: Vec<_> = report.spans.iter().collect();
     // Start order visits parents before their children (a parent opens
     // no later than anything it encloses; ties break toward the
     // shallower span).
     spans.sort_by_key(|s| (s.start_us, s.depth));
-    let root = if t.track.is_empty() {
-        "thread"
-    } else {
-        t.track.as_str()
-    };
-    let root = frame_name(root, None);
     let mut out = Vec::new();
     let mut stack: Vec<OpenFrame> = Vec::new();
     let close = |stack: &mut Vec<OpenFrame>, out: &mut Vec<(String, u64, u64)>| {
@@ -102,7 +98,7 @@ fn thread_frames(t: &ThreadLog) -> Vec<(String, u64, u64)> {
         let frame = frame_name(s.name, s.detail.as_ref());
         let path = match stack.last() {
             Some(parent) => format!("{};{}", parent.path, frame),
-            None => format!("{root};{frame}"),
+            None => format!("{ROOT};{frame}"),
         };
         stack.push(OpenFrame {
             path,
@@ -119,19 +115,17 @@ fn thread_frames(t: &ThreadLog) -> Vec<(String, u64, u64)> {
 
 impl TelemetryReport {
     /// Attributes recorded time to full call paths: one [`FrameRow`]
-    /// per distinct path across all threads, sorted by descending self
+    /// per distinct path, sorted by descending self
     /// time (ties on path). The self times of all rows sum to the total
     /// recorded span time, so the table is a complete attribution of
     /// where the run went.
     pub fn span_attribution(&self) -> Vec<FrameRow> {
         let mut agg: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-        for t in &self.threads {
-            for (path, total, selfv) in thread_frames(t) {
-                let e = agg.entry(path).or_insert((0, 0, 0));
-                e.0 += 1;
-                e.1 += total;
-                e.2 += selfv;
-            }
+        for (path, total, selfv) in frames(self) {
+            let e = agg.entry(path).or_insert((0, 0, 0));
+            e.0 += 1;
+            e.1 += total;
+            e.2 += selfv;
         }
         let mut rows: Vec<FrameRow> = agg
             .into_iter()
@@ -153,10 +147,8 @@ impl TelemetryReport {
     /// children) and cost the flamegraph nothing.
     pub fn folded_stacks(&self) -> String {
         let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-        for t in &self.threads {
-            for (path, _, selfv) in thread_frames(t) {
-                *agg.entry(path).or_insert(0) += selfv;
-            }
+        for (path, _, selfv) in frames(self) {
+            *agg.entry(path).or_insert(0) += selfv;
         }
         let mut out = String::new();
         for (path, selfv) in agg {
@@ -184,9 +176,8 @@ mod tests {
         }
     }
 
-    fn log(track: &str, spans: Vec<SpanEvent>) -> ThreadLog {
-        ThreadLog {
-            track: track.to_string(),
+    fn log(spans: Vec<SpanEvent>) -> TelemetryReport {
+        TelemetryReport {
             spans,
             ..Default::default()
         }
@@ -195,16 +186,11 @@ mod tests {
     #[test]
     fn nested_spans_fold_into_paths_with_self_time() {
         // verify [0,100) contains aggregate [10,40) and aggregate [50,90).
-        let report = TelemetryReport {
-            threads: vec![log(
-                "main",
-                vec![
-                    ev("aggregate", 10, 30, 1),
-                    ev("aggregate", 50, 40, 1),
-                    ev("verify", 0, 100, 0),
-                ],
-            )],
-        };
+        let report = log(vec![
+            ev("aggregate", 10, 30, 1),
+            ev("aggregate", 50, 40, 1),
+            ev("verify", 0, 100, 0),
+        ]);
         let rows = report.span_attribution();
         let by_stack: BTreeMap<&str, &FrameRow> =
             rows.iter().map(|r| (r.stack.as_str(), r)).collect();
@@ -224,24 +210,16 @@ mod tests {
 
     #[test]
     fn folded_output_is_flamegraph_shaped() {
-        let report = TelemetryReport {
-            threads: vec![
-                log("main", vec![ev("exec", 0, 10, 0)]),
-                log(
-                    "worker-0",
-                    vec![ev("aggregate", 1, 5, 1), ev("check.worker", 0, 8, 0)],
-                ),
-            ],
-        };
+        let report = log(vec![
+            ev("exec", 0, 10, 0),
+            ev("aggregate", 11, 5, 1),
+            ev("verify", 10, 8, 0),
+        ]);
         let folded = report.folded_stacks();
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(
             lines,
-            vec![
-                "main;exec 10",
-                "worker-0;check.worker 3",
-                "worker-0;check.worker;aggregate 5",
-            ]
+            vec!["main;exec 10", "main;verify 3", "main;verify;aggregate 5"]
         );
         // Every line: frames then one numeric field after the last space.
         for l in lines {
@@ -251,11 +229,9 @@ mod tests {
     }
 
     #[test]
-    fn orphan_spans_attach_to_the_track_root() {
+    fn orphan_spans_attach_to_the_root() {
         // Depth-2 span whose ancestors never closed (mid-run snapshot).
-        let report = TelemetryReport {
-            threads: vec![log("main", vec![ev("aggregate", 5, 7, 2)])],
-        };
+        let report = log(vec![ev("aggregate", 5, 7, 2)]);
         let rows = report.span_attribution();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].stack, "main;aggregate");
@@ -271,19 +247,13 @@ mod tests {
             dur_us: 3,
             depth: 0,
         }];
-        let report = TelemetryReport {
-            threads: vec![log("main", spans)],
-        };
-        let folded = report.folded_stacks();
+        let folded = log(spans).folded_stacks();
         assert_eq!(folded, "main;aggregate(Link(a_b_c)) 3\n");
     }
 
     #[test]
     fn sibling_spans_at_equal_depth_do_not_nest() {
-        let report = TelemetryReport {
-            threads: vec![log("main", vec![ev("a", 0, 4, 0), ev("b", 4, 6, 0)])],
-        };
-        let folded = report.folded_stacks();
+        let folded = log(vec![ev("a", 0, 4, 0), ev("b", 4, 6, 0)]).folded_stacks();
         assert_eq!(folded, "main;a 4\nmain;b 6\n");
     }
 }

@@ -3,7 +3,7 @@
 //! long-running deployments (`yu serve`).
 //!
 //! The span collector answers "where did *this run* spend its time" —
-//! thread-local spans and counters flushed into a one-shot report. A
+//! the calling thread's spans and counters, copied out as a report. A
 //! daemon needs the complementary view: monotone process-lifetime totals,
 //! current-state gauges, and latency distributions that survive across
 //! requests. That is this registry. The metric set is **closed** — the

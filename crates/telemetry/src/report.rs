@@ -1,15 +1,14 @@
-//! Aggregation and export of flushed telemetry: per-stage statistics,
+//! Aggregation and export of the span log: per-stage statistics,
 //! derived cache rates, the stderr summary table, and metrics JSON.
 
 use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use crate::collector::ThreadLog;
+use crate::collector::SpanEvent;
 use crate::registry::Counter;
 
-/// Aggregate statistics for one stage (all spans sharing a name, across
-/// every thread).
+/// Aggregate statistics for one stage (all spans sharing a name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct StageAgg {
     /// Number of spans recorded for this stage.
@@ -55,9 +54,9 @@ pub struct StageSummary {
 pub struct TelemetrySummary {
     /// Per-stage timing rows, sorted by descending total time.
     pub stages: Vec<StageSummary>,
-    /// Counter totals summed across all threads.
+    /// Counter totals.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge high-water marks maxed across all threads.
+    /// Gauge high-water marks.
     pub gauges: BTreeMap<String, u64>,
     /// Rates computed from the counters (all in `[0, 1]`):
     /// `apply_cache_hit_rate` = hits / (hits + misses) of the MTBDD apply
@@ -68,59 +67,54 @@ pub struct TelemetrySummary {
     pub derived: BTreeMap<String, f64>,
 }
 
-/// All telemetry flushed so far: one [`ThreadLog`] per flushed thread.
+/// One thread's span log: completed spans and counter/gauge totals.
 /// Obtained from [`crate::snapshot`]; exported via the methods here.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
-    /// Per-thread logs in flush order.
-    pub threads: Vec<ThreadLog>,
+    /// Completed spans in completion order.
+    pub spans: Vec<SpanEvent>,
+    /// Monotonic counter totals.
+    pub counters: BTreeMap<&'static str, u64>,
+    /// High-water-mark gauges.
+    pub gauges: BTreeMap<&'static str, u64>,
 }
 
 impl TelemetryReport {
     /// True when nothing was recorded (e.g. telemetry was disabled).
     pub fn is_empty(&self) -> bool {
-        self.threads.is_empty()
+        self.spans.is_empty() && self.counters.is_empty() && self.gauges.is_empty()
     }
 
-    /// Aggregates spans by stage name across all threads.
+    /// Aggregates spans by stage name.
     pub fn stage_aggs(&self) -> BTreeMap<&'static str, StageAgg> {
         let mut aggs: BTreeMap<&'static str, StageAgg> = BTreeMap::new();
-        for t in &self.threads {
-            for s in &t.spans {
-                aggs.entry(s.name)
-                    .or_insert(StageAgg {
-                        count: 0,
-                        total_us: 0,
-                        min_us: u64::MAX,
-                        max_us: 0,
-                    })
-                    .absorb(s.dur_us);
-            }
+        for s in &self.spans {
+            aggs.entry(s.name)
+                .or_insert(StageAgg {
+                    count: 0,
+                    total_us: 0,
+                    min_us: u64::MAX,
+                    max_us: 0,
+                })
+                .absorb(s.dur_us);
         }
         aggs
     }
 
-    /// Counter totals summed across all threads.
+    /// Counter totals.
     pub fn counter_totals(&self) -> BTreeMap<String, u64> {
-        let mut out: BTreeMap<String, u64> = BTreeMap::new();
-        for t in &self.threads {
-            for (&k, &v) in &t.counters {
-                *out.entry(k.to_string()).or_insert(0) += v;
-            }
-        }
-        out
+        self.counters
+            .iter()
+            .map(|(&k, &v)| (k.to_string(), v))
+            .collect()
     }
 
-    /// Gauge high-water marks maxed across all threads.
+    /// Gauge high-water marks.
     pub fn gauge_maxes(&self) -> BTreeMap<String, u64> {
-        let mut out: BTreeMap<String, u64> = BTreeMap::new();
-        for t in &self.threads {
-            for (&k, &v) in &t.gauges {
-                let g = out.entry(k.to_string()).or_insert(0);
-                *g = (*g).max(v);
-            }
-        }
-        out
+        self.gauges
+            .iter()
+            .map(|(&k, &v)| (k.to_string(), v))
+            .collect()
     }
 
     /// Builds the exportable digest: stages sorted by descending total

@@ -3,19 +3,20 @@
 
 use serde::{Map, Value};
 
+use crate::profile::ROOT;
 use crate::registry::MetricKind;
 use crate::report::TelemetryReport;
 
 impl TelemetryReport {
     /// Renders the report as Chrome trace-event JSON (the `traceEvents`
     /// object format): a process-name (`"M"`) metadata event, one
-    /// complete (`"X"`) event per span, one thread-name (`"M"`)
-    /// metadata event per thread (so each flushed thread appears as its
-    /// own named track), and — when the metrics registry is recording —
-    /// one counter (`"C"`) event per non-empty registry histogram, so
-    /// the latency distributions show up as self-described counter
-    /// tracks alongside the spans in Perfetto. Timestamps/durations are
-    /// microseconds from the shared process epoch. Written by
+    /// thread-name (`"M"`) metadata event naming the one track `main`,
+    /// one complete (`"X"`) event per span on that track, and — when the
+    /// metrics registry is recording — one counter (`"C"`) event per
+    /// non-empty registry histogram, so the latency distributions show
+    /// up as self-described counter tracks alongside the spans in
+    /// Perfetto. Timestamps/durations are microseconds from the process
+    /// epoch. Written by
     /// `yu verify --trace-out FILE`.
     pub fn chrome_trace_json(&self) -> String {
         let mut events: Vec<Value> = Vec::new();
@@ -28,43 +29,38 @@ impl TelemetryReport {
         args.insert("name", Value::Str("yu".into()));
         process.insert("args", Value::Map(args));
         events.push(Value::Map(process));
-        for (tid, t) in self.threads.iter().enumerate() {
-            let tid = tid as i128 + 1;
-            let mut meta = Map::new();
-            meta.insert("ph", Value::Str("M".into()));
-            meta.insert("name", Value::Str("thread_name".into()));
-            meta.insert("pid", Value::Int(1));
-            meta.insert("tid", Value::Int(tid));
+        let mut meta = Map::new();
+        meta.insert("ph", Value::Str("M".into()));
+        meta.insert("name", Value::Str("thread_name".into()));
+        meta.insert("pid", Value::Int(1));
+        meta.insert("tid", Value::Int(1));
+        let mut args = Map::new();
+        args.insert("name", Value::Str(ROOT.into()));
+        meta.insert("args", Value::Map(args));
+        events.push(Value::Map(meta));
+        for s in &self.spans {
+            let mut ev = Map::new();
+            ev.insert("ph", Value::Str("X".into()));
+            ev.insert("name", Value::Str(s.name.to_string()));
+            ev.insert("cat", Value::Str("yu".into()));
+            ev.insert("pid", Value::Int(1));
+            ev.insert("tid", Value::Int(1));
+            ev.insert("ts", Value::Int(s.start_us as i128));
+            ev.insert("dur", Value::Int(s.dur_us as i128));
             let mut args = Map::new();
-            args.insert("name", Value::Str(t.track.clone()));
-            meta.insert("args", Value::Map(args));
-            events.push(Value::Map(meta));
-
-            for s in &t.spans {
-                let mut ev = Map::new();
-                ev.insert("ph", Value::Str("X".into()));
-                ev.insert("name", Value::Str(s.name.to_string()));
-                ev.insert("cat", Value::Str("yu".into()));
-                ev.insert("pid", Value::Int(1));
-                ev.insert("tid", Value::Int(tid));
-                ev.insert("ts", Value::Int(s.start_us as i128));
-                ev.insert("dur", Value::Int(s.dur_us as i128));
-                let mut args = Map::new();
-                args.insert("depth", Value::Int(s.depth as i128));
-                if let Some(detail) = &s.detail {
-                    args.insert("detail", Value::Str(detail.clone()));
-                }
-                ev.insert("args", Value::Map(args));
-                events.push(Value::Map(ev));
+            args.insert("depth", Value::Int(s.depth as i128));
+            if let Some(detail) = &s.detail {
+                args.insert("detail", Value::Str(detail.clone()));
             }
+            ev.insert("args", Value::Map(args));
+            events.push(Value::Map(ev));
         }
         // Registry histograms as counter tracks, stamped at the end of
         // the recorded timeline so they read as "state after the run".
         if crate::registry_enabled() {
             let end_ts = self
-                .threads
+                .spans
                 .iter()
-                .flat_map(|t| t.spans.iter())
                 .map(|s| s.start_us + s.dur_us)
                 .max()
                 .unwrap_or(0);

@@ -1,19 +1,15 @@
 //! Property and schema tests for the telemetry collector and exporters.
 //!
-//! Tests that record through the collector use per-thread isolation
-//! (`take_thread_log`) for their logs; only
-//! `flush_snapshot_reset_lifecycle` touches the global flushed-log
-//! registry. The enable flag is process-global all the same, so every
-//! test that sets it — or records while relying on it — holds
-//! [`enabled_flag`] for as long as it does.
+//! The span log is the calling thread's own, so each test reads and
+//! resets only what its harness thread recorded. The enable flag is
+//! process-global all the same, so every test that sets it — or records
+//! while relying on it — holds [`enabled_flag`] for as long as it does.
 
-use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use yu_telemetry::{
-    counter, gauge_max, set_enabled, set_thread_track, span, take_thread_log, SpanEvent,
-    TelemetryReport, ThreadLog,
+    counter, gauge_max, reset, set_enabled, snapshot, span, SpanEvent, TelemetryReport,
 };
 
 /// Serialises the tests of this binary that flip the process-global
@@ -29,10 +25,10 @@ fn enabled_flag() -> MutexGuard<'static, ()> {
 /// Runs a stack program of open (`true`) / close (`false`) ops with real
 /// RAII spans, returning the recorded log plus the expected
 /// (completion-order, depth) sequence.
-fn run_stack_program(ops: &[bool]) -> (ThreadLog, Vec<u32>) {
+fn run_stack_program(ops: &[bool]) -> (TelemetryReport, Vec<u32>) {
     let _flag = enabled_flag();
     set_enabled(true);
-    let _ = take_thread_log(); // drop any residue from this harness thread
+    reset(); // drop any residue from this harness thread
     let mut stack: Vec<yu_telemetry::Span> = Vec::new();
     let mut expected_depths = Vec::new();
     for &open in ops {
@@ -48,7 +44,7 @@ fn run_stack_program(ops: &[bool]) -> (ThreadLog, Vec<u32>) {
     while let Some(_s) = stack.pop() {
         expected_depths.push(stack.len() as u32);
     }
-    (take_thread_log(), expected_depths)
+    (snapshot(), expected_depths)
 }
 
 proptest! {
@@ -85,49 +81,6 @@ proptest! {
         }
     }
 
-    /// Counter/gauge merge across threads: totals are sums, gauges are
-    /// maxima, regardless of how increments are split across threads.
-    #[test]
-    fn merge_sums_counters_and_maxes_gauges(
-        incs in proptest::collection::vec((0u32..4, 0u64..1000), 0..60),
-        nthreads in 1usize..5,
-    ) {
-        const NAMES: [&str; 4] = ["c.a", "c.b", "g.a", "g.b"];
-        // Reference fold over all increments, ignoring thread split.
-        let mut want_counters: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut want_gauges: BTreeMap<&str, u64> = BTreeMap::new();
-        // Per-thread logs built the way worker threads build them.
-        let mut threads: Vec<ThreadLog> = (0..nthreads)
-            .map(|i| ThreadLog {
-                track: format!("worker-{i}"),
-                ..ThreadLog::default()
-            })
-            .collect();
-        for (i, &(which, v)) in incs.iter().enumerate() {
-            let name = NAMES[which as usize];
-            let t = &mut threads[i % nthreads];
-            if name.starts_with("c.") {
-                *want_counters.entry(name).or_insert(0) += v;
-                *t.counters.entry(name).or_insert(0) += v;
-            } else {
-                let w = want_gauges.entry(name).or_insert(0);
-                *w = (*w).max(v);
-                let g = t.gauges.entry(name).or_insert(0);
-                *g = (*g).max(v);
-            }
-        }
-        let report = TelemetryReport { threads };
-        let got_counters = report.counter_totals();
-        let got_gauges = report.gauge_maxes();
-        for (k, v) in &want_counters {
-            prop_assert_eq!(got_counters.get(*k).copied().unwrap_or(0), *v);
-        }
-        for (k, v) in &want_gauges {
-            prop_assert_eq!(got_gauges.get(*k).copied().unwrap_or(0), *v);
-        }
-        prop_assert_eq!(got_counters.values().sum::<u64>(), want_counters.values().sum::<u64>());
-    }
-
     /// Stage aggregation: count/total/min/max over synthetic spans match
     /// a direct fold.
     #[test]
@@ -143,9 +96,7 @@ proptest! {
                 depth: 0,
             })
             .collect();
-        let report = TelemetryReport {
-            threads: vec![ThreadLog { track: "main".into(), spans, ..ThreadLog::default() }],
-        };
+        let report = TelemetryReport { spans, ..TelemetryReport::default() };
         let aggs = report.stage_aggs();
         for name in ["even", "odd"] {
             let want: Vec<u64> = durs
@@ -167,32 +118,22 @@ proptest! {
     }
 }
 
-/// Records on real spawned threads, exports Chrome trace JSON, and
-/// validates the trace-event schema with the JSON parser.
+/// Records on the harness thread, exports Chrome trace JSON, and
+/// validates the trace-event schema with the JSON parser: one named
+/// track, `main`, carrying every span.
 #[test]
 fn chrome_trace_schema_is_valid() {
     let _flag = enabled_flag();
     set_enabled(true);
-    let mut threads: Vec<ThreadLog> = Vec::new();
-    let handles: Vec<_> = (0..3)
-        .map(|w| {
-            std::thread::spawn(move || {
-                set_thread_track(format!("worker-{w}"));
-                {
-                    let _outer = span("check.worker");
-                    let _inner = span("aggregate");
-                    counter("flows", 1 + w);
-                    gauge_max("peak", 100 * (w + 1));
-                }
-                take_thread_log()
-            })
-        })
-        .collect();
-    for h in handles {
-        threads.push(h.join().expect("worker panicked"));
+    reset();
+    for w in 0..3 {
+        let _outer = span("verify");
+        let _inner = span("aggregate");
+        counter("flows", 1 + w);
+        gauge_max("peak", 100 * (w + 1));
     }
-    let report = TelemetryReport { threads };
-    let json = report.chrome_trace_json();
+    let json = snapshot().chrome_trace_json();
+    reset();
 
     let v: serde::Value = serde_json::from_str(&json).expect("trace output must be valid JSON");
     let root = v.as_object().expect("trace root is an object");
@@ -201,18 +142,16 @@ fn chrome_trace_schema_is_valid() {
         .and_then(|e| e.as_array())
         .expect("traceEvents is an array");
 
-    let mut tracks = std::collections::BTreeSet::new();
-    let mut metadata_names = std::collections::BTreeSet::new();
-    let mut complete_events = 0;
+    let mut thread_names = Vec::new();
+    let mut span_tids = Vec::new();
     for ev in events {
         let ev = ev.as_object().expect("every event is an object");
         let ph = ev.get("ph").and_then(|p| p.as_str()).expect("ph present");
         let tid = match ev.get("tid") {
-            Some(serde::Value::Int(t)) => t,
+            Some(serde::Value::Int(t)) => *t,
             other => panic!("tid must be an integer, got {other:?}"),
         };
         assert!(ev.get("pid").is_some(), "pid present");
-        tracks.insert(tid);
         match ph {
             "M" => {
                 let kind = ev
@@ -230,13 +169,13 @@ fn chrome_trace_schema_is_valid() {
                     .and_then(|n| n.as_str())
                     .expect("name metadata carries args.name");
                 if kind == "thread_name" {
-                    metadata_names.insert(label.to_string());
+                    thread_names.push((tid, label.to_string()));
                 } else {
                     assert_eq!(label, "yu");
                 }
             }
             "X" => {
-                complete_events += 1;
+                span_tids.push(tid);
                 assert!(ev.get("name").and_then(|n| n.as_str()).is_some());
                 for field in ["ts", "dur"] {
                     match ev.get(field) {
@@ -256,18 +195,20 @@ fn chrome_trace_schema_is_valid() {
             other => panic!("unexpected event phase {other:?}"),
         }
     }
-    // tid 0 is the process/counter pseudo-track; workers are 1..=3.
-    assert!(
-        tracks.len() == 3 || tracks.len() == 4,
-        "one track per worker thread (plus the process pseudo-track)"
+    // Exactly one named track, `main`; tid 0 is the process/counter
+    // pseudo-track.
+    assert_eq!(
+        thread_names.len(),
+        1,
+        "one thread_name event: {thread_names:?}"
     );
-    assert_eq!(complete_events, 6, "two spans per worker");
-    for w in 0..3 {
-        assert!(
-            metadata_names.contains(&format!("worker-{w}")),
-            "missing thread_name metadata for worker-{w}"
-        );
-    }
+    let (main_tid, name) = &thread_names[0];
+    assert_eq!(name, "main");
+    assert_eq!(span_tids.len(), 6, "two spans per iteration");
+    assert!(
+        span_tids.iter().all(|t| t == main_tid),
+        "every span is on the main track: {span_tids:?}"
+    );
 }
 
 /// Disabled telemetry records nothing, and re-enabling works.
@@ -275,46 +216,39 @@ fn chrome_trace_schema_is_valid() {
 fn disabled_records_nothing() {
     let _flag = enabled_flag();
     set_enabled(false);
-    let _ = take_thread_log();
+    reset();
     {
         let _s = span("ghost");
         counter("ghost", 7);
         gauge_max("ghost", 7);
     }
-    let log = take_thread_log();
-    assert!(log.spans.is_empty() && log.counters.is_empty() && log.gauges.is_empty());
+    assert!(snapshot().is_empty());
     set_enabled(true);
     {
         let _s = span("real");
     }
-    let log = take_thread_log();
+    let log = snapshot();
+    reset();
     assert_eq!(log.spans.len(), 1);
     assert_eq!(log.spans[0].name, "real");
 }
 
-/// The one test allowed to touch the global registry: flush from a
-/// worker, snapshot from the main thread, then reset.
+/// A snapshot is cumulative until `reset`, and the summary table and
+/// metrics JSON render with derived rates.
 #[test]
-fn flush_snapshot_reset_lifecycle() {
+fn snapshot_reset_lifecycle() {
     let _flag = enabled_flag();
     set_enabled(true);
-    yu_telemetry::reset();
-    std::thread::spawn(|| {
-        set_thread_track("worker-0".to_string());
-        let _s = span("check.worker");
-        drop(_s);
-        yu_telemetry::flush_thread();
-    })
-    .join()
-    .expect("worker panicked");
-
+    reset();
+    {
+        let _s = span("exec");
+    }
+    assert!(snapshot().stage_aggs().contains_key("exec"));
     {
         let _s = span("verify");
     }
-    let report = yu_telemetry::snapshot();
-    let tracks: Vec<&str> = report.threads.iter().map(|t| t.track.as_str()).collect();
-    assert!(tracks.contains(&"worker-0"), "tracks: {tracks:?}");
-    assert!(report.stage_aggs().contains_key("check.worker"));
+    let report = snapshot();
+    assert!(report.stage_aggs().contains_key("exec"), "cumulative");
     assert!(report.stage_aggs().contains_key("verify"));
 
     // Summary table + metrics JSON render and carry derived rates,
@@ -322,10 +256,10 @@ fn flush_snapshot_reset_lifecycle() {
     let reg = yu_telemetry::MetricsRegistry::default();
     reg.mtbdd_apply_cache_hits_total.add(3);
     reg.mtbdd_apply_cache_misses_total.add(1);
-    let report = yu_telemetry::snapshot();
+    let report = snapshot();
     let summary = report.summary();
     assert!((summary.derived["apply_cache_hit_rate"] - 0.75).abs() < 1e-9);
-    assert!(report.summary_table().contains("check.worker"));
+    assert!(report.summary_table().contains("verify"));
     let metrics: serde::Value =
         serde_json::from_str(&report.metrics_json()).expect("metrics JSON parses");
     assert!(metrics
@@ -335,6 +269,58 @@ fn flush_snapshot_reset_lifecycle() {
         .and_then(|d| d.get("apply_cache_hit_rate"))
         .is_some());
 
-    yu_telemetry::reset();
-    assert!(yu_telemetry::snapshot().is_empty());
+    reset();
+    assert!(snapshot().is_empty());
+}
+
+/// Each thread reads and resets only its own window: what a spawned
+/// thread records never shows up in the caller's snapshot, and a reset
+/// on either thread leaves the other's log intact.
+#[test]
+fn snapshot_is_the_calling_threads_window() {
+    let _flag = enabled_flag();
+    set_enabled(true);
+    reset();
+    {
+        let _s = span("caller");
+    }
+    let (before, after) = std::thread::scope(|scope| {
+        let (to_caller, from_spawned) = std::sync::mpsc::channel();
+        let (to_spawned, from_caller) = std::sync::mpsc::channel();
+        let spawned = scope.spawn(move || {
+            {
+                let _s = span("spawned");
+            }
+            counter("spawned.count", 3);
+            to_caller.send(snapshot()).unwrap();
+            from_caller.recv().unwrap();
+            let after_caller_reset = snapshot();
+            reset();
+            after_caller_reset
+        });
+        let before = from_spawned.recv().unwrap();
+        let mine = snapshot();
+        assert!(mine.stage_aggs().contains_key("caller"));
+        assert!(
+            !mine.stage_aggs().contains_key("spawned") && mine.counter_totals().is_empty(),
+            "the caller's window holds a spawned thread's records: {mine:?}"
+        );
+        reset();
+        {
+            let _s = span("caller.again");
+        }
+        to_spawned.send(()).unwrap();
+        (before, spawned.join().expect("spawned thread panicked"))
+    });
+    // The spawned thread's window survived the caller's reset...
+    for log in [&before, &after] {
+        assert!(log.stage_aggs().contains_key("spawned"));
+        assert!(!log.stage_aggs().contains_key("caller"));
+        assert_eq!(log.counter_totals().get("spawned.count"), Some(&3));
+    }
+    // ...and the caller's survived the spawned thread's.
+    let mine = snapshot();
+    reset();
+    let names: Vec<&str> = mine.stage_aggs().into_keys().collect();
+    assert_eq!(names, ["caller.again"]);
 }

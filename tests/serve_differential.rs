@@ -368,8 +368,8 @@ fn ft4_edit_script_matches_scratch_across_collections() {
 /// The headline acceptance criterion: on a fattree m=8, a single
 /// link-cost edit through the diff path recomputes strictly fewer flow
 /// groups than a scratch run executes, and the `delta.reused_groups`
-/// telemetry counter is positive — incremental re-verification provably
-/// reuses work.
+/// telemetry counter records exactly the reused groups — incremental
+/// re-verification provably reuses work.
 #[test]
 fn fattree_m8_cost_edit_reuses_groups() {
     let (ft, flows) = fattree_with_flows(8, 1);
@@ -386,6 +386,8 @@ fn fattree_m8_cost_edit_reuses_groups() {
     );
     let total = inc.verify().stats.flow_groups;
     assert!(total > 0);
+    // The span log is this thread's own: one window, one `apply`.
+    yu::telemetry::reset();
     yu::telemetry::set_enabled(true);
     let first = ft.net.topo.links().next().unwrap();
     let (from, to) = link_names(&ft.net, first);
@@ -405,9 +407,11 @@ fn fattree_m8_cost_edit_reuses_groups() {
         "incremental run recomputed every group: {delta:?}"
     );
     let counters = yu::telemetry::snapshot().counter_totals();
-    assert!(
-        counters.get("delta.reused_groups").copied().unwrap_or(0) > 0,
-        "telemetry counter delta.reused_groups not recorded: {counters:?}"
+    yu::telemetry::reset();
+    assert_eq!(
+        counters.get("delta.reused_groups").copied(),
+        Some(delta.reused_groups as u64),
+        "telemetry counter delta.reused_groups disagrees with {delta:?}"
     );
     // And the incremental verdict still matches scratch.
     assert_matches_scratch("fattree-m8 cost edit", &mut inc, &out);
