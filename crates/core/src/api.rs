@@ -541,14 +541,6 @@ impl YuVerifier {
         yu_telemetry::enabled().then(|| yu_telemetry::snapshot().summary())
     }
 
-    /// Enumerates every violating `≤ k` scenario for one requirement (up
-    /// to `limit`), not just the first counterexample.
-    pub fn enumerate_violations(&mut self, req: &yu_net::TlpReq, limit: usize) -> Vec<Violation> {
-        let tau = self.load_mtbdd(req.point);
-        let k = self.opts.k;
-        crate::verify::enumerate_violations(&mut self.m, &self.fv, tau, req, k, limit)
-    }
-
     /// Convenience: verifies "no directed link exceeds `fraction` of its
     /// capacity".
     pub fn verify_no_overload(&mut self, fraction: Ratio) -> VerificationOutcome {

@@ -95,7 +95,7 @@ impl IncrementalVerifier {
         opts.record_route_deps = true;
         let mut v = YuVerifier::new(net, opts);
         v.add_flows(&flows);
-        let groups = v.flow_results().count();
+        let groups = v.groups.len();
         IncrementalVerifier {
             v,
             flows,
@@ -214,7 +214,7 @@ impl IncrementalVerifier {
         let opts = self.v.options();
         let mut v = YuVerifier::new(net, opts);
         v.add_flows(&flows);
-        self.last_delta.recomputed_groups = v.flow_results().count();
+        self.last_delta.recomputed_groups = v.groups.len();
         self.last_delta.full_rebuild = true;
         self.v = v;
         self.flows = flows;

@@ -497,7 +497,7 @@ impl<'a> Exec<'a> {
 /// `s_r = g_r ∧ ¬(any rule of a strictly preferred class present)`.
 /// With `multipath` disabled, BGP rules within one class additionally
 /// block lower-tie rules.
-pub fn selection_guards(m: &mut Mtbdd, rules: &[Rule], multipath: bool) -> Vec<NodeRef> {
+pub(crate) fn selection_guards(m: &mut Mtbdd, rules: &[Rule], multipath: bool) -> Vec<NodeRef> {
     let mut out = vec![m.zero(); rules.len()];
     let mut better = m.zero();
     for class in class_partition(rules) {

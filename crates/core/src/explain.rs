@@ -14,39 +14,31 @@
 //!    failures (Lemma 1), while every counterexample path decodes to such
 //!    a scenario (Lemma 2), the per-flow contributions sum *Ratio-exactly*
 //!    to the violating load.
-//! 2. **Rerouted-path reconstruction** — the flow's per-hop symbolic
-//!    forwarding is walked concretely under the scenario (evaluating each
-//!    FIB selection guard, ECMP denominator, SR tunnel guard, and `V^IGP`
-//!    share under the fixed assignment), recovering the exact packet
-//!    paths before vs. after the failures plus an added/removed link diff
-//!    and an optional Graphviz overlay ([`explanation_dot`]).
-//! 3. **Concrete replay cross-check** — the single counterexample
-//!    scenario is re-simulated with the independent enumerative engine
-//!    ([`yu_routing::ConcreteRoutes`], the same simulator behind the
-//!    Jingubang baseline) and the loads compared bit-exactly, so every
-//!    explanation doubles as a differential test of the symbolic
-//!    pipeline.
+//! 2. **Rerouted-path reconstruction** — the flow's packet paths before
+//!    vs. after the failures, listed by the independent concrete
+//!    simulator ([`yu_routing::ConcreteRoutes::forward_paths`], the
+//!    depth-first driver of the per-hop function behind its per-link
+//!    fractions too), plus an added/removed link diff and an optional
+//!    Graphviz overlay ([`explanation_dot`]).
+//! 3. **Concrete replay cross-check** — the same simulator's routes for
+//!    the counterexample scenario ([`yu_routing::ConcreteRoutes`], the
+//!    engine behind the Jingubang baseline) recompute the load, compared
+//!    bit-exactly, so every explanation doubles as a differential test of
+//!    the symbolic pipeline.
 //! 4. **Load envelope** — min/max reachable terminals of the reduced
 //!    load ([`Mtbdd::terminal_range`]) plus the exact number of violating
 //!    `≤ k` scenarios ([`Mtbdd::count_scenarios`]), showing how close the
 //!    point sits to its bound.
 
 use crate::api::YuVerifier;
-use crate::exec::selection_guards;
 use crate::verify::Violation;
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
-use yu_net::{
-    FailureVars, Flow, Ipv4, LinkId, LoadPoint, Network, RouterId, Scenario, Tlp, TlpReq, Topology,
-};
-use yu_routing::{ConcreteRoutes, NextHop, SymbolicRoutes};
-
-/// Cap on the number of concrete paths reconstructed per flow and
-/// scenario (ECMP fan-out is exponential in the worst case; forensics
-/// reports stay readable).
-pub const MAX_TRACED_PATHS: usize = 64;
+use yu_net::{FailureVars, Flow, LinkId, LoadPoint, RouterId, Scenario, TlpReq, Topology};
+use yu_routing::ConcreteRoutes;
+pub use yu_routing::{PathOutcome, TracedPath, MAX_TRACED_PATHS};
 
 /// One flow group's share of a violating load.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -68,31 +60,6 @@ pub struct FlowBlame {
     /// `contribution − baseline`: how much the failures shifted onto
     /// (positive) or away from (negative) the point.
     pub delta: Ratio,
-}
-
-/// Where one reconstructed packet path ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum PathOutcome {
-    /// Delivered locally at a router.
-    Delivered(RouterId),
-    /// Dropped at a router (Null0, no route, dead tunnels, ...).
-    Dropped(RouterId),
-    /// Still in flight at the TTL bound.
-    Truncated,
-}
-
-/// One concrete packet path of a flow under a fixed scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct TracedPath {
-    /// Routers visited, ingress first.
-    pub hops: Vec<RouterId>,
-    /// Directed links traversed (one fewer than `hops` unless truncated
-    /// mid-hop).
-    pub links: Vec<LinkId>,
-    /// Fraction of the flow on this path (ECMP/weighted splits).
-    pub fraction: Ratio,
-    /// How the path ends.
-    pub outcome: PathOutcome,
 }
 
 /// Before/after packet paths of one flow across the failure.
@@ -358,29 +325,18 @@ impl YuVerifier {
         drop(blame_span);
         yu_telemetry::counter("explain.flows_blamed", blame.len() as u64);
 
-        // Rerouted-path reconstruction for every blamed flow.
+        // Rerouted-path reconstruction for every blamed flow: the
+        // concrete simulator lists its paths with no failures and under
+        // the counterexample scenario.
         let paths_span = yu_telemetry::span("explain.paths");
+        let max_hops = self.opts.max_hops;
+        let before_routes = ConcreteRoutes::compute(&self.net, &none);
+        let after_routes = ConcreteRoutes::compute(&self.net, &v.scenario);
         let mut paths = Vec::new();
         let mut traced = 0u64;
         for b in &blame {
-            let before = trace_flow(
-                &mut self.m,
-                &self.net,
-                &self.fv,
-                &mut self.routes,
-                &b.flow,
-                &none,
-                self.opts.max_hops,
-            );
-            let after = trace_flow(
-                &mut self.m,
-                &self.net,
-                &self.fv,
-                &mut self.routes,
-                &b.flow,
-                &v.scenario,
-                self.opts.max_hops,
-            );
+            let before = before_routes.forward_paths(&b.flow, max_hops);
+            let after = after_routes.forward_paths(&b.flow, max_hops);
             traced += (before.len() + after.len()) as u64;
             let before_links: BTreeSet<LinkId> = before
                 .iter()
@@ -404,16 +360,22 @@ impl YuVerifier {
         drop(paths_span);
         yu_telemetry::counter("explain.paths_traced", traced);
 
-        // Concrete replay: re-simulate just this scenario with the
-        // independent enumerative engine and compare bit-exactly.
+        // Concrete replay: forward every group through the scenario's
+        // concrete routes and compare the load bit-exactly
+        // (`Σ V_g · fraction_g`, the enumerative baseline's number).
         let replay_span = yu_telemetry::span("explain.replay");
-        let replay_load = replay_point_load(
-            &self.net,
-            &v.scenario,
-            v.point,
-            self.opts.max_hops,
-            self.flow_results().map(|(g, _)| g.clone()),
-        );
+        let mut replay_load = Ratio::ZERO;
+        for (g, _) in self.flow_results() {
+            let res = after_routes.forward_flow(&g.rep, max_hops);
+            let frac = match v.point {
+                LoadPoint::Link(l) => res.link_fraction.get(&l),
+                LoadPoint::Delivered(r) => res.delivered.get(&r),
+                LoadPoint::Dropped(r) => res.dropped.get(&r),
+            };
+            if let Some(frac) = frac {
+                replay_load += frac.clone() * g.volume.clone();
+            }
+        }
         let replay = ReplayCheck::new(v.load.clone(), replay_load);
         drop(replay_span);
         if !replay.matches() {
@@ -463,16 +425,6 @@ impl YuVerifier {
             violating_scenarios,
         }
     }
-
-    /// Load envelopes for every requirement of a TLP (reports show how
-    /// close each point sits to its bound, violated or not).
-    pub fn envelopes(&mut self, tlp: &Tlp) -> Vec<PointEnvelope> {
-        let mut out = Vec::with_capacity(tlp.reqs.len());
-        for req in &tlp.reqs {
-            out.push(self.point_envelope(req));
-        }
-        out
-    }
 }
 
 /// Evaluates an STF handle to the concrete fraction under a scenario.
@@ -480,305 +432,6 @@ fn eval_ratio(m: &Mtbdd, f: NodeRef, fv: &FailureVars, scenario: &Scenario) -> R
     match m.eval(f, fv.assignment(scenario)) {
         Term::Num(v) => v,
         Term::PosInf => unreachable!("traffic fractions are finite"),
-    }
-}
-
-/// Replays one scenario with the concrete simulator and returns the load
-/// at `point` (`Σ V_g · fraction_g`, the enumerative baseline's number).
-fn replay_point_load(
-    net: &Network,
-    scenario: &Scenario,
-    point: LoadPoint,
-    max_hops: usize,
-    groups: impl Iterator<Item = crate::equivalence::FlowGroup>,
-) -> Ratio {
-    let routes = ConcreteRoutes::compute(net, scenario);
-    let mut load = Ratio::ZERO;
-    for g in groups {
-        let res = routes.forward_flow(&g.rep, max_hops);
-        let frac = match point {
-            LoadPoint::Link(l) => res.link_fraction.get(&l),
-            LoadPoint::Delivered(r) => res.delivered.get(&r),
-            LoadPoint::Dropped(r) => res.dropped.get(&r),
-        }
-        .cloned()
-        .unwrap_or(Ratio::ZERO);
-        load += frac * g.volume.clone();
-    }
-    load
-}
-
-/// Reconstructs the concrete packet paths of one flow under one failure
-/// scenario by walking the *symbolic* forwarding state (guarded FIBs,
-/// selection guards, SR policies, `V^IGP` shares) with every guard and
-/// share evaluated under the scenario's assignment. This mirrors
-/// [`crate::exec`]'s `forward`/`forwardIp`/`resolveNhIp` step for step,
-/// so the traced fractions agree with the symbolic STFs pointwise.
-pub fn trace_flow(
-    m: &mut Mtbdd,
-    net: &Network,
-    fv: &FailureVars,
-    routes: &mut SymbolicRoutes,
-    flow: &Flow,
-    scenario: &Scenario,
-    max_hops: usize,
-) -> Vec<TracedPath> {
-    if !scenario.router_alive(flow.ingress) {
-        return Vec::new();
-    }
-    let mut tracer = Tracer {
-        m,
-        net,
-        fv,
-        routes,
-        flow,
-        scenario,
-        out: Vec::new(),
-    };
-    tracer.walk(
-        flow.ingress,
-        &[],
-        Ratio::ONE,
-        vec![flow.ingress],
-        Vec::new(),
-        max_hops,
-    );
-    let paths = tracer.out;
-    // Distinct forwarding branches (e.g. parallel SR paths over the same
-    // routers) can produce identical concrete paths; coalesce them by
-    // summing fractions so the report shows each path once.
-    let mut merged: Vec<TracedPath> = Vec::new();
-    for p in paths {
-        match merged
-            .iter_mut()
-            .find(|q| q.hops == p.hops && q.links == p.links && q.outcome == p.outcome)
-        {
-            Some(q) => q.fraction = q.fraction.clone() + p.fraction,
-            None => merged.push(p),
-        }
-    }
-    merged
-}
-
-struct Tracer<'a> {
-    m: &'a mut Mtbdd,
-    net: &'a Network,
-    fv: &'a FailureVars,
-    routes: &'a mut SymbolicRoutes,
-    flow: &'a Flow,
-    scenario: &'a Scenario,
-    out: Vec<TracedPath>,
-}
-
-impl Tracer<'_> {
-    /// Evaluates a guard/share diagram under the fixed scenario.
-    fn frac_of(&self, f: NodeRef) -> Ratio {
-        eval_ratio(self.m, f, self.fv, self.scenario)
-    }
-
-    fn finish(
-        &mut self,
-        hops: &[RouterId],
-        links: &[LinkId],
-        fraction: Ratio,
-        outcome: PathOutcome,
-    ) {
-        if fraction <= Ratio::ZERO || self.out.len() >= MAX_TRACED_PATHS {
-            return;
-        }
-        self.out.push(TracedPath {
-            hops: hops.to_vec(),
-            links: links.to_vec(),
-            fraction,
-            outcome,
-        });
-    }
-
-    /// Crosses link `l` carrying `stack` and recurses at the far end.
-    fn follow(
-        &mut self,
-        l: LinkId,
-        stack: &[Ipv4],
-        q: Ratio,
-        hops: &[RouterId],
-        links: &[LinkId],
-        hops_left: usize,
-    ) {
-        if q.is_zero() {
-            return;
-        }
-        let to = self.net.topo.link(l).to;
-        let mut hops = hops.to_vec();
-        hops.push(to);
-        let mut links = links.to_vec();
-        links.push(l);
-        self.walk(to, stack, q, hops, links, hops_left - 1);
-    }
-
-    /// The concrete mirror of `Exec::step`: `hops` already ends with
-    /// `router`; `fraction` is this path branch's share of the flow.
-    fn walk(
-        &mut self,
-        router: RouterId,
-        stack: &[Ipv4],
-        fraction: Ratio,
-        hops: Vec<RouterId>,
-        links: Vec<LinkId>,
-        hops_left: usize,
-    ) {
-        if self.out.len() >= MAX_TRACED_PATHS {
-            return;
-        }
-        if hops_left == 0 {
-            self.finish(&hops, &links, fraction, PathOutcome::Truncated);
-            return;
-        }
-        // Pop every leading segment owned by this router.
-        let mut stack = stack;
-        while let Some((&top, rest)) = stack.split_first() {
-            if self.routes.owns(self.net, router, top) {
-                stack = rest;
-            } else {
-                break;
-            }
-        }
-        let consumed = if let Some(&top) = stack.first() {
-            // Labeled traffic: toward the top segment via V^IGP.
-            let shares = self.routes.vigp(self.m, self.net, self.fv, router, top);
-            let mut consumed = Ratio::ZERO;
-            for &(l, share) in shares.iter() {
-                let s = self.frac_of(share);
-                if s.is_zero() {
-                    continue;
-                }
-                let q = fraction.clone() * s;
-                consumed += q.clone();
-                self.follow(l, stack, q, &hops, &links, hops_left);
-            }
-            consumed
-        } else {
-            self.forward_ip(router, fraction.clone(), &hops, &links, hops_left)
-        };
-        let dropped = fraction - consumed;
-        self.finish(&hops, &links, dropped, PathOutcome::Dropped(router));
-    }
-
-    /// The concrete mirror of `Exec::forward_ip`: guarded FIB lookup,
-    /// route selection, ECMP. Returns the consumed fraction.
-    fn forward_ip(
-        &mut self,
-        router: RouterId,
-        fraction: Ratio,
-        hops: &[RouterId],
-        links: &[LinkId],
-        hops_left: usize,
-    ) -> Ratio {
-        let rules = self
-            .routes
-            .fib_rules(self.m, self.net, self.fv, router, self.flow.dst);
-        let multipath = self.net.bgp(router).map(|b| b.multipath).unwrap_or(true);
-        let sel = selection_guards(self.m, &rules, multipath);
-        // ECMP: every selected rule (guard evaluates to 1) takes an equal
-        // share — the concrete value of c_r = s_r / Σ s_{r'}.
-        let flags: Vec<Ratio> = sel.iter().map(|&s| self.frac_of(s)).collect();
-        let total = flags.iter().fold(Ratio::ZERO, |acc, f| acc + f.clone());
-        if total.is_zero() {
-            return Ratio::ZERO;
-        }
-        let mut consumed = Ratio::ZERO;
-        for (rule, flag) in rules.iter().zip(&flags) {
-            if flag.is_zero() {
-                continue;
-            }
-            let share = fraction.clone() * flag.clone() / total.clone();
-            match rule.next_hop {
-                NextHop::Receive => {
-                    self.finish(hops, links, share.clone(), PathOutcome::Delivered(router));
-                    consumed += share;
-                }
-                NextHop::Null0 => {
-                    // Falls into the dropped residual of `walk`.
-                }
-                NextHop::Direct(l) => {
-                    consumed += share.clone();
-                    self.follow(l, &[], share, hops, links, hops_left);
-                }
-                NextHop::Ip(nip) => {
-                    consumed += self.resolve_nh(router, nip, share, hops, links, hops_left);
-                }
-            }
-        }
-        consumed
-    }
-
-    /// The concrete mirror of `Exec::resolve_nh`: SR policy steering or
-    /// IGP route iteration. Returns the fraction successfully forwarded.
-    fn resolve_nh(
-        &mut self,
-        router: RouterId,
-        nip: Ipv4,
-        amount: Ratio,
-        hops: &[RouterId],
-        links: &[LinkId],
-        hops_left: usize,
-    ) -> Ratio {
-        let mut consumed = Ratio::ZERO;
-        let policy = self.routes.sr_policy(router, nip, self.flow.dscp).cloned();
-        if let Some(pol) = policy {
-            // c_p = g_p · w_p / Σ g_{p'} · w_{p'} under the scenario.
-            let weights: Vec<Ratio> = pol
-                .paths
-                .iter()
-                .map(|p| self.frac_of(p.guard) * Ratio::int(p.weight as i64))
-                .collect();
-            let total = weights.iter().fold(Ratio::ZERO, |acc, w| acc + w.clone());
-            if total.is_zero() {
-                return Ratio::ZERO;
-            }
-            for (p, w) in pol.paths.iter().zip(&weights) {
-                if w.is_zero() {
-                    continue;
-                }
-                let share = amount.clone() * w.clone() / total.clone();
-                let first = p.segments[0];
-                if self.routes.owns(self.net, router, first) {
-                    // Degenerate headend-owns-first-segment case: process
-                    // the stack immediately at this router.
-                    self.walk(
-                        router,
-                        &p.segments,
-                        share.clone(),
-                        hops.to_vec(),
-                        links.to_vec(),
-                        hops_left,
-                    );
-                    consumed += share;
-                    continue;
-                }
-                let shares = self.routes.vigp(self.m, self.net, self.fv, router, first);
-                for &(l, lshare) in shares.iter() {
-                    let s = self.frac_of(lshare);
-                    if s.is_zero() {
-                        continue;
-                    }
-                    let q = share.clone() * s;
-                    consumed += q.clone();
-                    self.follow(l, &p.segments, q, hops, links, hops_left);
-                }
-            }
-        } else {
-            let shares = self.routes.vigp(self.m, self.net, self.fv, router, nip);
-            for &(l, share) in shares.iter() {
-                let s = self.frac_of(share);
-                if s.is_zero() {
-                    continue;
-                }
-                let q = amount.clone() * s;
-                consumed += q.clone();
-                self.follow(l, &[], q, hops, links, hops_left);
-            }
-        }
-        consumed
     }
 }
 

@@ -40,10 +40,10 @@ pub use api::{RunStats, VerificationOutcome, YuOptions, YuVerifier};
 pub use attribution::{Attribution, EntityCost, PhaseAttribution};
 pub use delta::{DeltaStats, IncrementalVerifier};
 pub use equivalence::{global_groups, global_groups_classified, AggStats, FlowGroup};
-pub use exec::{selection_guards, simulate_flow, ExecOptions, FlowStf};
+pub use exec::{simulate_flow, ExecOptions, FlowStf};
 pub use explain::{
-    explanation_dot, trace_flow, Explanation, FlowBlame, FlowPathDiff, PathOutcome, PointEnvelope,
-    ReplayCheck, TracedPath, MAX_TRACED_PATHS,
+    explanation_dot, Explanation, FlowBlame, FlowPathDiff, PathOutcome, PointEnvelope, ReplayCheck,
+    TracedPath, MAX_TRACED_PATHS,
 };
 pub use trace::{RouteTrace, TraceAnswer, TraceQuery};
 pub use verify::{check_requirement, enumerate_violations, Violation};

@@ -3,17 +3,25 @@
 //! This is an *independent* re-implementation of the forwarding semantics
 //! under one fixed failure scenario: Dijkstra for IS-IS, round-based BGP
 //! propagation, longest-prefix-match FIBs, ECMP, and SR steering with
-//! label stacks. It serves two purposes:
+//! label stacks. It serves three purposes:
 //!
 //! * it is the engine of the Jingubang-style baseline, which must
 //!   enumerate and simulate every `≤ k`-failure scenario (the cost YU's
 //!   symbolic execution avoids);
 //! * it is the differential-testing oracle: for any scenario, evaluating
 //!   YU's symbolic traffic loads at that scenario must give exactly the
-//!   loads this simulator computes.
+//!   loads this simulator computes;
+//! * it lists the concrete packet paths of a flow for violation
+//!   forensics (`yu explain`'s before/after path diff).
+//!
+//! One per-hop function (`ConcreteRoutes::hop`) says what a router does
+//! with an amount of a flow; [`ConcreteRoutes::forward_flow`] drives it
+//! breadth-first to per-link fractions and
+//! [`ConcreteRoutes::forward_paths`] drives it depth-first to paths.
 
 use crate::bgp::{classify_prefixes, BgpFrom, ClassId, ClassSig};
 use crate::rib::NextHop;
+use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use yu_mtbdd::Ratio;
@@ -103,6 +111,53 @@ pub struct ConcreteFlowResult {
     /// Fraction dropped per router (Null0, no route, unresolvable next
     /// hop, no valid SR path).
     pub dropped: HashMap<RouterId, Ratio>,
+}
+
+/// Cap on the number of concrete paths listed per flow and scenario
+/// (ECMP fan-out is exponential in the worst case; forensics reports
+/// stay readable).
+pub const MAX_TRACED_PATHS: usize = 64;
+
+/// Where one packet path ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum PathOutcome {
+    /// Delivered locally at a router.
+    Delivered(RouterId),
+    /// Dropped at a router (Null0, no route, dead tunnels, ...).
+    Dropped(RouterId),
+    /// Still in flight at the TTL bound.
+    Truncated,
+}
+
+/// One concrete packet path of a flow under a fixed scenario.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct TracedPath {
+    /// Routers visited, ingress first.
+    pub hops: Vec<RouterId>,
+    /// Directed links traversed (one fewer than `hops`).
+    pub links: Vec<LinkId>,
+    /// Fraction of the flow on this path (ECMP/weighted splits).
+    pub fraction: Ratio,
+    /// How the path ends.
+    pub outcome: PathOutcome,
+}
+
+/// What one router does with some amount of a flow.
+enum HopEvent {
+    /// Delivered locally.
+    Deliver(Ratio),
+    /// Sent across a link carrying a label stack.
+    Emit(LinkId, Vec<Ipv4>, Ratio),
+    /// Dropped (the residual nothing else took).
+    Drop(Ratio),
+}
+
+impl HopEvent {
+    fn amount(&self) -> &Ratio {
+        match self {
+            HopEvent::Deliver(q) | HopEvent::Emit(_, _, q) | HopEvent::Drop(q) => q,
+        }
+    }
 }
 
 /// Concrete routing state of a network under one failure scenario.
@@ -507,28 +562,117 @@ impl<'n> ConcreteRoutes<'n> {
         if self.scenario.router_alive(flow.ingress) {
             frontier.insert((flow.ingress, Vec::new()), Ratio::ONE);
         }
+        let mut events = Vec::new();
         for _hop in 0..max_hops {
             if frontier.is_empty() {
                 break;
             }
             let mut next: BTreeMap<(RouterId, Vec<Ipv4>), Ratio> = BTreeMap::new();
             for ((router, stack), amount) in std::mem::take(&mut frontier) {
-                self.step(flow, router, &stack, amount, &mut res, &mut next);
+                self.hop(flow, router, &stack, amount, &mut events);
+                for event in events.drain(..) {
+                    match event {
+                        HopEvent::Deliver(q) => {
+                            *res.delivered.entry(router).or_insert(Ratio::ZERO) += q
+                        }
+                        HopEvent::Emit(l, stack, q) => {
+                            *res.link_fraction.entry(l).or_insert(Ratio::ZERO) += q.clone();
+                            let to = self.net.topo.link(l).to;
+                            *next.entry((to, stack)).or_insert(Ratio::ZERO) += q;
+                        }
+                        HopEvent::Drop(q) => *res.dropped.entry(router).or_insert(Ratio::ZERO) += q,
+                    }
+                }
             }
             frontier = next;
         }
         res
     }
 
-    /// Processes traffic `amount` of `flow` at `router` with `stack`.
-    fn step(
+    /// Lists the packet paths of one flow, depth-first in forwarding
+    /// order: at most [`MAX_TRACED_PATHS`], with identical paths (e.g.
+    /// parallel SR paths over the same routers) merged by summing their
+    /// fractions. Paths still in flight after `max_hops` links end
+    /// [`PathOutcome::Truncated`].
+    pub fn forward_paths(&self, flow: &Flow, max_hops: usize) -> Vec<TracedPath> {
+        let mut paths = Vec::new();
+        if self.scenario.router_alive(flow.ingress) {
+            self.walk(flow, &[], Ratio::ONE, &mut Vec::new(), max_hops, &mut paths);
+        }
+        let mut merged: Vec<TracedPath> = Vec::new();
+        for p in paths {
+            // `hops` follows from `links`, so they need no comparison.
+            match merged
+                .iter_mut()
+                .find(|q| q.links == p.links && q.outcome == p.outcome)
+            {
+                Some(q) => q.fraction += p.fraction,
+                None => merged.push(p),
+            }
+        }
+        merged
+    }
+
+    /// One step of [`Self::forward_paths`]: `fraction` of the flow has
+    /// crossed `links` from its ingress and carries label `stack`.
+    fn walk(
+        &self,
+        flow: &Flow,
+        stack: &[Ipv4],
+        fraction: Ratio,
+        links: &mut Vec<LinkId>,
+        max_hops: usize,
+        out: &mut Vec<TracedPath>,
+    ) {
+        let topo = &self.net.topo;
+        let router = links.last().map_or(flow.ingress, |&l| topo.link(l).to);
+        let finish = |out: &mut Vec<TracedPath>, links: &[LinkId], fraction, outcome| {
+            if fraction > Ratio::ZERO && out.len() < MAX_TRACED_PATHS {
+                let hops = std::iter::once(flow.ingress)
+                    .chain(links.iter().map(|&l| topo.link(l).to))
+                    .collect();
+                out.push(TracedPath {
+                    hops,
+                    links: links.to_vec(),
+                    fraction,
+                    outcome,
+                });
+            }
+        };
+        if links.len() == max_hops {
+            finish(out, links, fraction, PathOutcome::Truncated);
+            return;
+        }
+        let mut events = Vec::new();
+        self.hop(flow, router, stack, fraction, &mut events);
+        for event in events {
+            match event {
+                HopEvent::Deliver(q) => finish(out, links, q, PathOutcome::Delivered(router)),
+                HopEvent::Drop(q) => finish(out, links, q, PathOutcome::Dropped(router)),
+                HopEvent::Emit(l, stack, q) => {
+                    if !q.is_zero() && out.len() < MAX_TRACED_PATHS {
+                        links.push(l);
+                        self.walk(flow, &stack, q, links, max_hops, out);
+                        links.pop();
+                    }
+                }
+            }
+        }
+    }
+
+    /// What `router` does with `amount` of `flow` arriving with label
+    /// `stack` (Algorithms 1 and 2 for one hop), appended to `out` in
+    /// forwarding order: deliveries and link emissions, then the dropped
+    /// residual last. An SR tunnel whose headend owns its first segment
+    /// is processed in place, so its events (its own residual included)
+    /// appear where the tunnel is taken.
+    fn hop(
         &self,
         flow: &Flow,
         router: RouterId,
         stack: &[Ipv4],
         amount: Ratio,
-        res: &mut ConcreteFlowResult,
-        next: &mut BTreeMap<(RouterId, Vec<Ipv4>), Ratio>,
+        out: &mut Vec<HopEvent>,
     ) {
         // Pop segments owned by this router.
         let mut stack = stack;
@@ -539,16 +683,10 @@ impl<'n> ConcreteRoutes<'n> {
                 break;
             }
         }
-        let mut emitted = Ratio::ZERO;
-        if let Some((&top, _)) = stack.split_first() {
+        let start = out.len();
+        if let Some(&top) = stack.first() {
             // Labeled: forward toward the top segment via IGP.
-            for (l, share) in self.igp_shares(router, top) {
-                let q = amount.clone() * share;
-                if !q.is_zero() {
-                    self.emit(l, stack.to_vec(), q.clone(), res, next);
-                    emitted += q;
-                }
-            }
+            self.emit_igp(router, top, stack, &amount, out);
         } else {
             // Plain IP forwarding.
             let rules = self.fib_rules(router, flow.dst);
@@ -572,99 +710,67 @@ impl<'n> ConcreteRoutes<'n> {
                 let share = amount.clone() * Ratio::new(1, selected.len() as i128);
                 for rule in selected {
                     match rule.next_hop {
-                        NextHop::Receive => {
-                            let cur = res.delivered.get(&router).cloned().unwrap_or(Ratio::ZERO);
-                            res.delivered.insert(router, cur + share.clone());
-                            emitted += share.clone();
-                        }
+                        NextHop::Receive => out.push(HopEvent::Deliver(share.clone())),
                         NextHop::Null0 => {} // falls into the dropped residual
                         NextHop::Direct(l) => {
-                            self.emit(l, Vec::new(), share.clone(), res, next);
-                            emitted += share.clone();
+                            out.push(HopEvent::Emit(l, Vec::new(), share.clone()))
                         }
-                        NextHop::Ip(nip) => {
-                            emitted += self.resolve_nh(flow, router, nip, share.clone(), res, next);
-                        }
+                        // Concrete `resolveNhIp`: SR policy steering or
+                        // plain IGP iteration.
+                        NextHop::Ip(nip) => match self.net.sr_policy(router, nip, flow.dscp) {
+                            None => self.emit_igp(router, nip, &[], &share, out),
+                            Some(pol) => {
+                                // No valid tunnel: dropped via the residual.
+                                let valid: Vec<_> = pol
+                                    .paths
+                                    .iter()
+                                    .filter(|p| self.sr_path_valid(router, &p.segments))
+                                    .collect();
+                                let total: u64 = valid.iter().map(|p| p.weight).sum();
+                                for p in valid {
+                                    let q =
+                                        share.clone() * Ratio::new(p.weight as i128, total as i128);
+                                    let first = p.segments[0];
+                                    if self.owns(router, first) {
+                                        // Degenerate: the headend owns the
+                                        // first segment; process the stack here.
+                                        self.hop(flow, router, &p.segments, q, out);
+                                    } else {
+                                        self.emit_igp(router, first, &p.segments, &q, out);
+                                    }
+                                }
+                            }
+                        },
                     }
                 }
             }
         }
-        let dropped = amount - emitted;
+        // The dropped residual: what no event above took.
+        let taken = out[start..]
+            .iter()
+            .fold(Ratio::ZERO, |acc, event| acc + event.amount().clone());
+        let dropped = amount - taken;
         if !dropped.is_zero() {
-            let cur = res.dropped.get(&router).cloned().unwrap_or(Ratio::ZERO);
-            res.dropped.insert(router, cur + dropped);
+            out.push(HopEvent::Drop(dropped));
         }
     }
 
-    /// Concrete `resolveNhIp`: SR policy steering or plain IGP iteration.
-    /// Returns the fraction successfully emitted.
-    fn resolve_nh(
+    /// Emits `amount` from `router` over the ECMP links toward IGP
+    /// destination `toward`, carrying `stack`.
+    fn emit_igp(
         &self,
-        flow: &Flow,
         router: RouterId,
-        nip: Ipv4,
-        amount: Ratio,
-        res: &mut ConcreteFlowResult,
-        next: &mut BTreeMap<(RouterId, Vec<Ipv4>), Ratio>,
-    ) -> Ratio {
-        let mut emitted = Ratio::ZERO;
-        if let Some(pol) = self.net.sr_policy(router, nip, flow.dscp) {
-            let total: u64 = pol
-                .paths
-                .iter()
-                .filter(|p| self.sr_path_valid(router, &p.segments))
-                .map(|p| p.weight)
-                .sum();
-            if total == 0 {
-                return Ratio::ZERO; // no valid tunnel: dropped via residual
-            }
-            for p in &pol.paths {
-                if !self.sr_path_valid(router, &p.segments) {
-                    continue;
-                }
-                let share = amount.clone() * Ratio::new(p.weight as i128, total as i128);
-                let first = p.segments[0];
-                if self.owns(router, first) {
-                    // Degenerate: headend owns the first segment; treat the
-                    // remaining stack immediately.
-                    self.step(flow, router, &p.segments, share.clone(), res, next);
-                    emitted += share;
-                    continue;
-                }
-                for (l, lshare) in self.igp_shares(router, first) {
-                    let q = share.clone() * lshare;
-                    if !q.is_zero() {
-                        self.emit(l, p.segments.clone(), q.clone(), res, next);
-                        emitted += q;
-                    }
-                }
-            }
-        } else {
-            for (l, share) in self.igp_shares(router, nip) {
-                let q = amount.clone() * share;
-                if !q.is_zero() {
-                    self.emit(l, Vec::new(), q.clone(), res, next);
-                    emitted += q;
-                }
+        toward: Ipv4,
+        stack: &[Ipv4],
+        amount: &Ratio,
+        out: &mut Vec<HopEvent>,
+    ) {
+        for (l, share) in self.igp_shares(router, toward) {
+            let q = amount.clone() * share;
+            if !q.is_zero() {
+                out.push(HopEvent::Emit(l, stack.to_vec(), q));
             }
         }
-        emitted
-    }
-
-    fn emit(
-        &self,
-        l: LinkId,
-        stack: Vec<Ipv4>,
-        q: Ratio,
-        res: &mut ConcreteFlowResult,
-        next: &mut BTreeMap<(RouterId, Vec<Ipv4>), Ratio>,
-    ) {
-        let cur = res.link_fraction.get(&l).cloned().unwrap_or(Ratio::ZERO);
-        res.link_fraction.insert(l, cur + q.clone());
-        let to = self.net.topo.link(l).to;
-        let key = (to, stack);
-        let cur = next.get(&key).cloned().unwrap_or(Ratio::ZERO);
-        next.insert(key, cur + q);
     }
 }
 

@@ -33,7 +33,9 @@ pub mod symbolic;
 pub use bgp::{
     classify_prefixes, BgpFrom, BgpRoute, BgpState, ClassId, ClassSig, OriginKind, OriginSig,
 };
-pub use concrete::{CRule, ConcreteFlowResult, ConcreteRoutes};
+pub use concrete::{
+    CRule, ConcreteFlowResult, ConcreteRoutes, PathOutcome, TracedPath, MAX_TRACED_PATHS,
+};
 pub use display::{format_fib, format_guard, format_sr_policies};
 pub use dst_class::DstClasses;
 pub use igp::{IgpShares, IgpState};

@@ -7,7 +7,7 @@ use yu::core::{YuOptions, YuVerifier};
 use yu::gen::{fattree, wan, WanParams};
 use yu::mtbdd::Ratio;
 use yu::net::{scenarios_up_to_k, FailureMode, Flow, LoadPoint, Network, Scenario, Tlp};
-use yu::routing::ConcreteRoutes;
+use yu::routing::{ConcreteFlowResult, ConcreteRoutes, PathOutcome, MAX_TRACED_PATHS};
 
 /// Sums the concrete per-flow results into per-point loads.
 fn concrete_loads(
@@ -318,4 +318,72 @@ fn fig1_network_matches_concrete_under_router_failures() {
     let ex = motivating_example();
     let scenarios = scenarios_up_to_k(&ex.net.topo, FailureMode::Routers, 2);
     assert_symbolic_matches_concrete(&ex.net, &ex.flows, FailureMode::Routers, 2, scenarios);
+}
+
+/// A preset as `yu export` writes it.
+fn preset(which: &str) -> yu::spec::VerifySpec {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_yu"))
+        .args(["export", which])
+        .output()
+        .expect("yu export runs");
+    assert!(out.status.success(), "yu export {which} failed");
+    let json = String::from_utf8(out.stdout).expect("the spec is UTF-8");
+    yu::spec::VerifySpec::from_json(&json).expect("the exported spec parses")
+}
+
+#[test]
+fn path_listing_agrees_with_per_link_forwarding() {
+    // Both drivers of the concrete per-hop function: the paths
+    // `forward_paths` lists, summed per link (a link crossed twice counts
+    // twice), per delivering and per dropping router, must reproduce
+    // `forward_flow`'s maps exactly.
+    let mut pairs = 0;
+    let cases = [
+        ("fig1", 2),
+        ("fig9", 2),
+        ("fig10", 2),
+        ("preflight", 2),
+        ("ft4", 1),
+        ("n0", 1),
+    ];
+    for (which, k) in cases {
+        let spec = preset(which);
+        let net = &spec.network;
+        // Forwarding reads only the ingress, destination and DSCP.
+        let mut flows = spec.flows.clone();
+        flows.sort_by_key(|f| (f.ingress, f.dst, f.dscp));
+        flows.dedup_by_key(|f| (f.ingress, f.dst, f.dscp));
+        for mode in [FailureMode::Links, FailureMode::Routers] {
+            for s in scenarios_up_to_k(&net.topo, mode, k) {
+                let routes = ConcreteRoutes::compute(net, &s);
+                for f in &flows {
+                    let paths = routes.forward_paths(f, yu::net::DEFAULT_MAX_HOPS);
+                    if paths.len() == MAX_TRACED_PATHS {
+                        continue; // the list may be capped
+                    }
+                    let mut sums = ConcreteFlowResult::default();
+                    for p in &paths {
+                        for &l in &p.links {
+                            *sums.link_fraction.entry(l).or_insert(Ratio::ZERO) +=
+                                p.fraction.clone();
+                        }
+                        let sink = match p.outcome {
+                            PathOutcome::Delivered(r) => sums.delivered.entry(r),
+                            PathOutcome::Dropped(r) => sums.dropped.entry(r),
+                            PathOutcome::Truncated => continue,
+                        };
+                        *sink.or_insert(Ratio::ZERO) += p.fraction.clone();
+                    }
+                    assert_eq!(
+                        sums,
+                        routes.forward_flow(f, yu::net::DEFAULT_MAX_HOPS),
+                        "{which} {mode:?} {f:?} under {}",
+                        s.describe(&net.topo)
+                    );
+                    pairs += 1;
+                }
+            }
+        }
+    }
+    assert!(pairs > 0);
 }

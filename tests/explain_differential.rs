@@ -2,13 +2,14 @@
 //! violation must be confirmed bit-exactly by the enumerative baseline's
 //! single-scenario replay, and every `Explanation` must be internally
 //! consistent — blame sums Ratio-exactly to the violating load, path
-//! diffs are non-empty whenever a blamed flow's routing changed, and the
-//! load envelope brackets the observed violation.
+//! diffs are non-empty whenever a blamed flow's routing changed, the
+//! listed paths put exactly the blamed fractions on the violated point,
+//! and the load envelope brackets the observed violation.
 
 use yu::baselines::{jingubang_verify, replay_scenario};
-use yu::core::{YuOptions, YuVerifier};
+use yu::core::{PathOutcome, TracedPath, YuOptions, YuVerifier};
 use yu::mtbdd::Ratio;
-use yu::net::{FailureMode, Flow, Network, Scenario, Tlp, DEFAULT_MAX_HOPS};
+use yu::net::{FailureMode, Flow, LoadPoint, Network, Scenario, Tlp, DEFAULT_MAX_HOPS};
 
 /// All built-in incident examples as (name, network, flows, tlp) tuples.
 fn examples() -> Vec<(&'static str, Network, Vec<Flow>, Tlp)> {
@@ -21,6 +22,21 @@ fn examples() -> Vec<(&'static str, Network, Vec<Flow>, Tlp)> {
         ("fig9", sr.net, sr.flows, sr.tlp),
         ("fig10", bh.net, bh.flows, bh.tlp),
     ]
+}
+
+/// The fraction of a flow that `paths` put on `point`: a link counts once
+/// per crossing, a router counts the paths delivered or dropped there.
+fn fraction_at(paths: &[TracedPath], point: LoadPoint) -> Ratio {
+    let mut sum = Ratio::ZERO;
+    for p in paths {
+        let times = match point {
+            LoadPoint::Link(l) => p.links.iter().filter(|&&x| x == l).count(),
+            LoadPoint::Delivered(r) => usize::from(p.outcome == PathOutcome::Delivered(r)),
+            LoadPoint::Dropped(r) => usize::from(p.outcome == PathOutcome::Dropped(r)),
+        };
+        sum += p.fraction.clone() * Ratio::int(times as i64);
+    }
+    sum
 }
 
 /// Runs the enumerated verification plus forensics for one case and
@@ -109,6 +125,25 @@ fn check_case(name: &str, net: &Network, flows: &[Flow], tlp: &Tlp, mode: Failur
                     b.baseline, b.contribution
                 );
             }
+        }
+
+        // The listed paths put exactly the blamed fractions on the
+        // violated point: after the failures `fraction`, before them
+        // `baseline / volume`.
+        for b in &ex.blame {
+            let diff = ex.paths.iter().find(|d| d.flow == b.flow).unwrap();
+            assert_eq!(
+                fraction_at(&diff.after, vi.point),
+                b.fraction,
+                "{name} ({mode:?}): after-paths disagree with blame for {:?}",
+                b.flow
+            );
+            assert_eq!(
+                fraction_at(&diff.before, vi.point) * b.volume.clone(),
+                b.baseline,
+                "{name} ({mode:?}): before-paths disagree with blame for {:?}",
+                b.flow
+            );
         }
 
         // The envelope brackets the violating load and counts at least
