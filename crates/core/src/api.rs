@@ -11,13 +11,14 @@
 //! implements the full pipeline of the paper's Fig. 2 — symbolic route
 //! simulation, symbolic traffic execution with k-failure MTBDD reduction,
 //! link-local flow-equivalence aggregation, and terminal-scan TLP checking
-//! with counterexample extraction.
+//! with counterexample extraction. The incremental engine
+//! ([`crate::delta::IncrementalVerifier`]) keeps one verifier alive across
+//! edits and re-executes its groups on the same arena.
 
 use crate::attribution::{Attribution, PhaseAttribution};
 use crate::check::LoadCache;
 use crate::equivalence::{keyed_groups, without_keys, AggStats, FlowGroup};
 use crate::exec::FlowStf;
-use crate::trace::RouteTrace;
 use crate::verify::Violation;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -62,13 +63,6 @@ pub struct YuOptions {
     /// `Default` and kept only because the benchmark package still
     /// writes it.
     pub check_workers_auto: bool,
-    /// Record the routing-state queries each flow group's execution
-    /// depends on (a [`crate::trace::RouteTrace`] per group). Costs a
-    /// little memory and time per execution; required by the incremental
-    /// engine ([`crate::delta::IncrementalVerifier`]), which replays the
-    /// traces after a routing change to decide which groups to
-    /// re-execute. Off by default for batch runs.
-    pub record_route_deps: bool,
     /// Capture per-entity performance attribution (see
     /// [`crate::attribution`]): wall time and arena node-growth deltas
     /// per flow group and per requirement, plus arena level/cache
@@ -92,7 +86,6 @@ impl Default for YuOptions {
             workers: 1,
             check_workers: 1,
             check_workers_auto: false,
-            record_route_deps: false,
             profile: false,
         }
     }
@@ -181,9 +174,6 @@ pub struct YuVerifier {
     pub(crate) opts: YuOptions,
     pub(crate) groups: Vec<FlowGroup>,
     pub(crate) results: Vec<FlowStf>,
-    /// Per-group route-dependency traces, parallel to `results`.
-    /// `Some` iff the group was executed with `record_route_deps`.
-    pub(crate) traces: Vec<Option<RouteTrace>>,
     pub(crate) flows_in: usize,
     pub(crate) route_time: Duration,
     pub(crate) exec_time: Duration,
@@ -225,7 +215,6 @@ impl YuVerifier {
             opts,
             groups: Vec::new(),
             results: Vec::new(),
-            traces: Vec::new(),
             flows_in: 0,
             route_time,
             exec_time: Duration::ZERO,
@@ -248,17 +237,13 @@ impl YuVerifier {
     }
 
     /// Every live root this verifier holds: routing guards, flow STFs,
-    /// route-dependency traces, and (when `include_load_cache`) the
-    /// cached per-point loads. The root set of GC, auditing, and the
-    /// arena level profile.
+    /// and (when `include_load_cache`) the cached per-point loads. The
+    /// root set of GC, auditing, and the arena level profile.
     pub(crate) fn live_roots(&self, include_load_cache: bool) -> Vec<NodeRef> {
         let mut roots = Vec::new();
         self.routes.gc_roots(&mut roots);
         for stf in &self.results {
             stf.gc_roots(&mut roots);
-        }
-        for trace in self.traces.iter().flatten() {
-            trace.gc_roots(&mut roots);
         }
         if include_load_cache {
             for &(tau, _) in self.load_cache.values() {
@@ -315,9 +300,6 @@ impl YuVerifier {
         self.routes.remap(&remap);
         for stf in &mut self.results {
             stf.remap(&remap);
-        }
-        for trace in self.traces.iter_mut().flatten() {
-            trace.remap(&remap);
         }
         for n in extra.iter_mut() {
             *n = remap.get(*n);
@@ -377,10 +359,9 @@ impl YuVerifier {
         let t0 = Instant::now();
         let exec_span = yu_telemetry::span("exec");
         for g in groups {
-            let (stf, trace) = self.execute(&g);
+            let stf = self.execute(&g);
             self.groups.push(g);
             self.results.push(stf);
-            self.traces.push(trace);
         }
         drop(exec_span);
         self.book_exec_time(t0.elapsed());

@@ -2,30 +2,40 @@
 //! and `yu diff`.
 //!
 //! An [`IncrementalVerifier`] wraps a [`YuVerifier`] together with the
-//! concrete flows and TLP it was built from, and re-executes **only what a
-//! change invalidated**:
+//! concrete flows and TLP it was built from, keeps its arena, routes,
+//! per-group STFs and verdicts alive, and redoes what a change requires:
 //!
 //! * **Topology changes** (router/link add/remove) renumber the failure
 //!   variables, so everything is rebuilt from scratch — the only sound
 //!   option, since every guard in the arena is indexed by them.
 //! * **Routing changes** (link costs, configurations) recompute the
-//!   guarded routing state *in the same arena* (hash-consing dedupes
-//!   everything that did not change), then replay every flow group's
-//!   recorded [`crate::RouteTrace`] against the new state; only groups
-//!   with a mismatched answer are re-executed. A reused group's symbolic
-//!   traffic functions are bit-identical by construction
-//!   (§ [`crate::trace`]). A trace vouches for the one destination it was
-//!   recorded toward, so when the new configuration classifies
-//!   destinations differently ([`yu_routing::DstClasses`] — a cost edit
-//!   never does) the flows are regrouped as below.
+//!   guarded routing state *in the same arena*, then re-execute every
+//!   stored flow group toward its current representative. The warm arena
+//!   makes this cheap: hash-consing dedupes everything that did not
+//!   change, and the memo caches still hold it. In one arena handle
+//!   equality is semantic equality, so a load point is dirtied iff its
+//!   handle changed. When the new configuration classifies destinations
+//!   differently ([`yu_routing::DstClasses`] — a cost edit never does)
+//!   the flows are then regrouped as below.
 //! * **Flow changes** regroup (`equivalence::keyed_groups`, the
 //!   grouping of a scratch run) and key-match against the stored groups,
-//!   each keyed by the flow *it was executed for* under the current
+//!   each keyed by its current representative under the current
 //!   classifier: a matched group keeps its STF (symbolic fractions are
 //!   volume-independent; destinations of one class forward identically),
 //!   only its volume/representative metadata is refreshed.
 //! * **TLP changes** touch neither routes nor STFs; the per-requirement
 //!   verdict cache simply misses on new or re-bounded requirements.
+//!
+//! **The invariant.** After every update, each stored STF equals the
+//! execution of its group's *current* representative under the current
+//! routes. A routing edit re-establishes it by re-executing every group
+//! toward its current representative. A flow edit hands a stored STF
+//! only to a new group whose key equals the stored group's key under the
+//! same classifier: same ingress, same DSCP, and a destination of the
+//! same class, whose execution is handle-identical
+//! (`tests/dst_classes.rs`). So the STF a new group receives is its own
+//! representative's execution. The unit test below checks the invariant
+//! after every step of the example edit scripts.
 //!
 //! Per-point **epochs** track which aggregated loads a change dirtied:
 //! a cached verdict is reused iff its load point's epoch is unchanged,
@@ -53,9 +63,11 @@ use yu_routing::SymbolicRoutes;
 /// Reuse-vs-recompute statistics of one incremental request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Flow groups whose symbolic traffic functions were reused.
+    /// Flow groups this request did not execute: their stored STFs were
+    /// kept as they were.
     pub reused_groups: usize,
-    /// Flow groups (re-)executed symbolically.
+    /// Flow groups this request executed symbolically — every group on a
+    /// routing edit or a rebuild.
     pub recomputed_groups: usize,
     /// Requirements answered from the verdict cache.
     pub reused_reqs: usize,
@@ -83,16 +95,9 @@ pub struct IncrementalVerifier {
 }
 
 impl IncrementalVerifier {
-    /// Builds the verifier and executes `flows` with route-dependency
-    /// recording on (required for trace replay), keeping `tlp` as the
-    /// property to re-verify after each change.
-    pub fn new(
-        net: Network,
-        flows: Vec<Flow>,
-        tlp: Tlp,
-        mut opts: YuOptions,
-    ) -> IncrementalVerifier {
-        opts.record_route_deps = true;
+    /// Builds the verifier and executes `flows` exactly as a batch run
+    /// does, keeping `tlp` as the property to re-verify after each change.
+    pub fn new(net: Network, flows: Vec<Flow>, tlp: Tlp, opts: YuOptions) -> IncrementalVerifier {
         let mut v = YuVerifier::new(net, opts);
         v.add_flows(&flows);
         let groups = v.groups.len();
@@ -183,11 +188,12 @@ impl IncrementalVerifier {
             drop(inv);
         }
         // Normalise the reuse counters over the *final* group set: a
-        // group counts as recomputed if any stage of this update
-        // re-executed it (the flow regroup executes only groups the
-        // routing replay never saw), and as reused otherwise — so the two
-        // counters always partition the groups, including TLP-only
-        // updates (everything reused) and full rebuilds (nothing).
+        // group counts as recomputed if any stage of this update executed
+        // it, and as reused otherwise. A routing edit executes every
+        // stored group and the regroup after it every unmatched new one,
+        // which together cover the final set; the clamp makes that "all
+        // of them". So the two counters always partition the groups,
+        // including TLP-only updates (everything reused).
         let total = self.v.groups.len();
         self.last_delta.recomputed_groups = self.last_delta.recomputed_groups.min(total);
         self.last_delta.reused_groups = total - self.last_delta.recomputed_groups;
@@ -230,10 +236,11 @@ impl IncrementalVerifier {
     }
 
     /// Routing changed (same topology): recompute the guarded routing
-    /// state in the same arena, then replay each group's route trace and
-    /// re-execute only the groups whose answers changed. Returns whether
-    /// the new state classifies destinations differently, in which case
-    /// the stored groups may no longer be the groups of the flows.
+    /// state in the same arena, re-execute every group toward its current
+    /// representative, and dirty every load point whose handle changed.
+    /// Returns whether the new state classifies destinations differently,
+    /// in which case the stored groups may no longer be the groups of the
+    /// flows.
     fn apply_routing(&mut self, net: Network) -> bool {
         let v = &mut self.v;
         v.net = net;
@@ -249,34 +256,21 @@ impl IncrementalVerifier {
         let t1 = Instant::now();
         let mut dirty: Vec<LoadPoint> = Vec::new();
         for i in 0..v.groups.len() {
-            let valid = match &v.traces[i] {
-                Some(t) => t.still_valid(&mut v.m, &v.net, &v.fv, &mut v.routes),
-                None => false,
-            };
-            if valid {
-                self.last_delta.reused_groups += 1;
-                continue;
-            }
             let _stage = yu_telemetry::span_detail("delta.reexec", || {
                 format!("{:?}->{:?}", v.groups[i].rep.ingress, v.groups[i].rep.dst)
             });
-            let (stf, trace) = v.execute(&v.groups[i].clone());
+            let stf = v.execute(&v.groups[i].clone());
+            let old = std::mem::replace(&mut v.results[i], stf);
+            let new = &v.results[i];
             // Dirty every point where the group's fraction changed
             // (handle inequality is semantic inequality in one arena).
-            for (&p, &n) in &v.results[i].loads {
-                if stf.at(&v.m, p) != n {
+            for &p in old.loads.keys().chain(new.loads.keys()) {
+                if old.at(&v.m, p) != new.at(&v.m, p) {
                     dirty.push(p);
                 }
             }
-            for (&p, &n) in &stf.loads {
-                if v.results[i].at(&v.m, p) != n {
-                    dirty.push(p);
-                }
-            }
-            v.results[i] = stf;
-            v.traces[i] = trace;
-            self.last_delta.recomputed_groups += 1;
         }
+        self.last_delta.recomputed_groups += v.groups.len();
         v.book_exec_time(t1.elapsed());
         for p in dirty {
             self.mark_dirty(p);
@@ -285,22 +279,20 @@ impl IncrementalVerifier {
     }
 
     /// The flows or their classification changed: group `flows` exactly
-    /// as a scratch run would and key-match against the stored groups. A
-    /// stored group answers for the flow it was executed for — its
-    /// representative, toward the destination its trace recorded — so it
-    /// is keyed by that flow under the current classifier, and a new group
-    /// with the same key keeps its STF (symbolic fractions do not depend
-    /// on volume, and destinations of one class forward identically).
-    /// Unmatched new groups are executed; points touched by changed
-    /// volumes, new groups, or vanished groups are dirtied.
+    /// as a scratch run would and key-match against the stored groups,
+    /// each keyed by its current representative under the current
+    /// classifier. A new group with the same key keeps the stored STF
+    /// (symbolic fractions do not depend on volume, and destinations of
+    /// one class forward identically). Unmatched new groups are executed;
+    /// points touched by changed volumes, new groups, or vanished groups
+    /// are dirtied.
     fn regroup(&mut self, flows: Vec<Flow>) {
         let v = &self.v;
         let (classes, global_equiv) = (&v.routes.dst_classes, v.opts.use_global_equiv);
         let mut keys = GroupKeys::new(classes, global_equiv);
         let mut old_by_key: HashMap<GroupKey, usize> = HashMap::new();
-        for (i, (g, trace)) in v.groups.iter().zip(&v.traces).enumerate() {
-            let dst = trace.as_ref().and_then(|t| t.dst()).unwrap_or(g.rep.dst);
-            old_by_key.entry(keys.key_toward(&g.rep, dst)).or_insert(i);
+        for (i, g) in v.groups.iter().enumerate() {
+            old_by_key.entry(keys.key(&g.rep)).or_insert(i);
         }
         let new_grouped = keyed_groups(classes, global_equiv, &flows);
         let v = &mut self.v;
@@ -311,36 +303,33 @@ impl IncrementalVerifier {
         let mut stored: Vec<_> = std::mem::take(&mut v.groups)
             .into_iter()
             .zip(std::mem::take(&mut v.results))
-            .zip(std::mem::take(&mut v.traces))
             .map(Some)
             .collect();
         let mut dirty: Vec<LoadPoint> = Vec::new();
         let t0 = Instant::now();
         for (key, g) in new_grouped {
             let claimed = old_by_key.get(&key).and_then(|&i| stored[i].take());
-            let (stf, trace) = match claimed {
-                Some(((old, stf), trace)) => {
+            let stf = match claimed {
+                Some((old, stf)) => {
                     if old.volume != g.volume {
                         dirty.extend(stf.loads.keys().copied());
                     }
-                    self.last_delta.reused_groups += 1;
-                    (stf, trace)
+                    stf
                 }
                 None => {
                     let _stage = yu_telemetry::span_detail("delta.reexec", || {
                         format!("{:?}->{:?}", g.rep.ingress, g.rep.dst)
                     });
-                    let (stf, trace) = v.execute(&g);
+                    let stf = v.execute(&g);
                     dirty.extend(stf.loads.keys().copied());
                     self.last_delta.recomputed_groups += 1;
-                    (stf, trace)
+                    stf
                 }
             };
             v.groups.push(g);
             v.results.push(stf);
-            v.traces.push(trace);
         }
-        for ((_, vanished), _) in stored.iter().flatten() {
+        for (_, vanished) in stored.iter().flatten() {
             dirty.extend(vanished.loads.keys().copied());
         }
         v.book_exec_time(t0.elapsed());
@@ -359,5 +348,151 @@ impl IncrementalVerifier {
         self.last_delta.reused_reqs = self.caches.reused_reqs;
         self.last_delta.rechecked_reqs = self.caches.rechecked_reqs;
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use yu_gen::{
+        fattree_with_flows, motivating_example, sr_anycast_incident, static_blackhole_incident,
+    };
+    use yu_mtbdd::Ratio;
+    use yu_net::{BgpConfig, Change, Ipv4, StaticNextHop, StaticRoute, TlpReq, Topology, ULinkId};
+
+    /// Every stored STF is handle-identical to a fresh execution of its
+    /// group's current representative on the current routes.
+    fn assert_invariant(ctx: &str, inc: &mut IncrementalVerifier) {
+        let v = &mut inc.v;
+        for i in 0..v.groups.len() {
+            let fresh = v.execute(&v.groups[i].clone());
+            let stored = &v.results[i];
+            assert!(
+                stored.loads == fresh.loads && stored.truncated == fresh.truncated,
+                "{ctx}: group {i} ({:?}) holds a stale STF",
+                v.groups[i].rep
+            );
+        }
+    }
+
+    fn link_cost(net: &Network, u: ULinkId, cost: impl Fn(u64) -> u64) -> Change {
+        let lk = net.topo.link(net.topo.directions(u).0);
+        Change::SetLinkCost {
+            from: net.topo.router(lk.from).name.clone(),
+            to: net.topo.router(lk.to).name.clone(),
+            index: 0,
+            cost: cost(lk.igp_cost),
+        }
+    }
+
+    /// Cost bumps and restores on the first and last links, a volume
+    /// edit, a new flow toward an existing destination, and the removal
+    /// of the first flow (so another member represents its group).
+    fn edit_script(net: &Network, flows: &[Flow]) -> Vec<Change> {
+        let last = ULinkId((net.topo.num_ulinks() - 1) as u32);
+        let last_router = net.topo.routers().last().expect("routers");
+        vec![
+            link_cost(net, ULinkId(0), |c| c * 3 + 7),
+            Change::SetFlowVolume {
+                flow: 0,
+                volume: flows[0].volume.clone() * Ratio::int(2),
+            },
+            Change::AddFlow {
+                ingress: net.topo.router(last_router).name.clone(),
+                src: Ipv4::new(11, 99, 0, 1),
+                dst: flows[0].dst,
+                dscp: 0,
+                volume: Ratio::int(3),
+            },
+            link_cost(net, last, |c| c * 5 + 1),
+            Change::RemoveFlow { flow: 0 },
+            link_cost(net, ULinkId(0), |c| c),
+            link_cost(net, last, |c| c),
+        ]
+    }
+
+    fn run_script(name: &str, net: Network, flows: Vec<Flow>, tlp: Tlp, k: u32) {
+        let script = edit_script(&net, &flows);
+        let opts = YuOptions {
+            k,
+            ..YuOptions::default()
+        };
+        let mut inc = IncrementalVerifier::new(net, flows, tlp, opts);
+        inc.verify();
+        assert_invariant(&format!("{name} base"), &mut inc);
+        for (step, change) in script.into_iter().enumerate() {
+            let ctx = format!("{name} step {step} ({change:?})");
+            inc.apply(&ChangeSet::single(change))
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_invariant(&ctx, &mut inc);
+        }
+    }
+
+    /// M - D - W, one AS each; W originates `10.1.0.0/26` and 30 enter at
+    /// M toward each of `10.1.0.5` and `10.1.0.40`. Returns that network,
+    /// the same with `10.1.0.32/27 -> Null0` at D (which splits the one
+    /// destination class), and the flows.
+    fn split_by_a_static() -> (Network, Network, Vec<Flow>) {
+        let mut t = Topology::new();
+        let m = t.add_router("M", Ipv4::new(10, 200, 0, 1), 65001);
+        let d = t.add_router("D", Ipv4::new(10, 200, 0, 2), 65002);
+        let w = t.add_router("W", Ipv4::new(10, 200, 0, 3), 65003);
+        t.add_link(m, d, 10, Ratio::int(100));
+        t.add_link(d, w, 10, Ratio::int(100));
+        let mut old = Network::new(t);
+        for r in [m, d, w] {
+            old.config_mut(r).bgp = Some(BgpConfig::default());
+        }
+        let service = "10.1.0.0/26".parse().unwrap();
+        old.config_mut(w).connected.push(service);
+        old.config_mut(w).bgp.as_mut().unwrap().networks = vec![service];
+        let mut new = old.clone();
+        new.config_mut(d).static_routes.push(StaticRoute {
+            prefix: "10.1.0.32/27".parse().unwrap(),
+            next_hop: StaticNextHop::Null0,
+        });
+        let flow = |dst: &str| {
+            let src = Ipv4::new(11, 0, 0, 1);
+            Flow::new(m, src, dst.parse().unwrap(), 0, Ratio::int(30))
+        };
+        (old, new, vec![flow("10.1.0.5"), flow("10.1.0.40")])
+    }
+
+    #[test]
+    fn stored_results_are_the_execution_of_the_current_representative() {
+        let fig1 = motivating_example();
+        run_script("fig1", fig1.net, fig1.flows, fig1.p2, 1);
+        let fig9 = sr_anycast_incident();
+        run_script("fig9", fig9.net, fig9.flows, fig9.tlp, 1);
+        let fig10 = static_blackhole_incident();
+        run_script("fig10", fig10.net, fig10.flows, fig10.tlp, 1);
+        let (ft, ft_flows) = fattree_with_flows(4, 16);
+        let ft_tlp = Tlp::no_overload(&ft.net.topo, Ratio::new(95, 100));
+        run_script("ft4", ft.net, ft_flows, ft_tlp, 2);
+
+        // The first flow leaves, so the second represents the one group
+        // and holds the first one's STF; then a static splits the class
+        // under the remaining flow, and removing it with the first flow
+        // back merges the two again.
+        let (old, new, flows) = split_by_a_static();
+        let w = old.topo.routers().last().unwrap();
+        let tlp = Tlp::new().with(TlpReq::at_least(LoadPoint::Delivered(w), Ratio::int(45)));
+        let opts = YuOptions {
+            k: 0,
+            ..YuOptions::default()
+        };
+        let mut inc = IncrementalVerifier::new(old.clone(), flows.clone(), tlp.clone(), opts);
+        inc.apply(&ChangeSet::single(Change::RemoveFlow { flow: 0 }))
+            .expect("flow removal applies");
+        assert_invariant("split: first flow removed", &mut inc);
+        let remaining = inc.flows().to_vec();
+        inc.set_state(new.clone(), remaining, tlp.clone());
+        assert_invariant("split: static over the remaining flow", &mut inc);
+        inc.set_state(new, flows.clone(), tlp.clone());
+        assert_eq!(inc.verifier().groups.len(), 2);
+        assert_invariant("split: first flow back, class split", &mut inc);
+        inc.set_state(old, flows, tlp);
+        assert_eq!(inc.verifier().groups.len(), 1);
+        assert_invariant("split: static removed, classes merge", &mut inc);
     }
 }

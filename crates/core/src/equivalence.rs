@@ -112,17 +112,17 @@ impl<'a> GroupKeys<'a> {
         }
     }
 
-    /// The key of `f` were `dst` its destination.
-    pub(crate) fn key_toward(&mut self, f: &Flow, dst: Ipv4) -> GroupKey {
+    /// The key of `f`.
+    pub(crate) fn key(&mut self, f: &Flow) -> GroupKey {
         if self.global_equiv {
-            return GroupKey::Class(f.ingress, self.classes.class_of(dst), f.dscp);
+            return GroupKey::Class(f.ingress, self.classes.class_of(f.dst), f.dscp);
         }
         let n = self
             .seen
-            .entry((f.ingress, f.src, dst, f.dscp))
+            .entry((f.ingress, f.src, f.dst, f.dscp))
             .or_insert(0);
         *n += 1;
-        GroupKey::Identity(f.ingress, f.src, dst, f.dscp, *n - 1)
+        GroupKey::Identity(f.ingress, f.src, f.dst, f.dscp, *n - 1)
     }
 }
 
@@ -135,7 +135,7 @@ pub(crate) fn keyed_groups(
     flows: &[Flow],
 ) -> Vec<(GroupKey, FlowGroup)> {
     let mut keys = GroupKeys::new(classes, global_equiv);
-    let mut keyed = fold_groups(flows, |f| keys.key_toward(f, f.dst));
+    let mut keyed = fold_groups(flows, |f| keys.key(f));
     if global_equiv {
         keyed.sort_by_key(|(k, _)| *k);
     }

@@ -32,18 +32,22 @@
 //! results are unaffected). Only the selection guards and the share
 //! denominators `Σ s_r` are plain applies: they are operands, never
 //! stored.
+//!
+//! Execution is a pure function of the flow and the routing state, and
+//! the arena is hash-consed: re-running a group on the same arena after a
+//! routing edit returns the same handle at every load point the edit did
+//! not affect. The incremental engine ([`crate::delta`]) relies on exactly
+//! that to find what an edit dirtied.
 
 use crate::api::YuVerifier;
 use crate::attribution::{flow_label, EntityCost};
 use crate::equivalence::FlowGroup;
-use crate::trace::{fib_answer, RouteTrace, TraceAnswer, TraceQuery};
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Instant;
 use yu_mtbdd::{Mtbdd, NodeRef, Op};
 use yu_net::Proto;
 use yu_net::{FailureVars, Flow, Ipv4, LinkId, LoadPoint, Network, RouterId};
-use yu_routing::{class_partition, IgpShares, NextHop, Rule, SymbolicRoutes};
+use yu_routing::{class_partition, NextHop, Rule, SymbolicRoutes};
 
 /// Options for symbolic traffic execution.
 #[derive(Debug, Clone, Copy)]
@@ -145,25 +149,8 @@ pub fn simulate_flow(
     flow: &Flow,
     opts: ExecOptions,
 ) -> FlowStf {
-    simulate(m, net, fv, routes, flow, opts, None)
-}
-
-/// The one body behind [`simulate_flow`] and [`YuVerifier::execute`]:
-/// routing-state queries are recorded into `trace` when one is given
-/// (replaying a [`RouteTrace`] against a changed routing state decides
-/// whether the STF can be reused, see [`crate::trace`]).
-fn simulate(
-    m: &mut Mtbdd,
-    net: &Network,
-    fv: &FailureVars,
-    routes: &mut SymbolicRoutes,
-    flow: &Flow,
-    opts: ExecOptions,
-    trace: Option<&mut RouteTrace>,
-) -> FlowStf {
     let _stage = yu_telemetry::span_detail("exec.flow", || {
-        let traced = if trace.is_some() { " (traced)" } else { "" };
-        format!("ingress r{} -> {:?}{traced}", flow.ingress.0, flow.dst)
+        format!("ingress r{} -> {:?}", flow.ingress.0, flow.dst)
     });
     Exec {
         m,
@@ -174,32 +161,29 @@ fn simulate(
         opts,
         stacks: StackTable::new(),
         loads: HashMap::new(),
-        trace,
     }
     .run()
 }
 
 impl YuVerifier {
     /// Executes one flow group on the verifier's arena — a batch
-    /// `add_flows`, or the incremental engine re-executing what a change
-    /// invalidated — recording the group's route dependencies when
-    /// `record_route_deps` is set. Every execution goes through here, one
-    /// group after another on the arena that holds the routing state
-    /// (DESIGN.md §8 says why nothing runs in parallel). The one place a
-    /// group execution is timed: it feeds the `yu_flow_exec_seconds` / `yu_flow_groups_executed_total`
+    /// `add_flows`, or the incremental engine re-executing after a change.
+    /// Every execution goes through here, one group after another on the
+    /// arena that holds the routing state (DESIGN.md §8 says why nothing
+    /// runs in parallel). The one place a group execution is timed: it
+    /// feeds the `yu_flow_exec_seconds` / `yu_flow_groups_executed_total`
     /// registry instruments and, when profiling, the group's attribution
     /// entry — whose node delta is added to the phase total in the same
     /// step, so the phase telescopes by construction.
-    pub(crate) fn execute(&mut self, g: &FlowGroup) -> (FlowStf, Option<RouteTrace>) {
+    pub(crate) fn execute(&mut self, g: &FlowGroup) -> FlowStf {
         let opts = ExecOptions {
             k: self.opts.use_kreduce.then_some(self.opts.k),
             max_hops: self.opts.max_hops,
         };
         let t_flow = Instant::now();
         let nodes_before = self.m.nodes_created() as i64;
-        let mut trace = self.opts.record_route_deps.then(RouteTrace::new);
         let (m, routes) = (&mut self.m, &mut self.routes);
-        let stf = simulate(m, &self.net, &self.fv, routes, &g.rep, opts, trace.as_mut());
+        let stf = simulate_flow(m, &self.net, &self.fv, routes, &g.rep, opts);
         let wall_us = t_flow.elapsed().as_micros() as u64;
         yu_telemetry::with_registry(|r| {
             r.flow_exec_seconds.record(wall_us);
@@ -214,7 +198,7 @@ impl YuVerifier {
                 nodes_delta,
             });
         }
-        (stf, trace)
+        stf
     }
 }
 
@@ -227,69 +211,9 @@ struct Exec<'a> {
     opts: ExecOptions,
     stacks: StackTable,
     loads: HashMap<LoadPoint, NodeRef>,
-    /// When set, every routing-state query is recorded here.
-    trace: Option<&'a mut RouteTrace>,
 }
 
 impl<'a> Exec<'a> {
-    /// Recording wrappers around the five routing-state query kinds. All
-    /// queries are deterministic per key, so recording the first
-    /// occurrence captures the full dependency.
-    fn q_alive(&mut self, router: RouterId) -> NodeRef {
-        let g = self.fv.router_alive(self.m, router);
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.record(TraceQuery::Alive(router), || TraceAnswer::Alive(g));
-        }
-        g
-    }
-
-    fn q_owns(&mut self, router: RouterId, ip: Ipv4) -> bool {
-        let owned = self.routes.owns(self.net, router, ip);
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.record(TraceQuery::Owns(router, ip), || TraceAnswer::Owns(owned));
-        }
-        owned
-    }
-
-    fn q_vigp(&mut self, router: RouterId, nip: Ipv4) -> IgpShares {
-        let shares = self.routes.vigp(self.m, self.net, self.fv, router, nip);
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.record(TraceQuery::Vigp(router, nip), || {
-                TraceAnswer::Vigp(shares.to_vec())
-            });
-        }
-        shares
-    }
-
-    fn q_fib(&mut self, router: RouterId) -> (Rc<Vec<Rule>>, bool) {
-        let rules = self
-            .routes
-            .fib_rules(self.m, self.net, self.fv, router, self.flow.dst);
-        let multipath = self.net.bgp(router).map(|b| b.multipath).unwrap_or(true);
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.record(TraceQuery::Fib(router, self.flow.dst), || {
-                fib_answer(&rules, multipath)
-            });
-        }
-        (rules, multipath)
-    }
-
-    fn q_sr(&mut self, router: RouterId, nip: Ipv4) -> Option<yu_routing::GuardedSrPolicy> {
-        let pol = self.routes.sr_policy(router, nip, self.flow.dscp).cloned();
-        if let Some(t) = self.trace.as_deref_mut() {
-            let snap = pol.as_ref().map(|p| {
-                p.paths
-                    .iter()
-                    .map(|g| (g.segments.clone(), g.weight, g.guard))
-                    .collect()
-            });
-            t.record(TraceQuery::Sr(router, nip, self.flow.dscp), || {
-                TraceAnswer::Sr(snap)
-            });
-        }
-        pol
-    }
-
     /// `βₖ(f ⊕ g)` under the execution's budget (exact when it has none).
     fn op(&mut self, op: Op, f: NodeRef, g: NodeRef) -> NodeRef {
         self.m.apply_kreduce(op, f, g, self.opts.k)
@@ -310,7 +234,7 @@ impl<'a> Exec<'a> {
 
     fn run(&mut self) -> FlowStf {
         let mut frontier: HashMap<(RouterId, u32), NodeRef> = HashMap::new();
-        let ingress_alive = self.q_alive(self.flow.ingress);
+        let ingress_alive = self.fv.router_alive(self.m, self.flow.ingress);
         if ingress_alive != self.m.zero() {
             frontier.insert((self.flow.ingress, EMPTY_STACK), ingress_alive);
         }
@@ -349,7 +273,7 @@ impl<'a> Exec<'a> {
         // 17-18).
         let mut top = self.stacks.top(stack);
         while let Some(seg) = top {
-            if !self.q_owns(router, seg) {
+            if !self.routes.owns(self.net, router, seg) {
                 break;
             }
             stack = self.stacks.pop(stack);
@@ -378,7 +302,8 @@ impl<'a> Exec<'a> {
         next: &mut HashMap<(RouterId, u32), NodeRef>,
     ) -> NodeRef {
         let mut emitted = self.m.zero();
-        for &(l, share) in self.q_vigp(router, nip).iter() {
+        let shares = self.routes.vigp(self.m, self.net, self.fv, router, nip);
+        for &(l, share) in shares.iter() {
             let q = self.op(Op::Mul, amount, share);
             self.emit(l, stack, q, next);
             emitted = self.op(Op::Add, emitted, q);
@@ -395,7 +320,10 @@ impl<'a> Exec<'a> {
         amount: NodeRef,
         next: &mut HashMap<(RouterId, u32), NodeRef>,
     ) -> NodeRef {
-        let (rules, multipath) = self.q_fib(router);
+        let rules = self
+            .routes
+            .fib_rules(self.m, self.net, self.fv, router, self.flow.dst);
+        let multipath = self.net.bgp(router).map(|b| b.multipath).unwrap_or(true);
         let sel = selection_guards(self.m, &rules, multipath);
         let total = self.m.sum(&sel);
         let mut consumed = self.m.zero();
@@ -440,7 +368,7 @@ impl<'a> Exec<'a> {
         amount: NodeRef,
         next: &mut HashMap<(RouterId, u32), NodeRef>,
     ) -> NodeRef {
-        let Some(pol) = self.q_sr(router, nip) else {
+        let Some(pol) = self.routes.sr_policy(router, nip, self.flow.dscp).cloned() else {
             return self.forward_igp(router, nip, EMPTY_STACK, amount, next);
         };
         let mut emitted = self.m.zero();
@@ -459,7 +387,7 @@ impl<'a> Exec<'a> {
             }
             let first = p.segments[0];
             let stack = self.stacks.intern(&p.segments);
-            let done = if self.q_owns(router, first) {
+            let done = if self.routes.owns(self.net, router, first) {
                 // Degenerate headend-owns-first-segment case: process
                 // the stack immediately at this router.
                 self.step(router, stack, share, next);

@@ -33,7 +33,6 @@ pub mod delta;
 pub mod equivalence;
 pub mod exec;
 pub mod explain;
-pub mod trace;
 pub mod verify;
 
 pub use api::{RunStats, VerificationOutcome, YuOptions, YuVerifier};
@@ -45,5 +44,4 @@ pub use explain::{
     explanation_dot, Explanation, FlowBlame, FlowPathDiff, PathOutcome, PointEnvelope, ReplayCheck,
     TracedPath, MAX_TRACED_PATHS,
 };
-pub use trace::{RouteTrace, TraceAnswer, TraceQuery};
 pub use verify::{check_requirement, enumerate_violations, Violation};

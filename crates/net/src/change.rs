@@ -256,8 +256,8 @@ pub struct Impact {
     /// Failure-variable universe changed (router/link set edited): full
     /// rebuild of routes, flow groups, and verdicts.
     pub topology: bool,
-    /// Routing inputs changed (costs, configs): recompute symbolic routes,
-    /// re-execute only flow groups whose route dependencies changed.
+    /// Routing inputs changed (costs, configs): recompute symbolic routes
+    /// and re-execute the flow groups on the same arena.
     pub routing: bool,
     /// The flow list changed: regroup, re-execute only new/changed groups.
     pub flows: bool,

@@ -214,9 +214,9 @@ pub struct ServeSession {
 }
 
 impl ServeSession {
-    /// Builds the session from a base spec: executes all flows (with
-    /// route-dependency recording) and verifies once to establish the
-    /// baseline verdict.
+    /// Builds the session from a base spec: executes all flows, as a
+    /// batch run does, and verifies once to establish the baseline
+    /// verdict.
     pub fn new(spec: &VerifySpec, opts: YuOptions) -> ServeSession {
         ServeSession::with_config(spec, opts, ServeConfig::default())
     }
