@@ -39,8 +39,6 @@ pub struct YuOptions {
     pub use_link_local_equiv: bool,
     /// Group globally equivalent flows before execution (§6).
     pub use_global_equiv: bool,
-    /// Stop at the first violation instead of collecting one per point.
-    pub early_stop: bool,
     /// TTL bound of symbolic traffic execution.
     pub max_hops: usize,
     /// Garbage-collect the MTBDD arena whenever it grows by this many
@@ -63,13 +61,6 @@ pub struct YuOptions {
     /// `Default` and kept only because the benchmark package still
     /// writes it.
     pub check_workers_auto: bool,
-    /// Capture per-entity performance attribution (see
-    /// [`crate::attribution`]): wall time and arena node-growth deltas
-    /// per flow group and per requirement, plus arena level/cache
-    /// profiles, carried by [`RunStats::attribution`]. Observer-only —
-    /// verdicts are bit-identical with profiling on or off. Set by
-    /// `yu profile` and `yu verify --profile-out`; off by default.
-    pub profile: bool,
 }
 
 impl Default for YuOptions {
@@ -80,13 +71,11 @@ impl Default for YuOptions {
             use_kreduce: true,
             use_link_local_equiv: true,
             use_global_equiv: true,
-            early_stop: false,
             max_hops: yu_net::DEFAULT_MAX_HOPS,
             gc_node_threshold: 4_000_000,
             workers: 1,
             check_workers: 1,
             check_workers_auto: false,
-            profile: false,
         }
     }
 }
@@ -118,9 +107,6 @@ pub struct RunStats {
     /// cache rates). `None` unless telemetry was enabled (`YU_TRACE`,
     /// `YU_METRICS`, or `yu_telemetry::set_enabled`).
     pub telemetry: Option<yu_telemetry::TelemetrySummary>,
-    /// Per-entity performance attribution (flows, requirements, arena
-    /// levels and caches). `None` unless [`YuOptions::profile`] was set.
-    pub attribution: Option<Attribution>,
 }
 
 impl RunStats {
@@ -183,11 +169,10 @@ pub struct YuVerifier {
     /// calls forward deltas, not re-counts. One mark for both sinks: it
     /// advances whether or not either records.
     arena_reported: [u64; 6],
-    /// Per-flow-group execution costs, accumulated across `add_flows`
-    /// calls. Empty unless `opts.profile`.
+    /// Per-flow-group execution costs since the last
+    /// `reset_run_counters`, accumulated across `add_flows` calls.
     pub(crate) exec_attr: PhaseAttribution,
-    /// Per-requirement check costs of the verify call in flight; built
-    /// by the check stage, consumed (and cleared) by `finish_outcome`.
+    /// Per-requirement check costs of the last verify call.
     pub(crate) check_attr: PhaseAttribution,
     /// Inner nodes the symbolic route simulation left in the arena.
     route_nodes: u64,
@@ -371,9 +356,7 @@ impl YuVerifier {
 
     /// Books wall-clock spent executing flow groups (batch or incremental).
     pub(crate) fn book_exec_time(&mut self, elapsed: Duration) {
-        if self.opts.profile {
-            self.exec_attr.wall_us += elapsed.as_micros() as u64;
-        }
+        self.exec_attr.wall_us += elapsed.as_micros() as u64;
         self.exec_time += elapsed;
     }
 
@@ -409,6 +392,23 @@ impl YuVerifier {
         self.exec_attr = PhaseAttribution::default();
     }
 
+    /// Where the nodes and the time went (see [`crate::attribution`]):
+    /// one cost per flow group executed since the last
+    /// [`Self::reset_run_counters`], one per requirement the last
+    /// verify call checked, and the arena's level and cache profiles
+    /// over every root the verifier holds. Built on demand from what
+    /// execution and the check record anyway; reading it changes
+    /// nothing.
+    pub fn attribution(&self) -> Attribution {
+        Attribution {
+            route_nodes: self.route_nodes,
+            exec: self.exec_attr.clone(),
+            check: self.check_attr.clone(),
+            levels: self.m.level_profile(&self.live_roots(true)),
+            caches: self.m.cache_profiles(),
+        }
+    }
+
     /// Verifies a TLP, returning violations (empty = property holds under
     /// every scenario with at most `k` failures) and run statistics.
     pub fn verify(&mut self, tlp: &Tlp) -> VerificationOutcome {
@@ -438,18 +438,7 @@ impl YuVerifier {
     ) -> VerificationOutcome {
         self.audit_checkpoint("after TLP check");
         let telemetry = self.bridge(check_time, reqs_checked, reqs_bound_decided);
-        let attribution = self.opts.profile.then(|| {
-            let mut check = std::mem::take(&mut self.check_attr);
-            check.wall_us = check_time.as_micros() as u64;
-            Attribution {
-                route_nodes: self.route_nodes,
-                exec: self.exec_attr.clone(),
-                check,
-                levels: self.m.level_profile(&self.live_roots(true)),
-                caches: self.m.cache_profiles(),
-                engine: self.m.engine_profile(),
-            }
-        });
+        self.check_attr.wall_us = check_time.as_micros() as u64;
         VerificationOutcome {
             violations,
             stats: RunStats {
@@ -462,7 +451,6 @@ impl YuVerifier {
                 mtbdd: self.m.stats(),
                 per_point,
                 telemetry,
-                attribution,
             },
         }
     }

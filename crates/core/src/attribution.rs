@@ -4,11 +4,12 @@
 //! The stage timings in [`crate::RunStats`] say *that* execution took
 //! 4 s; the ROADMAP's engine-overhaul work needs to know *which flow*
 //! took them, and whether the arena growth came from execution or
-//! aggregation. When [`crate::YuOptions::profile`] is set, the
-//! verifier captures an [`EntityCost`] around every unit of work — one
-//! per flow group at `exec.flow`, one per requirement at
-//! aggregate+check — and assembles them into an [`Attribution`]
-//! carried by [`crate::RunStats`].
+//! aggregation. The verifier always records an [`EntityCost`] for every
+//! unit of work — one per flow group at `exec.flow`, one per requirement
+//! at aggregate+check — from the wall clock and node delta it measures
+//! there anyway, and [`crate::YuVerifier::attribution`] assembles them,
+//! with the arena's level and cache profiles, into an [`Attribution`]
+//! when asked.
 //!
 //! **Reconciliation invariant.** Within a phase, the per-entity node
 //! deltas are measured back-to-back in the same arena, so they
@@ -20,12 +21,12 @@
 //! This identity is asserted by `tests/attribution.rs` and the CI
 //! profile smoke step.
 //!
-//! Capture is observer-only — wall clocks and already-maintained node
-//! counters — so profiled runs are bit-identical to plain runs
-//! (`tests/telemetry_differential.rs`).
+//! Capture reads only wall clocks and already-maintained node counters,
+//! and building the report only walks the arena, so a run is
+//! bit-identical whether or not anyone reads it (`tests/attribution.rs`).
 
 use serde::Serialize;
-use yu_mtbdd::{CacheProfile, EngineProfile, LevelProfile};
+use yu_mtbdd::{CacheProfile, LevelProfile};
 
 /// The cost attributed to one spec entity (a flow group or a
 /// requirement).
@@ -77,8 +78,8 @@ impl PhaseAttribution {
     }
 }
 
-/// The full attribution of one verification run, carried by
-/// [`crate::RunStats::attribution`] when profiling is on.
+/// The full attribution of one verification run, from
+/// [`crate::YuVerifier::attribution`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Attribution {
     /// Inner nodes the symbolic route simulation left in the arena (the
@@ -94,9 +95,6 @@ pub struct Attribution {
     pub levels: LevelProfile,
     /// Apply/fused operation-cache profiles of the arena.
     pub caches: Vec<CacheProfile>,
-    /// Kernel recursion-depth maxima (all-zero unless
-    /// `YU_ENGINE_PROFILE` was on when the arena was built).
-    pub engine: EngineProfile,
 }
 
 impl Attribution {

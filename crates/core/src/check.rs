@@ -17,7 +17,7 @@
 //! [`CheckCaches`] it carries across requests.
 
 use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
-use crate::attribution::{req_label, EntityCost};
+use crate::attribution::{req_label, EntityCost, PhaseAttribution};
 use crate::equivalence::{AggStats, FlowGroup};
 use crate::exec::FlowStf;
 use crate::verify::{check_requirement, enumerate_violations, Violation};
@@ -368,9 +368,8 @@ fn check_req<A: CheckArena>(
 /// The requirement loop: every `(index, requirement)` of `reqs` in order,
 /// answered from `verdicts` when it holds a current verdict and checked on
 /// `a` otherwise. With `max_violations <= 1` each unit carries at most the
-/// first (fewest-failure) violation and `opts.early_stop` ends the loop at
-/// the first violated requirement; larger values enumerate up to that many
-/// violating scenarios per requirement.
+/// first (fewest-failure) violation; larger values enumerate up to that
+/// many violating scenarios per requirement.
 pub(crate) fn check_reqs<'r, A: CheckArena>(
     a: &mut A,
     opts: &YuOptions,
@@ -378,9 +377,8 @@ pub(crate) fn check_reqs<'r, A: CheckArena>(
     max_violations: usize,
     mut verdicts: Option<&mut CheckCaches>,
 ) -> Vec<CheckUnit> {
-    let mut units = Vec::new();
-    for (req_ix, req) in reqs {
-        let unit = match verdicts.as_deref().and_then(|c| c.verdict(req)) {
+    reqs.map(
+        |(req_ix, req)| match verdicts.as_deref().and_then(|c| c.verdict(req)) {
             Some((violations, agg)) => CheckUnit {
                 req_ix,
                 violations,
@@ -397,14 +395,9 @@ pub(crate) fn check_reqs<'r, A: CheckArena>(
                 }
                 unit
             }
-        };
-        let violated = !unit.violations.is_empty();
-        units.push(unit);
-        if violated && opts.early_stop && max_violations <= 1 {
-            break;
-        }
-    }
-    units
+        },
+    )
+    .collect()
 }
 
 impl YuVerifier {
@@ -424,17 +417,16 @@ impl YuVerifier {
         let opts = self.opts;
         let reqs = tlp.reqs.iter().enumerate();
         let units = check_reqs(self, &opts, reqs, max_violations, caches.as_deref_mut());
-        if opts.profile {
-            // Unit deltas are measured back-to-back, so they telescope to
-            // the arena's growth over the stage.
-            for u in units.iter().filter(|u| !u.cached) {
-                self.check_attr.nodes_delta += u.nodes_delta;
-                self.check_attr.entities.push(EntityCost {
-                    label: req_label(&self.net, &tlp.reqs[u.req_ix]),
-                    wall_us: u.wall_us,
-                    nodes_delta: u.nodes_delta,
-                });
-            }
+        // Unit deltas are measured back-to-back, so they telescope to the
+        // arena's growth over the stage.
+        self.check_attr = PhaseAttribution::default();
+        for u in units.iter().filter(|u| !u.cached) {
+            self.check_attr.nodes_delta += u.nodes_delta;
+            self.check_attr.entities.push(EntityCost {
+                label: req_label(&self.net, &tlp.reqs[u.req_ix]),
+                wall_us: u.wall_us,
+                nodes_delta: u.nodes_delta,
+            });
         }
         let checked = units.iter().filter(|u| !u.cached).count();
         if let Some(c) = caches {

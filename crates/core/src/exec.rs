@@ -172,9 +172,9 @@ impl YuVerifier {
     /// arena that holds the routing state (DESIGN.md §8 says why nothing
     /// runs in parallel). The one place a group execution is timed: it
     /// feeds the `yu_flow_exec_seconds` / `yu_flow_groups_executed_total`
-    /// registry instruments and, when profiling, the group's attribution
-    /// entry — whose node delta is added to the phase total in the same
-    /// step, so the phase telescopes by construction.
+    /// registry instruments and the group's attribution entry — whose
+    /// node delta is added to the phase total in the same step, so the
+    /// phase telescopes by construction.
     pub(crate) fn execute(&mut self, g: &FlowGroup) -> FlowStf {
         let opts = ExecOptions {
             k: self.opts.use_kreduce.then_some(self.opts.k),
@@ -189,15 +189,13 @@ impl YuVerifier {
             r.flow_exec_seconds.record(wall_us);
             r.flow_groups_executed_total.inc();
         });
-        if self.opts.profile {
-            let nodes_delta = self.m.nodes_created() as i64 - nodes_before;
-            self.exec_attr.nodes_delta += nodes_delta;
-            self.exec_attr.entities.push(EntityCost {
-                label: flow_label(&self.net, &g.rep, g.members),
-                wall_us,
-                nodes_delta,
-            });
-        }
+        let nodes_delta = self.m.nodes_created() as i64 - nodes_before;
+        self.exec_attr.nodes_delta += nodes_delta;
+        self.exec_attr.entities.push(EntityCost {
+            label: flow_label(&self.net, &g.rep, g.members),
+            wall_us,
+            nodes_delta,
+        });
         stf
     }
 }

@@ -218,7 +218,6 @@ impl Mtbdd {
             return r;
         }
         self.sum_misses += 1;
-        self.prof_fused_enter();
         let var = ops
             .ops()
             .iter()
@@ -270,7 +269,6 @@ impl Mtbdd {
             let hi_k = self.sum_kreduce_rec(his, b0, k);
             self.node(var, lo_km1, hi_k)
         };
-        self.prof_fused_exit();
         self.sum_cache.insert(key, r);
         r
     }
@@ -320,7 +318,6 @@ impl Mtbdd {
             let t = op.combine(self.terminal_ref(f), self.terminal_ref(g));
             self.term(t)
         } else {
-            self.prof_fused_enter();
             let vf = self.top_var(f).unwrap_or(u32::MAX);
             let vg = self.top_var(g).unwrap_or(u32::MAX);
             let var = vf.min(vg);
@@ -329,14 +326,12 @@ impl Mtbdd {
             // Definition 5.2 on the virtual node (var, f0⊕g0, f1⊕g1).
             let hi_km1 = self.fused_rec(op, f1, g1, k - 1);
             let lo_km1 = self.fused_rec(op, f0, g0, k - 1);
-            let r = if hi_km1 == lo_km1 {
+            if hi_km1 == lo_km1 {
                 self.fused_rec(op, f1, g1, k)
             } else {
                 let hi_k = self.fused_rec(op, f1, g1, k);
                 self.node(var, lo_km1, hi_k)
-            };
-            self.prof_fused_exit();
-            r
+            }
         };
         self.fused_cache.insert(w0, w1, r.0);
         r

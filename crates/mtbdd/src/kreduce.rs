@@ -51,7 +51,6 @@ impl Mtbdd {
         if let Some(raw) = self.kreduce_cache.get(w0, w1) {
             return NodeRef(raw);
         }
-        self.prof_kreduce_enter();
         let n = self.node_at(f);
         let hi_km1 = self.kreduce_rec(n.hi, k - 1);
         let lo_km1 = self.kreduce_rec(n.lo, k - 1);
@@ -61,7 +60,6 @@ impl Mtbdd {
             let hi_k = self.kreduce_rec(n.hi, k);
             self.node(n.var, lo_km1, hi_k)
         };
-        self.prof_kreduce_exit();
         self.kreduce_cache.insert(w0, w1, r.0);
         r
     }

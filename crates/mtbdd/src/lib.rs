@@ -68,9 +68,6 @@ pub use gc::Remap;
 pub use manager::{Mtbdd, MtbddStats, Op, Op1, UniqueProbeStats};
 pub use node::{NodeRef, Var};
 pub use paths::Path;
-pub use profile::{
-    engine_profile_enabled, set_engine_profile, CacheProfile, EngineProfile, LevelCount,
-    LevelProfile, ProbeStats,
-};
+pub use profile::{CacheProfile, LevelCount, LevelProfile, ProbeStats};
 pub use ratio::Ratio;
 pub use terminal::Term;

@@ -393,18 +393,6 @@ pub struct Mtbdd {
     pub(crate) unique_probe_max: u32,
     pub(crate) unique_direct: u64,
     pub(crate) unique_hits: u64,
-    /// Whether kernel recursion-depth tracking (see `profile.rs`) is
-    /// active for this manager; latched from `YU_ENGINE_PROFILE` (or
-    /// its programmatic override) at construction.
-    profile_enabled: bool,
-    /// Current and maximum recursion depth per memoized kernel, only
-    /// maintained when `profile_enabled` is set. The maxima survive GC.
-    prof_apply_depth: u32,
-    pub(crate) prof_apply_depth_max: u32,
-    prof_fused_depth: u32,
-    pub(crate) prof_fused_depth_max: u32,
-    prof_kreduce_depth: u32,
-    pub(crate) prof_kreduce_depth_max: u32,
 }
 
 impl Default for Mtbdd {
@@ -449,13 +437,6 @@ impl Mtbdd {
             unique_probe_max: 0,
             unique_direct: 0,
             unique_hits: 0,
-            profile_enabled: crate::profile::engine_profile_enabled(),
-            prof_apply_depth: 0,
-            prof_apply_depth_max: 0,
-            prof_fused_depth: 0,
-            prof_fused_depth_max: 0,
-            prof_kreduce_depth: 0,
-            prof_kreduce_depth_max: 0,
         };
         m.zero = m.term(Term::ZERO);
         m.one = m.term(Term::ONE);
@@ -645,10 +626,6 @@ impl Mtbdd {
             }
             return r;
         }
-        if self.profile_enabled {
-            self.prof_apply_depth += 1;
-            self.prof_apply_depth_max = self.prof_apply_depth_max.max(self.prof_apply_depth);
-        }
         let r = if f.is_terminal() && g.is_terminal() {
             let t = op.combine(self.terminal_ref(f), self.terminal_ref(g));
             self.term(t)
@@ -662,9 +639,6 @@ impl Mtbdd {
             let hi = self.apply(op, f1, g1);
             self.node(var, lo, hi)
         };
-        if self.profile_enabled {
-            self.prof_apply_depth -= 1;
-        }
         self.apply_cache.insert(w0, w1, r.0);
         if self.audit_enabled {
             self.audit_apply_tick(op, f, g, r);
@@ -1076,42 +1050,6 @@ impl Mtbdd {
 
     pub(crate) fn audit_on(&self) -> bool {
         self.audit_enabled
-    }
-
-    // ---- crate-internal access for the profiler (profile.rs) ----
-
-    pub(crate) fn profile_on(&self) -> bool {
-        self.profile_enabled
-    }
-
-    /// Depth bookkeeping for the fused kernel's memoized recursion
-    /// (called from `fused.rs` on the cache-miss path only).
-    pub(crate) fn prof_fused_enter(&mut self) {
-        if self.profile_enabled {
-            self.prof_fused_depth += 1;
-            self.prof_fused_depth_max = self.prof_fused_depth_max.max(self.prof_fused_depth);
-        }
-    }
-
-    pub(crate) fn prof_fused_exit(&mut self) {
-        if self.profile_enabled {
-            self.prof_fused_depth -= 1;
-        }
-    }
-
-    /// Depth bookkeeping for `KREDUCE` (called from `kreduce.rs` on the
-    /// cache-miss path only).
-    pub(crate) fn prof_kreduce_enter(&mut self) {
-        if self.profile_enabled {
-            self.prof_kreduce_depth += 1;
-            self.prof_kreduce_depth_max = self.prof_kreduce_depth_max.max(self.prof_kreduce_depth);
-        }
-    }
-
-    pub(crate) fn prof_kreduce_exit(&mut self) {
-        if self.profile_enabled {
-            self.prof_kreduce_depth -= 1;
-        }
     }
 
     pub(crate) fn audit_ops_bump(&mut self) -> u64 {

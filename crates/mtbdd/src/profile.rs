@@ -1,9 +1,8 @@
 //! Read-only engine introspection for performance attribution.
 //!
-//! The ROADMAP's MTBDD-overhaul work (variable reordering, sharding
-//! heuristics) needs to know *where* an arena's nodes and the apply
-//! kernels' time actually go. This module answers three questions
-//! without perturbing the engine:
+//! The ROADMAP's MTBDD work (variable ordering, cache sizing) needs to
+//! know *where* an arena's nodes and memory actually go. This module
+//! answers two questions without perturbing the engine:
 //!
 //! * **Where do the nodes live?** [`Mtbdd::level_profile`] walks the
 //!   sub-diagrams reachable from a root set and histograms live inner
@@ -21,51 +20,14 @@
 //!   its *measured* linear-probe distribution (see [`ProbeStats`]) —
 //!   real counters from the hot path, not a simulation; direct-mapped
 //!   caches probe exactly one slot by construction.
-//! * **How deep do the kernels recurse?** Max-recursion-depth tracking
-//!   for `apply`, the fused kernel, and `KREDUCE`, gated by the
-//!   `YU_ENGINE_PROFILE` environment variable (or the programmatic
-//!   [`set_engine_profile`] override) and latched per-manager at
-//!   construction — when off, the hot paths pay a single predictable
-//!   branch on the cache-miss path and nothing at all on hits.
 //!
-//! Everything here is observer-only: profiling on or off, the same
-//! inputs produce bit-identical diagrams, verdicts, and statistics
-//! (asserted by `tests/telemetry_differential.rs`).
+//! Both are reads of state the engine keeps anyway, so nothing here
+//! needs a switch: no kernel pays for them until they are called.
 
 use crate::hasher::FxHashMap;
 use crate::manager::Mtbdd;
 use crate::node::{NodeRef, Var};
 use crate::table::DirectCache;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-/// Programmatic override: 0 = follow the environment, 1 = forced off,
-/// 2 = forced on.
-static PROFILE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static PROFILE_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Whether engine profiling (recursion-depth tracking) is requested.
-///
-/// Reads `YU_ENGINE_PROFILE` once (any non-empty value other than `0`
-/// or `false` enables it) unless [`set_engine_profile`] has overridden
-/// it. Each [`Mtbdd`] latches this at construction, mirroring the audit
-/// gate.
-pub fn engine_profile_enabled() -> bool {
-    match PROFILE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *PROFILE_ENV
-            .get_or_init(|| crate::audit::env_flag("YU_ENGINE_PROFILE").unwrap_or(false)),
-    }
-}
-
-/// Forces engine profiling on or off for managers constructed after the
-/// call, overriding `YU_ENGINE_PROFILE`. Exists so in-process
-/// differential tests and `yu profile` can flip the gate without
-/// touching the environment.
-pub fn set_engine_profile(on: bool) {
-    PROFILE_OVERRIDE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
 
 /// Live inner nodes at one variable level (see [`Mtbdd::level_profile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -141,21 +103,6 @@ pub struct CacheProfile {
     /// trivially direct for the direct-mapped caches; not measured —
     /// all zero — for the `"sum"` and `"range"` hash maps).
     pub probe: ProbeStats,
-}
-
-/// Maximum recursion depths of the memoized kernels, tracked when
-/// engine profiling is enabled (see [`engine_profile_enabled`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct EngineProfile {
-    /// Whether this manager was constructed with depth tracking on.
-    /// When `false` the depth fields are all zero.
-    pub enabled: bool,
-    /// Deepest memoized `apply` recursion (cache-miss frames only).
-    pub apply_max_depth: u32,
-    /// Deepest fused `op∘KREDUCE` recursion.
-    pub fused_max_depth: u32,
-    /// Deepest `KREDUCE` recursion.
-    pub kreduce_max_depth: u32,
 }
 
 /// `len / capacity`, 0 for an unallocated table.
@@ -307,28 +254,12 @@ impl Mtbdd {
             },
         ]
     }
-
-    /// The kernel recursion-depth maxima recorded so far. All-zero
-    /// unless the manager was constructed with engine profiling on
-    /// (see [`engine_profile_enabled`]); the maxima survive GC.
-    pub fn engine_profile(&self) -> EngineProfile {
-        EngineProfile {
-            enabled: self.profile_on(),
-            apply_max_depth: self.prof_apply_depth_max,
-            fused_max_depth: self.prof_fused_depth_max,
-            kreduce_max_depth: self.prof_kreduce_depth_max,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Ratio, Term};
-    use std::sync::Mutex;
-
-    /// Serializes the tests that flip the process-global profile gate.
-    static GATE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn level_profile_counts_union_of_roots() {
@@ -472,73 +403,5 @@ mod tests {
                 assert_eq!(p.probe.direct_fraction, 1.0);
             }
         }
-    }
-
-    #[test]
-    fn depth_tracking_follows_the_gate() {
-        let _guard = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Forced off: depths stay zero. On: they move, and results are
-        // identical either way.
-        set_engine_profile(false);
-        let build = |m: &mut Mtbdd| {
-            let vars: Vec<_> = (0..6).map(|_| m.fresh_var()).collect();
-            let mut f = m.zero();
-            for (i, &v) in vars.iter().enumerate() {
-                let g = m.var_guard(v);
-                let s = m.scale(g, Term::int(i as i64 + 1));
-                f = m.add(f, s);
-            }
-            let r = m.kreduce(f, 2);
-            let fused = m.add_kreduce(f, r, 2);
-            (f, r, fused)
-        };
-        let mut off = Mtbdd::new();
-        let off_out = build(&mut off);
-        let p = off.engine_profile();
-        assert!(!p.enabled);
-        assert_eq!(
-            (p.apply_max_depth, p.fused_max_depth, p.kreduce_max_depth),
-            (0, 0, 0)
-        );
-
-        set_engine_profile(true);
-        let mut on = Mtbdd::new();
-        let on_out = build(&mut on);
-        let p = on.engine_profile();
-        assert!(p.enabled);
-        assert!(p.apply_max_depth > 0, "apply recursion must be observed");
-        assert!(
-            p.kreduce_max_depth > 0,
-            "kreduce recursion must be observed"
-        );
-        assert!(p.fused_max_depth > 0, "fused recursion must be observed");
-        set_engine_profile(false);
-
-        // Identical construction sequence => identical handles, so the
-        // profiled run is bit-identical to the plain one.
-        assert_eq!(off_out, on_out);
-        assert_eq!(off.stats(), on.stats());
-    }
-
-    #[test]
-    fn depth_maxima_survive_gc() {
-        let _guard = GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_engine_profile(true);
-        let mut m = Mtbdd::new();
-        let (x1, x2, x3) = (m.fresh_var(), m.fresh_var(), m.fresh_var());
-        let g1 = m.var_guard(x1);
-        let g2 = m.var_guard(x2);
-        let g3 = m.var_guard(x3);
-        let s0 = m.add(g1, g2);
-        let s = m.add(s0, g3);
-        let before = m.engine_profile();
-        assert!(before.apply_max_depth > 0);
-        let remap = m.collect(&[s]);
-        let _ = remap.get(s);
-        let after = m.engine_profile();
-        set_engine_profile(false);
-        assert_eq!(after.apply_max_depth, before.apply_max_depth);
-        // GC dropped the resident cache entries: booked as evictions.
-        assert!(m.cache_profiles()[0].evictions > 0);
     }
 }

@@ -121,7 +121,6 @@ proptest! {
         let before = m.stats();
         let _ = m.level_profile(&[f, reduced]);
         let caches = m.cache_profiles();
-        let _ = m.engine_profile();
         let after = m.stats();
         prop_assert_eq!(before, after, "profiling must not perturb the manager");
         // Cache profiles agree with the stats they summarize.

@@ -117,14 +117,6 @@ impl Network {
         set.into_iter().collect()
     }
 
-    /// Routers of an AS, in id order.
-    pub fn routers_in_as(&self, asn: AsNum) -> Vec<RouterId> {
-        self.topo
-            .routers()
-            .filter(|&r| self.asn(r) == asn)
-            .collect()
-    }
-
     /// All ASes present, with their routers.
     pub fn ases(&self) -> BTreeMap<AsNum, Vec<RouterId>> {
         let mut m: BTreeMap<AsNum, Vec<RouterId>> = BTreeMap::new();

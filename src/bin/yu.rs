@@ -12,12 +12,12 @@
 //!           [--explain] [--max-violations N]
 //!           [-v] [--trace-out t.json]
 //!           [--metrics-out m.json] [--profile-out p.json]
-//! yu profile spec.json [--json] [--top N]            verify with per-entity performance
+//! yu profile spec.json [--json] [--top N]            verify, then report per-entity
 //!           [--folded-out stacks.folded]             attribution: which flows/requirements
 //!                                                    cost the time and the arena nodes,
 //!                                                    live nodes per variable level, cache
-//!                                                    and kernel profiles, call-path self
-//!                                                    times; --folded-out writes flamegraph
+//!                                                    profiles, call-path self times;
+//!                                                    --folded-out writes flamegraph
 //!                                                    folded stacks (flamegraph.pl/inferno)
 //! yu explain spec.json [--json] [--dot-out f.dot]    forensic report per violation:
 //!           [--max-violations N]                     per-flow blame, rerouted paths,
@@ -43,7 +43,9 @@
 //! Specs are self-contained JSON (network + flows + TLP + k); see
 //! `yu::spec::VerifySpec` and `yu export` for the format. An argument
 //! starting with `-` that is not one of the flags above is an error
-//! (exit 2), whatever the subcommand.
+//! (exit 2), whatever the subcommand. Every subcommand but `export`,
+//! `lint` and `check` refuses a spec with a lint error (exit 2, the
+//! error diagnostics on stderr) before running it.
 //!
 //! Forensics: `yu explain` (and `yu verify --explain`) re-verifies the
 //! spec, then builds an [`yu::core::Explanation`] for each violation —
@@ -54,14 +56,13 @@
 //! instead of the default single counterexample; `--dot-out FILE` writes a
 //! Graphviz overlay of the rerouted paths per explanation.
 //!
-//! Profiling: `yu profile` runs the same verification as `yu verify` with
-//! per-entity attribution capture on ([`yu::core::YuOptions::profile`])
-//! and reports where the wall time and the arena nodes went — per flow
+//! Profiling: `yu profile` runs the same verification as `yu verify` and
+//! reports where the wall time and the arena nodes went — per flow
 //! group, per requirement, per variable level, per operation cache, and
 //! per call path (self times reconstructed from the telemetry spans).
-//! Capture is observer-only: a profiled run is bit-identical to a plain
-//! one. Set `YU_ENGINE_PROFILE=1` to additionally track kernel recursion
-//! depth maxima. `yu verify --profile-out FILE` writes the same
+//! The verifier records the per-entity costs on every run; both
+//! subcommands read them with [`yu::core::YuVerifier::attribution`]
+//! right after `verify`. `yu verify --profile-out FILE` writes the same
 //! attribution object as JSON without changing the human output.
 //!
 //! Telemetry: `--trace-out FILE` writes Chrome trace-event JSON (load it
@@ -186,7 +187,7 @@ fn main() -> ExitCode {
         "lint" => lint(&load(&arg), json_output, deep, deny_warnings),
         "check" => check(&load(&arg)),
         "verify" => verify(
-            &load(&arg),
+            &load_valid(&arg),
             json_output,
             &telemetry,
             VerifyFlags {
@@ -196,7 +197,7 @@ fn main() -> ExitCode {
             },
         ),
         "profile" => profile(
-            &load(&arg),
+            &load_valid(&arg),
             json_output,
             &telemetry,
             ProfileArgs {
@@ -205,16 +206,21 @@ fn main() -> ExitCode {
             },
         ),
         "explain" => explain(
-            &load(&arg),
+            &load_valid(&arg),
             json_output,
             &telemetry,
             max_violations,
             dot_out.as_deref(),
         ),
-        "loads" => loads(&load(&arg), fail_arg.as_deref()),
-        "scenarios" => scenarios(&load(&arg)),
-        "rib" => rib(&load(&arg), &args),
-        "diff" => diff(&load(&arg), &load(&arg2), json_output, &telemetry),
+        "loads" => loads(&load_valid(&arg), fail_arg.as_deref()),
+        "scenarios" => scenarios(&load_valid(&arg)),
+        "rib" => rib(&load_valid(&arg), &args),
+        "diff" => diff(
+            &load_valid(&arg),
+            &load_valid(&arg2),
+            json_output,
+            &telemetry,
+        ),
         "serve" => {
             let slow_ms = flag_parsed::<u64>(
                 &args,
@@ -316,6 +322,27 @@ fn load(path: &Option<String>) -> VerifySpec {
         eprintln!("error: invalid spec: {e}");
         std::process::exit(2);
     })
+}
+
+/// [`load`] for the subcommands that run the spec: one that `yu lint`
+/// rejects (a dangling router, link or flow reference, a malformed
+/// volume or bound) would otherwise panic or verify wrongly, so its
+/// error diagnostics go to stderr and the process exits with 2.
+fn load_valid(path: &Option<String>) -> VerifySpec {
+    let spec = load(path);
+    let errors: Vec<_> = spec
+        .validate()
+        .into_iter()
+        .filter(|d| d.is_error())
+        .collect();
+    if !errors.is_empty() {
+        for d in &errors {
+            eprintln!("{d}");
+        }
+        eprintln!("error: invalid spec (see `yu lint`)");
+        std::process::exit(2);
+    }
+    spec
 }
 
 fn export(which: &str) -> ExitCode {
@@ -449,8 +476,8 @@ fn check(spec: &VerifySpec) -> ExitCode {
 struct VerifyFlags {
     explain: bool,
     max_violations: usize,
-    /// `--profile-out FILE`: capture per-entity attribution and write it
-    /// to FILE as JSON (the same object `yu profile --json` embeds).
+    /// `--profile-out FILE`: write the run's attribution to FILE as JSON
+    /// (the same object `yu profile --json` embeds).
     profile_out: Option<String>,
 }
 
@@ -463,19 +490,15 @@ fn verify(
     if telemetry.wants_recording() {
         yu::telemetry::set_enabled(true);
     }
-    let mut v = YuVerifier::new(
-        spec.network.clone(),
-        YuOptions {
-            profile: flags.profile_out.is_some(),
-            ..spec_options(spec)
-        },
-    );
+    let mut v = YuVerifier::new(spec.network.clone(), spec_options(spec));
     v.add_flows(&spec.flows);
     let out = if flags.max_violations > 1 {
         v.verify_enumerated(&spec.tlp, flags.max_violations)
     } else {
         v.verify(&spec.tlp)
     };
+    // Read before explaining, which grows the arena.
+    let attr = flags.profile_out.is_some().then(|| v.attribution());
     let explanations: Vec<yu::core::Explanation> = if flags.explain {
         out.violations.iter().map(|vi| v.explain(vi)).collect()
     } else {
@@ -484,7 +507,11 @@ fn verify(
     if json_output {
         println!(
             "{}",
-            verify_json(&out, flags.explain.then_some(explanations.as_slice()))
+            verify_json(
+                &out,
+                flags.explain.then_some(explanations.as_slice()),
+                attr.as_ref()
+            )
         );
     } else if out.verified() {
         println!(
@@ -519,12 +546,7 @@ fn verify(
     } else {
         println!("{stats}");
     }
-    if let Some(path) = &flags.profile_out {
-        let attr = out
-            .stats
-            .attribution
-            .as_ref()
-            .expect("profile runs carry attribution");
+    if let (Some(path), Some(attr)) = (&flags.profile_out, &attr) {
         let json = serde_json::to_string_pretty(attr).expect("serializable");
         match std::fs::write(path, json + "\n") {
             Ok(()) => eprintln!("attribution written to {path}"),
@@ -548,7 +570,7 @@ struct ProfileArgs {
 }
 
 /// The `yu profile` subcommand: run the same verification as
-/// `yu verify` with attribution capture on, then report where the wall
+/// `yu verify`, then report where the wall
 /// time and the arena nodes went — per flow group, per requirement, per
 /// variable level, per operation cache, and per telemetry call path.
 fn profile(
@@ -560,20 +582,10 @@ fn profile(
     // Spans feed the call-path table and the folded-stack export, so a
     // profile run always records telemetry even without --trace-out.
     yu::telemetry::set_enabled(true);
-    let mut v = YuVerifier::new(
-        spec.network.clone(),
-        YuOptions {
-            profile: true,
-            ..spec_options(spec)
-        },
-    );
+    let mut v = YuVerifier::new(spec.network.clone(), spec_options(spec));
     v.add_flows(&spec.flows);
     let out = v.verify(&spec.tlp);
-    let attr = out
-        .stats
-        .attribution
-        .clone()
-        .expect("profile runs carry attribution");
+    let attr = v.attribution();
     // Variable levels are failure variables; name them after the link or
     // router they model.
     let level_label = |var: u32| match v.failure_vars().element_of(var) {
@@ -742,14 +754,6 @@ fn print_profile_tables(
             c.evictions,
         );
     }
-    if attr.engine.enabled {
-        println!(
-            "kernel recursion depth maxima: apply {}, fused {}, kreduce {}",
-            attr.engine.apply_max_depth, attr.engine.fused_max_depth, attr.engine.kreduce_max_depth,
-        );
-    } else {
-        println!("kernel recursion depths: not tracked (set YU_ENGINE_PROFILE=1)");
-    }
 
     if !paths.is_empty() {
         println!();
@@ -894,7 +898,7 @@ fn serve(spec_path: Option<String>, telemetry: &TelemetryArgs, obs: ServeObsArgs
             return ExitCode::from(2);
         }
     }
-    let spec = load(&spec_path);
+    let spec = load_valid(&spec_path);
     let config = yu::serve::ServeConfig {
         slow_threshold: std::time::Duration::from_millis(obs.slow_ms),
         regress_factor: obs.regress_factor,
@@ -1027,16 +1031,18 @@ fn explain_json(
 
 /// The `yu verify --json` result object: verdict, violations, and run
 /// statistics (durations in seconds; `telemetry` only when enabled;
-/// `explanations` only under `--explain`).
+/// `explanations` only under `--explain`; `attribution` only under
+/// `--profile-out`).
 fn verify_json(
     out: &yu::core::VerificationOutcome,
     explanations: Option<&[yu::core::Explanation]>,
+    attribution: Option<&yu::core::Attribution>,
 ) -> String {
     use serde::{Map, Serialize, Value};
     let mut stats = out.stats.scalars();
     stats.insert("mtbdd", out.stats.mtbdd.to_value());
     stats.insert("telemetry", out.stats.telemetry.to_value());
-    if let Some(attr) = &out.stats.attribution {
+    if let Some(attr) = attribution {
         stats.insert("attribution", attr.to_value());
     }
     let mut root = Map::new();

@@ -4,12 +4,11 @@
 //! verification report the same violations, aggregation statistics and
 //! bound-decided count, and the per-flow ablation
 //! (`use_global_equiv: false`) reports the violations of the
-//! class-grouped run. An `early_stop` run is the full run cut at its
-//! first violation, and the Fig. 13/15 ablation options violate the
+//! class-grouped run. The Fig. 13/15 ablation options violate the
 //! points the default run violates. A budget past the link count, up to
 //! `u32::MAX`, verifies like a budget of every link.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use yu::core::{IncrementalVerifier, VerificationOutcome, YuOptions, YuVerifier};
 use yu::gen::{
     fattree_with_flows, motivating_example, sr_anycast_incident, static_blackhole_incident, wan,
@@ -94,42 +93,6 @@ fn run(inst: &Instance, mode: FailureMode, opts: YuOptions) -> YuVerifier {
     );
     v.add_flows(&inst.flows);
     v
-}
-
-/// `early_stop` reports exactly the first violation of the full run, and
-/// its per-point statistics stop at that violation's requirement.
-#[test]
-fn early_stop_truncates_to_sequential_prefix() {
-    for inst in &instances() {
-        let full = run(inst, FailureMode::Links, YuOptions::default()).verify(&inst.tlp);
-        let opts = YuOptions {
-            early_stop: true,
-            ..Default::default()
-        };
-        let stopped = run(inst, FailureMode::Links, opts).verify(&inst.tlp);
-        assert_eq!(
-            stopped.violations,
-            full.violations[..full.violations.len().min(1)],
-            "{}: early_stop must keep the first violation only",
-            inst.name
-        );
-        let checked = match full.violations.first() {
-            Some(first) => {
-                let cut = inst.tlp.reqs.iter().position(|r| r.point == first.point);
-                cut.expect("a violation is at a requirement's point") + 1
-            }
-            None => inst.tlp.reqs.len(),
-        };
-        let expected: HashMap<LoadPoint, _> = inst.tlp.reqs[..checked]
-            .iter()
-            .map(|r| (r.point, full.stats.per_point[&r.point]))
-            .collect();
-        assert_eq!(
-            stopped.stats.per_point, expected,
-            "{}: per_point must stop at the first violated requirement",
-            inst.name
-        );
-    }
 }
 
 /// The Fig. 13/15 ablation options change how a load is built, not what

@@ -433,9 +433,83 @@ fn value_flags_say_what_they_take() {
     let _ = std::fs::remove_file(spec_path);
 }
 
+/// Every subcommand that runs a spec refuses one `yu lint` rejects: a
+/// flow whose ingress is no router (YU014) and a requirement on a link
+/// that does not exist (YU017, with an upper and with a lower bound).
+/// Exit 2 with the diagnostic on stderr, never a panic or a verdict.
+#[test]
+fn running_subcommands_refuse_specs_that_lint_rejects() {
+    use std::process::{Command, Stdio};
+    use yu::mtbdd::Ratio;
+    use yu::net::{LinkId, LoadPoint, RouterId, TlpReq};
+
+    let dir = std::env::temp_dir();
+    let write = |name: &str, spec: &VerifySpec| {
+        let path = dir.join(name);
+        std::fs::write(&path, spec.to_json()).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let good = write("yu-lint-gate-good.json", &fig1_spec());
+    let mut dangling_ingress = fig1_spec();
+    dangling_ingress.flows[0].ingress = RouterId(99);
+    let on_missing_link = |min: Option<i64>, max: Option<i64>| {
+        let mut spec = fig1_spec();
+        spec.tlp.reqs = vec![TlpReq {
+            point: LoadPoint::Link(LinkId(999)),
+            min: min.map(Ratio::int),
+            max: max.map(Ratio::int),
+        }];
+        spec
+    };
+    let bad = [
+        (write("yu-lint-gate-yu014.json", &dangling_ingress), "YU014"),
+        (
+            write(
+                "yu-lint-gate-yu017-max.json",
+                &on_missing_link(None, Some(95)),
+            ),
+            "YU017",
+        ),
+        (
+            write(
+                "yu-lint-gate-yu017-min.json",
+                &on_missing_link(Some(1000), None),
+            ),
+            "YU017",
+        ),
+    ];
+    for (bad, code) in &bad {
+        let b = bad.as_str();
+        for args in [
+            &["verify", b][..],
+            &["verify", b, "--json", "--profile-out", "/dev/null"],
+            &["profile", b],
+            &["explain", b],
+            &["loads", b],
+            &["scenarios", b],
+            &["rib", b, "--router", "A", "--dst", "100.0.0.1"],
+            &["diff", &good, b],
+            &["diff", b, &good],
+            &["serve", "--spec", b],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_yu"))
+                .args(args)
+                .stdin(Stdio::null())
+                .output()
+                .expect("yu runs");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains(code), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+        }
+        let _ = std::fs::remove_file(bad);
+    }
+    let _ = std::fs::remove_file(&good);
+}
+
 /// The `YU_*` on/off gates share one truthiness rule: `false`, `0` and
-/// the empty string are off. `YU_ENGINE_PROFILE=false` used to switch
-/// kernel depth tracking *on*.
+/// the empty string are off.
 #[test]
 fn env_gates_read_false_as_off() {
     use std::process::Command;
@@ -443,30 +517,22 @@ fn env_gates_read_false_as_off() {
     let dir = std::env::temp_dir();
     let spec_path = dir.join("yu-env-gate-cli-test.json");
     std::fs::write(&spec_path, fig1_spec().to_json()).unwrap();
-    let engine_enabled = |value: &str| {
+    let profile = |value: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_yu"))
             .args(["profile", spec_path.to_str().unwrap(), "--json"])
-            .env("YU_ENGINE_PROFILE", value)
             .env("YU_TRACE", value)
             .current_dir(&dir)
             .output()
             .expect("yu runs");
         assert_eq!(out.status.code(), Some(1), "fig1 P2 is violated");
-        let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-        let doc: serde_json::Value = serde_json::from_str(&stdout).expect("profile JSON");
-        let engine = field(field(&doc, "attribution"), "engine");
-        match field(engine, "enabled") {
-            serde_json::Value::Bool(on) => *on,
-            other => panic!("engine.enabled is {other:?}"),
-        }
     };
     let trace = dir.join("yu-trace.json");
     let _ = std::fs::remove_file(&trace);
     for off in ["false", "0", ""] {
-        assert!(!engine_enabled(off), "YU_ENGINE_PROFILE={off:?} is off");
+        profile(off);
         assert!(!trace.exists(), "YU_TRACE={off:?} writes nothing");
     }
-    assert!(engine_enabled("1"));
+    profile("1");
     assert!(trace.exists(), "YU_TRACE=1 writes the default file");
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&spec_path);

@@ -152,58 +152,6 @@ fn telemetry_on_off_runs_are_identical() {
     }
 }
 
-/// Engine profiling (`YU_ENGINE_PROFILE` / kernel recursion-depth
-/// tracking) must also be an observer: runs with the gate forced on and
-/// forced off produce bit-identical verdicts, violations, forensics,
-/// and arena statistics — and the profiled run actually observes depth.
-#[test]
-fn engine_profile_on_off_runs_are_identical() {
-    let _guard = lock_flags();
-    let fig1 = motivating_example();
-    yu::mtbdd::set_engine_profile(false);
-    let (off, off_explanations) = run(&fig1.net, &fig1.flows, &fig1.p2);
-
-    yu::mtbdd::set_engine_profile(true);
-    let (on, on_explanations) = run(&fig1.net, &fig1.flows, &fig1.p2);
-    yu::mtbdd::set_engine_profile(false);
-
-    assert_eq!(on.verified(), off.verified());
-    assert_eq!(
-        format!("{:?}", on.violations),
-        format!("{:?}", off.violations)
-    );
-    assert_eq!(on_explanations, off_explanations);
-    let stats = |s: &RunStats| {
-        (
-            s.flows_in,
-            s.flow_groups,
-            s.mtbdd.nodes_created,
-            s.mtbdd.terminals_created,
-        )
-    };
-    assert_eq!(stats(&on.stats), stats(&off.stats));
-
-    // With the gate on, a profiled run reports non-zero depth maxima;
-    // with it off, the profile says so and stays all-zero.
-    for (gate, want_depth) in [(true, true), (false, false)] {
-        yu::mtbdd::set_engine_profile(gate);
-        let mut v = YuVerifier::new(
-            fig1.net.clone(),
-            YuOptions {
-                k: 1,
-                profile: true,
-                ..Default::default()
-            },
-        );
-        v.add_flows(&fig1.flows);
-        let out = v.verify(&fig1.p2);
-        let engine = out.stats.attribution.as_ref().expect("profiled run").engine;
-        assert_eq!(engine.enabled, gate);
-        assert_eq!(engine.apply_max_depth > 0, want_depth);
-    }
-    yu::mtbdd::set_engine_profile(false);
-}
-
 /// The fig1 base spec the incremental runs start from.
 fn fig1_spec() -> VerifySpec {
     let ex = motivating_example();

@@ -105,22 +105,6 @@ fn disabling_link_local_equivalence_preserves_verdicts() {
 }
 
 #[test]
-fn early_stop_reports_at_most_one_violation() {
-    let ex = motivating_example();
-    let mut v = YuVerifier::new(
-        ex.net,
-        YuOptions {
-            k: 1,
-            early_stop: true,
-            ..Default::default()
-        },
-    );
-    v.add_flows(&ex.flows);
-    let out = v.verify(&ex.p2);
-    assert_eq!(out.violations.len(), 1);
-}
-
-#[test]
 fn per_point_stats_expose_equivalence_classes() {
     let (net, flows) = small_wan();
     let mut v = YuVerifier::new(
