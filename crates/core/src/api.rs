@@ -27,7 +27,7 @@ use yu_net::{FailureMode, FailureVars, Flow, LoadPoint, Network, Scenario, Tlp};
 use yu_routing::SymbolicRoutes;
 
 /// Configuration of a verification run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YuOptions {
     /// Maximum number of simultaneous failures to verify against.
     pub k: u32,

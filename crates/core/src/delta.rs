@@ -3,28 +3,40 @@
 //!
 //! An [`IncrementalVerifier`] wraps a [`YuVerifier`] together with the
 //! concrete flows and TLP it was built from, keeps its arena, routes,
-//! per-group STFs and verdicts alive, and redoes what a change requires:
+//! per-group STFs and verdicts alive, and redoes what an update requires.
+//! There is one update path: [`IncrementalVerifier::apply`] (`yu serve`)
+//! turns a change set into a new state and hands it to the body of
+//! [`IncrementalVerifier::set_state`] (`yu diff`). What an update
+//! invalidates is derived from the old and new state by
+//! [`yu_net::diff_impact`], never declared per change kind, so an edit
+//! that changes nothing reuses everything:
 //!
-//! * **Topology changes** (router/link add/remove) renumber the failure
-//!   variables, so everything is rebuilt from scratch — the only sound
-//!   option, since every guard in the arena is indexed by them.
-//! * **Routing changes** (link costs, configurations) recompute the
+//! * **Shape, `k`, failure mode or an ablation switch changed** — the
+//!   failure variables are renumbered or the scenario space differs, so
+//!   everything is rebuilt from scratch (the only sound option, since
+//!   every guard in the arena is indexed by them).
+//! * **Network changed** (link costs, configurations) — recompute the
 //!   guarded routing state *in the same arena*, then re-execute every
-//!   stored flow group toward its current representative. The warm arena
-//!   makes this cheap: hash-consing dedupes everything that did not
-//!   change, and the memo caches still hold it. In one arena handle
+//!   stored flow group toward its current representative. The warm
+//!   arena makes this cheap: hash-consing dedupes everything that did
+//!   not change, and the memo caches still hold it. In one arena handle
 //!   equality is semantic equality, so a load point is dirtied iff its
 //!   handle changed. When the new configuration classifies destinations
 //!   differently ([`yu_routing::DstClasses`] — a cost edit never does)
 //!   the flows are then regrouped as below.
-//! * **Flow changes** regroup (`equivalence::keyed_groups`, the
+//! * **Flows changed** — regroup (`equivalence::keyed_groups`, the
 //!   grouping of a scratch run) and key-match against the stored groups,
 //!   each keyed by its current representative under the current
 //!   classifier: a matched group keeps its STF (symbolic fractions are
 //!   volume-independent; destinations of one class forward identically),
 //!   only its volume/representative metadata is refreshed.
-//! * **TLP changes** touch neither routes nor STFs; the per-requirement
-//!   verdict cache simply misses on new or re-bounded requirements.
+//! * **TLP changed** — neither routes nor STFs are touched; the
+//!   per-requirement verdict cache simply misses on new or re-bounded
+//!   requirements.
+//!
+//! The rule is conservative by construction: an input that compares
+//! equal has equal derived state (same shape and options, same failure
+//! variables; same network, same routes; same flows, same groups).
 //!
 //! **The invariant.** After every update, each stored STF equals the
 //! execution of its group's *current* representative under the current
@@ -75,7 +87,8 @@ pub struct DeltaStats {
     pub rechecked_reqs: usize,
     /// Load points dirtied by the change.
     pub dirty_points: usize,
-    /// Whether the change forced a from-scratch rebuild (topology edits).
+    /// Whether the change forced a from-scratch rebuild (a new shape,
+    /// `k`, failure mode or ablation switch).
     pub full_rebuild: bool,
 }
 
@@ -86,7 +99,8 @@ pub struct IncrementalVerifier {
     v: YuVerifier,
     flows: Vec<Flow>,
     tlp: Tlp,
-    /// Monotone generation counter; bumped once per applied update.
+    /// Generation counter; bumped once per incremental update, and
+    /// restarted with the caches by a rebuild.
     gen: u64,
     /// Per-requirement verdicts, plus the per-point epochs that invalidate
     /// them.
@@ -97,6 +111,7 @@ pub struct IncrementalVerifier {
 impl IncrementalVerifier {
     /// Builds the verifier and executes `flows` exactly as a batch run
     /// does, keeping `tlp` as the property to re-verify after each change.
+    /// An update that changes the failure universe starts over here.
     pub fn new(net: Network, flows: Vec<Flow>, tlp: Tlp, opts: YuOptions) -> IncrementalVerifier {
         let mut v = YuVerifier::new(net, opts);
         v.add_flows(&flows);
@@ -151,38 +166,49 @@ impl IncrementalVerifier {
     /// from-scratch run on the updated inputs).
     pub fn apply(&mut self, cs: &ChangeSet) -> Result<VerificationOutcome, ChangeError> {
         let (net, flows, tlp, impact) = cs.apply(self.v.network(), &self.flows, &self.tlp)?;
-        self.v.reset_run_counters();
-        self.update(net, flows, tlp, impact);
-        Ok(self.verify())
+        let opts = self.v.options();
+        Ok(self.update(net, flows, tlp, opts, impact))
     }
 
-    /// Replaces the inputs wholesale (the `yu diff` path), inferring the
-    /// impact from a field-by-field comparison, then re-verifies.
-    pub fn set_state(&mut self, net: Network, flows: Vec<Flow>, tlp: Tlp) -> VerificationOutcome {
+    /// Replaces the inputs and options wholesale (the `yu diff` path),
+    /// then re-verifies.
+    pub fn set_state(
+        &mut self,
+        net: Network,
+        flows: Vec<Flow>,
+        tlp: Tlp,
+        opts: YuOptions,
+    ) -> VerificationOutcome {
         let impact = yu_net::diff_impact(
             (self.v.network(), &self.flows, &self.tlp),
             (&net, &flows, &tlp),
         );
-        self.v.reset_run_counters();
-        self.update(net, flows, tlp, impact);
-        self.verify()
+        self.update(net, flows, tlp, opts, impact)
     }
 
-    /// Invalidates and recomputes state for already-validated new inputs.
-    fn update(&mut self, net: Network, flows: Vec<Flow>, tlp: Tlp, impact: Impact) {
-        self.gen += 1;
-        self.last_delta = DeltaStats::default();
-        if impact.topology {
-            self.rebuild(net, flows, tlp);
+    /// Recomputes what `impact` (the [`yu_net::diff_impact`] of the
+    /// current and the new inputs) and a change of options invalidate,
+    /// then re-verifies.
+    fn update(
+        &mut self,
+        net: Network,
+        flows: Vec<Flow>,
+        tlp: Tlp,
+        opts: YuOptions,
+        impact: Impact,
+    ) -> VerificationOutcome {
+        if impact.topology || opts != self.v.options() {
+            // A new shape, budget, mode or ablation switch changes the
+            // failure universe every guard in the arena is built over.
+            *self = IncrementalVerifier::new(net, flows, tlp, opts);
         } else {
+            self.v.reset_run_counters();
+            self.gen += 1;
+            self.last_delta = DeltaStats::default();
             let inv = yu_telemetry::span_detail("delta.invalidate", || impact.to_string());
-            // The network can only differ when routing (or topology) is
-            // impacted.
             let reclassified = impact.routing && self.apply_routing(net);
             if impact.flows || reclassified {
                 self.regroup(flows);
-            } else {
-                self.flows = flows;
             }
             self.tlp = tlp;
             drop(inv);
@@ -212,20 +238,7 @@ impl IncrementalVerifier {
             r.incremental_full_rebuilds_total.inc();
         }
         self.v.audit_checkpoint("after incremental invalidation");
-    }
-
-    /// Topology edits renumber the failure variables, invalidating every
-    /// guard: rebuild from scratch and drop all caches.
-    fn rebuild(&mut self, net: Network, flows: Vec<Flow>, tlp: Tlp) {
-        let opts = self.v.options();
-        let mut v = YuVerifier::new(net, opts);
-        v.add_flows(&flows);
-        self.last_delta.recomputed_groups = v.groups.len();
-        self.last_delta.full_rebuild = true;
-        self.v = v;
-        self.flows = flows;
-        self.tlp = tlp;
-        self.caches = CheckCaches::default();
+        self.verify()
     }
 
     /// Marks one load point dirty: bump its epoch (invalidating cached
@@ -387,28 +400,45 @@ mod tests {
 
     /// Cost bumps and restores on the first and last links, a volume
     /// edit, a new flow toward an existing destination, and the removal
-    /// of the first flow (so another member represents its group).
-    fn edit_script(net: &Network, flows: &[Flow]) -> Vec<Change> {
+    /// of the first flow (so another member represents its group) —
+    /// interleaved with sets that change nothing: a cost and a volume set
+    /// to their current values, and a flow added and removed again.
+    fn edit_script(net: &Network, flows: &[Flow]) -> Vec<ChangeSet> {
         let last = ULinkId((net.topo.num_ulinks() - 1) as u32);
-        let last_router = net.topo.routers().last().expect("routers");
-        vec![
-            link_cost(net, ULinkId(0), |c| c * 3 + 7),
-            Change::SetFlowVolume {
-                flow: 0,
-                volume: flows[0].volume.clone() * Ratio::int(2),
-            },
-            Change::AddFlow {
-                ingress: net.topo.router(last_router).name.clone(),
-                src: Ipv4::new(11, 99, 0, 1),
-                dst: flows[0].dst,
-                dscp: 0,
-                volume: Ratio::int(3),
-            },
-            link_cost(net, last, |c| c * 5 + 1),
-            Change::RemoveFlow { flow: 0 },
-            link_cost(net, ULinkId(0), |c| c),
-            link_cost(net, last, |c| c),
-        ]
+        let last_router = net.topo.router(net.topo.routers().last().expect("routers"));
+        let doubled = flows[0].volume.clone() * Ratio::int(2);
+        let add_flow = |src: Ipv4| Change::AddFlow {
+            ingress: last_router.name.clone(),
+            src,
+            dst: flows[0].dst,
+            dscp: 0,
+            volume: Ratio::int(3),
+        };
+        let set_volume = || Change::SetFlowVolume {
+            flow: 0,
+            volume: doubled.clone(),
+        };
+        let steps = vec![
+            vec![link_cost(net, ULinkId(0), |c| c)],
+            vec![link_cost(net, ULinkId(0), |c| c * 3 + 7)],
+            vec![set_volume()],
+            vec![set_volume()],
+            vec![add_flow(Ipv4::new(11, 99, 0, 1))],
+            vec![
+                add_flow(Ipv4::new(11, 99, 0, 2)),
+                Change::RemoveFlow {
+                    flow: flows.len() + 1,
+                },
+            ],
+            vec![link_cost(net, last, |c| c * 5 + 1)],
+            vec![Change::RemoveFlow { flow: 0 }],
+            vec![link_cost(net, ULinkId(0), |c| c)],
+            vec![link_cost(net, last, |c| c)],
+        ];
+        steps
+            .into_iter()
+            .map(|changes| ChangeSet { changes })
+            .collect()
     }
 
     fn run_script(name: &str, net: Network, flows: Vec<Flow>, tlp: Tlp, k: u32) {
@@ -420,11 +450,69 @@ mod tests {
         let mut inc = IncrementalVerifier::new(net, flows, tlp, opts);
         inc.verify();
         assert_invariant(&format!("{name} base"), &mut inc);
-        for (step, change) in script.into_iter().enumerate() {
-            let ctx = format!("{name} step {step} ({change:?})");
-            inc.apply(&ChangeSet::single(change))
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        for (step, cs) in script.iter().enumerate() {
+            let ctx = format!("{name} step {step} ({:?})", cs.changes);
+            let before = inputs(&inc);
+            inc.apply(cs).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_invariant(&ctx, &mut inc);
+            if before == inputs(&inc) {
+                assert_reused_everything(&ctx, &inc);
+            }
+        }
+    }
+
+    /// A copy of the inputs the verifier holds.
+    fn inputs(inc: &IncrementalVerifier) -> (Network, Vec<Flow>, Tlp) {
+        (
+            inc.network().clone(),
+            inc.flows().to_vec(),
+            inc.tlp().clone(),
+        )
+    }
+
+    /// The last update re-executed nothing and dirtied nothing, and every
+    /// requirement came from the verdict cache.
+    fn assert_reused_everything(ctx: &str, inc: &IncrementalVerifier) {
+        let d = inc.delta_stats();
+        assert_eq!(
+            (d.recomputed_groups, d.dirty_points, d.rechecked_reqs),
+            (0, 0, 0),
+            "{ctx}: {d:?}"
+        );
+        assert_eq!(d.reused_groups, inc.verifier().groups.len(), "{ctx}");
+        assert_eq!(d.reused_reqs, inc.tlp().reqs.len(), "{ctx}");
+        assert!(!d.full_rebuild, "{ctx}");
+    }
+
+    #[test]
+    fn a_no_op_edit_reuses_everything() {
+        let fig1 = motivating_example();
+        let (net, flows) = (fig1.net, fig1.flows);
+        let mut inc =
+            IncrementalVerifier::new(net.clone(), flows.clone(), fig1.p2, YuOptions::default());
+        let base = inc.verify();
+        let noops = [
+            vec![link_cost(&net, ULinkId(0), |c| c)],
+            vec![Change::SetFlowVolume {
+                flow: 0,
+                volume: flows[0].volume.clone(),
+            }],
+            vec![
+                Change::AddFlow {
+                    ingress: net.topo.router(flows[0].ingress).name.clone(),
+                    src: Ipv4::new(11, 99, 0, 1),
+                    dst: flows[0].dst,
+                    dscp: 0,
+                    volume: Ratio::int(3),
+                },
+                Change::RemoveFlow { flow: flows.len() },
+            ],
+        ];
+        for changes in noops {
+            let ctx = format!("{changes:?}");
+            let out = inc.apply(&ChangeSet { changes }).expect("applies");
+            assert_reused_everything(&ctx, &inc);
+            assert_eq!(out.violations, base.violations, "{ctx}");
         }
     }
 
@@ -486,12 +574,12 @@ mod tests {
             .expect("flow removal applies");
         assert_invariant("split: first flow removed", &mut inc);
         let remaining = inc.flows().to_vec();
-        inc.set_state(new.clone(), remaining, tlp.clone());
+        inc.set_state(new.clone(), remaining, tlp.clone(), opts);
         assert_invariant("split: static over the remaining flow", &mut inc);
-        inc.set_state(new, flows.clone(), tlp.clone());
+        inc.set_state(new, flows.clone(), tlp.clone(), opts);
         assert_eq!(inc.verifier().groups.len(), 2);
         assert_invariant("split: first flow back, class split", &mut inc);
-        inc.set_state(old, flows, tlp);
+        inc.set_state(old, flows, tlp, opts);
         assert_eq!(inc.verifier().groups.len(), 1);
         assert_invariant("split: static removed, classes merge", &mut inc);
     }

@@ -7,10 +7,14 @@
 //! the same stable order the spec file lists them in.
 //!
 //! [`ChangeSet::apply`] is atomic: it works on clones and either returns the
-//! fully-updated state or an error, never a partially-mutated one. It also
-//! classifies the edit into an [`Impact`], which tells the incremental
-//! verifier which derived artifacts (failure variables, symbolic routes,
-//! flow-group MTBDDs, requirement verdicts) must be recomputed.
+//! fully-updated state or an error, never a partially-mutated one. A change
+//! that would leave a lint error `yu verify` refuses (a negative volume, a
+//! non-positive capacity) is an error too. What the edit invalidates — the
+//! [`Impact`] telling the incremental verifier which derived artifacts
+//! (failure variables, symbolic routes, flow-group MTBDDs, requirement
+//! verdicts) to recompute — is not declared per change kind: it is
+//! [`diff_impact`] of the state before and after the whole set, the same
+//! rule `yu diff` applies to two spec files.
 
 use crate::addr::Ipv4;
 use crate::flow::Flow;
@@ -228,6 +232,15 @@ pub enum ChangeError {
     DuplicateRouter(String),
     /// `AddLink` with both endpoints the same router.
     SelfLoop(String),
+    /// The change would give the spec an error `yu lint` reports under
+    /// `code`, and `yu verify` would refuse it: a negative flow volume
+    /// (YU015) or a non-positive link capacity (YU003).
+    Lint {
+        /// The lint code, e.g. `"YU015"`.
+        code: &'static str,
+        /// What is wrong, worded as the lint words it.
+        message: String,
+    },
 }
 
 impl fmt::Display for ChangeError {
@@ -242,52 +255,29 @@ impl fmt::Display for ChangeError {
             }
             ChangeError::DuplicateRouter(name) => write!(f, "router `{name}` already exists"),
             ChangeError::SelfLoop(name) => write!(f, "self-loop link on `{name}`"),
+            ChangeError::Lint { code, message } => write!(f, "{code}: {message}"),
         }
     }
 }
 
 impl std::error::Error for ChangeError {}
 
-/// Which derived verifier artifacts an edit invalidates. Flags compose with
-/// [`Impact::union`]; `topology` subsumes `routing` (failure variables are
-/// renumbered, so every symbolic artifact must be rebuilt).
+/// Which derived verifier artifacts an edit invalidates. Only
+/// [`diff_impact`] makes one, from the old and the new state; `topology`
+/// subsumes the rest (failure variables are renumbered, so every symbolic
+/// artifact must be rebuilt).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Impact {
     /// Failure-variable universe changed (router/link set edited): full
     /// rebuild of routes, flow groups, and verdicts.
     pub topology: bool,
-    /// Routing inputs changed (costs, configs): recompute symbolic routes
-    /// and re-execute the flow groups on the same arena.
+    /// The network changed (costs, configs, or the shape): recompute
+    /// symbolic routes and re-execute the flow groups.
     pub routing: bool,
     /// The flow list changed: regroup, re-execute only new/changed groups.
     pub flows: bool,
     /// The property changed: recheck requirements (loads are reusable).
     pub tlp: bool,
-}
-
-impl Impact {
-    /// No effect.
-    pub const NONE: Impact = Impact {
-        topology: false,
-        routing: false,
-        flows: false,
-        tlp: false,
-    };
-
-    /// Combines two impacts (per-flag or).
-    pub fn union(self, other: Impact) -> Impact {
-        Impact {
-            topology: self.topology || other.topology,
-            routing: self.routing || other.routing,
-            flows: self.flows || other.flows,
-            tlp: self.tlp || other.tlp,
-        }
-    }
-
-    /// Whether anything at all changed.
-    pub fn any(self) -> bool {
-        self.topology || self.routing || self.flows || self.tlp
-    }
 }
 
 impl fmt::Display for Impact {
@@ -344,23 +334,36 @@ impl ChangeSet {
     }
 
     /// Applies every change in order to clones of the inputs, returning the
-    /// new state and the combined impact. On error the inputs are untouched
-    /// (the transaction never partially commits).
+    /// new state and what it invalidates: [`diff_impact`] of the old and
+    /// new state, so a set that changes nothing invalidates nothing. On
+    /// error the inputs are untouched (the transaction never partially
+    /// commits).
     pub fn apply(
         &self,
         net: &Network,
         flows: &[Flow],
         tlp: &Tlp,
     ) -> Result<(Network, Vec<Flow>, Tlp, Impact), ChangeError> {
-        let mut net = net.clone();
-        let mut flows = flows.to_vec();
-        let mut tlp = tlp.clone();
-        let mut impact = Impact::NONE;
+        let mut new_net = net.clone();
+        let mut new_flows = flows.to_vec();
+        let mut new_tlp = tlp.clone();
         for change in &self.changes {
-            impact = impact.union(apply_one(change, &mut net, &mut flows, &mut tlp)?);
+            apply_one(change, &mut new_net, &mut new_flows, &mut new_tlp)?;
         }
-        Ok((net, flows, tlp, impact))
+        let impact = diff_impact((net, flows, tlp), (&new_net, &new_flows, &new_tlp));
+        Ok((new_net, new_flows, new_tlp, impact))
     }
+}
+
+/// Rejects a negative flow volume, which `yu verify` refuses as YU015.
+fn check_volume(volume: &Ratio) -> Result<(), ChangeError> {
+    if volume.is_negative() {
+        return Err(ChangeError::Lint {
+            code: "YU015",
+            message: format!("negative volume {volume}"),
+        });
+    }
+    Ok(())
 }
 
 fn apply_one(
@@ -368,7 +371,7 @@ fn apply_one(
     net: &mut Network,
     flows: &mut Vec<Flow>,
     tlp: &mut Tlp,
-) -> Result<Impact, ChangeError> {
+) -> Result<(), ChangeError> {
     match change {
         Change::SetLinkCost {
             from,
@@ -379,10 +382,6 @@ fn apply_one(
             let l = resolve_link(&net.topo, from, to, *index)?;
             let u = net.topo.link(l).ulink;
             net.topo.set_ulink_cost(u, *cost);
-            Ok(Impact {
-                routing: true,
-                ..Impact::NONE
-            })
         }
         Change::AddRouter {
             name,
@@ -394,20 +393,10 @@ fn apply_one(
             }
             net.topo.add_router(name.clone(), *loopback, *asn);
             net.configs.push(Default::default());
-            Ok(Impact {
-                topology: true,
-                ..Impact::NONE
-            })
         }
         Change::RemoveRouter { router } => {
             let r = resolve_router(&net.topo, router)?;
             rebuild_without(net, flows, tlp, Some(r), None);
-            Ok(Impact {
-                topology: true,
-                flows: true,
-                tlp: true,
-                ..Impact::NONE
-            })
         }
         Change::AddLink {
             a,
@@ -419,21 +408,18 @@ fn apply_one(
             if ra == rb {
                 return Err(ChangeError::SelfLoop(a.clone()));
             }
+            if capacity <= &Ratio::ZERO {
+                return Err(ChangeError::Lint {
+                    code: "YU003",
+                    message: format!("non-positive capacity {capacity}"),
+                });
+            }
             net.topo.add_link(ra, rb, *cost, capacity.clone());
-            Ok(Impact {
-                topology: true,
-                ..Impact::NONE
-            })
         }
         Change::RemoveLink { from, to, index } => {
             let l = resolve_link(&net.topo, from, to, *index)?;
             let u = net.topo.link(l).ulink;
             rebuild_without(net, flows, tlp, None, Some(u));
-            Ok(Impact {
-                topology: true,
-                tlp: true,
-                ..Impact::NONE
-            })
         }
         Change::SetFlowVolume { flow, volume } => {
             let len = flows.len();
@@ -442,11 +428,8 @@ fn apply_one(
                 index: *flow,
                 len,
             })?;
+            check_volume(volume)?;
             f.volume = volume.clone();
-            Ok(Impact {
-                flows: true,
-                ..Impact::NONE
-            })
         }
         Change::AddFlow {
             ingress,
@@ -456,11 +439,8 @@ fn apply_one(
             volume,
         } => {
             let r = resolve_router(&net.topo, ingress)?;
+            check_volume(volume)?;
             flows.push(Flow::new(r, *src, *dst, *dscp, volume.clone()));
-            Ok(Impact {
-                flows: true,
-                ..Impact::NONE
-            })
         }
         Change::RemoveFlow { flow } => {
             if *flow >= flows.len() {
@@ -471,10 +451,6 @@ fn apply_one(
                 });
             }
             flows.remove(*flow);
-            Ok(Impact {
-                flows: true,
-                ..Impact::NONE
-            })
         }
         Change::AddReq { point, min, max } => {
             let point = point.resolve(&net.topo)?;
@@ -483,10 +459,6 @@ fn apply_one(
                 min: min.clone(),
                 max: max.clone(),
             });
-            Ok(Impact {
-                tlp: true,
-                ..Impact::NONE
-            })
         }
         Change::RemoveReq { req } => {
             if *req >= tlp.reqs.len() {
@@ -497,10 +469,6 @@ fn apply_one(
                 });
             }
             tlp.reqs.remove(*req);
-            Ok(Impact {
-                tlp: true,
-                ..Impact::NONE
-            })
         }
         Change::SetReqBounds { req, min, max } => {
             let len = tlp.reqs.len();
@@ -511,12 +479,9 @@ fn apply_one(
             })?;
             r.min = min.clone();
             r.max = max.clone();
-            Ok(Impact {
-                tlp: true,
-                ..Impact::NONE
-            })
         }
     }
+    Ok(())
 }
 
 /// Rebuilds the network without `drop_router` (and its incident links) and
@@ -609,38 +574,29 @@ fn rebuild_without(
     net.configs = configs;
 }
 
-/// Classifies the structural difference between two full verification
-/// states — the granularity `yu diff` needs to pick an incremental path.
-/// Conservative: anything it cannot prove unchanged is flagged.
+/// What a change from `old` to `new` invalidates — the one rule both
+/// `yu serve` and `yu diff` use. Conservative by construction: an input
+/// that compares equal yields equal derived state. The same shape gives
+/// the same failure variables, the same network the same routes, the same
+/// flows the same groups, and the same property the same requirements.
 pub fn diff_impact(old: (&Network, &[Flow], &Tlp), new: (&Network, &[Flow], &Tlp)) -> Impact {
     let (onet, oflows, otlp) = old;
     let (nnet, nflows, ntlp) = new;
-    let mut imp = Impact::NONE;
-    let same_shape = onet.topo.num_routers() == nnet.topo.num_routers()
-        && onet.topo.num_links() == nnet.topo.num_links()
-        && onet.topo.num_ulinks() == nnet.topo.num_ulinks()
-        && onet
-            .topo
-            .routers()
-            .all(|r| onet.topo.router(r) == nnet.topo.router(r))
-        && onet.topo.links().all(|l| {
-            let (a, b) = (onet.topo.link(l), nnet.topo.link(l));
+    let (ot, nt) = (&onet.topo, &nnet.topo);
+    let same_shape = ot.num_routers() == nt.num_routers()
+        && ot.num_links() == nt.num_links()
+        && ot.num_ulinks() == nt.num_ulinks()
+        && ot.routers().all(|r| ot.router(r) == nt.router(r))
+        && ot.links().all(|l| {
+            let (a, b) = (ot.link(l), nt.link(l));
             a.from == b.from && a.to == b.to && a.ulink == b.ulink && a.capacity == b.capacity
         });
-    if !same_shape {
-        imp.topology = true;
-        imp.routing = true;
-    } else if onet != nnet {
-        // Same shape, different costs or configs: routing-only change.
-        imp.routing = true;
+    Impact {
+        topology: !same_shape,
+        routing: onet != nnet,
+        flows: oflows != nflows,
+        tlp: otlp != ntlp,
     }
-    if oflows != nflows {
-        imp.flows = true;
-    }
-    if otlp != ntlp {
-        imp.tlp = true;
-    }
-    imp
 }
 
 #[cfg(test)]
@@ -692,7 +648,7 @@ mod tests {
             imp,
             Impact {
                 routing: true,
-                ..Impact::NONE
+                ..Impact::default()
             }
         );
         assert_eq!(nnet.topo.link(LinkId(0)).igp_cost, 99);
@@ -762,7 +718,69 @@ mod tests {
         // The borrow-based API makes partial commits impossible; the
         // original cost is still visible.
         assert_eq!(net.topo.link(LinkId(0)).igp_cost, 10);
-        let _ = (flows, tlp);
+
+        // Edits that would leave a lint error `yu verify` refuses are
+        // rejected the same way, naming the lint code.
+        let volume_edit = Change::SetFlowVolume {
+            flow: 0,
+            volume: Ratio::int(5),
+        };
+        for (bad, code) in [
+            (
+                Change::SetFlowVolume {
+                    flow: 0,
+                    volume: Ratio::int(-5),
+                },
+                "YU015",
+            ),
+            (
+                Change::AddFlow {
+                    ingress: "A".into(),
+                    src: Ipv4::new(11, 0, 0, 2),
+                    dst: Ipv4::new(100, 0, 0, 2),
+                    dscp: 0,
+                    volume: Ratio::new(-1, 2),
+                },
+                "YU015",
+            ),
+            (
+                Change::AddLink {
+                    a: "B".into(),
+                    b: "C".into(),
+                    cost: 10,
+                    capacity: Ratio::ZERO,
+                },
+                "YU003",
+            ),
+            (
+                Change::AddLink {
+                    a: "B".into(),
+                    b: "C".into(),
+                    cost: 10,
+                    capacity: Ratio::int(-40),
+                },
+                "YU003",
+            ),
+        ] {
+            let cs = ChangeSet {
+                changes: vec![volume_edit.clone(), bad],
+            };
+            let err = cs.apply(&net, &flows, &tlp).unwrap_err();
+            assert!(
+                matches!(err, ChangeError::Lint { code: c, .. } if c == code),
+                "{err}"
+            );
+            assert!(err.to_string().starts_with(code), "{err}");
+        }
+        assert_eq!(flows[0].volume, Ratio::int(20));
+        assert_eq!(net.topo.num_ulinks(), 4);
+        // A zero volume is only a warning (YU016) and applies.
+        let zero = ChangeSet::single(Change::SetFlowVolume {
+            flow: 0,
+            volume: Ratio::ZERO,
+        });
+        assert!(zero.apply(&net, &flows, &tlp).is_ok());
+        let _ = tlp;
     }
 
     #[test]
@@ -838,7 +856,7 @@ mod tests {
         let (net, flows, tlp) = diamond();
         assert_eq!(
             diff_impact((&net, &flows, &tlp), (&net, &flows, &tlp)),
-            Impact::NONE
+            Impact::default()
         );
         let mut costier = net.clone();
         costier.topo.set_ulink_cost(ULinkId(0), 5);
@@ -857,8 +875,43 @@ mod tests {
             imp,
             Impact {
                 flows: true,
-                ..Impact::NONE
+                ..Impact::default()
             }
         );
+    }
+
+    #[test]
+    fn a_set_that_changes_nothing_invalidates_nothing() {
+        let (net, flows, tlp) = diamond();
+        let cs = ChangeSet {
+            changes: vec![
+                Change::SetLinkCost {
+                    from: "A".into(),
+                    to: "B".into(),
+                    index: 0,
+                    cost: 10,
+                },
+                Change::SetFlowVolume {
+                    flow: 0,
+                    volume: Ratio::int(20),
+                },
+                Change::AddFlow {
+                    ingress: "B".into(),
+                    src: Ipv4::new(11, 0, 0, 9),
+                    dst: Ipv4::new(100, 0, 0, 9),
+                    dscp: 0,
+                    volume: Ratio::int(4),
+                },
+                Change::RemoveFlow { flow: 1 },
+                Change::SetReqBounds {
+                    req: 0,
+                    min: None,
+                    max: Some(Ratio::int(95)),
+                },
+            ],
+        };
+        let (nnet, nflows, ntlp, imp) = cs.apply(&net, &flows, &tlp).unwrap();
+        assert_eq!(imp, Impact::default());
+        assert_eq!((nnet, nflows, ntlp), (net, flows, tlp));
     }
 }

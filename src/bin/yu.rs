@@ -77,7 +77,7 @@
 use std::process::ExitCode;
 use yu::core::{YuOptions, YuVerifier};
 use yu::mtbdd::Ratio;
-use yu::net::{scenario_count, FailureMode, LoadPoint, Scenario, Tlp};
+use yu::net::{scenario_count, FailureMode, Flow, LoadPoint, Network, Scenario, Tlp};
 use yu::spec::VerifySpec;
 use yu::telemetry::fmt_us;
 
@@ -345,75 +345,53 @@ fn load_valid(path: &Option<String>) -> VerifySpec {
     spec
 }
 
+/// The built-in examples `yu export` prints: name, failure budget, and
+/// the network, flows and property.
+type Example = (&'static str, u32, fn() -> (Network, Vec<Flow>, Tlp));
+
+const EXAMPLES: [Example; 6] = [
+    ("fig1", 1, || {
+        let ex = yu::gen::motivating_example();
+        (ex.net, ex.flows, ex.p2)
+    }),
+    ("fig9", 1, || {
+        let inc = yu::gen::sr_anycast_incident();
+        (inc.net, inc.flows, inc.tlp)
+    }),
+    ("fig10", 1, || {
+        let inc = yu::gen::static_blackhole_incident();
+        (inc.net, inc.flows, inc.tlp)
+    }),
+    ("ft4", 2, || {
+        let (ft, flows) = yu::gen::fattree_with_flows(4, 16);
+        let tlp = Tlp::no_overload(&ft.net.topo, Ratio::new(95, 100));
+        (ft.net, flows, tlp)
+    }),
+    ("n0", 2, || {
+        let w = yu::gen::wan(yu::gen::WanPreset::N0.params());
+        let flows = w.flows(2000, 0xF10F);
+        let tlp = Tlp::no_overload(&w.net.topo, Ratio::new(95, 100));
+        (w.net, flows, tlp)
+    }),
+    ("preflight", 1, || {
+        let ex = yu::gen::preflight_example();
+        (ex.net, ex.flows, ex.tlp)
+    }),
+];
+
 fn export(which: &str) -> ExitCode {
-    let spec = match which {
-        "fig1" => {
-            let ex = yu::gen::motivating_example();
-            VerifySpec {
-                network: ex.net,
-                flows: ex.flows,
-                tlp: ex.p2,
-                k: 1,
-                mode: FailureMode::Links,
-            }
-        }
-        "fig9" => {
-            let inc = yu::gen::sr_anycast_incident();
-            VerifySpec {
-                network: inc.net,
-                flows: inc.flows,
-                tlp: inc.tlp,
-                k: 1,
-                mode: FailureMode::Links,
-            }
-        }
-        "fig10" => {
-            let inc = yu::gen::static_blackhole_incident();
-            VerifySpec {
-                network: inc.net,
-                flows: inc.flows,
-                tlp: inc.tlp,
-                k: 1,
-                mode: FailureMode::Links,
-            }
-        }
-        "ft4" => {
-            let (ft, flows) = yu::gen::fattree_with_flows(4, 16);
-            let tlp = Tlp::no_overload(&ft.net.topo, Ratio::new(95, 100));
-            VerifySpec {
-                network: ft.net,
-                flows,
-                tlp,
-                k: 2,
-                mode: FailureMode::Links,
-            }
-        }
-        "n0" => {
-            let w = yu::gen::wan(yu::gen::WanPreset::N0.params());
-            let flows = w.flows(2000, 0xF10F);
-            let tlp = Tlp::no_overload(&w.net.topo, Ratio::new(95, 100));
-            VerifySpec {
-                network: w.net,
-                flows,
-                tlp,
-                k: 2,
-                mode: FailureMode::Links,
-            }
-        }
-        "preflight" => {
-            let ex = yu::gen::preflight_example();
-            VerifySpec {
-                network: ex.net,
-                flows: ex.flows,
-                tlp: ex.tlp,
-                k: 1,
-                mode: FailureMode::Links,
-            }
-        }
-        other => {
-            eprintln!("unknown example '{other}' (try fig1, fig9, fig10, ft4, n0, preflight)");
-            return ExitCode::from(2);
-        }
+    let Some(&(_, k, build)) = EXAMPLES.iter().find(|(name, ..)| *name == which) else {
+        let names: Vec<_> = EXAMPLES.iter().map(|(name, ..)| *name).collect();
+        eprintln!("unknown example '{which}' (try {})", names.join(", "));
+        return ExitCode::from(2);
+    };
+    let (network, flows, tlp) = build();
+    let spec = VerifySpec {
+        network,
+        flows,
+        tlp,
+        k,
+        mode: FailureMode::Links,
     };
     println!("{}", spec.to_json());
     ExitCode::SUCCESS
@@ -799,19 +777,12 @@ fn diff(
         spec_options(old),
     );
     let before = inc.verify();
-    let out = if old.k != new.k || old.mode != new.mode {
-        // A different failure budget or mode changes the scenario space
-        // itself — nothing symbolic is reusable; start over on `new`.
-        inc = yu::core::IncrementalVerifier::new(
-            new.network.clone(),
-            new.flows.clone(),
-            new.tlp.clone(),
-            spec_options(new),
-        );
-        inc.verify()
-    } else {
-        inc.set_state(new.network.clone(), new.flows.clone(), new.tlp.clone())
-    };
+    let out = inc.set_state(
+        new.network.clone(),
+        new.flows.clone(),
+        new.tlp.clone(),
+        spec_options(new),
+    );
     let delta = inc.delta_stats();
     let (new_v, resolved) = yu::serve::violation_delta(&before.violations, &out.violations);
     if json_output {

@@ -314,7 +314,8 @@ impl ServeSession {
             );
         }
         // Stage 3: apply atomically; semantic errors (unknown router,
-        // bad index) are rejected before any state is touched.
+        // bad index, a negative volume) are rejected before any state is
+        // touched.
         let kind = request_kind(&cs);
         match self.inc.apply(&cs) {
             Ok(out) => {

@@ -206,6 +206,36 @@ fn serve_session_handles_errors_without_mutating_state() {
     );
     assert_eq!(format!("{:?}", s.verifier().verifier().options()), baseline);
 
+    // Edits that would give the spec a lint error `yu verify` refuses
+    // (a negative volume, YU015; a non-positive capacity, YU003) ->
+    // bad_request naming the code; nothing is applied.
+    let base_links = s.verifier().network().topo.num_ulinks();
+    for (line, code) in [
+        (
+            r#"{"id": 6, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "-5"}}]}"#,
+            "YU015",
+        ),
+        (
+            r#"{"id": 7, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "7"}}, {"AddFlow": {"ingress": "A", "src": 1, "dst": 2, "volume": "-1/2"}}]}"#,
+            "YU015",
+        ),
+        (
+            r#"{"id": 8, "changes": [{"AddLink": {"a": "A", "b": "F", "cost": 10, "capacity": "0"}}]}"#,
+            "YU003",
+        ),
+    ] {
+        let r: Value = serde_json::from_str(&s.handle_line(line)).unwrap();
+        assert_eq!(field(&r, "ok"), &Value::Bool(false), "{line}");
+        let error = field(&r, "error");
+        assert_eq!(field(error, "kind"), &Value::Str("bad_request".into()));
+        let Value::Str(message) = field(error, "message") else {
+            panic!("no error message: {r:?}");
+        };
+        assert!(message.contains(code), "{message}");
+    }
+    assert_eq!(s.verifier().flows(), &base_flows[..]);
+    assert_eq!(s.verifier().network().topo.num_ulinks(), base_links);
+
     // The session still serves valid requests afterwards.
     let r: Value = serde_json::from_str(
         &s.handle_line(r#"{"id": 5, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "7"}}]}"#),

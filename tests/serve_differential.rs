@@ -518,12 +518,12 @@ fn set_state_regroups_when_a_static_splits_or_merges_a_class() {
     let base = inc.verify();
     assert!(base.verified());
     assert_eq!(base.stats.flow_groups, 1);
-    let split = inc.set_state(new, flows.clone(), tlp.clone());
+    let split = inc.set_state(new, flows.clone(), tlp.clone(), k0());
     assert!(!split.verified(), "the second flow dies at D's Null0");
     assert_eq!(split.stats.flow_groups, 2);
     assert!(!inc.delta_stats().full_rebuild);
     assert_matches_scratch("static splits the class", &mut inc, &split);
-    let merged = inc.set_state(old, flows, tlp);
+    let merged = inc.set_state(old, flows, tlp, k0());
     assert!(merged.verified());
     assert_eq!(merged.stats.flow_groups, 1);
     assert_matches_scratch("static removed, classes merge", &mut inc, &merged);
@@ -543,7 +543,7 @@ fn a_reused_group_is_keyed_by_the_destination_it_was_executed_toward() {
     assert_eq!(inc.delta_stats().recomputed_groups, 0, "the STF is reused");
     assert_matches_scratch("first flow removed", &mut inc, &out);
     let remaining = inc.flows().to_vec();
-    let split = inc.set_state(new, remaining, tlp);
+    let split = inc.set_state(new, remaining, tlp, k0());
     assert!(!split.verified());
     assert_matches_scratch("static over the remaining flow", &mut inc, &split);
 }

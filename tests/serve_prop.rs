@@ -4,6 +4,10 @@
 //! `flow_results()` compared bit-for-bit against a from-scratch run on
 //! the same inputs — across both failure modes and worker counts 1 / 4.
 //!
+//! After every random change-set comes one that changes nothing (a cost
+//! or volume set to its current value, a flow added and removed again,
+//! a requirement re-bounded to its bounds), which must reuse everything.
+//!
 //! The change generator draws only names and indices valid in the
 //! *current* state, so most change-sets apply; the ones that still get
 //! rejected (e.g. removing a router that a surviving requirement names)
@@ -155,6 +159,64 @@ fn random_change(
     }
 }
 
+/// A change set that leaves `(net, flows, tlp)` as it is, one of four
+/// shapes picked by `step`: a link cost set to its current value, a
+/// volume set to its current value, a flow added and removed again, and
+/// a requirement re-bounded to its current bounds. Draws nothing from the
+/// generator, so the random sequences around it stay what they were.
+fn noop_changes(net: &Network, flows: &[Flow], tlp: &Tlp, step: usize) -> Vec<Change> {
+    match step % 4 {
+        0 => {
+            let lk = net
+                .topo
+                .link(yu::net::LinkId((step % net.topo.num_links()) as u32));
+            vec![Change::SetLinkCost {
+                from: net.topo.router(lk.from).name.clone(),
+                to: net.topo.router(lk.to).name.clone(),
+                index: 0,
+                cost: lk.igp_cost,
+            }]
+        }
+        1 if !flows.is_empty() => {
+            let flow = step % flows.len();
+            vec![Change::SetFlowVolume {
+                flow,
+                volume: flows[flow].volume.clone(),
+            }]
+        }
+        3 if !tlp.reqs.is_empty() => {
+            let req = step % tlp.reqs.len();
+            vec![Change::SetReqBounds {
+                req,
+                min: tlp.reqs[req].min.clone(),
+                max: tlp.reqs[req].max.clone(),
+            }]
+        }
+        _ => {
+            let ingress = net.topo.routers().next().expect("routers");
+            vec![
+                Change::AddFlow {
+                    ingress: net.topo.router(ingress).name.clone(),
+                    src: Ipv4::new(192, 0, 2, 1),
+                    dst: Ipv4::new(10, 0, 0, 1),
+                    dscp: 0,
+                    volume: Ratio::int(7),
+                },
+                Change::RemoveFlow { flow: flows.len() },
+            ]
+        }
+    }
+}
+
+/// A copy of the inputs the verifier holds.
+fn inputs(inc: &IncrementalVerifier) -> (Network, Vec<Flow>, Tlp) {
+    (
+        inc.network().clone(),
+        inc.flows().to_vec(),
+        inc.tlp().clone(),
+    )
+}
+
 /// The semantic signature of `flow_results()`.
 #[allow(clippy::type_complexity)]
 fn flow_signature(
@@ -259,6 +321,21 @@ fn run_sequence_with(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, opts: 
                 assert_matches_scratch(&format!("{ctx} (rejected)"), &inc, &last_violations);
             }
         }
+        // A set that changes nothing must answer like the state it keeps
+        // and, when it indeed changed nothing, re-execute nothing.
+        let changes = noop_changes(inc.network(), inc.flows(), inc.tlp(), step);
+        let ctx = format!("seed={seed} mode={mode:?} step={step} no-op={changes:?}");
+        let before = inputs(&inc);
+        let out = inc
+            .apply(&ChangeSet { changes })
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_matches_scratch(&ctx, &inc, &out.violations);
+        if before == inputs(&inc) {
+            let d = inc.delta_stats();
+            assert_eq!((d.recomputed_groups, d.dirty_points), (0, 0), "{ctx}");
+            assert_eq!(out.violations, last_violations, "{ctx}");
+        }
+        last_violations = out.violations;
     }
     inc.verifier().mtbdd_stats().gc_runs
 }

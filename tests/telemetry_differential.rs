@@ -293,7 +293,12 @@ fn run_diff(old: &VerifySpec, new: &VerifySpec, observed: bool) -> String {
         opts,
     );
     let base = inc.verify();
-    let out = inc.set_state(new.network.clone(), new.flows.clone(), new.tlp.clone());
+    let out = inc.set_state(
+        new.network.clone(),
+        new.flows.clone(),
+        new.tlp.clone(),
+        opts,
+    );
     let fingerprint = format!(
         "base={} {:?} new={} {:?} delta={:?}",
         base.verified(),
