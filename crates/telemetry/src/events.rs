@@ -12,21 +12,23 @@
 //!
 //! The taxonomy (see DESIGN.md §9.4): `request_start` / `request_finish`
 //! (info), `slow_request` (warn, over the configured threshold),
-//! `verdict_flip` (warn, with the flipped requirement points), `gc`
-//! (info, reclaimed node counts), `audit_failure` (error, emitted
-//! before the auditor panics so the operator sees *why* the daemon
-//! died), and `serve_error` (warn, malformed or rejected requests).
+//! `perf_regression` (warn, a request slower than its kind's EWMA
+//! baseline times the regression factor), `verdict_flip` (warn, with the
+//! flipped requirement points), `gc` (info, reclaimed node counts),
+//! `audit_failure` (error, emitted before the auditor panics so the
+//! operator sees *why* the daemon died), and `serve_error` (warn,
+//! malformed or rejected requests).
 //!
-//! Emission is gated on a configured sink plus a minimum level; with no
-//! sink the guard is one relaxed atomic load, and call sites build
-//! their field lists only after checking [`events_enabled`], so the
-//! disabled path allocates nothing. Event emission never touches
+//! Emission is gated on a configured sink only: every event reaches it,
+//! whatever its level. With no sink the guard is one relaxed atomic
+//! load, and call sites build their field lists only after checking
+//! [`events_enabled`], so the disabled path allocates nothing. Event emission never touches
 //! verifier state — the bit-identity differential covers events-on runs.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use serde::{Map, Value};
@@ -64,8 +66,6 @@ enum Sink {
 
 static SINK: Mutex<Sink> = Mutex::new(Sink::Off);
 static SINK_ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Minimum level that gets written, as `EventLevel as u8`.
-static MIN_LEVEL: AtomicU8 = AtomicU8::new(0);
 
 /// Whether any event sink is configured: the one-relaxed-load guard
 /// call sites check before building field lists.
@@ -105,16 +105,11 @@ pub fn take_memory_events() -> Vec<String> {
     }
 }
 
-/// Sets the minimum level written to the sink (default `Info`).
-pub fn set_event_min_level(level: EventLevel) {
-    MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
 /// Emits one event: a JSON line with `ts_us` (microseconds since the
 /// process telemetry epoch), `level`, `kind`, then `fields` in order.
-/// A no-op without a sink or below the minimum level.
+/// A no-op without a sink.
 pub fn emit_event(level: EventLevel, kind: &'static str, fields: Vec<(&'static str, Value)>) {
-    if !events_enabled() || (level as u8) < MIN_LEVEL.load(Ordering::Relaxed) {
+    if !events_enabled() {
         return;
     }
     let mut m = Map::new();

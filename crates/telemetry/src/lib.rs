@@ -71,8 +71,8 @@ pub use collector::{
     SpanEvent,
 };
 pub use events::{
-    close_event_sink, emit_event, events_enabled, set_event_min_level, set_event_sink_file,
-    set_event_sink_memory, take_memory_events, EventLevel,
+    close_event_sink, emit_event, events_enabled, set_event_sink_file, set_event_sink_memory,
+    take_memory_events, EventLevel,
 };
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot};
 pub use profile::FrameRow;

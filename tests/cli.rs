@@ -379,8 +379,11 @@ fn serve_over_a_pipe_end_to_end() {
 
 /// An argument that looks like a flag but is none the parser knows is a
 /// usage error naming it — never ignored, and its value never mistaken for
-/// a positional. `--no-static-prune`, `--workers` and `--check-workers`
-/// were flags once; scripts that still pass them must hear about it.
+/// a positional. `--no-static-prune`, `--workers`, `--check-workers`,
+/// `--explain` and `--profile-out` were flags once; scripts that still
+/// pass them must hear about it. A known flag given to a subcommand that
+/// does not read it is a usage error too, naming the flag and the
+/// subcommand.
 #[test]
 fn unknown_flags_are_rejected() {
     use std::process::Command;
@@ -388,9 +391,9 @@ fn unknown_flags_are_rejected() {
     let spec_path = std::env::temp_dir().join("yu-unknown-flag-cli-test.json");
     std::fs::write(&spec_path, fig1_spec().to_json()).unwrap();
     let spec_path = spec_path.to_str().unwrap();
-    let yu = |args: &[&str]| {
+    let yu = |cmd: &str, args: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_yu"))
-            .args(["verify", spec_path])
+            .args([cmd, spec_path])
             .args(args)
             .output()
             .expect("yu runs");
@@ -398,7 +401,7 @@ fn unknown_flags_are_rejected() {
         (out.status.code(), out.stdout, stderr)
     };
     // fig1 P2 is violated: exit 1, with every known flag spelt right.
-    let (code, _, stderr) = yu(&["--max-violations", "5", "--json"]);
+    let (code, _, stderr) = yu("verify", &["--max-violations", "5", "--json"]);
     assert_eq!(code, Some(1), "{stderr}");
     for (args, flag) in [
         (&["--no-such-flag"][..], "--no-such-flag"),
@@ -406,9 +409,11 @@ fn unknown_flags_are_rejected() {
         (&["--no-static-prune"][..], "--no-static-prune"),
         (&["--workers", "2"][..], "--workers"),
         (&["--check-workers", "2"][..], "--check-workers"),
+        (&["--explain"][..], "--explain"),
+        (&["--profile-out", "x"][..], "--profile-out"),
         (&["--json", "-x"][..], "-x"),
     ] {
-        let (code, stdout, stderr) = yu(args);
+        let (code, stdout, stderr) = yu("verify", args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stdout.is_empty(), "{args:?}: nothing may run");
         assert!(
@@ -416,7 +421,99 @@ fn unknown_flags_are_rejected() {
             "{args:?}: {stderr}"
         );
     }
+    let dir = std::env::temp_dir();
+    let written = [
+        dir.join("yu-misplaced-flag.dot"),
+        dir.join("yu-misplaced-flag.folded"),
+    ];
+    for (cmd, args) in [
+        ("verify", &["--top", "3"][..]),
+        ("verify", &["--dot-out", written[0].to_str().unwrap()][..]),
+        ("verify", &["--spec", spec_path][..]),
+        ("lint", &["--folded-out", written[1].to_str().unwrap()][..]),
+    ] {
+        let (code, stdout, stderr) = yu(cmd, args);
+        assert_eq!(code, Some(2), "{cmd} {args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{cmd} {args:?}: nothing may run");
+        assert!(
+            stderr.contains(&format!("flag '{}'", args[0]))
+                && stderr.contains(&format!("'yu {cmd}'")),
+            "{cmd} {args:?}: {stderr}"
+        );
+    }
+    for path in &written {
+        assert!(!path.exists(), "{path:?}: nothing may be written");
+    }
     let _ = std::fs::remove_file(spec_path);
+}
+
+/// `yu verify` and `yu explain` run a spec through one path: with the
+/// same `--max-violations`, their `--json` objects agree on the verdict,
+/// the violations and the run statistics (timings aside); `explain` only
+/// adds `explanations`.
+#[test]
+fn verify_and_explain_report_the_same_run() {
+    use serde_json::Value;
+    use std::process::Command;
+
+    let examples = [
+        ("fig1", fig1_spec()),
+        ("fig9", {
+            let inc = yu::gen::sr_anycast_incident();
+            VerifySpec {
+                network: inc.net,
+                flows: inc.flows,
+                tlp: inc.tlp,
+                k: 1,
+                mode: yu::net::FailureMode::Links,
+            }
+        }),
+        ("fig10", {
+            let inc = yu::gen::static_blackhole_incident();
+            VerifySpec {
+                network: inc.net,
+                flows: inc.flows,
+                tlp: inc.tlp,
+                k: 1,
+                mode: yu::net::FailureMode::Links,
+            }
+        }),
+    ];
+    for (name, spec) in examples {
+        let path = std::env::temp_dir().join(format!("yu-one-run-path-{name}.json"));
+        std::fs::write(&path, spec.to_json()).unwrap();
+        let json = |cmd: &str| -> serde::Map {
+            let out = Command::new(env!("CARGO_BIN_EXE_yu"))
+                .args([
+                    cmd,
+                    path.to_str().unwrap(),
+                    "--json",
+                    "--max-violations",
+                    "4",
+                ])
+                .output()
+                .expect("yu runs");
+            let text = String::from_utf8(out.stdout).unwrap();
+            let v: Value = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{text}: {e:?}"));
+            v.as_object().expect("result object").clone()
+        };
+        let (verify, explain) = (json("verify"), json("explain"));
+        let stats = |root: &serde::Map| -> Vec<(String, Value)> {
+            let stats = root.get("stats").and_then(Value::as_object);
+            let stats = stats.unwrap_or_else(|| panic!("{name}: no stats in {root:?}"));
+            stats
+                .iter()
+                .filter(|(k, _)| !k.ends_with("_secs"))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
+        };
+        for key in ["verified", "violations"] {
+            assert_eq!(verify.get(key), explain.get(key), "{name}: {key}");
+        }
+        assert_eq!(stats(&verify), stats(&explain), "{name}: stats");
+        assert!(explain.get("explanations").is_some(), "{name}");
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// A value flag whose value is missing, unparseable or out of range is a
@@ -512,7 +609,7 @@ fn running_subcommands_refuse_specs_that_lint_rejects() {
         let b = bad.as_str();
         for args in [
             &["verify", b][..],
-            &["verify", b, "--json", "--profile-out", "/dev/null"],
+            &["verify", b, "--json", "--max-violations", "4"],
             &["profile", b],
             &["explain", b],
             &["loads", b],

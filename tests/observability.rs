@@ -84,15 +84,6 @@ fn serve_emits_slow_request_events_and_answers_metrics_requests() {
     assert_eq!(events_of_kind(&events, "request_finish").len(), 1);
     assert_eq!(calm.lifetime().slow_requests, 0);
 
-    // Raising the minimum level filters the info-level lifecycle events
-    // but keeps the warn-level slow event.
-    yu::telemetry::set_event_min_level(yu::telemetry::EventLevel::Warn);
-    s.handle_line("{\"id\":44,\"changes\":[]}");
-    let events = yu::telemetry::take_memory_events();
-    assert!(events_of_kind(&events, "request_start").is_empty());
-    assert!(events_of_kind(&events, "request_finish").is_empty());
-    assert!(events_of_kind(&events, "slow_request")[0].contains("\"id\":44"));
-    yu::telemetry::set_event_min_level(yu::telemetry::EventLevel::Info);
     yu::telemetry::close_event_sink();
 
     // The in-band metrics request: answered from the registry without
