@@ -203,7 +203,7 @@ impl YuVerifier {
             flows_in: 0,
             route_time,
             exec_time: Duration::ZERO,
-            load_cache: HashMap::new(),
+            load_cache: LoadCache::default(),
             live_after_gc: 0,
             arena_reported: [0; 6],
             exec_attr: PhaseAttribution::default(),
@@ -231,9 +231,7 @@ impl YuVerifier {
             stf.gc_roots(&mut roots);
         }
         if include_load_cache {
-            for &(tau, _) in self.load_cache.values() {
-                roots.push(tau);
-            }
+            roots.extend(self.load_cache.loads().map(|(_, load)| load.tau));
         }
         roots
     }

@@ -27,9 +27,101 @@ use std::time::Instant;
 use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
 use yu_net::{FailureVars, LoadPoint, Tlp, TlpReq};
 
-/// Aggregated loads by point, valid until the arena they live in is
-/// collected.
-pub(crate) type LoadCache = HashMap<LoadPoint, (NodeRef, AggStats)>;
+/// The exact key of an aggregated load: the `(fraction handle at the
+/// point, class volume)` pairs of the classes summed into it, sorted. In
+/// one arena, equal signatures have the same `τ = βₖ(Σ V·ω)` — a key
+/// compared in full, never by hash alone (DESIGN.md §16.3).
+pub(crate) type Signature = Vec<(NodeRef, Ratio)>;
+
+/// The signature of what [`classes`] returned for `point`.
+pub(crate) fn signature(
+    m: &Mtbdd,
+    results: &[FlowStf],
+    point: LoadPoint,
+    classes: &[(usize, Ratio)],
+) -> Signature {
+    let mut sig: Signature = classes
+        .iter()
+        .map(|(rep, vol)| (results[*rep].at(m, point), vol.clone()))
+        .collect();
+    sig.sort_unstable();
+    sig
+}
+
+/// An aggregated load and the signature it was summed (or derived) from.
+pub(crate) struct CachedLoad {
+    pub sig: Signature,
+    pub tau: NodeRef,
+}
+
+/// A point's current load and the one it replaced.
+struct LoadSlot {
+    current: CachedLoad,
+    superseded: Option<CachedLoad>,
+}
+
+/// Aggregated loads by point, each under its signature, so an entry
+/// validates itself: it answers only a state with that signature. Each
+/// point keeps the entry the current one replaced, so a revert finds its
+/// old load. Valid until the arena they live in is collected.
+#[derive(Default)]
+pub(crate) struct LoadCache {
+    slots: HashMap<LoadPoint, LoadSlot>,
+    /// Loads found in a superseded entry since the incremental engine
+    /// last took the count.
+    pub reused: usize,
+}
+
+impl LoadCache {
+    /// The load of signature `sig` at `point`, if either entry has it; a
+    /// superseded entry found this way becomes the current one again.
+    pub fn get(&mut self, point: LoadPoint, sig: &Signature) -> Option<NodeRef> {
+        let slot = self.slots.get_mut(&point)?;
+        if slot.current.sig == *sig {
+            return Some(slot.current.tau);
+        }
+        let old = slot.superseded.as_mut().filter(|old| old.sig == *sig)?;
+        std::mem::swap(&mut slot.current, old);
+        self.reused += 1;
+        Some(slot.current.tau)
+    }
+
+    /// The current entry at `point`, whatever state it was summed from.
+    pub fn current(&self, point: LoadPoint) -> Option<&CachedLoad> {
+        self.slots.get(&point).map(|slot| &slot.current)
+    }
+
+    /// Makes `load` the current entry at `point`; the one it replaces
+    /// becomes the superseded entry.
+    pub fn insert(&mut self, point: LoadPoint, load: CachedLoad) {
+        match self.slots.entry(point) {
+            Entry::Occupied(mut e) => {
+                let slot = e.get_mut();
+                slot.superseded = Some(std::mem::replace(&mut slot.current, load));
+            }
+            Entry::Vacant(e) => {
+                e.insert(LoadSlot {
+                    current: load,
+                    superseded: None,
+                });
+            }
+        }
+    }
+
+    /// Every cached load, current and superseded, with its point.
+    pub fn loads(&self) -> impl Iterator<Item = (LoadPoint, &CachedLoad)> {
+        self.slots.iter().flat_map(|(&p, slot)| {
+            std::iter::once(&slot.current)
+                .chain(&slot.superseded)
+                .map(move |load| (p, load))
+        })
+    }
+
+    /// Drops every entry (a collection invalidates their handles).
+    pub fn clear(&mut self) {
+        self.slots.clear();
+    }
+}
 
 /// Cache key of a requirement: its verdict is a pure function of the
 /// (canonical) load at the point and the bounds.
@@ -184,20 +276,21 @@ fn interval_first(opts: &YuOptions) -> bool {
 }
 
 /// The aggregated symbolic traffic load at `point`,
-/// `τ = Σ_classes V_class · ω_class`, cached per arena.
+/// `τ = Σ_classes V_class · ω_class`, cached per arena under its
+/// signature.
 pub(crate) fn load<A: CheckArena>(
     a: &mut A,
     opts: &YuOptions,
     point: LoadPoint,
 ) -> (NodeRef, AggStats) {
-    if let Some(&hit) = a.arena().loads.get(&point) {
-        return hit;
-    }
-    let (classes, stats) = {
-        let p = a.arena();
-        classes(p.m, p.results, p.groups, point, opts.use_link_local_equiv)
+    let p = a.arena();
+    let (classes, stats) = classes(p.m, p.results, p.groups, point, opts.use_link_local_equiv);
+    let sig = signature(p.m, p.results, point, &classes);
+    let tau = match p.loads.get(point, &sig) {
+        Some(tau) => tau,
+        None => aggregate(a, opts, point, classes),
     };
-    aggregate(a, opts, point, classes, stats)
+    (tau, stats)
 }
 
 /// Scales and sums what [`classes`] returned for `point` into `τ` and
@@ -208,20 +301,19 @@ fn aggregate<A: CheckArena>(
     opts: &YuOptions,
     point: LoadPoint,
     classes: Vec<(usize, Ratio)>,
-    stats: AggStats,
-) -> (NodeRef, AggStats) {
+) -> NodeRef {
     let _stage = yu_telemetry::span_detail("aggregate", || format!("{point:?}"));
     a.checkpoint(&mut []);
     let k = opts.use_kreduce.then_some(opts.k);
     let mut level: Vec<NodeRef> = Vec::with_capacity(classes.len());
-    for (rep, vol) in classes {
+    for (rep, vol) in &classes {
         let p = a.arena();
-        let stf = p.results[rep].at(p.m, point);
+        let stf = p.results[*rep].at(p.m, point);
         // The fused kernels reduce during the apply, so the un-reduced
         // intermediates never hit the arena.
         level.push(match k {
-            Some(k) => p.m.scale_kreduce(stf, Term::Num(vol), k),
-            None => p.m.scale(stf, Term::Num(vol)),
+            Some(k) => p.m.scale_kreduce(stf, Term::Num(vol.clone()), k),
+            None => p.m.scale(stf, Term::Num(vol.clone())),
         });
         a.checkpoint(&mut level);
     }
@@ -249,8 +341,12 @@ fn aggregate<A: CheckArena>(
             level.pop().unwrap_or(zero)
         }
     };
-    a.arena().loads.insert(point, (tau, stats));
-    (tau, stats)
+    // The signature is taken after the sum: a collection in between
+    // would have remapped the handles it holds.
+    let p = a.arena();
+    let sig = signature(p.m, p.results, point, &classes);
+    p.loads.insert(point, CachedLoad { sig, tau });
+    tau
 }
 
 /// The verdict for one requirement, tagged with its index among the
@@ -341,8 +437,10 @@ fn check_req<A: CheckArena>(
         Vec::new()
     } else {
         yu_telemetry::counter("check.materialised", 1);
-        let cached = a.arena().loads.get(&req.point).copied();
-        let (tau, _) = cached.unwrap_or_else(|| aggregate(a, opts, req.point, summed, agg));
+        let p = a.arena();
+        let sig = signature(p.m, p.results, req.point, &summed);
+        let cached = p.loads.get(req.point, &sig);
+        let tau = cached.unwrap_or_else(|| aggregate(a, opts, req.point, summed));
         let p = a.arena();
         if max_violations <= 1 {
             check_requirement(p.m, p.fv, tau, req, opts.k)
@@ -512,7 +610,7 @@ mod tests {
         let (results, groups) = contributions(m, &parts);
         let mut arena = Arena {
             m,
-            loads: &mut LoadCache::new(),
+            loads: &mut LoadCache::default(),
             results: &results,
             groups: &groups,
             fv,
@@ -556,7 +654,7 @@ mod tests {
         let (g0, g1) = (m.var_guard(0), m.var_guard(1));
         // τ = 10·x0 + 5·x1 ∈ {0, 5, 10, 15}.
         let (results, groups) = contributions(&m, &[(g0, Ratio::int(10)), (g1, Ratio::int(5))]);
-        let mut loads = LoadCache::new();
+        let mut loads = LoadCache::default();
         let mut arena = Arena {
             m: &mut m,
             loads: &mut loads,
@@ -567,7 +665,7 @@ mod tests {
         let opts = YuOptions::default();
         let mut check = |req: &TlpReq, max_violations| {
             let unit = check_req(&mut arena, &opts, 0, req, max_violations);
-            (unit, arena.loads.contains_key(&POINT))
+            (unit, arena.loads.current(POINT).is_some())
         };
         let (safe, stored) = check(&TlpReq::at_most(POINT, Ratio::int(15)), 1);
         assert!(safe.bound_decided && safe.violations.is_empty());
@@ -656,7 +754,7 @@ mod tests {
             let opts = YuOptions { k, ..Default::default() };
             let mut arena = Arena {
                 m: &mut m,
-                loads: &mut LoadCache::new(),
+                loads: &mut LoadCache::default(),
                 results: &results,
                 groups: &groups,
                 fv: &fv,

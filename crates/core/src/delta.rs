@@ -29,7 +29,11 @@
 //!   each keyed by its current representative under the current
 //!   classifier: a matched group keeps its STF (symbolic fractions are
 //!   volume-independent; destinations of one class forward identically),
-//!   only its volume/representative metadata is refreshed.
+//!   only its volume/representative metadata is refreshed. At each point
+//!   the changed groups touch, a cached load `τ` moves by the signed
+//!   delta `Σ ΔV·ω` (a new group counts `+V`, a vanished one `−V`)
+//!   instead of being re-summed; a revert finds its old load by
+//!   signature.
 //! * **TLP changed** — neither routes nor STFs are touched; the
 //!   per-requirement verdict cache simply misses on new or re-bounded
 //!   requirements.
@@ -54,7 +58,9 @@
 //! so untouched requirements cost a hash lookup. The verdict cache is
 //! consulted by the one check stage every caller runs
 //! ([`YuVerifier::verify`] without it); this module only decides what to
-//! invalidate.
+//! invalidate. Cached loads are not invalidated at all: each is stored
+//! under the signature of the classes it was summed from, and the check
+//! stage uses it only for a state with that signature.
 //!
 //! Soundness of all this reuse rests on the arena's canonicity: MTBDDs
 //! are hash-consed with a fixed variable order and exact arithmetic, so
@@ -65,10 +71,12 @@
 //! bit-identity against from-scratch runs for every change kind.
 
 use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
-use crate::check::CheckCaches;
+use crate::check::{classes, signature, CachedLoad, CheckCaches, Signature};
 use crate::equivalence::{keyed_groups, GroupKey, GroupKeys};
+use crate::exec::FlowStf;
 use std::collections::HashMap;
 use std::time::Instant;
+use yu_mtbdd::{NodeRef, Ratio, Term};
 use yu_net::{ChangeError, ChangeSet, Flow, Impact, LoadPoint, Network, Tlp};
 use yu_routing::SymbolicRoutes;
 
@@ -90,6 +98,11 @@ pub struct DeltaStats {
     /// Whether the change forced a from-scratch rebuild (a new shape,
     /// `k`, failure mode or ablation switch).
     pub full_rebuild: bool,
+    /// Cached loads a flow edit moved by `Σ ΔV·ω` instead of re-summing.
+    pub delta_loads: usize,
+    /// Loads found by signature in the entry a point's current load had
+    /// replaced: a revert, which needs no arithmetic.
+    pub reused_loads: usize,
 }
 
 /// A verifier that carries its inputs and re-verifies change-sets
@@ -234,6 +247,8 @@ impl IncrementalVerifier {
             .add(self.last_delta.reused_groups as u64);
         r.incremental_recomputed_groups_total
             .add(self.last_delta.recomputed_groups as u64);
+        r.incremental_delta_loads_total
+            .add(self.last_delta.delta_loads as u64);
         if self.last_delta.full_rebuild {
             r.incremental_full_rebuilds_total.inc();
         }
@@ -241,11 +256,11 @@ impl IncrementalVerifier {
         self.verify()
     }
 
-    /// Marks one load point dirty: bump its epoch (invalidating cached
-    /// verdicts) and evict its cached aggregate.
+    /// Marks one load point dirty: bump its epoch, invalidating cached
+    /// verdicts. Its cached loads stay: each answers only the state its
+    /// signature describes.
     fn mark_dirty(&mut self, p: LoadPoint) {
         self.caches.point_epoch.insert(p, self.gen);
-        self.v.load_cache.remove(&p);
     }
 
     /// Routing changed (same topology): recompute the guarded routing
@@ -298,7 +313,8 @@ impl IncrementalVerifier {
     /// (symbolic fractions do not depend on volume, and destinations of
     /// one class forward identically). Unmatched new groups are executed;
     /// points touched by changed volumes, new groups, or vanished groups
-    /// are dirtied.
+    /// are dirtied, and the cached load at each of them is moved by
+    /// [`Self::derive_load`].
     fn regroup(&mut self, flows: Vec<Flow>) {
         let v = &self.v;
         let (classes, global_equiv) = (&v.routes.dst_classes, v.opts.use_global_equiv);
@@ -318,14 +334,24 @@ impl IncrementalVerifier {
             .zip(std::mem::take(&mut v.results))
             .map(Some)
             .collect();
-        let mut dirty: Vec<LoadPoint> = Vec::new();
+        // Per point, how the contributions of the changed groups move: a
+        // new group comes from volume zero, a vanished one goes to it.
+        let mut moved: HashMap<LoadPoint, Vec<Move>> = HashMap::new();
+        let mut record = |stf: &FlowStf, from: &Ratio, to: &Ratio| {
+            for (&p, &w) in &stf.loads {
+                moved
+                    .entry(p)
+                    .or_default()
+                    .push((w, from.clone(), to.clone()));
+            }
+        };
         let t0 = Instant::now();
         for (key, g) in new_grouped {
             let claimed = old_by_key.get(&key).and_then(|&i| stored[i].take());
             let stf = match claimed {
                 Some((old, stf)) => {
                     if old.volume != g.volume {
-                        dirty.extend(stf.loads.keys().copied());
+                        record(&stf, &old.volume, &g.volume);
                     }
                     stf
                 }
@@ -334,7 +360,7 @@ impl IncrementalVerifier {
                         format!("{:?}->{:?}", g.rep.ingress, g.rep.dst)
                     });
                     let stf = v.execute(&g);
-                    dirty.extend(stf.loads.keys().copied());
+                    record(&stf, &Ratio::ZERO, &g.volume);
                     self.last_delta.recomputed_groups += 1;
                     stf
                 }
@@ -342,14 +368,62 @@ impl IncrementalVerifier {
             v.groups.push(g);
             v.results.push(stf);
         }
-        for (_, vanished) in stored.iter().flatten() {
-            dirty.extend(vanished.loads.keys().copied());
+        for (vanished, stf) in stored.iter().flatten() {
+            record(stf, &vanished.volume, &Ratio::ZERO);
         }
         v.book_exec_time(t0.elapsed());
         self.flows = flows;
-        for p in dirty {
+        for (p, moves) in moved {
+            self.derive_load(p, moves);
             self.mark_dirty(p);
         }
+    }
+
+    /// Moves the cached load at `p` by the changed groups' contributions:
+    /// `τ' = βₖ(τ + Σ βₖ(ΔV·ω))` is the node a full re-sum builds (KREDUCE
+    /// is canonical and `≈ₖ` a congruence under `+`), and it is stored
+    /// under the point's new signature. That needs the cached `τ` to be
+    /// the load before the update: its signature, moved by the changes,
+    /// must be the new one. A point whose new signature is the
+    /// superseded entry's swaps the two instead. A point with no cached
+    /// `τ`, a stale one, or at least as many changed groups as classes is
+    /// left to the check stage's full re-sum.
+    fn derive_load(&mut self, p: LoadPoint, mut moves: Vec<Move>) {
+        let v = &mut self.v;
+        let Some(cached) = v.load_cache.current(p) else {
+            return;
+        };
+        let zero = v.m.zero();
+        moves.retain(|(w, ..)| *w != zero);
+        let link_local = v.opts.use_link_local_equiv;
+        let (moved, tau) = (moved_signature(&cached.sig, &moves, link_local), cached.tau);
+        let (summed, _) = classes(&v.m, &v.results, &v.groups, p, link_local);
+        let sig = signature(&v.m, &v.results, p, &summed);
+        if v.load_cache.get(p, &sig).is_some()
+            || moves.len() >= sig.len()
+            || moved.as_ref() != Some(&sig)
+        {
+            return;
+        }
+        let _stage = yu_telemetry::span_detail("aggregate", || format!("{p:?} by delta"));
+        let k = v.opts.use_kreduce.then_some(v.opts.k);
+        let m = &mut v.m;
+        // Fractions are finite, so a negative ΔV scales them soundly.
+        let mut terms = vec![tau];
+        for (w, from, to) in &moves {
+            let dv = Term::Num(to.sub_ref(from));
+            terms.push(match k {
+                Some(k) => m.scale_kreduce(*w, dv, k),
+                None => m.scale(*w, dv),
+            });
+        }
+        let tau = match (k, terms.as_slice()) {
+            (Some(k), &[tau, delta]) => m.add_kreduce(tau, delta, k),
+            (Some(k), _) => m.sum_kreduce(&terms, k),
+            (None, _) => m.sum(&terms),
+        };
+        v.load_cache.insert(p, CachedLoad { sig, tau });
+        self.last_delta.delta_loads += 1;
     }
 
     /// Re-verifies the current TLP, answering unchanged requirements from
@@ -360,17 +434,61 @@ impl IncrementalVerifier {
         let outcome = self.v.verify_with(&self.tlp, 1, Some(&mut self.caches));
         self.last_delta.reused_reqs = self.caches.reused_reqs;
         self.last_delta.rechecked_reqs = self.caches.rechecked_reqs;
+        let reused = std::mem::take(&mut self.v.load_cache.reused);
+        self.last_delta.reused_loads += reused;
+        yu_telemetry::registry()
+            .incremental_reused_loads_total
+            .add(reused as u64);
         outcome
     }
+}
+
+/// A changed group's contribution at one point: its fraction there, and
+/// its volume before and after the update.
+type Move = (NodeRef, Ratio, Ratio);
+
+/// `sig` with every contribution of `moves` moved from its old to its
+/// new volume: under link-local equivalence the class of a fraction
+/// holds the summed volume of its groups, otherwise each group with a
+/// non-zero volume is a class of its own. `None` when `sig` lacks a
+/// class a move takes out — it was not summed from the state before the
+/// update.
+fn moved_signature(sig: &Signature, moves: &[Move], link_local: bool) -> Option<Signature> {
+    let mut sig = sig.clone();
+    for (w, from, to) in moves {
+        if link_local {
+            let dv = to.sub_ref(from);
+            match sig.iter().position(|(h, _)| h == w) {
+                Some(i) => {
+                    sig[i].1 = sig[i].1.add_ref(&dv);
+                    if sig[i].1.is_zero() {
+                        sig.swap_remove(i);
+                    }
+                }
+                None if dv.is_zero() => {}
+                None => sig.push((*w, dv)),
+            }
+        } else {
+            if !from.is_zero() {
+                let i = sig.iter().position(|(h, v)| h == w && v == from)?;
+                sig.swap_remove(i);
+            }
+            if !to.is_zero() {
+                sig.push((*w, to.clone()));
+            }
+        }
+    }
+    sig.sort_unstable();
+    Some(sig)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use yu_gen::{
         fattree_with_flows, motivating_example, sr_anycast_incident, static_blackhole_incident,
     };
-    use yu_mtbdd::Ratio;
     use yu_net::{BgpConfig, Change, Ipv4, StaticNextHop, StaticRoute, TlpReq, Topology, ULinkId};
 
     /// Every stored STF is handle-identical to a fresh execution of its
@@ -582,5 +700,172 @@ mod tests {
         inc.set_state(old, flows, tlp, opts);
         assert_eq!(inc.verifier().groups.len(), 1);
         assert_invariant("split: static removed, classes merge", &mut inc);
+    }
+
+    /// `βₖ(Σ V·ω)` over `(ω, V)` pairs, built afresh in `v`'s arena the
+    /// way the check stage aggregates (exact without KREDUCE).
+    fn fresh_sum(v: &mut YuVerifier, items: &[(NodeRef, Ratio)]) -> NodeRef {
+        let k = v.opts.use_kreduce.then_some(v.opts.k);
+        let scaled: Vec<NodeRef> = items
+            .iter()
+            .map(|(w, vol)| {
+                let vol = Term::Num(vol.clone());
+                match k {
+                    Some(k) => v.m.scale_kreduce(*w, vol, k),
+                    None => v.m.scale(*w, vol),
+                }
+            })
+            .collect();
+        match k {
+            Some(k) => v.m.sum_kreduce(&scaled, k),
+            None => v.m.sum(&scaled),
+        }
+    }
+
+    /// Every cached load, current or superseded, is handle-identical to a
+    /// fresh sum of the signature it is cached under; where that is the
+    /// point's signature in the current state, to a fresh aggregate of
+    /// the point's classes.
+    fn assert_cached_loads_are_fresh(ctx: &str, inc: &mut IncrementalVerifier) {
+        let v = &mut inc.v;
+        let cached: Vec<(LoadPoint, Signature, NodeRef)> = v
+            .load_cache
+            .loads()
+            .map(|(p, load)| (p, load.sig.clone(), load.tau))
+            .collect();
+        for (p, sig, tau) in cached {
+            assert_eq!(tau, fresh_sum(v, &sig), "{ctx}: load at {p:?}");
+            let link_local = v.opts.use_link_local_equiv;
+            let (summed, _) = classes(&v.m, &v.results, &v.groups, p, link_local);
+            if sig == signature(&v.m, &v.results, p, &summed) {
+                let state: Vec<_> = summed
+                    .iter()
+                    .map(|(rep, vol)| (v.results[*rep].at(&v.m, p), vol.clone()))
+                    .collect();
+                assert_eq!(tau, fresh_sum(v, &state), "{ctx}: state load at {p:?}");
+            }
+        }
+    }
+
+    /// Materialises the load at every point a group touches, so that the
+    /// next flow edit finds a cached `τ` wherever it moves one.
+    fn cache_every_load(inc: &mut IncrementalVerifier) {
+        let v = &mut inc.v;
+        let points: BTreeSet<LoadPoint> = v
+            .results
+            .iter()
+            .flat_map(|r| r.loads.keys().copied())
+            .collect();
+        for p in points {
+            v.load_mtbdd(p);
+        }
+    }
+
+    /// What a flow edit of the load script must do to the cached loads.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Expect {
+        /// Move at least one by a delta.
+        Delta,
+        /// Find at least one in a superseded entry.
+        Reused,
+        /// Move none: every point takes the full re-sum.
+        Fallback,
+    }
+
+    /// Flow edits on ft4 with every load cached before each: a volume up,
+    /// down, back up (a revert), to zero and back (a revert), a flow that
+    /// joins a group and one that forms a new group, the removal of a
+    /// member, every volume doubled (more changed groups than classes at
+    /// every point), and the removal of a group's last flow.
+    fn load_script(opts: YuOptions) {
+        let (ft, flows) = fattree_with_flows(4, 16);
+        let tlp = Tlp::no_overload(&ft.net.topo, Ratio::new(95, 100));
+        let mut inc = IncrementalVerifier::new(ft.net.clone(), flows.clone(), tlp, opts);
+        // Flows join `a`'s group; `b` is alone in another.
+        let mut keys = GroupKeys::new(&inc.v.routes.dst_classes, true);
+        let keyed: Vec<GroupKey> = flows.iter().map(|f| keys.key(f)).collect();
+        let a = 0;
+        let b = (0..flows.len())
+            .find(|&i| {
+                keyed[i] != keyed[a] && keyed.iter().filter(|&&k| k == keyed[i]).count() == 1
+            })
+            .expect("a lone group");
+        // An ingress that sends nothing to `a`'s destination class yet.
+        let stranger = ft
+            .net
+            .topo
+            .routers()
+            .find(|&r| {
+                let probe = Flow::new(r, flows[a].src, flows[a].dst, 0, Ratio::ONE);
+                !keyed.contains(&keys.key(&probe))
+            })
+            .expect("a new ingress");
+        let name = |r| ft.net.topo.router(r).name.clone();
+        let (va, vb) = (flows[a].volume.clone(), flows[b].volume.clone());
+        let volume = |flow, volume| Change::SetFlowVolume { flow, volume };
+        let add = |ingress, src| Change::AddFlow {
+            ingress,
+            src,
+            dst: flows[a].dst,
+            dscp: 0,
+            volume: Ratio::int(3),
+        };
+        let n = flows.len();
+        let script = [
+            (vec![volume(a, va.clone() * Ratio::int(3))], Expect::Delta),
+            (vec![volume(a, va.clone() / Ratio::int(2))], Expect::Delta),
+            (vec![volume(a, va.clone() * Ratio::int(3))], Expect::Reused),
+            (vec![volume(b, Ratio::ZERO)], Expect::Delta),
+            (vec![volume(b, vb)], Expect::Reused),
+            (
+                vec![add(name(flows[a].ingress), Ipv4::new(11, 99, 0, 1))],
+                Expect::Delta,
+            ),
+            (
+                vec![add(name(stranger), Ipv4::new(11, 99, 0, 2))],
+                Expect::Delta,
+            ),
+            (vec![Change::RemoveFlow { flow: n }], Expect::Delta),
+            (
+                (0..=n)
+                    .map(|i| {
+                        volume(
+                            i,
+                            flows
+                                .get(i)
+                                .map_or(Ratio::int(6), |f| f.volume.clone() * Ratio::int(2)),
+                        )
+                    })
+                    .collect(),
+                Expect::Fallback,
+            ),
+            (vec![Change::RemoveFlow { flow: b }], Expect::Delta),
+        ];
+        for (step, (changes, expect)) in script.into_iter().enumerate() {
+            let ctx = format!("kreduce={} step {step} ({changes:?})", opts.use_kreduce);
+            cache_every_load(&mut inc);
+            inc.apply(&ChangeSet { changes })
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let d = inc.delta_stats();
+            match expect {
+                Expect::Delta => assert!(d.delta_loads > 0, "{ctx}: {d:?}"),
+                Expect::Reused => assert!(d.reused_loads > 0, "{ctx}: {d:?}"),
+                Expect::Fallback => assert_eq!(d.delta_loads, 0, "{ctx}: {d:?}"),
+            }
+            assert_cached_loads_are_fresh(&ctx, &mut inc);
+            cache_every_load(&mut inc);
+            assert_cached_loads_are_fresh(&format!("{ctx}, all cached"), &mut inc);
+        }
+    }
+
+    #[test]
+    fn flow_edits_move_cached_loads_to_the_fresh_sum() {
+        for use_kreduce in [true, false] {
+            load_script(YuOptions {
+                k: 1,
+                use_kreduce,
+                ..YuOptions::default()
+            });
+        }
     }
 }

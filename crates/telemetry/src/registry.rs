@@ -222,6 +222,10 @@ metrics! {
         "Requirements answered from the incremental verdict cache";
     incremental_rechecked_reqs_total: counter("delta.rechecked_reqs"),
         "Requirements re-aggregated and re-checked incrementally";
+    incremental_delta_loads_total: counter("delta.delta_loads"),
+        "Cached loads moved by a signed delta instead of re-summed";
+    incremental_reused_loads_total: counter("delta.reused_loads"),
+        "Loads found by signature in the entry the current one replaced";
     incremental_full_rebuilds_total: counter,
         "Updates that forced a from-scratch rebuild (topology edits)";
     // ---- serve loop ----

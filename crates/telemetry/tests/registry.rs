@@ -234,7 +234,7 @@ fn snapshot_json_matches_live_values() {
 /// exposition order. Adding, renaming or re-twinning an instrument is a
 /// one-line diff here (and one row in DESIGN.md §9.7, which
 /// `tests/observability.rs` checks against `descriptors()`).
-const INSTRUMENTS: [(&str, &str, Option<&str>); 37] = [
+const INSTRUMENTS: [(&str, &str, Option<&str>); 39] = [
     ("yu_verify_runs_total", "counter", None),
     ("yu_reqs_checked_total", "counter", None),
     ("yu_reqs_bound_decided_total", "counter", None),
@@ -302,6 +302,16 @@ const INSTRUMENTS: [(&str, &str, Option<&str>); 37] = [
         "counter",
         Some("delta.rechecked_reqs"),
     ),
+    (
+        "yu_incremental_delta_loads_total",
+        "counter",
+        Some("delta.delta_loads"),
+    ),
+    (
+        "yu_incremental_reused_loads_total",
+        "counter",
+        Some("delta.reused_loads"),
+    ),
     ("yu_incremental_full_rebuilds_total", "counter", None),
     ("yu_serve_requests_total", "counter", None),
     ("yu_serve_request_errors_total", "counter", None),
@@ -351,7 +361,7 @@ fn instrument_names_follow_the_one_naming_scheme() {
             assert!(!twin.starts_with("yu_"), "{twin} is a span-log name");
         }
     }
-    assert_eq!(twins.len(), 12);
+    assert_eq!(twins.len(), 14);
 }
 
 /// A twin row's one `add` lands in both sinks, each under its own gate;

@@ -548,6 +548,8 @@ pub fn stats_value(out: &VerificationOutcome, delta: DeltaStats) -> Value {
         ("reused_reqs", delta.reused_reqs),
         ("rechecked_reqs", delta.rechecked_reqs),
         ("dirty_points", delta.dirty_points),
+        ("delta_loads", delta.delta_loads),
+        ("reused_loads", delta.reused_loads),
     ] {
         stats.insert(key, Value::Int(n as i128));
     }

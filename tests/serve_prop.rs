@@ -4,7 +4,10 @@
 //! `flow_results()` compared bit-for-bit against a from-scratch run on
 //! the same inputs — across both failure modes and worker counts 1 / 4.
 //!
-//! After every random change-set comes one that changes nothing (a cost
+//! After every random change-set come two deterministic ones: one that
+//! re-weighs every flow of one group, so that cached loads move by a
+//! delta where the group shares a point with other classes and take the
+//! full re-sum where it does not; and one that changes nothing (a cost
 //! or volume set to its current value, a flow added and removed again,
 //! a requirement re-bounded to its bounds), which must reuse everything.
 //!
@@ -18,6 +21,7 @@ use yu::core::{IncrementalVerifier, YuOptions, YuVerifier};
 use yu::gen::{fattree_with_flows, wan, WanParams};
 use yu::mtbdd::{Ratio, Term};
 use yu::net::{Change, ChangeSet, FailureMode, Flow, Ipv4, LoadPoint, Network, PointRef, Tlp};
+use yu::routing::DstClasses;
 
 /// A splitmix-style deterministic generator (no external crates).
 struct Rng(u64);
@@ -208,6 +212,33 @@ fn noop_changes(net: &Network, flows: &[Flow], tlp: &Tlp, step: usize) -> Vec<Ch
     }
 }
 
+/// Every flow of the group of flow `step % flows.len()` (same ingress,
+/// destination class and DSCP), its volume doubled on even steps and
+/// halved on odd ones. Draws nothing from the generator, so the random
+/// sequences around it stay what they were.
+fn group_volume_changes(net: &Network, flows: &[Flow], step: usize) -> Vec<Change> {
+    if flows.is_empty() {
+        return Vec::new();
+    }
+    let classes = DstClasses::of(net);
+    let key = |f: &Flow| (f.ingress, classes.class_of(f.dst), f.dscp);
+    let group = key(&flows[step % flows.len()]);
+    let factor = if step.is_multiple_of(2) {
+        Ratio::int(2)
+    } else {
+        Ratio::new(1, 2)
+    };
+    flows
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| key(f) == group)
+        .map(|(flow, f)| Change::SetFlowVolume {
+            flow,
+            volume: f.volume.clone() * factor.clone(),
+        })
+        .collect()
+}
+
 /// A copy of the inputs the verifier holds.
 fn inputs(inc: &IncrementalVerifier) -> (Network, Vec<Flow>, Tlp) {
     (
@@ -320,6 +351,15 @@ fn run_sequence_with(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, opts: 
                 // Rejected: the committed state must be untouched.
                 assert_matches_scratch(&format!("{ctx} (rejected)"), &inc, &last_violations);
             }
+        }
+        let changes = group_volume_changes(inc.network(), inc.flows(), step);
+        if !changes.is_empty() {
+            let ctx = format!("seed={seed} mode={mode:?} step={step} group={changes:?}");
+            let out = inc
+                .apply(&ChangeSet { changes })
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_matches_scratch(&ctx, &inc, &out.violations);
+            last_violations = out.violations;
         }
         // A set that changes nothing must answer like the state it keeps
         // and, when it indeed changed nothing, re-execute nothing.

@@ -485,7 +485,7 @@ fn twin_counters_agree_across_both_sinks() {
             d.name
         );
     }
-    assert_eq!(twins, 12);
+    assert_eq!(twins, 14);
     // The script exercised the twins it can: routing rounds, arena
     // counters, and both reuse partitions.
     for twin in [
