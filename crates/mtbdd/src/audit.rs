@@ -20,6 +20,7 @@
 
 use crate::manager::{Mtbdd, Op};
 use crate::node::NodeRef;
+use crate::table::Tag;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -254,23 +255,22 @@ impl Mtbdd {
             }
         }
         let terms = self.raw_terms();
-        let term_ids = self.term_table();
-        if term_ids.len() != terms.len() {
+        let interned = self.terminal_table_len();
+        if interned != terms.len() {
             report.push(
                 AuditCheck::TerminalDedup,
                 None,
                 format!(
-                    "terminal table has {} entries but arena has {} terminals",
-                    term_ids.len(),
+                    "terminal table has {interned} entries but arena has {} terminals",
                     terms.len()
                 ),
             );
         }
         for (ix, term) in terms.iter().enumerate() {
             let r = NodeRef::terminal(ix);
-            match term_ids.get(term) {
-                Some(&mapped) if mapped == r => {}
-                Some(&mapped) => report.push(
+            match self.terminal_lookup_for_audit(term) {
+                Some(mapped) if mapped == r => {}
+                Some(mapped) => report.push(
                     AuditCheck::TerminalDedup,
                     Some(r),
                     format!("duplicate terminal {term}: mapped to {mapped:?} but stored at {r:?}"),
@@ -360,8 +360,9 @@ impl Mtbdd {
     /// under a handful of assignments, comparing the cached diagram
     /// against pointwise recombination of the operands.
     fn audit_cache_sample(&self, report: &mut AuditReport) {
-        let step = (self.apply_cache.len() / FULL_AUDIT_CACHE_SAMPLES).max(1);
-        for (i, (w0, w1, raw)) in self.apply_cache.iter().enumerate() {
+        let resident = |tag| self.computed.stats(tag).resident;
+        let step = (resident(Tag::Apply) / FULL_AUDIT_CACHE_SAMPLES).max(1);
+        for (i, (w0, w1, raw)) in self.computed.iter(Tag::Apply).enumerate() {
             if i % step != 0 || report.cache_entries_checked >= FULL_AUDIT_CACHE_SAMPLES {
                 break;
             }
@@ -369,9 +370,9 @@ impl Mtbdd {
             let (op, f, g) = crate::manager::unpack_apply_key(w0, w1);
             self.audit_check_apply_entry(op, f, g, NodeRef(raw), i as u64, report);
         }
-        let step1 = (self.apply1_cache.len() / FULL_AUDIT_CACHE_SAMPLES).max(1);
+        let step1 = (resident(Tag::Apply1) / FULL_AUDIT_CACHE_SAMPLES).max(1);
         let mut checked1 = 0usize;
-        for (i, (w0, w1, raw)) in self.apply1_cache.iter().enumerate() {
+        for (i, (w0, w1, raw)) in self.computed.iter(Tag::Apply1).enumerate() {
             if i % step1 != 0 || checked1 >= FULL_AUDIT_CACHE_SAMPLES {
                 break;
             }

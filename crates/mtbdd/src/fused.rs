@@ -47,20 +47,9 @@ use crate::terminal::Term;
 
 /// Operand-list cap for the n-ary fused recursion: beyond this the list
 /// splits in half (see [`Mtbdd::sum_kreduce`]). Bounds the per-level
-/// cofactor arrays and keeps memo keys fixed-width; the split is
-/// invisible in the result because `KREDUCE` is canonicalizing.
+/// cofactor arrays and the memo's operand runs; the split is invisible
+/// in the result because `KREDUCE` is canonicalizing.
 const MAX_SUM_ARITY: usize = 16;
-
-/// Padding element for [`SumKey`] operand arrays: an impossible raw
-/// handle (a terminal index of 2³¹ − 1 would require an arena of two
-/// billion distinct terminals), so padded tails can never collide with
-/// real operands.
-pub(crate) const SUM_PAD: NodeRef = NodeRef(u32::MAX);
-
-/// Memo key for [`Mtbdd::sum_kreduce`]: the sorted, zero-free operand
-/// list padded to fixed width, plus the failure budget. `Copy`, so cache
-/// probes allocate nothing.
-pub(crate) type SumKey = ([NodeRef; MAX_SUM_ARITY], u32);
 
 /// A stack-allocated operand list for the n-ary recursion: sorted,
 /// zero-free, at most [`MAX_SUM_ARITY`] entries. `Copy` — passing one
@@ -74,7 +63,7 @@ struct SumOps {
 impl SumOps {
     fn new() -> Self {
         Self {
-            arr: [SUM_PAD; MAX_SUM_ARITY],
+            arr: [NodeRef(0); MAX_SUM_ARITY],
             len: 0,
         }
     }
@@ -92,10 +81,6 @@ impl SumOps {
 
     fn sort(&mut self) {
         self.arr[..self.len].sort_unstable();
-    }
-
-    fn key(&self, k: u32) -> SumKey {
-        (self.arr, k)
     }
 }
 
@@ -143,9 +128,10 @@ impl Mtbdd {
     /// and `KREDUCE` is canonicalizing, so both pipelines end at
     /// `βₖ(Σ items)` — the unique canonical diagram in this arena.
     ///
-    /// Memoized on the sorted operand list in a dedicated map cache (a
-    /// variable-length key cannot be packed into the direct-mapped
-    /// caches without risking false hits). Operand lists longer than
+    /// Memoized on the sorted operand list and `k` in the computed table,
+    /// which keeps the list as an operand run in a side arena and
+    /// compares it element by element, so a hit is never a hash match
+    /// alone. Operand lists longer than
     /// [`MAX_SUM_ARITY`] split in half; `βₖ(βₖ(ΣA) + βₖ(ΣB)) = βₖ(Σ)`
     /// by the same congruence argument, so the split is invisible in the
     /// result.
@@ -190,8 +176,8 @@ impl Mtbdd {
     }
 
     /// Recursion over a pre-sorted, zero-free, stack-allocated operand
-    /// list. Every structure this builds lives on the stack — a cache
-    /// probe or a recursive call allocates nothing.
+    /// list. A cache probe or a recursive call allocates nothing; a miss
+    /// copies the list into the computed table's run arena.
     ///
     /// `b0` is `β₀(Σ ops)`, carried down instead of re-summed at every
     /// leaf: the alive branch keeps every operand's hi-spine and so
@@ -212,12 +198,9 @@ impl Mtbdd {
         if ops.len == 2 {
             return self.fused_rec(Op::Add, ops.arr[0], ops.arr[1], k);
         }
-        let key = ops.key(k);
-        if let Some(&r) = self.sum_cache.get(&key) {
-            self.sum_hits += 1;
-            return r;
+        if let Some(raw) = self.computed.get_run(ops.ops(), k) {
+            return NodeRef(raw);
         }
-        self.sum_misses += 1;
         let var = ops
             .ops()
             .iter()
@@ -269,7 +252,7 @@ impl Mtbdd {
             let hi_k = self.sum_kreduce_rec(his, b0, k);
             self.node(var, lo_km1, hi_k)
         };
-        self.sum_cache.insert(key, r);
+        self.computed.insert_run(ops.ops(), k, r.0);
         r
     }
 
@@ -287,7 +270,7 @@ impl Mtbdd {
     fn fused_rec(&mut self, op: Op, f: NodeRef, g: NodeRef, k: u32) -> NodeRef {
         // Apply's terminal shortcuts return a node equal to the exact
         // (un-reduced) result, so reducing it finishes the job without
-        // touching the fused cache.
+        // touching the computed table.
         if let Some(r) = self.shortcut(op, f, g) {
             return self.kreduce_rec(r, k);
         }
@@ -311,7 +294,7 @@ impl Mtbdd {
             (f, g)
         };
         let (w0, w1) = crate::manager::pack_fused_key(op, f, g, k);
-        if let Some(raw) = self.fused_cache.get(w0, w1) {
+        if let Some(raw) = self.computed.get(w0, w1) {
             return NodeRef(raw);
         }
         let r = if collapse {
@@ -333,7 +316,7 @@ impl Mtbdd {
                 self.node(var, lo_km1, hi_k)
             }
         };
-        self.fused_cache.insert(w0, w1, r.0);
+        self.computed.insert(w0, w1, r.0);
         r
     }
 }
@@ -584,6 +567,51 @@ mod tests {
         let nary = m.sum_kreduce(&items, k);
         let exact = m.sum(&items);
         assert_eq!(nary, m.kreduce(exact, k));
+    }
+
+    #[test]
+    fn sum_memo_answers_across_run_arena_restarts() {
+        // Unit tests run the `sum` operand-run arena at 64 handles, so
+        // these lists restart it many times, and the memo entries they
+        // fill grow the computed table in between: entries whose runs are
+        // gone must miss, never answer for the runs now at their offsets.
+        let nvars = 16;
+        let k = 3;
+        let mut m = setup(nvars);
+        let mut lists: Vec<Vec<NodeRef>> = (0..48)
+            .map(|i| {
+                (0..3 + i % 5)
+                    .map(|j| flow_stf(&mut m, 3 * i + j, nvars))
+                    .collect()
+            })
+            .collect();
+        let check = |m: &mut Mtbdd, lists: &[Vec<NodeRef>]| {
+            for items in lists {
+                let nary = m.sum_kreduce(items, k);
+                let folded = items
+                    .iter()
+                    .fold(m.zero(), |acc, &f| m.add_kreduce(acc, f, k));
+                assert_eq!(nary, folded, "{items:?}");
+                let exact = m.sum(items);
+                assert_eq!(nary, m.kreduce(exact, k), "{items:?}");
+            }
+        };
+        check(&mut m, &lists);
+        assert!(m.computed.runs_base() > 0, "the run arena never restarted");
+        let hits = m.stats().sum_cache_hits;
+        check(&mut m, &lists);
+        assert!(m.stats().sum_cache_hits > hits, "the second pass must hit");
+        m.clear_caches();
+        check(&mut m, &lists);
+        let roots: Vec<NodeRef> = lists.iter().flatten().copied().collect();
+        let remap = m.collect(&roots);
+        for items in &mut lists {
+            for f in items.iter_mut() {
+                *f = remap.get(*f);
+            }
+        }
+        check(&mut m, &lists);
+        check(&mut m, &lists);
     }
 
     #[test]

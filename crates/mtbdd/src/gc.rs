@@ -4,8 +4,9 @@
 //! diagrams are dead the moment the link's terminals have been scanned —
 //! but a hash-consing arena never frees nodes. [`Mtbdd::collect`] marks
 //! the sub-diagrams reachable from a set of roots, slides the survivors
-//! down in place, rebuilds the unique table from the compacted arena, and
-//! drops everything else (including all operation caches), returning the
+//! down in place, rebuilds the unique and terminal tables from the
+//! compacted pools, and drops everything else (including every memo
+//! entry of the computed table), returning the
 //! old-to-new handle mapping so long-lived holders (guarded RIBs, flow
 //! STFs) can remap. On production-sized runs this is the difference
 //! between a bounded working set and memory exhaustion.
@@ -14,6 +15,7 @@
 //! guarantees every node's children have strictly lower indices, so by
 //! the time a node is moved its children's new indices are already known.
 
+use crate::hasher::fx_hash;
 use crate::manager::{hash_node, Mtbdd};
 use crate::node::NodeRef;
 use crate::table::SlotTable;
@@ -56,7 +58,7 @@ impl Remap {
 
 impl Mtbdd {
     /// Compacts the arena down to the sub-diagrams reachable from
-    /// `roots`, freeing all other nodes and every operation cache.
+    /// `roots`, freeing all other nodes and every memo entry.
     /// Returns the handle remapping; all previously held [`NodeRef`]s
     /// must be translated through it (or dropped). The singleton
     /// constants (`0`, `1`, `+∞`) always survive in place, but are only
@@ -100,13 +102,13 @@ impl Mtbdd {
         debug_assert_eq!(NodeRef(term_new[self.zero().index()]), self.zero());
         debug_assert_eq!(NodeRef(term_new[self.one().index()]), self.one());
         debug_assert_eq!(NodeRef(term_new[self.pos_inf().index()]), self.pos_inf());
+        self.terms_reclaimed += (self.terms.len() - new_terms.len()) as u64;
         self.terms = new_terms;
-        self.term_ids = self
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), NodeRef::terminal(i)))
-            .collect();
+        let mut term_ids = SlotTable::new();
+        for (i, t) in self.terms.iter().enumerate() {
+            term_ids.insert_new(fx_hash(t), i as u32, |ix| fx_hash(&self.terms[ix as usize]));
+        }
+        self.term_ids = term_ids;
 
         // Compact nodes, sliding survivors down in ascending order. Bump
         // allocation guarantees children precede parents, so child
@@ -151,8 +153,8 @@ impl Mtbdd {
         }
         self.unique = unique;
 
-        // Every resident cache entry refers to pre-compaction handles:
-        // drop them all (each is booked as an eviction by its cache).
+        // Every resident memo entry refers to pre-compaction handles:
+        // drop them all (each is booked as an eviction of its kernel).
         self.clear_caches();
 
         // Cumulative counters survive in place; fold in this collection.

@@ -1,15 +1,12 @@
-//! A fast, non-cryptographic hasher for the hot hash maps of the MTBDD
-//! manager (unique table, operation caches).
+//! A fast, non-cryptographic hasher for the hot tables of the MTBDD
+//! manager (unique table, terminal table, computed table).
 //!
 //! The manager performs millions of small-key lookups per verification run;
 //! SipHash's per-call overhead dominates with the default hasher. This is
 //! the well-known Fx (Firefox/rustc) multiply-xor scheme, which is more than
 //! adequate for in-process tables keyed by small integers.
 
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// `HashMap` alias using [`FxHasher`].
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
+use std::hash::{Hash, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -28,8 +25,8 @@ impl FxHasher {
 
 /// Hashes one pre-packed 64-bit key word with the Fx mixing step.
 ///
-/// Used by the flat-arena unique table and the direct-mapped operation
-/// caches (`table.rs`), whose keys are packed into machine words up
+/// Used by the flat-arena unique table and the direct-mapped computed
+/// table (`table.rs`), whose keys are packed into machine words up
 /// front — hashing is then two multiplies instead of a `Hash`-trait
 /// walk over a boxed tuple.
 #[inline]
@@ -43,6 +40,15 @@ pub fn fx_hash_word(w0: u64) -> u64 {
 pub fn fx_hash_words(w0: u64, w1: u64) -> u64 {
     let h = (w0.rotate_left(5)).wrapping_mul(SEED);
     (h.rotate_left(5) ^ w1).wrapping_mul(SEED)
+}
+
+/// Hashes any `Hash` value with [`FxHasher`]: how the terminal table
+/// hashes a terminal and the computed table an operand run.
+#[inline]
+pub fn fx_hash<T: Hash + ?Sized>(t: &T) -> u64 {
+    let mut h = FxHasher::default();
+    t.hash(&mut h);
+    h.finish()
 }
 
 impl Hasher for FxHasher {
@@ -98,15 +104,5 @@ mod tests {
         let mut h2 = FxHasher::default();
         h2.write_u64(2);
         assert_ne!(h1.finish(), h2.finish());
-    }
-
-    #[test]
-    fn usable_as_map() {
-        let mut m: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-        for i in 0..1000 {
-            m.insert((i, i + 1), i);
-        }
-        assert_eq!(m.len(), 1000);
-        assert_eq!(m[&(42, 43)], 42);
     }
 }

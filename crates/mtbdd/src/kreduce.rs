@@ -48,7 +48,7 @@ impl Mtbdd {
             return self.all_alive_ref(f);
         }
         let (w0, w1) = crate::manager::pack_kreduce_key(f, k);
-        if let Some(raw) = self.kreduce_cache.get(w0, w1) {
+        if let Some(raw) = self.computed.get(w0, w1) {
             return NodeRef(raw);
         }
         let n = self.node_at(f);
@@ -60,7 +60,7 @@ impl Mtbdd {
             let hi_k = self.kreduce_rec(n.hi, k);
             self.node(n.var, lo_km1, hi_k)
         };
-        self.kreduce_cache.insert(w0, w1, r.0);
+        self.computed.insert(w0, w1, r.0);
         r
     }
 
@@ -215,8 +215,8 @@ mod tests {
     fn budgets_past_the_variable_count_are_the_identity() {
         // Every kernel clamps `k` to `num_vars`; what was reduced under a
         // huge budget is the exact diagram, node for node. The `k = 1`
-        // entry is cached first: a key that kept only the low 24 bits of
-        // `2^24 + 1` would answer with it.
+        // entry is cached first: a key that kept only the low 21 bits of
+        // `2^21 + 1` (or 24 bits of `2^24 + 1`) would answer with it.
         let mut m = Mtbdd::new();
         let (x1, x2) = (m.fresh_var(), m.fresh_var());
         let ng1 = m.nvar_guard(x1);
@@ -224,7 +224,7 @@ mod tests {
         let f = m.mul(ng1, g2);
         let exact = m.add(f, g2);
         assert_ne!(m.add_kreduce(f, g2, 1), exact);
-        for k in [2, 1 << 24, (1 << 24) + 1, u32::MAX] {
+        for k in [2, 1 << 21, (1 << 21) + 1, 1 << 24, (1 << 24) + 1, u32::MAX] {
             assert_eq!(m.kreduce(exact, k), exact, "k={k}");
             assert_eq!(m.add_kreduce(f, g2, k), exact, "k={k}");
             assert_eq!(m.sum_kreduce(&[f, g2, ng1], k), m.sum(&[f, g2, ng1]));

@@ -6,9 +6,9 @@
 //! handles — the property that makes both `KREDUCE`'s sub-graph merging
 //! (§5.2 of the paper) and link-local flow equivalence (§5.3) O(1) checks.
 
-use crate::hasher::{fx_hash_words, FxHashMap};
+use crate::hasher::{fx_hash, fx_hash_words};
 use crate::node::{Node, NodeRef, Var};
-use crate::table::{DirectCache, SlotTable};
+use crate::table::{tagged, ComputedTable, SlotTable, Tag, BUDGET_BITS};
 use crate::terminal::Term;
 use crate::Ratio;
 
@@ -17,8 +17,8 @@ use crate::Ratio;
 /// The comparison variants produce 0/1 guard MTBDDs; `Or`/`And` expect 0/1
 /// operands (checked in debug builds).
 ///
-/// Discriminants are explicit because the direct-mapped operation caches
-/// pack `Op` into their key words; [`Op::from_index`] must invert `as u8`.
+/// Discriminants are explicit because the computed table packs `Op` into
+/// its key words; [`Op::from_index`] must invert `as u8`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Op {
@@ -148,6 +148,8 @@ impl Op1 {
 /// counts with and without `KREDUCE`) and surfaced through the telemetry
 /// layer. Creation and hit/miss counts are cumulative (they survive
 /// [`Mtbdd::collect`]); `apply_cache_len` is the *current* cache size.
+/// Each `<kernel>_cache_*` field counts that kernel's tag in the one
+/// computed table (`table.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct MtbddStats {
     /// Inner nodes currently in the arena (hash-consing misses since the
@@ -272,19 +274,23 @@ pub(crate) fn hash_node(n: &Node) -> u64 {
     hash_key(n.var, n.lo, n.hi)
 }
 
-// Key packings for the direct-mapped operation caches. Each key fits a
-// `u64` and a `u32` word (`DirectCache`'s 16-byte entry); the audit sampler
-// inverts `pack_apply_key`/`pack_apply1_key` to re-validate resident
-// entries, so keep pack/unpack in sync.
+// Key packings for the computed table. Each key fits a `u64` and a `u32`
+// word (its 16-byte entry), and every `w1` but `ite`'s carries the
+// kernel's `Tag` (`table::tagged`); the audit sampler inverts
+// `pack_apply_key`/`pack_apply1_key` to re-validate resident entries, so
+// keep pack/unpack in sync.
 
-/// Largest failure budget the fused cache key can carry: `k` shares the
-/// `u32` key word with the `Op` byte. The public kernel entries clamp `k`
-/// to [`Mtbdd::num_vars`], which [`Mtbdd::fresh_vars`] keeps below this.
-pub(crate) const MAX_KEY_BUDGET: u32 = (1 << 24) - 1;
+/// Largest failure budget a key can carry: `k` shares the `u32` key word
+/// with the `Op` and the tag. The public kernel entries clamp `k` to
+/// [`Mtbdd::num_vars`], which [`Mtbdd::fresh_vars`] keeps below this.
+pub(crate) const MAX_KEY_BUDGET: u32 = (1 << BUDGET_BITS) - 1;
 
 #[inline]
 pub(crate) fn pack_apply_key(op: Op, f: NodeRef, g: NodeRef) -> (u64, u32) {
-    ((f.0 as u64) | ((g.0 as u64) << 32), op as u32)
+    (
+        (f.0 as u64) | ((g.0 as u64) << 32),
+        tagged(Tag::Apply, op as u32),
+    )
 }
 
 pub(crate) fn unpack_apply_key(w0: u64, w1: u32) -> (Op, NodeRef, NodeRef) {
@@ -297,13 +303,15 @@ pub(crate) fn unpack_apply_key(w0: u64, w1: u32) -> (Op, NodeRef, NodeRef) {
 
 #[inline]
 pub(crate) fn pack_apply1_key(op: Op1, f: NodeRef) -> (u64, u32) {
-    (f.0 as u64, op as u32)
+    (f.0 as u64, tagged(Tag::Apply1, op as u32))
 }
 
 pub(crate) fn unpack_apply1_key(w0: u64, w1: u32) -> (Op1, NodeRef) {
     (Op1::from_index(w1 as u8), NodeRef(w0 as u32))
 }
 
+/// The one untagged key: the raw `else` handle fills `w1`, which never
+/// carries the tagged keys' bit 30 (see `table::tagged`).
 #[inline]
 pub(crate) fn pack_ite_key(c: NodeRef, t: NodeRef, e: NodeRef) -> (u64, u32) {
     ((c.0 as u64) | ((t.0 as u64) << 32), e.0)
@@ -311,18 +319,31 @@ pub(crate) fn pack_ite_key(c: NodeRef, t: NodeRef, e: NodeRef) -> (u64, u32) {
 
 #[inline]
 pub(crate) fn pack_restrict_key(f: NodeRef, var: Var, val: bool) -> (u64, u32) {
-    ((f.0 as u64) | ((var as u64) << 32), val as u32)
+    (
+        (f.0 as u64) | ((var as u64) << 32),
+        tagged(Tag::Restrict, val as u32),
+    )
 }
 
 #[inline]
 pub(crate) fn pack_kreduce_key(f: NodeRef, k: u32) -> (u64, u32) {
-    ((f.0 as u64) | ((k as u64) << 32), 0)
+    ((f.0 as u64) | ((k as u64) << 32), tagged(Tag::Kreduce, 0))
 }
 
 #[inline]
 pub(crate) fn pack_fused_key(op: Op, f: NodeRef, g: NodeRef, k: u32) -> (u64, u32) {
     debug_assert!(k <= MAX_KEY_BUDGET, "fused budget {k} does not fit the key");
-    ((f.0 as u64) | ((g.0 as u64) << 32), (op as u32) | (k << 8))
+    (
+        (f.0 as u64) | ((g.0 as u64) << 32),
+        tagged(Tag::Fused, (op as u32) | (k << 4)),
+    )
+}
+
+/// One of the two `range` entries of an inner node: its smallest
+/// (`max == false`) or its largest terminal.
+#[inline]
+pub(crate) fn pack_range_key(f: NodeRef, max: bool) -> (u64, u32) {
+    (f.0 as u64, tagged(Tag::Range, max as u32))
 }
 
 /// A multi-terminal binary decision diagram manager.
@@ -332,44 +353,24 @@ pub(crate) fn pack_fused_key(op: Op, f: NodeRef, g: NodeRef, k: u32) -> (u64, u3
 /// failures along a path is the number of `lo` edges taken.
 ///
 /// Storage is a flat arena: inner nodes live in a bump-allocated
-/// `Vec<Node>` addressed by `u32` index, the unique table is an
-/// open-addressed [`SlotTable`] of indices, and the operation caches are
-/// direct-mapped [`DirectCache`]s keyed by packed words.
+/// `Vec<Node>` addressed by `u32` index, terminals in a `Vec<Term>` pool,
+/// both interned through open-addressed [`SlotTable`]s of indices, and
+/// every kernel memoises into the one direct-mapped [`ComputedTable`].
 pub struct Mtbdd {
     pub(crate) nodes: Vec<Node>,
     pub(crate) unique: SlotTable,
     pub(crate) terms: Vec<Term>,
-    pub(crate) term_ids: FxHashMap<Term, NodeRef>,
-    pub(crate) apply_cache: DirectCache,
-    pub(crate) apply1_cache: DirectCache,
-    pub(crate) ite_cache: DirectCache,
-    pub(crate) restrict_cache: DirectCache,
-    pub(crate) kreduce_cache: DirectCache,
-    pub(crate) fused_cache: DirectCache,
-    /// Memo for the n-ary fused aggregate ([`Mtbdd::sum_kreduce`]). Keys
-    /// are fixed-width operand arrays (sorted, zero-free, padded with
-    /// [`crate::fused::SUM_PAD`]) plus the budget — `Copy`, so lookups
-    /// never allocate. It stays a map rather than a direct-mapped cache:
-    /// packing a 16-operand list into two words would force hash-only
-    /// keys and risk false hits.
-    pub(crate) sum_cache: FxHashMap<crate::fused::SumKey, NodeRef>,
-    /// Cumulative `sum_cache` lookups that hit / missed, and entries
-    /// dropped by [`Mtbdd::clear_caches`]/GC (the map never evicts on
-    /// its own).
-    pub(crate) sum_hits: u64,
-    pub(crate) sum_misses: u64,
-    pub(crate) sum_evictions: u64,
-    /// Memo of [`Mtbdd::terminal_range`]: an inner node's smallest and
-    /// largest reachable terminal, as handles. Keyed by the node alone —
-    /// a sub-diagram's terminals do not depend on a failure budget. A map
-    /// for the reason `sum_cache` is one: an evicted entry would re-walk
-    /// the whole sub-diagram below it.
-    pub(crate) range_cache: FxHashMap<NodeRef, (NodeRef, NodeRef)>,
-    /// Cumulative `range_cache` lookups that hit / missed, and entries
-    /// dropped by [`Mtbdd::clear_caches`]/GC.
-    pub(crate) range_hits: u64,
-    pub(crate) range_misses: u64,
-    pub(crate) range_evictions: u64,
+    /// Interns terminals: indices into `terms`, probed by the Fx hash of
+    /// the value and compared against the pool, so each terminal is
+    /// stored once.
+    pub(crate) term_ids: SlotTable,
+    /// Interning lookups that found their terminal, and terminals
+    /// reclaimed by GC (cumulative).
+    pub(crate) term_hits: u64,
+    pub(crate) terms_reclaimed: u64,
+    /// The memo of every kernel (`apply`, `apply1`, `ite`, `restrict`,
+    /// `kreduce`, `fused`, `sum`, `range`), with per-kernel counters.
+    pub(crate) computed: ComputedTable,
     num_vars: u32,
     zero: NodeRef,
     one: NodeRef,
@@ -380,8 +381,8 @@ pub struct Mtbdd {
     /// Operation counter driving sampled apply-cache re-validation.
     audit_ops: u64,
     /// Cumulative counters surfaced via [`MtbddStats`]; `gc.rs` preserves
-    /// them across collections. (Per-cache hit/miss/eviction counters
-    /// live inside each [`DirectCache`].)
+    /// them across collections. (Per-kernel hit/miss/eviction counters
+    /// live inside the [`ComputedTable`].)
     pub(crate) unique_peak: usize,
     pub(crate) gc_runs: u64,
     pub(crate) gc_reclaimed: u64,
@@ -408,21 +409,10 @@ impl Mtbdd {
             nodes: Vec::new(),
             unique: SlotTable::new(),
             terms: Vec::new(),
-            term_ids: FxHashMap::default(),
-            apply_cache: DirectCache::new(),
-            apply1_cache: DirectCache::new(),
-            ite_cache: DirectCache::new(),
-            restrict_cache: DirectCache::new(),
-            kreduce_cache: DirectCache::new(),
-            fused_cache: DirectCache::new(),
-            sum_cache: FxHashMap::default(),
-            sum_hits: 0,
-            sum_misses: 0,
-            sum_evictions: 0,
-            range_cache: FxHashMap::default(),
-            range_hits: 0,
-            range_misses: 0,
-            range_evictions: 0,
+            term_ids: SlotTable::new(),
+            term_hits: 0,
+            terms_reclaimed: 0,
+            computed: ComputedTable::new(),
             num_vars: 0,
             zero: NodeRef(0),
             one: NodeRef(0),
@@ -451,14 +441,14 @@ impl Mtbdd {
     }
 
     /// Allocates `n` fresh variables and returns the first. The order
-    /// holds fewer than 2^24 variables, so a budget clamped to
-    /// [`Mtbdd::num_vars`] fits the fused cache key.
+    /// holds fewer than 2^21 variables, so a budget clamped to
+    /// [`Mtbdd::num_vars`] fits a computed-table key.
     pub fn fresh_vars(&mut self, n: u32) -> Var {
         let first = self.num_vars;
         self.num_vars = first
             .checked_add(n)
             .filter(|&total| total <= MAX_KEY_BUDGET)
-            .expect("MTBDD variable order limited to 2^24 - 1 variables");
+            .expect("MTBDD variable order limited to 2^21 - 1 variables");
         first
     }
 
@@ -470,7 +460,7 @@ impl Mtbdd {
     /// `k` clamped to the variable count. A path tests each variable at
     /// most once, so once `k` reaches [`Mtbdd::num_vars`] no path can
     /// exhaust the budget and `βₖ` is the identity: the clamp changes no
-    /// result, and it keeps every budget a cache key sees below 2^24.
+    /// result, and it keeps every budget a cache key sees below 2^21.
     pub(crate) fn clamp_budget(&self, k: u32) -> u32 {
         k.min(self.num_vars)
     }
@@ -492,12 +482,20 @@ impl Mtbdd {
 
     /// The constant MTBDD with terminal `t`.
     pub fn term(&mut self, t: Term) -> NodeRef {
-        if let Some(&r) = self.term_ids.get(&t) {
-            return r;
+        let hash = fx_hash(&t);
+        if self.term_ids.needs_grow() {
+            let terms = &self.terms;
+            self.term_ids.grow(|ix| fx_hash(&terms[ix as usize]));
+        }
+        let terms = &self.terms;
+        let p = self.term_ids.probe(hash, |ix| terms[ix as usize] == t);
+        if let Some(ix) = p.found {
+            self.term_hits += 1;
+            return NodeRef::terminal(ix as usize);
         }
         let r = NodeRef::terminal(self.terms.len());
-        self.terms.push(t.clone());
-        self.term_ids.insert(t, r);
+        self.terms.push(t);
+        self.term_ids.insert_at(p.slot, r.index() as u32);
         r
     }
 
@@ -619,7 +617,7 @@ impl Mtbdd {
             (f, g)
         };
         let (w0, w1) = pack_apply_key(op, f, g);
-        if let Some(raw) = self.apply_cache.get(w0, w1) {
+        if let Some(raw) = self.computed.get(w0, w1) {
             let r = NodeRef(raw);
             if self.audit_enabled {
                 self.audit_apply_tick(op, f, g, r);
@@ -639,7 +637,7 @@ impl Mtbdd {
             let hi = self.apply(op, f1, g1);
             self.node(var, lo, hi)
         };
-        self.apply_cache.insert(w0, w1, r.0);
+        self.computed.insert(w0, w1, r.0);
         if self.audit_enabled {
             self.audit_apply_tick(op, f, g, r);
         }
@@ -728,7 +726,7 @@ impl Mtbdd {
     /// Generic unary apply with memoization.
     pub fn apply1(&mut self, op: Op1, f: NodeRef) -> NodeRef {
         let (w0, w1) = pack_apply1_key(op, f);
-        if let Some(raw) = self.apply1_cache.get(w0, w1) {
+        if let Some(raw) = self.computed.get(w0, w1) {
             return NodeRef(raw);
         }
         let r = if f.is_terminal() {
@@ -740,7 +738,7 @@ impl Mtbdd {
             let hi = self.apply1(op, n.hi);
             self.node(n.var, lo, hi)
         };
-        self.apply1_cache.insert(w0, w1, r.0);
+        self.computed.insert(w0, w1, r.0);
         r
     }
 
@@ -755,7 +753,7 @@ impl Mtbdd {
             return t;
         }
         let (w0, w1) = pack_ite_key(c, t, e);
-        if let Some(raw) = self.ite_cache.get(w0, w1) {
+        if let Some(raw) = self.computed.get(w0, w1) {
             return NodeRef(raw);
         }
         let vc = self.node_at(c).var;
@@ -768,7 +766,7 @@ impl Mtbdd {
         let lo = self.ite(c0, t0, e0);
         let hi = self.ite(c1, t1, e1);
         let r = self.node(var, lo, hi);
-        self.ite_cache.insert(w0, w1, r.0);
+        self.computed.insert(w0, w1, r.0);
         r
     }
 
@@ -837,7 +835,7 @@ impl Mtbdd {
             return f;
         }
         let (w0, w1) = pack_restrict_key(f, var, val);
-        if let Some(raw) = self.restrict_cache.get(w0, w1) {
+        if let Some(raw) = self.computed.get(w0, w1) {
             return NodeRef(raw);
         }
         let n = self.node_at(f);
@@ -852,7 +850,7 @@ impl Mtbdd {
             let hi = self.restrict(n.hi, var, val);
             self.node(n.var, lo, hi)
         };
-        self.restrict_cache.insert(w0, w1, r.0);
+        self.computed.insert(w0, w1, r.0);
         r
     }
 
@@ -924,31 +922,33 @@ impl Mtbdd {
     /// Current sizes plus cumulative hit/miss and GC counters (the
     /// counters survive [`Mtbdd::collect`]; the sizes reset with it).
     pub fn stats(&self) -> MtbddStats {
+        let [apply, fused, apply1, ite, restrict, kreduce, sum, _] =
+            Tag::ALL.map(|tag| self.computed.stats(tag));
         MtbddStats {
             nodes_created: self.nodes.len(),
             terminals_created: self.terms.len(),
-            apply_cache_len: self.apply_cache.len(),
-            apply_cache_hits: self.apply_cache.hits(),
-            apply_cache_misses: self.apply_cache.misses(),
-            apply_cache_evictions: self.apply_cache.evictions(),
-            fused_cache_len: self.fused_cache.len(),
-            fused_cache_hits: self.fused_cache.hits(),
-            fused_cache_misses: self.fused_cache.misses(),
-            fused_cache_evictions: self.fused_cache.evictions(),
-            apply1_cache_hits: self.apply1_cache.hits(),
-            apply1_cache_misses: self.apply1_cache.misses(),
-            apply1_cache_evictions: self.apply1_cache.evictions(),
-            ite_cache_hits: self.ite_cache.hits(),
-            ite_cache_misses: self.ite_cache.misses(),
-            ite_cache_evictions: self.ite_cache.evictions(),
-            restrict_cache_hits: self.restrict_cache.hits(),
-            restrict_cache_misses: self.restrict_cache.misses(),
-            restrict_cache_evictions: self.restrict_cache.evictions(),
-            kreduce_cache_hits: self.kreduce_cache.hits(),
-            kreduce_cache_misses: self.kreduce_cache.misses(),
-            kreduce_cache_evictions: self.kreduce_cache.evictions(),
-            sum_cache_hits: self.sum_hits,
-            sum_cache_misses: self.sum_misses,
+            apply_cache_len: apply.resident,
+            apply_cache_hits: apply.hits,
+            apply_cache_misses: apply.misses,
+            apply_cache_evictions: apply.evictions,
+            fused_cache_len: fused.resident,
+            fused_cache_hits: fused.hits,
+            fused_cache_misses: fused.misses,
+            fused_cache_evictions: fused.evictions,
+            apply1_cache_hits: apply1.hits,
+            apply1_cache_misses: apply1.misses,
+            apply1_cache_evictions: apply1.evictions,
+            ite_cache_hits: ite.hits,
+            ite_cache_misses: ite.misses,
+            ite_cache_evictions: ite.evictions,
+            restrict_cache_hits: restrict.hits,
+            restrict_cache_misses: restrict.misses,
+            restrict_cache_evictions: restrict.evictions,
+            kreduce_cache_hits: kreduce.hits,
+            kreduce_cache_misses: kreduce.misses,
+            kreduce_cache_evictions: kreduce.evictions,
+            sum_cache_hits: sum.hits,
+            sum_cache_misses: sum.misses,
             alive_cache_evictions: 0,
             unique_table_peak: self.unique_peak.max(self.nodes.len()),
             gc_runs: self.gc_runs,
@@ -988,37 +988,28 @@ impl Mtbdd {
         crate::profile::load_factor(self.unique.len(), self.unique.capacity())
     }
 
-    /// Estimated resident bytes of the arena: node and terminal storage
-    /// (with the terminal hash-consing map) plus the `bytes` of every
-    /// [`Mtbdd::cache_profiles`] row — the unique table, the operation
-    /// caches and the memo maps — computed from *capacities* (what the
+    /// Estimated resident bytes of the arena: the `bytes` and
+    /// `pool_bytes` of every [`Mtbdd::cache_profiles`] row. That is the
+    /// node arena and the unique table's slots, the terminal pool and the
+    /// terminal table's slots (4 bytes each), and the computed table with
+    /// its `sum` run arena. All are computed from *capacities* (what the
     /// allocator actually holds, not what is in use). Terminal payloads
     /// are counted shallowly — `Term` heap allocations (rational bignums)
     /// are not chased — so this is a lower bound suitable for trend
     /// monitoring, not an exact RSS.
     pub fn arena_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.nodes.capacity() * size_of::<Node>()
-            + self.terms.capacity() * size_of::<Term>()
-            + crate::profile::map_bytes(&self.term_ids)
-            + self.cache_profiles().iter().map(|c| c.bytes).sum::<usize>()
+        self.cache_profiles()
+            .iter()
+            .map(|c| c.bytes + c.pool_bytes)
+            .sum()
     }
 
-    /// Drops all operation caches (the unique tables are kept, so handles
-    /// stay valid). Useful between verification phases to bound memory.
-    /// Every resident entry is booked as an eviction in its cache's
-    /// profile (see `profile.rs`).
+    /// Drops every memo entry (the unique and terminal tables are kept,
+    /// so handles stay valid). Useful between verification phases to
+    /// bound memory. Every resident entry is booked as an eviction of its
+    /// kernel (see `profile.rs`).
     pub fn clear_caches(&mut self) {
-        self.apply_cache.clear();
-        self.apply1_cache.clear();
-        self.ite_cache.clear();
-        self.restrict_cache.clear();
-        self.kreduce_cache.clear();
-        self.fused_cache.clear();
-        self.sum_evictions += self.sum_cache.len() as u64;
-        self.sum_cache.clear();
-        self.range_evictions += self.range_cache.len() as u64;
-        self.range_cache.clear();
+        self.computed.clear();
     }
 
     // ---- crate-internal access for the invariant auditor (audit.rs) ----
@@ -1044,8 +1035,17 @@ impl Mtbdd {
         &self.terms
     }
 
-    pub(crate) fn term_table(&self) -> &FxHashMap<Term, NodeRef> {
-        &self.term_ids
+    /// Probes the terminal table for `t` (audit re-validation of
+    /// terminal interning).
+    pub(crate) fn terminal_lookup_for_audit(&self, t: &Term) -> Option<NodeRef> {
+        let p = self
+            .term_ids
+            .probe(fx_hash(t), |ix| self.terms[ix as usize] == *t);
+        p.found.map(|ix| NodeRef::terminal(ix as usize))
+    }
+
+    pub(crate) fn terminal_table_len(&self) -> usize {
+        self.term_ids.len()
     }
 
     pub(crate) fn audit_on(&self) -> bool {
@@ -1221,10 +1221,10 @@ mod tests {
         let handles = [
             NodeRef::inner(0),
             NodeRef::inner(12_345),
-            NodeRef::inner((1 << 31) - 1),
+            NodeRef::inner((1 << 30) - 1),
             NodeRef::terminal(0),
             NodeRef::terminal(7),
-            NodeRef::terminal((1 << 31) - 1),
+            NodeRef::terminal((1 << 30) - 1),
         ];
         for &f in &handles {
             for &g in &handles {
@@ -1236,6 +1236,48 @@ mod tests {
             for op in [Op1::IsFiniteGuard, Op1::Not, Op1::Neg] {
                 let (w0, w1) = pack_apply1_key(op, f);
                 assert_eq!(unpack_apply1_key(w0, w1), (op, f));
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_keys_with_the_same_operand_words_miss_each_other() {
+        // Pairs of kernels whose packings put the same raw words in both
+        // key words but for the tag: each stores a key, and the other's
+        // key must miss on it.
+        let (f, g) = (NodeRef::inner(5), NodeRef::inner(0));
+        let e = NodeRef(Op::Min as u32 | 3 << 4);
+        let pairs = [
+            // `restrict` at `val = 0` against `kreduce` on `k = var`.
+            (pack_restrict_key(f, 3, false), pack_kreduce_key(f, 3)),
+            // `apply` against `apply1` with equal op indices (`g` is
+            // handle 0, so `w0` is `f` alone in both).
+            (pack_apply_key(Op::Sub, f, g), pack_apply1_key(Op1::Neg, f)),
+            (
+                pack_apply_key(Op::Add, f, g),
+                pack_apply1_key(Op1::IsFiniteGuard, f),
+            ),
+            // `ite` against `fused`, the `else` handle spelling the fused
+            // payload `(op, k)`.
+            (pack_ite_key(f, g, e), pack_fused_key(Op::Min, f, g, 3)),
+            // `range` against `apply1` and `restrict` against `range`.
+            (
+                pack_range_key(f, false),
+                pack_apply1_key(Op1::IsFiniteGuard, f),
+            ),
+            (pack_range_key(f, true), pack_restrict_key(f, 0, true)),
+        ];
+        for (a, b) in pairs {
+            assert_eq!(a.0, b.0, "the pair must share its operand word");
+            for (stored, probed) in [(a, b), (b, a)] {
+                let mut t = ComputedTable::new();
+                t.insert(stored.0, stored.1, 1);
+                assert_eq!(
+                    t.get(probed.0, probed.1),
+                    None,
+                    "{stored:x?} answered {probed:x?}"
+                );
+                assert_eq!(t.get(stored.0, stored.1), Some(1));
             }
         }
     }

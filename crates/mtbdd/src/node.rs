@@ -8,6 +8,11 @@ pub type Var = u32;
 
 const TERM_BIT: u32 = 1 << 31;
 
+/// Inner nodes and terminals are each indexed below 2^30 (16 GiB of
+/// nodes), so bit 30 of a raw handle is always clear: the computed table
+/// relies on it to tell `ite` keys from tagged ones (`table.rs`).
+const INDEX_LIMIT: usize = 1 << 30;
+
 /// A reference to an MTBDD node (inner node or terminal) inside one
 /// [`Mtbdd`](crate::Mtbdd) manager.
 ///
@@ -19,15 +24,13 @@ pub struct NodeRef(pub(crate) u32);
 
 impl NodeRef {
     pub(crate) fn inner(ix: usize) -> NodeRef {
-        let ix = u32::try_from(ix).expect("MTBDD node table overflow");
-        assert!(ix & TERM_BIT == 0, "MTBDD node table overflow");
-        NodeRef(ix)
+        assert!(ix < INDEX_LIMIT, "MTBDD node table overflow");
+        NodeRef(ix as u32)
     }
 
     pub(crate) fn terminal(ix: usize) -> NodeRef {
-        let ix = u32::try_from(ix).expect("MTBDD terminal table overflow");
-        assert!(ix & TERM_BIT == 0, "MTBDD terminal table overflow");
-        NodeRef(ix | TERM_BIT)
+        assert!(ix < INDEX_LIMIT, "MTBDD terminal table overflow");
+        NodeRef(ix as u32 | TERM_BIT)
     }
 
     /// Whether this reference denotes a terminal (constant) node.

@@ -2,8 +2,9 @@
 //! verification step ("checking the values of all terminal nodes") and
 //! counterexample extraction.
 
-use crate::manager::Mtbdd;
+use crate::manager::{pack_range_key, Mtbdd};
 use crate::node::{NodeRef, Var};
+use crate::table::Tag;
 use crate::terminal::Term;
 
 /// A partial assignment along one root-to-terminal path. Variables not
@@ -53,9 +54,11 @@ impl Mtbdd {
     /// The smallest and largest terminal reachable from `f`, as terminal
     /// handles `(min, max)` (read them with [`Mtbdd::terminal_ref`]).
     ///
-    /// Memoised per inner node like the operation caches — dropped by
-    /// [`Mtbdd::clear_caches`]/[`Mtbdd::collect`] — so ranging many diagrams that share sub-diagrams walks each node
-    /// once. The key is the node alone: which terminals sit below a node
+    /// Memoised per inner node in the computed table, one entry for each
+    /// end, so ranging many diagrams that share sub-diagrams walks each
+    /// node once while its entries stay resident (an evicted node is
+    /// re-walked down to the first resident entries below it). The key
+    /// is the node alone: which terminals sit below a node
     /// does not depend on a failure budget. For a `βₖ`-reduced diagram
     /// every path takes at most `k` failed edges (Lemma 2), so both ends
     /// of the range are values the function takes in some `≤ k`-failure
@@ -64,11 +67,14 @@ impl Mtbdd {
         if f.is_terminal() {
             return (f, f);
         }
-        if let Some(&range) = self.range_cache.get(&f) {
-            self.range_hits += 1;
-            return range;
+        let (min_key, max_key) = (pack_range_key(f, false), pack_range_key(f, true));
+        let min = self.computed.peek(min_key.0, min_key.1);
+        let max = self.computed.peek(max_key.0, max_key.1);
+        self.computed
+            .book(Tag::Range, min.is_some() && max.is_some());
+        if let (Some(min), Some(max)) = (min, max) {
+            return (NodeRef(min), NodeRef(max));
         }
-        self.range_misses += 1;
         let n = self.node_at(f);
         let (lo_min, lo_max) = self.terminal_range(n.lo);
         let (hi_min, hi_max) = self.terminal_range(n.hi);
@@ -82,7 +88,8 @@ impl Mtbdd {
         } else {
             hi_max
         };
-        self.range_cache.insert(f, (min, max));
+        self.computed.insert(min_key.0, min_key.1, min.0);
+        self.computed.insert(max_key.0, max_key.1, max.0);
         (min, max)
     }
 

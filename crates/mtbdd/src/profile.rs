@@ -10,24 +10,24 @@
 //!   decision. The walk is a read-only DFS over existing handles; it
 //!   allocates nothing in the arena and therefore cannot change any
 //!   verdict.
-//! * **How do the operation caches behave?** [`Mtbdd::cache_profiles`]
-//!   reports, for each direct-mapped operation cache (`apply`, `fused`,
-//!   `apply1`, `ite`, `restrict`, `kreduce`), for the two hash-map memos
-//!   (`sum`, the n-ary aggregate; `range`, the per-node terminal range)
-//!   and for the open-addressed unique table,
-//!   the current size, load factor, heap bytes, and cumulative
-//!   hit/miss/eviction counters. The unique table additionally exposes
-//!   its *measured* linear-probe distribution (see [`ProbeStats`]) —
-//!   real counters from the hot path, not a simulation; direct-mapped
-//!   caches probe exactly one slot by construction.
+//! * **How do the tables behave?** [`Mtbdd::cache_profiles`] reports
+//!   one row per kernel of the computed table (`apply`, `fused`,
+//!   `apply1`, `ite`, `restrict`, `kreduce`, `sum`, `range`), one for
+//!   the computed table as a whole, one for the terminal table and one
+//!   for the unique table: resident entries, capacity, load factor, heap
+//!   bytes, and cumulative hit/miss/eviction counters. The unique table
+//!   additionally exposes its *measured* linear-probe distribution (see
+//!   [`ProbeStats`]) — real counters from the hot path, not a
+//!   simulation; the direct-mapped computed table probes exactly one
+//!   slot by construction.
 //!
 //! Both are reads of state the engine keeps anyway, so nothing here
 //! needs a switch: no kernel pays for them until they are called.
 
-use crate::hasher::FxHashMap;
 use crate::manager::Mtbdd;
-use crate::node::{NodeRef, Var};
-use crate::table::DirectCache;
+use crate::node::{Node, NodeRef, Var};
+use crate::table::{Tag, TagStats};
+use crate::terminal::Term;
 
 /// Live inner nodes at one variable level (see [`Mtbdd::level_profile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -62,9 +62,9 @@ impl LevelProfile {
 /// For the open-addressed unique table these are *measured* counters
 /// from the hot path: the probe length of a lookup is the number of
 /// occupied slots inspected beyond the home slot (0 = direct hit).
-/// Direct-mapped operation caches inspect exactly one slot by
-/// construction, so they report a mean of 0 and a `direct_fraction`
-/// of 1 whenever any entries are resident.
+/// The direct-mapped computed table inspects exactly one slot by
+/// construction, so its rows report a mean of 0 and a
+/// `direct_fraction` of 1 whenever any entries are resident.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
 pub struct ProbeStats {
     /// Mean probe length over all lookups (keys for direct caches).
@@ -75,33 +75,49 @@ pub struct ProbeStats {
     pub direct_fraction: f64,
 }
 
-/// A profile of one operation cache, from [`Mtbdd::cache_profiles`].
+/// A profile of one table, from [`Mtbdd::cache_profiles`].
+///
+/// The eight kernel rows (`"apply"`, `"fused"`, `"apply1"`, `"ite"`,
+/// `"restrict"`, `"kreduce"`, `"sum"`, `"range"`) share the computed
+/// table: `len` is the kernel's resident entries and `capacity` the
+/// shared table's, so `load_factor` is the kernel's share of it. The
+/// `"computed"` row is the table itself, `"terminals"` the terminal
+/// table and `"unique"` the unique table.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CacheProfile {
-    /// Which table: `"apply"`, `"fused"`, `"apply1"`, `"ite"`,
-    /// `"restrict"`, `"kreduce"`, `"sum"`, `"range"`, or `"unique"`.
+    /// Which row: a kernel name, `"computed"`, `"terminals"` or
+    /// `"unique"`.
     pub name: &'static str,
-    /// Entries resident right now.
+    /// Entries resident right now (terminals or inner nodes for the two
+    /// interning tables).
     pub len: usize,
-    /// Allocated capacity of the real table.
+    /// Allocated capacity of the table.
     pub capacity: usize,
     /// `len / capacity` (0 for an unallocated table).
     pub load_factor: f64,
-    /// Heap bytes the table holds, from its allocated size (see
-    /// [`Mtbdd::arena_bytes`], which sums these rows).
+    /// Heap bytes the table holds, from its allocated size: 16 per entry
+    /// on `"computed"`, 4 per slot on `"terminals"` and `"unique"`, the
+    /// operand-run arena on `"sum"`, 0 on the other kernel rows.
     pub bytes: usize,
-    /// Cumulative lookup hits (survives GC).
+    /// Heap bytes of the pool the table indexes: the terminal values on
+    /// `"terminals"`, the node arena on `"unique"`, 0 elsewhere.
+    /// [`Mtbdd::arena_bytes`] is the sum of `bytes + pool_bytes` over
+    /// every row.
+    pub pool_bytes: usize,
+    /// Cumulative lookup hits (survives GC; the total of the kernel rows
+    /// on `"computed"`).
     pub hits: u64,
-    /// Cumulative lookup misses (survives GC).
+    /// Cumulative lookup misses (survives GC). On `"terminals"` and
+    /// `"unique"` a miss creates the terminal or node.
     pub misses: u64,
-    /// Cumulative entries dropped: per-slot overwrites in the
-    /// direct-mapped caches plus wholesale invalidations by
-    /// [`Mtbdd::clear_caches`] and GC. For the unique table this is the
-    /// cumulative node count reclaimed by GC.
+    /// Cumulative entries dropped: collision overwrites in the computed
+    /// table plus wholesale invalidations by [`Mtbdd::clear_caches`] and
+    /// GC. For the two interning tables this is the cumulative count GC
+    /// reclaimed.
     pub evictions: u64,
     /// Probe-length distribution (measured for the unique table;
-    /// trivially direct for the direct-mapped caches; not measured —
-    /// all zero — for the `"sum"` and `"range"` hash maps).
+    /// trivially direct for the computed table; not measured — all zero
+    /// — for the terminal table).
     pub probe: ProbeStats,
 }
 
@@ -114,57 +130,13 @@ pub(crate) fn load_factor(len: usize, cap: usize) -> f64 {
     }
 }
 
-/// Heap bytes of a hash map: hashbrown allocates `capacity · 8/7`
-/// buckets (`capacity + 1` below eight), each holding a `(K, V)` pair and
-/// one control byte.
-pub(crate) fn map_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
-    let cap = map.capacity();
-    let buckets = match cap {
-        0 => 0,
-        1..=7 => cap + 1,
-        _ => cap / 7 * 8,
-    };
-    buckets * (std::mem::size_of::<(K, V)>() + 1)
-}
-
-/// Profile of a direct-mapped cache: one slot per key, so the probe
+/// Probe stats of a direct-mapped table: one slot per key, so the
 /// distribution is degenerate (mean 0, everything direct).
-fn direct_profile(name: &'static str, c: &DirectCache) -> CacheProfile {
-    let (len, cap) = (c.len(), c.capacity());
-    CacheProfile {
-        name,
-        len,
-        capacity: cap,
-        load_factor: load_factor(len, cap),
-        bytes: c.heap_bytes(),
-        hits: c.hits(),
-        misses: c.misses(),
-        evictions: c.evictions(),
-        probe: ProbeStats {
-            mean: 0.0,
-            max: 0,
-            direct_fraction: if len > 0 { 1.0 } else { 0.0 },
-        },
-    }
-}
-
-/// Profile of a hash-map memo with its cumulative
-/// `[hits, misses, evictions]`; probe lengths are not measured.
-fn map_profile<K, V>(
-    name: &'static str,
-    map: &FxHashMap<K, V>,
-    [hits, misses, evictions]: [u64; 3],
-) -> CacheProfile {
-    CacheProfile {
-        name,
-        len: map.len(),
-        capacity: map.capacity(),
-        load_factor: load_factor(map.len(), map.capacity()),
-        bytes: map_bytes(map),
-        hits,
-        misses,
-        evictions,
-        probe: ProbeStats::default(),
+fn direct_probe(len: usize) -> ProbeStats {
+    ProbeStats {
+        mean: 0.0,
+        max: 0,
+        direct_fraction: if len > 0 { 1.0 } else { 0.0 },
     }
 }
 
@@ -205,54 +177,82 @@ impl Mtbdd {
         }
     }
 
-    /// Profiles the six direct-mapped operation caches, the two hash-map
-    /// memos (`"sum"`, the n-ary aggregate, and `"range"`, the per-node
-    /// terminal range: entries leave them only through
-    /// [`Mtbdd::clear_caches`]/GC) and the open-addressed unique table:
-    /// sizes, cumulative hit/miss/eviction counters, and the probe-length
+    /// Profiles the computed table per kernel tag and as a whole, the
+    /// terminal table and the unique table: sizes, cumulative
+    /// hit/miss/eviction counters, bytes, and the probe-length
     /// distribution (measured on the hot path for the unique table,
-    /// degenerate for the direct-mapped caches, absent for the maps).
-    /// Read-only and deterministic. The first two entries are always
-    /// `"apply"` and `"fused"`.
+    /// degenerate for the direct-mapped computed table). Read-only and
+    /// deterministic. The rows come in the order `"apply"`, `"fused"`,
+    /// `"apply1"`, `"ite"`, `"restrict"`, `"kreduce"`, `"sum"`,
+    /// `"range"`, `"computed"`, `"terminals"`, `"unique"`.
     pub fn cache_profiles(&self) -> Vec<CacheProfile> {
+        let table = &self.computed;
+        let cap = table.capacity();
+        let row = |name, s: TagStats, bytes| CacheProfile {
+            name,
+            len: s.resident,
+            capacity: cap,
+            load_factor: load_factor(s.resident, cap),
+            bytes,
+            pool_bytes: 0,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            probe: direct_probe(s.resident),
+        };
+        let mut rows: Vec<CacheProfile> = Tag::ALL
+            .iter()
+            .map(|&tag| {
+                let bytes = if tag == Tag::Sum {
+                    table.run_bytes()
+                } else {
+                    0
+                };
+                row(tag.name(), table.stats(tag), bytes)
+            })
+            .collect();
+        let total = rows.iter().fold(TagStats::default(), |t, r| TagStats {
+            hits: t.hits + r.hits,
+            misses: t.misses + r.misses,
+            evictions: t.evictions + r.evictions,
+            resident: t.resident + r.len,
+        });
+        rows.push(row("computed", total, table.heap_bytes()));
         let ups = self.unique_probe_stats();
-        vec![
-            direct_profile("apply", &self.apply_cache),
-            direct_profile("fused", &self.fused_cache),
-            direct_profile("apply1", &self.apply1_cache),
-            direct_profile("ite", &self.ite_cache),
-            direct_profile("restrict", &self.restrict_cache),
-            direct_profile("kreduce", &self.kreduce_cache),
-            map_profile(
-                "sum",
-                &self.sum_cache,
-                [self.sum_hits, self.sum_misses, self.sum_evictions],
-            ),
-            map_profile(
-                "range",
-                &self.range_cache,
-                [self.range_hits, self.range_misses, self.range_evictions],
-            ),
-            CacheProfile {
-                name: "unique",
-                len: self.unique_table_len(),
-                capacity: self.unique.capacity(),
-                load_factor: self.unique_table_load_factor(),
-                bytes: self.unique.capacity() * std::mem::size_of::<u32>(),
-                hits: ups.hits,
-                misses: ups.lookups - ups.hits,
-                evictions: self.gc_reclaimed,
-                probe: ProbeStats {
-                    mean: ups.mean(),
-                    max: ups.max_steps as usize,
-                    direct_fraction: if ups.lookups == 0 {
-                        0.0
-                    } else {
-                        ups.direct as f64 / ups.lookups as f64
-                    },
+        let slots = |cap: usize| cap * std::mem::size_of::<u32>();
+        rows.push(CacheProfile {
+            name: "terminals",
+            len: self.terms.len(),
+            capacity: self.term_ids.capacity(),
+            load_factor: load_factor(self.terms.len(), self.term_ids.capacity()),
+            bytes: slots(self.term_ids.capacity()),
+            pool_bytes: self.terms.capacity() * std::mem::size_of::<Term>(),
+            hits: self.term_hits,
+            misses: self.terms.len() as u64 + self.terms_reclaimed,
+            evictions: self.terms_reclaimed,
+            probe: ProbeStats::default(),
+        });
+        rows.push(CacheProfile {
+            name: "unique",
+            len: self.unique_table_len(),
+            capacity: self.unique.capacity(),
+            load_factor: self.unique_table_load_factor(),
+            bytes: slots(self.unique.capacity()),
+            pool_bytes: self.nodes.capacity() * std::mem::size_of::<Node>(),
+            hits: ups.hits,
+            misses: ups.lookups - ups.hits,
+            evictions: self.gc_reclaimed,
+            probe: ProbeStats {
+                mean: ups.mean(),
+                max: ups.max_steps as usize,
+                direct_fraction: if ups.lookups == 0 {
+                    0.0
+                } else {
+                    ups.direct as f64 / ups.lookups as f64
                 },
             },
-        ]
+        });
+        rows
     }
 }
 
@@ -328,53 +328,72 @@ mod tests {
         let _ = m.sum_kreduce(&[ng2, s, g1], 1);
         let _ = (m.terminal_range(s), m.terminal_range(s));
         let profiles = m.cache_profiles();
-        assert_eq!(profiles.len(), 9);
         let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
         assert_eq!(
             names,
-            ["apply", "fused", "apply1", "ite", "restrict", "kreduce", "sum", "range", "unique"]
+            [
+                "apply",
+                "fused",
+                "apply1",
+                "ite",
+                "restrict",
+                "kreduce",
+                "sum",
+                "range",
+                "computed",
+                "terminals",
+                "unique"
+            ]
         );
-        let apply = &profiles[0];
-        assert_eq!(apply.name, "apply");
+        let row = |name: &str| profiles.iter().find(|p| p.name == name).unwrap();
+        let (apply, fused, computed) = (row("apply"), row("fused"), row("computed"));
         assert!(apply.len > 0 && apply.capacity >= apply.len);
         assert!(apply.load_factor > 0.0 && apply.load_factor <= 1.0);
         assert!(apply.misses > 0);
         assert!(apply.probe.mean >= 0.0 && apply.probe.direct_fraction > 0.0);
-        let fused = &profiles[1];
-        assert_eq!(fused.name, "fused");
         assert!(fused.len > 0);
+        // The kernel rows partition the one table.
+        let kernels = &profiles[..8];
+        assert!(kernels.iter().all(|p| p.capacity == computed.capacity));
+        assert_eq!(kernels.iter().map(|p| p.len).sum::<usize>(), computed.len);
+        assert_eq!(kernels.iter().map(|p| p.hits).sum::<u64>(), computed.hits);
+        assert_eq!(computed.bytes, 16 * computed.capacity);
         // The n-ary memo: the reordered list is the same sorted key.
-        let sum = &profiles[6];
-        assert!(sum.len > 0 && sum.capacity >= sum.len);
-        assert!(sum.misses > 0);
+        let sum = row("sum");
+        assert!(sum.len > 0 && sum.misses > 0);
         assert_eq!(sum.hits, 1);
+        assert!(sum.bytes > 0, "the operand runs live in the run arena");
         let stats = m.stats();
         assert_eq!(
             (sum.hits, sum.misses),
             (stats.sum_cache_hits, stats.sum_cache_misses)
         );
-        // The range memo: one entry per inner node of `s`, the second
-        // call answered at the root.
-        let range = &profiles[7];
-        assert_eq!((range.len, range.misses), (m.node_count(s), 3));
+        // The range memo: two entries (min, max) per inner node of `s`,
+        // the second call answered at the root.
+        let range = row("range");
+        assert_eq!((range.len, range.misses), (2 * m.node_count(s), 3));
         assert_eq!(range.hits, 1);
+        // Terminals: 0, 1 and +∞ from the start, then the sums; with no
+        // collection, every terminal ever created is still there.
+        let terminals = row("terminals");
+        assert!(terminals.len > 3);
+        assert_eq!(terminals.misses, terminals.len as u64);
+        assert!(terminals.hits > 0, "results that are 0 or 1 re-intern them");
+        assert_eq!(terminals.bytes, 4 * terminals.capacity);
+        assert_eq!(terminals.pool_bytes % std::mem::size_of::<Term>(), 0);
+        assert!(terminals.pool_bytes >= 4 * std::mem::size_of::<Term>());
         let _ = m.var_guard(x1); // re-create an existing node: a unique-table hit
         let profiles = m.cache_profiles();
-        let unique = &profiles[8];
+        let unique = &profiles[10];
+        assert_eq!(unique.name, "unique");
         assert!(unique.len > 0, "arena nodes live in the unique table");
         assert!(unique.hits > 0, "hash-consing must have deduped something");
         assert!(unique.probe.direct_fraction > 0.0);
         assert_eq!(unique.bytes, 4 * unique.capacity);
-        // Bytes: 16 per direct-mapped slot, every map bucket (more of them
-        // than the map's capacity) one `(K, V)` pair plus a control byte,
-        // and the rows sum to no more than the whole arena.
-        for p in &profiles[..6] {
-            assert_eq!(p.bytes, 16 * p.capacity, "{}", p.name);
-        }
-        let sum_entry = std::mem::size_of::<(crate::fused::SumKey, NodeRef)>() + 1;
-        assert!(profiles[6].bytes > sum_entry * profiles[6].capacity);
-        let total: usize = profiles.iter().map(|p| p.bytes).sum();
-        assert!(total > 0 && total <= m.arena_bytes());
+        assert!(unique.pool_bytes >= 16 * unique.len, "16-byte nodes");
+        // The rows are the whole arena.
+        let total: usize = profiles.iter().map(|p| p.bytes + p.pool_bytes).sum();
+        assert_eq!(total, m.arena_bytes());
         // Dropping the caches books every resident entry as an eviction.
         let (apply_before, fused_before) = (apply.evictions, fused.evictions);
         let (apply_len, fused_len) = (apply.len as u64, fused.len as u64);
@@ -384,19 +403,20 @@ mod tests {
         assert_eq!(after[0].evictions, apply_before + apply_len);
         assert_eq!(after[1].evictions, fused_before + fused_len);
         assert_eq!((after[6].len, after[6].evictions), (0, sum.len as u64));
+        assert_eq!((after[6].bytes, after[8].bytes), (0, 0));
         assert_eq!((after[7].len, after[7].evictions), (0, range.len as u64));
         // Cumulative counters survive the clear.
         assert!(after[0].misses > 0);
     }
 
     #[test]
-    fn direct_caches_probe_exactly_one_slot() {
+    fn computed_rows_probe_exactly_one_slot() {
         let mut m = Mtbdd::new();
         let (x1, x2) = (m.fresh_var(), m.fresh_var());
         let g1 = m.var_guard(x1);
         let g2 = m.var_guard(x2);
         let _ = m.add(g1, g2);
-        for p in &m.cache_profiles()[..6] {
+        for p in &m.cache_profiles()[..9] {
             assert_eq!(p.probe.mean, 0.0, "{} is direct-mapped", p.name);
             assert_eq!(p.probe.max, 0);
             if p.len > 0 {

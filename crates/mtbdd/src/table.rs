@@ -3,20 +3,18 @@
 //! Two structures live here, both keyed by machine words rather than by
 //! `Hash`-trait walks over boxed tuples:
 //!
-//! * [`SlotTable`] — the open-addressed unique table. It stores only
-//!   `u32` arena indices; the node payload stays in the manager's flat
-//!   `Vec<Node>`, so a probe touches one contiguous `u32` array plus (on
-//!   a candidate match) one arena slot. Linear probing, power-of-two
+//! * [`SlotTable`] — an open-addressed table that stores only `u32`
+//!   indices into a pool the caller owns. The manager keeps two: the
+//!   unique table over the node arena, and the terminal table over the
+//!   terminal pool. A probe touches one contiguous `u32` array plus (on a
+//!   candidate match) one pool slot. Linear probing, power-of-two
 //!   capacity, no tombstones: deletion happens only via mark-compact GC,
-//!   which rebuilds the table from the compacted arena.
-//! * [`DirectCache`] — a fixed-size direct-mapped memoization cache for
-//!   the `apply`/`apply1`/`ite`/`restrict`/`kreduce`/`fused` operation
-//!   caches. Keys are packed into a `u64` and a `u32` word up front; a
-//!   lookup is one multiply-hash and one 16-byte entry read (four entries
-//!   per cache line). Collisions evict the
-//!   previous entry — safe for memo caches because hash-consing makes
-//!   recomputation idempotent (same inputs always rebuild the same
-//!   canonical node), so evictions cost time, never correctness.
+//!   which rebuilds both tables from the compacted pools.
+//! * [`ComputedTable`] — the one direct-mapped memo table every kernel
+//!   shares: `apply`, `apply1`, `ite`, `restrict`, `kreduce`, `fused`,
+//!   the n-ary `sum` and the terminal `range`. A key is a `u64` and a
+//!   `u32` word that carry a [`Tag`]; a lookup is one multiply-hash and
+//!   one 16-byte entry read (four entries per cache line).
 //!
 //! Both structures are deterministic functions of their operation
 //! sequence (no randomized hashing, no address-dependent state), which
@@ -24,26 +22,36 @@
 //! across machines.
 //!
 //! This module is `#[doc(hidden)] pub` so the crate's property tests can
-//! model-check `SlotTable` membership against a `HashMap` reference.
+//! model-check both structures against `HashMap` references.
+
+use crate::hasher::{fx_hash, fx_hash_words};
+use crate::node::NodeRef;
 
 /// Sentinel for an empty [`SlotTable`] slot.
 pub const EMPTY_SLOT: u32 = u32::MAX;
 
-/// Sentinel value marking an unoccupied [`DirectCache`] entry. Valid
-/// cached values are node handles whose raw form never reaches
-/// `u32::MAX` (that would require an arena of 2^31 terminals).
+/// Sentinel value marking an unoccupied [`ComputedTable`] entry. Valid
+/// cached values are node handles, whose raw form never reaches
+/// `u32::MAX` (handle indices stay below 2^30).
 const NO_VAL: u32 = u32::MAX;
 
 /// Initial capacity of a [`SlotTable`] (slots).
 const TABLE_INITIAL: usize = 64;
 
-/// Initial capacity of a [`DirectCache`] (entries), allocated lazily on
-/// first insert: 2^14 × 16 B = 256 KiB per cache.
-const CACHE_INITIAL: usize = 1 << 14;
+/// Initial capacity of the [`ComputedTable`] (entries), allocated lazily
+/// on the first insert: 2^14 × 16 B = 256 KiB.
+const COMPUTED_INITIAL: usize = 1 << 14;
 
-/// Direct-mapped caches grow ×4 (up to this cap) under eviction or
-/// residency pressure (see [`DirectCache::insert`]).
-const CACHE_MAX: usize = 1 << 20;
+/// The one ceiling of the [`ComputedTable`]: 2^21 entries, 32 MiB. It is
+/// not an option. `yu serve` needs this much: with a 2^18 ceiling its p90
+/// request went from 32 to 50 ms. A 2^22 ceiling saved 1 % of the batch
+/// misses and made exec slower (DESIGN.md §16.2).
+pub const COMPUTED_MAX: usize = 1 << 21;
+
+/// Handles the `sum` operand-run arena holds before it restarts (4 MiB).
+/// Unit tests use a small arena so that ordinary kernel tests cross
+/// restarts.
+const RUN_ARENA_MAX: usize = if cfg!(test) { 64 } else { 1 << 20 };
 
 /// Result of probing a [`SlotTable`].
 pub struct Probe {
@@ -200,110 +208,337 @@ const EMPTY_ENTRY: CacheEntry = CacheEntry {
     val: NO_VAL,
 };
 
-/// Direct-mapped memoization cache keyed by a packed `u64` and `u32`.
-///
-/// Hit/miss/eviction counters live inside the cache so per-cache stats
-/// cannot be conflated (each manager cache owns exactly its own
-/// counters). An eviction is a hash collision overwriting a live entry;
-/// sustained eviction pressure grows the cache ×4 up to [`CACHE_MAX`].
-#[derive(Clone, Default)]
-pub struct DirectCache {
-    entries: Vec<CacheEntry>,
-    len: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    evictions_since_grow: u64,
+/// Which kernel a [`ComputedTable`] entry memoises. Hits, misses,
+/// evictions and resident entries are booked per tag, so every kernel
+/// keeps its own counters in the one table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Tag {
+    /// Binary `Mtbdd::apply` on `(op, f, g)`.
+    Apply = 0,
+    /// Fused `op∘KREDUCE` (`Mtbdd::apply_kreduce`) on `(op, f, g, k)`.
+    Fused = 1,
+    /// Unary `Mtbdd::apply1` on `(op, f)`.
+    Apply1 = 2,
+    /// `Mtbdd::ite` on `(c, t, e)`: the one untagged key (see [`tagged`]).
+    Ite = 3,
+    /// `Mtbdd::restrict` on `(f, var, val)`.
+    Restrict = 4,
+    /// `KREDUCE` on `(f, k)`.
+    Kreduce = 5,
+    /// The n-ary aggregate `Mtbdd::sum_kreduce` on an operand run and `k`
+    /// (see [`ComputedTable::get_run`]).
+    Sum = 6,
+    /// `Mtbdd::terminal_range`: two entries per node, its smallest and
+    /// its largest terminal.
+    Range = 7,
 }
 
-impl DirectCache {
-    /// Creates an empty cache (no allocation until the first insert).
+impl Tag {
+    /// Every tag, in discriminant order (`ALL[tag as usize] == tag`),
+    /// which is the order `Mtbdd::cache_profiles` reports them in.
+    pub const ALL: [Tag; 8] = [
+        Tag::Apply,
+        Tag::Fused,
+        Tag::Apply1,
+        Tag::Ite,
+        Tag::Restrict,
+        Tag::Kreduce,
+        Tag::Sum,
+        Tag::Range,
+    ];
+
+    /// The tag's row name in `Mtbdd::cache_profiles` and `yu profile`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tag::Apply => "apply",
+            Tag::Fused => "fused",
+            Tag::Apply1 => "apply1",
+            Tag::Ite => "ite",
+            Tag::Restrict => "restrict",
+            Tag::Kreduce => "kreduce",
+            Tag::Sum => "sum",
+            Tag::Range => "range",
+        }
+    }
+}
+
+/// Bit 30 of `w1`, set on every key but `ite`'s. An `ite` key spends all
+/// 96 key bits on its three handles, `w1` being the raw `else` handle.
+/// Handle indices stay below 2^30 (`NodeRef::inner`/`terminal` assert
+/// it), so a raw handle never carries this bit and an `ite` key can never
+/// equal a tagged one.
+const TAGGED: u32 = 1 << 30;
+
+/// The tag of a tagged key sits in bits 27–29 of `w1`.
+const TAG_SHIFT: u32 = 27;
+
+/// Failure budgets take the low 21 bits of a `w1` payload (`fused` puts
+/// its `Op` below them, `sum` its run length above them), so the
+/// manager keeps every budget a key sees below `2^21`.
+pub const BUDGET_BITS: u32 = 21;
+
+/// The `w1` word of a key under `tag`: bit 30 set, the tag in bits
+/// 27–29 and `payload` below them.
+#[inline]
+pub fn tagged(tag: Tag, payload: u32) -> u32 {
+    debug_assert!(tag != Tag::Ite, "ite keys are untagged");
+    debug_assert!(
+        payload < 1 << TAG_SHIFT,
+        "payload {payload} overlaps the tag"
+    );
+    TAGGED | (tag as u32) << TAG_SHIFT | payload
+}
+
+/// The tag a key's `w1` word carries.
+#[inline]
+fn tag_of(w1: u32) -> Tag {
+    if w1 & TAGGED == 0 {
+        Tag::Ite
+    } else {
+        Tag::ALL[(w1 >> TAG_SHIFT & 7) as usize]
+    }
+}
+
+/// The `w1` word of a `sum` entry: the budget, the run length above it.
+#[inline]
+fn run_key(len: usize, k: u32) -> u32 {
+    debug_assert!(k < 1 << BUDGET_BITS, "budget {k} does not fit the key");
+    debug_assert!(
+        len < 1 << (TAG_SHIFT - BUDGET_BITS),
+        "run of {len} operands"
+    );
+    tagged(Tag::Sum, k | (len as u32) << BUDGET_BITS)
+}
+
+/// The run length a `sum` entry's `w1` word carries.
+#[inline]
+fn run_len(w1: u32) -> usize {
+    ((w1 & ((1 << TAG_SHIFT) - 1)) >> BUDGET_BITS) as usize
+}
+
+#[inline]
+fn key_hash(w0: u64, w1: u32) -> u64 {
+    fx_hash_words(w0, w1 as u64)
+}
+
+/// A `sum` entry's slot hash: over the operands and the `w1` word, so it
+/// is the same whether taken from a probe's operands or from the run in
+/// the arena.
+#[inline]
+fn run_hash(ops: &[NodeRef], w1: u32) -> u64 {
+    fx_hash(&(ops, w1))
+}
+
+/// Counters of one [`Tag`] in the [`ComputedTable`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagStats {
+    /// Cumulative lookups that hit.
+    pub hits: u64,
+    /// Cumulative lookups that missed.
+    pub misses: u64,
+    /// Cumulative entries of this tag dropped: overwritten by a
+    /// colliding key of any tag, lost while the table grew, or cleared.
+    pub evictions: u64,
+    /// Entries of this tag resident now.
+    pub resident: usize,
+}
+
+/// The manager's one memo table: direct-mapped 16-byte entries that every
+/// kernel shares, with one growth rule and one ceiling, [`COMPUTED_MAX`].
+///
+/// A key is two words compared in full, never a hash alone, and the
+/// [`Tag`] in the key keeps the kernels apart. A lookup is one multiply
+/// hash and one entry read; a colliding insert overwrites. That is safe
+/// for memo entries because hash-consing makes recomputation idempotent:
+/// the same inputs rebuild the same canonical node, so an eviction costs
+/// time, never correctness.
+///
+/// `sum` keys are operand runs of any length up to 16. A run is copied
+/// into a side arena of handles when its entry is stored, and the entry
+/// holds the run's *absolute* offset, its length and the budget. A probe
+/// hits only if the run is still in the arena and equal to the probe's
+/// operands element by element. The arena restarts when it would pass
+/// `RUN_ARENA_MAX` handles and when the table is cleared: the base of the
+/// next generation is the end of the last, so offsets never repeat and an
+/// entry whose run is gone can only miss.
+#[derive(Clone, Default)]
+pub struct ComputedTable {
+    entries: Vec<CacheEntry>,
+    len: usize,
+    evictions_since_grow: u64,
+    stats: [TagStats; 8],
+    /// The operand runs of `sum` entries, starting at absolute offset
+    /// `runs_base`.
+    runs: Vec<NodeRef>,
+    runs_base: u64,
+}
+
+impl ComputedTable {
+    /// Creates an empty table (no allocation until the first insert).
     pub fn new() -> Self {
         Self::default()
     }
 
     #[inline]
-    fn slot(&self, w0: u64, w1: u32) -> usize {
+    fn slot(&self, hash: u64) -> usize {
         debug_assert!(self.entries.len().is_power_of_two());
         // Top bits, for the same reason as `SlotTable::home`.
-        (crate::hasher::fx_hash_words(w0, w1 as u64) >> (64 - self.entries.len().trailing_zeros()))
-            as usize
+        (hash >> (64 - self.entries.len().trailing_zeros())) as usize
     }
 
-    /// Looks up the packed key, booking a hit or miss.
+    /// The slot an entry belongs in, or `None` for a `sum` entry whose
+    /// run has left the arena.
+    fn home(&self, e: &CacheEntry) -> Option<usize> {
+        let hash = if tag_of(e.w1) == Tag::Sum {
+            run_hash(self.run_at(e.w0, e.w1)?, e.w1)
+        } else {
+            key_hash(e.w0, e.w1)
+        };
+        Some(self.slot(hash))
+    }
+
+    /// Looks up a key without booking the lookup (see [`Self::book`]).
+    #[inline]
+    pub fn peek(&self, w0: u64, w1: u32) -> Option<u32> {
+        debug_assert!(tag_of(w1) != Tag::Sum, "sum keys go through get_run");
+        if self.entries.is_empty() {
+            return None;
+        }
+        let e = self.entries[self.slot(key_hash(w0, w1))];
+        (e.val != NO_VAL && e.w0 == w0 && e.w1 == w1).then_some(e.val)
+    }
+
+    /// Books one lookup of `tag` as a hit or a miss.
+    #[inline]
+    pub fn book(&mut self, tag: Tag, hit: bool) {
+        let s = &mut self.stats[tag as usize];
+        if hit {
+            s.hits += 1;
+        } else {
+            s.misses += 1;
+        }
+    }
+
+    /// Looks up a key, booking a hit or a miss under its tag.
     #[inline]
     pub fn get(&mut self, w0: u64, w1: u32) -> Option<u32> {
-        if !self.entries.is_empty() {
-            let e = self.entries[self.slot(w0, w1)];
-            if e.val != NO_VAL && e.w0 == w0 && e.w1 == w1 {
-                self.hits += 1;
-                return Some(e.val);
-            }
-        }
-        self.misses += 1;
-        None
+        let r = self.peek(w0, w1);
+        self.book(tag_of(w1), r.is_some());
+        r
     }
 
-    /// Stores `val` under the packed key, evicting any colliding entry.
-    ///
-    /// Growth policy: ×4 (up to [`CACHE_MAX`]) when either collisions
-    /// since the last growth reach 1/8 of capacity (conflict pressure —
-    /// an eviction is a future recomputation, which costs far more than
-    /// the rehash) or residency reaches 3/4 of capacity (the next
-    /// conflicts are imminent). Both triggers are relative to capacity,
-    /// so a workload that outgrows the cache reaches [`CACHE_MAX`]
-    /// after a bounded number of early evictions instead of paying
-    /// O(capacity) evictions per step as resident-count-relative
-    /// triggers do.
+    /// Stores `val` under a key, evicting any colliding entry.
     pub fn insert(&mut self, w0: u64, w1: u32, val: u32) {
-        debug_assert_ne!(val, NO_VAL, "cache value collides with empty sentinel");
+        debug_assert!(tag_of(w1) != Tag::Sum, "sum keys go through insert_run");
+        self.store(key_hash(w0, w1), CacheEntry { w0, w1, val });
+    }
+
+    /// Looks up the `sum` entry for the operand run `ops` under budget
+    /// `k`, booking a hit or a miss.
+    pub fn get_run(&mut self, ops: &[NodeRef], k: u32) -> Option<u32> {
+        let w1 = run_key(ops.len(), k);
+        let hit = if self.entries.is_empty() {
+            None
+        } else {
+            let e = self.entries[self.slot(run_hash(ops, w1))];
+            (e.val != NO_VAL && e.w1 == w1 && self.run_at(e.w0, w1) == Some(ops)).then_some(e.val)
+        };
+        self.book(Tag::Sum, hit.is_some());
+        hit
+    }
+
+    /// Stores `val` as the `sum` result for `ops` under budget `k`,
+    /// copying the run into the arena (restarting it first when the run
+    /// would not fit).
+    pub fn insert_run(&mut self, ops: &[NodeRef], k: u32, val: u32) {
+        if self.runs.len() + ops.len() > RUN_ARENA_MAX {
+            self.runs_base += self.runs.len() as u64;
+            self.runs.clear();
+        }
+        let w0 = self.runs_base + self.runs.len() as u64;
+        self.runs.extend_from_slice(ops);
+        let w1 = run_key(ops.len(), k);
+        self.store(run_hash(ops, w1), CacheEntry { w0, w1, val });
+    }
+
+    /// The run a `sum` entry points at, if it is still in the arena.
+    fn run_at(&self, w0: u64, w1: u32) -> Option<&[NodeRef]> {
+        let start = usize::try_from(w0.checked_sub(self.runs_base)?).ok()?;
+        self.runs.get(start..start + run_len(w1))
+    }
+
+    /// Growth rule: ×4, clamped to [`COMPUTED_MAX`], when either
+    /// collisions since the last growth reach 1/8 of capacity (conflict
+    /// pressure — an eviction is a future recomputation, which costs far
+    /// more than the rehash) or residency reaches 3/4 of capacity (the
+    /// next conflicts are imminent). Both triggers are relative to
+    /// capacity, so a workload that outgrows the table reaches the
+    /// ceiling after a bounded number of early evictions.
+    fn store(&mut self, hash: u64, e: CacheEntry) {
+        debug_assert_ne!(e.val, NO_VAL, "cache value collides with empty sentinel");
         if self.entries.is_empty() {
-            self.entries = vec![EMPTY_ENTRY; CACHE_INITIAL];
-        } else if self.entries.len() < CACHE_MAX
+            self.entries = vec![EMPTY_ENTRY; COMPUTED_INITIAL];
+        } else if self.entries.len() < COMPUTED_MAX
             && (self.evictions_since_grow * 8 >= self.entries.len() as u64
                 || self.len * 4 >= self.entries.len() * 3)
         {
             self.grow();
         }
-        let s = self.slot(w0, w1);
-        let e = &mut self.entries[s];
-        if e.val == NO_VAL {
+        let s = self.slot(hash);
+        self.place(s, e);
+    }
+
+    /// Writes `e` into slot `s`, booking the entry it overwrites.
+    fn place(&mut self, s: usize, e: CacheEntry) {
+        let old = std::mem::replace(&mut self.entries[s], e);
+        if old.val == NO_VAL {
             self.len += 1;
-        } else if e.w0 != w0 || e.w1 != w1 {
-            self.evictions += 1;
-            self.evictions_since_grow += 1;
+        } else {
+            let victim = &mut self.stats[tag_of(old.w1) as usize];
+            victim.resident -= 1;
+            if (old.w0, old.w1) != (e.w0, e.w1) {
+                victim.evictions += 1;
+                self.evictions_since_grow += 1;
+            }
         }
-        *e = CacheEntry { w0, w1, val };
+        self.stats[tag_of(e.w1) as usize].resident += 1;
     }
 
+    /// Re-places every entry into a table four times the size (at most
+    /// [`COMPUTED_MAX`]). A `sum` entry is re-placed by its run's content
+    /// hash; one whose run has left the arena is dropped.
     fn grow(&mut self) {
-        let new_cap = self.entries.len() * 4;
-        let old = std::mem::replace(&mut self.entries, vec![EMPTY_ENTRY; new_cap]);
+        let cap = (self.entries.len() * 4).min(COMPUTED_MAX);
+        let old = std::mem::replace(&mut self.entries, vec![EMPTY_ENTRY; cap]);
         self.len = 0;
-        self.evictions_since_grow = 0;
-        for e in old {
-            if e.val == NO_VAL {
-                continue;
-            }
-            let s = self.slot(e.w0, e.w1);
-            if self.entries[s].val == NO_VAL {
-                self.len += 1;
-            }
-            self.entries[s] = e;
+        for s in &mut self.stats {
+            s.resident = 0;
         }
+        for e in old.into_iter().filter(|e| e.val != NO_VAL) {
+            match self.home(&e) {
+                Some(s) => self.place(s, e),
+                None => self.stats[Tag::Sum as usize].evictions += 1,
+            }
+        }
+        self.evictions_since_grow = 0;
     }
 
-    /// Drops all entries, booking each resident entry as an eviction
-    /// (mirrors the old map caches, whose `clear_caches` counted dropped
-    /// entries as evictions). Counters other than eviction survive.
+    /// Drops every entry and the run arena, booking each resident entry
+    /// as an eviction of its tag. Hit and miss counters survive.
     pub fn clear(&mut self) {
-        self.evictions += self.len as u64;
+        for s in &mut self.stats {
+            s.evictions += s.resident as u64;
+            s.resident = 0;
+        }
         self.len = 0;
         self.evictions_since_grow = 0;
         self.entries = Vec::new();
+        self.runs_base += self.runs.len() as u64;
+        self.runs = Vec::new();
     }
 
-    /// Resident entry count.
+    /// Resident entries, all tags.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -313,36 +548,39 @@ impl DirectCache {
         self.len == 0
     }
 
-    /// Allocated entry count (0 before first insert).
+    /// Allocated entry count (0 before the first insert).
     pub fn capacity(&self) -> usize {
         self.entries.len()
     }
 
-    /// Cumulative lookup hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
+    /// The counters of one tag.
+    pub fn stats(&self, tag: Tag) -> TagStats {
+        self.stats[tag as usize]
     }
 
-    /// Cumulative lookup misses.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Cumulative evictions (collision overwrites plus cleared entries).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Heap bytes held by the entry array.
+    /// Heap bytes of the entry array: 16 per entry.
     pub fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<CacheEntry>()
     }
 
-    /// Iterates resident `(w0, w1, val)` entries (audit sampling).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
+    /// Heap bytes of the `sum` operand-run arena.
+    pub fn run_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<NodeRef>()
+    }
+
+    /// Absolute offset of the run arena's first handle: how many handles
+    /// earlier generations of the arena held.
+    #[cfg(test)]
+    pub(crate) fn runs_base(&self) -> u64 {
+        self.runs_base
+    }
+
+    /// Iterates the resident `(w0, w1, val)` entries of one tag (audit
+    /// sampling).
+    pub fn iter(&self, tag: Tag) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
         self.entries
             .iter()
-            .filter(|e| e.val != NO_VAL)
+            .filter(move |e| e.val != NO_VAL && tag_of(e.w1) == tag)
             .map(|e| (e.w0, e.w1, e.val))
     }
 }
@@ -401,56 +639,162 @@ mod tests {
         assert_eq!(std::mem::size_of::<CacheEntry>(), 16);
     }
 
-    #[test]
-    fn direct_cache_hit_miss_evict() {
-        let mut c = DirectCache::new();
-        assert_eq!(c.get(1, 2), None);
-        assert_eq!(c.misses(), 1);
-        c.insert(1, 2, 42);
-        assert_eq!(c.get(1, 2), Some(42));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.len(), 1);
-        // Same slot, different key (identical hash inputs impossible; force
-        // a collision by inserting a key that maps to the same slot).
-        let shift = 64 - c.capacity().trailing_zeros();
-        // fx_hash_words is injective-ish; find a colliding w0 by scan.
-        let target = (crate::hasher::fx_hash_words(1, 2) >> shift) as usize;
-        let mut w0 = 2u64;
-        while ((crate::hasher::fx_hash_words(w0, 2) >> shift) as usize) != target {
-            w0 += 1;
-        }
-        c.insert(w0, 2, 7);
-        assert_eq!(c.evictions(), 1);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(1, 2), None);
-        assert_eq!(c.get(w0, 2), Some(7));
+    fn apply_key(w0: u64) -> (u64, u32) {
+        (w0, tagged(Tag::Apply, 0))
     }
 
     #[test]
-    fn direct_cache_clear_books_evictions() {
-        let mut c = DirectCache::new();
+    fn computed_table_hit_miss_evict() {
+        let mut c = ComputedTable::new();
+        let (w0, w1) = apply_key(1);
+        assert_eq!(c.get(w0, w1), None);
+        assert_eq!(c.stats(Tag::Apply).misses, 1);
+        c.insert(w0, w1, 42);
+        assert_eq!(c.get(w0, w1), Some(42));
+        assert_eq!(c.stats(Tag::Apply).hits, 1);
+        assert_eq!(c.len(), 1);
+        // Force a collision: scan for another key with the same home slot.
+        let target = c.slot(key_hash(w0, w1));
+        let mut other = 2u64;
+        while c.slot(key_hash(other, w1)) != target {
+            other += 1;
+        }
+        // The newcomer is booked under its own tag, the eviction under
+        // the victim's.
+        let kreduce = tagged(Tag::Kreduce, 0);
+        while c.slot(key_hash(other, kreduce)) != target {
+            other += 1;
+        }
+        c.insert(other, kreduce, 7);
+        assert_eq!(c.stats(Tag::Apply).evictions, 1);
+        assert_eq!(c.stats(Tag::Apply).resident, 0);
+        assert_eq!(c.stats(Tag::Kreduce).resident, 1);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.get(w0, w1), None);
+        assert_eq!(c.get(other, kreduce), Some(7));
+    }
+
+    #[test]
+    fn computed_table_clear_books_evictions() {
+        let mut c = ComputedTable::new();
         for i in 0..10u64 {
-            c.insert(i, 0, i as u32);
+            let (w0, w1) = apply_key(i);
+            c.insert(w0, w1, i as u32);
         }
-        let resident = c.len() as u64;
-        let before = c.evictions();
+        c.insert_run(&[NodeRef(1), NodeRef(2), NodeRef(3)], 2, 9);
+        let apply = c.stats(Tag::Apply);
+        assert_eq!(apply.resident + 1, c.len());
         c.clear();
-        assert_eq!(c.evictions(), before + resident);
+        assert_eq!(
+            c.stats(Tag::Apply).evictions,
+            apply.evictions + apply.resident as u64
+        );
+        assert_eq!(c.stats(Tag::Sum).evictions, 1);
         assert_eq!(c.len(), 0);
-        assert_eq!(c.capacity(), 0);
-        assert_eq!(c.get(3, 0), None);
+        assert_eq!((c.capacity(), c.run_bytes()), (0, 0));
+        assert_eq!(c.get(3, tagged(Tag::Apply, 0)), None);
+        assert_eq!(c.get_run(&[NodeRef(1), NodeRef(2), NodeRef(3)], 2), None);
     }
 
     #[test]
-    fn direct_cache_grows_under_eviction_pressure() {
-        let mut c = DirectCache::new();
+    fn computed_table_grows_under_eviction_pressure() {
+        let mut c = ComputedTable::new();
         // Insert far more distinct keys than the initial capacity; the
-        // cache must grow at least once and retain recent entries.
-        for i in 0..(CACHE_INITIAL as u64 * 3) {
-            c.insert(i, i as u32 ^ 0xdead, (i & 0xffff) as u32);
+        // table must grow at least once and retain recent entries.
+        for i in 0..(COMPUTED_INITIAL as u64 * 3) {
+            let (w0, w1) = apply_key(i);
+            c.insert(w0, w1, (i & 0xffff) as u32);
         }
-        assert!(c.capacity() > CACHE_INITIAL);
-        assert!(c.capacity() <= CACHE_MAX);
-        assert!(c.len() > 0);
+        assert!(c.capacity() > COMPUTED_INITIAL);
+        assert!(!c.is_empty());
+        let resident: usize = Tag::ALL.iter().map(|&t| c.stats(t).resident).sum();
+        assert_eq!(resident, c.len());
+    }
+
+    #[test]
+    fn computed_table_never_exceeds_its_ceiling() {
+        // ×4 steps from 2^14 pass 2^20; the next must stop at 2^21, not
+        // overshoot to 2^22.
+        let mut c = ComputedTable::new();
+        let mut seen = vec![];
+        for i in 0..(COMPUTED_MAX as u64 * 2) {
+            let (w0, w1) = apply_key(i);
+            c.insert(w0, w1, 1);
+            if seen.last() != Some(&c.capacity()) {
+                assert!(c.capacity() <= COMPUTED_MAX, "grew to {}", c.capacity());
+                seen.push(c.capacity());
+            }
+        }
+        assert_eq!(seen, [1 << 14, 1 << 16, 1 << 18, 1 << 20, COMPUTED_MAX]);
+        assert_eq!(c.heap_bytes(), 16 * COMPUTED_MAX);
+    }
+
+    #[test]
+    fn keys_stay_exact_under_every_pair_of_tags() {
+        // The same raw words under two tags are two keys: whatever one
+        // stores, the other misses. `ite` takes the payload as its `w1`
+        // word (an `else` handle). The words are those of the first `sum`
+        // entry of a table (offset 0, two operands, budget `k`).
+        let (run, k) = ([NodeRef(5), NodeRef(7)], 0x123);
+        let (w0, payload) = (0u64, k | 2 << BUDGET_BITS);
+        assert_eq!(run_key(run.len(), k), tagged(Tag::Sum, payload));
+        let key = |tag: Tag| match tag {
+            Tag::Ite => (w0, payload),
+            _ => (w0, tagged(tag, payload)),
+        };
+        let lookup = |c: &mut ComputedTable, tag: Tag| match tag {
+            Tag::Sum => c.get_run(&run, k),
+            _ => {
+                let (w0, w1) = key(tag);
+                c.get(w0, w1)
+            }
+        };
+        for stored in Tag::ALL {
+            let mut c = ComputedTable::new();
+            match stored {
+                Tag::Sum => c.insert_run(&run, k, 11),
+                _ => {
+                    let (w0, w1) = key(stored);
+                    c.insert(w0, w1, 11);
+                }
+            }
+            for probe in Tag::ALL {
+                let want = (probe == stored).then_some(11);
+                assert_eq!(
+                    lookup(&mut c, probe),
+                    want,
+                    "{stored:?} probed as {probe:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_entries_miss_once_their_run_is_gone() {
+        let mut c = ComputedTable::new();
+        let run = [NodeRef(3), NodeRef(4), NodeRef(9)];
+        c.insert_run(&run, 1, 5);
+        assert_eq!(c.get_run(&run, 1), Some(5));
+        // Same operands, other budget or a prefix: other keys.
+        assert_eq!(c.get_run(&run, 2), None);
+        assert_eq!(c.get_run(&run[..2], 1), None);
+        // Fill the arena until it restarts: the entry's run is gone, and
+        // the new runs that reuse its positions do not answer for it.
+        let mut i = 0u32;
+        while c.runs_base == 0 {
+            c.insert_run(
+                &[NodeRef(100 + i), NodeRef(200 + i), NodeRef(300 + i)],
+                1,
+                i,
+            );
+            i += 1;
+        }
+        assert_eq!(c.get_run(&run, 1), None);
+        // A run stored after the restart hits, also after a growth
+        // re-places it by content.
+        let fresh = [NodeRef(1), NodeRef(2)];
+        c.insert_run(&fresh, 1, 8);
+        c.grow();
+        assert_eq!(c.get_run(&fresh, 1), Some(8));
     }
 }

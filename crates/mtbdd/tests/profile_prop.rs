@@ -118,16 +118,41 @@ proptest! {
         let mut m = manager();
         let f = build(&mut m, &e);
         let reduced = m.kreduce(f, 2);
+        // Touch every other kernel too, so each row has counts to compare.
+        let zero = m.zero();
+        let guard = m.lt_guard(zero, f);
+        let _ = (m.not(guard), m.ite(guard, f, reduced), m.restrict(f, 0, false));
+        let _ = (m.add_kreduce(f, reduced, 1), m.sum_kreduce(&[f, reduced, guard], 1));
+        let _ = m.terminal_range(f);
         let before = m.stats();
         let _ = m.level_profile(&[f, reduced]);
         let caches = m.cache_profiles();
         let after = m.stats();
         prop_assert_eq!(before, after, "profiling must not perturb the manager");
-        // Cache profiles agree with the stats they summarize.
-        prop_assert_eq!(caches[0].len, after.apply_cache_len);
-        prop_assert_eq!(caches[0].hits, after.apply_cache_hits);
-        prop_assert_eq!(caches[0].misses, after.apply_cache_misses);
-        prop_assert_eq!(caches[1].len, after.fused_cache_len);
+        // Every kernel row of the computed table agrees with the stats
+        // fields of that kernel.
+        let row = |name: &str| {
+            let c = caches.iter().find(|c| c.name == name).expect("kernel row");
+            (c.hits, c.misses, c.evictions)
+        };
+        let s = after;
+        prop_assert_eq!(row("apply"), (s.apply_cache_hits, s.apply_cache_misses, s.apply_cache_evictions));
+        prop_assert_eq!(row("fused"), (s.fused_cache_hits, s.fused_cache_misses, s.fused_cache_evictions));
+        prop_assert_eq!(row("apply1"), (s.apply1_cache_hits, s.apply1_cache_misses, s.apply1_cache_evictions));
+        prop_assert_eq!(row("ite"), (s.ite_cache_hits, s.ite_cache_misses, s.ite_cache_evictions));
+        prop_assert_eq!(
+            row("restrict"),
+            (s.restrict_cache_hits, s.restrict_cache_misses, s.restrict_cache_evictions)
+        );
+        prop_assert_eq!(
+            row("kreduce"),
+            (s.kreduce_cache_hits, s.kreduce_cache_misses, s.kreduce_cache_evictions)
+        );
+        prop_assert_eq!((row("sum").0, row("sum").1), (s.sum_cache_hits, s.sum_cache_misses));
+        prop_assert_eq!(caches[0].len, s.apply_cache_len);
+        prop_assert_eq!(caches[1].len, s.fused_cache_len);
+        let terminals = caches.iter().find(|c| c.name == "terminals").expect("terminals row");
+        prop_assert_eq!(terminals.len, s.terminals_created);
         // Rebuilding the same expression is pure cache/unique-table hits:
         // node-for-node the same handle.
         let f2 = build(&mut m, &e);

@@ -288,15 +288,22 @@ fn print_profile_tables(
         } else {
             c.hits as f64 / lookups as f64
         };
-        // Only the unique table measures probe lengths: a direct-mapped
-        // cache probes one slot, and the memo maps are not instrumented.
+        // Only the unique table measures probe lengths: the computed
+        // table probes one slot, and the terminal table is not
+        // instrumented.
         let probe = if c.name == "unique" {
             format!("  probe mean {:.2} max {}", c.probe.mean, c.probe.max)
         } else {
             String::new()
         };
+        // The interning tables index a pool: the nodes or the terminals.
+        let pool = if c.pool_bytes > 0 {
+            format!(" + {:.1} MB pool", c.pool_bytes as f64 / 1e6)
+        } else {
+            String::new()
+        };
         println!(
-            "  {:<8} {:>8} entries / {:>8} cap ({:>4.0}% load) {:>7.1} MB  {} hits / {} misses \
+            "  {:<9} {:>8} entries / {:>8} cap ({:>4.0}% load) {:>7.1} MB{pool}  {} hits / {} misses \
              ({:.1}% hit)  {} evicted{probe}",
             c.name,
             c.len,

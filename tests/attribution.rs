@@ -66,11 +66,13 @@ fn sequential_attribution_reconciles_exactly_with_the_arena() {
         attr.levels.inner_nodes,
         attr.levels.levels.iter().map(|l| l.nodes).sum::<usize>()
     );
-    assert_eq!(attr.caches.len(), 9);
+    assert_eq!(attr.caches.len(), 11);
     for walked in ["apply", "range"] {
         assert!(attr.caches.iter().any(|c| c.name == walked && c.misses > 0));
     }
-    assert!(attr.caches.iter().any(|c| c.name == "unique"));
+    for table in ["computed", "terminals", "unique"] {
+        assert!(attr.caches.iter().any(|c| c.name == table));
+    }
 }
 
 #[test]
