@@ -4,7 +4,6 @@
 
 use crate::manager::{pack_range_key, Mtbdd};
 use crate::node::{NodeRef, Var};
-use crate::table::Tag;
 use crate::terminal::Term;
 
 /// A partial assignment along one root-to-terminal path. Variables not
@@ -68,11 +67,7 @@ impl Mtbdd {
             return (f, f);
         }
         let (min_key, max_key) = (pack_range_key(f, false), pack_range_key(f, true));
-        let min = self.computed.peek(min_key.0, min_key.1);
-        let max = self.computed.peek(max_key.0, max_key.1);
-        self.computed
-            .book(Tag::Range, min.is_some() && max.is_some());
-        if let (Some(min), Some(max)) = (min, max) {
+        if let Some((min, max)) = self.computed.get_pair(min_key, max_key) {
             return (NodeRef(min), NodeRef(max));
         }
         let n = self.node_at(f);

@@ -99,8 +99,9 @@ pub struct CacheProfile {
     /// on `"computed"`, 4 per slot on `"terminals"` and `"unique"`, the
     /// operand-run arena on `"sum"`, 0 on the other kernel rows.
     pub bytes: usize,
-    /// Heap bytes of the pool the table indexes: the terminal values on
-    /// `"terminals"`, the node arena on `"unique"`, 0 elsewhere.
+    /// Heap bytes of the pool the table indexes or keeps beside it: the
+    /// terminal values on `"terminals"`, the node arena on `"unique"`,
+    /// the growth rule's shadow on `"computed"`, 0 elsewhere.
     /// [`Mtbdd::arena_bytes`] is the sum of `bytes + pool_bytes` over
     /// every row.
     pub pool_bytes: usize,
@@ -119,6 +120,13 @@ pub struct CacheProfile {
     /// trivially direct for the computed table; not measured — all zero
     /// — for the terminal table).
     pub probe: ProbeStats,
+    /// Cumulative misses on keys the computed table's shadow samples (1
+    /// in 16 of a ceiling-sized table's slots). On `"computed"` only, 0
+    /// elsewhere.
+    pub sampled: u64,
+    /// Of `sampled`, the misses a ceiling-sized table would have
+    /// answered: the share the growth rule reads. On `"computed"` only.
+    pub shadow_hits: u64,
 }
 
 /// `len / capacity`, 0 for an unallocated table.
@@ -199,6 +207,8 @@ impl Mtbdd {
             misses: s.misses,
             evictions: s.evictions,
             probe: direct_probe(s.resident),
+            sampled: 0,
+            shadow_hits: 0,
         };
         let mut rows: Vec<CacheProfile> = Tag::ALL
             .iter()
@@ -217,7 +227,13 @@ impl Mtbdd {
             evictions: t.evictions + r.evictions,
             resident: t.resident + r.len,
         });
-        rows.push(row("computed", total, table.heap_bytes()));
+        let (sampled, shadow_hits) = table.shadow_stats();
+        rows.push(CacheProfile {
+            pool_bytes: table.shadow_bytes(),
+            sampled,
+            shadow_hits,
+            ..row("computed", total, table.heap_bytes())
+        });
         let ups = self.unique_probe_stats();
         let slots = |cap: usize| cap * std::mem::size_of::<u32>();
         rows.push(CacheProfile {
@@ -231,6 +247,8 @@ impl Mtbdd {
             misses: self.terms.len() as u64 + self.terms_reclaimed,
             evictions: self.terms_reclaimed,
             probe: ProbeStats::default(),
+            sampled: 0,
+            shadow_hits: 0,
         });
         rows.push(CacheProfile {
             name: "unique",
@@ -251,6 +269,8 @@ impl Mtbdd {
                     ups.direct as f64 / ups.lookups as f64
                 },
             },
+            sampled: 0,
+            shadow_hits: 0,
         });
         rows
     }

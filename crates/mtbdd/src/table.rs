@@ -14,7 +14,11 @@
 //!   shares: `apply`, `apply1`, `ite`, `restrict`, `kreduce`, `fused`,
 //!   the n-ary `sum` and the terminal `range`. A key is a `u64` and a
 //!   `u32` word that carry a [`Tag`]; a lookup is one multiply-hash and
-//!   one 16-byte entry read (four entries per cache line).
+//!   one 16-byte entry read (four entries per cache line). The table
+//!   grows only when a sampled shadow of its ceiling-sized self shows
+//!   that a bigger table would have answered the misses it takes: a
+//!   run whose misses are one-shot work stays small, a run that reuses
+//!   entries written long ago grows to the ceiling.
 //!
 //! Both structures are deterministic functions of their operation
 //! sequence (no randomized hashing, no address-dependent state), which
@@ -43,10 +47,32 @@ const TABLE_INITIAL: usize = 64;
 const COMPUTED_INITIAL: usize = 1 << 14;
 
 /// The one ceiling of the [`ComputedTable`]: 2^21 entries, 32 MiB. It is
-/// not an option. `yu serve` needs this much: with a 2^18 ceiling its p90
-/// request went from 32 to 50 ms. A 2^22 ceiling saved 1 % of the batch
-/// misses and made exec slower (DESIGN.md §16.2).
+/// not an option, and a run reaches it only when the shadow of a table
+/// this size shows that it would answer misses the current table takes.
+/// `yu serve` needs this much: with a 2^18 ceiling its p90 request went
+/// from 32 to 50 ms. A 2^22 ceiling saved 1 % of the batch misses and
+/// made exec slower (DESIGN.md §16.2).
 pub const COMPUTED_MAX: usize = 1 << 21;
+
+/// The shadow tracks 1 of every 16 slots of a [`COMPUTED_MAX`] table:
+/// 2^17 fingerprints, 512 KiB. Sampling whole sets keeps each shadow
+/// slot exact (it holds what that slot of the ceiling table would hold),
+/// and 1 in 16 still gives a window of `capacity / 16` sampled misses,
+/// 1 024 at the initial size, for the share below to be read from.
+const SHADOW_SAMPLE: usize = 16;
+
+/// Fingerprints in the shadow.
+const SHADOW_SLOTS: usize = COMPUTED_MAX / SHADOW_SAMPLE;
+
+/// The table grows when the ceiling would have answered at least 1 in 8
+/// of a window's sampled misses. The batch bench rows read 5–8 % over a
+/// run (their misses are one-shot work) and `yu serve` reads 50 % while
+/// its routing edits climb to the ceiling, so the line sits between them
+/// (DESIGN.md §16.2).
+const GROW_SHARE: u64 = 8;
+
+/// Hash bits that pick a slot of the ceiling table.
+const CEILING_BITS: u32 = COMPUTED_MAX.trailing_zeros();
 
 /// Handles the `sum` operand-run arena holds before it restarts (4 MiB).
 /// Unit tests use a small arena so that ordinary kernel tests cross
@@ -330,6 +356,21 @@ fn run_hash(ops: &[NodeRef], w1: u32) -> u64 {
     fx_hash(&(ops, w1))
 }
 
+/// Where a key sits in the shadow, if its slot in a [`COMPUTED_MAX`]
+/// table is sampled: its index (the top 17 hash bits) and its
+/// fingerprint (the 32 hash bits below the ceiling slot, never 0, which
+/// marks an empty shadow slot). The slot is the top bits of the same
+/// hash the table uses, so a sampled key is one whose ceiling slot is
+/// `0 mod 16`.
+#[inline]
+fn shadow_key(hash: u64) -> Option<(usize, u32)> {
+    let slot = (hash >> (64 - CEILING_BITS)) as usize;
+    slot.is_multiple_of(SHADOW_SAMPLE).then(|| {
+        let fp = (hash >> (64 - CEILING_BITS - 32)) as u32;
+        (slot / SHADOW_SAMPLE, fp.max(1))
+    })
+}
+
 /// Counters of one [`Tag`] in the [`ComputedTable`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagStats {
@@ -346,6 +387,19 @@ pub struct TagStats {
 
 /// The manager's one memo table: direct-mapped 16-byte entries that every
 /// kernel shares, with one growth rule and one ceiling, [`COMPUTED_MAX`].
+///
+/// The growth rule reads the reuse distance of the keys, which the table
+/// sees in its own traffic. A shadow holds the fingerprints that the
+/// sampled slots of a ceiling-sized table would hold: every store of a
+/// sampled key writes its fingerprint. A miss on a sampled key is booked
+/// as a sampled miss, and as a shadow hit when the shadow holds it,
+/// which is a miss the ceiling table would have answered. The table
+/// grows ×4 (clamped to the ceiling) at the first store at which the
+/// shadow hits reach 1/8 of a window of `capacity / 16` sampled misses;
+/// a window that fills without that starts a new one. Growth does not
+/// reset the shadow, which models the ceiling and not the current size;
+/// [`clear`](Self::clear) does, because handles change under GC. The
+/// capacity sequence is therefore a function of the operation sequence.
 ///
 /// A key is two words compared in full, never a hash alone, and the
 /// [`Tag`] in the key keeps the kernels apart. A lookup is one multiply
@@ -366,8 +420,15 @@ pub struct TagStats {
 pub struct ComputedTable {
     entries: Vec<CacheEntry>,
     len: usize,
-    evictions_since_grow: u64,
     stats: [TagStats; 8],
+    /// Fingerprints of the sampled slots of a ceiling-sized table (0 =
+    /// empty), allocated with the first entries.
+    shadow: Vec<u32>,
+    /// Cumulative misses on sampled keys, and those the shadow held.
+    sampled: u64,
+    shadow_hits: u64,
+    /// `(sampled, shadow_hits)` when the current window started.
+    window_start: (u64, u64),
     /// The operand runs of `sum` entries, starting at absolute offset
     /// `runs_base`.
     runs: Vec<NodeRef>,
@@ -398,34 +459,57 @@ impl ComputedTable {
         Some(self.slot(hash))
     }
 
-    /// Looks up a key without booking the lookup (see [`Self::book`]).
+    /// Looks up a key by its hash without booking the lookup.
     #[inline]
-    pub fn peek(&self, w0: u64, w1: u32) -> Option<u32> {
+    fn peek(&self, hash: u64, w0: u64, w1: u32) -> Option<u32> {
         debug_assert!(tag_of(w1) != Tag::Sum, "sum keys go through get_run");
         if self.entries.is_empty() {
             return None;
         }
-        let e = self.entries[self.slot(key_hash(w0, w1))];
+        let e = self.entries[self.slot(hash)];
         (e.val != NO_VAL && e.w0 == w0 && e.w1 == w1).then_some(e.val)
     }
 
-    /// Books one lookup of `tag` as a hit or a miss.
+    /// Books one lookup of `tag` as a hit, or as a miss of the key with
+    /// slot hash `hash`, which the shadow samples.
     #[inline]
-    pub fn book(&mut self, tag: Tag, hit: bool) {
+    fn book(&mut self, tag: Tag, hash: u64, hit: bool) {
         let s = &mut self.stats[tag as usize];
         if hit {
             s.hits += 1;
-        } else {
-            s.misses += 1;
+            return;
+        }
+        s.misses += 1;
+        if let Some((i, fp)) = shadow_key(hash) {
+            self.sampled += 1;
+            if self.shadow.get(i) == Some(&fp) {
+                self.shadow_hits += 1;
+            }
         }
     }
 
     /// Looks up a key, booking a hit or a miss under its tag.
     #[inline]
     pub fn get(&mut self, w0: u64, w1: u32) -> Option<u32> {
-        let r = self.peek(w0, w1);
-        self.book(tag_of(w1), r.is_some());
+        let hash = key_hash(w0, w1);
+        let r = self.peek(hash, w0, w1);
+        self.book(tag_of(w1), hash, r.is_some());
         r
+    }
+
+    /// Looks up the two entries of a pair stored together (the two ends
+    /// of a `range`) as one lookup, booked under `a`'s tag: a hit needs
+    /// both. A miss is sampled by the first key that is absent.
+    pub fn get_pair(&mut self, a: (u64, u32), b: (u64, u32)) -> Option<(u32, u32)> {
+        let ha = key_hash(a.0, a.1);
+        let Some(va) = self.peek(ha, a.0, a.1) else {
+            self.book(tag_of(a.1), ha, false);
+            return None;
+        };
+        let hb = key_hash(b.0, b.1);
+        let vb = self.peek(hb, b.0, b.1);
+        self.book(tag_of(a.1), hb, vb.is_some());
+        vb.map(|vb| (va, vb))
     }
 
     /// Stores `val` under a key, evicting any colliding entry.
@@ -438,13 +522,14 @@ impl ComputedTable {
     /// `k`, booking a hit or a miss.
     pub fn get_run(&mut self, ops: &[NodeRef], k: u32) -> Option<u32> {
         let w1 = run_key(ops.len(), k);
+        let hash = run_hash(ops, w1);
         let hit = if self.entries.is_empty() {
             None
         } else {
-            let e = self.entries[self.slot(run_hash(ops, w1))];
+            let e = self.entries[self.slot(hash)];
             (e.val != NO_VAL && e.w1 == w1 && self.run_at(e.w0, w1) == Some(ops)).then_some(e.val)
         };
-        self.book(Tag::Sum, hit.is_some());
+        self.book(Tag::Sum, hash, hit.is_some());
         hit
     }
 
@@ -468,22 +553,30 @@ impl ComputedTable {
         self.runs.get(start..start + run_len(w1))
     }
 
-    /// Growth rule: ×4, clamped to [`COMPUTED_MAX`], when either
-    /// collisions since the last growth reach 1/8 of capacity (conflict
-    /// pressure — an eviction is a future recomputation, which costs far
-    /// more than the rehash) or residency reaches 3/4 of capacity (the
-    /// next conflicts are imminent). Both triggers are relative to
-    /// capacity, so a workload that outgrows the table reaches the
-    /// ceiling after a bounded number of early evictions.
+    /// Stores an entry, first applying the growth rule (see the type's
+    /// doc): grow ×4 as soon as the window's shadow hits reach
+    /// 1/[`GROW_SHARE`] of the window, else start a new window once
+    /// `capacity / 16` sampled misses fill it.
     fn store(&mut self, hash: u64, e: CacheEntry) {
         debug_assert_ne!(e.val, NO_VAL, "cache value collides with empty sentinel");
         if self.entries.is_empty() {
             self.entries = vec![EMPTY_ENTRY; COMPUTED_INITIAL];
-        } else if self.entries.len() < COMPUTED_MAX
-            && (self.evictions_since_grow * 8 >= self.entries.len() as u64
-                || self.len * 4 >= self.entries.len() * 3)
-        {
-            self.grow();
+            if self.shadow.is_empty() {
+                self.shadow = vec![0; SHADOW_SLOTS];
+            }
+        } else if self.entries.len() < COMPUTED_MAX {
+            let window = (self.entries.len() / SHADOW_SAMPLE) as u64;
+            let misses = self.sampled - self.window_start.0;
+            let hits = self.shadow_hits - self.window_start.1;
+            if hits * GROW_SHARE >= window {
+                self.grow();
+                self.window_start = (self.sampled, self.shadow_hits);
+            } else if misses >= window {
+                self.window_start = (self.sampled, self.shadow_hits);
+            }
+        }
+        if let Some((i, fp)) = shadow_key(hash) {
+            self.shadow[i] = fp;
         }
         let s = self.slot(hash);
         self.place(s, e);
@@ -499,7 +592,6 @@ impl ComputedTable {
             victim.resident -= 1;
             if (old.w0, old.w1) != (e.w0, e.w1) {
                 victim.evictions += 1;
-                self.evictions_since_grow += 1;
             }
         }
         self.stats[tag_of(e.w1) as usize].resident += 1;
@@ -521,18 +613,20 @@ impl ComputedTable {
                 None => self.stats[Tag::Sum as usize].evictions += 1,
             }
         }
-        self.evictions_since_grow = 0;
     }
 
     /// Drops every entry and the run arena, booking each resident entry
-    /// as an eviction of its tag. Hit and miss counters survive.
+    /// as an eviction of its tag, and empties the shadow and starts a new
+    /// window: the handles in the old keys may name other nodes after a
+    /// GC. Cumulative counters survive.
     pub fn clear(&mut self) {
         for s in &mut self.stats {
             s.evictions += s.resident as u64;
             s.resident = 0;
         }
         self.len = 0;
-        self.evictions_since_grow = 0;
+        self.shadow.fill(0);
+        self.window_start = (self.sampled, self.shadow_hits);
         self.entries = Vec::new();
         self.runs_base += self.runs.len() as u64;
         self.runs = Vec::new();
@@ -561,6 +655,17 @@ impl ComputedTable {
     /// Heap bytes of the entry array: 16 per entry.
     pub fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<CacheEntry>()
+    }
+
+    /// Heap bytes of the shadow: 4 per fingerprint once allocated.
+    pub fn shadow_bytes(&self) -> usize {
+        self.shadow.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Cumulative misses on keys the shadow samples, and how many of
+    /// them a ceiling-sized table would have answered.
+    pub fn shadow_stats(&self) -> (u64, u64) {
+        (self.sampled, self.shadow_hits)
     }
 
     /// Heap bytes of the `sum` operand-run arena.
@@ -696,37 +801,116 @@ mod tests {
         assert_eq!(c.get_run(&[NodeRef(1), NodeRef(2), NodeRef(3)], 2), None);
     }
 
-    #[test]
-    fn computed_table_grows_under_eviction_pressure() {
-        let mut c = ComputedTable::new();
-        // Insert far more distinct keys than the initial capacity; the
-        // table must grow at least once and retain recent entries.
-        for i in 0..(COMPUTED_INITIAL as u64 * 3) {
-            let (w0, w1) = apply_key(i);
-            c.insert(w0, w1, (i & 0xffff) as u32);
+    /// Looks key `i` up and stores it on a miss, the way a kernel
+    /// memoises.
+    fn memo(c: &mut ComputedTable, i: u64) {
+        let (w0, w1) = apply_key(i);
+        if c.get(w0, w1).is_none() {
+            c.insert(w0, w1, 1);
         }
-        assert!(c.capacity() > COMPUTED_INITIAL);
-        assert!(!c.is_empty());
-        let resident: usize = Tag::ALL.iter().map(|&t| c.stats(t).resident).sum();
-        assert_eq!(resident, c.len());
     }
 
-    #[test]
-    fn computed_table_never_exceeds_its_ceiling() {
-        // ×4 steps from 2^14 pass 2^20; the next must stop at 2^21, not
-        // overshoot to 2^22.
-        let mut c = ComputedTable::new();
+    /// Memoises `keys` in order and returns every capacity the table
+    /// takes, asserting at each step that it stays under the ceiling.
+    fn capacities(c: &mut ComputedTable, keys: impl Iterator<Item = u64>) -> Vec<usize> {
         let mut seen = vec![];
-        for i in 0..(COMPUTED_MAX as u64 * 2) {
-            let (w0, w1) = apply_key(i);
-            c.insert(w0, w1, 1);
+        for i in keys {
+            memo(c, i);
             if seen.last() != Some(&c.capacity()) {
                 assert!(c.capacity() <= COMPUTED_MAX, "grew to {}", c.capacity());
                 seen.push(c.capacity());
             }
         }
+        seen
+    }
+
+    /// A key the shadow samples, from `from` on.
+    fn sampled_key(from: u64) -> u64 {
+        (from..)
+            .find(|&i| {
+                let (w0, w1) = apply_key(i);
+                shadow_key(key_hash(w0, w1)).is_some()
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn one_shot_keys_never_grow_the_table() {
+        // Sixteen times the initial capacity of distinct keys: every miss
+        // is one-shot work that no bigger table would answer.
+        let mut c = ComputedTable::new();
+        let seen = capacities(&mut c, 0..(COMPUTED_INITIAL as u64 * 16));
+        assert_eq!(seen, [COMPUTED_INITIAL]);
+        let (sampled, hits) = c.shadow_stats();
+        assert!(sampled > 0);
+        assert_eq!(hits, 0);
+        assert_eq!(c.shadow_bytes(), 4 * SHADOW_SLOTS);
+        let resident: usize = Tag::ALL.iter().map(|&t| c.stats(t).resident).sum();
+        assert_eq!(resident, c.len());
+    }
+
+    #[test]
+    fn reused_keys_grow_it_to_the_ceiling() {
+        // A cycle of 2^19 keys: longer than every size below the ceiling
+        // can hold, short enough for the ceiling to answer most of its
+        // misses. ×4 steps from 2^14 pass 2^20; the next must stop at
+        // 2^21, not overshoot to 2^22.
+        let period = 1u64 << 19;
+        let mut c = ComputedTable::new();
+        let seen = capacities(&mut c, (0..4 * period).map(|i| i % period));
         assert_eq!(seen, [1 << 14, 1 << 16, 1 << 18, 1 << 20, COMPUTED_MAX]);
         assert_eq!(c.heap_bytes(), 16 * COMPUTED_MAX);
+        let (sampled, hits) = c.shadow_stats();
+        assert!(hits * GROW_SHARE >= (1 << 14) / SHADOW_SAMPLE as u64 && hits <= sampled);
+    }
+
+    #[test]
+    fn a_cleared_shadow_answers_nothing_stored_before_the_clear() {
+        let mut c = ComputedTable::new();
+        let k = sampled_key(0);
+        let (w0, w1) = apply_key(k);
+        c.insert(w0, w1, 1);
+        // Evicted by a key that shares its slot here but not in the
+        // ceiling table, `k` is a miss the shadow answers.
+        let target = c.slot(key_hash(w0, w1));
+        let other = (k + 1..)
+            .find(|&i| {
+                let h = key_hash(apply_key(i).0, w1);
+                c.slot(h) == target
+                    && h >> (64 - CEILING_BITS) != key_hash(w0, w1) >> (64 - CEILING_BITS)
+            })
+            .unwrap();
+        c.insert(other, w1, 2);
+        assert_eq!(c.get(w0, w1), None);
+        assert_eq!(c.shadow_stats(), (1, 1));
+        // After a clear, the same lookup is a sampled miss the shadow
+        // does not answer.
+        c.insert(w0, w1, 1);
+        c.clear();
+        assert_eq!(c.get(w0, w1), None);
+        assert_eq!(c.shadow_stats(), (2, 1));
+    }
+
+    #[test]
+    fn capacity_sequence_is_a_function_of_the_operations() {
+        let ops = || {
+            let period = 1u64 << 17;
+            // One-shot keys, then a cycle the table cannot hold, then one
+            // clear and the cycle again.
+            let mut c = ComputedTable::new();
+            let mut seen = capacities(&mut c, 1 << 40..(1 << 40) + period);
+            seen.extend(capacities(&mut c, (0..3 * period).map(|i| i % period)));
+            c.clear();
+            seen.extend(capacities(&mut c, (0..3 * period).map(|i| i % period)));
+            (seen, c.shadow_stats(), c.capacity())
+        };
+        let first = ops();
+        assert!(
+            first.0.iter().any(|&cap| cap > COMPUTED_INITIAL),
+            "the cycle grows the table: {:?}",
+            first.0
+        );
+        assert_eq!(first, ops());
     }
 
     #[test]

@@ -296,7 +296,8 @@ fn print_profile_tables(
         } else {
             String::new()
         };
-        // The interning tables index a pool: the nodes or the terminals.
+        // The interning tables index a pool (the nodes or the
+        // terminals); the computed table keeps its growth rule's shadow.
         let pool = if c.pool_bytes > 0 {
             format!(" + {:.1} MB pool", c.pool_bytes as f64 / 1e6)
         } else {
@@ -315,6 +316,20 @@ fn print_profile_tables(
             rate * 100.0,
             c.evictions,
         );
+        // Why the computed table is the size it is: the share of misses
+        // a ceiling-sized table would have answered (DESIGN.md §16.2).
+        if c.name == "computed" {
+            let share = if c.sampled == 0 {
+                0.0
+            } else {
+                c.shadow_hits as f64 / c.sampled as f64
+            };
+            println!(
+                "            ceiling would have hit {:.1} % of {} sampled misses",
+                share * 100.0,
+                c.sampled
+            );
+        }
     }
 
     if !paths.is_empty() {
