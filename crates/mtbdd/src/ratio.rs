@@ -743,7 +743,7 @@ mod tests {
                 Ratio::new(1, 3)
             };
             frac = frac * split;
-            acc = acc + frac.clone();
+            acc += frac.clone();
         }
         assert!(acc > Ratio::ZERO && acc < Ratio::ONE);
         // The geometric-ish series must still be exact: multiply by the
