@@ -74,7 +74,7 @@ use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
 use crate::check::{classes, signature, CachedLoad, CheckCaches, Signature};
 use crate::equivalence::{keyed_groups, GroupKey, GroupKeys};
 use crate::exec::FlowStf;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 use yu_mtbdd::{NodeRef, Ratio, Term};
 use yu_net::{ChangeError, ChangeSet, Flow, Impact, LoadPoint, Network, Tlp};
@@ -336,7 +336,9 @@ impl IncrementalVerifier {
             .collect();
         // Per point, how the contributions of the changed groups move: a
         // new group comes from volume zero, a vanished one goes to it.
-        let mut moved: HashMap<LoadPoint, Vec<Move>> = HashMap::new();
+        // Points are derived in sorted order, so the arena sees the same
+        // sequence of operations on every run.
+        let mut moved: BTreeMap<LoadPoint, Vec<Move>> = BTreeMap::new();
         let mut record = |stf: &FlowStf, from: &Ratio, to: &Ratio| {
             for (&p, &w) in &stf.loads {
                 moved

@@ -249,7 +249,10 @@ impl<'a> Exec<'a> {
             }
             frontier = next;
         }
-        let leftovers: Vec<NodeRef> = frontier.values().copied().collect();
+        // Summed in key order too: the sum's intermediates depend on it.
+        let mut leftovers: Vec<_> = frontier.into_iter().collect();
+        leftovers.sort_by_key(|&(k, _)| k);
+        let leftovers: Vec<NodeRef> = leftovers.into_iter().map(|(_, f)| f).collect();
         let truncated = self.m.sum(&leftovers);
         FlowStf {
             loads: std::mem::take(&mut self.loads),

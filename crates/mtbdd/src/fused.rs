@@ -45,10 +45,13 @@ use crate::manager::{Mtbdd, Op};
 use crate::node::NodeRef;
 use crate::terminal::Term;
 
-/// Operand-list cap for the n-ary fused recursion: beyond this the list
-/// splits in half (see [`Mtbdd::sum_kreduce`]). Bounds the per-level
-/// cofactor arrays and the memo's operand runs; the split is invisible
-/// in the result because `KREDUCE` is canonicalizing.
+/// Operand-list cap for the n-ary fused recursion: a longer list is cut
+/// into balanced chunks of at most this many operands, and the chunk
+/// results are summed by the same recursion (see [`Mtbdd::sum_kreduce`]).
+/// Bounds the per-level cofactor arrays and the memo's operand runs,
+/// whose per-call work is linear in the list. The tree is invisible in
+/// the result because `KREDUCE` is canonicalizing. 16 materialized the
+/// fewest headline nodes of the sizes measured (DESIGN.md §16.3).
 const MAX_SUM_ARITY: usize = 16;
 
 /// A stack-allocated operand list for the n-ary recursion: sorted,
@@ -131,36 +134,60 @@ impl Mtbdd {
     /// Memoized on the sorted operand list and `k` in the computed table,
     /// which keeps the list as an operand run in a side arena and
     /// compares it element by element, so a hit is never a hash match
-    /// alone. Operand lists longer than
-    /// [`MAX_SUM_ARITY`] split in half; `βₖ(βₖ(ΣA) + βₖ(ΣB)) = βₖ(Σ)`
-    /// by the same congruence argument, so the split is invisible in the
-    /// result.
+    /// alone. Operand lists longer than [`MAX_SUM_ARITY`] are summed
+    /// through a shallow n-ary tree of chunk sums;
+    /// `βₖ(Σᵢ βₖ(Σ chunkᵢ)) = βₖ(Σ)` by the same congruence argument, so
+    /// the tree is invisible in the result.
     pub fn sum_kreduce(&mut self, items: &[NodeRef], k: u32) -> NodeRef {
         let k = self.clamp_budget(k);
         // Zeros are additive identity: dropping them leaves the exact
         // sum — and therefore its reduction — unchanged.
         let zero = self.zero();
-        let mut ops: Vec<NodeRef> = items.iter().copied().filter(|&f| f != zero).collect();
-        ops.sort_unstable();
-        let r = self.sum_kreduce_split(&ops, k);
+        let ops: Vec<NodeRef> = items.iter().copied().filter(|&f| f != zero).collect();
+        let r = self.sum_kreduce_split(ops, k);
         if self.audit_on() {
             self.audit_fused(r, k, "sum_kreduce");
         }
         r
     }
 
-    /// Halving splitter over a sorted, zero-free operand slice: lists at
-    /// or below [`MAX_SUM_ARITY`] drop into the stack-array recursion;
-    /// longer ones split in half (`βₖ(βₖ(ΣA) + βₖ(ΣB)) = βₖ(Σ)`).
-    fn sum_kreduce_split(&mut self, ops: &[NodeRef], k: u32) -> NodeRef {
-        if ops.len() > MAX_SUM_ARITY {
-            let (left, right) = ops.split_at(ops.len() / 2);
-            let a = self.sum_kreduce_split(left, k);
-            let b = self.sum_kreduce_split(right, k);
-            return self.fused_rec(Op::Add, a, b, k);
+    /// Shallow n-ary tree over a zero-free operand list. A list of at
+    /// most [`MAX_SUM_ARITY`] operands drops into the stack-array
+    /// recursion. A longer one is sorted by `(top variable, handle)`,
+    /// terminals first, and cut into `⌈n / MAX_SUM_ARITY⌉` balanced
+    /// chunks, so operands that test the same variables share a chunk.
+    /// Each chunk is summed by the n-ary recursion, and the chunk results
+    /// are summed the same way, one more level while more than
+    /// [`MAX_SUM_ARITY`] remain. Besides the result, only each level's
+    /// chunk sums are materialized, never a pairwise partial sum of them.
+    fn sum_kreduce_split(&mut self, mut ops: Vec<NodeRef>, k: u32) -> NodeRef {
+        if ops.len() <= MAX_SUM_ARITY {
+            return self.sum_kreduce_leaf(&mut ops, k);
         }
+        ops.sort_by_key(|&f| (self.top_var(f), f));
+        let chunks = ops.len().div_ceil(MAX_SUM_ARITY);
+        let (base, extra) = (ops.len() / chunks, ops.len() % chunks);
+        let zero = self.zero();
+        let mut sums = Vec::with_capacity(chunks);
+        let mut rest = &mut ops[..];
+        for i in 0..chunks {
+            let (chunk, tail) = rest.split_at_mut(base + usize::from(i < extra));
+            let r = self.sum_kreduce_leaf(chunk, k);
+            if r != zero {
+                sums.push(r);
+            }
+            rest = tail;
+        }
+        self.sum_kreduce_split(sums, k)
+    }
+
+    /// One call of the stack-array recursion on at most
+    /// [`MAX_SUM_ARITY`] zero-free operands, sorted here by handle (the
+    /// memo key's order).
+    fn sum_kreduce_leaf(&mut self, ops: &mut [NodeRef], k: u32) -> NodeRef {
+        ops.sort_unstable();
         let mut so = SumOps::new();
-        for &f in ops {
+        for &f in &*ops {
             so.push(f);
         }
         let b0 = self.alive_sum(ops);
@@ -559,7 +586,8 @@ mod tests {
         let kf = m.kreduce(f, 1);
         assert_eq!(m.sum_kreduce(&[f], 1), kf);
         assert_eq!(m.sum_kreduce(&[f, z, z], 1), kf);
-        // Arity above MAX_SUM_ARITY splits, with an identical result.
+        // Arity above MAX_SUM_ARITY is summed in chunks, with an identical
+        // result.
         let k = 2;
         let items: Vec<NodeRef> = (0..(MAX_SUM_ARITY + 7))
             .map(|i| flow_stf(&mut m, i, 16))
@@ -617,11 +645,11 @@ mod tests {
     #[test]
     fn sum_kreduce_materializes_fewer_nodes_than_folding() {
         // The n-ary kernel's whole point: the left fold hash-conses every
-        // reduced partial sum; the n-ary recursion skips them.
+        // reduced partial sum; the n-ary recursion skips them. 70 and 300
+        // operands take one and two levels of chunk sums.
         let nvars = 20;
-        let nflows = 14;
         let k = 2;
-        let build = |nary: bool| -> usize {
+        let build = |nflows: usize, nary: bool| -> usize {
             let mut m = setup(nvars);
             let items: Vec<NodeRef> = (0..nflows).map(|i| flow_stf(&mut m, i, nvars)).collect();
             let base = m.stats().nodes_created;
@@ -634,12 +662,18 @@ mod tests {
             };
             m.stats().nodes_created - base
         };
-        let folded = build(false);
-        let nary = build(true);
-        assert!(
-            nary <= folded,
-            "n-ary must not materialize more nodes than folding ({nary} vs {folded})"
-        );
+        // The left fold audits every partial sum in debug builds, which is
+        // too slow for the long lists under Miri.
+        let sizes: &[usize] = if cfg!(miri) { &[14] } else { &[14, 70, 300] };
+        for &nflows in sizes {
+            let folded = build(nflows, false);
+            let nary = build(nflows, true);
+            assert!(
+                nary <= folded,
+                "{nflows} operands: n-ary must not materialize more nodes than folding \
+                 ({nary} vs {folded})"
+            );
+        }
     }
 
     #[test]

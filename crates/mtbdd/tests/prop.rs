@@ -567,6 +567,49 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Long operand lists, drawn with repeats from a small pool of random
+    /// diagrams, zero and two constants. The lengths cross both the
+    /// n-ary cap (16 operands per call) and its square (256), where the
+    /// chunk results need a second level of chunking. For every budget
+    /// `k ≤ 3`, `sum_kreduce` is the left fold of `add_kreduce` and
+    /// `kreduce` of the exact sum, node for node, and a shuffled list
+    /// gives the same handle.
+    #[test]
+    fn sum_kreduce_of_long_lists_matches_folding_and_shuffling(
+        pool in proptest::collection::vec(arb_expr(), 1..6),
+        picks in proptest::collection::vec(0usize..64, 0..=300),
+        shuffle in any::<u64>(),
+    ) {
+        let mut m = manager();
+        let mut built: Vec<NodeRef> = pool.iter().map(|e| build(&mut m, e)).collect();
+        built.push(m.zero());
+        built.push(m.constant(Ratio::int(7)));
+        built.push(m.constant(Ratio::new(-3, 2)));
+        let items: Vec<NodeRef> = picks.iter().map(|&i| built[i % built.len()]).collect();
+        let mut shuffled = items.clone();
+        let mut x = shuffle | 1;
+        for i in (1..shuffled.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let exact = m.sum(&items);
+        for k in 0..=3u32 {
+            let nary = m.sum_kreduce(&items, k);
+            let folded = items
+                .iter()
+                .fold(m.zero(), |acc, &f| m.add_kreduce(acc, f, k));
+            prop_assert_eq!(nary, folded, "fold, n={} k={}", items.len(), k);
+            prop_assert_eq!(nary, m.kreduce(exact, k), "exact, n={} k={}", items.len(), k);
+            prop_assert_eq!(m.sum_kreduce(&shuffled, k), nary, "shuffled, n={} k={}", items.len(), k);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
     /// Exact rational arithmetic is a field on random small fractions.
     #[test]
     fn ratio_field_laws(

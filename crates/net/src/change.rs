@@ -18,6 +18,7 @@
 //! spec files.
 
 use crate::addr::Ipv4;
+use crate::config::StaticNextHop;
 use crate::flow::Flow;
 use crate::network::Network;
 use crate::tlp::{LoadPoint, Tlp, TlpReq};
@@ -235,9 +236,10 @@ pub enum ChangeError {
     SelfLoop(String),
     /// The change would give the spec an error `yu lint` reports under
     /// `code`, and `yu verify` would refuse it: a negative flow volume
-    /// (YU015), a non-positive link capacity (YU003), or an SR segment
-    /// a router removal leaves with no owner (YU006) or with owners only
-    /// outside the previous hop's AS (YU007).
+    /// (YU015), a non-positive link capacity (YU003), an SR segment a
+    /// router removal leaves with no owner (YU006) or with owners only
+    /// outside the previous hop's AS (YU007), or a static next hop a
+    /// router removal leaves unresolvable (YU011).
     Lint {
         /// The lint code, e.g. `"YU015"`.
         code: &'static str,
@@ -354,13 +356,15 @@ impl ChangeSet {
             apply_one(change, &mut new_net, &mut new_flows, &mut new_tlp)?;
         }
         // Removing a router is the one change that takes an owner away
-        // from a segment.
+        // from a segment, and a loopback or a connected network away from
+        // a static next hop.
         if self
             .changes
             .iter()
             .any(|c| matches!(c, Change::RemoveRouter { .. }))
         {
             check_sr_segments(&new_net)?;
+            check_static_next_hops(&new_net)?;
         }
         let impact = diff_impact((net, flows, tlp), (&new_net, &new_flows, &new_tlp));
         Ok((new_net, new_flows, new_tlp, impact))
@@ -416,6 +420,38 @@ fn check_sr_segments(net: &Network) -> Result<(), ChangeError> {
                         ),
                     });
                 }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a state in which a static route's IP next hop is neither a
+/// router loopback nor inside any connected network (YU011): traffic to
+/// it would blackhole, and `yu verify` refuses the spec.
+fn check_static_next_hops(net: &Network) -> Result<(), ChangeError> {
+    let topo = &net.topo;
+    for r in topo.routers() {
+        for (si, sr) in net.config(r).static_routes.iter().enumerate() {
+            let StaticNextHop::Ip(nh) = sr.next_hop else {
+                continue;
+            };
+            let resolvable = !topo.loopback_owners(nh).is_empty()
+                || net
+                    .configs
+                    .iter()
+                    .any(|c| c.connected.iter().any(|p| p.contains(nh)));
+            if !resolvable {
+                return Err(ChangeError::Lint {
+                    code: "YU011",
+                    message: format!(
+                        "router {}: static route {si} ({} via {nh}): next hop is not a \
+                         router loopback and not covered by any connected network: \
+                         traffic will blackhole",
+                        topo.router(r).name,
+                        sr.prefix
+                    ),
+                });
             }
         }
     }
@@ -658,7 +694,7 @@ pub fn diff_impact(old: (&Network, &[Flow], &Tlp), new: (&Network, &[Flow], &Tlp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BgpConfig, SrPath, SrPolicy};
+    use crate::config::{BgpConfig, SrPath, SrPolicy, StaticRoute};
 
     fn diamond() -> (Network, Vec<Flow>, Tlp) {
         let mut t = Topology::new();
@@ -888,6 +924,34 @@ mod tests {
         }
         assert_eq!(remote_net.topo.num_routers(), 5);
         assert_eq!(remote_net.config(a).sr_policies.len(), 1);
+        // Removing the router whose loopback a static route's next hop
+        // names leaves the route unresolvable (YU011); a connected
+        // network covering the next hop resolves it again.
+        let mut static_net = net.clone();
+        static_net.config_mut(a).static_routes.push(StaticRoute {
+            prefix: "200.0.0.0/24".parse().unwrap(),
+            next_hop: StaticNextHop::Ip(Ipv4::new(10, 0, 0, 2)),
+        });
+        let err = remove_b.apply(&static_net, &flows, &tlp).unwrap_err();
+        assert!(
+            matches!(err, ChangeError::Lint { code: "YU011", .. }),
+            "{err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "YU011: router A: static route 0 (200.0.0.0/24 via 10.0.0.2): next hop is not \
+             a router loopback and not covered by any connected network: traffic will \
+             blackhole"
+        );
+        assert_eq!(static_net.topo.num_routers(), 4);
+        assert_eq!(static_net.config(a).static_routes.len(), 1);
+        assert_eq!(flows[0].volume, Ratio::int(20));
+        let c = static_net.topo.router_by_name("C").unwrap();
+        static_net
+            .config_mut(c)
+            .connected
+            .push("10.0.0.0/30".parse().unwrap());
+        assert!(remove_b.apply(&static_net, &flows, &tlp).is_ok());
         // A zero volume is only a warning (YU016) and applies.
         let zero = ChangeSet::single(Change::SetFlowVolume {
             flow: 0,

@@ -154,7 +154,16 @@ fn serve_session_handles_errors_without_mutating_state() {
     use serde_json::Value;
     use yu::serve::ServeSession;
 
-    let spec = fig1_spec();
+    // fig1 plus a static route on A whose next hop is B's loopback.
+    let mut spec = fig1_spec();
+    let a = spec.network.topo.router_by_name("A").unwrap();
+    spec.network
+        .config_mut(a)
+        .static_routes
+        .push(yu::net::StaticRoute {
+            prefix: "200.0.0.0/24".parse().unwrap(),
+            next_hop: yu::net::StaticNextHop::Ip(yu::net::Ipv4::new(10, 0, 0, 2)),
+        });
     let mut s = ServeSession::new(&spec, yu::core::YuOptions::default());
     let ready: Value = serde_json::from_str(&s.ready_line()).unwrap();
     assert_eq!(field(&ready, "ready"), &Value::Bool(true));
@@ -209,8 +218,9 @@ fn serve_session_handles_errors_without_mutating_state() {
     // Edits that would give the spec a lint error `yu verify` refuses
     // (a negative volume, YU015; a non-positive capacity, YU003; removing
     // E, whose loopback is a segment of D's SR policy, YU006; or leaving
-    // that loopback only to a router outside D's AS, YU007) -> bad_request
-    // naming the code; nothing is applied.
+    // that loopback only to a router outside D's AS, YU007; removing B,
+    // whose loopback is the next hop of A's static route, YU011) ->
+    // bad_request naming the code; nothing is applied.
     let base_links = s.verifier().network().topo.num_ulinks();
     let base_routers = s.verifier().network().topo.num_routers();
     for (line, code) in [
@@ -233,6 +243,10 @@ fn serve_session_handles_errors_without_mutating_state() {
         (
             r#"{"id": 10, "changes": [{"AddRouter": {"name": "E2", "loopback": 167772165, "asn": 100}}, {"RemoveRouter": {"router": "E"}}]}"#,
             "YU007",
+        ),
+        (
+            r#"{"id": 11, "changes": [{"RemoveRouter": {"router": "B"}}]}"#,
+            "YU011",
         ),
     ] {
         let r: Value = serde_json::from_str(&s.handle_line(line)).unwrap();

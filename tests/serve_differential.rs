@@ -547,3 +547,56 @@ fn a_reused_group_is_keyed_by_the_destination_it_was_executed_toward() {
     assert!(!split.verified());
     assert_matches_scratch("static over the remaining flow", &mut inc, &split);
 }
+
+/// Two serve sessions in one process answer one script of cost flips,
+/// restores and volume edits on the `n0` preset with the same engine
+/// counters after every request.
+/// Each `HashMap` gets its own iteration order, so this fails if a map's
+/// order decides the order of arena work anywhere on the serve path.
+#[test]
+fn serve_sessions_repeat_engine_counters_exactly() {
+    use yu::serve::ServeSession;
+    let w = wan(yu::gen::WanPreset::N0.params());
+    let flows = w.flows(2000, 0xF10F);
+    let spec = yu::spec::VerifySpec {
+        tlp: Tlp::no_overload(&w.net.topo, Ratio::new(95, 100)),
+        network: w.net,
+        flows,
+        k: 2,
+        mode: FailureMode::Links,
+    };
+    let topo = &spec.network.topo;
+    let mut script = Vec::new();
+    for (i, l) in topo.links().step_by(5).take(4).enumerate() {
+        let (from, to) = link_names(&spec.network, l);
+        let cost = topo.link(l).igp_cost;
+        let flow = i * 29 % spec.flows.len();
+        let volume = &spec.flows[flow].volume;
+        script.extend([
+            format!(
+                r#"{{"changes":[{{"SetLinkCost":{{"from":"{from}","to":"{to}","cost":{}}}}}]}}"#,
+                cost * 5 + 3
+            ),
+            format!(r#"{{"changes":[{{"SetFlowVolume":{{"flow":{flow},"volume":"40"}}}}]}}"#),
+            format!(
+                r#"{{"changes":[{{"SetLinkCost":{{"from":"{from}","to":"{to}","cost":{cost}}}}}]}}"#
+            ),
+            format!(r#"{{"changes":[{{"SetFlowVolume":{{"flow":{flow},"volume":"{volume}"}}}}]}}"#),
+        ]);
+    }
+    let opts = YuOptions {
+        k: spec.k,
+        mode: spec.mode,
+        ..Default::default()
+    };
+    let mut a = ServeSession::new(&spec, opts);
+    let mut b = ServeSession::new(&spec, opts);
+    let stats = |s: &ServeSession| s.verifier().verifier().mtbdd_stats();
+    assert_eq!(stats(&a), stats(&b), "cold start");
+    for line in &script {
+        for response in [a.handle_line(line), b.handle_line(line)] {
+            assert!(response.contains(r#""ok":true"#), "{line}: {response}");
+        }
+        assert_eq!(stats(&a), stats(&b), "{line}");
+    }
+}
