@@ -41,10 +41,14 @@ pub struct YuOptions {
     pub use_global_equiv: bool,
     /// TTL bound of symbolic traffic execution.
     pub max_hops: usize,
-    /// Garbage-collect the MTBDD arena whenever it grows by this many
-    /// nodes beyond the live set (0 disables GC). Aggregating per-link
-    /// loads creates large transient diagrams (the paper's Fig. 18
-    /// blow-up); collecting between links bounds the working set.
+    /// The floor of the check's garbage collections: a per-requirement
+    /// checkpoint collects once the arena holds at least this many nodes
+    /// and at least twice the live set of the last collection.
+    /// Aggregating per-link loads creates large transient diagrams (the
+    /// paper's Fig. 18 blow-up); collecting between links bounds the
+    /// working set. The collections where route simulation and traffic
+    /// execution end have no floor (they collect once the arena has
+    /// doubled). 0 disables every collection, those included.
     pub gc_node_threshold: usize,
     /// Ignored. Flow groups always execute on the verifier's own arena
     /// (DESIGN.md §8): a sharded execution recomputed the routing state
@@ -174,13 +178,14 @@ pub struct YuVerifier {
     pub(crate) exec_attr: PhaseAttribution,
     /// Per-requirement check costs of the last verify call.
     pub(crate) check_attr: PhaseAttribution,
-    /// Inner nodes the symbolic route simulation left in the arena.
+    /// Inner nodes the symbolic route simulation created.
     route_nodes: u64,
 }
 
 impl YuVerifier {
     /// Builds the verifier: allocates failure variables and runs symbolic
-    /// route simulation (guarded RIBs and SR policies).
+    /// route simulation (guarded RIBs and SR policies), then collects what
+    /// the simulation left unreachable from the routes.
     pub fn new(net: Network, opts: YuOptions) -> YuVerifier {
         let mut m = Mtbdd::new();
         let fv = FailureVars::allocate(&mut m, &net.topo, opts.mode);
@@ -190,9 +195,8 @@ impl YuVerifier {
             let _stage = yu_telemetry::span("route_sim");
             SymbolicRoutes::compute(&mut m, &net, &fv, k)
         };
-        let route_time = t0.elapsed();
         let route_nodes = m.nodes_created() as u64;
-        let yu = YuVerifier {
+        let mut yu = YuVerifier {
             m,
             net,
             fv,
@@ -201,7 +205,7 @@ impl YuVerifier {
             groups: Vec::new(),
             results: Vec::new(),
             flows_in: 0,
-            route_time,
+            route_time: Duration::ZERO,
             exec_time: Duration::ZERO,
             load_cache: LoadCache::default(),
             live_after_gc: 0,
@@ -210,6 +214,10 @@ impl YuVerifier {
             check_attr: PhaseAttribution::default(),
             route_nodes,
         };
+        // Route simulation leaves most of what it built unreachable from
+        // the routes; collect it before execution builds on top.
+        yu.maybe_gc(&mut [], 0);
+        yu.route_time = t0.elapsed();
         yu.audit_checkpoint("after symbolic route simulation");
         yu
     }
@@ -260,20 +268,20 @@ impl YuVerifier {
         }
     }
 
-    /// Garbage-collects the MTBDD arena when it has outgrown the
-    /// configured threshold, remapping all long-lived state (routing
-    /// guards, flow STFs). Cached per-point loads are dropped.
-    pub(crate) fn maybe_gc(&mut self, extra: &mut [NodeRef]) {
-        let threshold = self.opts.gc_node_threshold;
-        if threshold == 0 {
+    /// Garbage-collects the MTBDD arena once it holds at least twice the
+    /// live set of the last collection and at least `floor` nodes,
+    /// remapping all long-lived state (routing guards, flow STFs) and
+    /// `extra`. Cached per-point loads are dropped. The stage boundaries
+    /// pass a floor of 0, the check's checkpoints
+    /// [`YuOptions::gc_node_threshold`]; a threshold of 0 disables both.
+    pub(crate) fn maybe_gc(&mut self, extra: &mut [NodeRef], floor: usize) {
+        if self.opts.gc_node_threshold == 0 {
             return;
         }
-        // Adaptive trigger: collect once the arena has grown past both
-        // the configured threshold and twice the last live set, so GC
-        // work stays amortized O(total allocation) instead of thrashing
-        // when the live set is large.
-        let created = self.m.nodes_created();
-        if created < (self.live_after_gc * 2).max(self.live_after_gc + threshold) {
+        // Doubling keeps GC work amortized O(total allocation) instead of
+        // thrashing when the live set is large.
+        let before = self.m.live_nodes();
+        if before < (self.live_after_gc * 2).max(floor) {
             return;
         }
         let mut roots = self.live_roots(false);
@@ -294,11 +302,11 @@ impl YuVerifier {
                 yu_telemetry::EventLevel::Info,
                 "gc",
                 vec![
-                    ("nodes_before", serde::Value::Int(created as i128)),
+                    ("nodes_before", serde::Value::Int(before as i128)),
                     ("nodes_after", serde::Value::Int(live as i128)),
                     (
                         "reclaimed",
-                        serde::Value::Int(created.saturating_sub(live) as i128),
+                        serde::Value::Int(before.saturating_sub(live) as i128),
                     ),
                     (
                         "elapsed_us",
@@ -331,7 +339,8 @@ impl YuVerifier {
     }
 
     /// Adds flows and runs symbolic traffic execution for each (group of)
-    /// them. May be called repeatedly; loads are re-aggregated lazily.
+    /// them, then collects what execution left unreachable. May be called
+    /// repeatedly; loads are re-aggregated lazily.
     pub fn add_flows(&mut self, flows: &[Flow]) {
         self.flows_in += flows.len();
         let groups = without_keys(keyed_groups(
@@ -346,9 +355,11 @@ impl YuVerifier {
             self.groups.push(g);
             self.results.push(stf);
         }
+        self.load_cache.clear();
+        // Only the STFs and the routes are read from here on.
+        self.maybe_gc(&mut [], 0);
         drop(exec_span);
         self.book_exec_time(t0.elapsed());
-        self.load_cache.clear();
         self.audit_checkpoint("after symbolic traffic execution");
     }
 
@@ -362,8 +373,9 @@ impl YuVerifier {
     /// (`τ = Σ V_f · ω_f`, cached).
     ///
     /// The returned handle is only valid until the next call that may
-    /// trigger garbage collection (any other `load_*` or `verify` call);
-    /// evaluate or copy what you need before calling back in.
+    /// trigger garbage collection (any other `load_*`, `add_flows` or
+    /// `verify` call); evaluate or copy what you need before calling back
+    /// in.
     pub fn load_mtbdd(&mut self, point: LoadPoint) -> NodeRef {
         let opts = self.opts;
         crate::check::load(self, &opts, point).0

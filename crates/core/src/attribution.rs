@@ -13,10 +13,10 @@
 //!
 //! **Reconciliation invariant.** Within a phase, the per-entity node
 //! deltas are measured back-to-back in the same arena, so they
-//! telescope: their sum equals the phase-wide delta *exactly*, GC or
-//! not (a collection mid-entity makes that entity's delta negative, but
-//! the sum still matches). With GC disabled the phase deltas further
-//! reconcile with the final arena statistics: `route_nodes +
+//! telescope: their sum equals the phase-wide delta *exactly*. They read
+//! the arena's cumulative `nodes_created`, which a collection does not
+//! lower, so no delta is negative and the phase deltas reconcile with
+//! the final arena statistics, GC or not: `route_nodes +
 //! exec.nodes_delta + check.nodes_delta = stats.mtbdd.nodes_created`.
 //! This identity is asserted by `tests/attribution.rs` and the CI
 //! profile smoke step.
@@ -37,8 +37,8 @@ pub struct EntityCost {
     pub label: String,
     /// Wall-clock spent on this entity, in microseconds.
     pub wall_us: u64,
-    /// Net inner-node growth of the arena that did the work while this
-    /// entity was processed. Negative when a GC ran mid-entity.
+    /// Inner nodes the arena created while this entity was processed
+    /// (work done: a collection mid-entity does not subtract).
     pub nodes_delta: i64,
 }
 
@@ -50,7 +50,8 @@ pub struct PhaseAttribution {
     pub entities: Vec<EntityCost>,
     /// Phase wall-clock, in microseconds.
     pub wall_us: u64,
-    /// Phase-wide net arena growth (the sum of the per-entity deltas).
+    /// Inner nodes created in the phase (the sum of the per-entity
+    /// deltas).
     pub nodes_delta: i64,
 }
 
@@ -82,8 +83,8 @@ impl PhaseAttribution {
 /// [`crate::YuVerifier::attribution`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Attribution {
-    /// Inner nodes the symbolic route simulation left in the arena (the
-    /// pre-exec baseline of the reconciliation identity).
+    /// Inner nodes the symbolic route simulation created (the pre-exec
+    /// baseline of the reconciliation identity).
     pub route_nodes: u64,
     /// Per-flow-group symbolic execution costs.
     pub exec: PhaseAttribution,

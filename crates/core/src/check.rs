@@ -173,7 +173,7 @@ impl CheckArena for YuVerifier {
     }
 
     fn checkpoint(&mut self, live: &mut [NodeRef]) {
-        self.maybe_gc(live);
+        self.maybe_gc(live, self.opts.gc_node_threshold);
     }
 }
 
@@ -365,8 +365,8 @@ pub(crate) struct CheckUnit {
     pub bound_decided: bool,
     /// Wall-clock spent aggregating and scanning it, in microseconds.
     pub wall_us: u64,
-    /// Net growth of the arena while processing it (negative when a
-    /// collection ran mid-requirement).
+    /// Inner nodes the arena created while processing it (a collection
+    /// mid-requirement does not subtract).
     pub nodes_delta: i64,
 }
 

@@ -4,9 +4,9 @@
 //! diagrams are dead the moment the link's terminals have been scanned —
 //! but a hash-consing arena never frees nodes. [`Mtbdd::collect`] marks
 //! the sub-diagrams reachable from a set of roots, slides the survivors
-//! down in place, rebuilds the unique and terminal tables from the
-//! compacted pools, and drops everything else (including every memo
-//! entry of the computed table), returning the
+//! down in place, rebuilds the unique and terminal tables in place from
+//! the compacted pools, and drops everything else (including every memo
+//! entry of the computed table, whose capacity it keeps), returning the
 //! old-to-new handle mapping so long-lived holders (guarded RIBs, flow
 //! STFs) can remap. On production-sized runs this is the difference
 //! between a bounded working set and memory exhaustion.
@@ -91,24 +91,25 @@ impl Mtbdd {
         for c in [self.zero(), self.one(), self.pos_inf()] {
             keep_term[c.index()] = true;
         }
+        // Survivors slide down in place, as the nodes do below.
         let mut term_new = vec![DEAD; self.terms.len()];
-        let mut new_terms = Vec::new();
+        let mut write = 0usize;
         for (ix, keep) in keep_term.iter().enumerate() {
             if *keep {
-                term_new[ix] = NodeRef::terminal(new_terms.len()).0;
-                new_terms.push(self.terms[ix].clone());
+                term_new[ix] = NodeRef::terminal(write).0;
+                self.terms.swap(write, ix);
+                write += 1;
             }
         }
         debug_assert_eq!(NodeRef(term_new[self.zero().index()]), self.zero());
         debug_assert_eq!(NodeRef(term_new[self.one().index()]), self.one());
         debug_assert_eq!(NodeRef(term_new[self.pos_inf().index()]), self.pos_inf());
-        self.terms_reclaimed += (self.terms.len() - new_terms.len()) as u64;
-        self.terms = new_terms;
-        let mut term_ids = SlotTable::new();
-        for (i, t) in self.terms.iter().enumerate() {
-            term_ids.insert_new(fx_hash(t), i as u32, |ix| fx_hash(&self.terms[ix as usize]));
-        }
-        self.term_ids = term_ids;
+        self.terms_reclaimed += (self.terms.len() - write) as u64;
+        self.terms.truncate(write);
+        let terms = &self.terms;
+        rebuild(&mut self.term_ids, terms.iter().map(fx_hash), |ix| {
+            fx_hash(&terms[ix as usize])
+        });
 
         // Compact nodes, sliding survivors down in ascending order. Bump
         // allocation guarantees children precede parents, so child
@@ -144,14 +145,10 @@ impl Mtbdd {
         }
         self.nodes.truncate(write);
 
-        // Rebuild the unique table from the compacted arena.
-        let mut unique = SlotTable::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            unique.insert_new(hash_node(n), i as u32, |ix| {
-                hash_node(&self.nodes[ix as usize])
-            });
-        }
-        self.unique = unique;
+        let nodes = &self.nodes;
+        rebuild(&mut self.unique, nodes.iter().map(hash_node), |ix| {
+            hash_node(&nodes[ix as usize])
+        });
 
         // Every resident memo entry refers to pre-compaction handles:
         // drop them all (each is booked as an eviction of its kernel).
@@ -182,6 +179,17 @@ impl Mtbdd {
     }
 }
 
+/// Empties `table` in place and re-inserts a compacted pool, whose
+/// entries hash to `hashes` in index order. The slot array is reused, not
+/// grown afresh beside the old one: the survivors are at most what it
+/// held.
+fn rebuild(table: &mut SlotTable, hashes: impl Iterator<Item = u64>, hash_of: impl Fn(u32) -> u64) {
+    table.clear();
+    for (i, hash) in hashes.enumerate() {
+        table.insert_new(hash, i as u32, &hash_of);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,10 +209,10 @@ mod tests {
             let s = m.scale(g3, Term::int(i));
             let _ = m.add(s, g1);
         }
-        let before = m.stats().nodes_created;
+        let before = m.stats().live_nodes;
         let remap = m.collect(&[live]);
         let live2 = remap.get(live);
-        let after = m.stats().nodes_created;
+        let after = m.stats().live_nodes;
         assert!(
             after < before,
             "GC must shrink the arena ({after} vs {before})"
@@ -235,12 +243,16 @@ mod tests {
         assert!(after.gc_reclaimed_nodes > 0);
         assert_eq!(
             after.gc_reclaimed_nodes as usize,
-            before.nodes_created - after.nodes_created
+            before.live_nodes - after.live_nodes
         );
         assert!(
-            after.unique_table_peak >= before.nodes_created,
+            after.unique_table_peak >= before.live_nodes,
             "peak must remember the pre-GC table size"
         );
+        // Work done is cumulative; only the gauges drop.
+        assert_eq!(after.nodes_created, before.nodes_created);
+        assert_eq!(after.terminals_created, before.terminals_created);
+        assert!(after.live_terminals < before.live_terminals);
         // Hit/miss counters are cumulative across the collection.
         assert_eq!(after.apply_cache_misses, before.apply_cache_misses);
         assert_eq!(after.apply_cache_hits, before.apply_cache_hits);
@@ -292,6 +304,48 @@ mod tests {
         assert_eq!(m.eval_all_alive(sum), Term::int(3));
         let r = m.kreduce(sum, 1);
         assert_eq!(m.eval_all_alive(r), Term::int(3));
+    }
+
+    #[test]
+    fn collect_rebuilds_both_tables_in_place() {
+        let mut m = Mtbdd::new();
+        let (x1, x2, x3) = (m.fresh_var(), m.fresh_var(), m.fresh_var());
+        let g1 = m.var_guard(x1);
+        let mut live = vec![];
+        for i in 0..400 {
+            let g = m.var_guard(if i % 2 == 0 { x2 } else { x3 });
+            let s = m.scale(g, Term::int(i + 2));
+            let f = m.add(s, g1);
+            if i % 7 == 0 {
+                live.push(f);
+            }
+        }
+        let (unique_cap, term_cap) = (m.unique.capacity(), m.term_ids.capacity());
+        let computed_cap = m.computed.capacity();
+        let remap = m.collect(&live);
+        assert_eq!(
+            (m.unique.capacity(), m.term_ids.capacity()),
+            (unique_cap, term_cap),
+            "the slot arrays are reused, not grown afresh"
+        );
+        assert_eq!(m.computed.capacity(), computed_cap);
+        assert_eq!(m.unique.len(), m.live_nodes());
+        assert_eq!(m.term_ids.len(), m.terms.len());
+        // Every survivor is found where hash-consing looks for it.
+        for ix in 0..m.live_nodes() {
+            let n = m.nodes[ix];
+            assert_eq!(m.node(n.var, n.lo, n.hi), NodeRef::inner(ix));
+        }
+        for ix in 0..m.terms.len() {
+            let t = m.terms[ix].clone();
+            assert_eq!(m.term(t), NodeRef::terminal(ix));
+        }
+        assert_eq!(m.live_nodes(), m.unique.len(), "no lookup created a node");
+        for (i, f) in live.iter().enumerate() {
+            let f = remap.get(*f);
+            let want = Term::int(3 + 7 * i as i64);
+            assert_eq!(m.eval_all_alive(f), want);
+        }
     }
 
     #[test]

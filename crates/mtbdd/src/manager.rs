@@ -147,16 +147,22 @@ impl Op1 {
 /// Statistics of a manager, used by the Fig. 16 experiment (MTBDD node
 /// counts with and without `KREDUCE`) and surfaced through the telemetry
 /// layer. Creation and hit/miss counts are cumulative (they survive
-/// [`Mtbdd::collect`]); `apply_cache_len` is the *current* cache size.
+/// [`Mtbdd::collect`]); `live_*` and `*_cache_len` are *current* sizes.
 /// Each `<kernel>_cache_*` field counts that kernel's tag in the one
 /// computed table (`table.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct MtbddStats {
-    /// Inner nodes currently in the arena (hash-consing misses since the
-    /// last collection).
+    /// Inner nodes ever created: unique-table misses since the arena was
+    /// made, across collections (work done, not what is held).
     pub nodes_created: usize,
-    /// Distinct terminals currently in the arena.
+    /// Terminals ever interned: terminal-table misses, across
+    /// collections.
     pub terminals_created: usize,
+    /// Inner nodes in the arena right now (a gauge: it drops after a
+    /// collection).
+    pub live_nodes: usize,
+    /// Terminals in the pool right now (a gauge).
+    pub live_terminals: usize,
     /// Binary apply cache entries right now (a size, not a counter).
     pub apply_cache_len: usize,
     /// Cumulative binary apply cache hits.
@@ -919,14 +925,17 @@ impl Mtbdd {
         vars
     }
 
-    /// Current sizes plus cumulative hit/miss and GC counters (the
-    /// counters survive [`Mtbdd::collect`]; the sizes reset with it).
+    /// Current sizes plus cumulative creation, hit/miss and GC counters
+    /// (the counters survive [`Mtbdd::collect`]; the sizes drop with
+    /// it).
     pub fn stats(&self) -> MtbddStats {
         let [apply, fused, apply1, ite, restrict, kreduce, sum, _] =
             Tag::ALL.map(|tag| self.computed.stats(tag));
         MtbddStats {
-            nodes_created: self.nodes.len(),
-            terminals_created: self.terms.len(),
+            nodes_created: self.nodes_created(),
+            terminals_created: self.terms.len() + self.terms_reclaimed as usize,
+            live_nodes: self.nodes.len(),
+            live_terminals: self.terms.len(),
             apply_cache_len: apply.resident,
             apply_cache_hits: apply.hits,
             apply_cache_misses: apply.misses,
@@ -964,9 +973,10 @@ impl Mtbdd {
     }
 
     /// [`MtbddStats::nodes_created`] alone, for the per-class and
-    /// per-requirement checkpoints that read nothing else.
+    /// per-requirement checkpoints that read nothing else: every node
+    /// ever created is either live or was reclaimed by a collection.
     pub fn nodes_created(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() + self.gc_reclaimed as usize
     }
 
     /// Probe-length statistics of the open-addressed unique table.
@@ -1005,9 +1015,10 @@ impl Mtbdd {
     }
 
     /// Drops every memo entry (the unique and terminal tables are kept,
-    /// so handles stay valid). Useful between verification phases to
-    /// bound memory. Every resident entry is booked as an eviction of its
-    /// kernel (see `profile.rs`).
+    /// so handles stay valid). The computed table keeps its capacity, so
+    /// this frees no memory: it is what [`Mtbdd::collect`] does to the
+    /// memo. Every resident entry is booked as an eviction of its kernel
+    /// (see `profile.rs`).
     pub fn clear_caches(&mut self) {
         self.computed.clear();
     }

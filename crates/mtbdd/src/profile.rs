@@ -423,7 +423,11 @@ mod tests {
         assert_eq!(after[0].evictions, apply_before + apply_len);
         assert_eq!(after[1].evictions, fused_before + fused_len);
         assert_eq!((after[6].len, after[6].evictions), (0, sum.len as u64));
-        assert_eq!((after[6].bytes, after[8].bytes), (0, 0));
+        // ...and frees nothing: the run arena and the entry array stay.
+        assert_eq!(
+            (after[6].bytes, after[8].bytes),
+            (sum.bytes, computed.bytes)
+        );
         assert_eq!((after[7].len, after[7].evictions), (0, range.len as u64));
         // Cumulative counters survive the clear.
         assert!(after[0].misses > 0);

@@ -9,7 +9,8 @@
 //!   terminal pool. A probe touches one contiguous `u32` array plus (on a
 //!   candidate match) one pool slot. Linear probing, power-of-two
 //!   capacity, no tombstones: deletion happens only via mark-compact GC,
-//!   which rebuilds both tables from the compacted pools.
+//!   which empties both tables in place and re-inserts the compacted
+//!   pools.
 //! * [`ComputedTable`] — the one direct-mapped memo table every kernel
 //!   shares: `apply`, `apply1`, `ite`, `restrict`, `kreduce`, `fused`,
 //!   the n-ary `sum` and the terminal `range`. A key is a `u64` and a
@@ -206,6 +207,14 @@ impl SlotTable {
             }
             self.slots[slot] = v;
         }
+    }
+
+    /// Empties every slot in place, keeping the capacity: GC re-inserts
+    /// the survivors into the array it already holds instead of growing
+    /// a second one beside it.
+    pub fn clear(&mut self) {
+        self.slots.fill(EMPTY_SLOT);
+        self.len = 0;
     }
 
     /// Convenience for bulk rebuilds (GC): insert an index known to be
@@ -541,6 +550,13 @@ impl ComputedTable {
             self.runs_base += self.runs.len() as u64;
             self.runs.clear();
         }
+        // Doubling, clamped to the restart bound: no handle past
+        // `RUN_ARENA_MAX` is ever written, so none is allocated.
+        let need = self.runs.len() + ops.len();
+        if need > self.runs.capacity() {
+            let cap = (2 * self.runs.capacity()).max(need).min(RUN_ARENA_MAX);
+            self.runs.reserve_exact(cap - self.runs.len());
+        }
         let w0 = self.runs_base + self.runs.len() as u64;
         self.runs.extend_from_slice(ops);
         let w1 = run_key(ops.len(), k);
@@ -615,10 +631,13 @@ impl ComputedTable {
         }
     }
 
-    /// Drops every entry and the run arena, booking each resident entry
-    /// as an eviction of its tag, and empties the shadow and starts a new
-    /// window: the handles in the old keys may name other nodes after a
-    /// GC. Cumulative counters survive.
+    /// Empties every entry and the run arena in place, booking each
+    /// resident entry as an eviction of its tag, and empties the shadow
+    /// and starts a new window: the handles in the old keys may name
+    /// other nodes after a GC. Nothing is freed: the capacity the growth
+    /// rule reached, and the run arena's, are kept, so a run that needed
+    /// a large table before a collection does not climb to it again.
+    /// Cumulative counters survive.
     pub fn clear(&mut self) {
         for s in &mut self.stats {
             s.evictions += s.resident as u64;
@@ -627,9 +646,9 @@ impl ComputedTable {
         self.len = 0;
         self.shadow.fill(0);
         self.window_start = (self.sampled, self.shadow_hits);
-        self.entries = Vec::new();
+        self.entries.fill(EMPTY_ENTRY);
         self.runs_base += self.runs.len() as u64;
-        self.runs = Vec::new();
+        self.runs.clear();
     }
 
     /// Resident entries, all tags.
@@ -796,9 +815,50 @@ mod tests {
         );
         assert_eq!(c.stats(Tag::Sum).evictions, 1);
         assert_eq!(c.len(), 0);
-        assert_eq!((c.capacity(), c.run_bytes()), (0, 0));
         assert_eq!(c.get(3, tagged(Tag::Apply, 0)), None);
         assert_eq!(c.get_run(&[NodeRef(1), NodeRef(2), NodeRef(3)], 2), None);
+    }
+
+    #[test]
+    fn clear_keeps_the_capacity_and_every_probe_misses() {
+        // A cycle that grows the table past its initial size, then a
+        // clear: the entry array and the run arena keep what they hold,
+        // nothing stays resident, and every key stored before misses.
+        let period = 1u64 << 17;
+        let mut c = ComputedTable::new();
+        capacities(&mut c, (0..3 * period).map(|i| i % period));
+        let run = [NodeRef(1), NodeRef(2), NodeRef(3)];
+        c.insert_run(&run, 2, 9);
+        let (cap, run_bytes) = (c.capacity(), c.run_bytes());
+        assert!(cap > COMPUTED_INITIAL, "the cycle grows the table to {cap}");
+        c.clear();
+        assert_eq!((c.capacity(), c.run_bytes()), (cap, run_bytes));
+        assert_eq!(c.len(), 0);
+        assert!(Tag::ALL.iter().all(|&t| c.stats(t).resident == 0));
+        assert!(c.entries.iter().all(|e| e.val == NO_VAL));
+        for i in 0..period {
+            let (w0, w1) = apply_key(i);
+            assert_eq!(c.get(w0, w1), None, "key {i}");
+        }
+        assert_eq!(c.get_run(&run, 2), None);
+        // The kept table takes new entries where it stands.
+        memo(&mut c, 5);
+        assert_eq!((c.capacity(), c.len()), (cap, 1));
+    }
+
+    #[test]
+    fn run_arena_never_allocates_past_its_restart_bound() {
+        // Runs of 11 handles: plain doubling from the first run would
+        // reach 88 handles, past the 64 the arena restarts at.
+        let mut c = ComputedTable::new();
+        for i in 0..40u32 {
+            let run: Vec<NodeRef> = (0..11).map(|j| NodeRef(i * 11 + j)).collect();
+            c.insert_run(&run, 1, i);
+            assert!(c.runs.capacity() <= RUN_ARENA_MAX, "{}", c.runs.capacity());
+        }
+        assert!(c.runs_base() > 0, "the arena restarted");
+        c.clear();
+        assert!(c.runs.capacity() <= RUN_ARENA_MAX);
     }
 
     /// Looks key `i` up and stores it on a miss, the way a kernel

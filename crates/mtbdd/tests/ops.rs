@@ -95,8 +95,14 @@ fn stats_monotone_until_collect() {
     assert!(s1 > s0);
     let _ = m.scale(g, Term::int(7));
     assert!(m.stats().nodes_created >= s1);
+    let created = m.stats().nodes_created;
     let remap = m.collect(&[g]);
-    assert_eq!(m.stats().nodes_created, 1, "only the root survives");
+    assert_eq!(m.stats().live_nodes, 1, "only the root survives");
+    assert_eq!(
+        m.stats().nodes_created,
+        created,
+        "work done survives a collection"
+    );
     let g = remap.get(g);
     assert_eq!(m.eval_all_alive(g), Term::ONE);
 }

@@ -152,7 +152,7 @@ proptest! {
         prop_assert_eq!(caches[0].len, s.apply_cache_len);
         prop_assert_eq!(caches[1].len, s.fused_cache_len);
         let terminals = caches.iter().find(|c| c.name == "terminals").expect("terminals row");
-        prop_assert_eq!(terminals.len, s.terminals_created);
+        prop_assert_eq!(terminals.len, s.live_terminals);
         // The shadow of the computed table: its sampled misses are misses
         // of the table, the ceiling answers at most all of them, and its
         // 2^17 fingerprints are the row's pool once the table holds

@@ -91,7 +91,7 @@ fn verify_matches_the_materialising_api_on_every_preset() {
                     // discharge them.
                     let nodes = interval_first.mtbdd_stats().nodes_created;
                     let (decided, violated) = (out.stats.reqs_bound_decided, out.violations.len());
-                    assert_eq!((reqs, decided, violated, nodes), (26, 24, 2, 263), "{ctx}");
+                    assert_eq!((reqs, decided, violated, nodes), (26, 24, 2, 281), "{ctx}");
                 }
                 decided += out.stats.reqs_bound_decided;
                 checked += reqs;
