@@ -244,6 +244,10 @@ pub fn lint_spec(
     let mut out = lint_network(net);
     let topo = &net.topo;
 
+    // YU018 is the only reader of the total volume; most properties have
+    // no lower bound, and summing thousands of rationals for nothing is
+    // most of this function's cost on a `yu serve` request.
+    let needs_total = tlp.reqs.iter().any(|r| r.min.is_some());
     let mut total_volume = Ratio::ZERO;
     for (i, f) in flows.iter().enumerate() {
         // YU014: the ingress must exist.
@@ -267,7 +271,7 @@ pub fn lint_spec(
                 format!("flow {i} ({} -> {})", f.src, f.dst),
                 "zero volume: the flow contributes no load anywhere",
             ));
-        } else {
+        } else if needs_total {
             total_volume += f.volume.clone();
         }
     }

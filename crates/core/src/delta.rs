@@ -176,7 +176,10 @@ impl IncrementalVerifier {
     /// Applies a change-set atomically and re-verifies: on error the
     /// state is untouched; on success only what the change invalidated
     /// is recomputed. Returns the new outcome (bit-identical to a
-    /// from-scratch run on the updated inputs).
+    /// from-scratch run on the updated inputs). Like [`ChangeSet::apply`]
+    /// it checks structure only, not that the result lints clean: `yu
+    /// serve` lints the state `ChangeSet::apply` builds and commits it
+    /// with [`IncrementalVerifier::set_state`].
     pub fn apply(&mut self, cs: &ChangeSet) -> Result<VerificationOutcome, ChangeError> {
         let (net, flows, tlp, impact) = cs.apply(self.v.network(), &self.flows, &self.tlp)?;
         let opts = self.v.options();

@@ -7,18 +7,19 @@
 //! the same stable order the spec file lists them in.
 //!
 //! [`ChangeSet::apply`] is atomic: it works on clones and either returns the
-//! fully-updated state or an error, never a partially-mutated one. A change
-//! that would leave a lint error `yu verify` refuses (a negative volume, a
-//! non-positive capacity, an SR segment no router in reach owns) is an
-//! error too. What the edit invalidates — the [`Impact`] telling the
-//! incremental verifier which derived artifacts (failure variables,
-//! symbolic routes, flow-group MTBDDs, requirement verdicts) to recompute
-//! — is not declared per change kind: it is [`diff_impact`] of the state
-//! before and after the whole set, the same rule `yu diff` applies to two
-//! spec files.
+//! fully-updated state or an error, never a partially-mutated one. It
+//! checks structure only — every name and index must resolve, a router
+//! name must be new, a link must join two routers — and nothing about
+//! whether the result is a spec `yu verify` would accept: that is
+//! `yu_analysis::lint_spec`'s one rule, which `yu serve` runs on the state
+//! this returns before committing it. What the edit invalidates — the
+//! [`Impact`] telling the incremental verifier which derived artifacts
+//! (failure variables, symbolic routes, flow-group MTBDDs, requirement
+//! verdicts) to recompute — is not declared per change kind: it is
+//! [`diff_impact`] of the state before and after the whole set, the same
+//! rule `yu diff` applies to two spec files.
 
 use crate::addr::Ipv4;
-use crate::config::StaticNextHop;
 use crate::flow::Flow;
 use crate::network::Network;
 use crate::tlp::{LoadPoint, Tlp, TlpReq};
@@ -207,7 +208,10 @@ pub struct ChangeSet {
     pub changes: Vec<Change>,
 }
 
-/// Why a change set could not be applied. The original state is untouched.
+/// Why a change set could not be applied: a name or index that does not
+/// resolve, or an edit that cannot be made at all. The original state is
+/// untouched. A state that applies but that `yu lint` rejects (a negative
+/// volume, say) is not a `ChangeError`; its caller lints it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChangeError {
     /// A change names a router the topology does not have.
@@ -234,18 +238,6 @@ pub enum ChangeError {
     DuplicateRouter(String),
     /// `AddLink` with both endpoints the same router.
     SelfLoop(String),
-    /// The change would give the spec an error `yu lint` reports under
-    /// `code`, and `yu verify` would refuse it: a negative flow volume
-    /// (YU015), a non-positive link capacity (YU003), an SR segment a
-    /// router removal leaves with no owner (YU006) or with owners only
-    /// outside the previous hop's AS (YU007), or a static next hop a
-    /// router removal leaves unresolvable (YU011).
-    Lint {
-        /// The lint code, e.g. `"YU015"`.
-        code: &'static str,
-        /// What is wrong, worded as the lint words it.
-        message: String,
-    },
 }
 
 impl fmt::Display for ChangeError {
@@ -260,7 +252,6 @@ impl fmt::Display for ChangeError {
             }
             ChangeError::DuplicateRouter(name) => write!(f, "router `{name}` already exists"),
             ChangeError::SelfLoop(name) => write!(f, "self-loop link on `{name}`"),
-            ChangeError::Lint { code, message } => write!(f, "{code}: {message}"),
         }
     }
 }
@@ -355,107 +346,9 @@ impl ChangeSet {
         for change in &self.changes {
             apply_one(change, &mut new_net, &mut new_flows, &mut new_tlp)?;
         }
-        // Removing a router is the one change that takes an owner away
-        // from a segment, and a loopback or a connected network away from
-        // a static next hop.
-        if self
-            .changes
-            .iter()
-            .any(|c| matches!(c, Change::RemoveRouter { .. }))
-        {
-            check_sr_segments(&new_net)?;
-            check_static_next_hops(&new_net)?;
-        }
         let impact = diff_impact((net, flows, tlp), (&new_net, &new_flows, &new_tlp));
         Ok((new_net, new_flows, new_tlp, impact))
     }
-}
-
-/// Rejects a negative flow volume, which `yu verify` refuses as YU015.
-fn check_volume(volume: &Ratio) -> Result<(), ChangeError> {
-    if volume.is_negative() {
-        return Err(ChangeError::Lint {
-            code: "YU015",
-            message: format!("negative volume {volume}"),
-        });
-    }
-    Ok(())
-}
-
-/// Rejects a state in which an SR segment names no router's loopback
-/// (YU006), or only loopbacks outside the ASes of the previous hop so the
-/// IGP tunnel can never be established (YU007). `yu verify` refuses both;
-/// walks every path the way `yu lint` does, so a removed router that an
-/// anycast owner in another AS replaces is caught too.
-fn check_sr_segments(net: &Network) -> Result<(), ChangeError> {
-    let topo = &net.topo;
-    for head in topo.routers() {
-        for (pi, pol) in net.config(head).sr_policies.iter().enumerate() {
-            for (qi, path) in pol.paths.iter().enumerate() {
-                let mut prev_ases = vec![net.asn(head)];
-                for (si, &seg) in path.segments.iter().enumerate() {
-                    let owner_ases: Vec<AsNum> = topo
-                        .loopback_owners(seg)
-                        .into_iter()
-                        .map(|o| net.asn(o))
-                        .collect();
-                    let (code, what) = if owner_ases.is_empty() {
-                        ("YU006", "is not the loopback of any router")
-                    } else if !owner_ases.iter().any(|a| prev_ases.contains(a)) {
-                        (
-                            "YU007",
-                            "has no owner that shares an AS with the previous hop",
-                        )
-                    } else {
-                        prev_ases = owner_ases;
-                        continue;
-                    };
-                    return Err(ChangeError::Lint {
-                        code,
-                        message: format!(
-                            "router {}: SR policy {pi} (endpoint {}), path {qi}, segment {si}: \
-                             segment {seg} {what}",
-                            topo.router(head).name,
-                            pol.endpoint
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Rejects a state in which a static route's IP next hop is neither a
-/// router loopback nor inside any connected network (YU011): traffic to
-/// it would blackhole, and `yu verify` refuses the spec.
-fn check_static_next_hops(net: &Network) -> Result<(), ChangeError> {
-    let topo = &net.topo;
-    for r in topo.routers() {
-        for (si, sr) in net.config(r).static_routes.iter().enumerate() {
-            let StaticNextHop::Ip(nh) = sr.next_hop else {
-                continue;
-            };
-            let resolvable = !topo.loopback_owners(nh).is_empty()
-                || net
-                    .configs
-                    .iter()
-                    .any(|c| c.connected.iter().any(|p| p.contains(nh)));
-            if !resolvable {
-                return Err(ChangeError::Lint {
-                    code: "YU011",
-                    message: format!(
-                        "router {}: static route {si} ({} via {nh}): next hop is not a \
-                         router loopback and not covered by any connected network: \
-                         traffic will blackhole",
-                        topo.router(r).name,
-                        sr.prefix
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 fn apply_one(
@@ -500,12 +393,6 @@ fn apply_one(
             if ra == rb {
                 return Err(ChangeError::SelfLoop(a.clone()));
             }
-            if capacity <= &Ratio::ZERO {
-                return Err(ChangeError::Lint {
-                    code: "YU003",
-                    message: format!("non-positive capacity {capacity}"),
-                });
-            }
             net.topo.add_link(ra, rb, *cost, capacity.clone());
         }
         Change::RemoveLink { from, to, index } => {
@@ -520,7 +407,6 @@ fn apply_one(
                 index: *flow,
                 len,
             })?;
-            check_volume(volume)?;
             f.volume = volume.clone();
         }
         Change::AddFlow {
@@ -531,7 +417,6 @@ fn apply_one(
             volume,
         } => {
             let r = resolve_router(&net.topo, ingress)?;
-            check_volume(volume)?;
             flows.push(Flow::new(r, *src, *dst, *dscp, volume.clone()));
         }
         Change::RemoveFlow { flow } => {
@@ -694,7 +579,7 @@ pub fn diff_impact(old: (&Network, &[Flow], &Tlp), new: (&Network, &[Flow], &Tlp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BgpConfig, SrPath, SrPolicy, StaticRoute};
+    use crate::config::BgpConfig;
 
     fn diamond() -> (Network, Vec<Flow>, Tlp) {
         let mut t = Topology::new();
@@ -811,154 +696,16 @@ mod tests {
         // original cost is still visible.
         assert_eq!(net.topo.link(LinkId(0)).igp_cost, 10);
 
-        // Edits that would leave a lint error `yu verify` refuses are
-        // rejected the same way, naming the lint code.
-        let volume_edit = Change::SetFlowVolume {
+        // Only structure is checked: a state `yu lint` rejects (here a
+        // negative volume, YU015) applies, and its caller lints it.
+        let negative = ChangeSet::single(Change::SetFlowVolume {
             flow: 0,
-            volume: Ratio::int(5),
-        };
-        for (bad, code) in [
-            (
-                Change::SetFlowVolume {
-                    flow: 0,
-                    volume: Ratio::int(-5),
-                },
-                "YU015",
-            ),
-            (
-                Change::AddFlow {
-                    ingress: "A".into(),
-                    src: Ipv4::new(11, 0, 0, 2),
-                    dst: Ipv4::new(100, 0, 0, 2),
-                    dscp: 0,
-                    volume: Ratio::new(-1, 2),
-                },
-                "YU015",
-            ),
-            (
-                Change::AddLink {
-                    a: "B".into(),
-                    b: "C".into(),
-                    cost: 10,
-                    capacity: Ratio::ZERO,
-                },
-                "YU003",
-            ),
-            (
-                Change::AddLink {
-                    a: "B".into(),
-                    b: "C".into(),
-                    cost: 10,
-                    capacity: Ratio::int(-40),
-                },
-                "YU003",
-            ),
-        ] {
-            let cs = ChangeSet {
-                changes: vec![volume_edit.clone(), bad],
-            };
-            let err = cs.apply(&net, &flows, &tlp).unwrap_err();
-            assert!(
-                matches!(err, ChangeError::Lint { code: c, .. } if c == code),
-                "{err}"
-            );
-            assert!(err.to_string().starts_with(code), "{err}");
-        }
+            volume: Ratio::int(-5),
+        });
+        let (_, nflows, _, imp) = negative.apply(&net, &flows, &tlp).unwrap();
+        assert_eq!(nflows[0].volume, Ratio::int(-5));
+        assert!(imp.flows);
         assert_eq!(flows[0].volume, Ratio::int(20));
-        assert_eq!(net.topo.num_ulinks(), 4);
-
-        // Removing the only owner of a segment an SR policy names
-        // (YU006); with a second owner of the loopback (anycast) the
-        // removal applies.
-        let mut sr_net = net.clone();
-        let a = sr_net.topo.router_by_name("A").unwrap();
-        sr_net.config_mut(a).sr_policies.push(SrPolicy {
-            endpoint: Ipv4::new(10, 0, 0, 4),
-            match_dscp: None,
-            paths: vec![SrPath {
-                segments: vec![Ipv4::new(10, 0, 0, 2), Ipv4::new(10, 0, 0, 4)],
-                weight: 1,
-            }],
-        });
-        let remove_b = ChangeSet {
-            changes: vec![
-                volume_edit.clone(),
-                Change::RemoveRouter { router: "B".into() },
-            ],
-        };
-        let err = remove_b.apply(&sr_net, &flows, &tlp).unwrap_err();
-        assert!(
-            matches!(err, ChangeError::Lint { code: "YU006", .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("segment 10.0.0.2"), "{err}");
-        assert_eq!(sr_net.topo.num_routers(), 4);
-        assert_eq!(sr_net.config(a).sr_policies.len(), 1);
-        let anycast = ChangeSet::single(Change::AddRouter {
-            name: "B2".into(),
-            loopback: Ipv4::new(10, 0, 0, 2),
-            asn: 100,
-        });
-        let (any_net, _, _, _) = anycast.apply(&sr_net, &flows, &tlp).unwrap();
-        assert!(remove_b.apply(&any_net, &flows, &tlp).is_ok());
-        // An anycast owner in another AS than the head does not carry the
-        // tunnel (YU007), whether it exists before the set or the set
-        // adds it.
-        let remote = Change::AddRouter {
-            name: "B2".into(),
-            loopback: Ipv4::new(10, 0, 0, 2),
-            asn: 200,
-        };
-        let (remote_net, _, _, _) = ChangeSet::single(remote.clone())
-            .apply(&sr_net, &flows, &tlp)
-            .unwrap();
-        let add_then_remove = ChangeSet {
-            changes: vec![remote, Change::RemoveRouter { router: "B".into() }],
-        };
-        for (state, set) in [(&remote_net, &remove_b), (&sr_net, &add_then_remove)] {
-            let err = set.apply(state, &flows, &tlp).unwrap_err();
-            assert!(
-                matches!(err, ChangeError::Lint { code: "YU007", .. }),
-                "{err}"
-            );
-        }
-        assert_eq!(remote_net.topo.num_routers(), 5);
-        assert_eq!(remote_net.config(a).sr_policies.len(), 1);
-        // Removing the router whose loopback a static route's next hop
-        // names leaves the route unresolvable (YU011); a connected
-        // network covering the next hop resolves it again.
-        let mut static_net = net.clone();
-        static_net.config_mut(a).static_routes.push(StaticRoute {
-            prefix: "200.0.0.0/24".parse().unwrap(),
-            next_hop: StaticNextHop::Ip(Ipv4::new(10, 0, 0, 2)),
-        });
-        let err = remove_b.apply(&static_net, &flows, &tlp).unwrap_err();
-        assert!(
-            matches!(err, ChangeError::Lint { code: "YU011", .. }),
-            "{err}"
-        );
-        assert_eq!(
-            err.to_string(),
-            "YU011: router A: static route 0 (200.0.0.0/24 via 10.0.0.2): next hop is not \
-             a router loopback and not covered by any connected network: traffic will \
-             blackhole"
-        );
-        assert_eq!(static_net.topo.num_routers(), 4);
-        assert_eq!(static_net.config(a).static_routes.len(), 1);
-        assert_eq!(flows[0].volume, Ratio::int(20));
-        let c = static_net.topo.router_by_name("C").unwrap();
-        static_net
-            .config_mut(c)
-            .connected
-            .push("10.0.0.0/30".parse().unwrap());
-        assert!(remove_b.apply(&static_net, &flows, &tlp).is_ok());
-        // A zero volume is only a warning (YU016) and applies.
-        let zero = ChangeSet::single(Change::SetFlowVolume {
-            flow: 0,
-            volume: Ratio::ZERO,
-        });
-        assert!(zero.apply(&net, &flows, &tlp).is_ok());
-        let _ = tlp;
     }
 
     #[test]

@@ -418,11 +418,7 @@ fn load(path: &Option<String>) -> VerifySpec {
 /// error diagnostics go to stderr and the process exits with 2.
 fn load_valid(path: &Option<String>) -> VerifySpec {
     let spec = load(path);
-    let errors: Vec<_> = spec
-        .validate()
-        .into_iter()
-        .filter(|d| d.is_error())
-        .collect();
+    let errors = spec.errors();
     if !errors.is_empty() {
         for d in &errors {
             eprintln!("{d}");

@@ -27,9 +27,12 @@
 //! Errors never crash the session and never mutate verifier state:
 //! malformed JSON yields `{"ok": false, "error": {"kind": "parse", ...}}`,
 //! an unknown change kind or bad request shape yields `kind":
-//! "bad_request"`, and a change naming a nonexistent router/link/flow is
-//! rejected atomically by [`ChangeSet::apply`] before anything is
-//! touched.
+//! "bad_request"`, and so does a change set that [`ChangeSet::apply`]
+//! cannot apply (a nonexistent router, link, flow or requirement) or
+//! whose result has an error under [`lint_errors`] — the rule by which
+//! `yu verify` refuses a spec file; the message is the lint's own text
+//! (`error YU015: flow 0 (…): negative volume -5`). A set is committed
+//! only after both pass ([`apply_valid`]).
 //!
 //! ## Observability
 //!
@@ -49,7 +52,7 @@
 //! Because the signal depends on wall time, it never appears in
 //! response lines — those stay bit-identical run to run.
 
-use crate::spec::VerifySpec;
+use crate::spec::{lint_errors, VerifySpec};
 use serde::{Deserialize, Map, Serialize, Value};
 use std::time::{Duration, Instant};
 use yu_core::{DeltaStats, IncrementalVerifier, VerificationOutcome, Violation, YuOptions};
@@ -313,11 +316,11 @@ impl ServeSession {
                 ],
             );
         }
-        // Stage 3: apply atomically; semantic errors (unknown router,
-        // bad index, a negative volume) are rejected before any state is
+        // Stage 3: apply atomically; a set naming what does not exist, or
+        // whose result `yu lint` rejects, is refused before anything is
         // touched.
         let kind = request_kind(&cs);
-        match self.inc.apply(&cs) {
+        match apply_valid(&mut self.inc, &cs) {
             Ok(out) => {
                 let delta = self.inc.delta_stats();
                 let (new_v, resolved) = violation_delta(&self.violations, &out.violations);
@@ -326,7 +329,7 @@ impl ServeSession {
                 self.violations = out.violations;
                 line
             }
-            Err(e) => self.request_error(id, "bad_request", &e.to_string()),
+            Err(message) => self.request_error(id, "bad_request", &message),
         }
     }
 
@@ -471,6 +474,27 @@ impl ServeSession {
         }
         error_line(id, kind, message)
     }
+}
+
+/// Commits a change set the way a session does: [`ChangeSet::apply`]
+/// builds the new state, [`lint_errors`] refuses it if it has any error
+/// (the message is the lint's own text, diagnostics joined by `; `), and
+/// only then [`IncrementalVerifier::set_state`] commits it. A refused set
+/// leaves `inc` untouched.
+pub fn apply_valid(
+    inc: &mut IncrementalVerifier,
+    cs: &ChangeSet,
+) -> Result<VerificationOutcome, String> {
+    let (net, flows, tlp, _) = cs
+        .apply(inc.network(), inc.flows(), inc.tlp())
+        .map_err(|e| e.to_string())?;
+    let opts = inc.verifier().options();
+    let errors = lint_errors(&net, &flows, &tlp, opts.k, opts.mode);
+    if !errors.is_empty() {
+        let message: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        return Err(message.join("; "));
+    }
+    Ok(inc.set_state(net, flows, tlp, opts))
 }
 
 /// The structured error response (one line).

@@ -46,9 +46,15 @@ impl VerifySpec {
         yu_analysis::lint_spec(&self.network, &self.flows, &self.tlp, self.k, self.mode)
     }
 
+    /// The error-severity diagnostics of [`Self::validate`]: why `yu
+    /// verify` and the other running subcommands refuse the spec.
+    pub fn errors(&self) -> Vec<Diagnostic> {
+        lint_errors(&self.network, &self.flows, &self.tlp, self.k, self.mode)
+    }
+
     /// Whether [`Self::validate`] reports any error-severity diagnostic.
     pub fn has_errors(&self) -> bool {
-        self.validate().iter().any(Diagnostic::is_error)
+        !self.errors().is_empty()
     }
 
     /// Runs the deep (semantic) lint: everything [`Self::validate`]
@@ -60,6 +66,22 @@ impl VerifySpec {
     pub fn validate_deep(&self) -> Vec<Diagnostic> {
         yu_analysis::lint_deep(&self.network, &self.flows, &self.tlp, self.k, self.mode)
     }
+}
+
+/// The one validity rule: the error-severity diagnostics `yu lint`
+/// reports on a state. A spec file with any is refused by every
+/// subcommand that runs it, and a `yu serve` change set whose result has
+/// any is refused before it is committed.
+pub fn lint_errors(
+    net: &Network,
+    flows: &[Flow],
+    tlp: &Tlp,
+    k: u32,
+    mode: FailureMode,
+) -> Vec<Diagnostic> {
+    let mut diags = yu_analysis::lint_spec(net, flows, tlp, k, mode);
+    diags.retain(Diagnostic::is_error);
+    diags
 }
 
 /// Exit-code policy for `yu lint`: errors always fail; warnings fail

@@ -215,52 +215,106 @@ fn serve_session_handles_errors_without_mutating_state() {
     );
     assert_eq!(format!("{:?}", s.verifier().verifier().options()), baseline);
 
-    // Edits that would give the spec a lint error `yu verify` refuses
-    // (a negative volume, YU015; a non-positive capacity, YU003; removing
-    // E, whose loopback is a segment of D's SR policy, YU006; or leaving
-    // that loopback only to a router outside D's AS, YU007; removing B,
-    // whose loopback is the next hop of A's static route, YU011) ->
-    // bad_request naming the code; nothing is applied.
-    let base_links = s.verifier().network().topo.num_ulinks();
-    let base_routers = s.verifier().network().topo.num_routers();
-    for (line, code) in [
+    // A change set is refused exactly when its result has an error under
+    // the rule `yu verify` applies to a spec file, and the message is the
+    // lint's own text: a negative volume (YU015), a non-positive capacity
+    // (YU003), removing E, whose loopback is a segment of D's SR policy
+    // (YU006), leaving that loopback only to a router outside D's AS
+    // (YU007), whether the set adds that router or it exists already, and
+    // removing B, whose loopback is the next hop of A's static route
+    // (YU011). Warnings do not refuse: a zero volume (YU016) and an
+    // anycast loopback (YU012) apply, and so does removing E once a second
+    // owner of its loopback sits in D's AS. A refused set commits nothing.
+    for (line, refusal) in [
         (
             r#"{"id": 6, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "-5"}}]}"#,
-            "YU015",
+            Some("error YU015: flow 0 (11.0.0.1 -> 100.0.0.1): negative volume -5"),
         ),
         (
             r#"{"id": 7, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "7"}}, {"AddFlow": {"ingress": "A", "src": 1, "dst": 2, "volume": "-1/2"}}]}"#,
-            "YU015",
+            Some("error YU015"),
         ),
         (
             r#"{"id": 8, "changes": [{"AddLink": {"a": "A", "b": "F", "cost": 10, "capacity": "0"}}]}"#,
-            "YU003",
+            Some("error YU003"),
         ),
         (
-            r#"{"id": 9, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "7"}}, {"RemoveRouter": {"router": "E"}}]}"#,
-            "YU006",
+            r#"{"id": 9, "changes": [{"AddLink": {"a": "B", "b": "C", "cost": 10, "capacity": "-40"}}]}"#,
+            Some("error YU003: link B-C: non-positive capacity -40"),
         ),
         (
-            r#"{"id": 10, "changes": [{"AddRouter": {"name": "E2", "loopback": 167772165, "asn": 100}}, {"RemoveRouter": {"router": "E"}}]}"#,
-            "YU007",
+            r#"{"id": 10, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "7"}}, {"RemoveRouter": {"router": "E"}}]}"#,
+            Some("error YU006"),
         ),
         (
-            r#"{"id": 11, "changes": [{"RemoveRouter": {"router": "B"}}]}"#,
-            "YU011",
+            r#"{"id": 11, "changes": [{"AddRouter": {"name": "E2", "loopback": 167772165, "asn": 100}}, {"RemoveRouter": {"router": "E"}}]}"#,
+            Some("error YU007"),
+        ),
+        (
+            r#"{"id": 12, "changes": [{"RemoveRouter": {"router": "B"}}]}"#,
+            Some(
+                "error YU011: router A: static route 0 (200.0.0.0/24 via 10.0.0.2): next hop \
+                 is not a router loopback and not covered by any connected network: traffic \
+                 will blackhole",
+            ),
+        ),
+        (
+            r#"{"id": 13, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "0"}}]}"#,
+            None,
+        ),
+        (
+            r#"{"id": 14, "changes": [{"AddRouter": {"name": "E2", "loopback": 167772165, "asn": 100}}]}"#,
+            None,
+        ),
+        (
+            r#"{"id": 15, "changes": [{"RemoveRouter": {"router": "E"}}]}"#,
+            Some("error YU007"),
+        ),
+        (
+            r#"{"id": 16, "changes": [{"AddRouter": {"name": "E3", "loopback": 167772165, "asn": 300}}, {"RemoveRouter": {"router": "E"}}]}"#,
+            None,
         ),
     ] {
+        let before = (
+            s.verifier().network().clone(),
+            s.verifier().flows().to_vec(),
+            s.verifier().tlp().clone(),
+        );
         let r: Value = serde_json::from_str(&s.handle_line(line)).unwrap();
+        let Some(refusal) = refusal else {
+            assert_eq!(field(&r, "ok"), &Value::Bool(true), "{line}: {r:?}");
+            continue;
+        };
         assert_eq!(field(&r, "ok"), &Value::Bool(false), "{line}");
         let error = field(&r, "error");
         assert_eq!(field(error, "kind"), &Value::Str("bad_request".into()));
         let Value::Str(message) = field(error, "message") else {
             panic!("no error message: {r:?}");
         };
-        assert!(message.contains(code), "{message}");
+        assert!(message.starts_with(refusal), "{message}");
+        let after = (
+            s.verifier().network().clone(),
+            s.verifier().flows().to_vec(),
+            s.verifier().tlp().clone(),
+        );
+        assert!(after == before, "{line}: a refused set changed the state");
     }
-    assert_eq!(s.verifier().flows(), &base_flows[..]);
-    assert_eq!(s.verifier().network().topo.num_ulinks(), base_links);
-    assert_eq!(s.verifier().network().topo.num_routers(), base_routers);
+    let topo = &s.verifier().network().topo;
+    assert!(topo.router_by_name("E").is_none() && topo.router_by_name("E3").is_some());
+
+    // A connected network covering B's loopback resolves A's static next
+    // hop without B, so removing B applies.
+    let c = spec.network.topo.router_by_name("C").unwrap();
+    spec.network
+        .config_mut(c)
+        .connected
+        .push("10.0.0.0/30".parse().unwrap());
+    let mut covered = ServeSession::new(&spec, yu::core::YuOptions::default());
+    let r: Value = serde_json::from_str(
+        &covered.handle_line(r#"{"id": 1, "changes": [{"RemoveRouter": {"router": "B"}}]}"#),
+    )
+    .unwrap();
+    assert_eq!(field(&r, "ok"), &Value::Bool(true), "{r:?}");
 
     // The session still serves valid requests afterwards.
     let r: Value = serde_json::from_str(

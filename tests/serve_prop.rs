@@ -12,16 +12,18 @@
 //! a requirement re-bounded to its bounds), which must reuse everything.
 //!
 //! The change generator draws only names and indices valid in the
-//! *current* state, so most change-sets apply; the ones that still get
-//! rejected (e.g. removing a router that a surviving requirement names)
-//! must be rejected atomically — the post-error state must keep
-//! matching a scratch run on the pre-error inputs.
+//! *current* state, so most change-sets apply. Every set is committed the
+//! way `yu serve` commits one ([`apply_valid`]): one that does not apply,
+//! or whose result has a lint error `yu verify` would refuse, must be
+//! rejected atomically — the post-error state must keep matching a
+//! scratch run on the pre-error inputs.
 
 use yu::core::{IncrementalVerifier, YuOptions, YuVerifier};
 use yu::gen::{fattree_with_flows, wan, WanParams};
 use yu::mtbdd::{Ratio, Term};
 use yu::net::{Change, ChangeSet, FailureMode, Flow, Ipv4, LoadPoint, Network, PointRef, Tlp};
 use yu::routing::DstClasses;
+use yu::serve::apply_valid;
 
 /// A splitmix-style deterministic generator (no external crates).
 struct Rng(u64);
@@ -342,7 +344,7 @@ fn run_sequence_with(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, opts: 
                 .collect()
         };
         let ctx = format!("seed={seed} mode={mode:?} step={step} changes={changes:?}");
-        match inc.apply(&ChangeSet { changes }) {
+        match apply_valid(&mut inc, &ChangeSet { changes }) {
             Ok(out) => {
                 last_violations = out.violations;
                 assert_matches_scratch(&ctx, &inc, &last_violations);
@@ -355,8 +357,7 @@ fn run_sequence_with(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, opts: 
         let changes = group_volume_changes(inc.network(), inc.flows(), step);
         if !changes.is_empty() {
             let ctx = format!("seed={seed} mode={mode:?} step={step} group={changes:?}");
-            let out = inc
-                .apply(&ChangeSet { changes })
+            let out = apply_valid(&mut inc, &ChangeSet { changes })
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_matches_scratch(&ctx, &inc, &out.violations);
             last_violations = out.violations;
@@ -366,9 +367,8 @@ fn run_sequence_with(seed: u64, net: Network, flows: Vec<Flow>, tlp: Tlp, opts: 
         let changes = noop_changes(inc.network(), inc.flows(), inc.tlp(), step);
         let ctx = format!("seed={seed} mode={mode:?} step={step} no-op={changes:?}");
         let before = inputs(&inc);
-        let out = inc
-            .apply(&ChangeSet { changes })
-            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let out =
+            apply_valid(&mut inc, &ChangeSet { changes }).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_matches_scratch(&ctx, &inc, &out.violations);
         if before == inputs(&inc) {
             let d = inc.delta_stats();
