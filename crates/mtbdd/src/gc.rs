@@ -32,6 +32,11 @@ pub struct Remap {
 
 const DEAD: u32 = u32::MAX;
 
+/// A reachable handle whose new index compaction has not yet written.
+/// Bit 30 of a real handle is clear (`node.rs`), so neither sentinel is
+/// ever a handle.
+const MARKED: u32 = u32::MAX - 1;
+
 impl Remap {
     /// Translates an old handle.
     ///
@@ -66,19 +71,21 @@ impl Mtbdd {
     pub fn collect(&mut self, roots: &[NodeRef]) -> Remap {
         let before_nodes = self.nodes.len();
 
-        // Mark phase: flag every node and terminal reachable from roots.
-        let mut node_mark = vec![false; self.nodes.len()];
-        let mut term_mark = vec![false; self.terms.len()];
+        // Mark phase: flag every node and terminal reachable from roots in
+        // the remap vectors themselves, which compaction then overwrites
+        // with the new handles — one vector per pool.
+        let mut node_new = vec![DEAD; self.nodes.len()];
+        let mut term_new = vec![DEAD; self.terms.len()];
         let mut stack: Vec<NodeRef> = roots.to_vec();
         while let Some(r) = stack.pop() {
             if r.is_terminal() {
-                term_mark[r.index()] = true;
+                term_new[r.index()] = MARKED;
                 continue;
             }
-            if node_mark[r.index()] {
+            if node_new[r.index()] == MARKED {
                 continue;
             }
-            node_mark[r.index()] = true;
+            node_new[r.index()] = MARKED;
             let n = self.nodes[r.index()];
             stack.push(n.lo);
             stack.push(n.hi);
@@ -87,16 +94,16 @@ impl Mtbdd {
         // Compact terminals. The singleton constants are kept alive even
         // when unmarked — the manager hands out their handles without
         // going through the remap — but only marked terminals enter it.
-        let mut keep_term = term_mark.clone();
-        for c in [self.zero(), self.one(), self.pos_inf()] {
-            keep_term[c.index()] = true;
+        let constants = [self.zero(), self.one(), self.pos_inf()];
+        let unmarked = constants.map(|c| term_new[c.index()] == DEAD);
+        for c in constants {
+            term_new[c.index()] = MARKED;
         }
         // Survivors slide down in place, as the nodes do below.
-        let mut term_new = vec![DEAD; self.terms.len()];
         let mut write = 0usize;
-        for (ix, keep) in keep_term.iter().enumerate() {
-            if *keep {
-                term_new[ix] = NodeRef::terminal(write).0;
+        for (ix, slot) in term_new.iter_mut().enumerate() {
+            if *slot == MARKED {
+                *slot = NodeRef::terminal(write).0;
                 self.terms.swap(write, ix);
                 write += 1;
             }
@@ -104,6 +111,13 @@ impl Mtbdd {
         debug_assert_eq!(NodeRef(term_new[self.zero().index()]), self.zero());
         debug_assert_eq!(NodeRef(term_new[self.one().index()]), self.one());
         debug_assert_eq!(NodeRef(term_new[self.pos_inf().index()]), self.pos_inf());
+        // The constants stay where they were; those no root reached leave
+        // the remap.
+        for (c, unmarked) in constants.iter().zip(unmarked) {
+            if unmarked {
+                term_new[c.index()] = DEAD;
+            }
+        }
         self.terms_reclaimed += (self.terms.len() - write) as u64;
         self.terms.truncate(write);
         let terms = &self.terms;
@@ -114,10 +128,9 @@ impl Mtbdd {
         // Compact nodes, sliding survivors down in ascending order. Bump
         // allocation guarantees children precede parents, so child
         // remappings are always resolved before they are read.
-        let mut node_new = vec![DEAD; self.nodes.len()];
         let mut write = 0usize;
         for ix in 0..self.nodes.len() {
-            if !node_mark[ix] {
+            if node_new[ix] != MARKED {
                 continue;
             }
             let n = self.nodes[ix];
@@ -159,17 +172,9 @@ impl Mtbdd {
         self.gc_runs += 1;
         self.gc_reclaimed += (before_nodes - write) as u64;
 
-        // Only root-reachable terminals enter the remapping (constants
-        // kept alive above are addressable via the manager, not the map).
-        let mut terms = vec![DEAD; term_mark.len()];
-        for (ix, marked) in term_mark.iter().enumerate() {
-            if *marked {
-                terms[ix] = term_new[ix];
-            }
-        }
         let remap = Remap {
             nodes: node_new,
-            terms,
+            terms: term_new,
         };
         if self.audit_on() {
             let live: Vec<NodeRef> = roots.iter().map(|&r| remap.get(r)).collect();

@@ -4,14 +4,20 @@
 //! `1/3` or `75/100`. Floating point would make `1/3 + 1/3 + 1/3 != 1`,
 //! which breaks the pointer-equality equivalence checks that both `KREDUCE`
 //! and link-local flow equivalence depend on, so terminals are exact
-//! rationals. The numerator and denominator live in `i128` and spill
-//! transparently into heap-allocated big integers when a computation
-//! outgrows it (deep transient forwarding loops can multiply ECMP split
-//! factors for dozens of hops) — results stay exact either way.
+//! rationals, and results stay exact at any size: deep transient
+//! forwarding loops can multiply ECMP split factors for dozens of hops.
 //!
-//! Arithmetic has three tiers over that one representation. Operands
-//! whose components all fit `i64` — every terminal of the benchmark
-//! workloads — take the *word path*: native `u64` gcd and division,
+//! A [`Ratio`] is two words. A value whose numerator fits `i64` and whose
+//! denominator is at most `i64::MAX` — every terminal of the benchmark
+//! workloads — is stored inline as that pair; any other value is boxed
+//! as two [`Int`]s, each an `i128` that spills into a heap-allocated big
+//! integer. The form is canonical (a value is inline iff it fits), so
+//! equality and hashing, which the terminal table interns by, compare
+//! representations; every constructor and operator ends in the one
+//! function that picks the form.
+//!
+//! Arithmetic has three tiers. Two inline operands take the *word path*,
+//! which reads the pairs directly: native `u64` gcd and division,
 //! products that cannot overflow `i128`, no cross-gcd when a denominator
 //! is 1 or the denominators are equal, and a post-add reduction by
 //! `gcd(n, g)` (`g` the gcd of the denominators) rather than `gcd(n, d)`.
@@ -21,8 +27,10 @@
 
 use crate::bigint::BigUint;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// A signed integer with an `i128` fast path and arbitrary-precision
@@ -193,22 +201,64 @@ impl fmt::Display for Int {
 /// An exact rational number `num / den` with `den > 0` and
 /// `gcd(num, den) = 1`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Ratio {
-    num: Int,
-    den: Int,
+pub struct Ratio(Repr);
+
+/// The two forms of a [`Ratio`]. Canonical, so derived `PartialEq`/`Hash`
+/// are sound: a value is a `Word` iff its numerator fits `i64` and its
+/// denominator is at most `i64::MAX`, and `Wide` holds every other value
+/// (an `i128` or big component), boxed so that a `Ratio` is two words.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    Word { num: i64, den: NonZeroU64 },
+    Wide(Box<[Int; 2]>),
 }
 
 impl Ratio {
     /// The rational 0.
-    pub const ZERO: Ratio = Ratio {
-        num: Int::Small(0),
-        den: Int::Small(1),
-    };
+    pub const ZERO: Ratio = Ratio::word(0, 1);
     /// The rational 1.
-    pub const ONE: Ratio = Ratio {
-        num: Int::Small(1),
-        den: Int::Small(1),
-    };
+    pub const ONE: Ratio = Ratio::word(1, 1);
+
+    /// The word form of the reduced `num / den`, `1 ≤ den ≤ i64::MAX`.
+    const fn word(num: i64, den: u64) -> Ratio {
+        match NonZeroU64::new(den) {
+            Some(den) => Ratio(Repr::Word { num, den }),
+            None => panic!("Ratio denominator must be nonzero"),
+        }
+    }
+
+    /// The canonical form of the reduced `num / den`, `den > 0`.
+    #[inline]
+    fn from_reduced(num: i128, den: i128) -> Ratio {
+        match (i64::try_from(num), i64::try_from(den)) {
+            (Ok(n), Ok(d)) => Ratio::word(n, d as u64),
+            _ => Ratio(Repr::Wide(Box::new([Int::Small(num), Int::Small(den)]))),
+        }
+    }
+
+    /// [`Ratio::from_reduced`] for components of any size.
+    fn from_ints(num: Int, den: Int) -> Ratio {
+        match (&num, &den) {
+            (Int::Small(n), Int::Small(d)) => Ratio::from_reduced(*n, *d),
+            _ => Ratio(Repr::Wide(Box::new([num, den]))),
+        }
+    }
+
+    /// The numerator as an [`Int`], borrowed from the wide form.
+    fn num(&self) -> Cow<'_, Int> {
+        match &self.0 {
+            Repr::Word { num, .. } => Cow::Owned(Int::Small(*num as i128)),
+            Repr::Wide(p) => Cow::Borrowed(&p[0]),
+        }
+    }
+
+    /// The denominator as an [`Int`], borrowed from the wide form.
+    fn den(&self) -> Cow<'_, Int> {
+        match &self.0 {
+            Repr::Word { den, .. } => Cow::Owned(Int::Small(den.get() as i128)),
+            Repr::Wide(p) => Cow::Borrowed(&p[1]),
+        }
+    }
 
     /// Builds `num / den`, normalizing sign and reducing by the gcd.
     ///
@@ -249,10 +299,7 @@ impl Ratio {
             }
         };
         let (nm, dm) = (i128::try_from(nm).ok()?, i128::try_from(dm).ok()?);
-        Some(Ratio {
-            num: Int::Small(if neg { -nm } else { nm }),
-            den: Int::Small(dm),
-        })
+        Some(Ratio::from_reduced(if neg { -nm } else { nm }, dm))
     }
 
     /// `make` at any size, through [`Int`].
@@ -267,35 +314,28 @@ impl Ratio {
             num = num.neg();
             den = den.neg();
         }
-        Ratio { num, den }
+        Ratio::from_ints(num, den)
     }
 
-    /// Numerator and denominator when both fit a machine word — the
-    /// operands of the word path.
+    /// Numerator and denominator of the word form — the operands of the
+    /// word path.
     #[inline]
     fn words(&self) -> Option<(i64, u64)> {
-        match (&self.num, &self.den) {
-            (Int::Small(n), Int::Small(d)) => {
-                let n = i64::try_from(*n).ok()?;
-                let d = i64::try_from(*d).ok()?;
-                Some((n, d as u64))
-            }
-            _ => None,
+        match self.0 {
+            Repr::Word { num, den } => Some((num, den.get())),
+            Repr::Wide(_) => None,
         }
     }
 
     /// The integer `n` as a rational.
     pub const fn int(n: i64) -> Ratio {
-        Ratio {
-            num: Int::Small(n as i128),
-            den: Int::Small(1),
-        }
+        Ratio::word(n, 1)
     }
 
     /// Numerator of the reduced form, or `None` when it has spilled
     /// beyond `i128` (use `to_f64`/`Display` then).
     pub fn numer(&self) -> Option<i128> {
-        match self.num {
+        match *self.num() {
             Int::Small(v) => Some(v),
             Int::Big { .. } => None,
         }
@@ -304,7 +344,7 @@ impl Ratio {
     /// Denominator of the reduced form (always positive), or `None` when
     /// it has spilled beyond `i128`.
     pub fn denom(&self) -> Option<i128> {
-        match self.den {
+        match *self.den() {
             Int::Small(v) => Some(v),
             Int::Big { .. } => None,
         }
@@ -312,32 +352,38 @@ impl Ratio {
 
     /// Whether either component has spilled beyond `i128`.
     pub fn is_big(&self) -> bool {
-        matches!(self.num, Int::Big { .. }) || matches!(self.den, Int::Big { .. })
+        match &self.0 {
+            Repr::Word { .. } => false,
+            Repr::Wide(p) => p.iter().any(|i| matches!(i, Int::Big { .. })),
+        }
     }
 
     /// Whether the value is 0.
     pub fn is_zero(&self) -> bool {
-        self.num.is_zero()
+        matches!(self.0, Repr::Word { num: 0, .. })
     }
 
     /// Whether the value is 1.
     pub fn is_one(&self) -> bool {
-        self.num == Int::ONE && self.den == Int::ONE
+        *self == Ratio::ONE
     }
 
     /// Whether the value has denominator 1.
     pub fn is_integer(&self) -> bool {
-        self.den == Int::ONE
+        *self.den() == Int::ONE
     }
 
     /// Whether the value is strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.num.is_neg()
+        match &self.0 {
+            Repr::Word { num, .. } => *num < 0,
+            Repr::Wide(p) => p[0].is_neg(),
+        }
     }
 
     /// Lossy conversion for reporting and plotting.
     pub fn to_f64(&self) -> f64 {
-        self.num.to_f64() / self.den.to_f64()
+        self.num().to_f64() / self.den().to_f64()
     }
 
     /// Multiplicative inverse.
@@ -345,8 +391,8 @@ impl Ratio {
     /// # Panics
     /// Panics when `self` is zero.
     pub fn recip(&self) -> Ratio {
-        assert!(!self.num.is_zero(), "division by zero Ratio");
-        Ratio::make(self.den.clone(), self.num.clone())
+        assert!(!self.is_zero(), "division by zero Ratio");
+        Ratio::make(self.den().into_owned(), self.num().into_owned())
     }
 
     /// Absolute value.
@@ -377,8 +423,8 @@ impl Ratio {
     }
 
     /// `self + rhs` without consuming either operand: no heap data is
-    /// copied below the big-integer spill, which is what the aggregation
-    /// hot loop wants (`acc += &volume` instead of two clones per flow).
+    /// copied, which is what the aggregation hot loop wants (`acc +=
+    /// &volume` instead of two clones per flow).
     pub fn add_ref(&self, rhs: &Ratio) -> Ratio {
         self.add_signed(rhs, false)
     }
@@ -410,8 +456,9 @@ impl Ratio {
     /// `self ± rhs` for operands of any size: checked `i128` arithmetic
     /// with cross-reduction, then [`Int`].
     fn add_wide(&self, rhs: &Ratio, negate: bool) -> Ratio {
+        let (an, ad, bn, bd) = (self.num(), self.den(), rhs.num(), rhs.den());
         if let (Int::Small(an), Int::Small(ad), Int::Small(bn), Int::Small(bd)) =
-            (&self.num, &self.den, &rhs.num, &rhs.den)
+            (&*an, &*ad, &*bn, &*bd)
         {
             let g = gcd_u128(ad.unsigned_abs(), bd.unsigned_abs()) as i128;
             let (da, db) = (ad / g, bd / g);
@@ -426,18 +473,17 @@ impl Ratio {
                 }
             }
         }
-        let n1 = self.num.mul(&rhs.den);
-        let n2 = rhs.num.mul(&self.den);
+        let n1 = an.mul(&bd);
+        let n2 = bn.mul(&ad);
         let n2 = if negate { n2.neg() } else { n2 };
-        Ratio::make(n1.add(&n2), self.den.mul(&rhs.den))
+        Ratio::make(n1.add(&n2), ad.mul(&bd))
     }
 
     /// `self * rhs` for operands of any size (see [`Ratio::add_wide`]).
     fn mul_wide(&self, rhs: &Ratio) -> Ratio {
+        let (a, b, c, d) = (self.num(), self.den(), rhs.num(), rhs.den());
         // Cross-reduction: (a/b)(c/d), g1 = gcd(a, d), g2 = gcd(c, b).
-        if let (Int::Small(a), Int::Small(b), Int::Small(c), Int::Small(d)) =
-            (&self.num, &self.den, &rhs.num, &rhs.den)
-        {
+        if let (Int::Small(a), Int::Small(b), Int::Small(c), Int::Small(d)) = (&*a, &*b, &*c, &*d) {
             if *a == 0 || *c == 0 {
                 return Ratio::ZERO;
             }
@@ -449,7 +495,7 @@ impl Ratio {
                 return Ratio::new(n, dd);
             }
         }
-        Ratio::make(self.num.mul(&rhs.num), self.den.mul(&rhs.den))
+        Ratio::make(a.mul(&c), b.mul(&d))
     }
 }
 
@@ -478,10 +524,7 @@ fn add_words(a: i128, b: u64, c: i128, d: u64) -> Ratio {
     } else {
         (div_word(t, g2), g / g2)
     };
-    Ratio {
-        num: Int::Small(num),
-        den: Int::Small(den * g as i128),
-    }
+    Ratio::from_reduced(num, den * g as i128)
 }
 
 /// Word path of `(a/b)(c/d)`: cross-reduced factors multiply to a reduced
@@ -503,10 +546,7 @@ fn mul_words(a: i64, b: u64, c: i64, d: u64) -> Ratio {
     // g1 ≤ d and g2 ≤ b, both below 2⁶³, so the casts are lossless.
     let n = (a / g1 as i64) as i128 * (c / g2 as i64) as i128;
     let den = (b / g2) as i128 * (d / g1) as i128;
-    Ratio {
-        num: Int::Small(n),
-        den: Int::Small(den),
-    }
+    Ratio::from_reduced(n, den)
 }
 
 /// `|t| mod g` with a native division whenever `t` fits a word.
@@ -558,9 +598,15 @@ impl Sub for Ratio {
 impl Neg for Ratio {
     type Output = Ratio;
     fn neg(self) -> Ratio {
-        Ratio {
-            num: self.num.neg(),
-            den: self.den,
+        match self.0 {
+            Repr::Word { num, den } => match num.checked_neg() {
+                Some(num) => Ratio(Repr::Word { num, den }),
+                None => Ratio::from_reduced(-(num as i128), den.get() as i128),
+            },
+            Repr::Wide(p) => {
+                let [num, den] = *p;
+                Ratio::from_ints(num.neg(), den)
+            }
         }
     }
 }
@@ -608,8 +654,11 @@ impl PartialOrd for Ratio {
 impl Ord for Ratio {
     fn cmp(&self, other: &Ratio) -> Ordering {
         // a/b ? c/d  <=>  a*d ? c*b (b, d > 0); exact at any size.
-        let l = self.num.mul(&other.den);
-        let r = other.num.mul(&self.den);
+        if let (Some((a, b)), Some((c, d))) = (self.words(), other.words()) {
+            return (a as i128 * d as i128).cmp(&(c as i128 * b as i128));
+        }
+        let l = self.num().mul(&other.den());
+        let r = other.num().mul(&self.den());
         l.cmp(&r)
     }
 }
@@ -622,10 +671,10 @@ impl From<i64> for Ratio {
 
 impl fmt::Display for Ratio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den == Int::ONE {
-            write!(f, "{}", self.num)
+        if self.is_integer() {
+            write!(f, "{}", self.num())
         } else {
-            write!(f, "{}/{}", self.num, self.den)
+            write!(f, "{}/{}", self.num(), self.den())
         }
     }
 }
@@ -645,6 +694,11 @@ impl Deserialize for Ratio {
         };
         let n: i128 = n.parse().map_err(serde::de::Error::custom)?;
         let d: i128 = d.parse().map_err(serde::de::Error::custom)?;
+        if d == 0 {
+            return Err(serde::de::Error::custom(format!(
+                "ratio \"{s}\" has a zero denominator"
+            )));
+        }
         Ok(Ratio::new(n, d))
     }
 }
@@ -652,6 +706,8 @@ impl Deserialize for Ratio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hasher::fx_hash;
+    use crate::Term;
     use proptest::prelude::*;
 
     #[test]
@@ -806,20 +862,24 @@ mod tests {
 
     /// The definition, in big integers only: no machine-word shortcut.
     fn big_add(a: &Ratio, b: &Ratio) -> Ratio {
-        let n = a.num.mul(&b.den).add(&b.num.mul(&a.den));
-        Ratio::make_big(n, a.den.mul(&b.den))
+        let n = a.num().mul(&b.den()).add(&b.num().mul(&a.den()));
+        Ratio::make_big(n, a.den().mul(&b.den()))
     }
 
     fn big_mul(a: &Ratio, b: &Ratio) -> Ratio {
-        Ratio::make_big(a.num.mul(&b.num), a.den.mul(&b.den))
+        Ratio::make_big(a.num().mul(&b.num()), a.den().mul(&b.den()))
     }
 
     /// Canonical form, checked with the big-integer gcd alone.
     fn assert_canonical(r: &Ratio) {
-        assert!(!r.den.is_neg() && !r.den.is_zero(), "{r:?}");
-        let g = BigUint::gcd(r.num.mag(), r.den.mag());
+        let (num, den) = (r.num(), r.den());
+        assert!(!den.is_neg() && !den.is_zero(), "{r:?}");
+        let g = BigUint::gcd(num.mag(), den.mag());
         assert_eq!(g.to_u128(), Some(1), "{r:?} is not reduced");
-        for part in [&r.num, &r.den] {
+        let fits_word = matches!((&*num, &*den), (Int::Small(n), Int::Small(d))
+            if i64::try_from(*n).is_ok() && *d <= i64::MAX as i128);
+        assert_eq!(r.words().is_some(), fits_word, "{r:?} is in the wrong form");
+        for part in [&*num, &*den] {
             if let Int::Big { neg, mag } = part {
                 let fits = mag
                     .to_u128()
@@ -838,7 +898,7 @@ mod tests {
             let r = Ratio::new(n, d);
             prop_assert_eq!(&r, &Ratio::make_big(Int::Small(n), Int::Small(d)));
             assert_canonical(&r);
-            prop_assert_eq!(r.num.mul(&Int::Small(d)), Int::Small(n).mul(&r.den));
+            prop_assert_eq!(r.num().mul(&Int::Small(d)), Int::Small(n).mul(&r.den()));
         }
 
         /// `+`, `-`, `*`: whichever tier the operands select agrees with
@@ -857,6 +917,81 @@ mod tests {
             prop_assert_eq!(&prod, &big_mul(&a, &b));
             prop_assert_eq!(&prod, &a.mul_wide(&b));
             assert_canonical(&prod);
+        }
+    }
+
+    proptest! {
+        /// A value that reaches word range through the checked-`i128` or
+        /// the big-integer tier is the word-built value, hash included:
+        /// the terminal table would otherwise intern one value twice.
+        #[test]
+        fn wide_and_big_results_in_word_range_are_words(
+            n in any::<i64>(),
+            d in 1..=i64::MAX,
+            x in arb_ratio(),
+        ) {
+            let word = Ratio::new(n as i128, d as i128);
+            prop_assert!(word.words().is_some());
+            let big = Int::from_big(false, BigUint::from_u128(1 << 100).mul(&BigUint::from_u128(3)));
+            let mut built = vec![
+                word.add_ref(&x).sub_ref(&x),
+                Ratio::make_big(Int::Small(n as i128).mul(&big), Int::Small(d as i128).mul(&big)),
+                Ratio::new(n as i128 * 6, d as i128 * 6),
+                -(-word.clone()),
+            ];
+            if !x.is_zero() {
+                built.push(word.mul_ref(&x).mul_ref(&x.recip()));
+            }
+            for r in built {
+                assert_canonical(&r);
+                prop_assert_eq!(&r, &word);
+                prop_assert_eq!(fx_hash(&r), fx_hash(&word));
+                prop_assert_eq!(fx_hash(&Term::Num(r)), fx_hash(&Term::Num(word.clone())));
+            }
+        }
+    }
+
+    #[test]
+    fn ratio_is_two_words() {
+        assert_eq!(std::mem::size_of::<Ratio>(), 16);
+    }
+
+    #[test]
+    fn serde_roundtrips_at_the_word_boundary() {
+        let max = i64::MAX as i128;
+        for (n, d, word) in [
+            (max, 1, true),
+            (max + 1, 1, false),
+            (i64::MIN as i128, 1, true),
+            (-max - 2, 1, false),
+            (1, max, true),
+            (-1, max + 1, false),
+            (max, max + 1, false),
+        ] {
+            let r = Ratio::new(n, d);
+            assert_eq!(r.words().is_some(), word, "{n}/{d}");
+            assert_canonical(&r);
+            // Negation crosses the boundary at i64::MIN and back.
+            assert_canonical(&-r.clone());
+            assert_eq!(-(-r.clone()), r);
+            let s = serde_json::to_string(&r).unwrap();
+            let want = if d == 1 {
+                format!("\"{n}\"")
+            } else {
+                format!("\"{n}/{d}\"")
+            };
+            assert_eq!(s, want);
+            let back: Ratio = serde_json::from_str(&s).unwrap();
+            assert_eq!(back, r);
+            assert_eq!(fx_hash(&back), fx_hash(&r));
+        }
+    }
+
+    #[test]
+    fn zero_denominator_is_a_deserialize_error() {
+        for s in ["\"5/0\"", "\"0/0\"", "\"-1/-0\""] {
+            let err = serde_json::from_str::<Ratio>(s).unwrap_err();
+            assert!(err.to_string().contains("zero denominator"), "{s}: {err}");
         }
     }
 

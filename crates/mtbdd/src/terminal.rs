@@ -226,6 +226,13 @@ mod tests {
         assert_eq!(Term::PosInf.cmp(&Term::PosInf), Ordering::Equal);
     }
 
+    /// A two-word [`Ratio`] leaves no niche for `PosInf`, so the tag
+    /// takes a third word (DESIGN.md §16.1).
+    #[test]
+    fn term_is_three_words() {
+        assert_eq!(std::mem::size_of::<Term>(), 24);
+    }
+
     #[test]
     #[should_panic(expected = "nonzero numerator")]
     fn nonzero_over_zero_panics() {

@@ -810,3 +810,79 @@ fn deep_lint_on_the_preflight_example_reports_discharges() {
     assert!(!deep.iter().any(|d| d.is_error()));
     assert!(yu::spec::lint_ok(&deep, false));
 }
+
+/// A volume with a zero denominator is a spec error, not a panic:
+/// `yu verify` exits 2 naming it, and `yu serve` answers `bad_request`
+/// and keeps serving the state it had.
+#[test]
+fn zero_denominators_are_refused_not_panics() {
+    use serde_json::Value;
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+
+    let spec = fig1_spec();
+    let json = spec.to_json();
+    // Flow 0's volume string becomes "5/0".
+    let key = json.find("\"volume\"").expect("a flow volume");
+    let open = key + json[key + 8..].find('"').unwrap() + 8;
+    let close = open + 1 + json[open + 1..].find('"').unwrap();
+    let bad_json = format!("{}\"5/0{}", &json[..open], &json[close..]);
+    let dir = std::env::temp_dir();
+    let (good, bad) = (
+        dir.join("yu-zero-den-good.json"),
+        dir.join("yu-zero-den-bad.json"),
+    );
+    std::fs::write(&good, &json).unwrap();
+    std::fs::write(&bad, &bad_json).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_yu"))
+        .args(["verify", bad.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .output()
+        .expect("yu runs");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("zero denominator"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_yu"))
+        .args(["serve", "--spec", good.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn yu serve");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut next = |input: Option<&str>| -> Value {
+        if let Some(line) = input {
+            writeln!(stdin, "{line}").unwrap();
+            stdin.flush().unwrap();
+        }
+        let line = lines.next().expect("serve closed early").unwrap();
+        serde_json::from_str(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e:?}"))
+    };
+    let verdict = |r: &Value| (field(r, "verified").clone(), field(r, "violations").clone());
+
+    next(None);
+    let before = next(Some(r#"{"id": 1, "changes": []}"#));
+    assert_eq!(field(&before, "ok"), &Value::Bool(true), "{before:?}");
+    let refused = next(Some(
+        r#"{"id": 2, "changes": [{"SetFlowVolume": {"flow": 0, "volume": "5/0"}}]}"#,
+    ));
+    assert_eq!(
+        field(field(&refused, "error"), "kind"),
+        &Value::Str("bad_request".into()),
+        "{refused:?}"
+    );
+    let after = next(Some(r#"{"id": 3, "changes": []}"#));
+    assert_eq!(field(&after, "ok"), &Value::Bool(true), "{after:?}");
+    assert_eq!(verdict(&after), verdict(&before));
+
+    drop(stdin);
+    let status = child.wait().unwrap();
+    assert!(status.success(), "serve exited with {status:?}");
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&bad);
+}
