@@ -17,6 +17,7 @@
 
 use crate::attribution::{Attribution, PhaseAttribution};
 use crate::check::LoadCache;
+use crate::delta::ParkedRoutes;
 use crate::equivalence::{keyed_groups, without_keys, AggStats, FlowGroup};
 use crate::exec::FlowStf;
 use crate::verify::Violation;
@@ -168,6 +169,10 @@ pub struct YuVerifier {
     pub(crate) route_time: Duration,
     pub(crate) exec_time: Duration,
     pub(crate) load_cache: LoadCache,
+    /// Routing states incremental routing edits left, for a later edit
+    /// to swap back ([`crate::delta`]). Their handles are not roots, so
+    /// every collection drops them.
+    pub(crate) parked: Vec<ParkedRoutes>,
     live_after_gc: usize,
     /// Cumulative arena counters as of the last `verify`, so repeated
     /// calls forward deltas, not re-counts. One mark for both sinks: it
@@ -208,6 +213,7 @@ impl YuVerifier {
             route_time: Duration::ZERO,
             exec_time: Duration::ZERO,
             load_cache: LoadCache::default(),
+            parked: Vec::new(),
             live_after_gc: 0,
             arena_reported: [0; 6],
             exec_attr: PhaseAttribution::default(),
@@ -271,9 +277,10 @@ impl YuVerifier {
     /// Garbage-collects the MTBDD arena once it holds at least twice the
     /// live set of the last collection and at least `floor` nodes,
     /// remapping all long-lived state (routing guards, flow STFs) and
-    /// `extra`. Cached per-point loads are dropped. The stage boundaries
-    /// pass a floor of 0, the check's checkpoints
-    /// [`YuOptions::gc_node_threshold`]; a threshold of 0 disables both.
+    /// `extra`. Cached per-point loads and parked routing states are
+    /// dropped. The stage boundaries pass a floor of 0, the check's
+    /// checkpoints [`YuOptions::gc_node_threshold`]; a threshold of 0
+    /// disables both.
     pub(crate) fn maybe_gc(&mut self, extra: &mut [NodeRef], floor: usize) {
         if self.opts.gc_node_threshold == 0 {
             return;
@@ -296,6 +303,7 @@ impl YuVerifier {
             *n = remap.get(*n);
         }
         self.load_cache.clear();
+        self.parked.clear();
         let live = self.m.live_nodes();
         if yu_telemetry::events_enabled() {
             yu_telemetry::emit_event(

@@ -15,15 +15,23 @@
 //!   failure variables are renumbered or the scenario space differs, so
 //!   everything is rebuilt from scratch (the only sound option, since
 //!   every guard in the arena is indexed by them).
-//! * **Network changed** (link costs, configurations) — recompute the
-//!   guarded routing state *in the same arena*, then re-execute every
-//!   stored flow group toward its current representative. The warm
-//!   arena makes this cheap: hash-consing dedupes everything that did
-//!   not change, and the memo caches still hold it. In one arena handle
-//!   equality is semantic equality, so a load point is dirtied iff its
-//!   handle changed. When the new configuration classifies destinations
-//!   differently ([`yu_routing::DstClasses`] — a cost edit never does)
-//!   the flows are then regrouped as below.
+//! * **Network changed** (link costs, configurations) — the routing
+//!   state being left is *parked*: its network, its guarded routes
+//!   (without the derived FIB and `V^IGP` caches) and each group's STF
+//!   keyed by `GroupKey`. If the new network equals a parked one, that
+//!   state is swapped back: no route simulation, and every group whose
+//!   key it holds takes the parked STF, so only groups new since parking
+//!   execute. Otherwise the guarded routing state is recomputed *in the
+//!   same arena* and every stored flow group is re-executed toward its
+//!   current representative; the warm arena makes this cheap, since
+//!   hash-consing dedupes everything that did not change and the memo
+//!   caches still hold it. Either way a load point is dirtied iff its
+//!   handle changed (in one arena handle equality is semantic equality).
+//!   Parked handles are not roots, so every collection drops the parked
+//!   states, and at most `PARKED_MAX` are kept, the least recently
+//!   left evicted first. When the new configuration classifies
+//!   destinations differently ([`yu_routing::DstClasses`] — a cost edit
+//!   never does) the flows are then regrouped as below.
 //! * **Flows changed** — regroup (`equivalence::keyed_groups`, the
 //!   grouping of a scratch run) and key-match against the stored groups,
 //!   each keyed by its current representative under the current
@@ -45,7 +53,10 @@
 //! **The invariant.** After every update, each stored STF equals the
 //! execution of its group's *current* representative under the current
 //! routes. A routing edit re-establishes it by re-executing every group
-//! toward its current representative. A flow edit hands a stored STF
+//! toward its current representative, or, swapping a parked state back,
+//! by handing a group the STF parked under its key, which is the
+//! execution of a flow of the same key under the same routes (the same
+//! argument as for a flow edit, next). A flow edit hands a stored STF
 //! only to a new group whose key equals the stored group's key under the
 //! same classifier: same ingress, same DSCP, and a destination of the
 //! same class, whose execution is handle-identical
@@ -103,6 +114,25 @@ pub struct DeltaStats {
     /// Loads found by signature in the entry a point's current load had
     /// replaced: a revert, which needs no arithmetic.
     pub reused_loads: usize,
+    /// Whether a routing edit swapped back a parked routing state
+    /// instead of simulating routes and re-executing every group.
+    pub reused_routes: bool,
+}
+
+/// Routing states kept for a later routing edit to swap back, twice
+/// what the seed-7 bench script cycles through. A session that cycles
+/// through more answers its revisits by re-simulation, on a memo table
+/// sized for single visits, and then runs slower than with no parking
+/// and a 2^21 table (DESIGN.md §16.2).
+const PARKED_MAX: usize = 16;
+
+/// A routing state a routing edit left: the network, its guarded routes
+/// without their derived caches, and the STF of each group it held,
+/// keyed by the group's key under the routes' classifier.
+pub(crate) struct ParkedRoutes {
+    net: Network,
+    routes: SymbolicRoutes,
+    stfs: HashMap<GroupKey, FlowStf>,
 }
 
 /// A verifier that carries its inputs and re-verifies change-sets
@@ -255,6 +285,8 @@ impl IncrementalVerifier {
         if self.last_delta.full_rebuild {
             r.incremental_full_rebuilds_total.inc();
         }
+        r.incremental_reused_routes_total
+            .add(u64::from(self.last_delta.reused_routes));
         self.v.audit_checkpoint("after incremental invalidation");
         self.verify()
     }
@@ -266,31 +298,58 @@ impl IncrementalVerifier {
         self.caches.point_epoch.insert(p, self.gen);
     }
 
-    /// Routing changed (same topology): recompute the guarded routing
-    /// state in the same arena, re-execute every group toward its current
-    /// representative, and dirty every load point whose handle changed.
+    /// Routing changed (same topology): swap back the parked state of
+    /// `net` if there is one, else recompute the guarded routing state in
+    /// the same arena; give every group the execution of its current
+    /// representative (parked under its key, or executed now), dirty
+    /// every load point whose handle changed, and park the state left.
     /// Returns whether the new state classifies destinations differently,
     /// in which case the stored groups may no longer be the groups of the
     /// flows.
     fn apply_routing(&mut self, net: Network) -> bool {
         let v = &mut self.v;
-        v.net = net;
-        let k = v.opts.use_kreduce.then_some(v.opts.k);
         let t0 = Instant::now();
-        let routes = {
-            let _stage = yu_telemetry::span("route_sim");
-            SymbolicRoutes::compute(&mut v.m, &v.net, &v.fv, k)
+        let parked = v.parked.iter().position(|p| p.net == net);
+        let (routes, mut stfs) = match parked {
+            Some(i) => {
+                let p = v.parked.remove(i);
+                (p.routes, p.stfs)
+            }
+            None => {
+                let k = v.opts.use_kreduce.then_some(v.opts.k);
+                let _stage = yu_telemetry::span("route_sim");
+                let routes = SymbolicRoutes::compute(&mut v.m, &net, &v.fv, k);
+                (routes, HashMap::new())
+            }
         };
+        self.last_delta.reused_routes = parked.is_some();
         let reclassified = routes.dst_classes != v.routes.dst_classes;
-        v.routes = routes;
+        let left_net = std::mem::replace(&mut v.net, net);
+        let mut left_routes = std::mem::replace(&mut v.routes, routes);
         v.route_time += t0.elapsed();
+        let global_equiv = v.opts.use_global_equiv;
+        let group_keys = |classes| {
+            let mut keys = GroupKeys::new(classes, global_equiv);
+            v.groups
+                .iter()
+                .map(|g| keys.key(&g.rep))
+                .collect::<Vec<_>>()
+        };
+        let (left_keys, keys) = (
+            group_keys(&left_routes.dst_classes),
+            group_keys(&v.routes.dst_classes),
+        );
         let t1 = Instant::now();
+        let mut left_stfs = HashMap::with_capacity(v.groups.len());
         let mut dirty: Vec<LoadPoint> = Vec::new();
-        for i in 0..v.groups.len() {
-            let _stage = yu_telemetry::span_detail("delta.reexec", || {
-                format!("{:?}->{:?}", v.groups[i].rep.ingress, v.groups[i].rep.dst)
+        for (i, (left_key, key)) in left_keys.into_iter().zip(keys).enumerate() {
+            let stf = stfs.remove(&key).unwrap_or_else(|| {
+                let _stage = yu_telemetry::span_detail("delta.reexec", || {
+                    format!("{:?}->{:?}", v.groups[i].rep.ingress, v.groups[i].rep.dst)
+                });
+                self.last_delta.recomputed_groups += 1;
+                v.execute(&v.groups[i].clone())
             });
-            let stf = v.execute(&v.groups[i].clone());
             let old = std::mem::replace(&mut v.results[i], stf);
             let new = &v.results[i];
             // Dirty every point where the group's fraction changed
@@ -300,9 +359,18 @@ impl IncrementalVerifier {
                     dirty.push(p);
                 }
             }
+            left_stfs.insert(left_key, old);
         }
-        self.last_delta.recomputed_groups += v.groups.len();
         v.book_exec_time(t1.elapsed());
+        left_routes.drop_derived();
+        if v.parked.len() == PARKED_MAX {
+            v.parked.remove(0);
+        }
+        v.parked.push(ParkedRoutes {
+            net: left_net,
+            routes: left_routes,
+            stfs: left_stfs,
+        });
         for p in dirty {
             self.mark_dirty(p);
         }
@@ -637,6 +705,55 @@ mod tests {
             assert_reused_everything(&ctx, &inc);
             assert_eq!(out.violations, base.violations, "{ctx}");
         }
+    }
+
+    /// The cost of `u` in every parked state, least recently left first.
+    fn parked_costs(inc: &IncrementalVerifier, u: ULinkId) -> Vec<u64> {
+        inc.v
+            .parked
+            .iter()
+            .map(|p| p.net.topo.link(p.net.topo.directions(u).0).igp_cost)
+            .collect()
+    }
+
+    #[test]
+    fn parked_states_are_evicted_least_recently_left_first() {
+        let fig1 = motivating_example();
+        let net = fig1.net;
+        let u = ULinkId(0);
+        let base = net.topo.link(net.topo.directions(u).0).igp_cost;
+        let mut inc =
+            IncrementalVerifier::new(net.clone(), fig1.flows, fig1.p2, YuOptions::default());
+        // Past the cap, so the base state is evicted; back to the base;
+        // then states from the middle and the front of the list.
+        let mut costs: Vec<u64> = (1..=PARKED_MAX as u64 + 1).map(|i| base + i).collect();
+        costs.extend([
+            base,
+            base + 3,
+            base + 2,
+            base + PARKED_MAX as u64 + 1,
+            base + 3,
+        ]);
+        // The model: costs of the states left, least recently left first.
+        let (mut model, mut current) = (Vec::new(), base);
+        for cost in costs {
+            let ctx = format!("cost {cost}, parked {model:?}");
+            let found = model.iter().position(|&c| c == cost);
+            inc.apply(&ChangeSet::single(link_cost(&net, u, |_| cost)))
+                .expect(&ctx);
+            assert_eq!(inc.delta_stats().reused_routes, found.is_some(), "{ctx}");
+            if let Some(i) = found {
+                model.remove(i);
+            }
+            model.push(current);
+            if model.len() > PARKED_MAX {
+                model.remove(0);
+            }
+            current = cost;
+            assert_eq!(parked_costs(&inc, u), model, "{ctx}");
+            assert_invariant(&ctx, &mut inc);
+        }
+        assert_eq!(model.len(), PARKED_MAX);
     }
 
     /// M - D - W, one AS each; W originates `10.1.0.0/26` and 30 enter at

@@ -47,16 +47,17 @@ const TABLE_INITIAL: usize = 64;
 /// on the first insert: 2^14 × 16 B = 256 KiB.
 const COMPUTED_INITIAL: usize = 1 << 14;
 
-/// The one ceiling of the [`ComputedTable`]: 2^21 entries, 32 MiB. It is
-/// not an option, and a run reaches it only when the shadow of a table
-/// this size shows that it would answer misses the current table takes.
-/// `yu serve` needs this much: with a 2^18 ceiling its p90 request went
-/// from 32 to 50 ms. A 2^22 ceiling saved 1 % of the batch misses and
-/// made exec slower (DESIGN.md §16.2).
-pub const COMPUTED_MAX: usize = 1 << 21;
+/// The one ceiling of the [`ComputedTable`]: 2^18 entries, 4 MiB, the
+/// most any k = 2 bench row grew to under a 2^21 ceiling. It is not an
+/// option, and a run reaches it only when the shadow of a table this
+/// size shows that it would answer misses the current table takes. A
+/// larger ceiling paid only for `yu serve` re-deriving routing states
+/// it had already verified; it swaps those back instead (DESIGN.md
+/// §16.2).
+pub const COMPUTED_MAX: usize = 1 << 18;
 
 /// The shadow tracks 1 of every 16 slots of a [`COMPUTED_MAX`] table:
-/// 2^17 fingerprints, 512 KiB. Sampling whole sets keeps each shadow
+/// 2^14 fingerprints, 64 KiB. Sampling whole sets keeps each shadow
 /// slot exact (it holds what that slot of the ceiling table would hold),
 /// and 1 in 16 still gives a window of `capacity / 16` sampled misses,
 /// 1 024 at the initial size, for the share below to be read from.
@@ -67,9 +68,9 @@ const SHADOW_SLOTS: usize = COMPUTED_MAX / SHADOW_SAMPLE;
 
 /// The table grows when the ceiling would have answered at least 1 in 8
 /// of a window's sampled misses. The batch bench rows read 5–8 % over a
-/// run (their misses are one-shot work) and `yu serve` reads 50 % while
-/// its routing edits climb to the ceiling, so the line sits between them
-/// (DESIGN.md §16.2).
+/// run against a 2^21 ceiling (their misses are one-shot work) and
+/// `yu serve` read 50 % while its routing edits re-derived every group,
+/// so the line sits between them (DESIGN.md §16.2).
 const GROW_SHARE: u64 = 8;
 
 /// Hash bits that pick a slot of the ceiling table.
@@ -369,7 +370,7 @@ fn run_hash(ops: &[NodeRef], w1: u32) -> u64 {
 }
 
 /// Where a key sits in the shadow, if its slot in a [`COMPUTED_MAX`]
-/// table is sampled: its index (the top 17 hash bits) and its
+/// table is sampled: its index (the top 14 hash bits) and its
 /// fingerprint (the 32 hash bits below the ceiling slot, never 0, which
 /// marks an empty shadow slot). The slot is the top bits of the same
 /// hash the table uses, so a sampled key is one whose ceiling slot is
@@ -914,14 +915,14 @@ mod tests {
 
     #[test]
     fn reused_keys_grow_it_to_the_ceiling() {
-        // A cycle of 2^19 keys: longer than every size below the ceiling
+        // A cycle of 2^17 keys: longer than every size below the ceiling
         // can hold, short enough for the ceiling to answer most of its
-        // misses. ×4 steps from 2^14 pass 2^20; the next must stop at
-        // 2^21, not overshoot to 2^22.
-        let period = 1u64 << 19;
+        // misses. ×4 steps from 2^14 reach the 2^18 ceiling and stop
+        // there, never overshooting to 2^20.
+        let period = 1u64 << 17;
         let mut c = ComputedTable::new();
         let seen = capacities(&mut c, (0..4 * period).map(|i| i % period));
-        assert_eq!(seen, [1 << 14, 1 << 16, 1 << 18, 1 << 20, COMPUTED_MAX]);
+        assert_eq!(seen, [1 << 14, 1 << 16, 1 << 18]);
         assert_eq!(c.heap_bytes(), 16 * COMPUTED_MAX);
         let (sampled, hits) = c.shadow_stats();
         assert!(hits * GROW_SHARE >= (1 << 14) / SHADOW_SAMPLE as u64 && hits <= sampled);

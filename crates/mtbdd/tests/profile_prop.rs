@@ -155,12 +155,12 @@ proptest! {
         prop_assert_eq!(terminals.len, s.live_terminals);
         // The shadow of the computed table: its sampled misses are misses
         // of the table, the ceiling answers at most all of them, and its
-        // 2^17 fingerprints are the row's pool once the table holds
+        // 2^14 fingerprints are the row's pool once the table holds
         // anything. No other row samples.
         let computed = caches.iter().find(|c| c.name == "computed").expect("computed row");
         prop_assert!(computed.shadow_hits <= computed.sampled);
         prop_assert!(computed.sampled <= computed.misses);
-        let shadow_bytes = if computed.capacity > 0 { 4 << 17 } else { 0 };
+        let shadow_bytes = if computed.capacity > 0 { 4 << 14 } else { 0 };
         prop_assert_eq!(computed.pool_bytes, shadow_bytes);
         for c in caches.iter().filter(|c| c.name != "computed") {
             prop_assert_eq!((c.sampled, c.shadow_hits), (0, 0), "{}", c.name);

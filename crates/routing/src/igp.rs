@@ -186,6 +186,11 @@ impl IgpState {
         self.vigp_cache.clear();
     }
 
+    /// Frees the `V^IGP` cache; it is rebuilt lazily.
+    pub(crate) fn drop_derived(&mut self) {
+        self.vigp_cache = HashMap::new();
+    }
+
     /// Whether router `r` terminates traffic for IGP destination `ip`
     /// (it owns the loopback — pops SR labels / receives nexthop traffic).
     pub fn owns(&self, net: &Network, r: RouterId, ip: Ipv4) -> bool {

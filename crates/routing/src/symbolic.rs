@@ -226,6 +226,14 @@ impl SymbolicRoutes {
         }
         self.fib_cache.clear();
     }
+
+    /// Frees the derived caches (FIB rules, `V^IGP` vectors), which are
+    /// rebuilt lazily: what a routing state kept for later reuse needs
+    /// only its roots.
+    pub fn drop_derived(&mut self) {
+        self.igp.drop_derived();
+        self.fib_cache = HashMap::new();
+    }
 }
 
 #[cfg(test)]

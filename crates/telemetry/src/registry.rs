@@ -228,6 +228,8 @@ metrics! {
         "Loads found by signature in the entry the current one replaced";
     incremental_full_rebuilds_total: counter,
         "Updates that forced a from-scratch rebuild (topology edits)";
+    incremental_reused_routes_total: counter,
+        "Routing edits that swapped back a parked routing state";
     // ---- serve loop ----
     serve_requests_total: counter, "Requests handled by yu serve (successful change-sets)";
     serve_request_errors_total: counter, "Requests rejected (parse errors, bad requests)";

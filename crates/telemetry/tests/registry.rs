@@ -234,7 +234,7 @@ fn snapshot_json_matches_live_values() {
 /// exposition order. Adding, renaming or re-twinning an instrument is a
 /// one-line diff here (and one row in DESIGN.md §9.7, which
 /// `tests/observability.rs` checks against `descriptors()`).
-const INSTRUMENTS: [(&str, &str, Option<&str>); 39] = [
+const INSTRUMENTS: [(&str, &str, Option<&str>); 40] = [
     ("yu_verify_runs_total", "counter", None),
     ("yu_reqs_checked_total", "counter", None),
     ("yu_reqs_bound_decided_total", "counter", None),
@@ -313,6 +313,7 @@ const INSTRUMENTS: [(&str, &str, Option<&str>); 39] = [
         Some("delta.reused_loads"),
     ),
     ("yu_incremental_full_rebuilds_total", "counter", None),
+    ("yu_incremental_reused_routes_total", "counter", None),
     ("yu_serve_requests_total", "counter", None),
     ("yu_serve_request_errors_total", "counter", None),
     ("yu_serve_slow_requests_total", "counter", None),

@@ -15,7 +15,8 @@
 //! ```json
 //! {"id": 1, "ok": true, "verified": false, "violations": [...],
 //!  "new_violations": [...], "resolved_violations": [],
-//!  "stats": {"reused_groups": 5, "recomputed_groups": 1, ...},
+//!  "stats": {"reused_groups": 5, "recomputed_groups": 1,
+//!            "reused_routes": false, ...},
 //!  "lifetime": {"requests": 12, "verdict_flips": 2, ...}}
 //! ```
 //!
@@ -578,6 +579,7 @@ pub fn stats_value(out: &VerificationOutcome, delta: DeltaStats) -> Value {
         stats.insert(key, Value::Int(n as i128));
     }
     stats.insert("full_rebuild", Value::Bool(delta.full_rebuild));
+    stats.insert("reused_routes", Value::Bool(delta.reused_routes));
     Value::Map(stats)
 }
 

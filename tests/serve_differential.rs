@@ -548,6 +548,144 @@ fn a_reused_group_is_keyed_by_the_destination_it_was_executed_toward() {
     assert_matches_scratch("static over the remaining flow", &mut inc, &split);
 }
 
+/// A representative per flow group: `(ingress, src, dst, dscp)`.
+type Rep = (yu::net::RouterId, Ipv4, Ipv4, u8);
+
+fn reps(inc: &IncrementalVerifier) -> Vec<Rep> {
+    inc.verifier()
+        .flow_results()
+        .map(|(g, _)| (g.rep.ingress, g.rep.src, g.rep.dst, g.rep.dscp))
+        .collect()
+}
+
+/// On the small WAN: flip and restore the costs of three links, twice,
+/// with a volume edit and a flow that forms a new group between the
+/// rounds, and the removal of that flow in the second. Every response
+/// must equal a from-scratch run. A routing edit back to a state the
+/// session left since its last collection must swap it back and execute
+/// only the groups that are new since that state was left; any other
+/// routing edit executes every group. Returns how many revisits found
+/// their state dropped by a collection.
+fn revisit_script(opts_of: impl Fn(&Instance) -> YuOptions) -> usize {
+    let inst = &instances()[4];
+    let topo = &inst.net.topo;
+    let flip = |u: u32, bump: bool| {
+        let (fwd, _) = topo.directions(yu::net::ULinkId(u));
+        let (from, to) = link_names(&inst.net, fwd);
+        let cost = topo.link(fwd).igp_cost + if bump { 25 } else { 0 };
+        Change::SetLinkCost {
+            from,
+            to,
+            index: 0,
+            cost,
+        }
+    };
+    let added = inst.flows.len();
+    let add_flow = Change::AddFlow {
+        ingress: topo.router(topo.routers().next().unwrap()).name.clone(),
+        src: Ipv4::new(11, 99, 0, 1),
+        dst: inst.flows[0].dst,
+        dscp: 0,
+        volume: Ratio::int(3),
+    };
+    let volume = Change::SetFlowVolume {
+        flow: 0,
+        volume: inst.flows[0].volume.clone() * Ratio::int(2),
+    };
+    let mut script = Vec::new();
+    for round in 0..2 {
+        for u in 0..3 {
+            script.push(flip(u, true));
+            script.push(flip(u, false));
+            if round == 1 && u == 1 {
+                script.push(Change::RemoveFlow { flow: added });
+            }
+        }
+        if round == 0 {
+            script.extend([volume.clone(), add_flow.clone()]);
+        }
+    }
+    let mut inc = IncrementalVerifier::new(
+        inst.net.clone(),
+        inst.flows.clone(),
+        inst.tlp.clone(),
+        opts_of(inst),
+    );
+    let base = inc.verify();
+    assert_matches_scratch("revisits base", &mut inc, &base);
+    // Each state the session left, with the collections run before it was
+    // left and the groups it held. No script here leaves more states
+    // than the parking cap.
+    let mut left: Vec<(Network, u64, Vec<Rep>)> = Vec::new();
+    let mut dropped = 0;
+    for (step, change) in script.into_iter().enumerate() {
+        let ctx = format!("revisits step {step} ({change:?})");
+        let (net, gc_runs, groups) = (
+            inc.network().clone(),
+            inc.verifier().mtbdd_stats().gc_runs,
+            reps(&inc),
+        );
+        let groups_before = groups.len();
+        let out = inc.apply(&ChangeSet::single(change.clone())).expect(&ctx);
+        let delta = inc.delta_stats();
+        assert_matches_scratch(&ctx, &mut inc, &out);
+        assert_eq!(
+            delta.reused_groups + delta.recomputed_groups,
+            out.stats.flow_groups,
+            "{ctx}: {delta:?}"
+        );
+        if matches!(change, Change::AddFlow { .. }) {
+            assert_eq!(
+                out.stats.flow_groups,
+                groups_before + 1,
+                "{ctx}: a new group"
+            );
+        }
+        if *inc.network() == net {
+            assert!(!delta.reused_routes, "{ctx}: {delta:?}");
+            continue;
+        }
+        let found = left.iter().position(|(n, ..)| n == inc.network());
+        let parked = found.map(|i| left.remove(i));
+        left.push((net, gc_runs, groups));
+        match parked {
+            Some((_, parked_gc, parked_groups)) if parked_gc == gc_runs => {
+                assert!(delta.reused_routes, "{ctx}: {delta:?}");
+                let new_since = reps(&inc)
+                    .iter()
+                    .filter(|r| !parked_groups.contains(r))
+                    .count();
+                assert_eq!(delta.recomputed_groups, new_since, "{ctx}: {delta:?}");
+            }
+            _ => {
+                dropped += usize::from(parked.is_some());
+                assert!(!delta.reused_routes, "{ctx}: {delta:?}");
+                assert_eq!(delta.recomputed_groups, out.stats.flow_groups, "{ctx}");
+            }
+        }
+    }
+    dropped
+}
+
+/// A session that never collects swaps back every revisited state, and
+/// a revisit in the second round executes the group added since.
+#[test]
+fn revisited_routing_states_are_swapped_back() {
+    assert_eq!(revisit_script(options), 0);
+}
+
+/// Collected at every checkpoint, the session drops its parked states
+/// with each collection: revisits re-simulate, and the answers stay
+/// those of a scratch run.
+#[test]
+fn parked_routing_states_die_with_a_collection() {
+    let dropped = revisit_script(|inst| YuOptions {
+        gc_node_threshold: 1,
+        ..options(inst)
+    });
+    assert!(dropped > 0, "no revisit followed a collection");
+}
+
 /// Two serve sessions in one process answer one script of cost flips,
 /// restores and volume edits on the `n0` preset with the same engine
 /// counters after every request.
